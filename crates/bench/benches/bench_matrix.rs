@@ -1,9 +1,7 @@
-//! Micro-benchmarks of the flat-matrix migration: index-gather vs per-row
-//! clones, batch vs per-row prediction, and the iWare-E fit/effort_response
-//! hot paths against a faithful copy of the pre-refactor nested-`Vec`
-//! implementation (the `legacy` module below reproduces the seed's
-//! clone-based tree/bagging/iWare code so the speedup stays measurable
-//! after the old code path is gone).
+//! Micro-benchmarks of the flat-matrix predictive stack: index gathers,
+//! batch vs per-row prediction, arena traversal, the tree, bagging and
+//! iWare-E fits, the iWare-E response surface, the SIMD kernels and the
+//! response surface's thread scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_core::Scenario;
@@ -14,322 +12,14 @@ use paws_ml::traits::Classifier;
 use paws_ml::tree::{DecisionTree, TreeConfig};
 use std::hint::black_box;
 
-/// The pre-refactor implementation, preserved verbatim in spirit: nested
-/// `Vec<Vec<f64>>` features, per-row clones for bootstraps and filtered
-/// subsets, per-threshold O(n) split scans, per-row scratch vectors in the
-/// response evaluation. Sequential, like the flat path on one core.
-#[allow(clippy::needless_range_loop)]
-mod legacy {
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
-
-    pub enum Node {
-        Leaf {
-            proba: f64,
-        },
-        Split {
-            feature: usize,
-            threshold: f64,
-            left: usize,
-            right: usize,
-        },
-    }
-
-    pub struct Tree {
-        nodes: Vec<Node>,
-        n_features: usize,
-    }
-
-    impl Tree {
-        pub fn fit(
-            config: &super::TreeConfig,
-            rows: &[Vec<f64>],
-            labels: &[f64],
-            _seed: u64,
-        ) -> Self {
-            let mut tree = Self {
-                nodes: Vec::new(),
-                n_features: rows[0].len(),
-            };
-            let indices: Vec<usize> = (0..rows.len()).collect();
-            tree.build(config, rows, labels, &indices, 0);
-            tree
-        }
-
-        fn build(
-            &mut self,
-            config: &super::TreeConfig,
-            rows: &[Vec<f64>],
-            labels: &[f64],
-            indices: &[usize],
-            depth: usize,
-        ) -> usize {
-            let n = indices.len();
-            let positives: f64 = indices.iter().map(|&i| labels[i]).sum();
-            let proba = positives / n as f64;
-            let is_pure = positives == 0.0 || positives == n as f64;
-            if depth >= config.max_depth || n < config.min_samples_split || is_pure {
-                self.nodes.push(Node::Leaf { proba });
-                return self.nodes.len() - 1;
-            }
-            let parent = 2.0 * proba * (1.0 - proba);
-            let mut best: Option<(f64, usize, f64)> = None;
-            for f in 0..self.n_features {
-                let mut values: Vec<f64> = indices.iter().map(|&i| rows[i][f]).collect();
-                values.sort_by(|a, b| a.total_cmp(b));
-                values.dedup();
-                if values.len() < 2 {
-                    continue;
-                }
-                let stride = (values.len() / config.max_thresholds.max(1)).max(1);
-                for w in (0..values.len() - 1).step_by(stride) {
-                    let threshold = (values[w] + values[w + 1]) / 2.0;
-                    let (mut nl, mut pl, mut nr, mut pr) = (0usize, 0.0f64, 0usize, 0.0f64);
-                    for &i in indices {
-                        if rows[i][f] <= threshold {
-                            nl += 1;
-                            pl += labels[i];
-                        } else {
-                            nr += 1;
-                            pr += labels[i];
-                        }
-                    }
-                    if nl < config.min_samples_leaf || nr < config.min_samples_leaf {
-                        continue;
-                    }
-                    let gl = 2.0 * (pl / nl as f64) * (1.0 - pl / nl as f64);
-                    let gr = 2.0 * (pr / nr as f64) * (1.0 - pr / nr as f64);
-                    let gain = parent - (nl as f64 * gl + nr as f64 * gr) / n as f64;
-                    if gain > 1e-12 && best.is_none_or(|(g, _, _)| gain > g) {
-                        best = Some((gain, f, threshold));
-                    }
-                }
-            }
-            let Some((_, feature, threshold)) = best else {
-                self.nodes.push(Node::Leaf { proba });
-                return self.nodes.len() - 1;
-            };
-            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-                .iter()
-                .partition(|&&i| rows[i][feature] <= threshold);
-            let node_idx = self.nodes.len();
-            self.nodes.push(Node::Leaf { proba });
-            let left = self.build(config, rows, labels, &left_idx, depth + 1);
-            let right = self.build(config, rows, labels, &right_idx, depth + 1);
-            self.nodes[node_idx] = Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            };
-            node_idx
-        }
-
-        pub fn predict_row(&self, row: &[f64]) -> f64 {
-            let mut idx = 0;
-            loop {
-                match &self.nodes[idx] {
-                    Node::Leaf { proba } => return *proba,
-                    Node::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    } => {
-                        idx = if row[*feature] <= *threshold {
-                            *left
-                        } else {
-                            *right
-                        };
-                    }
-                }
-            }
-        }
-
-        pub fn predict(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-            rows.iter().map(|r| self.predict_row(r)).collect()
-        }
-    }
-
-    pub struct Bagging {
-        pub members: Vec<Tree>,
-    }
-
-    impl Bagging {
-        pub fn fit(
-            tree_config: &super::TreeConfig,
-            n_estimators: usize,
-            seed: u64,
-            rows: &[Vec<f64>],
-            labels: &[f64],
-        ) -> Self {
-            let members = (0..n_estimators)
-                .map(|m| {
-                    let member_seed = seed.wrapping_add(m as u64);
-                    let mut rng = ChaCha8Rng::seed_from_u64(member_seed);
-                    let indices: Vec<usize> = (0..rows.len())
-                        .map(|_| rng.gen_range(0..rows.len()))
-                        .collect();
-                    // The pre-refactor bootstrap: one clone per sampled row.
-                    let brows: Vec<Vec<f64>> = indices.iter().map(|&i| rows[i].clone()).collect();
-                    let blabels: Vec<f64> = indices.iter().map(|&i| labels[i]).collect();
-                    Tree::fit(tree_config, &brows, &blabels, member_seed)
-                })
-                .collect();
-            Self { members }
-        }
-
-        /// Mean prediction plus member-spread variance, as the seed's
-        /// `predict_with_variance` computed them for tree ensembles.
-        pub fn predict_with_variance(&self, rows: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
-            let per_member: Vec<Vec<f64>> = self.members.iter().map(|t| t.predict(rows)).collect();
-            let b = per_member.len() as f64;
-            let mut mean = vec![0.0; rows.len()];
-            for preds in &per_member {
-                for (m, p) in mean.iter_mut().zip(preds) {
-                    *m += p;
-                }
-            }
-            for m in mean.iter_mut() {
-                *m /= b;
-            }
-            let mut var = vec![0.0; rows.len()];
-            for preds in &per_member {
-                for ((v, p), m) in var.iter_mut().zip(preds).zip(&mean) {
-                    *v += (p - m) * (p - m);
-                }
-            }
-            for v in var.iter_mut() {
-                *v /= b;
-            }
-            (mean, var)
-        }
-    }
-
-    pub struct IWare {
-        pub thresholds: Vec<f64>,
-        pub learners: Vec<Bagging>,
-        pub weights: Vec<f64>,
-    }
-
-    impl IWare {
-        pub fn fit(
-            tree_config: &super::TreeConfig,
-            n_learners: usize,
-            n_estimators: usize,
-            seed: u64,
-            rows: &[Vec<f64>],
-            labels: &[f64],
-            efforts: &[f64],
-        ) -> Self {
-            let mut sorted = efforts.to_vec();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            let thresholds: Vec<f64> = (0..n_learners)
-                .map(|i| {
-                    if i == 0 {
-                        0.0
-                    } else {
-                        sorted[(i as f64 / n_learners as f64 * (sorted.len() - 1) as f64).round()
-                            as usize]
-                    }
-                })
-                .collect();
-            let learners = thresholds
-                .iter()
-                .enumerate()
-                .map(|(i, &theta)| {
-                    let mut idx: Vec<usize> = (0..labels.len())
-                        .filter(|&j| labels[j] > 0.5 || efforts[j] > theta)
-                        .collect();
-                    let n_pos = idx.iter().filter(|&&j| labels[j] > 0.5).count();
-                    if idx.len() < 20 || n_pos == 0 || n_pos == idx.len() {
-                        idx = (0..rows.len()).collect();
-                    }
-                    // Pre-refactor filtered subset: per-row clones.
-                    let srows: Vec<Vec<f64>> = idx.iter().map(|&j| rows[j].clone()).collect();
-                    let slabels: Vec<f64> = idx.iter().map(|&j| labels[j]).collect();
-                    Bagging::fit(
-                        tree_config,
-                        n_estimators,
-                        seed.wrapping_add(1000 * i as u64),
-                        &srows,
-                        &slabels,
-                    )
-                })
-                .collect();
-            Self {
-                thresholds,
-                learners,
-                weights: vec![1.0 / n_learners as f64; n_learners],
-            }
-        }
-
-        /// Probability and variance response surfaces, as the seed's
-        /// `effort_response` computed them: per-learner (p, v) passes plus
-        /// per-row scratch vectors.
-        pub fn effort_response(
-            &self,
-            rows: &[Vec<f64>],
-            grid: &[f64],
-        ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-            let pv: Vec<(Vec<f64>, Vec<f64>)> = self
-                .learners
-                .iter()
-                .map(|l| l.predict_with_variance(rows))
-                .collect();
-            let mut per_learner_p = Vec::with_capacity(pv.len());
-            let mut per_learner_v = Vec::with_capacity(pv.len());
-            for (p, v) in pv {
-                per_learner_p.push(p);
-                per_learner_v.push(v);
-            }
-            let qualified: Vec<Vec<usize>> = grid
-                .iter()
-                .map(|&e| {
-                    (0..self.thresholds.len())
-                        .filter(|&i| self.thresholds[i] <= e)
-                        .collect()
-                })
-                .collect();
-            let combine = |p: &[f64], q: &[usize]| {
-                let mut wsum = 0.0;
-                let mut acc = 0.0;
-                for &i in q {
-                    wsum += self.weights[i];
-                    acc += self.weights[i] * p[i];
-                }
-                if wsum <= 1e-12 {
-                    0.0
-                } else {
-                    acc / wsum
-                }
-            };
-            let mut probs = vec![vec![0.0; grid.len()]; rows.len()];
-            let mut vars = vec![vec![0.0; grid.len()]; rows.len()];
-            for r in 0..rows.len() {
-                // Pre-refactor per-row scratch vectors.
-                let p: Vec<f64> = per_learner_p.iter().map(|l| l[r]).collect();
-                let v: Vec<f64> = per_learner_v.iter().map(|l| l[r]).collect();
-                for (e, q) in qualified.iter().enumerate() {
-                    probs[r][e] = combine(&p, q);
-                    vars[r][e] = combine(&v, q);
-                }
-            }
-            (probs, vars)
-        }
-    }
-}
-
 struct Workload {
-    nested: Vec<Vec<f64>>,
     flat: Matrix,
     labels: Vec<f64>,
     efforts: Vec<f64>,
-    park_nested: Vec<Vec<f64>>,
     park_flat: Matrix,
 }
 
-/// Test-scenario-park training data (standardised) in both layouts.
+/// Test-scenario-park training data (standardised) and the park's cells.
 fn workload() -> Workload {
     let scenario = Scenario::test_scenario(7);
     let history = scenario.simulate_years(2014, 3);
@@ -343,29 +33,18 @@ fn workload() -> Workload {
     let mut park_flat = dataset.full_feature_matrix(&scenario.park, &prev);
     scaler.transform_in_place(&mut park_flat);
     Workload {
-        nested: flat.to_rows(),
         flat,
         labels,
         efforts,
-        park_nested: park_flat.to_rows(),
         park_flat,
     }
 }
 
-fn bench_gather_vs_clone(c: &mut Criterion) {
+fn bench_gather(c: &mut Criterion) {
     let w = workload();
     let idx: Vec<usize> = (0..w.flat.n_rows()).filter(|i| i % 3 != 0).collect();
     let mut group = c.benchmark_group("subset_extraction");
     group.sample_size(30);
-    group.bench_function("legacy_row_clones", |b| {
-        b.iter(|| {
-            black_box(
-                idx.iter()
-                    .map(|&i| w.nested[i].clone())
-                    .collect::<Vec<Vec<f64>>>(),
-            )
-        })
-    });
     group.bench_function("flat_gather", |b| b.iter(|| black_box(w.flat.gather(&idx))));
     group.finish();
 }
@@ -425,29 +104,23 @@ fn bench_forest_traversal(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tree_fit_legacy_vs_flat(c: &mut Criterion) {
+fn bench_tree_fit(c: &mut Criterion) {
     let w = workload();
     let cfg = TreeConfig::default();
     let mut group = c.benchmark_group("tree_fit");
     group.sample_size(15);
-    group.bench_function("legacy_nested_vec", |b| {
-        b.iter(|| black_box(legacy::Tree::fit(&cfg, &w.nested, &w.labels, 7)))
-    });
-    group.bench_function("flat_prefix_sums", |b| {
+    group.bench_function("rank_histogram", |b| {
         b.iter(|| black_box(DecisionTree::fit(&cfg, w.flat.view(), &w.labels, 7)))
     });
     group.finish();
 }
 
-fn bench_bagging_fit_legacy_vs_flat(c: &mut Criterion) {
+fn bench_bagging_fit(c: &mut Criterion) {
+    // One ranking per ensemble; each member fits from its in-bag counts.
     let w = workload();
-    let cfg = TreeConfig::default();
     let mut group = c.benchmark_group("bagging_fit_10_trees");
     group.sample_size(10);
-    group.bench_function("legacy_clone_bootstrap", |b| {
-        b.iter(|| black_box(legacy::Bagging::fit(&cfg, 10, 3, &w.nested, &w.labels)))
-    });
-    group.bench_function("flat_gather_bootstrap", |b| {
+    group.bench_function("shared_ranking", |b| {
         b.iter(|| {
             black_box(BaggingClassifier::fit(
                 &BaggingConfig::trees(10, 3),
@@ -459,10 +132,9 @@ fn bench_bagging_fit_legacy_vs_flat(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_iware_legacy_vs_flat(c: &mut Criterion) {
+fn bench_iware(c: &mut Criterion) {
     use paws_iware::{IWareConfig, IWareModel, ThresholdMode, WeightMode};
     let w = workload();
-    let cfg = TreeConfig::default();
     let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let config = IWareConfig {
         n_learners: 5,
@@ -475,13 +147,6 @@ fn bench_iware_legacy_vs_flat(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("iware_fit");
     group.sample_size(10);
-    group.bench_function("legacy_nested_vec", |b| {
-        b.iter(|| {
-            black_box(legacy::IWare::fit(
-                &cfg, 5, 4, 3, &w.nested, &w.labels, &w.efforts,
-            ))
-        })
-    });
     group.bench_function("flat_gather", |b| {
         b.iter(|| {
             black_box(IWareModel::fit(
@@ -494,13 +159,9 @@ fn bench_iware_legacy_vs_flat(c: &mut Criterion) {
     });
     group.finish();
 
-    let legacy_model = legacy::IWare::fit(&cfg, 5, 4, 3, &w.nested, &w.labels, &w.efforts);
     let flat_model = IWareModel::fit(&config, w.flat.view(), &w.labels, &w.efforts);
     let mut group = c.benchmark_group("iware_effort_response");
     group.sample_size(20);
-    group.bench_function("legacy_nested_vec", |b| {
-        b.iter(|| black_box(legacy_model.effort_response(&w.park_nested, &grid)))
-    });
     group.bench_function("flat_cell_parallel", |b| {
         b.iter(|| black_box(flat_model.effort_response(w.park_flat.view(), &grid)))
     });
@@ -606,12 +267,12 @@ fn bench_effort_response_threads(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_gather_vs_clone,
+    bench_gather,
     bench_batch_vs_per_row_predict,
     bench_forest_traversal,
-    bench_tree_fit_legacy_vs_flat,
-    bench_bagging_fit_legacy_vs_flat,
-    bench_iware_legacy_vs_flat,
+    bench_tree_fit,
+    bench_bagging_fit,
+    bench_iware,
     bench_simd_kernels,
     bench_effort_response_threads
 );

@@ -317,8 +317,8 @@ mod tests {
 
     #[test]
     fn sum_of_binary_labels_is_exact_in_any_order() {
-        // The tree split search relies on 0/1 sums being exact integers no
-        // matter how the lanes regroup them.
+        // 0/1 sums are exact integers no matter how the lanes regroup
+        // them.
         for n in [0, 1, 5, 33, 250] {
             let labels: Vec<f64> = (0..n).map(|i| f64::from(u8::from(i % 3 == 0))).collect();
             assert_eq!(sum(&labels), sum_scalar(&labels));

@@ -74,8 +74,7 @@ proptest! {
 
     #[test]
     fn binary_label_sums_are_exact_for_any_length(base in 0.0..512.0f64, phase in 0.0..6.2f64) {
-        // The tree split search relies on 0/1 sums being exact integers
-        // regardless of lane regrouping.
+        // 0/1 sums are exact integers regardless of lane regrouping.
         let n = base as usize;
         let labels: Vec<f64> = (0..n)
             .map(|i| f64::from(u8::from(((i as f64 * 0.37 + phase).sin()) > 0.2)))

@@ -7,9 +7,10 @@
 //! (Sec. V-A, following imbalanced-learn), which is reproduced here with the
 //! `balanced` flag.
 //!
-//! Bootstrap samples are materialised with [`MatrixView::gather`] — one
-//! flat copy per member instead of per-row clones — and every member trains
-//! and predicts on contiguous row-major data.
+//! Tree ensembles rank the training batch once ([`crate::tree`]) and fit
+//! every member from its bootstrap's in-bag counts, so no member copies
+//! rows. SVM and GP members train on their bootstrap materialised with
+//! [`MatrixView::gather`], one flat copy per member.
 //!
 //! Tree ensembles are **arena-backed**: after the members fit (in
 //! parallel), their nodes are spliced into one contiguous [`Forest`] slab
@@ -30,7 +31,7 @@ use crate::precision::Precision;
 use crate::qs::{QuickScorer, QuickScorer32};
 use crate::svm::{LinearSvm, SvmConfig};
 use crate::traits::{validate_training_data, Classifier, UncertainClassifier};
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Ranking, TreeConfig};
 use paws_data::matrix::{Matrix, MatrixView};
 use paws_data::matrix32::{Matrix32, MatrixView32};
 use paws_data::{simd, simd32};
@@ -62,11 +63,10 @@ impl BaseLearnerConfig {
     }
 }
 
-/// A fitted base learner.
+/// A fitted SVM or GP ensemble member (tree members live in the
+/// ensemble's [`Forest`]).
 #[derive(Debug, Clone)]
 pub enum BaseModel {
-    /// Fitted decision tree.
-    Tree(DecisionTree),
     /// Fitted linear SVM.
     Svm(LinearSvm),
     /// Fitted Gaussian process.
@@ -78,7 +78,6 @@ impl BaseModel {
     /// has one (GPs); a single pass over the batch.
     fn predict_with_optional_variance(&self, x: MatrixView<'_>) -> (Vec<f64>, Option<Vec<f64>>) {
         match self {
-            BaseModel::Tree(m) => (m.predict_proba(x), None),
             BaseModel::Svm(m) => (m.predict_proba(x), None),
             BaseModel::Gp(m) => {
                 let (p, v) = m.predict_with_variance(x);
@@ -91,7 +90,6 @@ impl BaseModel {
 impl Classifier for BaseModel {
     fn predict_proba(&self, x: MatrixView<'_>) -> Vec<f64> {
         match self {
-            BaseModel::Tree(m) => m.predict_proba(x),
             BaseModel::Svm(m) => m.predict_proba(x),
             BaseModel::Gp(m) => m.predict_proba(x),
         }
@@ -213,55 +211,59 @@ impl BaggingClassifier {
             .map(|(i, _)| i)
             .collect();
 
-        let fits: Vec<(BaseModel, Vec<u32>)> = (0..config.n_estimators)
-            .into_par_iter()
-            .map(|m| {
-                let member_seed = config.seed.wrapping_add(m as u64);
-                let mut rng = ChaCha8Rng::seed_from_u64(member_seed);
-                let indices = if config.balanced && !positives.is_empty() && !negatives.is_empty() {
-                    balanced_bootstrap(&positives, &negatives, &mut rng)
-                } else {
-                    let size = ((n as f64 * config.sample_fraction).round() as usize).max(1);
-                    (0..size)
-                        .map(|_| rng.gen_range(0..n))
-                        .collect::<Vec<usize>>()
-                };
-                let mut counts = vec![0u32; n];
-                for &i in &indices {
-                    counts[i] += 1;
-                }
-                // One flat gather instead of per-row clones.
-                let bx = x.gather(&indices);
-                let blabels: Vec<f64> = indices.iter().map(|&i| labels[i]).collect();
-                let model = match &config.base {
-                    BaseLearnerConfig::Tree(cfg) => {
-                        BaseModel::Tree(DecisionTree::fit(cfg, bx.view(), &blabels, member_seed))
-                    }
-                    BaseLearnerConfig::Svm(cfg) => {
-                        BaseModel::Svm(LinearSvm::fit(cfg, bx.view(), &blabels, member_seed))
-                    }
-                    BaseLearnerConfig::Gp(cfg) => {
-                        BaseModel::Gp(GaussianProcess::fit(cfg, bx.view(), &blabels, member_seed))
-                    }
-                };
-                (model, counts)
-            })
-            .collect();
-
-        let (members, in_bag_counts): (Vec<BaseModel>, Vec<Vec<u32>>) = fits.into_iter().unzip();
-        // Tree members collapse into one arena: the per-member `Vec<Node>`s
-        // are spliced into a single slab and dropped.
-        let members = if matches!(config.base, BaseLearnerConfig::Tree(_)) {
-            let mut forest = Forest::new(x.n_cols());
-            for member in &members {
-                match member {
-                    BaseModel::Tree(t) => forest.push_tree(t),
-                    _ => unreachable!("tree base config fits tree members"),
-                }
+        // Member `m`'s seed and bootstrap draw (with repeats).
+        let bootstrap = |m: usize| {
+            let member_seed = config.seed.wrapping_add(m as u64);
+            let mut rng = ChaCha8Rng::seed_from_u64(member_seed);
+            let indices = if config.balanced && !positives.is_empty() && !negatives.is_empty() {
+                balanced_bootstrap(&positives, &negatives, &mut rng)
+            } else {
+                let size = ((n as f64 * config.sample_fraction).round() as usize).max(1);
+                (0..size)
+                    .map(|_| rng.gen_range(0..n))
+                    .collect::<Vec<usize>>()
+            };
+            let mut counts = vec![0u32; n];
+            for &i in &indices {
+                counts[i] += 1;
             }
-            Members::Forest(forest)
-        } else {
-            Members::Models(members)
+            (member_seed, indices, counts)
+        };
+
+        let (members, in_bag_counts) = match &config.base {
+            BaseLearnerConfig::Tree(cfg) => {
+                // Rank the batch once; every member fits from its in-bag
+                // counts over the shared ranks, with no row copy.
+                let ranking = Ranking::new(x);
+                let fits: Vec<(DecisionTree, Vec<u32>)> = (0..config.n_estimators)
+                    .into_par_iter()
+                    .map(|m| {
+                        let (seed, _, counts) = bootstrap(m);
+                        let tree =
+                            DecisionTree::fit_weighted(cfg, x, labels, &ranking, &counts, seed);
+                        (tree, counts)
+                    })
+                    .collect();
+                let (trees, in_bag_counts): (Vec<_>, Vec<_>) = fits.into_iter().unzip();
+                // Tree members collapse into one arena: the per-member
+                // `Vec<Node>`s are spliced into a single slab and dropped.
+                let mut forest = Forest::new(x.n_cols());
+                for tree in &trees {
+                    forest.push_tree(tree);
+                }
+                (Members::Forest(forest), in_bag_counts)
+            }
+            base => {
+                let fits: Vec<(BaseModel, Vec<u32>)> = (0..config.n_estimators)
+                    .into_par_iter()
+                    .map(|m| {
+                        let (seed, indices, counts) = bootstrap(m);
+                        (fit_model(base, x, labels, &indices, seed), counts)
+                    })
+                    .collect();
+                let (models, in_bag_counts): (Vec<_>, Vec<_>) = fits.into_iter().unzip();
+                (Members::Models(models), in_bag_counts)
+            }
         };
         Self {
             members,
@@ -618,6 +620,27 @@ pub(crate) fn mean_and_spread32(per_member: &Matrix32) -> (Vec<f64>, Vec<f64>) {
     (mean64, var64)
 }
 
+/// Fit an SVM or GP member on its bootstrap, gathered into one flat copy.
+fn fit_model(
+    base: &BaseLearnerConfig,
+    x: MatrixView<'_>,
+    labels: &[f64],
+    indices: &[usize],
+    seed: u64,
+) -> BaseModel {
+    let bx = x.gather(indices);
+    let blabels: Vec<f64> = indices.iter().map(|&i| labels[i]).collect();
+    match base {
+        BaseLearnerConfig::Svm(cfg) => {
+            BaseModel::Svm(LinearSvm::fit(cfg, bx.view(), &blabels, seed))
+        }
+        BaseLearnerConfig::Gp(cfg) => {
+            BaseModel::Gp(GaussianProcess::fit(cfg, bx.view(), &blabels, seed))
+        }
+        BaseLearnerConfig::Tree(_) => unreachable!("tree ensembles fit from the shared ranking"),
+    }
+}
+
 fn balanced_bootstrap<R: Rng>(positives: &[usize], negatives: &[usize], rng: &mut R) -> Vec<usize> {
     // Undersample the majority (negative) class to the positive count;
     // positives are bootstrapped to preserve their full variety.
@@ -782,6 +805,30 @@ mod tests {
         let tree_model = BaggingClassifier::fit(&BaggingConfig::trees(9, 5), rows.view(), &labels);
         let (p, _) = tree_model.predict_with_variance(q);
         assert_eq!(p, tree_model.predict_proba(q));
+    }
+
+    #[test]
+    fn gp_ensemble_probabilities_equal_the_variance_paths_bit_for_bit() {
+        // GP members answer `predict_proba` from their mean alone; the
+        // ensemble mean must still match the variance path's bits.
+        let (rows, labels) = imbalanced_data(180, 0.3, 13);
+        let model = BaggingClassifier::fit(
+            &BaggingConfig {
+                base: BaseLearnerConfig::Gp(GpConfig {
+                    max_points: 70,
+                    ..GpConfig::default()
+                }),
+                ..BaggingConfig::gps(4, 8)
+            },
+            rows.view(),
+            &labels,
+        );
+        let q = rows.view().head(45);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&model.predict_proba(q)),
+            bits(&model.predict_with_variance(q).0)
+        );
     }
 
     #[test]

@@ -150,10 +150,7 @@ impl GaussianProcess {
         let mut v = vec![0.0; n];
         let kxx = self.config.signal_variance;
         for q in x.rows() {
-            for (slot, xi) in kstar.iter_mut().zip(self.train_rows.rows()) {
-                *slot = rbf(q, xi, self.config.length_scale, self.config.signal_variance);
-            }
-            let mean = self.mean_label + simd::dot(&kstar, &self.alpha);
+            let mean = self.latent_mean(q, &mut kstar);
             // v = L⁻¹ k*, predictive variance = k(x,x) − vᵀv.
             self.chol
                 .solve_lower_into(&kstar, &mut v)
@@ -164,12 +161,32 @@ impl GaussianProcess {
         }
         (means, vars)
     }
+
+    /// Latent predictive mean of the query row `q`, leaving its kernel row
+    /// `k*` in the scratch `kstar`.
+    #[inline]
+    fn latent_mean(&self, q: &[f64], kstar: &mut [f64]) -> f64 {
+        for (slot, xi) in kstar.iter_mut().zip(self.train_rows.rows()) {
+            *slot = rbf(q, xi, self.config.length_scale, self.config.signal_variance);
+        }
+        self.mean_label + simd::dot(kstar, &self.alpha)
+    }
 }
 
 impl Classifier for GaussianProcess {
+    /// The clipped predictive mean alone: no O(n²) variance solve per row.
+    /// Bit-identical to the probabilities of
+    /// [`UncertainClassifier::predict_with_variance`].
     fn predict_proba(&self, x: MatrixView<'_>) -> Vec<f64> {
-        let (means, _) = self.predict_latent(x);
-        means.into_iter().map(|m| m.clamp(0.0, 1.0)).collect()
+        assert_eq!(
+            x.n_cols(),
+            self.train_rows.n_cols(),
+            "feature width mismatch"
+        );
+        let mut kstar = vec![0.0; self.n_train()];
+        x.rows()
+            .map(|q| self.latent_mean(q, &mut kstar).clamp(0.0, 1.0))
+            .collect()
     }
 }
 
@@ -290,6 +307,21 @@ mod tests {
             .filter(|(p, y)| (**p - **y).abs() < 0.2)
             .count();
         assert!(close as f64 / rows.n_rows() as f64 > 0.9);
+    }
+
+    #[test]
+    fn mean_only_probabilities_equal_the_variance_paths_bit_for_bit() {
+        let (rows, labels) = blob_data(160, 10);
+        let config = GpConfig {
+            max_points: 90,
+            ..GpConfig::default()
+        };
+        let gp = GaussianProcess::fit(&config, rows.view(), &labels, 4);
+        let mut queries = rows.gather(&(0..40).collect::<Vec<_>>());
+        queries.push_row(&[50.0, -50.0]);
+        let (p, _) = gp.predict_with_variance(queries.view());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gp.predict_proba(queries.view())), bits(&p));
     }
 
     #[test]
