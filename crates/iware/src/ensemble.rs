@@ -31,7 +31,7 @@
 //! reduces the member rows per learner in the exact member order of the
 //! per-learner path (bit-identical results).
 
-use crate::thresholds::{qualified_learners, select_thresholds, ThresholdMode};
+use crate::thresholds::{qualified_count, qualified_learners, select_thresholds, ThresholdMode};
 use crate::weights::{optimize_weights, WeightMode};
 use paws_data::matrix::{Matrix, MatrixView};
 use paws_data::matrix32::{Matrix32, MatrixView32};
@@ -247,12 +247,13 @@ struct LearnerRecord {
 }
 
 /// Cached out-of-fold artefacts of the CV-weight solve: one member
-/// prediction row, patrol effort and label per validation point. Efforts
-/// are stored raw — not pre-resolved qualified sets — so a warm resolve
-/// can recompute qualification against thresholds that moved since.
+/// prediction row (a row of the flat `points × learners` matrix), patrol
+/// effort and label per validation point. Efforts are stored raw — not
+/// pre-resolved qualified prefixes — so a warm resolve can recompute
+/// qualification against thresholds that moved since.
 #[derive(Debug, Clone)]
 struct CvCache {
-    predictions: Vec<Vec<f64>>,
+    predictions: Matrix,
     efforts: Vec<f64>,
     labels: Vec<f64>,
     iterations: usize,
@@ -296,7 +297,7 @@ pub struct RefitStats {
     /// Learners refit from their new filtered subsets.
     pub learners_refitted: usize,
     /// Whether the CV-weight solve ran on cached out-of-fold predictions
-    /// (the cheap resolve-only path).
+    /// (the resolve-only path: no fold model retrained).
     pub cv_resolved_from_cache: bool,
     /// Whether a full fold-retraining CV solve ran instead.
     pub full_cv: bool,
@@ -1926,9 +1927,10 @@ fn subset_drift(old: &[usize], new: &[usize]) -> f64 {
 
 /// Run the cross-validated weight fit, returning the optimised weights and
 /// the cached out-of-fold member predictions (plus each validation point's
-/// effort and label, so qualified sets can be recomputed against moved
+/// effort and label, so qualified prefixes can be recomputed against moved
 /// thresholds at warm-resolve time). Returns `None` when the data cannot
-/// support it (e.g. too few positives to stratify).
+/// support it: fewer than two folds, or too few points or positives to
+/// stratify into the folds.
 fn cv_weight_fit_cached(
     config: &IWareConfig,
     thresholds: &[f64],
@@ -1939,15 +1941,14 @@ fn cv_weight_fit_cached(
     iterations: usize,
 ) -> Option<(Vec<f64>, CvCache)> {
     let n_pos = labels.iter().filter(|&&y| y > 0.5).count();
-    if n_pos < folds || labels.len() < folds * 4 {
+    if folds < 2 || n_pos < folds || labels.len() < folds * 4 {
         return None;
     }
     let fold_defs = stratified_kfold(labels, folds, config.seed.wrapping_add(77));
 
-    let mut predictions: Vec<Vec<f64>> = Vec::new();
-    let mut qualified: Vec<Vec<usize>> = Vec::new();
-    let mut point_efforts: Vec<f64> = Vec::new();
-    let mut fold_labels: Vec<f64> = Vec::new();
+    let mut predictions = Matrix::with_capacity(labels.len(), thresholds.len());
+    let mut point_efforts: Vec<f64> = Vec::with_capacity(labels.len());
+    let mut fold_labels: Vec<f64> = Vec::with_capacity(labels.len());
 
     for fold in &fold_defs {
         let train_x = x.gather(&fold.train);
@@ -1967,15 +1968,13 @@ fn cv_weight_fit_cached(
             .map(|l| l.predict_proba(valid_x.view()))
             .collect();
 
-        for (vi, &orig) in fold.valid.iter().enumerate() {
-            predictions.push(per_learner.iter().map(|l| l[vi]).collect());
-            qualified.push(qualified_learners(thresholds, efforts[orig]));
-            point_efforts.push(efforts[orig]);
-            fold_labels.push(labels[orig]);
-        }
+        push_point_rows(&mut predictions, &per_learner);
+        point_efforts.extend(fold.valid.iter().map(|&i| efforts[i]));
+        fold_labels.extend(fold.valid.iter().map(|&i| labels[i]));
     }
 
-    let weights = optimize_weights(&predictions, &qualified, &fold_labels, iterations);
+    let qualified = qualified_counts(thresholds, &point_efforts);
+    let weights = optimize_weights(predictions.view(), &qualified, &fold_labels, iterations);
     let cv = CvCache {
         predictions,
         efforts: point_efforts,
@@ -1985,11 +1984,31 @@ fn cv_weight_fit_cached(
     Some((weights, cv))
 }
 
-/// Rerun **only** the CV-weight solve (the cheap stage of the pipeline):
+/// Append learner-major member predictions (`per_learner[j][point]`) as
+/// point-major rows of the CV cache.
+fn push_point_rows(predictions: &mut Matrix, per_learner: &[Vec<f64>]) {
+    let mut row = vec![0.0; per_learner.len()];
+    for point in 0..per_learner.first().map_or(0, Vec::len) {
+        for (r, learner) in row.iter_mut().zip(per_learner) {
+            *r = learner[point];
+        }
+        predictions.push_row(&row);
+    }
+}
+
+/// Each cached point's qualified-prefix length under `thresholds`.
+fn qualified_counts(thresholds: &[f64], efforts: &[f64]) -> Vec<usize> {
+    efforts
+        .iter()
+        .map(|&e| qualified_count(thresholds, e))
+        .collect()
+}
+
+/// Rerun **only** the CV-weight solve, with no fold model retrained:
 /// extend the cached out-of-fold member predictions with the current
 /// learners' probabilities on the appended rows, recompute every cached
-/// point's qualified set against the current thresholds, and re-optimise
-/// the simplex weights. No fold models are retrained.
+/// point's qualified prefix against the current thresholds, and
+/// re-optimise the simplex weights over the whole cache.
 fn resolve_weights_cached(
     cv: &mut CvCache,
     learners: &[BaggingClassifier],
@@ -2006,19 +2025,12 @@ fn resolve_weights_cached(
             .par_iter()
             .map(|l| l.predict_proba(new_x.view()))
             .collect();
-        for (vi, orig) in (from_row..x.n_rows()).enumerate() {
-            cv.predictions
-                .push(per_learner.iter().map(|l| l[vi]).collect());
-            cv.efforts.push(efforts[orig]);
-            cv.labels.push(labels[orig]);
-        }
+        push_point_rows(&mut cv.predictions, &per_learner);
+        cv.efforts.extend_from_slice(&efforts[from_row..]);
+        cv.labels.extend_from_slice(&labels[from_row..]);
     }
-    let qualified: Vec<Vec<usize>> = cv
-        .efforts
-        .iter()
-        .map(|&e| qualified_learners(thresholds, e))
-        .collect();
-    optimize_weights(&cv.predictions, &qualified, &cv.labels, cv.iterations)
+    let qualified = qualified_counts(thresholds, &cv.efforts);
+    optimize_weights(cv.predictions.view(), &qualified, &cv.labels, cv.iterations)
 }
 
 #[cfg(test)]
@@ -2372,6 +2384,33 @@ mod tests {
         let model = IWareModel::fit(&quick_config(3), rows.view(), &labels, &efforts);
         for &w in model.weights() {
             assert!((w - 1.0 / 3.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_folds_fall_back_to_uniform_weights() {
+        // Zero or one fold holds nothing out: the fit must give uniform
+        // weights and no CV cache, not panic in the fold split.
+        let (rows, labels, efforts, _) = noisy_poaching_data(300, 8);
+        for folds in [0, 1] {
+            let mut cfg = quick_config(4);
+            cfg.weight_mode = WeightMode::CvOptimized {
+                folds,
+                iterations: 40,
+            };
+            let model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+            assert_eq!(model.weights(), [0.25; 4], "{folds} folds");
+
+            let (_, mut cache) = IWareModel::fit_cached(&cfg, rows.view(), &labels, &efforts);
+            assert!(!cache.has_cv_cache());
+            let (more_rows, more_labels, more_efforts, _) = noisy_poaching_data(40, 9);
+            let x = concat(&rows, &more_rows);
+            let y = [labels.as_slice(), &more_labels].concat();
+            let e = [efforts.as_slice(), &more_efforts].concat();
+            let (warm, stats) = IWareModel::warm_refit(&cfg, &mut cache, x.view(), &y, &e, 0.1);
+            assert!(!stats.cv_resolved_from_cache && !stats.full_cv);
+            let uniform = vec![1.0 / warm.n_learners() as f64; warm.n_learners()];
+            assert_eq!(warm.weights(), uniform.as_slice(), "{folds} folds, warm");
         }
     }
 

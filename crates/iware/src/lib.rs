@@ -17,5 +17,5 @@ pub use paws_ml::layout::TraversalLayout;
 pub use paws_ml::precision::Precision;
 pub use paws_ml::snapshot::SnapshotError;
 pub use paws_ml::traits::QueryError;
-pub use thresholds::{qualified_learners, select_thresholds, ThresholdMode};
+pub use thresholds::{qualified_count, qualified_learners, select_thresholds, ThresholdMode};
 pub use weights::{combine, optimize_weights, WeightMode};

@@ -95,6 +95,13 @@ pub fn qualified_learners(thresholds: &[f64], effort: f64) -> Vec<usize> {
     q
 }
 
+/// Size of [`qualified_learners`]`(thresholds, effort)` without building
+/// the set. For strictly ascending thresholds (as every fit asserts) the
+/// qualified set is the prefix `0..qualified_count(thresholds, effort)`.
+pub fn qualified_count(thresholds: &[f64], effort: f64) -> usize {
+    thresholds.iter().filter(|&&t| t <= effort).count().max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +204,47 @@ mod tests {
     fn qualification_never_empty() {
         let thresholds = vec![1.0, 2.0];
         assert_eq!(qualified_learners(&thresholds, 0.1), vec![0]);
+    }
+
+    #[test]
+    fn qualified_count_is_the_length_of_the_qualified_prefix() {
+        let mut efforts: Vec<f64> = (0..200).map(|i| f64::from(i % 37) / 4.0).collect();
+        efforts.extend([0.0; 60]);
+        let threshold_sets = [
+            select_thresholds(ThresholdMode::Percentile, &efforts, 8),
+            select_thresholds(ThresholdMode::Percentile, &efforts, 1),
+            select_thresholds(
+                ThresholdMode::FixedSpacing {
+                    min_km: 1.5,
+                    max_km: 7.5,
+                },
+                &efforts,
+                5,
+            ),
+        ];
+        for thresholds in &threshold_sets {
+            assert!(thresholds.windows(2).all(|w| w[1] > w[0]));
+            // Below the first threshold, exactly at every threshold (a
+            // tie qualifies), just either side of it, and far above.
+            let mut probes = vec![-1.0, 0.0, 1.0, 100.0];
+            for &t in thresholds {
+                probes.extend([t, t.next_down(), t.next_up()]);
+            }
+            probes.extend(&efforts);
+            for &e in &probes {
+                let expected: Vec<usize> = (0..qualified_count(thresholds, e)).collect();
+                assert_eq!(
+                    qualified_learners(thresholds, e),
+                    expected,
+                    "effort {e} against {thresholds:?}"
+                );
+            }
+        }
+        // The FixedSpacing set starts above every zero effort: only the
+        // fallback first learner qualifies there.
+        assert_eq!(qualified_count(&threshold_sets[2], 0.0), 1);
+        assert_eq!(qualified_count(&threshold_sets[2], 1.5), 1);
+        assert_eq!(qualified_count(&threshold_sets[2], 3.0), 2);
     }
 
     #[test]

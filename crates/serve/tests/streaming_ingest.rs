@@ -4,7 +4,9 @@
 //! (both pinned against direct model calls), and queries admitted after
 //! the ingest deterministically see the refreshed artifact.
 
-use paws_core::{ColdReason, ModelConfig, RefitPath, Scenario, StreamConfig, WeakLearnerKind};
+use paws_core::{
+    ColdReason, FittedModel, ModelConfig, RefitPath, Scenario, StreamConfig, WeakLearnerKind,
+};
 use paws_data::{build_dataset, Discretization};
 use paws_serve::{ModelRegistry, PawsServer, QueryKind, QueryRequest, QueryResponse, ServeError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -219,4 +221,45 @@ fn ingest_rejections_are_typed_and_leave_serving_untouched() {
         registry.ingest_batch("mondulkiri", &batches[1]),
         Err(ServeError::Ingest(_))
     ));
+}
+
+#[test]
+fn fewer_than_two_cv_folds_install_and_ingest_with_uniform_weights() {
+    // `folds < 2` cannot hold anything out; the streaming install and the
+    // ingest after it must fall back to uniform weights, not panic.
+    let scenario = Scenario::test_scenario(23);
+    let park = scenario.park.clone();
+    let batches = scenario.patrol_log_batches(2014, 2, 12);
+    let dataset0 = build_dataset(&park, &batches[0], Discretization::quarterly());
+    let uniform_weights = |registry: &ModelRegistry| {
+        let resident = registry.resident("mondulkiri").expect("resident");
+        let FittedModel::IWare(model) = &resident.model.fitted else {
+            panic!("expected an iWare-E model");
+        };
+        let n = model.n_learners();
+        assert_eq!(model.weights(), vec![1.0 / n as f64; n].as_slice());
+    };
+    for folds in [0, 1] {
+        let mut config = config();
+        config.weight_mode = paws_iware::WeightMode::CvOptimized {
+            folds,
+            iterations: 20,
+        };
+        let registry = ModelRegistry::new();
+        registry
+            .install_streaming(
+                "mondulkiri",
+                park.clone(),
+                dataset0.clone(),
+                &config,
+                stream_config(),
+            )
+            .expect("install succeeds");
+        uniform_weights(&registry);
+        registry
+            .ingest_batch("mondulkiri", &batches[1])
+            .expect("ingest succeeds")
+            .expect("batch 2 has training points");
+        uniform_weights(&registry);
+    }
 }
