@@ -4,9 +4,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_core::{train, ModelConfig, Scenario, WeakLearnerKind};
-use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization, TrainTestSplit};
+use paws_data::{
+    build_dataset, split_by_test_year, Dataset, Discretization, Matrix, TrainTestSplit,
+};
 use paws_ml::bagging::{BaggingClassifier, BaggingConfig};
 use paws_ml::gp::{GaussianProcess, GpConfig};
+use paws_ml::{Classifier, UncertainClassifier};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
 fn setup() -> (Scenario, Dataset, TrainTestSplit) {
@@ -55,6 +60,32 @@ fn bench_weak_learners(c: &mut Criterion) {
         })
     });
     c.finish();
+}
+
+fn bench_gp_predict(c: &mut Criterion) {
+    // One GP member at the shape of SWS's balanced GPB-iW members: 30
+    // training points (15 per class) of 21 standardised features, scored
+    // over 3,750 rows — one learner's share of an SWS response surface.
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let mut standardised = |n_rows: usize| {
+        Matrix::from_flat(
+            (0..n_rows * 21).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+            21,
+        )
+    };
+    let train = standardised(30);
+    let queries = standardised(3_750);
+    let labels: Vec<f64> = (0..30).map(|i| f64::from(i % 2 == 0)).collect();
+    let gp = GaussianProcess::fit(&GpConfig::default(), train.view(), &labels, 3);
+    let mut group = c.benchmark_group("gp_predict");
+    group.sample_size(20);
+    group.bench_function("mean_30_points_3750_rows", |b| {
+        b.iter(|| black_box(gp.predict_proba(queries.view())))
+    });
+    group.bench_function("mean_and_variance_30_points_3750_rows", |b| {
+        b.iter(|| black_box(gp.predict_with_variance(queries.view())))
+    });
+    group.finish();
 }
 
 fn bench_iware_training(c: &mut Criterion) {
@@ -198,6 +229,7 @@ fn bench_park_prediction_threads(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_weak_learners,
+    bench_gp_predict,
     bench_iware_training,
     bench_park_prediction,
     bench_park_prediction_llc,

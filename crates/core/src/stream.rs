@@ -26,7 +26,7 @@
 //! by [`StreamConfig::scaler_drift`] (beyond it the driver escalates to a
 //! cold refit), and every [`BatchReport`] says which path ran.
 
-use crate::config::ModelConfig;
+use crate::config::{ModelConfig, WeakLearnerKind};
 use crate::error::PawsError;
 use crate::serving::{FittedModel, ServingModel};
 use paws_data::{Matrix, MatrixView, StandardScaler};
@@ -181,15 +181,31 @@ impl StreamingFit {
     /// serving artifact plus a report of which refit path ran.
     ///
     /// # Errors
-    /// Typed [`PawsError::Input`]s for empty/mismatched/non-finite
-    /// batches; [`PawsError::Narrow`] when the configured f32 plane cannot
-    /// hold the refreshed arena. On error the driver state is unchanged.
+    /// Typed [`PawsError::Input`]s for a model configuration the fit
+    /// cannot run (no iWare-E learners, no bagging members, a GP with no
+    /// training points) and for empty/mismatched/non-finite batches;
+    /// [`PawsError::Narrow`] when the configured f32 plane cannot hold the
+    /// refreshed arena. On error the driver state is unchanged.
     pub fn ingest(
         &mut self,
         rows: MatrixView<'_>,
         labels: &[f64],
         efforts: &[f64],
     ) -> Result<(ServingModel, BatchReport), PawsError> {
+        if self.config.use_iware && self.config.n_learners == 0 {
+            return Err(PawsError::Input("iWare-E needs at least one learner"));
+        }
+        if self.config.n_estimators == 0 {
+            return Err(PawsError::Input(
+                "bagging needs at least one ensemble member",
+            ));
+        }
+        if self.config.learner == WeakLearnerKind::GaussianProcess && self.config.gp_max_points == 0
+        {
+            return Err(PawsError::Input(
+                "GP learners need at least one training point",
+            ));
+        }
         if rows.n_rows() == 0 {
             return Err(PawsError::Input("empty patrol-log batch"));
         }

@@ -1,10 +1,10 @@
 //! Hand-rolled `f64x4` micro-kernels for the contiguous hot loops.
 //!
 //! The flat-matrix migration (PR 1) and the arena forests (PR 2) left every
-//! numeric hot path streaming contiguous `&[f64]`: RBF kernel rows, the
-//! per-query `L⁻¹k*` triangular solves, SVM decision dots, scaler
-//! transforms, and the per-learner reductions of the iWare-E stack. This
-//! module vectorises those loops on **stable** Rust: [`F64x4`] is a plain
+//! numeric hot path streaming contiguous `&[f64]`: the GP kernel matrix and
+//! its Cholesky factorisation, SVM decision dots, scaler transforms, and
+//! the per-learner reductions of the iWare-E stack. This module vectorises
+//! those loops on **stable** Rust: [`F64x4`] is a plain
 //! `[f64; 4]` wrapper whose lane-wise operations compile to packed SIMD
 //! (SSE2/AVX on x86-64, NEON on aarch64) under LLVM's auto-vectoriser,
 //! with an explicit scalar tail for lengths that are not lane multiples.
@@ -36,6 +36,12 @@
 //! Scalar references for the reduction kernels are kept as `*_scalar`
 //! siblings; the proptest suite in this module checks SIMD-vs-scalar
 //! equivalence over randomized lengths, including all tails `0..7`.
+//!
+//! The GP's prediction kernel (`paws_ml::gp`) uses [`F64x4`] the other way
+//! round: its lanes hold four query rows, and each lane repeats the
+//! reduction order of [`dot`], [`squared_distance`] and [`sum_squares`]
+//! with its own four partial sums, so a block of rows is bit-identical to
+//! scoring each row alone with these kernels.
 
 /// Number of lanes per vector.
 pub const LANES: usize = 4;

@@ -4,14 +4,17 @@
 //! matrices of a few hundred rows (each bagged GP trains on a bootstrap
 //! subsample), so a straightforward Cholesky factorisation is both simpler
 //! and fast enough; no external BLAS is required. The factor is stored as
-//! one flat row-major buffer so the forward/backward substitution loops and
-//! the per-query `L⁻¹ k*` solves in the GP predictive-variance path stream
-//! contiguous memory — and run on the `f64x4` reduction kernels of
-//! [`paws_data::simd`]. The backward substitution is written in the
-//! outer-product (row-oriented) form so it too streams contiguous rows of
-//! `L` instead of strided columns; lane regrouping keeps results within a
-//! few ulps of the sequential scalar loops (pinned ≤ 1e-12 end-to-end by
-//! `tests/matrix_parity.rs`).
+//! one flat row-major buffer so the factorisation and the forward/backward
+//! substitution loops stream contiguous memory — and run on the `f64x4`
+//! reduction kernels of [`paws_data::simd`]. The backward substitution is
+//! written in the outer-product (row-oriented) form so it too streams
+//! contiguous rows of `L` instead of strided columns; lane regrouping keeps
+//! results within a few ulps of the sequential scalar loops (pinned
+//! ≤ 1e-12 end-to-end by `tests/matrix_parity.rs`).
+//!
+//! GP prediction does not call these solves: its blocked kernel reads the
+//! factor through [`Cholesky::factor_row`] and substitutes four query rows
+//! per step, in [`Cholesky::solve_lower_into`]'s arithmetic order.
 
 use paws_data::matrix::Matrix;
 use paws_data::simd;
@@ -101,8 +104,7 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Solve `L x = b` into a caller-provided buffer (no allocation); used
-    /// by the GP predictive-variance hot loop.
+    /// Solve `L x = b` into a caller-provided buffer (no allocation).
     pub fn solve_lower_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
         let n = self.n;
         if b.len() != n || x.len() != n {

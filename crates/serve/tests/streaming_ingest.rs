@@ -5,7 +5,8 @@
 //! the ingest deterministically see the refreshed artifact.
 
 use paws_core::{
-    ColdReason, FittedModel, ModelConfig, RefitPath, Scenario, StreamConfig, WeakLearnerKind,
+    ColdReason, FittedModel, ModelConfig, PawsError, RefitPath, Scenario, StreamConfig,
+    WeakLearnerKind,
 };
 use paws_data::{build_dataset, Discretization};
 use paws_serve::{ModelRegistry, PawsServer, QueryKind, QueryRequest, QueryResponse, ServeError};
@@ -261,5 +262,51 @@ fn fewer_than_two_cv_folds_install_and_ingest_with_uniform_weights() {
             .expect("ingest succeeds")
             .expect("batch 2 has training points");
         uniform_weights(&registry);
+    }
+}
+
+#[test]
+fn unfittable_model_configs_are_typed_install_errors() {
+    // Each of these used to panic inside the fit; the streaming install
+    // must reject them as typed input errors and leave nothing resident.
+    let scenario = Scenario::test_scenario(24);
+    let park = scenario.park.clone();
+    let batches = scenario.patrol_log_batches(2014, 1, 12);
+    let dataset0 = build_dataset(&park, &batches[0], Discretization::quarterly());
+    let mut bad = Vec::new();
+    for learner in [
+        WeakLearnerKind::DecisionTree,
+        WeakLearnerKind::GaussianProcess,
+    ] {
+        let mut config = config();
+        config.learner = learner;
+        bad.push(ModelConfig {
+            n_learners: 0,
+            ..config.clone()
+        });
+        bad.push(ModelConfig {
+            n_estimators: 0,
+            ..config
+        });
+    }
+    let mut gp = config();
+    gp.learner = WeakLearnerKind::GaussianProcess;
+    gp.gp_max_points = 0;
+    bad.push(gp);
+    for config in bad {
+        let registry = ModelRegistry::new();
+        let result = registry.install_streaming(
+            "mondulkiri",
+            park.clone(),
+            dataset0.clone(),
+            &config,
+            stream_config(),
+        );
+        assert!(
+            matches!(result, Err(ServeError::Model(PawsError::Input(_)))),
+            "{config:?} gave {result:?}"
+        );
+        assert!(registry.resident("mondulkiri").is_none());
+        assert!(!registry.is_streaming("mondulkiri"));
     }
 }

@@ -41,7 +41,7 @@ allowlist() {
 1 crates/iware/src/thresholds.rs
 1 crates/ml/src/bagging.rs
 1 crates/ml/src/forest32.rs
-3 crates/ml/src/gp.rs
+2 crates/ml/src/gp.rs
 6 crates/ml/src/qs.rs
 10 crates/ml/src/snapshot.rs
 1 crates/ml/src/traits.rs
