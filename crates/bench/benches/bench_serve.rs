@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the serving surface: prepared-park queries
-//! (cached standardize + narrow) vs the unprepared per-call path, and the
-//! batched admission layer vs per-request submits.
+//! (cached standardize + narrow) vs the unprepared per-call path, GP
+//! queries off a prepared park's learner tables, and the batched admission
+//! layer vs per-request submits.
 //!
 //! The LLC group is the evidence for the PR 7 acceptance criterion: with
 //! `PreparedPark` caching the standardized f64 plane and the f32 narrowing,
@@ -9,6 +10,7 @@
 //! 0.84x slowdown is paid once at prepare time, not per query).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use paws_bench::{dry_season_dataset, park_model_config, scenario, Scale};
 use paws_core::{
     train, ModelConfig, Precision, Scenario, ServingModel, TraversalLayout, WeakLearnerKind,
 };
@@ -121,6 +123,59 @@ fn bench_shard_fanout_llc(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gp_prepared_park(c: &mut Criterion) {
+    // SWS's balanced GPB-iW model (10 learners × 5 bagged GPs of 30
+    // points, 21 features) over its 3,750 cells. A prepared park keeps the
+    // learner tables of the first GP query: the first risk map on a fresh
+    // park pays the park-wide GP evaluation, every later query (here a
+    // patrol post's planning problem) only combines the tables.
+    let sws = scenario("SWS");
+    let dataset = dry_season_dataset(&sws);
+    let split = split_by_test_year(&dataset, 2017, 3).expect("2017 present");
+    let cfg = park_model_config("SWS", WeakLearnerKind::GaussianProcess, true, Scale::Quick);
+    let model = train(&dataset, &split, &cfg).into_serving();
+    let park = &sws.park;
+    let prev = dataset.coverage.last().unwrap().clone();
+    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+    let post = park.patrol_posts[0];
+    let warm = model
+        .prepare_park(park, &dataset, &prev)
+        .expect("park prepares");
+    let _ = model.risk_map_prepared(&warm, 1.0);
+
+    let mut group = c.benchmark_group("gp_prepared_park");
+    group.sample_size(10);
+    // Preparation plus the first risk map, which fills the tables.
+    group.bench_function("first_risk_map_fresh_park_sws", |b| {
+        b.iter(|| {
+            let prepared = model
+                .prepare_park(park, &dataset, &prev)
+                .expect("park prepares");
+            black_box(model.risk_map_prepared(&prepared, 1.0))
+        })
+    });
+    // Preparation alone, to subtract from the line above.
+    group.bench_function("prepare_park_sws", |b| {
+        b.iter(|| {
+            black_box(
+                model
+                    .prepare_park(park, &dataset, &prev)
+                    .expect("park prepares"),
+            )
+        })
+    });
+    group.bench_function("planning_problem_warm_park_sws", |b| {
+        b.iter(|| {
+            black_box(
+                model
+                    .try_planning_problem_prepared(park, &warm, post, &grid, 12.0, 2, 0.8)
+                    .expect("valid problem"),
+            )
+        })
+    });
+    group.finish();
+}
+
 fn fit_resident(seed: u64, tweak: u8) -> (Scenario, Dataset, ServingModel) {
     let scenario = Scenario::test_scenario(seed);
     let history = scenario.simulate_years(2014, 3);
@@ -204,6 +259,7 @@ criterion_group!(
     benches,
     bench_prepared_queries_llc,
     bench_shard_fanout_llc,
+    bench_gp_prepared_park,
     bench_serve_throughput
 );
 criterion_main!(benches);

@@ -22,13 +22,38 @@
 //! [`crate::pipeline::TrainedModel`]: the cached f64 plane is exactly the
 //! in-place standardised matrix the unprepared path builds per call, and the
 //! cached f32 plane is exactly its one-pass narrowing.
+//!
+//! A prepared park also keeps the **learner tables** of the first iWare
+//! model without a fused tree stack (the GP variants) that queries it: each
+//! learner's (probability, variance) over every cell,
+//! [`paws_iware::LearnerTables`]. A learner's prediction for a cell depends
+//! on neither the effort level nor the patrol post, so after that first
+//! risk map or response surface, every later risk map, response surface
+//! and per-post planning problem on the park only combines the tables —
+//! the same combine, in the same learner order, that the unprepared path
+//! runs on tables it computes per call, hence the same bits.
+//!
+//! * **Filled lazily, without blocking.** Preparation does not compute the
+//!   tables, so a resident park that is never queried by a GP model pays
+//!   nothing. The first query computes them outside any lock and
+//!   publishes them with [`OnceLock::set`]; a racing caller's identical
+//!   result is dropped. (`get_or_init` would park a pool worker on the cell
+//!   while the initialiser's nested parallel region runs — a deadlock risk
+//!   on the work-stealing pool.)
+//! * **Bound to one model.** Tables carry the id of the model that built
+//!   them, and the combiners refuse another model's tables; any other
+//!   model querying the park computes its answer without the cache, as if
+//!   the park held none.
+//! * **Not for tree stacks.** Their fused per-block pipeline never builds
+//!   tables: a cache would cost 8 MB at 50k cells (or an f32 twin) and
+//!   change the memory of every tree workload.
 
 use crate::config::ModelConfig;
 use crate::error::PawsError;
 use paws_data::matrix32::{Matrix32, MatrixView32};
 use paws_data::{Dataset, Matrix, MatrixView, StandardScaler};
 use paws_geo::{CellId, Park};
-use paws_iware::IWareModel;
+use paws_iware::{IWareModel, LearnerTables};
 use paws_ml::bagging::BaggingClassifier;
 use paws_ml::forest32::NarrowError;
 use paws_ml::layout::TraversalLayout;
@@ -37,6 +62,7 @@ use paws_ml::precision::Precision;
 use paws_ml::traits::{validate_effort_grid, validate_query, Classifier, UncertainClassifier};
 use paws_plan::{squash_matrix, PlanningProblem};
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// A fitted predictive model (plain bagging or iWare-E).
 pub enum FittedModel {
@@ -73,6 +99,11 @@ pub struct ServingModel {
 /// [`ServingModel::prepare_park`] and reuse it across queries; rebuild it
 /// when the coverage — and hence the feature stack — changes.
 ///
+/// The park also caches the learner tables of the first table-serving
+/// (non-tree iWare) model that queries it: `n_learners × n_cells × 2`
+/// f64 values, 0.6 MB for SWS, freed with the park (see the module docs
+/// for when they are filled and which model may use them).
+///
 /// LLC-scale parks (50k–200k cells) are additionally tiled into
 /// cache-sized **spatial shards** — contiguous row ranges whose f64 plane
 /// fits in roughly [`SHARD_TARGET_BYTES`] — at preparation time. Prepared
@@ -85,6 +116,9 @@ pub struct PreparedPark {
     rows: Matrix,
     rows32: Matrix32,
     shards: Vec<std::ops::Range<usize>>,
+    /// Learner tables of `rows`, filled by the first table-serving model
+    /// to query the park and stamped with its id.
+    tables: OnceLock<LearnerTables>,
 }
 
 /// Shard boundaries are multiples of this row count — the block kernels'
@@ -143,6 +177,20 @@ impl PreparedPark {
     fn rows32_span(&self, span: &std::ops::Range<usize>) -> MatrixView32<'_> {
         let w = self.rows32.n_cols();
         MatrixView32::from_flat(&self.rows32.as_slice()[span.start * w..span.end * w], w)
+    }
+
+    /// The park's cached learner tables, filled from `model` when the cell
+    /// is empty. `None` when it is empty and `model` has a fused tree stack
+    /// (no tables to build). The tables returned may belong to another
+    /// model; the combiners check.
+    fn learner_tables(&self, model: &IWareModel) -> Option<&LearnerTables> {
+        if let Some(tables) = self.tables.get() {
+            return Some(tables);
+        }
+        // Compute outside the cell; a racing fill publishes first and ours
+        // (bit-identical) is dropped.
+        let _ = self.tables.set(model.learner_tables(self.rows.view())?);
+        self.tables.get()
     }
 }
 
@@ -324,6 +372,7 @@ impl ServingModel {
             rows,
             rows32,
             shards,
+            tables: OnceLock::new(),
         })
     }
 
@@ -340,15 +389,28 @@ impl ServingModel {
     /// standardise/narrow work. Bit-identical to the unprepared path on the
     /// same raw feature stack.
     ///
-    /// Parks large enough to carry multiple spatial shards fan them across
-    /// the worker pool and stitch the per-shard surfaces back in row order;
-    /// every kernel is per-row, so the stitched map is bit-identical to the
-    /// unsharded (and 1-thread) evaluation.
+    /// An iWare model without a fused tree stack combines the park's
+    /// cached learner tables, filling them on its first query (see the
+    /// module docs). Otherwise, parks large enough to carry multiple
+    /// spatial shards fan them across the worker pool and stitch the
+    /// per-shard surfaces back in row order; every kernel is per-row, so
+    /// the stitched map is bit-identical to the unsharded (and 1-thread)
+    /// evaluation.
     pub fn risk_map_prepared(
         &self,
         prepared: &PreparedPark,
         effort_km: f64,
     ) -> (Vec<f64>, Vec<f64>) {
+        if let FittedModel::IWare(m) = &self.fitted {
+            // Table-serving models combine the park's cached tables; the
+            // combine is per row, so shards do not apply.
+            let served = prepared
+                .learner_tables(m)
+                .and_then(|tables| m.combine_tables_at_effort(tables, effort_km));
+            if let Some(out) = served {
+                return out;
+            }
+        }
         let shards = prepared.shards();
         if shards.len() > 1 && rayon::current_num_threads() > 1 {
             let parts: Vec<(Vec<f64>, Vec<f64>)> = shards
@@ -417,15 +479,24 @@ impl ServingModel {
     /// surfaces are served straight off the cached plane matching the
     /// model's precision. Bit-identical to the unprepared path.
     ///
-    /// Like [`ServingModel::risk_map_prepared`], multi-shard parks fan the
-    /// shards across the worker pool; the per-shard response matrices are
-    /// concatenated row-block by row-block, which is exactly the unsharded
-    /// row order.
+    /// Like [`ServingModel::risk_map_prepared`], table-serving models
+    /// combine the park's cached learner tables, and otherwise multi-shard
+    /// parks fan the shards across the worker pool; the per-shard response
+    /// matrices are concatenated row-block by row-block, which is exactly
+    /// the unsharded row order.
     pub fn park_response_prepared(
         &self,
         prepared: &PreparedPark,
         effort_grid: &[f64],
     ) -> (Matrix, Matrix) {
+        if let FittedModel::IWare(m) = &self.fitted {
+            let served = prepared
+                .learner_tables(m)
+                .and_then(|tables| m.combine_tables_response(tables, effort_grid));
+            if let Some(out) = served {
+                return out;
+            }
+        }
         let shards = prepared.shards();
         if shards.len() > 1 && rayon::current_num_threads() > 1 {
             let parts: Vec<(Matrix, Matrix)> = shards
@@ -493,8 +564,9 @@ impl ServingModel {
     }
 
     /// Build a patrol-planning problem for one post from a prepared park:
-    /// the response surfaces come off the cached planes, then flow through
-    /// the same squash + game construction as
+    /// the response surfaces come off the cached planes (or, for GP iWare
+    /// models, the park's cached learner tables), then flow through the
+    /// same squash + game construction as
     /// [`crate::pipeline::build_planning_problem`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_planning_problem_prepared(
@@ -615,9 +687,13 @@ impl ServingModel {
 /// Build a patrol-planning problem from an **already computed** response
 /// surface (e.g. one shared across a batch of same-park queries), with the
 /// serving-side guards that [`PlanningProblem::from_response`] enforces by
-/// panicking: the post must lie inside the park, the surfaces must cover
-/// every cell over ≥ 2 effort levels, and the patrol budget and β must be
-/// sane. The raw variance surface is squashed here.
+/// panicking: the post must lie inside the park, the effort grid must be
+/// finite and strictly ascending with ≥ 2 levels, the surfaces must cover
+/// every cell with one column per level, and the patrol budget and β must
+/// be sane. The raw variance surface is squashed here. (Response surfaces
+/// themselves accept any valid grid, sorted or not; only planning needs
+/// the levels in order, because they become the breakpoints of each
+/// cell's piecewise-linear response.)
 ///
 /// # Errors
 /// [`PawsError::Input`] naming the violated precondition.
@@ -640,9 +716,20 @@ pub fn try_planning_problem_from_response(
             "planning needs at least two effort levels",
         ));
     }
+    // `w[1] > w[0]` also fails on NaN, which compares false.
+    if !effort_grid.iter().all(|e| e.is_finite()) || !effort_grid.windows(2).all(|w| w[1] > w[0]) {
+        return Err(PawsError::Input(
+            "planning effort grid must be finite and strictly ascending",
+        ));
+    }
     if probs.n_rows() != park.n_cells() || vars.n_rows() != park.n_cells() {
         return Err(PawsError::Input(
             "response surfaces must cover every in-park cell",
+        ));
+    }
+    if probs.n_cols() != effort_grid.len() || vars.n_cols() != effort_grid.len() {
+        return Err(PawsError::Input(
+            "response surfaces need one column per effort level",
         ));
     }
     if !(patrol_length_km.is_finite() && patrol_length_km > 0.0) || n_patrols == 0 {
@@ -700,50 +787,142 @@ mod tests {
         cfg.n_learners = 4;
         cfg.n_estimators = 4;
         cfg.weight_mode = paws_iware::WeightMode::Uniform;
-        cfg.gp_max_points = 120;
+        // SWS's balanced GP members hold 30 points.
+        cfg.gp_max_points = 30;
         cfg
     }
 
-    /// Every (variant, plane, layout) combination must serve the exact
-    /// same bits off the cached planes as the unprepared per-call paths.
+    /// Tree ensembles (fused arena) and GP ensembles (learner tables).
+    const LEARNERS: [WeakLearnerKind; 2] = [
+        WeakLearnerKind::DecisionTree,
+        WeakLearnerKind::GaussianProcess,
+    ];
+
+    /// Whether a fitted model serves prepared queries from learner tables.
+    fn serves_from_tables(learner: WeakLearnerKind, use_iware: bool) -> bool {
+        use_iware && learner == WeakLearnerKind::GaussianProcess
+    }
+
+    /// Every (learner, variant, plane, layout) combination must serve the
+    /// exact same bits off the cached planes — and, for GP iWare models,
+    /// off the park's cached learner tables — as the unprepared per-call
+    /// paths: on the first query, on repeated ones the cache answers, and
+    /// at risk levels off the response grid.
     #[test]
     fn prepared_queries_are_bit_identical_to_unprepared_ones() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let prev = dataset.coverage.last().unwrap().clone();
         let grid = [0.0, 0.5, 1.0, 2.0];
-        for use_iware in [true, false] {
-            let mut model = train(
-                &dataset,
-                &split,
-                &quick_config(WeakLearnerKind::DecisionTree, use_iware),
-            );
-            for precision in [Precision::F64, Precision::F32] {
-                model.set_precision(precision).unwrap();
-                for layout in [TraversalLayout::Interleaved, TraversalLayout::BitVector] {
-                    model.set_layout(layout);
-                    let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
-                    assert_eq!(prepared.n_cells(), park.n_cells());
-                    assert_eq!(prepared.n_features(), model.n_features());
+        for learner in LEARNERS {
+            for use_iware in [true, false] {
+                let mut model = train(&dataset, &split, &quick_config(learner, use_iware));
+                for precision in [Precision::F64, Precision::F32] {
+                    model.set_precision(precision).unwrap();
+                    for layout in [TraversalLayout::Interleaved, TraversalLayout::BitVector] {
+                        model.set_layout(layout);
+                        let case = format!("{learner:?} {use_iware} {precision:?} {layout:?}");
+                        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+                        assert_eq!(prepared.n_cells(), park.n_cells());
+                        assert_eq!(prepared.n_features(), model.n_features());
+                        assert!(prepared.tables.get().is_none(), "filled lazily: {case}");
 
-                    let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
-                    let (r, u) = model.risk_map_prepared(&prepared, 1.0);
-                    assert_eq!(r, r_ref, "risk {use_iware} {precision:?} {layout:?}");
-                    assert_eq!(u, u_ref, "uncertainty {use_iware} {precision:?} {layout:?}");
-                    let (rt, ut) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
-                    assert_eq!(rt, r_ref);
-                    assert_eq!(ut, u_ref);
+                        let levels = [1.0, 3.0, 0.25, 100.0];
+                        let risk_refs: Vec<_> = levels
+                            .iter()
+                            .map(|&level| model.risk_map(park, &dataset, &prev, level))
+                            .collect();
+                        let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
+                        for _ in 0..2 {
+                            for (&level, (r_ref, u_ref)) in levels.iter().zip(&risk_refs) {
+                                let (r, u) = model.risk_map_prepared(&prepared, level);
+                                assert_eq!(&r, r_ref, "risk {case} @{level}");
+                                assert_eq!(&u, u_ref, "uncertainty {case} @{level}");
+                                let (rt, ut) =
+                                    model.try_risk_map_prepared(&prepared, level).unwrap();
+                                assert_eq!(&rt, r_ref);
+                                assert_eq!(&ut, u_ref);
+                            }
 
-                    let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
-                    let (p, v) = model.park_response_prepared(&prepared, &grid);
-                    assert_eq!(p.as_slice(), p_ref.as_slice());
-                    assert_eq!(v.as_slice(), v_ref.as_slice());
-                    let (pt, vt) = model.try_park_response_prepared(&prepared, &grid).unwrap();
-                    assert_eq!(pt.as_slice(), p_ref.as_slice());
-                    assert_eq!(vt.as_slice(), v_ref.as_slice());
+                            let (p, v) = model.park_response_prepared(&prepared, &grid);
+                            assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
+                            assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
+                            let (pt, vt) =
+                                model.try_park_response_prepared(&prepared, &grid).unwrap();
+                            assert_eq!(pt.as_slice(), p_ref.as_slice());
+                            assert_eq!(vt.as_slice(), v_ref.as_slice());
+                        }
+                        assert_eq!(
+                            prepared.tables.get().is_some(),
+                            serves_from_tables(learner, use_iware),
+                            "only GP iWare models fill the tables: {case}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// Tables are bound to the model that computed them: a second GP model
+    /// querying a park the first one filled answers its own unprepared
+    /// bits, and the first keeps answering from its tables.
+    #[test]
+    fn a_second_model_on_a_filled_park_answers_its_own_bits() {
+        let (scenario, dataset, split) = small_setup();
+        let park = &scenario.park;
+        let prev = dataset.coverage.last().unwrap().clone();
+        let grid = [0.0, 0.5, 1.0, 2.0, 4.0];
+        let post = park.patrol_posts[0];
+        let first = train(
+            &dataset,
+            &split,
+            &quick_config(WeakLearnerKind::GaussianProcess, true),
+        );
+        let mut cfg = quick_config(WeakLearnerKind::GaussianProcess, true);
+        cfg.seed = 8;
+        let second = train(&dataset, &split, &cfg);
+        let prepared = first.prepare_park(park, &dataset, &prev).unwrap();
+        // Same data and split, so both scalers standardise the park alike
+        // and the second model's unprepared answers are comparable.
+        let own = second.prepare_park(park, &dataset, &prev).unwrap();
+        assert_eq!(own.rows.as_slice(), prepared.rows.as_slice());
+
+        let (r1, u1) = first.risk_map_prepared(&prepared, 1.0);
+        let tables = prepared.tables.get().expect("the first GP query fills");
+        let (FittedModel::IWare(m1), FittedModel::IWare(m2)) = (&first.fitted, &second.fitted)
+        else {
+            panic!("both models are iWare ensembles");
+        };
+        assert!(m1.combine_tables_at_effort(tables, 1.0).is_some());
+        assert!(m2.combine_tables_at_effort(tables, 1.0).is_none());
+        assert!(m2.combine_tables_response(tables, &grid).is_none());
+
+        for level in [1.0, 3.0] {
+            let (r_ref, u_ref) = second.risk_map(park, &dataset, &prev, level);
+            let (r, u) = second.risk_map_prepared(&prepared, level);
+            assert_eq!(r, r_ref, "second model's risk @{level}");
+            assert_eq!(u, u_ref, "second model's uncertainty @{level}");
+        }
+        let (r2, _) = second.risk_map_prepared(&prepared, 1.0);
+        assert_ne!(r2, r1, "a differently bagged model must not echo the cache");
+        let (p_ref, v_ref) = second.park_response(park, &dataset, &prev, &grid);
+        let (p, v) = second.park_response_prepared(&prepared, &grid);
+        assert_eq!(p.as_slice(), p_ref.as_slice());
+        assert_eq!(v.as_slice(), v_ref.as_slice());
+        let reference =
+            build_planning_problem(park, &second, &dataset, &prev, post, &grid, 8.0, 2, 0.8);
+        let problem = second
+            .try_planning_problem_prepared(park, &prepared, post, &grid, 8.0, 2, 0.8)
+            .unwrap();
+        let config = paws_plan::PlannerConfig::default();
+        assert_eq!(
+            paws_plan::plan(&problem, &config).coverage,
+            paws_plan::plan(&reference, &config).coverage
+        );
+
+        let (r, u) = first.risk_map_prepared(&prepared, 1.0);
+        assert_eq!((r.as_slice(), u.as_slice()), (r1.as_slice(), u1.as_slice()));
+        assert_eq!(r, first.risk_map(park, &dataset, &prev, 1.0).0);
     }
 
     #[test]
@@ -780,56 +959,75 @@ mod tests {
     }
 
     /// The shard fan-out must stitch the exact bits the unsharded span
-    /// produces, for every (variant, precision) pair and regardless of
-    /// where the shard boundaries fall — each kernel is per-row.
+    /// produces, for every (learner, variant, precision) triple and
+    /// regardless of where the shard boundaries fall — each kernel is
+    /// per-row. GP iWare models serve from learner tables and skip the
+    /// fan-out; they must give the same bits whether they fill the tables
+    /// under a forced worker count or, finding another model's tables in
+    /// the park, fan the shards out themselves.
     #[test]
     fn sharded_fan_out_is_bit_identical_to_the_single_span() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let prev = dataset.coverage.last().unwrap().clone();
         let grid = [0.0, 0.5, 1.0, 2.0];
-        for use_iware in [true, false] {
-            let mut model = train(
-                &dataset,
-                &split,
-                &quick_config(WeakLearnerKind::DecisionTree, use_iware),
-            );
-            for precision in [Precision::F64, Precision::F32] {
-                model.set_precision(precision).unwrap();
-                let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
-                assert_eq!(
-                    prepared.shards().len(),
-                    1,
-                    "the test park is far below the tiling threshold"
-                );
-                assert_eq!(prepared.shards()[0], 0..park.n_cells());
-                // Force a deliberately uneven many-shard tiling of the
-                // same planes; parity must hold anyway because every
-                // kernel result depends only on its own row.
-                let mut shards = Vec::new();
-                let mut start = 0;
-                while start < park.n_cells() {
-                    let end = (start + 7).min(park.n_cells());
-                    shards.push(start..end);
-                    start = end;
-                }
-                let sharded = PreparedPark {
-                    rows: prepared.rows.clone(),
-                    rows32: prepared.rows32.clone(),
-                    shards,
-                };
+        let mut other_cfg = quick_config(WeakLearnerKind::GaussianProcess, true);
+        other_cfg.seed = 8;
+        let other = train(&dataset, &split, &other_cfg);
+        let FittedModel::IWare(other) = &other.fitted else {
+            panic!("an iWare ensemble");
+        };
+        for learner in LEARNERS {
+            for use_iware in [true, false] {
+                let mut model = train(&dataset, &split, &quick_config(learner, use_iware));
+                for precision in [Precision::F64, Precision::F32] {
+                    model.set_precision(precision).unwrap();
+                    let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+                    assert_eq!(
+                        prepared.shards().len(),
+                        1,
+                        "the test park is far below the tiling threshold"
+                    );
+                    assert_eq!(prepared.shards()[0], 0..park.n_cells());
+                    // Force a deliberately uneven many-shard tiling of the
+                    // same planes; parity must hold anyway because every
+                    // kernel result depends only on its own row.
+                    let mut shards = Vec::new();
+                    let mut start = 0;
+                    while start < park.n_cells() {
+                        let end = (start + 7).min(park.n_cells());
+                        shards.push(start..end);
+                        start = end;
+                    }
+                    let sharded = |tables: Option<LearnerTables>| {
+                        let park = PreparedPark {
+                            rows: prepared.rows.clone(),
+                            rows32: prepared.rows32.clone(),
+                            shards: shards.clone(),
+                            tables: OnceLock::new(),
+                        };
+                        if let Some(tables) = tables {
+                            assert!(park.tables.set(tables).is_ok());
+                        }
+                        park
+                    };
 
-                let (r_ref, u_ref) = model.risk_map_prepared(&prepared, 1.0);
-                let (p_ref, v_ref) = model.park_response_prepared(&prepared, &grid);
-                for forced in [1usize, 2, 4] {
-                    rayon::with_num_threads(forced, || {
-                        let (r, u) = model.risk_map_prepared(&sharded, 1.0);
-                        assert_eq!(r, r_ref, "risk {use_iware} {precision:?} x{forced}");
-                        assert_eq!(u, u_ref, "var {use_iware} {precision:?} x{forced}");
-                        let (p, v) = model.park_response_prepared(&sharded, &grid);
-                        assert_eq!(p.as_slice(), p_ref.as_slice());
-                        assert_eq!(v.as_slice(), v_ref.as_slice());
-                    });
+                    let (r_ref, u_ref) = model.risk_map_prepared(&prepared, 1.0);
+                    let (p_ref, v_ref) = model.park_response_prepared(&prepared, &grid);
+                    for forced in [1usize, 2, 4] {
+                        let case = format!("{learner:?} {use_iware} {precision:?} x{forced}");
+                        let foreign = other.learner_tables(prepared.rows.view());
+                        for park in [sharded(None), sharded(foreign)] {
+                            rayon::with_num_threads(forced, || {
+                                let (r, u) = model.risk_map_prepared(&park, 1.0);
+                                assert_eq!(r, r_ref, "risk {case}");
+                                assert_eq!(u, u_ref, "var {case}");
+                                let (p, v) = model.park_response_prepared(&park, &grid);
+                                assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
+                                assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
+                            });
+                        }
+                    }
                 }
             }
         }
@@ -858,6 +1056,53 @@ mod tests {
         let reference_plan = paws_plan::plan(&reference, &paws_plan::PlannerConfig::default());
         let plan = paws_plan::plan(&problem, &paws_plan::PlannerConfig::default());
         assert_eq!(plan.coverage, reference_plan.coverage);
+    }
+
+    /// Planning inputs the PWL construction cannot take are typed
+    /// rejections, not panics: an effort grid out of order, and surfaces
+    /// whose column count is not the grid's length. Response surfaces keep
+    /// accepting unsorted grids.
+    #[test]
+    fn planning_rejects_unordered_grids_and_mismatched_surfaces() {
+        let (scenario, dataset, split) = small_setup();
+        let park = &scenario.park;
+        let model = train(
+            &dataset,
+            &split,
+            &quick_config(WeakLearnerKind::DecisionTree, true),
+        );
+        let prev = vec![0.0; park.n_cells()];
+        let post = park.patrol_posts[0];
+        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+        for grid in [&[1.0, 0.0][..], &[0.0, 0.0, 1.0]] {
+            assert!(
+                matches!(
+                    model.try_planning_problem_prepared(park, &prepared, post, grid, 8.0, 2, 0.8),
+                    Err(PawsError::Input(_))
+                ),
+                "{grid:?}"
+            );
+            assert!(model.try_park_response_prepared(&prepared, grid).is_ok());
+        }
+
+        let (probs, vars) = model.park_response_prepared(&prepared, &[0.0, 1.0]);
+        let (_, vars3) = model.park_response_prepared(&prepared, &[0.0, 1.0, 2.0]);
+        let from = |grid: &[f64], vars: &Matrix| {
+            try_planning_problem_from_response(park, post, grid, &probs, vars, 8.0, 2, 0.8)
+        };
+        assert!(from(&[0.0, 1.0], &vars).is_ok());
+        assert!(matches!(
+            from(&[0.0, 1.0, 2.0], &vars),
+            Err(PawsError::Input(_))
+        ));
+        assert!(matches!(
+            from(&[0.0, 1.0], &vars3),
+            Err(PawsError::Input(_))
+        ));
+        assert!(matches!(
+            from(&[0.0, f64::NAN], &vars),
+            Err(PawsError::Input(_))
+        ));
     }
 
     #[test]
@@ -908,6 +1153,7 @@ mod tests {
             rows: Matrix::zeros(4, model.n_features() + 1),
             rows32: Matrix32::zeros(4, model.n_features() + 1),
             shards: std::iter::once(0..4).collect(),
+            tables: OnceLock::new(),
         };
         assert!(matches!(
             model.try_risk_map_prepared(&foreign, 1.0),
@@ -966,33 +1212,57 @@ mod tests {
     fn facade_round_trips_and_the_artifact_shares_behind_an_arc() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
-        let model = train(
-            &dataset,
-            &split,
-            &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
         let prev = vec![0.0; park.n_cells()];
-        let (r_ref, _) = model.risk_map(park, &dataset, &prev, 1.0);
+        let grid = [0.0, 0.5, 1.0, 2.0];
+        for learner in LEARNERS {
+            let model = train(&dataset, &split, &quick_config(learner, true));
+            let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
+            let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
+            let reference = Arc::new((r_ref, u_ref, p_ref, v_ref));
 
-        // Facade → artifact → Arc: the shared artifact serves the same bits
-        // from plain `&self`, concurrently.
-        let artifact: Arc<ServingModel> = Arc::new(model.into_serving());
-        let prepared = Arc::new(artifact.prepare_park(park, &dataset, &prev).unwrap());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let artifact = Arc::clone(&artifact);
-                let prepared = Arc::clone(&prepared);
-                std::thread::spawn(move || artifact.risk_map_prepared(&prepared, 1.0).0)
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), r_ref);
+            // Facade → artifact → Arc: the shared artifact serves the same
+            // bits from plain `&self`, concurrently. Four threads race the
+            // first query on one fresh prepared park (for the GP model, the
+            // table fill), half for risk maps and half for response
+            // surfaces.
+            let artifact: Arc<ServingModel> = Arc::new(model.into_serving());
+            let prepared = Arc::new(artifact.prepare_park(park, &dataset, &prev).unwrap());
+            let start = Arc::new(std::sync::Barrier::new(4));
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let artifact = Arc::clone(&artifact);
+                    let prepared = Arc::clone(&prepared);
+                    let start = Arc::clone(&start);
+                    let reference = Arc::clone(&reference);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        let (r_ref, u_ref, p_ref, v_ref) = &*reference;
+                        if t % 2 == 0 {
+                            let (r, u) = artifact.risk_map_prepared(&prepared, 1.0);
+                            assert_eq!(&r, r_ref, "risk, thread {t}");
+                            assert_eq!(&u, u_ref, "uncertainty, thread {t}");
+                        } else {
+                            let (p, v) = artifact.park_response_prepared(&prepared, &grid);
+                            assert_eq!(p.as_slice(), p_ref.as_slice(), "response, thread {t}");
+                            assert_eq!(v.as_slice(), v_ref.as_slice(), "variance, thread {t}");
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join()
+                    .expect("every racing query answers the sequential bits");
+            }
+            assert_eq!(
+                prepared.tables.get().is_some(),
+                serves_from_tables(learner, true)
+            );
+
+            // And back into the facade for fit-time callers.
+            let artifact = Arc::try_unwrap(artifact).ok().expect("sole owner again");
+            let model = TrainedModel::from_serving(artifact);
+            let (r, _) = model.risk_map(park, &dataset, &prev, 1.0);
+            assert_eq!(r, reference.0);
         }
-
-        // And back into the facade for fit-time callers.
-        let artifact = Arc::try_unwrap(artifact).ok().expect("sole owner again");
-        let model = TrainedModel::from_serving(artifact);
-        let (r, _) = model.risk_map(park, &dataset, &prev, 1.0);
-        assert_eq!(r, r_ref);
     }
 }

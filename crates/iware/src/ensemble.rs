@@ -30,6 +30,21 @@
 //! combined slab instead of I separate per-learner member passes, then
 //! reduces the member rows per learner in the exact member order of the
 //! per-learner path (bit-identical results).
+//!
+//! Every other learner base (Gaussian processes, SVMs) goes through
+//! **learner tables** instead: each learner scores the whole batch once
+//! into an `n_learners × n_rows` (probability, variance) pair
+//! ([`LearnerTables`]), and one combine path turns the tables into a
+//! constant-effort risk map ([`IWareModel::combine_tables_at_effort`]) or
+//! a response surface ([`IWareModel::combine_tables_response`]). A
+//! learner's prediction for a row depends on neither the effort level nor
+//! the grid, so a caller that keeps the tables — a prepared park in
+//! `paws-core` — serves every later query on the same rows with the
+//! combine alone. Tables carry the id of the model that computed them and
+//! the combiners refuse another model's tables; the unprepared entry
+//! points (`predict_with_variance_at_effort` at a constant effort,
+//! `effort_response`) build fresh tables and run the same combiners, so
+//! both routes produce the same bits.
 
 use crate::thresholds::{qualified_count, qualified_learners, select_thresholds, ThresholdMode};
 use crate::weights::{optimize_weights, WeightMode};
@@ -51,6 +66,7 @@ use paws_ml::traits::{
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the iWare-E ensemble.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -303,8 +319,40 @@ pub struct RefitStats {
     pub full_cv: bool,
 }
 
+/// Source of [`IWareModel`] ids, unique within the process.
+static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(0);
+
+fn next_model_id() -> u64 {
+    // The counter publishes no other data; `fetch_add` alone keeps ids
+    // unique, so `Relaxed` suffices.
+    NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The per-learner (probability, variance) tables of one feature batch,
+/// stamped with the model that computed them.
+///
+/// Each table is learner-major `n_learners × n_rows`. Neither depends on
+/// an effort level, so one batch's tables serve every risk map and
+/// response surface on it. Build them with [`IWareModel::learner_tables`]
+/// and combine them with [`IWareModel::combine_tables_at_effort`] or
+/// [`IWareModel::combine_tables_response`], which refuse tables stamped by
+/// any other model.
+pub struct LearnerTables {
+    model_id: u64,
+    n_rows: usize,
+    probs: Vec<f64>,
+    vars: Vec<f64>,
+}
+
 /// A fitted iWare-E ensemble.
 pub struct IWareModel {
+    /// Process-unique id stamped on the [`LearnerTables`] this model
+    /// computes. Each constructor draws a fresh one, and it is never
+    /// refreshed: no `&mut self` method changes a non-tree model's
+    /// predictions (`set_precision` and `set_layout` touch only the tree
+    /// stacks, and tree stacks never build tables), so tables stay valid
+    /// for the model's lifetime.
+    id: u64,
     thresholds: Vec<f64>,
     /// Per-threshold weak learners. Empty for a model reconstructed from a
     /// stack snapshot — every park-wide serving path then answers from the
@@ -406,6 +454,7 @@ impl IWareModel {
             n_rows: x.n_rows(),
         };
         let model = Self {
+            id: next_model_id(),
             thresholds,
             learners,
             weights,
@@ -556,6 +605,7 @@ impl IWareModel {
         cache.records = learner_records(plans, &thresholds, &learners);
         cache.n_rows = x.n_rows();
         let model = Self {
+            id: next_model_id(),
             thresholds,
             learners,
             weights,
@@ -659,6 +709,7 @@ impl IWareModel {
         cache.records = learner_records(plans, &thresholds, &learners);
         cache.n_rows = x.n_rows();
         let model = Self {
+            id: next_model_id(),
             thresholds,
             learners,
             weights,
@@ -824,47 +875,117 @@ impl IWareModel {
         Matrix::from_rows(&per_learner)
     }
 
-    /// Per-learner (probability, variance) tables, each `n_learners × n_rows`.
-    /// Callers guard against empty batches. Tree stacks answer with one
-    /// batch traversal of the fused arena, then reduce each learner's
-    /// member rows to mean and spread (the member order — and therefore
-    /// every float — matches the per-learner path exactly).
-    fn learner_prob_var(&self, x: MatrixView<'_>) -> (Matrix, Matrix) {
-        if let Some(stack) = &self.stack {
-            let per_tree = stack.per_tree_batch(x);
-            let n_rows = x.n_rows();
-            let mut probs = Matrix::zeros(stack.ranges.len(), n_rows);
-            let mut vars = Matrix::zeros(stack.ranges.len(), n_rows);
-            for (li, range) in stack.ranges.iter().enumerate() {
-                reduce_members(
-                    per_tree.as_slice(),
-                    n_rows,
-                    range.clone(),
-                    probs.row_mut(li),
-                    None,
-                );
-                reduce_members(
-                    per_tree.as_slice(),
-                    n_rows,
-                    range.clone(),
-                    vars.row_mut(li),
-                    Some(probs.row(li)),
-                );
+    /// Per-learner (probability, variance) tables of a batch, stamped with
+    /// this model's id. Tree stacks answer with one batch traversal of the
+    /// fused arena, then reduce each learner's member rows to mean and
+    /// spread (the member order — and therefore every float — matches the
+    /// per-learner path exactly); tree callers guard against empty
+    /// batches. Other learner bases score the batch learner by learner.
+    fn learner_prob_var(&self, x: MatrixView<'_>) -> LearnerTables {
+        let n_rows = x.n_rows();
+        let (probs, vars) = match &self.stack {
+            Some(stack) => {
+                let per_tree = stack.per_tree_batch(x);
+                let mut probs = vec![0.0; stack.ranges.len() * n_rows];
+                let mut vars = vec![0.0; stack.ranges.len() * n_rows];
+                for (li, range) in stack.ranges.iter().enumerate() {
+                    let row = li * n_rows..(li + 1) * n_rows;
+                    let p = &mut probs[row.clone()];
+                    reduce_members(per_tree.as_slice(), n_rows, range.clone(), p, None);
+                    let v = &mut vars[row];
+                    reduce_members(per_tree.as_slice(), n_rows, range.clone(), v, Some(p));
+                }
+                (probs, vars)
             }
-            return (probs, vars);
+            None => {
+                let pv: Vec<(Vec<f64>, Vec<f64>)> = self
+                    .learners
+                    .par_iter()
+                    .map(|l| l.predict_with_variance(x))
+                    .collect();
+                let mut probs = Vec::with_capacity(pv.len() * n_rows);
+                let mut vars = Vec::with_capacity(pv.len() * n_rows);
+                for (p, v) in pv {
+                    probs.extend_from_slice(&p);
+                    vars.extend_from_slice(&v);
+                }
+                (probs, vars)
+            }
+        };
+        LearnerTables {
+            model_id: self.id,
+            n_rows,
+            probs,
+            vars,
         }
-        let pv: Vec<(Vec<f64>, Vec<f64>)> = self
-            .learners
-            .par_iter()
-            .map(|l| l.predict_with_variance(x))
-            .collect();
-        let mut probs = Vec::with_capacity(pv.len());
-        let mut vars = Vec::with_capacity(pv.len());
-        for (p, v) in pv {
-            probs.push(p);
-            vars.push(v);
-        }
-        (Matrix::from_rows(&probs), Matrix::from_rows(&vars))
+    }
+
+    /// The per-learner tables of a feature batch (standardised like every
+    /// other query), for a model without a fused tree stack: each learner
+    /// scores the batch once. `None` for tree stacks, whose fused
+    /// per-block pipeline never materialises the tables. Combining them
+    /// with [`IWareModel::combine_tables_at_effort`] or
+    /// [`IWareModel::combine_tables_response`] gives the exact bits of
+    /// the direct entry points on the same batch.
+    pub fn learner_tables(&self, x: MatrixView<'_>) -> Option<LearnerTables> {
+        self.stack.is_none().then(|| self.learner_prob_var(x))
+    }
+
+    /// Risk and uncertainty at one effort level from this model's learner
+    /// tables: bit-identical to [`IWareModel::predict_with_variance_at_effort`]
+    /// at that constant effort on the batch the tables were built from.
+    /// `None` when the tables carry another model's id.
+    pub fn combine_tables_at_effort(
+        &self,
+        tables: &LearnerTables,
+        effort: f64,
+    ) -> Option<(Vec<f64>, Vec<f64>)> {
+        (tables.model_id == self.id).then(|| self.combine_at_effort(tables, effort))
+    }
+
+    /// Response surfaces over an effort grid from this model's learner
+    /// tables: bit-identical to [`IWareModel::effort_response`] on the
+    /// batch the tables were built from. `None` when the tables carry
+    /// another model's id.
+    ///
+    /// # Panics
+    /// Panics on an empty effort grid, like [`IWareModel::effort_response`].
+    pub fn combine_tables_response(
+        &self,
+        tables: &LearnerTables,
+        effort_grid: &[f64],
+    ) -> Option<(Matrix, Matrix)> {
+        assert!(!effort_grid.is_empty(), "empty effort grid");
+        (tables.model_id == self.id).then(|| self.combine_response(tables, effort_grid))
+    }
+
+    /// The one constant-effort combine of learner tables: one qualified
+    /// set for every row, combined learner-major with contiguous axpy rows.
+    fn combine_at_effort(&self, tables: &LearnerTables, effort: f64) -> (Vec<f64>, Vec<f64>) {
+        let q = qualified_learners(&self.thresholds, effort);
+        let n = tables.n_rows;
+        (
+            combine_rows(LearnerTable::new(&tables.probs, n, 0), &self.weights, &q, n),
+            combine_rows(LearnerTable::new(&tables.vars, n, 0), &self.weights, &q, n),
+        )
+    }
+
+    /// The one effort-grid combine of learner tables, cell-parallel over
+    /// block windows of the full tables.
+    fn combine_response(&self, tables: &LearnerTables, effort_grid: &[f64]) -> (Matrix, Matrix) {
+        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
+        let n_rows = tables.n_rows;
+        blocked_response(n_rows, effort_grid.len(), |start, len, p_flat, v_flat| {
+            self.combine_levels_block(
+                prefix_lens.as_deref(),
+                &qualified_per_level,
+                LearnerTable::new(&tables.probs, n_rows, start),
+                LearnerTable::new(&tables.vars, n_rows, start),
+                len,
+                p_flat,
+                v_flat,
+            );
+        })
     }
 
     /// Constant-effort probability prediction served natively from the f32
@@ -973,10 +1094,11 @@ impl IWareModel {
                 x.n_rows(),
             );
         }
+        let table = LearnerTable::new(per_learner.as_slice(), x.n_rows(), 0);
         (0..x.n_rows())
             .map(|r| {
                 let q = qualified_learners(&self.thresholds, efforts[r]);
-                combine_indexed(&per_learner, &self.weights, &q, r)
+                combine_table_indexed(&table, &self.weights, &q, r)
             })
             .collect()
     }
@@ -997,7 +1119,6 @@ impl IWareModel {
         // every row; tree stacks run the fused per-block pipeline, other
         // learners combine their full tables learner-major.
         if efforts.windows(2).all(|w| w[0] == w[1]) {
-            let q = qualified_learners(&self.thresholds, efforts[0]);
             if self.stack32.is_some() {
                 // The f32 plane's fused pipeline; narrow once, then run the
                 // pre-narrowed entry point end-to-end.
@@ -1006,50 +1127,39 @@ impl IWareModel {
                     return out;
                 }
             }
-            if let Some(stack) = &self.stack {
-                let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-                let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
-                    .into_par_iter()
-                    .map(|start| {
-                        let len = ROW_CHUNK.min(n_rows - start);
-                        let (probs, vars) = stack.block_prob_var(x, start, len);
-                        (
-                            combine_rows(LearnerTable::new(&probs, len, 0), &self.weights, &q, len),
-                            combine_rows(LearnerTable::new(&vars, len, 0), &self.weights, &q, len),
-                        )
-                    })
-                    .collect();
-                let mut p_all = Vec::with_capacity(n_rows);
-                let mut v_all = Vec::with_capacity(n_rows);
-                for (p, v) in parts {
-                    p_all.extend_from_slice(&p);
-                    v_all.extend_from_slice(&v);
-                }
-                return (p_all, v_all);
+            let Some(stack) = &self.stack else {
+                return self.combine_at_effort(&self.learner_prob_var(x), efforts[0]);
+            };
+            let q = qualified_learners(&self.thresholds, efforts[0]);
+            let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
+            let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
+                .into_par_iter()
+                .map(|start| {
+                    let len = ROW_CHUNK.min(n_rows - start);
+                    let (probs, vars) = stack.block_prob_var(x, start, len);
+                    (
+                        combine_rows(LearnerTable::new(&probs, len, 0), &self.weights, &q, len),
+                        combine_rows(LearnerTable::new(&vars, len, 0), &self.weights, &q, len),
+                    )
+                })
+                .collect();
+            let mut p_all = Vec::with_capacity(n_rows);
+            let mut v_all = Vec::with_capacity(n_rows);
+            for (p, v) in parts {
+                p_all.extend_from_slice(&p);
+                v_all.extend_from_slice(&v);
             }
-            let (per_learner_p, per_learner_v) = self.learner_prob_var(x);
-            return (
-                combine_rows(
-                    LearnerTable::new(per_learner_p.as_slice(), n_rows, 0),
-                    &self.weights,
-                    &q,
-                    n_rows,
-                ),
-                combine_rows(
-                    LearnerTable::new(per_learner_v.as_slice(), n_rows, 0),
-                    &self.weights,
-                    &q,
-                    n_rows,
-                ),
-            );
+            return (p_all, v_all);
         }
-        let (per_learner_p, per_learner_v) = self.learner_prob_var(x);
+        let tables = self.learner_prob_var(x);
+        let p_table = LearnerTable::new(&tables.probs, n_rows, 0);
+        let v_table = LearnerTable::new(&tables.vars, n_rows, 0);
         let mut probs = Vec::with_capacity(n_rows);
         let mut vars = Vec::with_capacity(n_rows);
         for (r, &effort) in efforts.iter().enumerate() {
             let q = qualified_learners(&self.thresholds, effort);
-            probs.push(combine_indexed(&per_learner_p, &self.weights, &q, r));
-            vars.push(combine_indexed(&per_learner_v, &self.weights, &q, r));
+            probs.push(combine_table_indexed(&p_table, &self.weights, &q, r));
+            vars.push(combine_table_indexed(&v_table, &self.weights, &q, r));
         }
         (probs, vars)
     }
@@ -1064,9 +1174,11 @@ impl IWareModel {
     /// the arena for the block, reduce the member rows per learner, combine
     /// the levels — while every intermediate is still cache-resident,
     /// instead of materialising the full `n_trees × n_rows` table first.
-    /// Reductions and combines use the `f64x4` kernels with the exact
-    /// per-element operation order of the reference path, so the surface
-    /// is bit-identical to per-row evaluation.
+    /// Other learner bases build the batch's [`LearnerTables`] and run
+    /// [`IWareModel::combine_tables_response`]'s combine. Reductions and
+    /// combines use the `f64x4` kernels with the exact per-element
+    /// operation order of the reference path, so the surface is
+    /// bit-identical to per-row evaluation.
     pub fn effort_response(&self, x: MatrixView<'_>, effort_grid: &[f64]) -> (Matrix, Matrix) {
         assert!(!effort_grid.is_empty(), "empty effort grid");
         if x.n_rows() == 0 {
@@ -1077,61 +1189,31 @@ impl IWareModel {
         // whole surface from the narrowed stack.
         if self.stack32.is_some() {
             let x32 = Matrix32::from_f64(x);
-            return self
-                .effort_response32(x32.view(), effort_grid)
-                .expect("stack32 is present");
+            if let Some(response) = self.effort_response32(x32.view(), effort_grid) {
+                return response;
+            }
         }
-        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
-        let n_rows = x.n_rows();
-        let n_levels = effort_grid.len();
-
-        // Non-tree stacks keep the per-learner batch kernels: compute the
-        // full learner tables once, combine per block below.
-        let tables = if self.stack.is_none() {
-            Some(self.learner_prob_var(x))
-        } else {
-            None
+        let Some(stack) = &self.stack else {
+            return self.combine_response(&self.learner_prob_var(x), effort_grid);
         };
-
-        let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-        let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
-            .into_par_iter()
-            .map(|start| {
-                let len = ROW_CHUNK.min(n_rows - start);
-                let mut p_flat = vec![0.0; len * n_levels];
-                let mut v_flat = vec![0.0; len * n_levels];
-                match (&self.stack, &tables) {
-                    (Some(stack), _) => {
-                        // Fused: traverse → reduce → combine, one block.
-                        let (probs, vars) = stack.block_prob_var(x, start, len);
-                        self.combine_levels_block(
-                            prefix_lens.as_deref(),
-                            &qualified_per_level,
-                            LearnerTable::new(&probs, len, 0),
-                            LearnerTable::new(&vars, len, 0),
-                            len,
-                            &mut p_flat,
-                            &mut v_flat,
-                        );
-                    }
-                    (None, Some((per_learner_p, per_learner_v))) => {
-                        self.combine_levels_block(
-                            prefix_lens.as_deref(),
-                            &qualified_per_level,
-                            LearnerTable::new(per_learner_p.as_slice(), n_rows, start),
-                            LearnerTable::new(per_learner_v.as_slice(), n_rows, start),
-                            len,
-                            &mut p_flat,
-                            &mut v_flat,
-                        );
-                    }
-                    (None, None) => unreachable!("tables computed for non-stack models"),
-                }
-                (p_flat, v_flat)
-            })
-            .collect();
-
-        assemble_response(parts, n_rows, n_levels)
+        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
+        blocked_response(
+            x.n_rows(),
+            effort_grid.len(),
+            |start, len, p_flat, v_flat| {
+                // Fused: traverse → reduce → combine, one block.
+                let (probs, vars) = stack.block_prob_var(x, start, len);
+                self.combine_levels_block(
+                    prefix_lens.as_deref(),
+                    &qualified_per_level,
+                    LearnerTable::new(&probs, len, 0),
+                    LearnerTable::new(&vars, len, 0),
+                    len,
+                    p_flat,
+                    v_flat,
+                );
+            },
+        )
     }
 
     /// [`IWareModel::effort_response`] served natively from the f32 plane:
@@ -1149,21 +1231,11 @@ impl IWareModel {
     ) -> Option<(Matrix, Matrix)> {
         let stack32 = self.stack32.as_ref()?;
         assert!(!effort_grid.is_empty(), "empty effort grid");
-        if x32.n_rows() == 0 {
-            let empty = || Matrix::from_flat(Vec::new(), effort_grid.len());
-            return Some((empty(), empty()));
-        }
         let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
-        let n_rows = x32.n_rows();
-        let n_levels = effort_grid.len();
-
-        let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-        let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
-            .into_par_iter()
-            .map(|start| {
-                let len = ROW_CHUNK.min(n_rows - start);
-                let mut p_flat = vec![0.0; len * n_levels];
-                let mut v_flat = vec![0.0; len * n_levels];
+        Some(blocked_response(
+            x32.n_rows(),
+            effort_grid.len(),
+            |start, len, p_flat, v_flat| {
                 let (probs, vars) = stack32.block_prob_var(x32, start, len);
                 combine_levels_block32(
                     &stack32.weights,
@@ -1172,14 +1244,11 @@ impl IWareModel {
                     LearnerTable::new(&probs, len, 0),
                     LearnerTable::new(&vars, len, 0),
                     len,
-                    &mut p_flat,
-                    &mut v_flat,
+                    p_flat,
+                    v_flat,
                 );
-                (p_flat, v_flat)
-            })
-            .collect();
-
-        Some(assemble_response(parts, n_rows, n_levels))
+            },
+        ))
     }
 
     /// [`IWareModel::effort_response`] with the adversarial-input guard:
@@ -1282,6 +1351,7 @@ impl IWareModel {
         }
         let n_features = forest.n_features();
         Ok(Self {
+            id: next_model_id(),
             thresholds,
             learners: Vec::new(),
             weights,
@@ -1330,7 +1400,7 @@ impl IWareModel {
     /// incremental learner-major path (contiguous `f64x4` axpy per new
     /// learner, packed emission divides); otherwise each row combines its
     /// qualified set indexed. Per element both paths replay the exact
-    /// operation sequence of [`combine_indexed`].
+    /// operation sequence of [`combine_table_indexed`].
     #[allow(clippy::too_many_arguments)]
     fn combine_levels_block(
         &self,
@@ -1439,8 +1509,10 @@ impl<'a, T: Copy> LearnerTable<'a, T> {
     }
 }
 
-/// [`combine_indexed`] against a block table: same operation order, same
-/// results.
+/// Weighted combination of one row's per-learner outputs, indexing straight
+/// into a learner table (no per-row scratch vector). Operation order
+/// matches [`crate::weights::combine`] exactly, so results are
+/// bit-identical.
 fn combine_table_indexed(
     table: &LearnerTable<'_, f64>,
     weights: &[f64],
@@ -1454,6 +1526,8 @@ fn combine_table_indexed(
         acc += weights[i] * table.get(i, r);
     }
     if wsum <= 1e-12 {
+        // Degenerate weights: fall back to the unweighted mean of the
+        // qualified learners.
         let n = qualified.len().max(1) as f64;
         qualified.iter().map(|&i| table.get(i, r)).sum::<f64>() / n
     } else {
@@ -1464,7 +1538,7 @@ fn combine_table_indexed(
 /// Weighted combination of one qualified set across a whole block of rows
 /// at once: each qualified learner streams its contiguous prediction row
 /// into the accumulator with one `f64x4` axpy. Per element this performs
-/// the exact operation sequence of [`combine_indexed`] (same learner
+/// the exact operation sequence of [`combine_table_indexed`] (same learner
 /// order, same trailing division), so results are bit-identical to the
 /// per-row path.
 fn combine_rows(
@@ -1494,13 +1568,25 @@ fn combine_rows(
     }
 }
 
-/// Stitch per-block `(probs, vars)` strips back into the flat
-/// `n_rows × n_levels` response matrices (blocks arrive in row order).
-fn assemble_response(
-    parts: Vec<(Vec<f64>, Vec<f64>)>,
+/// Evaluate a flat `n_rows × n_levels` response surface cell-parallel in
+/// [`ROW_CHUNK`]-row blocks: `fill(start, len, p_flat, v_flat)` writes one
+/// block's row-major strips, and the strips are stitched back in row order.
+fn blocked_response(
     n_rows: usize,
     n_levels: usize,
+    fill: impl Fn(usize, usize, &mut [f64], &mut [f64]) + Sync,
 ) -> (Matrix, Matrix) {
+    let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
+    let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
+        .into_par_iter()
+        .map(|start| {
+            let len = ROW_CHUNK.min(n_rows - start);
+            let mut p_flat = vec![0.0; len * n_levels];
+            let mut v_flat = vec![0.0; len * n_levels];
+            fill(start, len, &mut p_flat, &mut v_flat);
+            (p_flat, v_flat)
+        })
+        .collect();
     let mut p_all = Vec::with_capacity(n_rows * n_levels);
     let mut v_all = Vec::with_capacity(n_rows * n_levels);
     for (p, v) in parts {
@@ -1666,31 +1752,6 @@ fn reduce_members32(
         }
     }
     simd32::div_assign(out, b);
-}
-
-/// Weighted combination of one row's per-learner outputs, indexing straight
-/// into the `[learner][row]` prediction table (no per-row scratch vector).
-/// Operation order matches [`crate::weights::combine`] exactly, so results
-/// are bit-identical.
-fn combine_indexed(per_learner: &Matrix, weights: &[f64], qualified: &[usize], r: usize) -> f64 {
-    let mut wsum = 0.0;
-    let mut acc = 0.0;
-    for &i in qualified {
-        wsum += weights[i];
-        acc += weights[i] * per_learner.get(i, r);
-    }
-    if wsum <= 1e-12 {
-        // Degenerate weights: fall back to the unweighted mean of the
-        // qualified learners.
-        let n = qualified.len().max(1) as f64;
-        qualified
-            .iter()
-            .map(|&i| per_learner.get(i, r))
-            .sum::<f64>()
-            / n
-    } else {
-        acc / wsum
-    }
 }
 
 /// Accumulate member (tree) rows `range` of a tree-major prediction table
@@ -2150,6 +2211,43 @@ mod tests {
                 assert_eq!(vars.get(r, e), v_ref[r]);
             }
         }
+    }
+
+    #[test]
+    fn learner_tables_serve_the_direct_bits_to_their_own_model_only() {
+        // Kept GP tables combine to the direct entry points' bits at any
+        // level and over sorted or unsorted grids. A second fit of the same
+        // config predicts the same bits but is another model: its
+        // combiners refuse the tables. Tree stacks build none.
+        let (rows, labels, efforts, _) = noisy_poaching_data(250, 12);
+        let cfg = IWareConfig {
+            base: BaggingConfig::gps(3, 5),
+            ..quick_config(4)
+        };
+        let model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+        let twin = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+        let q = rows.view().head(40);
+        let tables = model.learner_tables(q).expect("GP stacks build tables");
+        for level in [0.0, 0.7, 2.5, 10.0] {
+            let direct = model.predict_with_variance_at_effort(q, &[level; 40]);
+            assert_eq!(
+                twin.predict_with_variance_at_effort(q, &[level; 40]),
+                direct
+            );
+            assert_eq!(model.combine_tables_at_effort(&tables, level), Some(direct));
+            assert_eq!(twin.combine_tables_at_effort(&tables, level), None);
+        }
+        for grid in [[0.0, 0.5, 1.0, 2.0], [2.0, 0.0, 1.0, 0.5]] {
+            let (p, v) = model.effort_response(q, &grid);
+            let (pt, vt) = model
+                .combine_tables_response(&tables, &grid)
+                .expect("the model's own tables");
+            assert_eq!(pt.as_slice(), p.as_slice());
+            assert_eq!(vt.as_slice(), v.as_slice());
+            assert!(twin.combine_tables_response(&tables, &grid).is_none());
+        }
+        let trees = IWareModel::fit(&quick_config(4), rows.view(), &labels, &efforts);
+        assert!(trees.learner_tables(q).is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod ensemble;
 pub mod thresholds;
 pub mod weights;
 
-pub use ensemble::{FitCache, IWareConfig, IWareModel, RefitStats};
+pub use ensemble::{FitCache, IWareConfig, IWareModel, LearnerTables, RefitStats};
 pub use paws_ml::forest32::NarrowError;
 pub use paws_ml::layout::TraversalLayout;
 pub use paws_ml::precision::Precision;

@@ -361,6 +361,49 @@ mod tests {
     }
 
     #[test]
+    fn unordered_plan_grids_are_refused_and_the_batch_still_serves() {
+        let (server, park) = server_with_park();
+        let plan = |effort_grid: Vec<f64>| {
+            QueryRequest::new(
+                "mondulkiri",
+                QueryKind::PatrolPlan {
+                    post: park.patrol_posts[0],
+                    effort_grid,
+                    patrol_length_km: 8.0,
+                    n_patrols: 2,
+                    beta: 0.8,
+                },
+            )
+        };
+        let answers = server.submit(&[
+            plan(vec![1.0, 0.0]),
+            QueryRequest::new("mondulkiri", QueryKind::RiskMap { effort_km: 1.0 }),
+            plan(vec![0.0, 0.0, 1.0]),
+            QueryRequest::new(
+                "mondulkiri",
+                QueryKind::ParkResponse {
+                    effort_grid: vec![1.0, 0.0],
+                },
+            ),
+            plan(vec![0.0, 0.5, 1.0]),
+        ]);
+        assert!(matches!(
+            &answers[0],
+            Err(ServeError::Model(PawsError::Input(_)))
+        ));
+        assert!(matches!(&answers[1], Ok(QueryResponse::RiskMap { .. })));
+        assert!(matches!(
+            &answers[2],
+            Err(ServeError::Model(PawsError::Input(_)))
+        ));
+        assert!(
+            matches!(&answers[3], Ok(QueryResponse::ParkResponse { .. })),
+            "response surfaces accept unsorted grids"
+        );
+        assert!(matches!(&answers[4], Ok(QueryResponse::PatrolPlan(_))));
+    }
+
+    #[test]
     fn lapsed_deadlines_refuse_queries_and_starved_plans_degrade() {
         let (server, park) = server_with_park();
         let answers = server.submit(&[

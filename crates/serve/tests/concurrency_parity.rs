@@ -22,15 +22,21 @@ struct Fixture {
     prev: Vec<f64>,
 }
 
-/// Train one park model; `tweak` selects the serving engines.
+/// Train one park model; `tweak` selects the serving engines (4: GP
+/// learners, served from the resident park's learner tables).
 fn fit_park(name: &'static str, seed: u64, tweak: u8) -> (Fixture, ServingModel) {
     let scenario = Scenario::test_scenario(seed);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
     let split = split_by_test_year(&dataset, 2016, 2).expect("split exists");
-    let mut config = ModelConfig::new(WeakLearnerKind::DecisionTree, tweak != 3, seed);
+    let learner = match tweak {
+        4 => WeakLearnerKind::GaussianProcess,
+        _ => WeakLearnerKind::DecisionTree,
+    };
+    let mut config = ModelConfig::new(learner, tweak != 3, seed);
     config.n_learners = 4;
     config.n_estimators = 4;
+    config.gp_max_points = 30;
     config.weight_mode = paws_iware::WeightMode::Uniform;
     match tweak {
         1 => config.precision = paws_core::Precision::F32,
@@ -163,13 +169,15 @@ fn assert_answer_matches(req: &QueryRequest, answer: &QueryResponse, reference: 
 
 #[test]
 fn threaded_batches_are_bit_identical_to_direct_calls() {
-    // Four resident parks spanning the engine matrix: f64/interleaved,
-    // f32/interleaved, f64/bitvector, plain bagging.
+    // Five resident parks spanning the engine matrix: f64/interleaved,
+    // f32/interleaved, f64/bitvector, plain bagging, and GP iWare, whose
+    // learner tables the threads' first batches race to fill.
     let specs = [
         ("gonarezhou", 3u64, 0u8),
         ("mondulkiri", 4, 1),
         ("queen-elizabeth", 5, 2),
         ("srepok-plain", 6, 3),
+        ("srepok-gp", 7, 4),
     ];
     let server = Arc::new(PawsServer::new());
     let mut fixtures = Vec::new();

@@ -37,7 +37,6 @@ allowlist() {
 2 crates/data/src/simd32.rs
 3 crates/field/src/simulate.rs
 5 crates/geo/src/park.rs
-2 crates/iware/src/ensemble.rs
 1 crates/iware/src/thresholds.rs
 1 crates/ml/src/bagging.rs
 1 crates/ml/src/forest32.rs
