@@ -96,7 +96,7 @@ fn bench_forest_traversal(c: &mut Criterion) {
     // The f32 plane's 8-byte-node arena over a pre-narrowed park batch:
     // isolates the traversal bandwidth win from the per-call narrowing
     // cost (which the end-to-end park_prediction benches include).
-    let forest32 = paws_ml::Forest32::from_forest(forest);
+    let forest32 = paws_ml::Forest32::try_from_forest(forest).expect("arena fits the f32 caps");
     let park32 = paws_data::Matrix32::from_f64(w.park_flat.view());
     group.bench_function("level_sync_batch_f32", |b| {
         b.iter(|| black_box(forest32.predict_proba_batch(park32.view())))

@@ -116,11 +116,6 @@ fn bench_park_prediction(c: &mut Criterion) {
     let mut cfg32 = quick_config(WeakLearnerKind::DecisionTree, true);
     cfg32.precision = paws_core::Precision::F32;
     let model32 = train(&dataset, &split, &cfg32);
-    // And with the QuickScorer-style bitvector layout (surfaces are
-    // bit-identical to the interleaved arena; only the engine differs).
-    let mut cfg_bv = quick_config(WeakLearnerKind::DecisionTree, true);
-    cfg_bv.layout = paws_core::TraversalLayout::BitVector;
-    let model_bv = train(&dataset, &split, &cfg_bv);
     let prev = dataset.coverage.last().unwrap().clone();
     let mut group = c.benchmark_group("park_prediction");
     group.sample_size(20);
@@ -130,9 +125,6 @@ fn bench_park_prediction(c: &mut Criterion) {
     group.bench_function("risk_map_500_cells_f32", |b| {
         b.iter(|| black_box(model32.risk_map(&scenario.park, &dataset, &prev, 1.0)))
     });
-    group.bench_function("risk_map_500_cells_bitvector", |b| {
-        b.iter(|| black_box(model_bv.risk_map(&scenario.park, &dataset, &prev, 1.0)))
-    });
     let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     group.bench_function("park_response_500_cells_6_levels", |b| {
         b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
@@ -140,59 +132,6 @@ fn bench_park_prediction(c: &mut Criterion) {
     group.bench_function("park_response_500_cells_6_levels_f32", |b| {
         b.iter(|| black_box(model32.park_response(&scenario.park, &dataset, &prev, &grid)))
     });
-    group.bench_function("park_response_500_cells_6_levels_bitvector", |b| {
-        b.iter(|| black_box(model_bv.park_response(&scenario.park, &dataset, &prev, &grid)))
-    });
-    group.finish();
-}
-
-fn bench_park_prediction_llc(c: &mut Criterion) {
-    // LLC-scale park (50k cells): the feature matrix (~8 MB) and response
-    // surfaces outgrow the last-level cache, which is where the traversal
-    // layouts and precision planes actually differ in memory behaviour —
-    // the 500-cell test park above stays cache-resident throughout.
-    let scenario = paws_core::Scenario::llc_scenario(50_000, 5);
-    let history = scenario.simulate_years(2014, 2);
-    let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
-    let split = split_by_test_year(&dataset, 2015, 1).expect("2015 present");
-    let prev = dataset.coverage.last().unwrap().clone();
-    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-
-    let mut group = c.benchmark_group("park_prediction_llc");
-    group.sample_size(10);
-    for (tag, layout, precision) in [
-        (
-            "",
-            paws_core::TraversalLayout::Interleaved,
-            paws_core::Precision::F64,
-        ),
-        (
-            "_bitvector",
-            paws_core::TraversalLayout::BitVector,
-            paws_core::Precision::F64,
-        ),
-        (
-            "_f32",
-            paws_core::TraversalLayout::Interleaved,
-            paws_core::Precision::F32,
-        ),
-        (
-            "_f32_bitvector",
-            paws_core::TraversalLayout::BitVector,
-            paws_core::Precision::F32,
-        ),
-    ] {
-        let mut cfg = quick_config(WeakLearnerKind::DecisionTree, true);
-        cfg.layout = layout;
-        cfg.precision = precision;
-        let model = train(&dataset, &split, &cfg);
-        group.bench_function(format!("risk_map_llc_50k_cells{tag}"), |b| {
-            b.iter(|| black_box(model.risk_map(&scenario.park, &dataset, &prev, 1.0)))
-        });
-        group.bench_function(format!("park_response_llc_50k_cells_6_levels{tag}"), |b| {
-            b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
-        });
-    }
     group.finish();
 }
 
@@ -232,7 +171,6 @@ criterion_group!(
     bench_gp_predict,
     bench_iware_training,
     bench_park_prediction,
-    bench_park_prediction_llc,
     bench_park_prediction_threads
 );
 criterion_main!(benches);

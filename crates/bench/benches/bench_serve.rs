@@ -3,17 +3,15 @@
 //! queries off a prepared park's learner tables, and the batched admission
 //! layer vs per-request submits.
 //!
-//! The LLC group is the evidence for the PR 7 acceptance criterion: with
-//! `PreparedPark` caching the standardized f64 plane and the f32 narrowing,
-//! the f32 `park_response` at 50k cells must no longer trail f64 (the
-//! per-call `Matrix32::from_f64` narrowing cost that BENCH_5 measured as a
-//! 0.84x slowdown is paid once at prepare time, not per query).
+//! The LLC group times the 50k-cell risk map and response surface both
+//! unprepared and prepared. With `PreparedPark` caching the standardized
+//! f64 plane and the f32 narrowing, the f32 `park_response` must no longer
+//! trail f64: the per-call `Matrix32::from_f64` narrowing, once measured as
+//! a 0.84x slowdown, is paid once at prepare time, not per query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paws_bench::{dry_season_dataset, park_model_config, scenario, Scale};
-use paws_core::{
-    train, ModelConfig, Precision, Scenario, ServingModel, TraversalLayout, WeakLearnerKind,
-};
+use paws_core::{train, ModelConfig, Precision, Scenario, ServingModel, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization};
 use paws_serve::{PawsServer, QueryKind, QueryRequest};
 use std::hint::black_box;
@@ -49,6 +47,9 @@ fn bench_prepared_queries_llc(c: &mut Criterion) {
             .expect("park prepares");
         // Unprepared: every call re-standardizes the stack (and, on the
         // f32 plane, re-narrows it) before traversal.
+        group.bench_function(format!("risk_map_llc_50k_cells{tag}"), |b| {
+            b.iter(|| black_box(model.risk_map(&scenario.park, &dataset, &prev, 1.0)))
+        });
         group.bench_function(format!("park_response_llc_50k_cells_6_levels{tag}"), |b| {
             b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
         });
@@ -176,31 +177,32 @@ fn bench_gp_prepared_park(c: &mut Criterion) {
     group.finish();
 }
 
-fn fit_resident(seed: u64, tweak: u8) -> (Scenario, Dataset, ServingModel) {
+fn fit_resident(seed: u64, precision: Precision) -> (Scenario, Dataset, ServingModel) {
     let scenario = Scenario::test_scenario(seed);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
     let split = split_by_test_year(&dataset, 2016, 2).expect("2016 present");
     let mut cfg = quick_config(WeakLearnerKind::DecisionTree, true);
     cfg.seed = seed;
-    match tweak {
-        1 => cfg.precision = Precision::F32,
-        2 => cfg.layout = TraversalLayout::BitVector,
-        _ => {}
-    }
+    cfg.precision = precision;
     let model = train(&dataset, &split, &cfg).into_serving();
     (scenario, dataset, model)
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
-    // Three resident parks spanning the engine mix (f64, f32, bitvector).
+    // Three resident parks, one of them on the f32 plane.
     // The batched submit coalesces each park's risk levels into one
     // response-surface kernel and shares identical grids; the per-request
     // loop pays admission, lookup and traversal per query.
     let server = PawsServer::new();
     let names = ["gonarezhou", "mondulkiri", "queen-elizabeth"];
     for (i, name) in names.iter().enumerate() {
-        let (scenario, dataset, model) = fit_resident(3 + i as u64, i as u8);
+        let precision = if i == 1 {
+            Precision::F32
+        } else {
+            Precision::F64
+        };
+        let (scenario, dataset, model) = fit_resident(3 + i as u64, precision);
         let prev = vec![0.0; scenario.park.n_cells()];
         server
             .registry()

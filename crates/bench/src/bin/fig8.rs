@@ -29,7 +29,8 @@ use paws_data::split_by_test_year;
 use paws_geo::parks::{mfnp_spec, qenp_spec, sws_spec, test_park_spec};
 use paws_geo::Park;
 use paws_plan::{
-    compare_with_ground_truth, plan, squash_matrix, Decomposition, PlannerConfig, PlanningProblem,
+    compare_robust_vs_baseline, compare_with_ground_truth, plan, squash_matrix, Decomposition,
+    PlannerConfig, PlanningProblem,
 };
 use paws_sim::Season;
 use paws_solver::{LpEngine, MilpOptions, SolveBudget};
@@ -284,12 +285,7 @@ fn main() {
             let mut ratios = Vec::new();
             for &post in &posts {
                 let problem = build(post, 1.0);
-                let mut baseline_problem = problem.clone();
-                baseline_problem.beta = 0.0;
-                let robust = plan(&problem, &planner);
-                let baseline = plan(&baseline_problem, &planner);
-                let ub = problem.coverage_utility(&baseline.coverage, 1.0).max(1e-9);
-                ratios.push(problem.coverage_utility(&robust.coverage, 1.0) / ub);
+                ratios.push(compare_robust_vs_baseline(&problem, &planner).improvement_ratio);
             }
             let point = SegmentPoint {
                 park: park_name.to_string(),

@@ -4,8 +4,8 @@
 //! Every binary accepts `--full` to run at the paper's full experimental
 //! scale; the default "quick" scale uses the same full-size parks and
 //! datasets but fewer test years, smaller ensembles and fewer sweep points
-//! so the whole suite finishes in minutes. EXPERIMENTS.md records which
-//! scale produced the reported numbers.
+//! so the whole suite finishes in minutes. Each binary prints its table and
+//! writes `results/<name>.json`.
 
 use paws_core::{ModelConfig, Scenario, WeakLearnerKind};
 use paws_data::{build_dataset, Dataset, Discretization};

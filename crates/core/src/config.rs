@@ -9,7 +9,6 @@
 use paws_iware::{IWareConfig, ThresholdMode, WeightMode};
 use paws_ml::bagging::{BaggingConfig, BaseLearnerConfig};
 use paws_ml::gp::GpConfig;
-use paws_ml::layout::TraversalLayout;
 use paws_ml::precision::Precision;
 use paws_ml::svm::SvmConfig;
 use paws_ml::tree::TreeConfig;
@@ -73,12 +72,6 @@ pub struct ModelConfig {
     /// parity scenarios and bounded by rare half-ulp leaf flips at park
     /// scale (see `paws_ml::forest32`); a no-op for SVM/GP learners.
     pub precision: Precision,
-    /// Which traversal engine serves park-wide tree predictions after
-    /// training: the register-interleaved arena (default) or the
-    /// QuickScorer-style bitvector layout (`paws_ml::qs`). Purely a
-    /// memory-layout choice — surfaces are bit-identical across engines
-    /// on either precision plane; a no-op for SVM/GP learners.
-    pub layout: TraversalLayout,
     /// Random seed.
     pub seed: u64,
 }
@@ -99,7 +92,6 @@ impl ModelConfig {
             },
             gp_max_points: 250,
             precision: Precision::F64,
-            layout: TraversalLayout::Interleaved,
             seed,
         }
     }

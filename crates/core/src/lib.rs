@@ -29,7 +29,6 @@ pub mod stream;
 pub use config::{ModelConfig, WeakLearnerKind};
 pub use error::PawsError;
 pub use paws_iware::SnapshotError;
-pub use paws_ml::layout::TraversalLayout;
 pub use paws_ml::precision::Precision;
 pub use paws_ml::traits::QueryError;
 pub use paws_plan::{try_plan, Decomposition, PlanError, PlannerConfig, PlannerMethod};

@@ -101,12 +101,11 @@ pub fn train(dataset: &Dataset, split: &TrainTestSplit, config: &ModelConfig) ->
         scaler,
         fitted,
     };
-    // Training always runs in f64; the configured plane and traversal
-    // layout only select which engine serves predictions from here on.
+    // Training always runs in f64; the configured plane only selects which
+    // engine serves predictions from here on.
     serving
         .set_precision(config.precision)
         .expect("configured precision plane fits the trained arena");
-    serving.set_layout(config.layout);
     TrainedModel { serving }
 }
 
@@ -290,41 +289,6 @@ mod tests {
         cfg.precision = crate::Precision::F32;
         let configured = train(&dataset, &split, &cfg);
         assert_eq!(configured.precision(), crate::Precision::F32);
-    }
-
-    #[test]
-    fn bitvector_layout_serves_identical_park_surfaces() {
-        let (scenario, dataset, split) = small_setup();
-        let mut model = train(
-            &dataset,
-            &split,
-            &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
-        assert_eq!(model.layout(), crate::TraversalLayout::Interleaved);
-        let prev = vec![0.0; scenario.park.n_cells()];
-        let grid = [0.0, 0.5, 1.0, 2.0];
-        let (p_il, v_il) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-        let (r_il, u_il) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
-
-        model.set_layout(crate::TraversalLayout::BitVector);
-        assert_eq!(model.layout(), crate::TraversalLayout::BitVector);
-        let (p_bv, v_bv) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-        let (r_bv, u_bv) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
-        assert_eq!(p_bv.as_slice(), p_il.as_slice());
-        assert_eq!(v_bv.as_slice(), v_il.as_slice());
-        assert_eq!(r_bv, r_il);
-        assert_eq!(u_bv, u_il);
-
-        // A config-selected layout applies straight out of train(), and
-        // composes with the f32 plane (both knobs from the config).
-        let mut cfg = quick_config(WeakLearnerKind::DecisionTree, true);
-        cfg.layout = crate::TraversalLayout::BitVector;
-        cfg.precision = crate::Precision::F32;
-        let configured = train(&dataset, &split, &cfg);
-        assert_eq!(configured.layout(), crate::TraversalLayout::BitVector);
-        assert_eq!(configured.precision(), crate::Precision::F32);
-        let (r32, _) = configured.risk_map(&scenario.park, &dataset, &prev, 1.0);
-        assert!(r32.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 
     #[test]

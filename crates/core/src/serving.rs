@@ -7,16 +7,16 @@
 //!   f32 narrowing when configured), the feature scaler and the variant
 //!   config, as one value. It is built from a live fit or rehydrated from a
 //!   stack snapshot ([`ServingModel::from_stack_snapshot`]), optionally
-//!   re-planed/re-laid-out **before** sharing, and then published behind an
-//!   `Arc` — at which point only `&self` query methods remain reachable, so
-//!   the artifact is immutable for as long as it serves.
+//!   re-planed **before** sharing, and then published behind an `Arc` — at
+//!   which point only `&self` query methods remain reachable, so the
+//!   artifact is immutable for as long as it serves.
 //! * [`PreparedPark`] — a park's assembled feature stack standardised
 //!   **once** and narrowed to the f32 plane **once**
 //!   ([`StandardScaler::transform_planes_in_place`]). Every subsequent
 //!   risk-map / response-surface query on the prepared park skips the
 //!   per-call standardise+narrow pass entirely; this is what turns the f32
 //!   plane's bandwidth advantage back into a net win on 50k-cell parks
-//!   (BENCH_5 measured the per-call narrowing eating it: 0.84×).
+//!   (unprepared, the per-call narrowing ate it: 0.84× on `park_response`).
 //!
 //! Every prepared query path is bit-identical to its unprepared sibling on
 //! [`crate::pipeline::TrainedModel`]: the cached f64 plane is exactly the
@@ -56,7 +56,6 @@ use paws_geo::{CellId, Park};
 use paws_iware::{IWareModel, LearnerTables};
 use paws_ml::bagging::BaggingClassifier;
 use paws_ml::forest32::NarrowError;
-use paws_ml::layout::TraversalLayout;
 use paws_ml::metrics::roc_auc;
 use paws_ml::precision::Precision;
 use paws_ml::traits::{validate_effort_grid, validate_query, Classifier, UncertainClassifier};
@@ -75,11 +74,11 @@ pub enum FittedModel {
 /// The immutable serving artifact: fitted ensemble + scaler + config.
 ///
 /// Constructible from a live fit (via [`crate::pipeline::train`], which
-/// wraps one) or from a PR 6 learner-stack snapshot
-/// ([`ServingModel::from_stack_snapshot`]). The `&mut self` plane/layout
-/// setters are usable only while the artifact has a unique owner; once it
-/// is shared behind an `Arc` (the registry's resident form), callers can
-/// reach only the `&self` query surface.
+/// wraps one) or from a learner-stack snapshot
+/// ([`ServingModel::from_stack_snapshot`]). The `&mut self` plane setter
+/// is usable only while the artifact has a unique owner; once it is shared
+/// behind an `Arc` (the registry's resident form), callers can reach only
+/// the `&self` query surface.
 pub struct ServingModel {
     /// The variant configuration used for training.
     pub config: ModelConfig,
@@ -197,8 +196,8 @@ impl PreparedPark {
 impl ServingModel {
     /// Rehydrate a serving artifact from a learner-stack snapshot plus the
     /// fit-time scaler and variant config (the snapshot wire format carries
-    /// the ensemble only). The configured precision plane and traversal
-    /// layout are applied before the artifact is returned.
+    /// the ensemble only). The configured precision plane is applied before
+    /// the artifact is returned.
     ///
     /// # Errors
     /// [`PawsError::Snapshot`] for a rejected snapshot,
@@ -223,7 +222,6 @@ impl ServingModel {
         };
         let precision = serving.config.precision;
         serving.set_precision(precision)?;
-        serving.set_layout(serving.config.layout);
         Ok(serving)
     }
 
@@ -249,24 +247,6 @@ impl ServingModel {
         match &mut self.fitted {
             FittedModel::IWare(m) => m.set_precision(precision),
             FittedModel::Plain(m) => m.set_precision(precision),
-        }
-    }
-
-    /// Select the traversal engine serving this model's park-wide tree
-    /// predictions; see [`paws_ml::layout::TraversalLayout`]. Surfaces are
-    /// bit-identical across engines (a pure memory-layout choice).
-    pub fn set_layout(&mut self, layout: TraversalLayout) {
-        match &mut self.fitted {
-            FittedModel::IWare(m) => m.set_layout(layout),
-            FittedModel::Plain(m) => m.set_layout(layout),
-        }
-    }
-
-    /// The traversal engine currently serving predictions.
-    pub fn layout(&self) -> TraversalLayout {
-        match &self.fitted {
-            FittedModel::IWare(m) => m.layout(),
-            FittedModel::Plain(m) => m.layout(),
         }
     }
 
@@ -803,7 +783,7 @@ mod tests {
         use_iware && learner == WeakLearnerKind::GaussianProcess
     }
 
-    /// Every (learner, variant, plane, layout) combination must serve the
+    /// Every (learner, variant, plane) combination must serve the
     /// exact same bits off the cached planes — and, for GP iWare models,
     /// off the park's cached learner tables — as the unprepared per-call
     /// paths: on the first query, on repeated ones the cache answers, and
@@ -819,45 +799,40 @@ mod tests {
                 let mut model = train(&dataset, &split, &quick_config(learner, use_iware));
                 for precision in [Precision::F64, Precision::F32] {
                     model.set_precision(precision).unwrap();
-                    for layout in [TraversalLayout::Interleaved, TraversalLayout::BitVector] {
-                        model.set_layout(layout);
-                        let case = format!("{learner:?} {use_iware} {precision:?} {layout:?}");
-                        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
-                        assert_eq!(prepared.n_cells(), park.n_cells());
-                        assert_eq!(prepared.n_features(), model.n_features());
-                        assert!(prepared.tables.get().is_none(), "filled lazily: {case}");
+                    let case = format!("{learner:?} {use_iware} {precision:?}");
+                    let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+                    assert_eq!(prepared.n_cells(), park.n_cells());
+                    assert_eq!(prepared.n_features(), model.n_features());
+                    assert!(prepared.tables.get().is_none(), "filled lazily: {case}");
 
-                        let levels = [1.0, 3.0, 0.25, 100.0];
-                        let risk_refs: Vec<_> = levels
-                            .iter()
-                            .map(|&level| model.risk_map(park, &dataset, &prev, level))
-                            .collect();
-                        let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
-                        for _ in 0..2 {
-                            for (&level, (r_ref, u_ref)) in levels.iter().zip(&risk_refs) {
-                                let (r, u) = model.risk_map_prepared(&prepared, level);
-                                assert_eq!(&r, r_ref, "risk {case} @{level}");
-                                assert_eq!(&u, u_ref, "uncertainty {case} @{level}");
-                                let (rt, ut) =
-                                    model.try_risk_map_prepared(&prepared, level).unwrap();
-                                assert_eq!(&rt, r_ref);
-                                assert_eq!(&ut, u_ref);
-                            }
-
-                            let (p, v) = model.park_response_prepared(&prepared, &grid);
-                            assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
-                            assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
-                            let (pt, vt) =
-                                model.try_park_response_prepared(&prepared, &grid).unwrap();
-                            assert_eq!(pt.as_slice(), p_ref.as_slice());
-                            assert_eq!(vt.as_slice(), v_ref.as_slice());
+                    let levels = [1.0, 3.0, 0.25, 100.0];
+                    let risk_refs: Vec<_> = levels
+                        .iter()
+                        .map(|&level| model.risk_map(park, &dataset, &prev, level))
+                        .collect();
+                    let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
+                    for _ in 0..2 {
+                        for (&level, (r_ref, u_ref)) in levels.iter().zip(&risk_refs) {
+                            let (r, u) = model.risk_map_prepared(&prepared, level);
+                            assert_eq!(&r, r_ref, "risk {case} @{level}");
+                            assert_eq!(&u, u_ref, "uncertainty {case} @{level}");
+                            let (rt, ut) = model.try_risk_map_prepared(&prepared, level).unwrap();
+                            assert_eq!(&rt, r_ref);
+                            assert_eq!(&ut, u_ref);
                         }
-                        assert_eq!(
-                            prepared.tables.get().is_some(),
-                            serves_from_tables(learner, use_iware),
-                            "only GP iWare models fill the tables: {case}"
-                        );
+
+                        let (p, v) = model.park_response_prepared(&prepared, &grid);
+                        assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
+                        assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
+                        let (pt, vt) = model.try_park_response_prepared(&prepared, &grid).unwrap();
+                        assert_eq!(pt.as_slice(), p_ref.as_slice());
+                        assert_eq!(vt.as_slice(), v_ref.as_slice());
                     }
+                    assert_eq!(
+                        prepared.tables.get().is_some(),
+                        serves_from_tables(learner, use_iware),
+                        "only GP iWare models fill the tables: {case}"
+                    );
                 }
             }
         }
@@ -1182,7 +1157,6 @@ mod tests {
             ServingModel::from_stack_snapshot(&bytes, model.config.clone(), model.scaler.clone())
                 .expect("snapshot rehydrates");
         assert_eq!(rehydrated.precision(), model.precision());
-        assert_eq!(rehydrated.layout(), model.layout());
         let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
         let (r, u) = rehydrated.risk_map(park, &dataset, &prev, 1.0);
         assert_eq!(r, r_ref);

@@ -317,7 +317,6 @@ impl StreamingFit {
             fitted,
         };
         serving.set_precision(self.config.precision)?;
-        serving.set_layout(self.config.layout);
         let report = BatchReport {
             batch: self.batches_seen,
             appended: rows.n_rows(),

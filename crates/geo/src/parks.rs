@@ -193,10 +193,9 @@ pub fn study_sites() -> Vec<ParkSpec> {
 }
 
 /// An LLC-scale synthetic park of `target_cells` 1×1 km cells
-/// (50k–200k intended; anything ≥ 10k accepted) — the workload the
-/// bitvector-vs-arena traversal comparison and the f32 plane's bandwidth
-/// claims are measured on, since the study-site presets (≤ 4,613 cells)
-/// keep every feature matrix comfortably cache-resident.
+/// (50k–200k intended; anything ≥ 10k accepted) — the workload the f32
+/// plane's bandwidth claims are measured on, since the study-site presets
+/// (≤ 4,613 cells) keep every feature matrix comfortably cache-resident.
 ///
 /// The spec scales MFNP's geography: the same full feature set (21 static
 /// columns with the generator's realistic cross-correlations — animal

@@ -55,9 +55,7 @@ use paws_ml::bagging::{BaggingClassifier, BaggingConfig};
 use paws_ml::cv::stratified_kfold;
 use paws_ml::forest::Forest;
 use paws_ml::forest32::{Forest32, NarrowError};
-use paws_ml::layout::TraversalLayout;
 use paws_ml::precision::Precision;
-use paws_ml::qs::{QuickScorer, QuickScorer32};
 use paws_ml::snapshot::{
     section as snapshot_section, PayloadKind, SnapshotError, SnapshotReader, SnapshotWriter,
 };
@@ -106,42 +104,21 @@ impl IWareConfig {
 const ROW_CHUNK: usize = 256;
 
 /// The whole learner stack's trees fused into one arena: `ranges[i]` is the
-/// tree index range of learner `i` within the combined forest. `qs` holds
-/// the bitvector lift of the fused arena while the model is switched to
-/// [`TraversalLayout::BitVector`] — per-tree values are bit-identical
-/// either way, so everything downstream of the per-tree block is shared.
+/// tree index range of learner `i` within the combined forest.
 struct LearnerStack {
     forest: Forest,
     ranges: Vec<std::ops::Range<usize>>,
-    qs: Option<QuickScorer>,
 }
 
 impl LearnerStack {
-    /// Per-tree predictions for one row block through the selected
-    /// traversal engine (tree-major `n_trees × len`).
-    fn per_tree_block(&self, x: MatrixView<'_>, start: usize, len: usize, out: &mut [f64]) {
-        match &self.qs {
-            Some(qs) => qs.predict_proba_block(x, start, len, out),
-            None => self.forest.predict_proba_block(x, start, len, out),
-        }
-    }
-
-    /// Per-tree predictions for a whole batch through the selected
-    /// traversal engine.
-    fn per_tree_batch(&self, x: MatrixView<'_>) -> Matrix {
-        match &self.qs {
-            Some(qs) => qs.predict_proba_batch(x),
-            None => self.forest.predict_proba_batch(x),
-        }
-    }
-
     /// Fused traverse-and-reduce for one row block: batch-traverse the
     /// arena for rows `start..start + len`, then fold each learner's
     /// member rows into `(means, spreads)` (`n_learners × len`, learner-
     /// major) while the per-tree block is still cache-resident.
     fn block_prob_var(&self, x: MatrixView<'_>, start: usize, len: usize) -> (Vec<f64>, Vec<f64>) {
         let mut per_tree = vec![0.0; self.forest.n_trees() * len];
-        self.per_tree_block(x, start, len, &mut per_tree);
+        self.forest
+            .predict_proba_block(x, start, len, &mut per_tree);
         let nl = self.ranges.len();
         let mut probs = vec![0.0; nl * len];
         let mut vars = vec![0.0; nl * len];
@@ -174,9 +151,6 @@ struct LearnerStack32 {
     forest: Forest32,
     ranges: Vec<std::ops::Range<usize>>,
     weights: Vec<f32>,
-    /// Bitvector lift of the narrowed arena, present while the model is
-    /// switched to [`TraversalLayout::BitVector`].
-    qs: Option<QuickScorer32>,
 }
 
 impl LearnerStack32 {
@@ -234,12 +208,8 @@ impl LearnerStack32 {
 
     fn block_per_tree(&self, x: MatrixView32<'_>, start: usize, len: usize) -> Vec<f32> {
         let mut per_tree = vec![0.0f32; self.forest.n_trees() * len];
-        match &self.qs {
-            Some(qs) => qs.predict_proba_block(x, start, len, &mut per_tree),
-            None => self
-                .forest
-                .predict_proba_block(x, start, len, &mut per_tree),
-        }
+        self.forest
+            .predict_proba_block(x, start, len, &mut per_tree);
         per_tree
     }
 }
@@ -348,10 +318,9 @@ pub struct LearnerTables {
 pub struct IWareModel {
     /// Process-unique id stamped on the [`LearnerTables`] this model
     /// computes. Each constructor draws a fresh one, and it is never
-    /// refreshed: no `&mut self` method changes a non-tree model's
-    /// predictions (`set_precision` and `set_layout` touch only the tree
-    /// stacks, and tree stacks never build tables), so tables stay valid
-    /// for the model's lifetime.
+    /// refreshed: the only `&mut self` method, `set_precision`, touches
+    /// only the tree stacks, and tree stacks never build tables, so tables
+    /// stay valid for the model's lifetime.
     id: u64,
     thresholds: Vec<f64>,
     /// Per-threshold weak learners. Empty for a model reconstructed from a
@@ -372,8 +341,6 @@ pub struct IWareModel {
     /// [`Precision::F32`] and the learners are tree ensembles (a derived
     /// cache of `stack`, rebuilt on demand, never serialized).
     stack32: Option<LearnerStack32>,
-    /// Which traversal engine serves the park-wide prediction paths.
-    layout: TraversalLayout,
     config: IWareConfig,
 }
 
@@ -462,7 +429,6 @@ impl IWareModel {
             stack,
             precision: Precision::F64,
             stack32: None,
-            layout: TraversalLayout::default(),
             config: config.clone(),
         };
         (model, cache)
@@ -613,7 +579,6 @@ impl IWareModel {
             stack,
             precision: Precision::F64,
             stack32: None,
-            layout: TraversalLayout::default(),
             config: config.clone(),
         };
         (model, stats)
@@ -717,7 +682,6 @@ impl IWareModel {
             stack,
             precision: Precision::F64,
             stack32: None,
-            layout: TraversalLayout::default(),
             config: config.clone(),
         };
         (model, stats)
@@ -741,14 +705,10 @@ impl IWareModel {
             Precision::F32 => {
                 if self.stack32.is_none() {
                     if let Some(stack) = &self.stack {
-                        let forest = Forest32::try_from_forest(&stack.forest)?;
-                        let qs = (self.layout == TraversalLayout::BitVector)
-                            .then(|| QuickScorer32::from_forest32(&forest));
                         self.stack32 = Some(LearnerStack32 {
-                            forest,
+                            forest: Forest32::try_from_forest(&stack.forest)?,
                             ranges: stack.ranges.clone(),
                             weights: self.weights.iter().map(|&w| w as f32).collect(),
-                            qs,
                         });
                     }
                 }
@@ -757,45 +717,6 @@ impl IWareModel {
         }
         self.precision = precision;
         Ok(())
-    }
-
-    /// Select the traversal engine serving the park-wide prediction paths
-    /// (`effort_response`, risk maps, the constant-effort entry points).
-    /// Switching to [`TraversalLayout::BitVector`] lifts the fused arena —
-    /// and, when the f32 plane is active, the narrowed arena — into the
-    /// QuickScorer layout once; switching back drops the lifts. Surfaces
-    /// are bit-identical across layouts on either plane (the engines
-    /// perform the same comparisons on the same values), so this is purely
-    /// a memory-layout choice. A no-op for non-tree learner stacks.
-    pub fn set_layout(&mut self, layout: TraversalLayout) {
-        self.layout = layout;
-        match layout {
-            TraversalLayout::BitVector => {
-                if let Some(stack) = &mut self.stack {
-                    if stack.qs.is_none() {
-                        stack.qs = Some(QuickScorer::from_forest(&stack.forest));
-                    }
-                }
-                if let Some(stack32) = &mut self.stack32 {
-                    if stack32.qs.is_none() {
-                        stack32.qs = Some(QuickScorer32::from_forest32(&stack32.forest));
-                    }
-                }
-            }
-            TraversalLayout::Interleaved => {
-                if let Some(stack) = &mut self.stack {
-                    stack.qs = None;
-                }
-                if let Some(stack32) = &mut self.stack32 {
-                    stack32.qs = None;
-                }
-            }
-        }
-    }
-
-    /// The traversal engine currently serving park-wide predictions.
-    pub fn layout(&self) -> TraversalLayout {
-        self.layout
     }
 
     /// The plane currently serving park-wide predictions.
@@ -853,7 +774,7 @@ impl IWareModel {
     /// batch traversal of the fused arena.
     fn learner_probabilities(&self, x: MatrixView<'_>) -> Matrix {
         if let Some(stack) = &self.stack {
-            let per_tree = stack.per_tree_batch(x);
+            let per_tree = stack.forest.predict_proba_batch(x);
             let stride = x.n_rows();
             let mut probs = Matrix::zeros(stack.ranges.len(), stride);
             for (li, range) in stack.ranges.iter().enumerate() {
@@ -885,7 +806,7 @@ impl IWareModel {
         let n_rows = x.n_rows();
         let (probs, vars) = match &self.stack {
             Some(stack) => {
-                let per_tree = stack.per_tree_batch(x);
+                let per_tree = stack.forest.predict_proba_batch(x);
                 let mut probs = vec![0.0; stack.ranges.len() * n_rows];
                 let mut vars = vec![0.0; stack.ranges.len() * n_rows];
                 for (li, range) in stack.ranges.iter().enumerate() {
@@ -1356,14 +1277,9 @@ impl IWareModel {
             learners: Vec::new(),
             weights,
             n_features,
-            stack: Some(LearnerStack {
-                forest,
-                ranges,
-                qs: None,
-            }),
+            stack: Some(LearnerStack { forest, ranges }),
             precision: Precision::F64,
             stack32: None,
-            layout: TraversalLayout::default(),
             config,
         })
     }
@@ -1799,11 +1715,7 @@ fn build_stack(learners: &[BaggingClassifier], n_features: usize) -> Option<Lear
         forest.push_forest(member_forest);
         ranges.push(start..forest.n_trees());
     }
-    Some(LearnerStack {
-        forest,
-        ranges,
-        qs: None,
-    })
+    Some(LearnerStack { forest, ranges })
 }
 
 /// Filter the training data for learner `i`: keep every positive, and keep
@@ -2353,6 +2265,10 @@ mod tests {
         assert!(model.effort_response32(q32.view(), &grid).is_none());
         let (p_back, _) = model.effort_response(q, &grid);
         assert_eq!(p_back.as_slice(), p64.as_slice());
+        // Narrowing again rebuilds the same f32 plane.
+        model.set_precision(Precision::F32).unwrap();
+        let (p32_again, _) = model.effort_response(q, &grid);
+        assert_eq!(p32_again.as_slice(), p32.as_slice());
     }
 
     #[test]
@@ -2409,55 +2325,6 @@ mod tests {
         let (vp32, vv32) = model.predict_with_variance_at_effort(q, &efforts[..30]);
         assert_eq!(vp32, vp64);
         assert_eq!(vv32, vv64);
-    }
-
-    #[test]
-    fn bitvector_layout_serves_bit_identical_surfaces() {
-        let (rows, labels, efforts, _) = noisy_poaching_data(400, 23);
-        let mut model = IWareModel::fit(&quick_config(5), rows.view(), &labels, &efforts);
-        assert_eq!(model.layout(), TraversalLayout::Interleaved);
-        let q = rows.view().head(300);
-        let grid = vec![0.5, 1.0, 2.0, 3.5];
-        let (p_il, v_il) = model.effort_response(q, &grid);
-        let level = vec![1.0; 300];
-        let (rp_il, rv_il) = model.predict_with_variance_at_effort(q, &level);
-        let pp_il = model.predict_proba_at_effort(q, &level);
-        let vary_il = model.predict_proba_at_effort(q, &efforts[..300]);
-
-        model.set_layout(TraversalLayout::BitVector);
-        assert_eq!(model.layout(), TraversalLayout::BitVector);
-        let (p_bv, v_bv) = model.effort_response(q, &grid);
-        assert_eq!(p_bv.as_slice(), p_il.as_slice(), "response probs");
-        assert_eq!(v_bv.as_slice(), v_il.as_slice(), "response vars");
-        let (rp_bv, rv_bv) = model.predict_with_variance_at_effort(q, &level);
-        assert_eq!(rp_bv, rp_il, "risk-map probs");
-        assert_eq!(rv_bv, rv_il, "risk-map vars");
-        assert_eq!(model.predict_proba_at_effort(q, &level), pp_il);
-        assert_eq!(
-            model.predict_proba_at_effort(q, &efforts[..300]),
-            vary_il,
-            "varying-effort path routes through the lifted scorer too"
-        );
-
-        // The f32 plane under both layouts: surfaces must agree bit-tight
-        // with the interleaved f32 arena (the scorer changes layout, never
-        // values).
-        model.set_layout(TraversalLayout::Interleaved);
-        model.set_precision(Precision::F32).unwrap();
-        let (p32_il, v32_il) = model.effort_response(q, &grid);
-        model.set_layout(TraversalLayout::BitVector);
-        let (p32_bv, v32_bv) = model.effort_response(q, &grid);
-        assert_eq!(p32_bv.as_slice(), p32_il.as_slice(), "f32 response probs");
-        assert_eq!(v32_bv.as_slice(), v32_il.as_slice(), "f32 response vars");
-
-        // Precision flips while the bitvector layout is active keep the
-        // lifted scorers in sync in both directions.
-        model.set_precision(Precision::F64).unwrap();
-        let (p_back, _) = model.effort_response(q, &grid);
-        assert_eq!(p_back.as_slice(), p_il.as_slice());
-        model.set_precision(Precision::F32).unwrap();
-        let (p32_back, _) = model.effort_response(q, &grid);
-        assert_eq!(p32_back.as_slice(), p32_il.as_slice());
     }
 
     #[test]
@@ -2544,7 +2411,7 @@ mod tests {
         let cfg = quick_config(4);
         let model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
         let bytes = model.to_stack_snapshot().expect("tree stack snapshots");
-        let mut loaded = IWareModel::from_stack_snapshot(&bytes, cfg).expect("snapshot decodes");
+        let loaded = IWareModel::from_stack_snapshot(&bytes, cfg).expect("snapshot decodes");
 
         assert_eq!(loaded.n_learners(), model.n_learners());
         assert_eq!(loaded.n_features(), model.n_features());
@@ -2558,16 +2425,8 @@ mod tests {
         assert_eq!(p.as_slice(), p_ref.as_slice());
         assert_eq!(v.as_slice(), v_ref.as_slice());
 
-        // The layout switch is pure layout: the reloaded model must agree
-        // with the original bit-for-bit on the bitvector plane too.
-        loaded.set_layout(TraversalLayout::BitVector);
-        let (p_qs, v_qs) = loaded.effort_response(q, &grid);
-        assert_eq!(p_qs.as_slice(), p_ref.as_slice());
-        assert_eq!(v_qs.as_slice(), v_ref.as_slice());
-
         // A second snapshot of the reloaded model is byte-identical: the
         // wire form is canonical.
-        loaded.set_layout(TraversalLayout::Interleaved);
         assert_eq!(loaded.to_stack_snapshot().unwrap(), bytes);
     }
 

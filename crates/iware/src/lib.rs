@@ -13,7 +13,6 @@ pub mod weights;
 
 pub use ensemble::{FitCache, IWareConfig, IWareModel, LearnerTables, RefitStats};
 pub use paws_ml::forest32::NarrowError;
-pub use paws_ml::layout::TraversalLayout;
 pub use paws_ml::precision::Precision;
 pub use paws_ml::snapshot::SnapshotError;
 pub use paws_ml::traits::QueryError;

@@ -26,9 +26,7 @@
 use crate::forest::Forest;
 use crate::forest32::{Forest32, NarrowError};
 use crate::gp::{GaussianProcess, GpConfig};
-use crate::layout::TraversalLayout;
 use crate::precision::Precision;
-use crate::qs::{QuickScorer, QuickScorer32};
 use crate::svm::{LinearSvm, SvmConfig};
 use crate::traits::{validate_training_data, Classifier, UncertainClassifier};
 use crate::tree::{DecisionTree, Ranking, TreeConfig};
@@ -176,15 +174,6 @@ pub struct BaggingClassifier {
     /// [`Precision::F32`] and the members are trees (a derived cache of
     /// `members`, never serialized).
     forest32: Option<Forest32>,
-    /// Which traversal engine serves batch predictions for tree members.
-    layout: TraversalLayout,
-    /// Bitvector scorer over the f64 arena, present only while `layout`
-    /// is [`TraversalLayout::BitVector`] with tree members (a derived
-    /// cache, never serialized).
-    qs: Option<QuickScorer>,
-    /// Bitvector scorer over the narrowed f32 arena, present only while
-    /// both the f32 plane and the bitvector layout are selected.
-    qs32: Option<QuickScorer32>,
 }
 
 impl BaggingClassifier {
@@ -272,9 +261,6 @@ impl BaggingClassifier {
             config: config.clone(),
             precision: Precision::F64,
             forest32: None,
-            layout: TraversalLayout::default(),
-            qs: None,
-            qs32: None,
         }
     }
 
@@ -296,58 +282,11 @@ impl BaggingClassifier {
                         self.forest32 = Some(Forest32::try_from_forest(f)?);
                     }
                 }
-                if self.layout == TraversalLayout::BitVector && self.qs32.is_none() {
-                    if let Some(f32forest) = &self.forest32 {
-                        self.qs32 = Some(QuickScorer32::from_forest32(f32forest));
-                    }
-                }
             }
-            Precision::F64 => {
-                self.forest32 = None;
-                self.qs32 = None;
-            }
+            Precision::F64 => self.forest32 = None,
         }
         self.precision = precision;
         Ok(())
-    }
-
-    /// Select the traversal engine that serves batch predictions.
-    /// Switching to [`TraversalLayout::BitVector`] lifts the arena(s) into
-    /// the QuickScorer layout once (cached, like the f32 plane); switching
-    /// back drops the caches. A no-op for SVM/GP members, which have no
-    /// tree traversal to re-lay out. Predictions are bit-identical across
-    /// layouts on either plane.
-    pub fn set_layout(&mut self, layout: TraversalLayout) {
-        self.layout = layout;
-        match layout {
-            TraversalLayout::BitVector => {
-                if self.qs.is_none() {
-                    if let Members::Forest(f) = &self.members {
-                        self.qs = Some(QuickScorer::from_forest(f));
-                    }
-                }
-                if self.qs32.is_none() {
-                    if let Some(f32forest) = &self.forest32 {
-                        self.qs32 = Some(QuickScorer32::from_forest32(f32forest));
-                    }
-                }
-            }
-            TraversalLayout::Interleaved => {
-                self.qs = None;
-                self.qs32 = None;
-            }
-        }
-    }
-
-    /// The traversal engine currently serving batch predictions.
-    pub fn layout(&self) -> TraversalLayout {
-        self.layout
-    }
-
-    /// The lifted bitvector scorer, when the ensemble is tree-based and
-    /// switched to [`TraversalLayout::BitVector`].
-    pub fn quickscorer(&self) -> Option<&QuickScorer> {
-        self.qs.as_ref()
     }
 
     /// The plane currently serving predictions.
@@ -404,10 +343,7 @@ impl BaggingClassifier {
         if x32.n_rows() == 0 {
             return Some(Vec::new());
         }
-        let per_member = match &self.qs32 {
-            Some(qs32) => qs32.predict_proba_batch(x32),
-            None => f32forest.predict_proba_batch(x32),
-        };
+        let per_member = f32forest.predict_proba_batch(x32);
         let mut mean = vec![0.0f32; x32.n_rows()];
         for preds in per_member.rows() {
             simd32::add_assign(&mut mean, preds);
@@ -428,10 +364,7 @@ impl BaggingClassifier {
         if x32.n_rows() == 0 {
             return Some((Vec::new(), Vec::new()));
         }
-        let per_member = match &self.qs32 {
-            Some(qs32) => qs32.predict_proba_batch(x32),
-            None => f32forest.predict_proba_batch(x32),
-        };
+        let per_member = f32forest.predict_proba_batch(x32);
         Some(mean_and_spread32(&per_member))
     }
 
@@ -444,10 +377,7 @@ impl BaggingClassifier {
     /// representable); the `Classifier` entry points handle that case.
     pub fn member_predictions(&self, x: MatrixView<'_>) -> Matrix {
         match &self.members {
-            Members::Forest(f) => match &self.qs {
-                Some(qs) => qs.predict_proba_batch(x),
-                None => f.predict_proba_batch(x),
-            },
+            Members::Forest(f) => f.predict_proba_batch(x),
             Members::Models(models) => {
                 let per_member: Vec<Vec<f64>> =
                     models.par_iter().map(|m| m.predict_proba(x)).collect();
@@ -549,11 +479,7 @@ impl UncertainClassifier for BaggingClassifier {
                         return out;
                     }
                 }
-                let per_member = match &self.qs {
-                    Some(qs) => qs.predict_proba_batch(x),
-                    None => forest.predict_proba_batch(x),
-                };
-                mean_and_spread(&per_member)
+                mean_and_spread(&forest.predict_proba_batch(x))
             }
             Members::Models(models) => {
                 let per_member = Self::member_predictions_with_variance(models, x);
@@ -916,55 +842,6 @@ mod tests {
         model.set_precision(Precision::F32).unwrap();
         assert!(model.forest32().is_none(), "SVMs have no f32 plane");
         assert_eq!(model.predict_proba(q), p64, "predictions stay f64-exact");
-    }
-
-    #[test]
-    fn bitvector_layout_is_bit_identical_for_trees() {
-        let (rows, labels) = imbalanced_data(300, 0.3, 31);
-        let mut model = BaggingClassifier::fit(&BaggingConfig::trees(9, 3), rows.view(), &labels);
-        assert_eq!(model.layout(), TraversalLayout::Interleaved);
-        let q = rows.view().head(80);
-        let p64 = model.predict_proba(q);
-        let (pv64, v64) = model.predict_with_variance(q);
-        let members64 = model.member_predictions(q);
-
-        model.set_layout(TraversalLayout::BitVector);
-        assert_eq!(model.layout(), TraversalLayout::BitVector);
-        let qs = model.quickscorer().expect("tree ensembles lift a scorer");
-        assert_eq!(qs.n_trees(), 9);
-        assert_eq!(model.predict_proba(q), p64, "bit-identical mean");
-        let (pv_bv, v_bv) = model.predict_with_variance(q);
-        assert_eq!(pv_bv, pv64, "bit-identical pv mean");
-        assert_eq!(v_bv, v64, "bit-identical spread");
-        assert_eq!(
-            model.member_predictions(q).as_slice(),
-            members64.as_slice(),
-            "bit-identical member table"
-        );
-
-        // Both planes under the bitvector layout: the f32 scorer must be
-        // bit-identical to the f32 arena (compare against the interleaved
-        // f32 output).
-        model.set_layout(TraversalLayout::Interleaved);
-        model.set_precision(Precision::F32).unwrap();
-        let p32 = model.predict_proba(q);
-        model.set_layout(TraversalLayout::BitVector);
-        assert_eq!(model.predict_proba(q), p32, "f32 planes agree bit-tight");
-
-        // Switching back drops the scorer caches.
-        model.set_layout(TraversalLayout::Interleaved);
-        assert!(model.quickscorer().is_none());
-    }
-
-    #[test]
-    fn layout_switch_is_a_no_op_for_non_tree_members() {
-        let (rows, labels) = imbalanced_data(120, 0.3, 32);
-        let mut model = BaggingClassifier::fit(&BaggingConfig::svms(2, 3), rows.view(), &labels);
-        let q = rows.view().head(10);
-        let p = model.predict_proba(q);
-        model.set_layout(TraversalLayout::BitVector);
-        assert!(model.quickscorer().is_none(), "SVMs have no tree layout");
-        assert_eq!(model.predict_proba(q), p);
     }
 
     #[test]

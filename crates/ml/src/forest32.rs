@@ -214,23 +214,15 @@ pub struct Forest32 {
 }
 
 impl Forest32 {
-    /// Narrow a trained f64 forest into the prediction plane: thresholds
-    /// and leaf probabilities are rounded to nearest f32; topology is
-    /// copied verbatim (re-packed into the 24/8-bit word).
+    /// Narrow a trained f64 forest into the prediction plane: each split
+    /// threshold narrows to the largest f32 ≤ it (see `narrow_threshold`),
+    /// leaf probabilities round to nearest f32, and the topology is copied
+    /// verbatim (re-packed into the 24/8-bit word).
     ///
-    /// # Panics
-    /// Panics when the arena exceeds the packing limits (2²⁴ nodes / 256
-    /// features) or is empty; [`Forest32::try_from_forest`] surfaces those
-    /// cases as a typed [`NarrowError`] instead.
-    pub fn from_forest(forest: &Forest) -> Self {
-        match Self::try_from_forest(forest) {
-            Ok(f) => f,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible narrowing: [`Forest32::from_forest`] with the packing caps
-    /// reported as a typed error instead of a panic.
+    /// # Errors
+    /// [`NarrowError::EmptyForest`] for an arena with no trees, and
+    /// [`NarrowError::TooManyNodes`] / [`NarrowError::TooManyFeatures`]
+    /// when it exceeds the packing caps (2²⁴ nodes / 256 features).
     pub fn try_from_forest(forest: &Forest) -> Result<Self, NarrowError> {
         let (nodes, leaf_values, roots, depths) = forest.arena_parts();
         if roots.is_empty() {
@@ -262,15 +254,10 @@ impl Forest32 {
         })
     }
 
-    /// The raw arena parts `(nodes, leaf_values, roots)` — the lift input
-    /// of [`crate::qs::QuickScorer32::from_forest32`].
-    pub(crate) fn arena_parts32(&self) -> (&[ArenaNode32], &[f32], &[u32]) {
-        (&self.nodes, &self.leaf_values, &self.roots)
-    }
-
-    /// Per-tree depths (the snapshot writer's fifth section).
-    pub(crate) fn depths32(&self) -> &[u32] {
-        &self.depths
+    /// The raw arena parts `(nodes, leaf_values, roots, depths)` — the
+    /// snapshot writer's input.
+    pub(crate) fn arena_parts32(&self) -> (&[ArenaNode32], &[f32], &[u32], &[u32]) {
+        (&self.nodes, &self.leaf_values, &self.roots, &self.depths)
     }
 
     /// Assemble an f32 arena from parts the snapshot decoder has already
@@ -505,7 +492,7 @@ mod tests {
     #[test]
     fn conversion_preserves_topology_and_narrows_values() {
         let (_, forest) = fitted_forest(5);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).unwrap();
         assert_eq!(f32forest.n_trees(), forest.n_trees());
         assert_eq!(f32forest.n_nodes(), forest.n_nodes());
         assert_eq!(f32forest.n_features(), forest.n_features());
@@ -536,7 +523,7 @@ mod tests {
     #[test]
     fn batch_traversal_is_bit_identical_to_per_row_walks() {
         let (x, forest) = fitted_forest(5);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).unwrap();
         let q = Matrix32::from_f64(x.view());
         let batch = f32forest.predict_proba_batch(q.view());
         for t in 0..f32forest.n_trees() {
@@ -549,7 +536,7 @@ mod tests {
     #[test]
     fn block_traversal_matches_the_full_batch() {
         let (x, forest) = fitted_forest(4);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).unwrap();
         let q = Matrix32::from_f64(x.view());
         let batch = f32forest.predict_proba_batch(q.view());
         let (start, len) = (17, 40);
@@ -631,34 +618,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "feature width exceeds the 8-bit feature field")]
-    fn from_forest_panics_on_the_feature_cap() {
-        use crate::forest::RawNode;
-        let mut forest = Forest::new(257);
-        forest.push_raw_tree(&[
-            RawNode::Split {
-                feature: 256,
-                threshold: 0.5,
-                left: 1,
-                right: 2,
-            },
-            RawNode::Leaf { value: 0.0 },
-            RawNode::Leaf { value: 1.0 },
-        ]);
-        let _ = Forest32::from_forest(&forest);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot narrow an empty forest")]
-    fn from_forest_panics_on_empty_forests() {
-        let _ = Forest32::from_forest(&Forest::new(3));
-    }
-
-    #[test]
     #[should_panic(expected = "prediction features must be finite")]
     fn rejects_non_finite_queries() {
         let (x, forest) = fitted_forest(1);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).unwrap();
         let mut q = Matrix32::from_f64(x.view());
         q.row_mut(0)[1] = f32::NAN;
         let _ = f32forest.predict_proba_batch(q.view());

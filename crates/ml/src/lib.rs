@@ -12,9 +12,6 @@
 //! * [`forest32`] / [`precision`] — the opt-in f32 prediction plane: an
 //!   8-byte-node arena narrowed from the trained f64 forest, selected per
 //!   model with [`precision::Precision::F32`] (training stays f64).
-//! * [`qs`] / [`layout`] — QuickScorer-style bitvector scoring over either
-//!   plane, selected per model with [`layout::TraversalLayout::BitVector`]
-//!   (bit-identical to the arena kernels; layout only, never values).
 //! * [`svm`] — linear SVM with Platt scaling (SVB weak learners).
 //! * [`gp`] — Gaussian-process classifier with predictive variance (GPB).
 //! * [`bagging`] — plain and balanced (undersampled) bagging ensembles.
@@ -28,11 +25,9 @@ pub mod forest;
 pub mod forest32;
 pub mod gp;
 pub mod jackknife;
-pub mod layout;
 pub mod linalg;
 pub mod metrics;
 pub mod precision;
-pub mod qs;
 pub mod snapshot;
 pub mod svm;
 pub mod traits;
@@ -42,9 +37,7 @@ pub use bagging::{BaggingClassifier, BaggingConfig, BaseLearnerConfig, BaseModel
 pub use forest::{Forest, RawNode};
 pub use forest32::{Forest32, NarrowError};
 pub use gp::{GaussianProcess, GpConfig};
-pub use layout::TraversalLayout;
 pub use precision::Precision;
-pub use qs::{QuickScorer, QuickScorer32};
 pub use snapshot::{PayloadKind, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use svm::{LinearSvm, SvmConfig};
 pub use traits::{Classifier, QueryError, Trainable, UncertainClassifier};

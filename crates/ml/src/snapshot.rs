@@ -311,8 +311,7 @@ impl SnapshotWriter {
 
     /// Append the five arena sections of an f32 [`Forest32`].
     pub fn push_forest32(&mut self, forest: &Forest32) {
-        let (nodes, leaves, roots) = forest.arena_parts32();
-        let depths = forest.depths32();
+        let (nodes, leaves, roots, depths) = forest.arena_parts32();
         self.push_u64_section(
             section::META,
             &[
@@ -856,7 +855,7 @@ mod tests {
 
     #[test]
     fn forest32_round_trip_is_bit_identical() {
-        let f = Forest32::from_forest(&sample_forest());
+        let f = Forest32::try_from_forest(&sample_forest()).unwrap();
         let bytes = write_forest32(&f);
         let g = read_forest32(&bytes).expect("valid snapshot");
         assert_eq!(write_forest32(&g), bytes);

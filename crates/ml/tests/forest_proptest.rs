@@ -1,4 +1,4 @@
-//! Property suite pinning the three traversal engines to each other.
+//! Property suite pinning the arena kernels to the per-row walk.
 //!
 //! Random synthetic forests — depths 1..12, up to 64 trees, tied and
 //! extreme (`±∞`, denormal-adjacent, out-of-f32-range) thresholds — are
@@ -7,20 +7,18 @@
 //! case, all of the following must agree **bit for bit**:
 //!
 //! * f64: the per-row root-to-leaf walk ([`Forest::predict_row`]), the
-//!   interleaved arena batch kernel ([`Forest::predict_proba_batch`]),
-//!   and the bitvector scorer ([`QuickScorer`]) through *both* of its
-//!   internal paths (prefix-AND tables and the per-condition scan).
-//! * f32: the narrowed arena ([`Forest32`]) per-row and batch kernels and
-//!   the f32 bitvector scorer ([`QuickScorer32`]), again through both
-//!   internal paths, on the f32-quantized query block.
+//!   interleaved arena batch kernel ([`Forest::predict_proba_batch`]) and
+//!   its row-block entry point ([`Forest::predict_proba_block`]).
+//! * f32: the same three kernels of the narrowed arena ([`Forest32`]) on
+//!   the f32-quantized query block.
 //!
 //! The suite deliberately crosses every blocking boundary: query counts
-//! straddle the 16-row interleave groups, the scorer's 16-row sub-blocks
-//! and the 256-row parallel blocks.
+//! and sub-block offsets straddle the 16-row interleave groups and the
+//! 256-row parallel blocks.
 
 use paws_data::{Matrix, Matrix32};
 use paws_ml::forest::RawNode;
-use paws_ml::{Forest, Forest32, QuickScorer, QuickScorer32};
+use paws_ml::{Forest, Forest32};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -121,7 +119,7 @@ fn draw_query<R: Rng>(rng: &mut R, pool: &[f64]) -> f64 {
     }
 }
 
-/// One full cross-layout parity check of a random forest × query block.
+/// One full engine parity check of a random forest × query block.
 fn check_case(seed: u64, n_trees_max: usize, max_depth: usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n_features = rng.gen_range(1..8usize);
@@ -132,8 +130,8 @@ fn check_case(seed: u64, n_trees_max: usize, max_depth: usize) {
         forest.push_raw_tree(&grow_tree(&mut rng, n_features, max_depth, &mut pool));
     }
 
-    // Query block straddling the interleave (16), sub-block (16) and
-    // parallel-block (256) boundaries.
+    // Query block straddling the interleave (16) and parallel-block (256)
+    // boundaries.
     let n_rows = rng.gen_range(1..300usize);
     let mut x = Matrix::new(n_features);
     let mut row = vec![0.0; n_features];
@@ -144,21 +142,8 @@ fn check_case(seed: u64, n_trees_max: usize, max_depth: usize) {
         x.push_row(&row);
     }
 
-    // f64: per-row walk vs interleaved arena vs bitvector (both paths).
+    // f64: per-row walk vs interleaved arena.
     let arena = forest.predict_proba_batch(x.view());
-    let qs = QuickScorer::from_forest(&forest);
-    let qs_batch = qs.predict_proba_batch(x.view());
-    assert_eq!(
-        qs_batch.as_slice(),
-        arena.as_slice(),
-        "bitvector vs arena diverged (seed {seed})"
-    );
-    let qs_scan = QuickScorer::from_forest(&forest).without_prefix_tables();
-    assert_eq!(
-        qs_scan.predict_proba_batch(x.view()).as_slice(),
-        arena.as_slice(),
-        "bitvector scan path vs arena diverged (seed {seed})"
-    );
     for t in 0..n_trees {
         for (r, row) in x.view().rows().enumerate() {
             assert_eq!(
@@ -169,37 +154,33 @@ fn check_case(seed: u64, n_trees_max: usize, max_depth: usize) {
         }
     }
 
-    // A random sub-block must match the corresponding batch columns.
+    // A random sub-block must match the corresponding batch columns, on
+    // both planes.
+    let forest32 = Forest32::try_from_forest(&forest).unwrap();
+    let q32 = Matrix32::from_f64(x.view());
+    let arena32 = forest32.predict_proba_batch(q32.view());
     if n_rows > 2 {
         let start = rng.gen_range(0..n_rows - 1);
         let len = rng.gen_range(1..n_rows - start + 1);
         let mut block = vec![0.0; n_trees * len];
-        qs.predict_proba_block(x.view(), start, len, &mut block);
+        forest.predict_proba_block(x.view(), start, len, &mut block);
+        let mut block32 = vec![0.0f32; n_trees * len];
+        forest32.predict_proba_block(q32.view(), start, len, &mut block32);
         for t in 0..n_trees {
             assert_eq!(
                 &block[t * len..(t + 1) * len],
                 &arena.row(t)[start..start + len],
                 "block scoring diverged (seed {seed}, tree {t})"
             );
+            assert_eq!(
+                &block32[t * len..(t + 1) * len],
+                &arena32.row(t)[start..start + len],
+                "f32 block scoring diverged (seed {seed}, tree {t})"
+            );
         }
     }
 
-    // f32 plane: narrowed arena vs f32 bitvector (both paths), bit-tight.
-    let forest32 = Forest32::from_forest(&forest);
-    let q32 = Matrix32::from_f64(x.view());
-    let arena32 = forest32.predict_proba_batch(q32.view());
-    let qs32 = QuickScorer32::from_forest32(&forest32);
-    assert_eq!(
-        qs32.predict_proba_batch(q32.view()).as_slice(),
-        arena32.as_slice(),
-        "f32 bitvector vs f32 arena diverged (seed {seed})"
-    );
-    let qs32_scan = QuickScorer32::from_forest32(&forest32).without_prefix_tables();
-    assert_eq!(
-        qs32_scan.predict_proba_batch(q32.view()).as_slice(),
-        arena32.as_slice(),
-        "f32 bitvector scan path diverged (seed {seed})"
-    );
+    // f32 plane: narrowed arena vs its per-row walk, bit-tight.
     for t in 0..n_trees {
         for (r, row) in q32.rows().enumerate() {
             assert_eq!(
@@ -222,15 +203,14 @@ proptest! {
 
     #[test]
     fn all_engines_agree_on_wide_shallow_ensembles(seed in 0.0..1e9) {
-        // Up to 64 small trees: exercises the wide-state shapes where the
-        // scorer prefers the per-condition scan.
+        // Up to 64 small trees per case.
         check_case(seed as u64, 64, 4);
     }
 
     #[test]
     fn all_engines_agree_on_deep_multiword_trees(seed in 0.0..1e9) {
-        // Few trees, depth up to 12: leaf counts cross the 64-bit word
-        // boundary, exercising the multi-word bitvector layout.
+        // Few trees, depth up to 12: long root-to-leaf walks with leaf
+        // counts past 64.
         check_case(seed as u64, 3, 12);
     }
 }
@@ -275,11 +255,9 @@ fn tied_thresholds_on_one_feature_stay_exact() {
         vec![1.0],
     ]);
     let arena = forest.predict_proba_batch(x.view());
-    let qs = QuickScorer::from_forest(&forest);
-    assert_eq!(
-        qs.predict_proba_batch(x.view()).as_slice(),
-        arena.as_slice()
-    );
+    for (r, row) in x.view().rows().enumerate() {
+        assert_eq!(arena.get(0, r), forest.predict_row(0, row));
+    }
     // On / left-of threshold → deep-left leaf; right of it → right leaf.
     assert_eq!(arena.get(0, 0), 0.1);
     assert_eq!(arena.get(0, 1), 0.1);
@@ -311,21 +289,11 @@ fn infinite_thresholds_pin_a_branch_in_every_engine() {
     let x = Matrix::from_rows(&[vec![1e308, -1e308], vec![-1e308, 1e308], vec![0.0, 0.0]]);
     let arena = forest.predict_proba_batch(x.view());
     assert!(arena.as_slice().iter().all(|&v| v == 0.75));
-    let qs = QuickScorer::from_forest(&forest);
-    assert_eq!(
-        qs.predict_proba_batch(x.view()).as_slice(),
-        arena.as_slice()
-    );
     // The f32 plane narrows ±∞ thresholds to themselves and saturates the
     // ±1e308 queries at ±f32::MAX — same branches everywhere.
-    let forest32 = Forest32::from_forest(&forest);
+    let forest32 = Forest32::try_from_forest(&forest).unwrap();
     let q32 = Matrix32::from_f64(x.view());
-    let qs32 = QuickScorer32::from_forest32(&forest32);
-    assert_eq!(
-        qs32.predict_proba_batch(q32.view()).as_slice(),
-        forest32.predict_proba_batch(q32.view()).as_slice()
-    );
-    assert!(qs32
+    assert!(forest32
         .predict_proba_batch(q32.view())
         .as_slice()
         .iter()

@@ -6,13 +6,13 @@
 //! kind, and over/under-stated section lengths. Every corrupted slab must
 //! yield a typed [`SnapshotError`] — never a panic, hang, or a forest
 //! that silently decodes to something else. Clean round trips must be
-//! bit-identical: same bytes on re-encode, same predictions from every
-//! traversal engine.
+//! bit-identical: same bytes on re-encode, same predictions from the
+//! arena on both planes.
 
 use paws_data::{Matrix, Matrix32};
 use paws_ml::forest::RawNode;
 use paws_ml::snapshot::{read_forest, read_forest32, write_forest, write_forest32};
-use paws_ml::{Forest, Forest32, QuickScorer, QuickScorer32};
+use paws_ml::{Forest, Forest32};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -89,7 +89,7 @@ fn check_round_trip(seed: u64) {
     let x = random_queries(&mut rng, forest.n_features());
 
     // f64 plane: decoded forest re-encodes to the same bytes (canonical
-    // form) and predicts bit-identically through arena and bitvector.
+    // form) and predicts bit-identically.
     let bytes = write_forest(&forest);
     let loaded = read_forest(&bytes).expect("clean snapshot decodes");
     assert_eq!(write_forest(&loaded), bytes, "re-encode not canonical");
@@ -99,16 +99,9 @@ fn check_round_trip(seed: u64) {
         reference.as_slice(),
         "arena predictions diverged after round trip (seed {seed})"
     );
-    assert_eq!(
-        QuickScorer::from_forest(&loaded)
-            .predict_proba_batch(x.view())
-            .as_slice(),
-        reference.as_slice(),
-        "bitvector predictions diverged after round trip (seed {seed})"
-    );
 
     // f32 plane.
-    let forest32 = Forest32::from_forest(&forest);
+    let forest32 = Forest32::try_from_forest(&forest).unwrap();
     let bytes32 = write_forest32(&forest32);
     let loaded32 = read_forest32(&bytes32).expect("clean f32 snapshot decodes");
     assert_eq!(write_forest32(&loaded32), bytes32);
@@ -118,13 +111,6 @@ fn check_round_trip(seed: u64) {
         loaded32.predict_proba_batch(q32.view()).as_slice(),
         reference32.as_slice(),
         "f32 arena predictions diverged after round trip (seed {seed})"
-    );
-    assert_eq!(
-        QuickScorer32::from_forest32(&loaded32)
-            .predict_proba_batch(q32.view())
-            .as_slice(),
-        reference32.as_slice(),
-        "f32 bitvector predictions diverged after round trip (seed {seed})"
     );
 }
 
@@ -171,7 +157,7 @@ fn check_bit_flips(seed: u64) {
 fn check_header_mutations(seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let forest = random_forest(&mut rng);
-    let forest32 = Forest32::from_forest(&forest);
+    let forest32 = Forest32::try_from_forest(&forest).unwrap();
     let bytes = write_forest(&forest);
 
     // Wrong magic.

@@ -7,7 +7,7 @@
 //! at a given β to the baseline of β = 0, Uβ(Cβ)/Uβ(Cβ=0)."
 
 use crate::game::PlanningProblem;
-use crate::planner::{plan, try_plan, PlanError, PlannerConfig};
+use crate::planner::{try_plan, PlanError, PlannerConfig};
 use serde::{Deserialize, Serialize};
 
 /// Result of comparing a robust plan against the non-robust baseline.
@@ -38,8 +38,7 @@ pub fn compare_robust_vs_baseline(
     problem: &PlanningProblem,
     config: &PlannerConfig,
 ) -> RobustComparison {
-    try_compare_robust_vs_baseline(problem, config)
-        .unwrap_or_else(|e| panic!("robust-vs-baseline comparison failed: {e}"))
+    expect_compared(try_compare_robust_vs_baseline(problem, config))
 }
 
 /// Checked Fig. 8 comparison: a degenerate piecewise-linear utility or a
@@ -49,6 +48,19 @@ pub fn compare_robust_vs_baseline(
 pub fn try_compare_robust_vs_baseline(
     problem: &PlanningProblem,
     config: &PlannerConfig,
+) -> Result<RobustComparison, PlanError> {
+    try_compare(problem, config, |_| 0.0)
+}
+
+/// Solve the β = 0 baseline plan and the robust plan at `problem.beta` once
+/// each, and build every field from that one pair: the ratio under the
+/// β-weighted objective, and `detections` of each plan's coverage. Under a
+/// solve budget a second solve could stop at another incumbent, so nothing
+/// here solves twice.
+fn try_compare(
+    problem: &PlanningProblem,
+    config: &PlannerConfig,
+    detections: impl Fn(&[f64]) -> f64,
 ) -> Result<RobustComparison, PlanError> {
     let beta = problem.beta;
     let mut baseline_problem = problem.clone();
@@ -63,9 +75,14 @@ pub fn try_compare_robust_vs_baseline(
         robust_utility,
         baseline_utility,
         improvement_ratio: robust_utility / baseline_utility,
-        robust_detections: 0.0,
-        baseline_detections: 0.0,
+        robust_detections: detections(&robust.coverage),
+        baseline_detections: detections(&baseline.coverage),
     })
+}
+
+/// The panicking entry points' unwrap of [`try_compare`].
+fn expect_compared(result: Result<RobustComparison, PlanError>) -> RobustComparison {
+    result.unwrap_or_else(|e| panic!("robust-vs-baseline comparison failed: {e}"))
 }
 
 /// Expected number of snare detections of a coverage vector under a ground
@@ -98,23 +115,21 @@ pub fn expected_detections(
 
 /// Full comparison including ground-truth detections: the robust and
 /// baseline plans are both scored by expected snares found, which is how the
-/// paper arrives at the "+30 % detections on average" claim.
+/// paper arrives at the "+30 % detections on average" claim. Each plan is
+/// solved once; the ratio and the detections describe the same two plans.
+///
+/// # Panics
+/// Panics when either plan's utility PWLs cannot be built (see
+/// [`try_compare_robust_vs_baseline`]).
 pub fn compare_with_ground_truth(
     problem: &PlanningProblem,
     config: &PlannerConfig,
     attack_probability: &[f64],
     detection: impl Fn(f64) -> f64 + Copy,
 ) -> RobustComparison {
-    let mut cmp = compare_robust_vs_baseline(problem, config);
-    let mut baseline_problem = problem.clone();
-    baseline_problem.beta = 0.0;
-    let baseline = plan(&baseline_problem, config);
-    let robust = plan(problem, config);
-    cmp.baseline_detections =
-        expected_detections(problem, &baseline.coverage, attack_probability, detection);
-    cmp.robust_detections =
-        expected_detections(problem, &robust.coverage, attack_probability, detection);
-    cmp
+    expect_compared(try_compare(problem, config, |coverage| {
+        expected_detections(problem, coverage, attack_probability, detection)
+    }))
 }
 
 #[cfg(test)]
@@ -217,15 +232,45 @@ mod tests {
 
     #[test]
     fn ground_truth_comparison_populates_detections() {
-        let problem = uncertain_problem(0.9);
-        let attack: Vec<f64> = (0..problem.n_cells())
-            .map(|i| 0.05 + 0.002 * (i % 10) as f64)
-            .collect();
-        let cmp = compare_with_ground_truth(&problem, &PlannerConfig::default(), &attack, |c| {
-            1.0 - (-0.9 * c).exp()
-        });
-        assert!(cmp.robust_detections > 0.0);
-        assert!(cmp.baseline_detections > 0.0);
-        assert!(cmp.improvement_ratio >= 1.0 - 1e-6);
+        let config = PlannerConfig::default();
+        let detect = |c: f64| 1.0 - (-0.9 * c).exp();
+        for beta in [0.0, 0.3, 0.9, 1.0] {
+            let problem = uncertain_problem(beta);
+            let attack: Vec<f64> = (0..problem.n_cells())
+                .map(|i| 0.05 + 0.002 * (i % 10) as f64)
+                .collect();
+            let cmp = compare_with_ground_truth(&problem, &config, &attack, detect);
+            assert!(cmp.robust_detections > 0.0);
+            assert!(cmp.baseline_detections > 0.0);
+            assert!(cmp.improvement_ratio >= 1.0 - 1e-6);
+
+            // Every field, bit for bit, from two explicit solves.
+            let mut baseline_problem = problem.clone();
+            baseline_problem.beta = 0.0;
+            let baseline = try_plan(&baseline_problem, &config).unwrap().coverage;
+            let robust = try_plan(&problem, &config).unwrap().coverage;
+            let baseline_utility = problem.coverage_utility(&baseline, beta).max(1e-9);
+            let robust_utility = problem.coverage_utility(&robust, beta);
+            let bits = |c: &RobustComparison| {
+                [
+                    c.beta,
+                    c.robust_utility,
+                    c.baseline_utility,
+                    c.improvement_ratio,
+                    c.robust_detections,
+                    c.baseline_detections,
+                ]
+                .map(f64::to_bits)
+            };
+            let reference = RobustComparison {
+                beta,
+                robust_utility,
+                baseline_utility,
+                improvement_ratio: robust_utility / baseline_utility,
+                robust_detections: expected_detections(&problem, &robust, &attack, detect),
+                baseline_detections: expected_detections(&problem, &baseline, &attack, detect),
+            };
+            assert_eq!(bits(&cmp), bits(&reference), "beta={beta}");
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! [`paws_serve::ModelRegistry::ingest_batch`], querying between batches.
 //! Both exit non-zero on any serving error, so CI can smoke-run them.
 
-use paws_core::{ModelConfig, RefitPath, Scenario, StreamConfig, TraversalLayout, WeakLearnerKind};
+use paws_core::{ModelConfig, RefitPath, Scenario, StreamConfig, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Discretization};
 use paws_serve::{PawsServer, QueryKind, QueryRequest, QueryResponse};
 use paws_solver::SolveBudget;
@@ -122,19 +122,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.n_learners = 4;
         config.n_estimators = 4;
         config.weight_mode = paws_iware::WeightMode::Uniform;
-        // Vary the serving engines across parks: plane + traversal layout.
+        // Vary the serving plane across parks.
         if i == 1 {
             config.precision = paws_core::Precision::F32;
         }
-        if i == 2 {
-            config.layout = TraversalLayout::BitVector;
-        }
         let model = paws_core::train(&dataset, &split, &config).into_serving();
         println!(
-            "  {name:<16} {} cells, {:?} plane, {:?} layout",
+            "  {name:<16} {} cells, {:?} plane",
             scenario.park.n_cells(),
             model.precision(),
-            model.layout(),
         );
         if i == 0 {
             // Keep one park's fit artifacts around for the hot-swap below.

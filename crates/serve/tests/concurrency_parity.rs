@@ -4,7 +4,7 @@
 //! artifacts — coalescing, caching and the work-stealing fan-out change
 //! wall-clock, never bits.
 
-use paws_core::{ModelConfig, Scenario, ServingModel, TraversalLayout, WeakLearnerKind};
+use paws_core::{ModelConfig, Scenario, ServingModel, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization, Matrix};
 use paws_geo::Park;
 use paws_plan::{try_plan, PatrolPlan, PlannerConfig};
@@ -22,14 +22,16 @@ struct Fixture {
     prev: Vec<f64>,
 }
 
-/// Train one park model; `tweak` selects the serving engines (4: GP
-/// learners, served from the resident park's learner tables).
+/// Train one park model; `tweak` selects the serving engine (1: the f32
+/// plane, 2: SVM learners, 3: plain bagging, 4: GP learners; the SVM and
+/// GP models serve from the resident park's learner tables).
 fn fit_park(name: &'static str, seed: u64, tweak: u8) -> (Fixture, ServingModel) {
     let scenario = Scenario::test_scenario(seed);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
     let split = split_by_test_year(&dataset, 2016, 2).expect("split exists");
     let learner = match tweak {
+        2 => WeakLearnerKind::Svm,
         4 => WeakLearnerKind::GaussianProcess,
         _ => WeakLearnerKind::DecisionTree,
     };
@@ -38,10 +40,8 @@ fn fit_park(name: &'static str, seed: u64, tweak: u8) -> (Fixture, ServingModel)
     config.n_estimators = 4;
     config.gp_max_points = 30;
     config.weight_mode = paws_iware::WeightMode::Uniform;
-    match tweak {
-        1 => config.precision = paws_core::Precision::F32,
-        2 => config.layout = TraversalLayout::BitVector,
-        _ => {}
+    if tweak == 1 {
+        config.precision = paws_core::Precision::F32;
     }
     let model = paws_core::train(&dataset, &split, &config).into_serving();
     let prev = vec![0.0; scenario.park.n_cells()];
@@ -169,9 +169,10 @@ fn assert_answer_matches(req: &QueryRequest, answer: &QueryResponse, reference: 
 
 #[test]
 fn threaded_batches_are_bit_identical_to_direct_calls() {
-    // Five resident parks spanning the engine matrix: f64/interleaved,
-    // f32/interleaved, f64/bitvector, plain bagging, and GP iWare, whose
-    // learner tables the threads' first batches race to fill.
+    // Five resident parks spanning the engine matrix: the f64 and f32 tree
+    // arenas, SVM iWare, plain bagging, and GP iWare. The SVM and GP models
+    // serve from learner tables, which the threads' first batches race to
+    // fill.
     let specs = [
         ("gonarezhou", 3u64, 0u8),
         ("mondulkiri", 4, 1),

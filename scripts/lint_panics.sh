@@ -39,9 +39,7 @@ allowlist() {
 5 crates/geo/src/park.rs
 1 crates/iware/src/thresholds.rs
 1 crates/ml/src/bagging.rs
-1 crates/ml/src/forest32.rs
 2 crates/ml/src/gp.rs
-6 crates/ml/src/qs.rs
 10 crates/ml/src/snapshot.rs
 1 crates/ml/src/traits.rs
 1 crates/plan/src/evaluate.rs

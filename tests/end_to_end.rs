@@ -93,18 +93,16 @@ fn full_pipeline_runs_and_beats_chance() {
 
 #[test]
 #[cfg(not(debug_assertions))]
-fn large_park_pipeline_runs_under_both_layouts() {
+fn large_park_pipeline_runs_end_to_end() {
     // The small test park above leaves the whole stack cache-resident; this
     // release-profile smoke drives the same fit → risk_map → patrol-plan
-    // pipeline on a seeded LLC-scale park (50k cells) under both traversal
-    // layouts, pinning them to each other end to end.
-    use paws_core::TraversalLayout;
+    // pipeline on a seeded LLC-scale park (50k cells).
     let scenario = Scenario::llc_scenario(50_000, 43);
     assert_eq!(scenario.park.n_cells(), 50_000);
     let history = scenario.simulate_years(2014, 2);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
     let split = split_by_test_year(&dataset, 2015, 1).expect("2015 present");
-    let mut model = train(
+    let model = train(
         &dataset,
         &split,
         &quick_model(WeakLearnerKind::DecisionTree, true, 43),
@@ -116,38 +114,30 @@ fn large_park_pipeline_runs_under_both_layouts() {
     let effort_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let post = scenario.park.patrol_posts[0];
 
-    let mut plans = Vec::new();
-    for layout in [TraversalLayout::Interleaved, TraversalLayout::BitVector] {
-        model.set_layout(layout);
-        let (risk, var) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
-        assert_eq!(risk.len(), 50_000);
-        assert!(risk.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        assert!(var.iter().all(|&v| v >= 0.0));
+    let (risk, var) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+    assert_eq!(risk.len(), 50_000);
+    assert!(risk.iter().all(|&p| (0.0..=1.0).contains(&p)));
+    assert!(var.iter().all(|&v| v >= 0.0));
 
-        let problem = build_planning_problem(
-            &scenario.park,
-            &model,
-            &dataset,
-            &prev,
-            post,
-            &effort_grid,
-            8.0,
-            2,
-            1.0,
-        );
-        let patrol = plan(&problem, &PlannerConfig::default());
-        assert!(patrol.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
-        let routes = extract_routes(&problem, &patrol.coverage);
-        assert_eq!(routes.len(), 2);
-        for r in &routes {
-            assert_eq!(r.cells.first(), Some(&post));
-            assert_eq!(r.cells.last(), Some(&post));
-        }
-        plans.push((risk, patrol.coverage.clone()));
+    let problem = build_planning_problem(
+        &scenario.park,
+        &model,
+        &dataset,
+        &prev,
+        post,
+        &effort_grid,
+        8.0,
+        2,
+        1.0,
+    );
+    let patrol = plan(&problem, &PlannerConfig::default());
+    assert!(patrol.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
+    let routes = extract_routes(&problem, &patrol.coverage);
+    assert_eq!(routes.len(), 2);
+    for r in &routes {
+        assert_eq!(r.cells.first(), Some(&post));
+        assert_eq!(r.cells.last(), Some(&post));
     }
-    // Bit-identical surfaces feed bit-identical plans.
-    assert_eq!(plans[0].0, plans[1].0, "risk maps diverged across layouts");
-    assert_eq!(plans[0].1, plans[1].1, "plans diverged across layouts");
 }
 
 #[test]
@@ -308,9 +298,8 @@ fn field_test_protocol_discriminates_risk_groups_with_oracle_predictions() {
 #[test]
 fn field_test_protocol_runs_with_model_predictions() {
     // With quick-scale model predictions the discrimination is not
-    // guaranteed (documented in EXPERIMENTS.md), but the full pipeline —
-    // train, predict, design, deploy, analyse — must run and produce an
-    // internally consistent report.
+    // guaranteed, but the full pipeline — train, predict, design, deploy,
+    // analyse — must run and produce an internally consistent report.
     let scenario = Scenario::test_scenario(53);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());

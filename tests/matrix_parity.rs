@@ -548,42 +548,6 @@ fn f32_iware_response_surfaces_stay_within_the_documented_bound() {
     assert_close(er_p64.row(0), &GOLDEN_IWARE_RESPONSE_P_ROW0, "restored f64");
 }
 
-// ---------------------------------------------------------------------------
-// Cross-layout parity: the bitvector scorer vs the interleaved arena.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn bitvector_layout_reproduces_the_goldens_bit_identically() {
-    use paws_ml::TraversalLayout;
-    // The third traversal engine must reproduce the pre-refactor goldens
-    // exactly: same comparisons, same leaf values, different memory
-    // layout only.
-    let (x, labels, efforts) = training_data();
-    let mut bag = BaggingClassifier::fit(&BaggingConfig::trees(8, 9), x.view(), &labels);
-    bag.set_layout(TraversalLayout::BitVector);
-    assert!(bag.quickscorer().is_some());
-    assert_close(
-        &bag.predict_proba(query(&x)),
-        &GOLDEN_BAG_PROB,
-        "qs bag prob",
-    );
-    let (p, v) = bag.predict_with_variance(query(&x));
-    assert_close(&p, &GOLDEN_BAG_PROB, "qs bag pv prob");
-    assert_close(&v, &GOLDEN_BAG_VAR, "qs bag pv var");
-
-    let mut model = IWareModel::fit(&iware_config(), x.view(), &labels, &efforts);
-    model.set_layout(TraversalLayout::BitVector);
-    let grid = [0.5, 1.0, 2.0, 3.5];
-    let (er_p, er_v) = model.effort_response(query(&x), &grid);
-    assert_close(er_p.row(0), &GOLDEN_IWARE_RESPONSE_P_ROW0, "qs response p");
-    assert_close(er_v.row(0), &GOLDEN_IWARE_RESPONSE_V_ROW0, "qs response v");
-    assert_close(
-        &model.predict_proba_at_effort(query(&x), &efforts[..10]),
-        &GOLDEN_IWARE_PROB,
-        "qs varying-effort prob",
-    );
-}
-
 /// Seeded LLC-scale park scenario shared by the large-park parity tests
 /// (50k cells — the feature matrix and response surfaces outgrow the LLC,
 /// unlike the golden scenarios above).
@@ -609,50 +573,23 @@ fn large_park_setup() -> (
 
 #[test]
 #[cfg(not(debug_assertions))]
-fn large_park_bitvector_surfaces_are_bit_identical_to_interleaved() {
-    use paws_core::TraversalLayout;
+fn large_park_f32_plane_stays_within_policy() {
+    use paws_core::Precision;
     let (scenario, dataset, mut model) = large_park_setup();
     assert_eq!(scenario.park.n_cells(), 50_000);
-    let prev = dataset.coverage.last().unwrap().clone();
-    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-
-    let (p_il, v_il) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-    let (r_il, u_il) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
-    model.set_layout(TraversalLayout::BitVector);
-    let (p_bv, v_bv) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-    let (r_bv, u_bv) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
-    assert_eq!(p_bv.as_slice(), p_il.as_slice(), "LLC response probs");
-    assert_eq!(v_bv.as_slice(), v_il.as_slice(), "LLC response vars");
-    assert_eq!(r_bv, r_il, "LLC risk map");
-    assert_eq!(u_bv, u_il, "LLC uncertainty map");
-    assert!(r_il.iter().all(|&p| (0.0..=1.0).contains(&p)));
-}
-
-#[test]
-#[cfg(not(debug_assertions))]
-fn large_park_f32_plane_stays_within_policy_under_both_layouts() {
-    use paws_core::{Precision, TraversalLayout};
-    let (scenario, dataset, mut model) = large_park_setup();
     let prev = dataset.coverage.last().unwrap().clone();
     let grid = [0.0, 1.0, 4.0];
     let (p64, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
 
-    // The f32 plane under both layouts: bit-identical to each other, and
-    // within the documented park-scale policy of the f64 surface (≤ 1e-5
-    // on ≥ 99.5 % of cells, flips bounded by leaf gap over fan-in).
+    // The f32 plane stays within the documented park-scale policy of the
+    // f64 surface (≤ 1e-5 on ≥ 99.5 % of cells, flips bounded by leaf gap
+    // over fan-in).
     model.set_precision(Precision::F32).unwrap();
-    let (p32_il, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-    model.set_layout(TraversalLayout::BitVector);
-    let (p32_bv, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-    assert_eq!(
-        p32_bv.as_slice(),
-        p32_il.as_slice(),
-        "f32 layouts must agree bit-tight"
-    );
+    let (p32, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
     let diffs: Vec<f64> = p64
         .as_slice()
         .iter()
-        .zip(p32_bv.as_slice())
+        .zip(p32.as_slice())
         .map(|(a, b)| (a - b).abs())
         .collect();
     let over = diffs.iter().filter(|&&d| d > 1e-5).count();
@@ -672,11 +609,9 @@ fn large_park_f32_plane_stays_within_policy_under_both_layouts() {
 #[test]
 fn forest_snapshot_round_trip_reproduces_the_goldens_bit_identically() {
     use paws_ml::snapshot::{read_forest, write_forest};
-    use paws_ml::QuickScorer;
     // The golden bag's fused arena, through the wire format and back: the
-    // decoded forest must predict bit-identically under both traversal
-    // layouts, and its ensemble mean must still hit the pre-refactor
-    // goldens.
+    // decoded forest must predict bit-identically, and its ensemble mean
+    // must still hit the pre-refactor goldens.
     let (x, labels, _) = training_data();
     let bag = BaggingClassifier::fit(&BaggingConfig::trees(8, 9), x.view(), &labels);
     let forest = bag.forest().expect("tree ensembles are arena-backed");
@@ -688,13 +623,7 @@ fn forest_snapshot_round_trip_reproduces_the_goldens_bit_identically() {
     let q = query(&x);
     let reference = forest.predict_proba_batch(q);
     let batch = loaded.predict_proba_batch(q);
-    assert_eq!(batch.as_slice(), reference.as_slice(), "interleaved layout");
-    let qs_batch = QuickScorer::from_forest(&loaded).predict_proba_batch(q);
-    assert_eq!(
-        qs_batch.as_slice(),
-        reference.as_slice(),
-        "bitvector layout"
-    );
+    assert_eq!(batch.as_slice(), reference.as_slice(), "reloaded arena");
 
     // Ensemble mean from the reloaded arena vs the golden constants.
     let mean: Vec<f64> = (0..q.n_rows())
@@ -705,16 +634,15 @@ fn forest_snapshot_round_trip_reproduces_the_goldens_bit_identically() {
 
 #[test]
 fn iware_stack_snapshot_round_trip_reproduces_the_goldens_bit_identically() {
-    use paws_iware::TraversalLayout;
     // The golden iWare-E model's fused learner stack through the wire
     // format: the reconstructed model must serve the exact golden response
-    // surfaces under both traversal layouts.
+    // surfaces.
     let (x, labels, efforts) = training_data();
     let model = IWareModel::fit(&iware_config(), x.view(), &labels, &efforts);
     let bytes = model
         .to_stack_snapshot()
         .expect("golden stack is snapshotable");
-    let mut loaded =
+    let loaded =
         IWareModel::from_stack_snapshot(&bytes, iware_config()).expect("golden snapshot decodes");
 
     let grid = [0.5, 1.0, 2.0, 3.5];
@@ -732,11 +660,6 @@ fn iware_stack_snapshot_round_trip_reproduces_the_goldens_bit_identically() {
         &GOLDEN_IWARE_RESPONSE_V_ROW0,
         "reloaded vs golden v",
     );
-
-    loaded.set_layout(TraversalLayout::BitVector);
-    let (bv_p, bv_v) = loaded.effort_response(query(&x), &grid);
-    assert_eq!(bv_p.as_slice(), ref_p.as_slice(), "reloaded bitvector prob");
-    assert_eq!(bv_v.as_slice(), ref_v.as_slice(), "reloaded bitvector var");
 }
 
 // ---------------------------------------------------------------------------
