@@ -16,10 +16,14 @@
 //!    prediction an uncertainty score, later consumed by the robust patrol
 //!    planner.
 //!
-//! Feature batches are flat row-major [`MatrixView`]s. Effort-filtered
-//! training subsets are index-gathered (one flat copy per learner; the
-//! full-data fallback trains on the borrowed batch with no copy at all),
-//! the I learners fit in parallel, and [`IWareModel::effort_response`]
+//! Feature batches are flat row-major [`MatrixView`]s. No learner copies
+//! its training rows: each trains on a list of batch rows (its
+//! effort-filtered subset, a CV fold's training rows, or the whole batch
+//! as the fallback) through [`BaggingClassifier::fit_ranked`]. Tree
+//! learners rank the batch once per fit and derive every learner's, fold's
+//! and fold learner's ranking from that one with [`Ranking::subset`]; a
+//! warm refit ranks only when it refits a learner or reruns the full CV.
+//! The I learners fit in parallel, and [`IWareModel::effort_response`]
 //! evaluates the park-wide g_v(c) / ν_v(c) surfaces cell-parallel into flat
 //! response matrices.
 //!
@@ -51,7 +55,7 @@ use crate::weights::{optimize_weights, WeightMode};
 use paws_data::matrix::{Matrix, MatrixView};
 use paws_data::matrix32::{Matrix32, MatrixView32};
 use paws_data::{simd, simd32};
-use paws_ml::bagging::{BaggingClassifier, BaggingConfig};
+use paws_ml::bagging::{BaggingClassifier, BaggingConfig, BaseLearnerConfig};
 use paws_ml::cv::stratified_kfold;
 use paws_ml::forest::Forest;
 use paws_ml::forest32::{Forest32, NarrowError};
@@ -60,11 +64,14 @@ use paws_ml::snapshot::{
     section as snapshot_section, PayloadKind, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use paws_ml::traits::{
-    validate_effort_grid, validate_query, Classifier, QueryError, UncertainClassifier,
+    validate_effort_grid, validate_query, validate_training_data, Classifier, QueryError,
+    UncertainClassifier,
 };
+use paws_ml::tree::Ranking;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Configuration of the iWare-E ensemble.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -358,12 +365,13 @@ impl IWareModel {
 
     /// The staged fit pipeline, returning both the model and the
     /// [`FitCache`] that enables warm incremental refits: percentile
-    /// threshold selection → effort-filtered subset gather → per-learner
+    /// threshold selection → effort-filtered subset plans → per-learner
     /// member fits → fused arena build → CV-weight solve on cached
-    /// out-of-fold member predictions. [`IWareModel::fit`] is exactly this
-    /// pipeline with the cache dropped — the two produce bit-identical
-    /// models (every stage draws from its own index-derived RNG stream, so
-    /// staging changes no floats).
+    /// out-of-fold member predictions. A tree base ranks the batch once, at
+    /// the first member fit, for every learner and CV fold.
+    /// [`IWareModel::fit`] is exactly this pipeline with the cache dropped
+    /// — the two produce bit-identical models (every stage draws from its
+    /// own index-derived RNG stream, so staging changes no floats).
     pub fn fit_cached(
         config: &IWareConfig,
         x: MatrixView<'_>,
@@ -382,13 +390,15 @@ impl IWareModel {
         );
         let n_learners = thresholds.len();
 
-        // Stage 2: effort-filtered subset gather. The plans record the
+        // Stage 2: effort-filtered subset plans. The plans record the
         // exact row subset each learner sees — the warm-refit keep/refit
         // signal.
         let plans = plan_filtered_learners(config, &thresholds, labels, efforts);
 
-        // Stage 3: per-learner member fits on the planned subsets.
-        let learners = fit_planned_learners(config, &thresholds, &plans, x, labels);
+        // Stage 3: per-learner member fits on the planned subsets, every
+        // ranking derived from the batch's one.
+        let batch = FitBatch::new(config, x, labels);
+        let learners = fit_planned_learners(config, &thresholds, &plans, &batch);
 
         // Stage 4: fused learner-stack arena build.
         let stack = build_stack(&learners, x.n_cols());
@@ -399,15 +409,8 @@ impl IWareModel {
         let (weights, cv) = match config.weight_mode {
             WeightMode::Uniform => (uniform, None),
             WeightMode::CvOptimized { folds, iterations } => {
-                match cv_weight_fit_cached(
-                    config,
-                    &thresholds,
-                    x,
-                    labels,
-                    efforts,
-                    folds,
-                    iterations,
-                ) {
+                match cv_weight_fit_cached(config, &thresholds, &batch, efforts, folds, iterations)
+                {
                     Some((w, cv)) => (w, Some(cv)),
                     None => (uniform, None),
                 }
@@ -507,13 +510,14 @@ impl IWareModel {
             .map(|((plan, rec), &theta)| keep_record(rec, plan, theta, appended, tolerance))
             .collect();
         let records = &cache.records;
+        let batch = FitBatch::new(config, x, labels);
         let learners: Vec<BaggingClassifier> = (0..n_learners)
             .into_par_iter()
             .map(|i| {
                 if keep[i] {
                     records[i].learner.clone()
                 } else {
-                    fit_one_learner(config, thresholds[i], &plans[i], x, labels)
+                    fit_one_learner(config, thresholds[i], &batch, plans[i].rows())
                 }
             })
             .collect();
@@ -544,8 +548,7 @@ impl IWareModel {
                     match cv_weight_fit_cached(
                         config,
                         &thresholds,
-                        x,
-                        labels,
+                        &batch,
                         efforts,
                         folds,
                         iterations,
@@ -624,11 +627,12 @@ impl IWareModel {
                     .filter(|rec| keep_record(rec, plan, theta, appended, tolerance))
             })
             .collect();
+        let batch = FitBatch::new(config, x, labels);
         let learners: Vec<BaggingClassifier> = (0..n_learners)
             .into_par_iter()
             .map(|i| match kept[i] {
                 Some(rec) => rec.learner.clone(),
-                None => fit_one_learner(config, thresholds[i], &plans[i], x, labels),
+                None => fit_one_learner(config, thresholds[i], &batch, plans[i].rows()),
             })
             .collect();
         let learners_kept = kept.iter().filter(|k| k.is_some()).count();
@@ -643,15 +647,8 @@ impl IWareModel {
                 uniform
             }
             WeightMode::CvOptimized { folds, iterations } => {
-                match cv_weight_fit_cached(
-                    config,
-                    &thresholds,
-                    x,
-                    labels,
-                    efforts,
-                    folds,
-                    iterations,
-                ) {
+                match cv_weight_fit_cached(config, &thresholds, &batch, efforts, folds, iterations)
+                {
                     Some((w, cv)) => {
                         full_cv = true;
                         cache.cv = Some(cv);
@@ -1735,7 +1732,15 @@ struct LearnerPlan {
     degenerate: bool,
 }
 
-/// Stage 2 of the fit pipeline: gather every learner's effort-filtered row
+impl LearnerPlan {
+    /// The rows the learner trains on: its subset, or `None` (the whole
+    /// batch) when the subset is degenerate.
+    fn rows(&self) -> Option<&[usize]> {
+        (!self.degenerate).then_some(&self.idx[..])
+    }
+}
+
+/// Stage 2 of the fit pipeline: list every learner's effort-filtered row
 /// subset. Pure index work — no training happens here.
 fn plan_filtered_learners(
     config: &IWareConfig,
@@ -1770,59 +1775,74 @@ fn learner_seed(config: &IWareConfig, threshold: f64) -> u64 {
     config.base.seed.wrapping_add(config.seed).wrapping_add(z)
 }
 
-/// Fit one learner on its planned subset with the threshold-keyed seed —
-/// the single place the per-learner seed formula lives, shared by cold
-/// fits and warm refits so a refit learner is bit-identical to its cold
-/// twin.
+/// The training batch of one fit or warm refit, validated and (for tree
+/// learners) ranked on first use, then shared: every learner, CV fold and
+/// fold learner derives its ranking from this one by [`Ranking::subset`],
+/// so a fit sorts the batch once and a warm refit that refits nothing
+/// neither validates nor sorts it.
+struct FitBatch<'a> {
+    x: MatrixView<'a>,
+    labels: &'a [f64],
+    /// Whether the learners are tree ensembles, the only ones that read a
+    /// ranking.
+    trees: bool,
+    ranking: OnceLock<Option<Ranking>>,
+}
+
+impl<'a> FitBatch<'a> {
+    fn new(config: &IWareConfig, x: MatrixView<'a>, labels: &'a [f64]) -> Self {
+        Self {
+            x,
+            labels,
+            trees: matches!(config.base.base, BaseLearnerConfig::Tree(_)),
+            ranking: OnceLock::new(),
+        }
+    }
+
+    /// The batch's ranking (`None` unless the learners are trees), after
+    /// validating the batch once for every fit drawn from it.
+    fn ranking(&self) -> Option<&Ranking> {
+        self.ranking
+            .get_or_init(|| {
+                validate_training_data(self.x, self.labels);
+                self.trees.then(|| Ranking::new(self.x))
+            })
+            .as_ref()
+    }
+}
+
+/// Fit one learner on rows `rows` of the batch (all of them when `None`)
+/// with the threshold-keyed seed — the single place the per-learner seed
+/// formula lives, shared by cold fits, CV folds and warm refits so a refit
+/// learner is bit-identical to its cold twin.
 fn fit_one_learner(
     config: &IWareConfig,
     threshold: f64,
-    plan: &LearnerPlan,
-    x: MatrixView<'_>,
-    labels: &[f64],
+    batch: &FitBatch<'_>,
+    rows: Option<&[usize]>,
 ) -> BaggingClassifier {
     let base = BaggingConfig {
         seed: learner_seed(config, threshold),
         ..config.base.clone()
     };
-    if plan.degenerate {
-        // Degenerate filter: train on the full borrowed batch with no copy
-        // at all.
-        BaggingClassifier::fit(&base, x, labels)
-    } else {
-        let sx = x.gather(&plan.idx);
-        let slabels: Vec<f64> = plan.idx.iter().map(|&j| labels[j]).collect();
-        BaggingClassifier::fit(&base, sx.view(), &slabels)
-    }
+    BaggingClassifier::fit_ranked(&base, batch.x, batch.labels, batch.ranking(), rows)
 }
 
 /// Stage 3 of the fit pipeline: per-learner member fits, in parallel.
-/// Each learner's bootstrap members fit in parallel too ([`BaggingClassifier::fit`]
-/// fans members over the pool), so learner × member nesting composes on
-/// the persistent pool.
+/// Each learner's bootstrap members fit in parallel too
+/// ([`BaggingClassifier::fit_ranked`] fans members over the pool), so
+/// learner × member nesting composes on the persistent pool.
 fn fit_planned_learners(
     config: &IWareConfig,
     thresholds: &[f64],
     plans: &[LearnerPlan],
-    x: MatrixView<'_>,
-    labels: &[f64],
+    batch: &FitBatch<'_>,
 ) -> Vec<BaggingClassifier> {
     plans
         .par_iter()
         .enumerate()
-        .map(|(i, plan)| fit_one_learner(config, thresholds[i], plan, x, labels))
+        .map(|(i, plan)| fit_one_learner(config, thresholds[i], batch, plan.rows()))
         .collect()
-}
-
-fn train_filtered_learners(
-    config: &IWareConfig,
-    thresholds: &[f64],
-    x: MatrixView<'_>,
-    labels: &[f64],
-    efforts: &[f64],
-) -> Vec<BaggingClassifier> {
-    let plans = plan_filtered_learners(config, thresholds, labels, efforts);
-    fit_planned_learners(config, thresholds, &plans, x, labels)
 }
 
 /// Zip stage-2 plans with the fitted learners into cache records.
@@ -1907,12 +1927,12 @@ fn subset_drift(old: &[usize], new: &[usize]) -> f64 {
 fn cv_weight_fit_cached(
     config: &IWareConfig,
     thresholds: &[f64],
-    x: MatrixView<'_>,
-    labels: &[f64],
+    batch: &FitBatch<'_>,
     efforts: &[f64],
     folds: usize,
     iterations: usize,
 ) -> Option<(Vec<f64>, CvCache)> {
+    let (x, labels) = (batch.x, batch.labels);
     let n_pos = labels.iter().filter(|&&y| y > 0.5).count();
     if folds < 2 || n_pos < folds || labels.len() < folds * 4 {
         return None;
@@ -1924,18 +1944,24 @@ fn cv_weight_fit_cached(
     let mut fold_labels: Vec<f64> = Vec::with_capacity(labels.len());
 
     for fold in &fold_defs {
-        let train_x = x.gather(&fold.train);
         let train_labels: Vec<f64> = fold.train.iter().map(|&i| labels[i]).collect();
         let train_efforts: Vec<f64> = fold.train.iter().map(|&i| efforts[i]).collect();
         let valid_x = x.gather(&fold.valid);
 
-        let learners = train_filtered_learners(
-            config,
-            thresholds,
-            train_x.view(),
-            &train_labels,
-            &train_efforts,
-        );
+        // A fold learner's subset lists positions in `fold.train`; it
+        // trains on the batch rows at those positions.
+        let plans = plan_filtered_learners(config, thresholds, &train_labels, &train_efforts);
+        let learners: Vec<BaggingClassifier> = plans
+            .par_iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let rows: Vec<usize> = match plan.rows() {
+                    Some(idx) => idx.iter().map(|&k| fold.train[k]).collect(),
+                    None => fold.train.clone(),
+                };
+                fit_one_learner(config, thresholds[i], batch, Some(&rows))
+            })
+            .collect();
         let per_learner: Vec<Vec<f64>> = learners
             .par_iter()
             .map(|l| l.predict_proba(valid_x.view()))
@@ -2649,6 +2675,137 @@ mod tests {
             warm.predict_proba_at_effort(probe.view(), &probe_efforts),
             cold.predict_proba_at_effort(probe.view(), &probe_efforts)
         );
+    }
+
+    /// The fit before one ranking per fit, kept as the parity reference:
+    /// every learner, CV fold and fold learner gathers its own batch, and
+    /// [`BaggingClassifier::fit`] ranks it.
+    fn gathering_reference_fit(
+        config: &IWareConfig,
+        x: MatrixView<'_>,
+        labels: &[f64],
+        efforts: &[f64],
+    ) -> IWareModel {
+        let thresholds = select_thresholds(config.threshold_mode, efforts, config.n_learners);
+        let fit_learners = |x: MatrixView<'_>, labels: &[f64], efforts: &[f64]| {
+            plan_filtered_learners(config, &thresholds, labels, efforts)
+                .iter()
+                .zip(&thresholds)
+                .map(|(plan, &theta)| {
+                    let base = BaggingConfig {
+                        seed: learner_seed(config, theta),
+                        ..config.base.clone()
+                    };
+                    if plan.degenerate {
+                        BaggingClassifier::fit(&base, x, labels)
+                    } else {
+                        let sx = x.gather(&plan.idx);
+                        let sl: Vec<f64> = plan.idx.iter().map(|&j| labels[j]).collect();
+                        BaggingClassifier::fit(&base, sx.view(), &sl)
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        let learners = fit_learners(x, labels, efforts);
+        let WeightMode::CvOptimized { folds, iterations } = config.weight_mode else {
+            panic!("the reference fits CV weights");
+        };
+        let mut predictions = Matrix::with_capacity(labels.len(), thresholds.len());
+        let (mut point_efforts, mut point_labels) = (Vec::new(), Vec::new());
+        for fold in stratified_kfold(labels, folds, config.seed.wrapping_add(77)) {
+            let train = |v: &[f64]| fold.train.iter().map(|&i| v[i]).collect::<Vec<_>>();
+            let train_x = x.gather(&fold.train);
+            let fold_learners = fit_learners(train_x.view(), &train(labels), &train(efforts));
+            let valid_x = x.gather(&fold.valid);
+            let per_learner: Vec<Vec<f64>> = fold_learners
+                .iter()
+                .map(|l| l.predict_proba(valid_x.view()))
+                .collect();
+            push_point_rows(&mut predictions, &per_learner);
+            point_efforts.extend(fold.valid.iter().map(|&i| efforts[i]));
+            point_labels.extend(fold.valid.iter().map(|&i| labels[i]));
+        }
+        let qualified = qualified_counts(&thresholds, &point_efforts);
+        let weights = optimize_weights(predictions.view(), &qualified, &point_labels, iterations);
+        IWareModel {
+            id: next_model_id(),
+            stack: build_stack(&learners, x.n_cols()),
+            thresholds,
+            learners,
+            weights,
+            n_features: x.n_cols(),
+            precision: Precision::F64,
+            stack32: None,
+            config: config.clone(),
+        }
+    }
+
+    fn weight_bits(model: &IWareModel) -> Vec<u64> {
+        model.weights().iter().map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_ranking_per_fit_matches_ranking_every_gathered_batch() {
+        let (x, labels, efforts, _) = noisy_poaching_data(300, 35);
+        // A third column of signed zeros and ties: only low-effort
+        // negatives hold -0.0, so the high-threshold learners' subsets keep
+        // the column's +0.0 rows without its -0.0 rows.
+        let rows: Vec<Vec<f64>> = (0..x.n_rows())
+            .map(|i| {
+                let z = if labels[i] == 0.0 && efforts[i] < 0.5 {
+                    -0.0
+                } else {
+                    [0.0, 0.5, -0.5][i % 3]
+                };
+                vec![x.get(i, 0), x.get(i, 1), z]
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        // Subsets below 160 rows fall back to the full batch, so some
+        // learners and fold learners train on subsets and others on the
+        // whole batch or fold.
+        let config = IWareConfig {
+            min_subset_size: 160,
+            ..quick_config(5)
+        };
+        let (model, cache) = IWareModel::fit_cached(&config, x.view(), &labels, &efforts);
+        assert!(cache.records.iter().any(|r| r.degenerate));
+        assert!(cache.records.iter().any(|r| !r.degenerate));
+        assert!(cache.has_cv_cache());
+
+        let reference = gathering_reference_fit(&config, x.view(), &labels, &efforts);
+        assert_eq!(weight_bits(&model), weight_bits(&reference));
+        assert!(model.to_stack_snapshot().unwrap() == reference.to_stack_snapshot().unwrap());
+    }
+
+    #[test]
+    fn zero_tolerance_count_change_refit_matches_a_cold_fit_byte_for_byte() {
+        // Two effort levels dedup to two thresholds; an append at a third
+        // level adds one, so the warm refit takes the full-CV leg.
+        let config = IWareConfig {
+            min_subset_size: 10,
+            ..quick_config(4)
+        };
+        let (x, labels, _, _) = noisy_poaching_data(200, 36);
+        let efforts: Vec<f64> = (0..200)
+            .map(|i| {
+                if i >= 150 {
+                    2.0
+                } else {
+                    f64::from(i as u32 % 2)
+                }
+            })
+            .collect();
+        let (old, mut cache) =
+            IWareModel::fit_cached(&config, x.view().head(150), &labels[..150], &efforts[..150]);
+        let (warm, stats) =
+            IWareModel::warm_refit(&config, &mut cache, x.view(), &labels, &efforts, 0.0);
+        assert_eq!((old.n_learners(), warm.n_learners()), (2, 3));
+        assert!(stats.learners_refitted > 0 && stats.full_cv, "{stats:?}");
+
+        let (cold, _) = IWareModel::fit_cached(&config, x.view(), &labels, &efforts);
+        assert_eq!(weight_bits(&warm), weight_bits(&cold));
+        assert!(warm.to_stack_snapshot().unwrap() == cold.to_stack_snapshot().unwrap());
     }
 
     #[test]

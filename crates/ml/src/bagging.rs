@@ -7,9 +7,12 @@
 //! (Sec. V-A, following imbalanced-learn), which is reproduced here with the
 //! `balanced` flag.
 //!
-//! Tree ensembles rank the training batch once ([`crate::tree`]) and fit
-//! every member from its bootstrap's in-bag counts, so no member copies
-//! rows. SVM and GP members train on their bootstrap materialised with
+//! Every fit runs through [`BaggingClassifier::fit_ranked`], which trains
+//! on a row subset of a batch without gathering it. Tree members grow from
+//! one ranking of the subset ([`crate::tree`]), derived from a ranking of
+//! the whole batch that the caller may share across many fits, and fit
+//! from their bootstrap's in-bag counts, so no member copies rows. SVM and
+//! GP members train on their bootstrap materialised from the batch with
 //! [`MatrixView::gather`], one flat copy per member.
 //!
 //! Tree ensembles are **arena-backed**: after the members fit (in
@@ -180,56 +183,97 @@ impl BaggingClassifier {
     /// Fit the ensemble on the flat feature batch `x`.
     pub fn fit(config: &BaggingConfig, x: MatrixView<'_>, labels: &[f64]) -> Self {
         validate_training_data(x, labels);
+        Self::fit_ranked(config, x, labels, None, None)
+    }
+
+    /// Fit the ensemble on rows `rows` of `x`, in that order (every row
+    /// when `rows` is `None`), without gathering them: bit for bit the
+    /// ensemble [`BaggingClassifier::fit`] grows on `x.gather(rows)` and
+    /// those rows' labels.
+    ///
+    /// A tree base grows every member from the subset's ranks, derived by
+    /// [`Ranking::subset`] from `ranking`, the [`Ranking`] of all of `x`, so
+    /// a caller that fits many subsets of one batch sorts it once; with
+    /// `ranking` `None` the fit ranks `x` itself. SVM and GP members ignore
+    /// `ranking` and gather their bootstrap rows straight from `x`.
+    ///
+    /// `x` and `labels` must pass [`validate_training_data`], which this
+    /// call does not repeat, and `rows` must not be empty.
+    pub fn fit_ranked(
+        config: &BaggingConfig,
+        x: MatrixView<'_>,
+        labels: &[f64],
+        ranking: Option<&Ranking>,
+        rows: Option<&[usize]>,
+    ) -> Self {
         assert!(config.n_estimators > 0, "need at least one ensemble member");
         assert!(
             config.sample_fraction > 0.0 && config.sample_fraction <= 1.0,
             "sample fraction must be in (0, 1]"
         );
 
-        let n = x.n_rows();
-        let positives: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &y)| y > 0.5)
-            .map(|(i, _)| i)
-            .collect();
-        let negatives: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &y)| y <= 0.5)
-            .map(|(i, _)| i)
-            .collect();
-
-        // Member `m`'s seed and bootstrap draw (with repeats).
-        let bootstrap = |m: usize| {
-            let member_seed = config.seed.wrapping_add(m as u64);
-            let mut rng = ChaCha8Rng::seed_from_u64(member_seed);
-            let indices = if config.balanced && !positives.is_empty() && !negatives.is_empty() {
-                balanced_bootstrap(&positives, &negatives, &mut rng)
+        let gathered: Vec<f64>;
+        let labels = match rows {
+            Some(rows) => {
+                gathered = rows.iter().map(|&i| labels[i]).collect();
+                &gathered[..]
+            }
+            None => labels,
+        };
+        let n = labels.len();
+        assert!(n > 0, "cannot fit on an empty training set");
+        let (positives, negatives): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| labels[i] > 0.5);
+        // Member `m`'s seed; its bootstrap draws (batch rows, with
+        // repeats) go to `draw` in order.
+        let bootstrap = |m: usize, draw: &mut dyn FnMut(usize)| {
+            let seed = config.seed.wrapping_add(m as u64);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            if config.balanced && !positives.is_empty() && !negatives.is_empty() {
+                // Undersample the majority (negative) class to the
+                // positive count; positives are bootstrapped to preserve
+                // their full variety.
+                for _ in 0..positives.len() {
+                    draw(positives[rng.gen_range(0..positives.len())]);
+                }
+                for _ in 0..positives.len() {
+                    draw(negatives[rng.gen_range(0..negatives.len())]);
+                }
             } else {
                 let size = ((n as f64 * config.sample_fraction).round() as usize).max(1);
-                (0..size)
-                    .map(|_| rng.gen_range(0..n))
-                    .collect::<Vec<usize>>()
-            };
-            let mut counts = vec![0u32; n];
-            for &i in &indices {
-                counts[i] += 1;
+                for _ in 0..size {
+                    draw(rng.gen_range(0..n));
+                }
             }
-            (member_seed, indices, counts)
+            seed
         };
 
         let (members, in_bag_counts) = match &config.base {
             BaseLearnerConfig::Tree(cfg) => {
-                // Rank the batch once; every member fits from its in-bag
-                // counts over the shared ranks, with no row copy.
-                let ranking = Ranking::new(x);
+                let full;
+                let ranking = match ranking {
+                    Some(ranking) => ranking,
+                    None => {
+                        full = Ranking::new(x);
+                        &full
+                    }
+                };
+                let subset;
+                let ranking = match rows {
+                    Some(rows) => {
+                        subset = ranking.subset(x, rows);
+                        &subset
+                    }
+                    None => ranking,
+                };
+                // Every member fits from its in-bag counts over the shared
+                // ranks, with no row copy.
                 let fits: Vec<(DecisionTree, Vec<u32>)> = (0..config.n_estimators)
                     .into_par_iter()
                     .map(|m| {
-                        let (seed, _, counts) = bootstrap(m);
-                        let tree =
-                            DecisionTree::fit_weighted(cfg, x, labels, &ranking, &counts, seed);
+                        let mut counts = vec![0u32; n];
+                        let seed = bootstrap(m, &mut |i| counts[i] += 1);
+                        let tree = DecisionTree::fit_weighted(cfg, labels, ranking, &counts, seed);
                         (tree, counts)
                     })
                     .collect();
@@ -246,8 +290,20 @@ impl BaggingClassifier {
                 let fits: Vec<(BaseModel, Vec<u32>)> = (0..config.n_estimators)
                     .into_par_iter()
                     .map(|m| {
-                        let (seed, indices, counts) = bootstrap(m);
-                        (fit_model(base, x, labels, &indices, seed), counts)
+                        let mut draws = Vec::new();
+                        let seed = bootstrap(m, &mut |i| draws.push(i));
+                        let mut counts = vec![0u32; n];
+                        for &i in &draws {
+                            counts[i] += 1;
+                        }
+                        let blabels: Vec<f64> = draws.iter().map(|&i| labels[i]).collect();
+                        if let Some(rows) = rows {
+                            for i in &mut draws {
+                                *i = rows[*i];
+                            }
+                        }
+                        let bx = x.gather(&draws);
+                        (fit_model(base, bx.view(), &blabels, seed), counts)
                     })
                     .collect();
                 let (models, in_bag_counts): (Vec<_>, Vec<_>) = fits.into_iter().unzip();
@@ -549,36 +605,15 @@ pub(crate) fn mean_and_spread32(per_member: &Matrix32) -> (Vec<f64>, Vec<f64>) {
 /// Fit an SVM or GP member on its bootstrap, gathered into one flat copy.
 fn fit_model(
     base: &BaseLearnerConfig,
-    x: MatrixView<'_>,
-    labels: &[f64],
-    indices: &[usize],
+    bx: MatrixView<'_>,
+    blabels: &[f64],
     seed: u64,
 ) -> BaseModel {
-    let bx = x.gather(indices);
-    let blabels: Vec<f64> = indices.iter().map(|&i| labels[i]).collect();
     match base {
-        BaseLearnerConfig::Svm(cfg) => {
-            BaseModel::Svm(LinearSvm::fit(cfg, bx.view(), &blabels, seed))
-        }
-        BaseLearnerConfig::Gp(cfg) => {
-            BaseModel::Gp(GaussianProcess::fit(cfg, bx.view(), &blabels, seed))
-        }
+        BaseLearnerConfig::Svm(cfg) => BaseModel::Svm(LinearSvm::fit(cfg, bx, blabels, seed)),
+        BaseLearnerConfig::Gp(cfg) => BaseModel::Gp(GaussianProcess::fit(cfg, bx, blabels, seed)),
         BaseLearnerConfig::Tree(_) => unreachable!("tree ensembles fit from the shared ranking"),
     }
-}
-
-fn balanced_bootstrap<R: Rng>(positives: &[usize], negatives: &[usize], rng: &mut R) -> Vec<usize> {
-    // Undersample the majority (negative) class to the positive count;
-    // positives are bootstrapped to preserve their full variety.
-    let n_pos = positives.len();
-    let mut out = Vec::with_capacity(2 * n_pos);
-    for _ in 0..n_pos {
-        out.push(positives[rng.gen_range(0..n_pos)]);
-    }
-    for _ in 0..n_pos {
-        out.push(negatives[rng.gen_range(0..negatives.len())]);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! K-fold cross-validation splitters.
+//! Stratified k-fold cross-validation splitter.
 //!
 //! The enhanced iWare-E computes optimal classifier weights by 5-fold
 //! cross-validation minimising log loss (Sec. IV); with positive rates as
@@ -16,16 +16,6 @@ pub struct Fold {
     pub train: Vec<usize>,
     /// Validation-row indices.
     pub valid: Vec<usize>,
-}
-
-/// Plain k-fold split of `n` samples.
-pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<Fold> {
-    assert!(k >= 2, "need at least two folds");
-    assert!(n >= k, "need at least as many samples as folds");
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
-    assemble_folds(&split_into_chunks(&order, k))
 }
 
 /// Stratified k-fold split: each fold receives (approximately) the same
@@ -50,14 +40,6 @@ pub fn stratified_kfold(labels: &[f64], k: usize, seed: u64) -> Vec<Fold> {
     assemble_folds(&buckets)
 }
 
-fn split_into_chunks(order: &[usize], k: usize) -> Vec<Vec<usize>> {
-    let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &idx) in order.iter().enumerate() {
-        chunks[i % k].push(idx);
-    }
-    chunks
-}
-
 fn assemble_folds(buckets: &[Vec<usize>]) -> Vec<Fold> {
     (0..buckets.len())
         .map(|f| {
@@ -76,21 +58,6 @@ fn assemble_folds(buckets: &[Vec<usize>]) -> Vec<Fold> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kfold_partitions_all_samples() {
-        let folds = kfold(103, 5, 1);
-        assert_eq!(folds.len(), 5);
-        let mut seen: Vec<usize> = folds.iter().flat_map(|f| f.valid.iter().copied()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..103).collect::<Vec<_>>());
-        for f in &folds {
-            assert_eq!(f.train.len() + f.valid.len(), 103);
-            for v in &f.valid {
-                assert!(!f.train.contains(v));
-            }
-        }
-    }
 
     #[test]
     fn stratified_folds_each_contain_positives() {
@@ -121,7 +88,6 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        assert_eq!(kfold(40, 4, 7), kfold(40, 4, 7));
         let labels = vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0];
         assert_eq!(
             stratified_kfold(&labels, 2, 7),
@@ -132,12 +98,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two folds")]
     fn one_fold_rejected() {
-        kfold(10, 1, 0);
+        stratified_kfold(&[0.0; 10], 1, 0);
     }
 
     #[test]
     #[should_panic(expected = "as many samples as folds")]
     fn too_few_samples_rejected() {
-        kfold(3, 5, 0);
+        stratified_kfold(&[0.0, 1.0, 0.0], 5, 0);
     }
 }

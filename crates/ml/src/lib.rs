@@ -17,7 +17,7 @@
 //! * [`bagging`] — plain and balanced (undersampled) bagging ensembles.
 //! * [`jackknife`] — infinitesimal-jackknife variance for bagged trees (Fig. 7).
 //! * [`metrics`] — ROC AUC, log loss, Pearson correlation.
-//! * [`cv`] — (stratified) k-fold splitters for the iWare-E weight fit.
+//! * [`cv`] — the stratified k-fold splitter of the iWare-E weight fit.
 //! * [`linalg`] — the small dense Cholesky kernel behind the GP.
 pub mod bagging;
 pub mod cv;
@@ -41,4 +41,4 @@ pub use precision::Precision;
 pub use snapshot::{PayloadKind, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use svm::{LinearSvm, SvmConfig};
 pub use traits::{Classifier, QueryError, Trainable, UncertainClassifier};
-pub use tree::{DecisionTree, TreeConfig};
+pub use tree::{DecisionTree, Ranking, TreeConfig};

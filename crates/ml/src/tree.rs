@@ -9,28 +9,37 @@
 //!
 //! # Rank-histogram induction
 //!
-//! No node sorts feature values. A [`Ranking`] sorts each column of the
-//! training batch once and gives every value its rank among the column's
+//! No node sorts feature values, and no node reads them: a tree grows from
+//! a [`Ranking`] alone. [`Ranking::new`] sorts each column of the training
+//! batch once and gives every value its rank among the column's
 //! `==`-distinct values, so `-0.0` and `+0.0` share a rank. A node builds,
 //! per candidate feature, the table of the distinct values its rows hold
-//! with cumulative (count, positive-count) pairs, from the ranks alone:
+//! with cumulative (count, positive-count) pairs, from the ranks:
 //!
-//! - a dense histogram over the feature's ranks, scanned in rank order,
-//!   when the node has many rows relative to the feature's distinct values;
+//! - a dense histogram over the feature's ranks, scanned in rank order
+//!   without a branch, when the node has at most 10 of the feature's
+//!   distinct values per row (the measured crossover, see
+//!   `dense_histogram`);
 //! - otherwise a sort of packed `u64` keys (rank in the high half, weight
 //!   and label in the low half) and one pass over their runs.
 //!
-//! Every candidate threshold is scored from that table, and the chosen
-//! split partitions the node's rows with the `value <= threshold` test that
-//! prediction uses.
+//! Every candidate threshold is scored from that table. The chosen split
+//! sends left the rows whose rank falls below the first distinct value
+//! above the threshold: the rows that prediction's `value <= threshold`
+//! test sends left.
 //!
 //! Rows carry integer weights. [`DecisionTree::fit`] ranks its own batch and
-//! weighs every row 1; a bagging ensemble ranks its batch once and fits each
-//! member from its bootstrap's in-bag counts, without copying rows. A row
+//! weighs every row 1; a bagging ensemble fits each member from its
+//! bootstrap's in-bag counts over one ranking, without copying rows. A row
 //! drawn `k` times weighs `k`, exactly as `k` copies of it would. Counts are
 //! exact integers, so thresholds, gains, RNG draws and node tables are
 //! bit-identical to sorting every node's values (the reference builder in
 //! the tests).
+//!
+//! A fit that trains on many row subsets of one batch — iWare-E's learners,
+//! CV folds and fold learners — ranks the batch once per fit, and
+//! [`Ranking::subset`] derives each subset's ranking from it in linear
+//! time, field for field the ranking of the gathered subset.
 
 use crate::traits::{validate_training_data, Classifier};
 use paws_data::matrix::MatrixView;
@@ -108,11 +117,13 @@ impl Node {
 }
 
 /// Per-feature ranks of one training batch: column `f`'s `==`-distinct
-/// values in ascending order, and each row's position among them. Built
-/// once per batch and shared by every tree fitted on it. Rows are indexed
-/// by `u32`, so a batch holds fewer than 2³¹ rows.
+/// values in ascending order, and each row's position among them. A tree
+/// grows from these alone, so one ranking serves every tree fitted on its
+/// batch, and [`Ranking::subset`] derives the ranking of any row subset
+/// without sorting again. Rows are indexed by `u32`, so a batch holds
+/// fewer than 2³¹ rows.
 #[derive(Debug)]
-pub(crate) struct Ranking {
+pub struct Ranking {
     n_rows: usize,
     /// `ranks[f * n_rows + i]`: rank of row `i`'s value in column `f`.
     ranks: Vec<u32>,
@@ -123,13 +134,9 @@ pub(crate) struct Ranking {
 
 impl Ranking {
     /// Rank every column of a validated (finite) batch.
-    pub(crate) fn new(x: MatrixView<'_>) -> Self {
+    pub fn new(x: MatrixView<'_>) -> Self {
         let n_rows = x.n_rows();
-        // Row indices, ranks and `weight << 1 | label` words are `u32`.
-        assert!(
-            n_rows < 1 << 31,
-            "a training batch holds fewer than 2^31 rows"
-        );
+        assert_row_count(n_rows);
         let mut ranks = vec![0u32; n_rows * x.n_cols()];
         let mut values = Vec::new();
         let mut starts = Vec::with_capacity(x.n_cols() + 1);
@@ -162,6 +169,74 @@ impl Ranking {
         }
     }
 
+    /// The ranking of `x.gather(idx)`, derived from this ranking of `x`
+    /// without a sort, in time linear in `idx.len()` and the distinct
+    /// values: field for field what [`Ranking::new`] builds on the gathered
+    /// batch. `idx` may list any rows of `x`, in any order.
+    pub fn subset(&self, x: MatrixView<'_>, idx: &[usize]) -> Self {
+        let n_rows = idx.len();
+        assert_row_count(n_rows);
+        let n_cols = self.n_cols();
+        let mut ranks = vec![0u32; n_rows * n_cols];
+        let mut values = Vec::new();
+        let mut starts = Vec::with_capacity(n_cols + 1);
+        starts.push(0);
+        // Parent rank → subset rank; all zero between columns.
+        let mut map = vec![0u32; self.max_distinct()];
+        for f in 0..n_cols {
+            let parent = self.column(f);
+            let distinct = self.distinct(f);
+            let map = &mut map[..distinct.len()];
+            for &i in idx {
+                map[parent[i] as usize] = 1;
+            }
+            // Compact the marked ranks: the subset's distinct values are
+            // the parent's it holds, in the parent's order.
+            let first = values.len();
+            let mut next = 0;
+            for (slot, &value) in map.iter_mut().zip(distinct) {
+                if *slot != 0 {
+                    *slot = next;
+                    next += 1;
+                    values.push(value);
+                }
+            }
+            for (rank, &i) in ranks[f * n_rows..(f + 1) * n_rows].iter_mut().zip(idx) {
+                *rank = map[parent[i] as usize];
+            }
+            // `Ranking::new` opens a column's zero run with -0.0 when any of
+            // its rows holds one. The parent's -0.0 may come from a row the
+            // subset leaves out; then the subset's zeros are all +0.0.
+            let zero = distinct.partition_point(|&v| v < 0.0);
+            if distinct
+                .get(zero)
+                .is_some_and(|&v| v.to_bits() == (-0.0f64).to_bits())
+            {
+                let mut zeros = idx
+                    .iter()
+                    .filter(|&&i| parent[i] as usize == zero)
+                    .peekable();
+                if zeros.peek().is_some() && zeros.all(|&i| x.get(i, f).is_sign_positive()) {
+                    values[first + map[zero] as usize] = 0.0;
+                }
+            }
+            starts.push(values.len());
+            map.fill(0);
+        }
+        Self {
+            n_rows,
+            ranks,
+            values,
+            starts,
+        }
+    }
+
+    /// Number of ranked columns (the batch's feature width).
+    #[inline]
+    fn n_cols(&self) -> usize {
+        self.starts.len() - 1
+    }
+
     /// Column `f`'s distinct values, ascending (the value of each rank).
     #[inline]
     fn distinct(&self, f: usize) -> &[f64] {
@@ -184,6 +259,14 @@ impl Ranking {
     }
 }
 
+/// Row indices, ranks and `weight << 1 | label` words are `u32`.
+fn assert_row_count(n_rows: usize) {
+    assert!(
+        n_rows < 1 << 31,
+        "a training batch holds fewer than 2^31 rows"
+    );
+}
+
 /// A fitted CART decision tree.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DecisionTree {
@@ -197,27 +280,27 @@ impl DecisionTree {
     pub fn fit(config: &TreeConfig, x: MatrixView<'_>, labels: &[f64], seed: u64) -> Self {
         validate_training_data(x, labels);
         let weights = vec![1; x.n_rows()];
-        Self::fit_weighted(config, x, labels, &Ranking::new(x), &weights, seed)
+        Self::fit_weighted(config, labels, &Ranking::new(x), &weights, seed)
     }
 
-    /// Fit on a batch already ranked by [`Ranking::new`], row `i` weighing
-    /// `weights[i]` (0 leaves it out): the tree [`DecisionTree::fit`] grows
-    /// on a batch holding `weights[i]` copies of each row, in any order.
-    /// The caller has validated `x` and `labels`.
+    /// Fit on a ranked batch ([`Ranking::new`] or [`Ranking::subset`]),
+    /// row `i` weighing `weights[i]` (0 leaves it out): the tree
+    /// [`DecisionTree::fit`] grows on a batch holding `weights[i]` copies of
+    /// each row, in any order. The tree reads the ranks alone, never the
+    /// feature rows. The caller has validated the batch and `labels`.
     pub(crate) fn fit_weighted(
         config: &TreeConfig,
-        x: MatrixView<'_>,
         labels: &[f64],
         ranking: &Ranking,
         weights: &[u32],
         seed: u64,
     ) -> Self {
-        let mut rows: Vec<u32> = (0..x.n_rows() as u32)
+        let mut rows: Vec<u32> = (0..ranking.n_rows as u32)
             .filter(|&i| weights[i as usize] > 0)
             .collect();
+        let max_distinct = ranking.max_distinct();
         let mut grower = Grower {
             config,
-            x,
             ranking,
             packed: weights
                 .iter()
@@ -226,15 +309,15 @@ impl DecisionTree {
                 .collect(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             nodes: Vec::new(),
-            hist: vec![(0, 0); ranking.max_distinct()],
+            hist: vec![(0, 0); max_distinct],
             keys: Vec::with_capacity(rows.len()),
-            table: Vec::with_capacity(rows.len()),
+            table: vec![(0.0, 0, 0); max_distinct],
             spill: Vec::with_capacity(rows.len()),
         };
         grower.grow(&mut rows, 0);
         Self {
             nodes: grower.nodes,
-            n_features: x.n_cols(),
+            n_features: ranking.n_cols(),
         }
     }
 
@@ -296,7 +379,6 @@ impl Classifier for DecisionTree {
 /// reused by every node.
 struct Grower<'a> {
     config: &'a TreeConfig,
-    x: MatrixView<'a>,
     ranking: &'a Ranking,
     /// `weight << 1 | label` of every batch row.
     packed: Vec<u32>,
@@ -308,7 +390,8 @@ struct Grower<'a> {
     /// `rank << 32 | weight << 1 | label` sort keys.
     keys: Vec<u64>,
     /// (value, cumulative count, cumulative positives) per distinct value
-    /// held by the node, ascending.
+    /// held by the node, ascending, in its first `fill_table` entries; one
+    /// slot per distinct value of the widest column.
     table: Vec<(f64, u32, u32)>,
     /// The right side of a partition, before it is copied back.
     spill: Vec<u32>,
@@ -331,7 +414,7 @@ impl Grower<'_> {
             return self.nodes.len() - 1;
         }
 
-        let n_features = self.x.n_cols();
+        let n_features = self.ranking.n_cols();
         let candidate_features: Vec<usize> = match self.config.max_features {
             Some(m) if m < n_features => {
                 let mut all: Vec<usize> = (0..n_features).collect();
@@ -345,8 +428,8 @@ impl Grower<'_> {
         let parent_impurity = gini(proba);
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
         for &f in &candidate_features {
-            self.fill_table(rows, f);
-            let uniq = &self.table;
+            let len = self.fill_table(rows, f);
+            let uniq = &self.table[..len];
             if uniq.len() < 2 {
                 continue;
             }
@@ -388,12 +471,19 @@ impl Grower<'_> {
         };
 
         // Stable partition: the left rows compact in place, the right rows
-        // wait in `spill`, so both sides stay in ascending row order.
+        // wait in `spill`, so both sides stay in ascending row order. A row
+        // passes prediction's `value <= threshold` test exactly when its
+        // rank is below the first distinct value above the threshold.
+        let cut = self
+            .ranking
+            .distinct(feature)
+            .partition_point(|&v| v <= threshold) as u32;
+        let ranks = self.ranking.column(feature);
         self.spill.clear();
         let mut n_left = 0;
         for k in 0..rows.len() {
             let i = rows[k];
-            if self.x.get(i as usize, feature) <= threshold {
+            if ranks[i as usize] < cut {
                 rows[n_left] = i;
                 n_left += 1;
             } else {
@@ -413,15 +503,16 @@ impl Grower<'_> {
     }
 
     /// Fill `table` with the distinct values of feature `f` among `rows`,
-    /// each with the cumulative weight and positive weight up to it.
-    fn fill_table(&mut self, rows: &[u32], f: usize) {
+    /// each with the cumulative weight and positive weight up to it, and
+    /// return how many there are.
+    fn fill_table(&mut self, rows: &[u32], f: usize) -> usize {
         let distinct = self.ranking.distinct(f);
         let ranks = self.ranking.column(f);
-        self.table.clear();
         if distinct.len() < 2 {
-            return;
+            return 0;
         }
         let (mut cum_n, mut cum_p) = (0u32, 0u32);
+        let mut len = 0;
         if dense_histogram(rows.len(), distinct.len()) {
             let hist = &mut self.hist[..distinct.len()];
             for &i in rows {
@@ -430,13 +521,16 @@ impl Grower<'_> {
                 slot.0 += packed >> 1;
                 slot.1 += (packed & 1) * (packed >> 1);
             }
+            // Without a branch: every rank writes its entry, only a rank
+            // the node holds moves past it, and each slot clears for the
+            // next use.
+            let table = &mut self.table[..distinct.len()];
             for (&value, slot) in distinct.iter().zip(hist.iter_mut()) {
-                if slot.0 > 0 {
-                    cum_n += slot.0;
-                    cum_p += slot.1;
-                    self.table.push((value, cum_n, cum_p));
-                    *slot = (0, 0);
-                }
+                cum_n += slot.0;
+                cum_p += slot.1;
+                table[len] = (value, cum_n, cum_p);
+                len += usize::from(slot.0 > 0);
+                *slot = (0, 0);
             }
         } else {
             self.keys.clear();
@@ -452,20 +546,22 @@ impl Grower<'_> {
                     cum_n += packed >> 1;
                     cum_p += (packed & 1) * (packed >> 1);
                 }
-                self.table
-                    .push((distinct[(run[0] >> 32) as usize], cum_n, cum_p));
+                self.table[len] = (distinct[(run[0] >> 32) as usize], cum_n, cum_p);
+                len += 1;
             }
         }
+        len
     }
 }
 
 /// Whether a node of `rows` rows tabulates a feature of `distinct` values
 /// with the dense histogram (O(rows + distinct)) rather than by sorting its
-/// rows' rank keys (O(rows · log rows)). Measured on one core, the two
-/// cross near 8 distinct values per row, from 1k-value columns to 50k.
+/// rows' rank keys (O(rows · log rows)). Measured on one core with the
+/// branch-free table build, the two cross at 7 distinct values per row for
+/// 1k-value columns, 9 at 5k and 11 at 20k–50k; 10 splits the band.
 #[inline]
 fn dense_histogram(rows: usize, distinct: usize) -> bool {
-    distinct <= rows.saturating_mul(8)
+    distinct <= rows.saturating_mul(10)
 }
 
 /// The split threshold between adjacent distinct values `a < b`. The plain
@@ -880,8 +976,7 @@ mod tests {
                 counts[i] += 1;
             }
             let ranking = Ranking::new(x.view());
-            let member =
-                DecisionTree::fit_weighted(&config, x.view(), &labels, &ranking, &counts, tree_seed);
+            let member = DecisionTree::fit_weighted(&config, &labels, &ranking, &counts, tree_seed);
             let gathered_labels: Vec<f64> = draws.iter().map(|&i| labels[i]).collect();
             let reference =
                 reference_fit(&config, x.gather(&draws).view(), &gathered_labels, tree_seed);
@@ -890,6 +985,68 @@ mod tests {
                 "bootstrap of {} draws, {context}",
                 draws.len()
             );
+        }
+    }
+
+    /// A ranking's fields as comparable bits: rows, ranks, value bits and
+    /// column starts.
+    fn ranking_bits(r: &Ranking) -> (usize, Vec<u32>, Vec<u64>, Vec<usize>) {
+        let values = r.values.iter().map(|v| v.to_bits()).collect();
+        (r.n_rows, r.ranks.clone(), values, r.starts.clone())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn derived_rankings_match_ranking_the_gathered_batch(seed in 0.0..1e9) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed as u64);
+            let (mut x, labels) = random_batch(&mut rng);
+            let (n, f) = (x.n_rows(), rng.gen_range(0..x.n_cols()));
+            if rng.gen_bool(0.5) {
+                // A column where both signed zeros are common.
+                for i in 0..n {
+                    x.row_mut(i)[f] = [-0.0, 0.0, 0.5, -0.5][rng.gen_range(0..4)];
+                }
+            }
+            let config = random_config(&mut rng, x.n_cols());
+            let tree_seed = rng.gen::<u64>();
+            let parent = Ranking::new(x.view());
+
+            // Shuffled rows, as a CV fold lists its training rows; one row;
+            // column `f`'s +0.0 rows without its -0.0 rows; and draws with
+            // repeats.
+            let mut shuffled: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.7)).collect();
+            shuffled.shuffle(&mut rng);
+            let subsets = [
+                shuffled,
+                vec![rng.gen_range(0..n)],
+                (0..n)
+                    .filter(|&i| x.get(i, f).to_bits() != (-0.0f64).to_bits())
+                    .collect(),
+                (0..rng.gen_range(1..2 * n + 1))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect(),
+            ];
+            for idx in subsets.iter().filter(|idx| !idx.is_empty()) {
+                let context = format!("case seed {seed}, rows {idx:?}");
+                let gathered = x.gather(idx);
+                let derived = parent.subset(x.view(), idx);
+                proptest::prop_assert!(
+                    ranking_bits(&derived) == ranking_bits(&Ranking::new(gathered.view())),
+                    "{context}"
+                );
+
+                let gathered_labels: Vec<f64> = idx.iter().map(|&i| labels[i]).collect();
+                let weights = vec![1; idx.len()];
+                let tree =
+                    DecisionTree::fit_weighted(&config, &gathered_labels, &derived, &weights, tree_seed);
+                let reference = DecisionTree::fit(&config, gathered.view(), &gathered_labels, tree_seed);
+                proptest::prop_assert!(
+                    node_bits(tree.nodes()) == node_bits(reference.nodes()),
+                    "{context}, {config:?}"
+                );
+            }
         }
     }
 
