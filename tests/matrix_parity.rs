@@ -757,3 +757,185 @@ fn empty_prediction_batches_return_empty_results() {
     assert_eq!(er_v.n_rows(), 0);
     assert_eq!(er_p.n_cols(), 2);
 }
+
+// ---------------------------------------------------------------------------
+// Bit pins of the f32 prediction plane.
+// ---------------------------------------------------------------------------
+//
+// The tolerance tests above accept any f32 surface within 1e-5 of the f64
+// goldens, so a change that reorders one f32 sum would pass them. These
+// goldens pin the f32 plane's exact bits instead: literals on the golden
+// scenario, FNV-1a 64 hashes of every f32 entry point the serving paths
+// reach on the test park.
+
+/// FNV-1a 64 over the little-endian bytes of each value's `to_bits`.
+fn fnv1a_bits(values: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+const GOLDEN_F32_BAG_PROB: [f64; 10] = [
+    0.8541667461395264,
+    0.734375,
+    0.1458333432674408,
+    0.875,
+    0.0,
+    0.0,
+    0.682066798210144,
+    0.5161764621734619,
+    0.05000000074505806,
+    0.6833333373069763,
+];
+const GOLDEN_F32_BAG_VAR: [f64; 10] = [
+    0.0516493022441864,
+    0.103271484375,
+    0.0655382052063942,
+    0.109375,
+    0.0,
+    0.0,
+    0.055602509528398514,
+    0.0583881214261055,
+    0.017499998211860657,
+    0.1386111080646515,
+];
+const GOLDEN_F32_IWARE_RESPONSE_P_ROW0: [f64; 4] =
+    [1.0, 1.0, 0.8625063300132751, 0.9210087656974792];
+const GOLDEN_F32_IWARE_RESPONSE_V_ROW0: [f64; 4] =
+    [0.0, 0.0, 0.06874680519104004, 0.039495617151260376];
+/// Hashes of the whole 10 × 4 f32 response surfaces `(probs, vars)`.
+const GOLDEN_F32_IWARE_RESPONSE_HASHES: (u64, u64) = (0x6d4f_4814_3139_ed0a, 0x4d71_e4f9_4cb1_9961);
+
+/// Hashes of one test-park model's f32 outputs: `[risk, uncertainty]` at
+/// effort 1.5 km, `[probs, vars]` of the response surfaces over
+/// [`F32_PIN_GRID`], and `predict` on the test split at a constant 1.5 km
+/// and at the recorded efforts.
+struct F32ParkPins {
+    risk: [u64; 2],
+    response: [u64; 2],
+    predict_constant: u64,
+    predict_varying: u64,
+}
+
+const F32_PIN_GRID: [f64; 4] = [0.5, 1.0, 2.0, 3.5];
+
+const GOLDEN_F32_DTB_IW: F32ParkPins = F32ParkPins {
+    risk: [0xc250_0ff9_f557_edf7, 0x1769_78e6_8c4a_a939],
+    response: [0xe111_1582_40fd_fc31, 0xa9cd_5980_4407_4c82],
+    predict_constant: 0xdacf_716e_cb0f_df3d,
+    predict_varying: 0xb6b4_f2a7_9eb7_9133,
+};
+
+const GOLDEN_F32_DTB: F32ParkPins = F32ParkPins {
+    risk: [0xfdd0_0bed_8b6a_410f, 0xe71d_eb71_9409_b219],
+    response: [0x4fab_eb99_8d7b_ce5d, 0x7066_1884_e371_16b5],
+    predict_constant: 0x7281_3e5d_86c0_9bd7,
+    predict_varying: 0x7281_3e5d_86c0_9bd7,
+};
+
+fn assert_bits(actual: &[f64], golden: &[f64], what: &str) {
+    assert_eq!(actual.len(), golden.len(), "{what}: length mismatch");
+    for (i, (a, g)) in actual.iter().zip(golden).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            g.to_bits(),
+            "{what}[{i}]: {a} is not the pinned {g}"
+        );
+    }
+}
+
+#[test]
+fn f32_plane_bits_match_the_pinned_goldens_on_the_golden_scenario() {
+    use paws_ml::Precision;
+    let (x, labels, efforts) = training_data();
+    let mut bag = BaggingClassifier::fit(&BaggingConfig::trees(8, 9), x.view(), &labels);
+    bag.set_precision(Precision::F32).unwrap();
+    let (p, v) = bag.predict_with_variance(query(&x));
+    assert_bits(&p, &GOLDEN_F32_BAG_PROB, "f32 bagging prob");
+    assert_bits(&v, &GOLDEN_F32_BAG_VAR, "f32 bagging spread var");
+    assert_bits(
+        &bag.predict_proba(query(&x)),
+        &GOLDEN_F32_BAG_PROB,
+        "f32 proba",
+    );
+
+    let mut model = IWareModel::fit(&iware_config(), x.view(), &labels, &efforts);
+    model.set_precision(Precision::F32).unwrap();
+    let (er_p, er_v) = model.effort_response(query(&x), &F32_PIN_GRID);
+    assert_bits(
+        er_p.row(0),
+        &GOLDEN_F32_IWARE_RESPONSE_P_ROW0,
+        "f32 response prob",
+    );
+    assert_bits(
+        er_v.row(0),
+        &GOLDEN_F32_IWARE_RESPONSE_V_ROW0,
+        "f32 response var",
+    );
+    assert_eq!(
+        (fnv1a_bits(er_p.as_slice()), fnv1a_bits(er_v.as_slice())),
+        GOLDEN_F32_IWARE_RESPONSE_HASHES,
+        "f32 response surfaces"
+    );
+}
+
+#[test]
+fn f32_plane_bits_match_the_pinned_goldens_on_the_test_park() {
+    use paws_core::{train, ModelConfig, Precision, Scenario, WeakLearnerKind};
+    use paws_data::{build_dataset, split_by_test_year, Discretization};
+    let scenario = Scenario::test_scenario(3);
+    let history = scenario.simulate_years(2014, 3);
+    let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
+    let split = split_by_test_year(&dataset, 2016, 2).expect("split exists");
+    let prev = dataset.coverage.last().expect("coverage recorded").clone();
+    let test_rows = dataset.feature_rows(&split.test);
+    let test_efforts = dataset.efforts(&split.test);
+    for (use_iware, golden) in [(true, GOLDEN_F32_DTB_IW), (false, GOLDEN_F32_DTB)] {
+        let mut cfg = ModelConfig::new(WeakLearnerKind::DecisionTree, use_iware, 7);
+        cfg.n_learners = 4;
+        cfg.n_estimators = 4;
+        cfg.precision = Precision::F32;
+        let model = train(&dataset, &split, &cfg);
+        let what = if use_iware { "DTB-iW" } else { "DTB" };
+        let hash2 = |(a, b): (&[f64], &[f64])| [fnv1a_bits(a), fnv1a_bits(b)];
+
+        let (r, u) = model.risk_map(&scenario.park, &dataset, &prev, 1.5);
+        assert_eq!(hash2((&r, &u)), golden.risk, "{what} unprepared risk map");
+        let (p, v) = model.park_response(&scenario.park, &dataset, &prev, &F32_PIN_GRID);
+        assert_eq!(
+            hash2((p.as_slice(), v.as_slice())),
+            golden.response,
+            "{what} unprepared response"
+        );
+
+        let prepared = model
+            .prepare_park(&scenario.park, &dataset, &prev)
+            .expect("test park prepares");
+        let (r, u) = model.risk_map_prepared(&prepared, 1.5);
+        assert_eq!(hash2((&r, &u)), golden.risk, "{what} prepared risk map");
+        let (p, v) = model.park_response_prepared(&prepared, &F32_PIN_GRID);
+        assert_eq!(
+            hash2((p.as_slice(), v.as_slice())),
+            golden.response,
+            "{what} prepared response"
+        );
+
+        let constant = model.predict(test_rows.view(), &vec![1.5; test_rows.n_rows()]);
+        assert_eq!(
+            fnv1a_bits(&constant),
+            golden.predict_constant,
+            "{what} predict"
+        );
+        let varying = model.predict(test_rows.view(), &test_efforts);
+        assert_eq!(
+            fnv1a_bits(&varying),
+            golden.predict_varying,
+            "{what} varying-effort predict"
+        );
+    }
+}
