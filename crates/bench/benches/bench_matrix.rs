@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_core::Scenario;
+use paws_data::simd;
 use paws_data::{build_dataset, split_by_test_year, Discretization, Matrix, StandardScaler};
-use paws_data::{simd, simd32};
 use paws_ml::bagging::{BaggingClassifier, BaggingConfig};
 use paws_ml::traits::Classifier;
 use paws_ml::tree::{DecisionTree, TreeConfig};
@@ -215,16 +215,16 @@ fn bench_simd_kernels(c: &mut Criterion) {
         let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
         let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
         group.bench_function("dot_f32x8", |bch| {
-            bch.iter(|| black_box(simd32::dot(&a32, &b32)))
+            bch.iter(|| black_box(simd::dot(&a32, &b32)))
         });
-        group.bench_function("sum_f32x8", |bch| bch.iter(|| black_box(simd32::sum(&a32))));
+        group.bench_function("sum_f32x8", |bch| bch.iter(|| black_box(simd::sum(&a32))));
         group.bench_function("sqdist_f32x8", |bch| {
-            bch.iter(|| black_box(simd32::squared_distance(&a32, &b32)))
+            bch.iter(|| black_box(simd::squared_distance(&a32, &b32)))
         });
         group.bench_function("axpy_f32_autovec", |bch| {
             let mut y = b32.clone();
             bch.iter(|| {
-                simd32::axpy(1.0000001, &a32, &mut y);
+                simd::axpy(1.0000001, &a32, &mut y);
                 black_box(y[0])
             })
         });

@@ -50,8 +50,7 @@
 
 use crate::config::ModelConfig;
 use crate::error::PawsError;
-use paws_data::matrix32::{Matrix32, MatrixView32};
-use paws_data::{Dataset, Matrix, MatrixView, StandardScaler};
+use paws_data::{Dataset, Matrix, Matrix32, MatrixView, MatrixView32, StandardScaler};
 use paws_geo::{CellId, Park};
 use paws_iware::{IWareModel, LearnerTables};
 use paws_ml::bagging::BaggingClassifier;
@@ -416,26 +415,22 @@ impl ServingModel {
         span: &std::ops::Range<usize>,
         effort_km: f64,
     ) -> (Vec<f64>, Vec<f64>) {
+        // The `*32` entry points answer exactly when the model serves from
+        // the f32 plane.
         match &self.fitted {
             FittedModel::IWare(m) => {
-                if m.precision() == Precision::F32 {
-                    if let Some(out) =
-                        m.predict_with_variance_at_effort32(prepared.rows32_span(span), effort_km)
-                    {
-                        return out;
+                match m.predict_with_variance_at_effort32(prepared.rows32_span(span), effort_km) {
+                    Some(out) => out,
+                    None => {
+                        let efforts = vec![effort_km; span.len()];
+                        m.predict_with_variance_at_effort(prepared.rows_span(span), &efforts)
                     }
                 }
-                let efforts = vec![effort_km; span.len()];
-                m.predict_with_variance_at_effort(prepared.rows_span(span), &efforts)
             }
-            FittedModel::Plain(m) => {
-                if m.precision() == Precision::F32 {
-                    if let Some(out) = m.predict_with_variance32(prepared.rows32_span(span)) {
-                        return out;
-                    }
-                }
-                m.predict_with_variance(prepared.rows_span(span))
-            }
+            FittedModel::Plain(m) => match m.predict_with_variance32(prepared.rows32_span(span)) {
+                Some(out) => out,
+                None => m.predict_with_variance(prepared.rows_span(span)),
+            },
         }
     }
 
@@ -507,22 +502,13 @@ impl ServingModel {
     ) -> (Matrix, Matrix) {
         match &self.fitted {
             FittedModel::IWare(m) => {
-                if m.precision() == Precision::F32 {
-                    if let Some(response) =
-                        m.effort_response32(prepared.rows32_span(span), effort_grid)
-                    {
-                        return response;
-                    }
+                match m.effort_response32(prepared.rows32_span(span), effort_grid) {
+                    Some(response) => response,
+                    None => m.effort_response(prepared.rows_span(span), effort_grid),
                 }
-                m.effort_response(prepared.rows_span(span), effort_grid)
             }
             FittedModel::Plain(m) => {
-                let pv = if m.precision() == Precision::F32 {
-                    m.predict_with_variance32(prepared.rows32_span(span))
-                } else {
-                    None
-                };
-                let (p, v) = match pv {
+                let (p, v) = match m.predict_with_variance32(prepared.rows32_span(span)) {
                     Some(out) => out,
                     None => m.predict_with_variance(prepared.rows_span(span)),
                 };

@@ -21,18 +21,17 @@
 //! index-gathered ([`matrix::Matrix::gather`]) rather than row-cloned.
 //! Contiguous hot loops across the workspace (scaler transforms, kernel
 //! rows, triangular solves, ensemble reductions) run on the stable-Rust
-//! `f64x4` micro-kernels in [`simd`]. The opt-in f32 prediction plane
-//! narrows feature batches into [`matrix32::Matrix32`] and runs its
-//! reductions on the `f32x8` kernels in [`simd32`]; training always stays
-//! in f64.
+//! lane micro-kernels in [`simd`]. Matrices and kernels are written once,
+//! generic over the sealed [`Element`] trait (`f64` or `f32`): training
+//! always runs in f64, and the opt-in f32 prediction plane narrows feature
+//! batches into [`Matrix32`] (an alias of `Matrix<f32>`) and runs the same
+//! kernels monomorphised on `f32x8` lanes.
 
 pub mod dataset;
 pub mod discretize;
 pub mod matrix;
-pub mod matrix32;
 pub mod scaler;
 pub mod simd;
-pub mod simd32;
 pub mod split;
 pub mod stats;
 pub mod threshold;
@@ -40,9 +39,9 @@ pub mod trajectory;
 
 pub use dataset::{build_dataset, AppendError, DataPoint, Dataset};
 pub use discretize::{Discretization, SeasonFilter, StepInfo};
-pub use matrix::{Matrix, MatrixView};
-pub use matrix32::{Matrix32, MatrixView32};
+pub use matrix::{Matrix, Matrix32, MatrixView, MatrixView32};
 pub use scaler::StandardScaler;
+pub use simd::Element;
 pub use split::{split_by_test_year, TrainTestSplit};
 pub use stats::DatasetStats;
 pub use threshold::{positive_rate_by_effort_percentile, ThresholdPoint};

@@ -10,9 +10,8 @@
 //! z-score transform run on the element-wise `f64x4` kernels of
 //! [`crate::simd`] (bit-identical to the scalar loops they replace).
 
-use crate::matrix::{Matrix, MatrixView};
-use crate::matrix32::Matrix32;
-use crate::{simd, simd32};
+use crate::matrix::{Matrix, Matrix32, MatrixView};
+use crate::simd;
 use serde::{Deserialize, Serialize};
 
 /// Z-score standardiser fitted per feature column.
@@ -156,7 +155,7 @@ impl StandardScaler {
             .zip(narrow.as_mut_slice().chunks_exact_mut(k))
         {
             simd::standardize(row, &self.means, &self.stds);
-            simd32::narrow(row, out_row);
+            simd::narrow(row, out_row);
         }
         narrow
     }
@@ -174,7 +173,7 @@ impl StandardScaler {
         for (row, out_row) in x.rows().zip(out.as_mut_slice().chunks_exact_mut(k)) {
             scratch.copy_from_slice(row);
             simd::standardize(&mut scratch, &self.means, &self.stds);
-            simd32::narrow(&scratch, out_row);
+            simd::narrow(&scratch, out_row);
         }
         out
     }

@@ -52,12 +52,11 @@
 
 use crate::thresholds::{qualified_count, qualified_learners, select_thresholds, ThresholdMode};
 use crate::weights::{optimize_weights, WeightMode};
-use paws_data::matrix::{Matrix, MatrixView};
-use paws_data::matrix32::{Matrix32, MatrixView32};
-use paws_data::{simd, simd32};
+use paws_data::matrix::{Matrix, Matrix32, MatrixView, MatrixView32};
+use paws_data::simd::{self, Element};
 use paws_ml::bagging::{BaggingClassifier, BaggingConfig, BaseLearnerConfig};
 use paws_ml::cv::stratified_kfold;
-use paws_ml::forest::Forest;
+use paws_ml::forest::{ArenaElement, Forest};
 use paws_ml::forest32::{Forest32, NarrowError};
 use paws_ml::precision::Precision;
 use paws_ml::snapshot::{
@@ -110,114 +109,61 @@ impl IWareConfig {
 /// so fused traverse→reduce→combine stays cache-resident).
 const ROW_CHUNK: usize = 256;
 
+/// A qualified learner set whose weight mass is at most this falls back to
+/// the unweighted mean of its learners. On the f32 plane the cutoff is the
+/// nearest f32; real weight prefixes are either exactly 0.0 (every weight
+/// optimised to zero) or far above the cutoff, so both planes agree on
+/// which prefixes fall back.
+const DEGENERATE_WEIGHT_SUM: f64 = 1e-12;
+
 /// The whole learner stack's trees fused into one arena: `ranges[i]` is the
-/// tree index range of learner `i` within the combined forest.
-struct LearnerStack {
-    forest: Forest,
+/// tree index range of learner `i` within the combined forest. The f64
+/// stack is the fitted one; its `f32` narrowing serves the f32 plane.
+struct LearnerStack<T: ArenaElement = f64> {
+    forest: Forest<T>,
     ranges: Vec<std::ops::Range<usize>>,
 }
 
-impl LearnerStack {
+impl<T: ArenaElement> LearnerStack<T> {
     /// Fused traverse-and-reduce for one row block: batch-traverse the
     /// arena for rows `start..start + len`, then fold each learner's
     /// member rows into `(means, spreads)` (`n_learners × len`, learner-
-    /// major) while the per-tree block is still cache-resident.
-    fn block_prob_var(&self, x: MatrixView<'_>, start: usize, len: usize) -> (Vec<f64>, Vec<f64>) {
-        let mut per_tree = vec![0.0; self.forest.n_trees() * len];
-        self.forest
-            .predict_proba_block(x, start, len, &mut per_tree);
-        let nl = self.ranges.len();
-        let mut probs = vec![0.0; nl * len];
-        let mut vars = vec![0.0; nl * len];
-        for (li, range) in self.ranges.iter().enumerate() {
-            reduce_members(
-                &per_tree,
-                len,
-                range.clone(),
-                &mut probs[li * len..(li + 1) * len],
-                None,
-            );
-        }
-        for (li, range) in self.ranges.iter().enumerate() {
-            reduce_members(
-                &per_tree,
-                len,
-                range.clone(),
-                &mut vars[li * len..(li + 1) * len],
-                Some(&probs[li * len..(li + 1) * len]),
-            );
-        }
-        (probs, vars)
-    }
-}
-
-/// The f32 image of [`LearnerStack`]: the fused arena narrowed to 8-byte
-/// nodes, plus the classifier weights narrowed once — everything the fused
-/// f32 traverse→reduce→combine pipeline touches per block.
-struct LearnerStack32 {
-    forest: Forest32,
-    ranges: Vec<std::ops::Range<usize>>,
-    weights: Vec<f32>,
-}
-
-impl LearnerStack32 {
-    /// Fused traverse-and-reduce for one row block on the f32 plane —
-    /// [`LearnerStack::block_prob_var`] with `f32x8` kernels in the same
-    /// member order.
-    fn block_prob_var(
+    /// major) while the per-tree block is still cache-resident. Without
+    /// `with_variance` the spread pass is skipped and `spreads` is empty.
+    fn block_tables(
         &self,
-        x: MatrixView32<'_>,
+        x: MatrixView<'_, T>,
         start: usize,
         len: usize,
-    ) -> (Vec<f32>, Vec<f32>) {
-        let per_tree = self.block_per_tree(x, start, len);
-        let nl = self.ranges.len();
-        let mut probs = vec![0.0f32; nl * len];
-        let mut vars = vec![0.0f32; nl * len];
-        for (li, range) in self.ranges.iter().enumerate() {
-            reduce_members32(
-                &per_tree,
-                len,
-                range.clone(),
-                &mut probs[li * len..(li + 1) * len],
-                None,
-            );
-        }
-        for (li, range) in self.ranges.iter().enumerate() {
-            reduce_members32(
-                &per_tree,
-                len,
-                range.clone(),
-                &mut vars[li * len..(li + 1) * len],
-                Some(&probs[li * len..(li + 1) * len]),
-            );
-        }
-        (probs, vars)
-    }
-
-    /// Fused traverse-and-reduce for one row block, member means only (the
-    /// probability-only prediction path skips the spread pass).
-    fn block_probs(&self, x: MatrixView32<'_>, start: usize, len: usize) -> Vec<f32> {
-        let per_tree = self.block_per_tree(x, start, len);
-        let nl = self.ranges.len();
-        let mut probs = vec![0.0f32; nl * len];
-        for (li, range) in self.ranges.iter().enumerate() {
-            reduce_members32(
-                &per_tree,
-                len,
-                range.clone(),
-                &mut probs[li * len..(li + 1) * len],
-                None,
-            );
-        }
-        probs
-    }
-
-    fn block_per_tree(&self, x: MatrixView32<'_>, start: usize, len: usize) -> Vec<f32> {
-        let mut per_tree = vec![0.0f32; self.forest.n_trees() * len];
+        with_variance: bool,
+    ) -> (Vec<T>, Vec<T>) {
+        let mut per_tree = vec![T::ZERO; self.forest.n_trees() * len];
         self.forest
             .predict_proba_block(x, start, len, &mut per_tree);
-        per_tree
+        let nl = self.ranges.len();
+        let mut probs = vec![T::ZERO; nl * len];
+        let mut vars = vec![T::ZERO; if with_variance { nl * len } else { 0 }];
+        for (li, range) in self.ranges.iter().enumerate() {
+            reduce_members(
+                &per_tree,
+                len,
+                range.clone(),
+                &mut probs[li * len..(li + 1) * len],
+                None,
+            );
+        }
+        if with_variance {
+            for (li, range) in self.ranges.iter().enumerate() {
+                reduce_members(
+                    &per_tree,
+                    len,
+                    range.clone(),
+                    &mut vars[li * len..(li + 1) * len],
+                    Some(&probs[li * len..(li + 1) * len]),
+                );
+            }
+        }
+        (probs, vars)
     }
 }
 
@@ -341,13 +287,12 @@ pub struct IWareModel {
     n_features: usize,
     /// Present when every learner is a tree ensemble (the DTB variants).
     stack: Option<LearnerStack>,
-    /// Which plane serves the park-wide prediction paths; fitting and the
-    /// f64 stack are untouched by the switch.
-    precision: Precision,
-    /// Narrowed stack, present only while `precision` is
-    /// [`Precision::F32`] and the learners are tree ensembles (a derived
-    /// cache of `stack`, rebuilt on demand, never serialized).
-    stack32: Option<LearnerStack32>,
+    /// The f32 plane: the fused stack narrowed to 8-byte nodes, with the
+    /// weights narrowed once. Present exactly while a tree stack is
+    /// switched to [`Precision::F32`], which makes f32 the serving plane of
+    /// the park-wide paths (a derived cache of `stack` and `weights`,
+    /// rebuilt on demand, never serialized; fitting is untouched).
+    stack32: Option<(LearnerStack<f32>, Vec<f32>)>,
     config: IWareConfig,
 }
 
@@ -430,7 +375,6 @@ impl IWareModel {
             weights,
             n_features: x.n_cols(),
             stack,
-            precision: Precision::F64,
             stack32: None,
             config: config.clone(),
         };
@@ -580,7 +524,6 @@ impl IWareModel {
             weights,
             n_features: x.n_cols(),
             stack,
-            precision: Precision::F64,
             stack32: None,
             config: config.clone(),
         };
@@ -677,7 +620,6 @@ impl IWareModel {
             weights,
             n_features: x.n_cols(),
             stack,
-            precision: Precision::F64,
             stack32: None,
             config: config.clone(),
         };
@@ -693,6 +635,7 @@ impl IWareModel {
     /// widening only the emitted surface. Per-row *varying*-effort
     /// prediction and non-tree learner stacks keep the f64 path regardless
     /// (they are not park-wide hot paths). Training is never affected.
+    ///
     /// # Errors
     /// Returns the [`NarrowError`] when the fused learner-stack arena
     /// exceeds the f32 plane's packing caps (2²⁴ nodes / 256 features);
@@ -702,23 +645,30 @@ impl IWareModel {
             Precision::F32 => {
                 if self.stack32.is_none() {
                     if let Some(stack) = &self.stack {
-                        self.stack32 = Some(LearnerStack32 {
+                        let narrowed = LearnerStack {
                             forest: Forest32::try_from_forest(&stack.forest)?,
                             ranges: stack.ranges.clone(),
-                            weights: self.weights.iter().map(|&w| w as f32).collect(),
-                        });
+                        };
+                        let weights = self.weights.iter().map(|&w| w as f32).collect();
+                        self.stack32 = Some((narrowed, weights));
                     }
                 }
             }
             Precision::F64 => self.stack32 = None,
         }
-        self.precision = precision;
         Ok(())
     }
 
-    /// The plane currently serving park-wide predictions.
+    /// The plane currently serving park-wide predictions: [`Precision::F32`]
+    /// exactly while a narrowed learner stack is resident, so a GP or SVM
+    /// stack, which has no f32 plane, reports [`Precision::F64`] whatever
+    /// was asked of [`IWareModel::set_precision`].
     pub fn precision(&self) -> Precision {
-        self.precision
+        if self.stack32.is_some() {
+            Precision::F32
+        } else {
+            Precision::F64
+        }
     }
 
     /// Size of the narrowed f32 arena as `(n_trees, n_nodes)`; `None`
@@ -727,7 +677,7 @@ impl IWareModel {
     pub fn arena32_stats(&self) -> Option<(usize, usize)> {
         self.stack32
             .as_ref()
-            .map(|s| (s.forest.n_trees(), s.forest.n_nodes()))
+            .map(|(s, _)| (s.forest.n_trees(), s.forest.n_nodes()))
     }
 
     /// The fitted thresholds θᵢ, ascending.
@@ -894,7 +844,8 @@ impl IWareModel {
         let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
         let n_rows = tables.n_rows;
         blocked_response(n_rows, effort_grid.len(), |start, len, p_flat, v_flat| {
-            self.combine_levels_block(
+            combine_levels_block(
+                &self.weights,
                 prefix_lens.as_deref(),
                 &qualified_per_level,
                 LearnerTable::new(&tables.probs, n_rows, start),
@@ -904,6 +855,91 @@ impl IWareModel {
                 v_flat,
             );
         })
+    }
+
+    /// Constant-effort risk (and, `with_variance`, uncertainty; empty
+    /// otherwise) from a fused learner stack on either plane: per
+    /// [`ROW_CHUNK`]-row block, traverse → reduce → combine while the block
+    /// is cache-resident, widening each combined block at emission.
+    fn stack_at_effort<T: ArenaElement>(
+        &self,
+        (stack, weights): (&LearnerStack<T>, &[T]),
+        x: MatrixView<'_, T>,
+        effort: f64,
+        with_variance: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let q = qualified_learners(&self.thresholds, effort);
+        let n_rows = x.n_rows();
+        let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
+        let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
+            .into_par_iter()
+            .map(|start| {
+                let len = ROW_CHUNK.min(n_rows - start);
+                let (probs, vars) = stack.block_tables(x, start, len, with_variance);
+                let combine = |table: &[T]| {
+                    T::into_f64_vec(combine_rows(
+                        LearnerTable::new(table, len, 0),
+                        weights,
+                        &q,
+                        len,
+                    ))
+                };
+                let v = if with_variance {
+                    combine(&vars)
+                } else {
+                    Vec::new()
+                };
+                (combine(&probs), v)
+            })
+            .collect();
+        let mut p_all = Vec::with_capacity(n_rows);
+        let mut v_all = Vec::with_capacity(if with_variance { n_rows } else { 0 });
+        for (p, v) in parts {
+            p_all.extend_from_slice(&p);
+            v_all.extend_from_slice(&v);
+        }
+        (p_all, v_all)
+    }
+
+    /// Response surfaces from a fused learner stack on either plane,
+    /// cell-parallel and fused per block: traverse → reduce → combine every
+    /// level, widening at emission.
+    fn stack_response<T: ArenaElement>(
+        &self,
+        (stack, weights): (&LearnerStack<T>, &[T]),
+        x: MatrixView<'_, T>,
+        effort_grid: &[f64],
+    ) -> (Matrix, Matrix) {
+        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
+        blocked_response(
+            x.n_rows(),
+            effort_grid.len(),
+            |start, len, p_flat, v_flat| {
+                let (probs, vars) = stack.block_tables(x, start, len, true);
+                combine_levels_block(
+                    weights,
+                    prefix_lens.as_deref(),
+                    &qualified_per_level,
+                    LearnerTable::new(&probs, len, 0),
+                    LearnerTable::new(&vars, len, 0),
+                    len,
+                    p_flat,
+                    v_flat,
+                );
+            },
+        )
+    }
+
+    /// The fitted stack with the f64 weights, when the learners are trees.
+    fn f64_stack(&self) -> Option<(&LearnerStack, &[f64])> {
+        self.stack.as_ref().map(|stack| (stack, &self.weights[..]))
+    }
+
+    /// The narrowed stack with its f32 weights, while one is resident.
+    fn f32_stack(&self) -> Option<(&LearnerStack<f32>, &[f32])> {
+        self.stack32
+            .as_ref()
+            .map(|(stack, weights)| (stack, &weights[..]))
     }
 
     /// Constant-effort probability prediction served natively from the f32
@@ -920,26 +956,10 @@ impl IWareModel {
         x32: MatrixView32<'_>,
         effort: f64,
     ) -> Option<Vec<f64>> {
-        let stack32 = self.stack32.as_ref()?;
-        if x32.n_rows() == 0 {
-            return Some(Vec::new());
-        }
-        let q = qualified_learners(&self.thresholds, effort);
-        let n_rows = x32.n_rows();
-        let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-        let parts: Vec<Vec<f64>> = starts
-            .into_par_iter()
-            .map(|start| {
-                let len = ROW_CHUNK.min(n_rows - start);
-                let probs = stack32.block_probs(x32, start, len);
-                let p32 =
-                    combine_rows32(LearnerTable::new(&probs, len, 0), &stack32.weights, &q, len);
-                let mut out = vec![0.0f64; len];
-                simd32::widen(&p32, &mut out);
-                out
-            })
-            .collect();
-        Some(parts.concat())
+        Some(
+            self.stack_at_effort(self.f32_stack()?, x32, effort, false)
+                .0,
+        )
     }
 
     /// Constant-effort probability + uncertainty served natively from the
@@ -952,36 +972,7 @@ impl IWareModel {
         x32: MatrixView32<'_>,
         effort: f64,
     ) -> Option<(Vec<f64>, Vec<f64>)> {
-        let stack32 = self.stack32.as_ref()?;
-        if x32.n_rows() == 0 {
-            return Some((Vec::new(), Vec::new()));
-        }
-        let q = qualified_learners(&self.thresholds, effort);
-        let n_rows = x32.n_rows();
-        let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-        let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
-            .into_par_iter()
-            .map(|start| {
-                let len = ROW_CHUNK.min(n_rows - start);
-                let (probs, vars) = stack32.block_prob_var(x32, start, len);
-                let p32 =
-                    combine_rows32(LearnerTable::new(&probs, len, 0), &stack32.weights, &q, len);
-                let v32 =
-                    combine_rows32(LearnerTable::new(&vars, len, 0), &stack32.weights, &q, len);
-                let mut p = vec![0.0f64; len];
-                let mut v = vec![0.0f64; len];
-                simd32::widen(&p32, &mut p);
-                simd32::widen(&v32, &mut v);
-                (p, v)
-            })
-            .collect();
-        let mut p_all = Vec::with_capacity(n_rows);
-        let mut v_all = Vec::with_capacity(n_rows);
-        for (p, v) in parts {
-            p_all.extend_from_slice(&p);
-            v_all.extend_from_slice(&v);
-        }
-        Some((p_all, v_all))
+        Some(self.stack_at_effort(self.f32_stack()?, x32, effort, true))
     }
 
     /// Predict the probability of detected poaching for each row, given the
@@ -991,19 +982,20 @@ impl IWareModel {
         if x.n_rows() == 0 {
             return Vec::new();
         }
+        let constant = efforts.windows(2).all(|w| w[0] == w[1]);
         // Constant-effort batches on the f32 plane (the risk-map shape):
         // narrow the batch once, then run the fused per-block pipeline in
-        // f32 end-to-end through the pre-narrowed entry point.
-        if self.stack32.is_some() && efforts.windows(2).all(|w| w[0] == w[1]) {
+        // f32 end-to-end.
+        if let (true, Some(stack32)) = (constant, self.f32_stack()) {
             let x32 = Matrix32::from_f64(x);
-            if let Some(out) = self.predict_proba_at_effort32(x32.view(), efforts[0]) {
-                return out;
-            }
+            return self
+                .stack_at_effort(stack32, x32.view(), efforts[0], false)
+                .0;
         }
         let per_learner = self.learner_probabilities(x);
         // A constant effort (the risk-map path) means one qualified set for
         // every row: combine learner-major with contiguous axpy rows.
-        if efforts.windows(2).all(|w| w[0] == w[1]) {
+        if constant {
             let q = qualified_learners(&self.thresholds, efforts[0]);
             return combine_rows(
                 LearnerTable::new(per_learner.as_slice(), x.n_rows(), 0),
@@ -1037,37 +1029,16 @@ impl IWareModel {
         // every row; tree stacks run the fused per-block pipeline, other
         // learners combine their full tables learner-major.
         if efforts.windows(2).all(|w| w[0] == w[1]) {
-            if self.stack32.is_some() {
-                // The f32 plane's fused pipeline; narrow once, then run the
-                // pre-narrowed entry point end-to-end.
+            if let Some(stack32) = self.f32_stack() {
+                // The f32 plane's fused pipeline; narrow once, then run it
+                // end-to-end.
                 let x32 = Matrix32::from_f64(x);
-                if let Some(out) = self.predict_with_variance_at_effort32(x32.view(), efforts[0]) {
-                    return out;
-                }
+                return self.stack_at_effort(stack32, x32.view(), efforts[0], true);
             }
-            let Some(stack) = &self.stack else {
-                return self.combine_at_effort(&self.learner_prob_var(x), efforts[0]);
+            return match self.f64_stack() {
+                Some(stack) => self.stack_at_effort(stack, x, efforts[0], true),
+                None => self.combine_at_effort(&self.learner_prob_var(x), efforts[0]),
             };
-            let q = qualified_learners(&self.thresholds, efforts[0]);
-            let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-            let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
-                .into_par_iter()
-                .map(|start| {
-                    let len = ROW_CHUNK.min(n_rows - start);
-                    let (probs, vars) = stack.block_prob_var(x, start, len);
-                    (
-                        combine_rows(LearnerTable::new(&probs, len, 0), &self.weights, &q, len),
-                        combine_rows(LearnerTable::new(&vars, len, 0), &self.weights, &q, len),
-                    )
-                })
-                .collect();
-            let mut p_all = Vec::with_capacity(n_rows);
-            let mut v_all = Vec::with_capacity(n_rows);
-            for (p, v) in parts {
-                p_all.extend_from_slice(&p);
-                v_all.extend_from_slice(&v);
-            }
-            return (p_all, v_all);
         }
         let tables = self.learner_prob_var(x);
         let p_table = LearnerTable::new(&tables.probs, n_rows, 0);
@@ -1105,33 +1076,14 @@ impl IWareModel {
         }
         // The f32 plane narrows the feature batch once and serves the
         // whole surface from the narrowed stack.
-        if self.stack32.is_some() {
+        if let Some(stack32) = self.f32_stack() {
             let x32 = Matrix32::from_f64(x);
-            if let Some(response) = self.effort_response32(x32.view(), effort_grid) {
-                return response;
-            }
+            return self.stack_response(stack32, x32.view(), effort_grid);
         }
-        let Some(stack) = &self.stack else {
-            return self.combine_response(&self.learner_prob_var(x), effort_grid);
-        };
-        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
-        blocked_response(
-            x.n_rows(),
-            effort_grid.len(),
-            |start, len, p_flat, v_flat| {
-                // Fused: traverse → reduce → combine, one block.
-                let (probs, vars) = stack.block_prob_var(x, start, len);
-                self.combine_levels_block(
-                    prefix_lens.as_deref(),
-                    &qualified_per_level,
-                    LearnerTable::new(&probs, len, 0),
-                    LearnerTable::new(&vars, len, 0),
-                    len,
-                    p_flat,
-                    v_flat,
-                );
-            },
-        )
+        match self.f64_stack() {
+            Some(stack) => self.stack_response(stack, x, effort_grid),
+            None => self.combine_response(&self.learner_prob_var(x), effort_grid),
+        }
     }
 
     /// [`IWareModel::effort_response`] served natively from the f32 plane:
@@ -1147,26 +1099,9 @@ impl IWareModel {
         x32: MatrixView32<'_>,
         effort_grid: &[f64],
     ) -> Option<(Matrix, Matrix)> {
-        let stack32 = self.stack32.as_ref()?;
+        let stack32 = self.f32_stack()?;
         assert!(!effort_grid.is_empty(), "empty effort grid");
-        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
-        Some(blocked_response(
-            x32.n_rows(),
-            effort_grid.len(),
-            |start, len, p_flat, v_flat| {
-                let (probs, vars) = stack32.block_prob_var(x32, start, len);
-                combine_levels_block32(
-                    &stack32.weights,
-                    prefix_lens.as_deref(),
-                    &qualified_per_level,
-                    LearnerTable::new(&probs, len, 0),
-                    LearnerTable::new(&vars, len, 0),
-                    len,
-                    p_flat,
-                    v_flat,
-                );
-            },
-        ))
+        Some(self.stack_response(stack32, x32, effort_grid))
     }
 
     /// [`IWareModel::effort_response`] with the adversarial-input guard:
@@ -1275,7 +1210,6 @@ impl IWareModel {
             weights,
             n_features,
             stack: Some(LearnerStack { forest, ranges }),
-            precision: Precision::F64,
             stack32: None,
             config,
         })
@@ -1306,87 +1240,6 @@ impl IWareModel {
             }
         };
         (qualified_per_level, prefix_lens)
-    }
-
-    /// Combine one block of per-learner tables over every effort level,
-    /// writing row-major `len × n_levels` output. `prefix_lens` selects the
-    /// incremental learner-major path (contiguous `f64x4` axpy per new
-    /// learner, packed emission divides); otherwise each row combines its
-    /// qualified set indexed. Per element both paths replay the exact
-    /// operation sequence of [`combine_table_indexed`].
-    #[allow(clippy::too_many_arguments)]
-    fn combine_levels_block(
-        &self,
-        prefix_lens: Option<&[usize]>,
-        qualified_per_level: &[Vec<usize>],
-        p_table: LearnerTable<'_, f64>,
-        v_table: LearnerTable<'_, f64>,
-        len: usize,
-        p_flat: &mut [f64],
-        v_flat: &mut [f64],
-    ) {
-        let n_levels = qualified_per_level.len();
-        if let Some(lens) = prefix_lens {
-            // Degenerate prefixes (weight mass ≤ 1e-12) fall back to the
-            // unweighted mean; whether any exist depends only on the
-            // weights (same accumulation order as the loop below).
-            let needs_unweighted = {
-                let mut wsum = 0.0;
-                let mut taken = 0usize;
-                lens.iter().any(|&l| {
-                    while taken < l {
-                        wsum += self.weights[taken];
-                        taken += 1;
-                    }
-                    wsum <= 1e-12
-                })
-            };
-            let mut acc_p = vec![0.0; len];
-            let mut acc_v = vec![0.0; len];
-            let mut sum_p = vec![0.0; if needs_unweighted { len } else { 0 }];
-            let mut sum_v = vec![0.0; if needs_unweighted { len } else { 0 }];
-            // Scratch for the emission divide: one packed `f64x4` division
-            // pass per level (the same IEEE divide per element as the
-            // scalar `acc / wsum`).
-            let mut emit = vec![0.0; len];
-            let mut wsum = 0.0;
-            let mut taken = 0usize;
-            for (e, &l) in lens.iter().enumerate() {
-                while taken < l {
-                    let w = self.weights[taken];
-                    wsum += w;
-                    simd::axpy(w, p_table.row(taken, len), &mut acc_p);
-                    simd::axpy(w, v_table.row(taken, len), &mut acc_v);
-                    if needs_unweighted {
-                        simd::add_assign(&mut sum_p, p_table.row(taken, len));
-                        simd::add_assign(&mut sum_v, v_table.row(taken, len));
-                    }
-                    taken += 1;
-                }
-                let (divisor, from_p, from_v) = if wsum <= 1e-12 {
-                    (taken.max(1) as f64, &sum_p, &sum_v)
-                } else {
-                    (wsum, &acc_p, &acc_v)
-                };
-                emit.copy_from_slice(from_p);
-                simd::div_assign(&mut emit, divisor);
-                for (r, &val) in emit.iter().enumerate() {
-                    p_flat[r * n_levels + e] = val;
-                }
-                emit.copy_from_slice(from_v);
-                simd::div_assign(&mut emit, divisor);
-                for (r, &val) in emit.iter().enumerate() {
-                    v_flat[r * n_levels + e] = val;
-                }
-            }
-        } else {
-            for r in 0..len {
-                for (e, q) in qualified_per_level.iter().enumerate() {
-                    p_flat[r * n_levels + e] = combine_table_indexed(&p_table, &self.weights, q, r);
-                    v_flat[r * n_levels + e] = combine_table_indexed(&v_table, &self.weights, q, r);
-                }
-            }
-        }
     }
 }
 
@@ -1426,23 +1279,23 @@ impl<'a, T: Copy> LearnerTable<'a, T> {
 /// into a learner table (no per-row scratch vector). Operation order
 /// matches [`crate::weights::combine`] exactly, so results are
 /// bit-identical.
-fn combine_table_indexed(
-    table: &LearnerTable<'_, f64>,
-    weights: &[f64],
+fn combine_table_indexed<T: Element>(
+    table: &LearnerTable<'_, T>,
+    weights: &[T],
     qualified: &[usize],
     r: usize,
-) -> f64 {
-    let mut wsum = 0.0;
-    let mut acc = 0.0;
+) -> T {
+    let mut wsum = T::ZERO;
+    let mut acc = T::ZERO;
     for &i in qualified {
         wsum += weights[i];
         acc += weights[i] * table.get(i, r);
     }
-    if wsum <= 1e-12 {
+    if wsum <= T::from_f64(DEGENERATE_WEIGHT_SUM) {
         // Degenerate weights: fall back to the unweighted mean of the
         // qualified learners.
-        let n = qualified.len().max(1) as f64;
-        qualified.iter().map(|&i| table.get(i, r)).sum::<f64>() / n
+        let n = T::from_usize(qualified.len().max(1));
+        qualified.iter().map(|&i| table.get(i, r)).sum::<T>() / n
     } else {
         acc / wsum
     }
@@ -1450,26 +1303,26 @@ fn combine_table_indexed(
 
 /// Weighted combination of one qualified set across a whole block of rows
 /// at once: each qualified learner streams its contiguous prediction row
-/// into the accumulator with one `f64x4` axpy. Per element this performs
-/// the exact operation sequence of [`combine_table_indexed`] (same learner
-/// order, same trailing division), so results are bit-identical to the
-/// per-row path.
-fn combine_rows(
-    per_learner: LearnerTable<'_, f64>,
-    weights: &[f64],
+/// into the accumulator with one lane-kernel axpy. Per element this
+/// performs the exact operation sequence of [`combine_table_indexed`] (same
+/// learner order, same trailing division), so results are bit-identical to
+/// the per-row path.
+fn combine_rows<T: Element>(
+    per_learner: LearnerTable<'_, T>,
+    weights: &[T],
     qualified: &[usize],
     len: usize,
-) -> Vec<f64> {
-    let mut acc = vec![0.0; len];
-    let mut wsum = 0.0;
+) -> Vec<T> {
+    let mut acc = vec![T::ZERO; len];
+    let mut wsum = T::ZERO;
     for &i in qualified {
         wsum += weights[i];
         simd::axpy(weights[i], per_learner.row(i, len), &mut acc);
     }
-    if wsum <= 1e-12 {
+    if wsum <= T::from_f64(DEGENERATE_WEIGHT_SUM) {
         // Degenerate weights: unweighted mean of the qualified learners.
-        let n = qualified.len().max(1) as f64;
-        let mut sum = vec![0.0; len];
+        let n = T::from_usize(qualified.len().max(1));
+        let mut sum = vec![T::ZERO; len];
         for &i in qualified {
             simd::add_assign(&mut sum, per_learner.row(i, len));
         }
@@ -1478,6 +1331,88 @@ fn combine_rows(
     } else {
         simd::div_assign(&mut acc, wsum);
         acc
+    }
+}
+
+/// Combine one block of per-learner tables over every effort level,
+/// writing row-major `len × n_levels` output widened to f64. `prefix_lens`
+/// selects the incremental learner-major path (contiguous lane-kernel axpy
+/// per new learner, packed emission divides); otherwise each row combines
+/// its qualified set indexed. Per element both paths replay the exact
+/// operation sequence of [`combine_table_indexed`].
+#[allow(clippy::too_many_arguments)]
+fn combine_levels_block<T: Element>(
+    weights: &[T],
+    prefix_lens: Option<&[usize]>,
+    qualified_per_level: &[Vec<usize>],
+    p_table: LearnerTable<'_, T>,
+    v_table: LearnerTable<'_, T>,
+    len: usize,
+    p_flat: &mut [f64],
+    v_flat: &mut [f64],
+) {
+    let n_levels = qualified_per_level.len();
+    let degenerate = T::from_f64(DEGENERATE_WEIGHT_SUM);
+    if let Some(lens) = prefix_lens {
+        // Degenerate prefixes fall back to the unweighted mean; whether any
+        // exist depends only on the weights (same accumulation order as the
+        // loop below).
+        let needs_unweighted = {
+            let mut wsum = T::ZERO;
+            let mut taken = 0usize;
+            lens.iter().any(|&l| {
+                while taken < l {
+                    wsum += weights[taken];
+                    taken += 1;
+                }
+                wsum <= degenerate
+            })
+        };
+        let mut acc_p = vec![T::ZERO; len];
+        let mut acc_v = vec![T::ZERO; len];
+        let mut sum_p = vec![T::ZERO; if needs_unweighted { len } else { 0 }];
+        let mut sum_v = vec![T::ZERO; if needs_unweighted { len } else { 0 }];
+        // Scratch for the emission divide: one packed division pass per
+        // level (the same IEEE divide per element as the scalar
+        // `acc / wsum`).
+        let mut emit = vec![T::ZERO; len];
+        let mut wsum = T::ZERO;
+        let mut taken = 0usize;
+        for (e, &l) in lens.iter().enumerate() {
+            while taken < l {
+                let w = weights[taken];
+                wsum += w;
+                simd::axpy(w, p_table.row(taken, len), &mut acc_p);
+                simd::axpy(w, v_table.row(taken, len), &mut acc_v);
+                if needs_unweighted {
+                    simd::add_assign(&mut sum_p, p_table.row(taken, len));
+                    simd::add_assign(&mut sum_v, v_table.row(taken, len));
+                }
+                taken += 1;
+            }
+            let (divisor, from_p, from_v) = if wsum <= degenerate {
+                (T::from_usize(taken.max(1)), &sum_p, &sum_v)
+            } else {
+                (wsum, &acc_p, &acc_v)
+            };
+            emit.copy_from_slice(from_p);
+            simd::div_assign(&mut emit, divisor);
+            for (r, &val) in emit.iter().enumerate() {
+                p_flat[r * n_levels + e] = val.to_f64();
+            }
+            emit.copy_from_slice(from_v);
+            simd::div_assign(&mut emit, divisor);
+            for (r, &val) in emit.iter().enumerate() {
+                v_flat[r * n_levels + e] = val.to_f64();
+            }
+        }
+    } else {
+        for r in 0..len {
+            for (e, q) in qualified_per_level.iter().enumerate() {
+                p_flat[r * n_levels + e] = combine_table_indexed(&p_table, weights, q, r).to_f64();
+                v_flat[r * n_levels + e] = combine_table_indexed(&v_table, weights, q, r).to_f64();
+            }
+        }
     }
 }
 
@@ -1512,175 +1447,20 @@ fn blocked_response(
     )
 }
 
-/// [`IWareModel::combine_levels_block`] on the f32 plane: identical level /
-/// learner traversal with `f32x8` kernels and f32 weights, widening each
-/// combined value to f64 only at emission into the output surface.
-#[allow(clippy::too_many_arguments)]
-fn combine_levels_block32(
-    weights: &[f32],
-    prefix_lens: Option<&[usize]>,
-    qualified_per_level: &[Vec<usize>],
-    p_table: LearnerTable<'_, f32>,
-    v_table: LearnerTable<'_, f32>,
-    len: usize,
-    p_flat: &mut [f64],
-    v_flat: &mut [f64],
-) {
-    let n_levels = qualified_per_level.len();
-    if let Some(lens) = prefix_lens {
-        let needs_unweighted = {
-            let mut wsum = 0.0f32;
-            let mut taken = 0usize;
-            lens.iter().any(|&l| {
-                while taken < l {
-                    wsum += weights[taken];
-                    taken += 1;
-                }
-                wsum <= DEGENERATE_WEIGHT_SUM_32
-            })
-        };
-        let mut acc_p = vec![0.0f32; len];
-        let mut acc_v = vec![0.0f32; len];
-        let mut sum_p = vec![0.0f32; if needs_unweighted { len } else { 0 }];
-        let mut sum_v = vec![0.0f32; if needs_unweighted { len } else { 0 }];
-        let mut emit = vec![0.0f32; len];
-        let mut wsum = 0.0f32;
-        let mut taken = 0usize;
-        for (e, &l) in lens.iter().enumerate() {
-            while taken < l {
-                let w = weights[taken];
-                wsum += w;
-                simd32::axpy(w, p_table.row(taken, len), &mut acc_p);
-                simd32::axpy(w, v_table.row(taken, len), &mut acc_v);
-                if needs_unweighted {
-                    simd32::add_assign(&mut sum_p, p_table.row(taken, len));
-                    simd32::add_assign(&mut sum_v, v_table.row(taken, len));
-                }
-                taken += 1;
-            }
-            let (divisor, from_p, from_v) = if wsum <= DEGENERATE_WEIGHT_SUM_32 {
-                (taken.max(1) as f32, &sum_p, &sum_v)
-            } else {
-                (wsum, &acc_p, &acc_v)
-            };
-            emit.copy_from_slice(from_p);
-            simd32::div_assign(&mut emit, divisor);
-            for (r, &val) in emit.iter().enumerate() {
-                p_flat[r * n_levels + e] = f64::from(val);
-            }
-            emit.copy_from_slice(from_v);
-            simd32::div_assign(&mut emit, divisor);
-            for (r, &val) in emit.iter().enumerate() {
-                v_flat[r * n_levels + e] = f64::from(val);
-            }
-        }
-    } else {
-        for r in 0..len {
-            for (e, q) in qualified_per_level.iter().enumerate() {
-                p_flat[r * n_levels + e] =
-                    f64::from(combine_table_indexed32(&p_table, weights, q, r));
-                v_flat[r * n_levels + e] =
-                    f64::from(combine_table_indexed32(&v_table, weights, q, r));
-            }
-        }
-    }
-}
-
-/// The degenerate-weight cutoff of the f32 combine paths. The f64 paths use
-/// `1e-12`; real weight prefixes are either exactly 0.0 (every weight in
-/// the prefix optimised to zero) or ≥ the smallest representable simplex
-/// mass, far above either cutoff, so the two planes agree on which prefixes
-/// fall back to the unweighted mean.
-const DEGENERATE_WEIGHT_SUM_32: f32 = 1e-12;
-
-/// [`combine_table_indexed`] on the f32 plane (same learner order).
-fn combine_table_indexed32(
-    table: &LearnerTable<'_, f32>,
-    weights: &[f32],
-    qualified: &[usize],
-    r: usize,
-) -> f32 {
-    let mut wsum = 0.0f32;
-    let mut acc = 0.0f32;
-    for &i in qualified {
-        wsum += weights[i];
-        acc += weights[i] * table.get(i, r);
-    }
-    if wsum <= DEGENERATE_WEIGHT_SUM_32 {
-        let n = qualified.len().max(1) as f32;
-        qualified.iter().map(|&i| table.get(i, r)).sum::<f32>() / n
-    } else {
-        acc / wsum
-    }
-}
-
-/// [`combine_rows`] on the f32 plane: one `f32x8` axpy per qualified
-/// learner, same learner order and trailing division.
-fn combine_rows32(
-    per_learner: LearnerTable<'_, f32>,
-    weights: &[f32],
-    qualified: &[usize],
-    len: usize,
-) -> Vec<f32> {
-    let mut acc = vec![0.0f32; len];
-    let mut wsum = 0.0f32;
-    for &i in qualified {
-        wsum += weights[i];
-        simd32::axpy(weights[i], per_learner.row(i, len), &mut acc);
-    }
-    if wsum <= DEGENERATE_WEIGHT_SUM_32 {
-        let n = qualified.len().max(1) as f32;
-        let mut sum = vec![0.0f32; len];
-        for &i in qualified {
-            simd32::add_assign(&mut sum, per_learner.row(i, len));
-        }
-        simd32::div_assign(&mut sum, n);
-        sum
-    } else {
-        simd32::div_assign(&mut acc, wsum);
-        acc
-    }
-}
-
-/// [`reduce_members`] on the f32 plane: member mean / spread of a tree-major
-/// f32 prediction table, in the same member order.
-fn reduce_members32(
-    per_tree: &[f32],
-    stride: usize,
-    range: std::ops::Range<usize>,
-    out: &mut [f32],
-    mean: Option<&[f32]>,
-) {
-    let b = range.len() as f32;
-    match mean {
-        None => {
-            for t in range {
-                simd32::add_assign(out, &per_tree[t * stride..][..out.len()]);
-            }
-        }
-        Some(mean) => {
-            for t in range {
-                simd32::accumulate_sq_diff(out, &per_tree[t * stride..][..out.len()], mean);
-            }
-        }
-    }
-    simd32::div_assign(out, b);
-}
-
 /// Accumulate member (tree) rows `range` of a tree-major prediction table
 /// (`row t` at `per_tree[t·stride..]`, `out.len()` wide) into `out`: the
 /// member mean when `mean` is `None`, otherwise the member spread around
-/// the given mean. The element-wise `f64x4` kernels keep the accumulation
+/// the given mean. The element-wise lane kernels keep the accumulation
 /// order and trailing division exactly as in [`BaggingClassifier`]'s
 /// per-learner reduction, so the fused-arena path is bit-identical to it.
-fn reduce_members(
-    per_tree: &[f64],
+fn reduce_members<T: Element>(
+    per_tree: &[T],
     stride: usize,
     range: std::ops::Range<usize>,
-    out: &mut [f64],
-    mean: Option<&[f64]>,
+    out: &mut [T],
+    mean: Option<&[T]>,
 ) {
-    let b = range.len() as f64;
+    let b = T::from_usize(range.len());
     match mean {
         None => {
             for t in range {
@@ -2354,6 +2134,30 @@ mod tests {
     }
 
     #[test]
+    fn f32_switch_is_a_no_op_for_gp_learner_stacks() {
+        // A GPB-iW stack has no f32 plane: the switch keeps it serving f64
+        // bits, and `precision` reports the plane that actually serves.
+        let (rows, labels, efforts, _) = noisy_poaching_data(200, 19);
+        let cfg = IWareConfig {
+            base: BaggingConfig::gps(2, 5),
+            ..quick_config(3)
+        };
+        let mut model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+        let q = rows.view().head(25);
+        let grid = [0.5, 2.0];
+        let (p64, v64) = model.effort_response(q, &grid);
+        model.set_precision(Precision::F32).unwrap();
+        assert_eq!(model.precision(), Precision::F64);
+        assert!(model.arena32_stats().is_none());
+        assert!(model
+            .predict_with_variance_at_effort32(Matrix32::from_f64(q).view(), 1.0)
+            .is_none());
+        let (p, v) = model.effort_response(q, &grid);
+        assert_eq!(p.as_slice(), p64.as_slice());
+        assert_eq!(v.as_slice(), v64.as_slice());
+    }
+
+    #[test]
     fn uniform_weight_mode_gives_uniform_weights() {
         let (rows, labels, efforts, _) = noisy_poaching_data(200, 7);
         let mut cfg = quick_config(4);
@@ -2734,7 +2538,6 @@ mod tests {
             learners,
             weights,
             n_features: x.n_cols(),
-            precision: Precision::F64,
             stack32: None,
             config: config.clone(),
         }

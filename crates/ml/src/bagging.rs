@@ -26,16 +26,15 @@
 //! sample so the infinitesimal-jackknife variance of Fig. 7 can be computed
 //! (see [`crate::jackknife`]).
 
-use crate::forest::Forest;
+use crate::forest::{ArenaElement, Forest};
 use crate::forest32::{Forest32, NarrowError};
 use crate::gp::{GaussianProcess, GpConfig};
 use crate::precision::Precision;
 use crate::svm::{LinearSvm, SvmConfig};
 use crate::traits::{validate_training_data, Classifier, UncertainClassifier};
 use crate::tree::{DecisionTree, Ranking, TreeConfig};
-use paws_data::matrix::{Matrix, MatrixView};
-use paws_data::matrix32::{Matrix32, MatrixView32};
-use paws_data::{simd, simd32};
+use paws_data::matrix::{Matrix, Matrix32, MatrixView, MatrixView32};
+use paws_data::simd::{self, Element};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -171,11 +170,10 @@ pub struct BaggingClassifier {
     in_bag_counts: Vec<Vec<u32>>,
     n_train: usize,
     config: BaggingConfig,
-    /// Which plane serves predictions; training is always f64.
-    precision: Precision,
-    /// The narrowed 8-byte-node arena, present only while `precision` is
-    /// [`Precision::F32`] and the members are trees (a derived cache of
-    /// `members`, never serialized).
+    /// The narrowed 8-byte-node arena: present exactly while the members
+    /// are trees switched to [`Precision::F32`], which is what makes
+    /// that the serving plane (a derived cache of `members`, never
+    /// serialized; training is always f64).
     forest32: Option<Forest32>,
 }
 
@@ -315,7 +313,6 @@ impl BaggingClassifier {
             in_bag_counts,
             n_train: n,
             config: config.clone(),
-            precision: Precision::F64,
             forest32: None,
         }
     }
@@ -324,7 +321,7 @@ impl BaggingClassifier {
     /// [`Precision::F32`] narrows the tree arena once (a cached 8-byte-node
     /// [`Forest32`]); switching back drops the cache. A no-op for SVM/GP
     /// members, whose kernels have no f32 plane — they keep predicting in
-    /// f64 regardless.
+    /// f64, and [`BaggingClassifier::precision`] keeps saying so.
     ///
     /// # Errors
     /// Returns the [`NarrowError`] when the trained arena exceeds the f32
@@ -341,13 +338,17 @@ impl BaggingClassifier {
             }
             Precision::F64 => self.forest32 = None,
         }
-        self.precision = precision;
         Ok(())
     }
 
-    /// The plane currently serving predictions.
+    /// The plane currently serving predictions: [`Precision::F32`] exactly
+    /// while a narrowed arena is resident.
     pub fn precision(&self) -> Precision {
-        self.precision
+        if self.forest32.is_some() {
+            Precision::F32
+        } else {
+            Precision::F64
+        }
     }
 
     /// The narrowed f32 arena, when the ensemble is tree-based and switched
@@ -395,19 +396,8 @@ impl BaggingClassifier {
     /// the same rows. `None` unless the ensemble is tree-based and switched
     /// to [`Precision::F32`] — callers fall back to the f64 path then.
     pub fn predict_proba32(&self, x32: MatrixView32<'_>) -> Option<Vec<f64>> {
-        let f32forest = self.forest32.as_ref()?;
-        if x32.n_rows() == 0 {
-            return Some(Vec::new());
-        }
-        let per_member = f32forest.predict_proba_batch(x32);
-        let mut mean = vec![0.0f32; x32.n_rows()];
-        for preds in per_member.rows() {
-            simd32::add_assign(&mut mean, preds);
-        }
-        simd32::div_assign(&mut mean, self.n_members() as f32);
-        let mut out = vec![0.0f64; mean.len()];
-        simd32::widen(&mean, &mut out);
-        Some(out)
+        let forest32 = self.forest32.as_ref()?;
+        Some(arena_mean(forest32, x32))
     }
 
     /// [`UncertainClassifier::predict_with_variance`] served natively from
@@ -416,12 +406,8 @@ impl BaggingClassifier {
     /// and spread reduced with the `f32x8` kernels, widened at the
     /// boundary. `None` unless a narrowed arena is resident.
     pub fn predict_with_variance32(&self, x32: MatrixView32<'_>) -> Option<(Vec<f64>, Vec<f64>)> {
-        let f32forest = self.forest32.as_ref()?;
-        if x32.n_rows() == 0 {
-            return Some((Vec::new(), Vec::new()));
-        }
-        let per_member = f32forest.predict_proba_batch(x32);
-        Some(mean_and_spread32(&per_member))
+        let forest32 = self.forest32.as_ref()?;
+        Some(arena_mean_and_spread(forest32, x32))
     }
 
     /// Per-member predictions as a flat `n_members × n_rows` matrix (row
@@ -497,22 +483,12 @@ impl Classifier for BaggingClassifier {
         if x.n_rows() == 0 {
             return Vec::new();
         }
-        // The f32 plane: narrow the batch once, then serve from the
-        // 8-byte-node arena through the pre-narrowed entry point.
-        if self.forest32.is_some() {
-            let q = Matrix32::from_f64(x);
-            if let Some(out) = self.predict_proba32(q.view()) {
-                return out;
-            }
+        match &self.forest32 {
+            // The f32 plane: narrow the batch once, then serve from the
+            // 8-byte-node arena.
+            Some(forest32) => arena_mean(forest32, Matrix32::from_f64(x).view()),
+            None => member_mean(&self.member_predictions(x)),
         }
-        let per_member = self.member_predictions(x);
-        let mut mean = vec![0.0; x.n_rows()];
-        for preds in per_member.rows() {
-            simd::add_assign(&mut mean, preds);
-        }
-        mean.into_iter()
-            .map(|m| m / self.n_members() as f64)
-            .collect()
     }
 }
 
@@ -528,15 +504,10 @@ impl UncertainClassifier for BaggingClassifier {
             return (Vec::new(), Vec::new());
         }
         match &self.members {
-            Members::Forest(forest) => {
-                if self.forest32.is_some() {
-                    let q = Matrix32::from_f64(x);
-                    if let Some(out) = self.predict_with_variance32(q.view()) {
-                        return out;
-                    }
-                }
-                mean_and_spread(&forest.predict_proba_batch(x))
-            }
+            Members::Forest(forest) => match &self.forest32 {
+                Some(forest32) => arena_mean_and_spread(forest32, Matrix32::from_f64(x).view()),
+                None => arena_mean_and_spread(forest, x),
+            },
             Members::Models(models) => {
                 let per_member = Self::member_predictions_with_variance(models, x);
                 let b = per_member.len() as f64;
@@ -560,46 +531,57 @@ impl UncertainClassifier for BaggingClassifier {
     }
 }
 
-/// Member-mean and member-spread variance of a `n_members × n_rows`
+/// Member mean of an `n_members × n_rows` prediction table, accumulated in
+/// member order with the element-wise lane kernels and widened to f64 at
+/// the boundary (a no-op on the f64 plane).
+fn member_mean<T: Element>(per_member: &Matrix<T>) -> Vec<f64> {
+    let mut mean = vec![T::ZERO; per_member.n_cols()];
+    for preds in per_member.rows() {
+        simd::add_assign(&mut mean, preds);
+    }
+    simd::div_assign(&mut mean, T::from_usize(per_member.n_rows()));
+    T::into_f64_vec(mean)
+}
+
+/// Member-mean and member-spread variance of an `n_members × n_rows`
 /// prediction table, accumulated in member order with the element-wise
-/// `f64x4` kernels (the exact operation order of the per-member path, so
-/// results are bit-identical).
-pub(crate) fn mean_and_spread(per_member: &Matrix) -> (Vec<f64>, Vec<f64>) {
-    let b = per_member.n_rows() as f64;
+/// lane kernels (the exact operation order of the per-member path, so
+/// results are bit-identical) and widened to f64 at the boundary.
+fn mean_and_spread<T: Element>(per_member: &Matrix<T>) -> (Vec<f64>, Vec<f64>) {
+    let b = T::from_usize(per_member.n_rows());
     let n_rows = per_member.n_cols();
-    let mut mean = vec![0.0; n_rows];
+    let mut mean = vec![T::ZERO; n_rows];
     for preds in per_member.rows() {
         simd::add_assign(&mut mean, preds);
     }
     simd::div_assign(&mut mean, b);
-    let mut var = vec![0.0; n_rows];
+    let mut var = vec![T::ZERO; n_rows];
     for preds in per_member.rows() {
         simd::accumulate_sq_diff(&mut var, preds, &mean);
     }
     simd::div_assign(&mut var, b);
-    (mean, var)
+    (T::into_f64_vec(mean), T::into_f64_vec(var))
 }
 
-/// [`mean_and_spread`] on the f32 plane: same member order and operation
-/// sequence on `f32x8` kernels, widened to f64 at the boundary.
-pub(crate) fn mean_and_spread32(per_member: &Matrix32) -> (Vec<f64>, Vec<f64>) {
-    let b = per_member.n_rows() as f32;
-    let n_rows = per_member.n_cols();
-    let mut mean = vec![0.0f32; n_rows];
-    for preds in per_member.rows() {
-        simd32::add_assign(&mut mean, preds);
+/// [`member_mean`] of a tree arena's members on a batch (empty for an
+/// empty batch).
+fn arena_mean<T: ArenaElement>(forest: &Forest<T>, x: MatrixView<'_, T>) -> Vec<f64> {
+    if x.is_empty() {
+        return Vec::new();
     }
-    simd32::div_assign(&mut mean, b);
-    let mut var = vec![0.0f32; n_rows];
-    for preds in per_member.rows() {
-        simd32::accumulate_sq_diff(&mut var, preds, &mean);
+    member_mean(&forest.predict_proba_batch(x))
+}
+
+/// [`mean_and_spread`] of a tree arena's members on a batch (empty for an
+/// empty batch).
+fn arena_mean_and_spread<T: ArenaElement>(
+    forest: &Forest<T>,
+    x: MatrixView<'_, T>,
+) -> (Vec<f64>, Vec<f64>) {
+    if x.is_empty() {
+        return (Vec::new(), Vec::new());
     }
-    simd32::div_assign(&mut var, b);
-    let mut mean64 = vec![0.0f64; n_rows];
-    let mut var64 = vec![0.0f64; n_rows];
-    simd32::widen(&mean, &mut mean64);
-    simd32::widen(&var, &mut var64);
-    (mean64, var64)
+    mean_and_spread(&forest.predict_proba_batch(x))
 }
 
 /// Fit an SVM or GP member on its bootstrap, gathered into one flat copy.
@@ -876,6 +858,7 @@ mod tests {
         let p64 = model.predict_proba(q);
         model.set_precision(Precision::F32).unwrap();
         assert!(model.forest32().is_none(), "SVMs have no f32 plane");
+        assert_eq!(model.precision(), Precision::F64, "the serving plane");
         assert_eq!(model.predict_proba(q), p64, "predictions stay f64-exact");
     }
 

@@ -11,7 +11,7 @@
 //! [`Forest`] fixes both halves of that:
 //!
 //! * **Arena layout** — the nodes of every tree live in one contiguous
-//!   slab of packed 16-byte [`ArenaNode`]s with per-tree root offsets.
+//!   slab of packed 16-byte arena nodes with per-tree root offsets.
 //!   Trees are re-laid out in breadth-first order when they are spliced
 //!   in, which places each split's two children adjacently — so only the
 //!   left child index is stored (`right = left + 1`), and a traversal
@@ -36,16 +36,66 @@
 //! Traversal performs exactly the same `feature <= threshold` comparisons
 //! as the per-row walk, so predictions are bit-identical to evaluating each
 //! [`DecisionTree`] on its own.
+//!
+//! The arena is written once for both precision planes: [`Forest`] is
+//! generic over an [`ArenaElement`] — `f64`, the trained arena, or `f32`,
+//! the prediction plane's narrowed [`Forest32`](crate::forest32::Forest32)
+//! with 8-byte nodes — and every traversal kernel is monomorphised per
+//! element. The f32 arena's own rules (downward threshold narrowing, its
+//! packing caps) live in [`crate::forest32`].
 
 use crate::tree::DecisionTree;
 use paws_data::matrix::{Matrix, MatrixView};
+use paws_data::simd::Element;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
 
-/// Compact 16-byte arena node. The BFS splice pushes a split's two
-/// children consecutively, so the right child is always `left + 1` and
-/// only `left` is stored — one fewer load per traversal step and a third
-/// less arena memory than the fitted tree's 24-byte nodes.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
+}
+
+/// An element a [`Forest`] arena can hold (sealed: `f64` and `f32`), with
+/// the packed word its nodes store `left_child | feature << k` in: a `u64`
+/// split 32/32 beside an f64 threshold (a 16-byte node), or a `u32` split
+/// 24/8 beside an f32 threshold (an 8-byte node; its caps are checked when
+/// an f64 arena is narrowed, see [`crate::forest32`]).
+pub trait ArenaElement: Element + sealed::Sealed {
+    /// The packed topology word of a node.
+    type Word: Copy + Debug + Send + Sync;
+    /// Pack a child index and a feature index.
+    fn pack(left: u32, feature: u32) -> Self::Word;
+    /// The child index of a packed word.
+    fn left(word: Self::Word) -> u32;
+    /// The feature index of a packed word.
+    fn feature(word: Self::Word) -> u32;
+}
+
+impl ArenaElement for f64 {
+    type Word = u64;
+
+    #[inline(always)]
+    fn pack(left: u32, feature: u32) -> u64 {
+        u64::from(left) | (u64::from(feature) << 32)
+    }
+
+    #[inline(always)]
+    fn left(word: u64) -> u32 {
+        word as u32
+    }
+
+    #[inline(always)]
+    fn feature(word: u64) -> u32 {
+        (word >> 32) as u32
+    }
+}
+
+/// Compact arena node: 16 bytes on the f64 plane, 8 on the f32 plane. The
+/// BFS splice pushes a split's two children consecutively, so the right
+/// child is always `left + 1` and only `left` is stored — one fewer load
+/// per traversal step, and (in f64) a third less arena memory than the
+/// fitted tree's 24-byte nodes.
 ///
 /// Leaves are encoded so the traversal step needs **no leaf test at
 /// all**: a leaf's threshold is `+∞` and its `left` is its own index, so
@@ -54,35 +104,35 @@ use serde::{Deserialize, Serialize};
 /// touched once per row at output time rather than once per level.
 /// Feature indices of real splits are always in range, and a leaf's
 /// `feature` is 0, so the per-step feature clamp disappears too.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub(crate) struct ArenaNode {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArenaNode<T: ArenaElement = f64> {
     /// Split threshold for interior nodes; `+∞` for leaves.
-    pub(crate) value: f64,
-    /// Packed `left_child | feature << 32` — one 8-byte load yields both
-    /// the topology and the feature index, so a traversal step issues
-    /// exactly two loads (node word + threshold) plus the row value.
-    /// Right child is `left + 1`; a leaf's `left` is its own index and its
-    /// `feature` is 0 (harmlessly compared against the `+∞` threshold).
-    packed: u64,
+    pub(crate) value: T,
+    /// Packed `left_child | feature << k` — one load yields both the
+    /// topology and the feature index, so a traversal step issues exactly
+    /// two loads (node word + threshold) plus the row value. Right child
+    /// is `left + 1`; a leaf's `left` is its own index and its `feature`
+    /// is 0 (harmlessly compared against the `+∞` threshold).
+    packed: T::Word,
 }
 
-impl ArenaNode {
+impl<T: ArenaElement> ArenaNode<T> {
     #[inline]
-    fn new(value: f64, left: u32, feature: u32) -> Self {
+    pub(crate) fn new(value: T, left: u32, feature: u32) -> Self {
         Self {
             value,
-            packed: u64::from(left) | (u64::from(feature) << 32),
+            packed: T::pack(left, feature),
         }
     }
 
     #[inline(always)]
     pub(crate) fn left(&self) -> u32 {
-        self.packed as u32
+        T::left(self.packed)
     }
 
     #[inline(always)]
     pub(crate) fn feature(&self) -> u32 {
-        (self.packed >> 32) as u32
+        T::feature(self.packed)
     }
 
     /// Leaves self-reference; interior BFS children always come after
@@ -92,6 +142,21 @@ impl ArenaNode {
         self.left() == own
     }
 
+    /// Index of the node this row moves to: `left` when
+    /// `row-value <= threshold` (always, for a leaf's `+∞` threshold and
+    /// finite rows), `left + 1` otherwise. Exactly the comparison
+    /// `if xv <= threshold { left } else { right }` of the fitted tree.
+    // `!(xv <= v)` (not `xv > v`) is deliberate: a NaN query value must
+    // fall right, matching the fitted tree's `if xv <= v {left} else
+    // {right}` exactly.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[inline(always)]
+    fn advance(&self, xv: T) -> u32 {
+        self.left() + u32::from(!(xv <= self.value))
+    }
+}
+
+impl ArenaNode {
     /// Raw `(value_bits, packed)` words — the snapshot wire image of a
     /// node.
     #[inline]
@@ -108,20 +173,10 @@ impl ArenaNode {
             packed,
         }
     }
-
-    /// Index of the node this row moves to: `left` when
-    /// `row-value <= threshold` (always, for a leaf's `+∞` threshold and
-    /// finite rows), `left + 1` otherwise. Exactly the comparison
-    /// `if xv <= threshold { left } else { right }` of the fitted tree.
-    // `!(xv <= v)` (not `xv > v`) is deliberate: a NaN query value must
-    // fall right, matching the fitted tree's `if xv <= v {left} else
-    // {right}` exactly.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[inline(always)]
-    fn advance(&self, xv: f64) -> u32 {
-        self.left() + u32::from(!(xv <= self.value))
-    }
 }
+
+/// The raw slices of an arena: `(nodes, leaf_values, roots, depths)`.
+pub(crate) type ArenaParts<'a, T> = (&'a [ArenaNode<T>], &'a [T], &'a [u32], &'a [u32]);
 
 /// One node of a synthetic tree for [`Forest::push_raw_tree`]: either a
 /// split (`x[feature] <= threshold` → `left`, else `right`; indices into
@@ -156,14 +211,15 @@ pub(crate) const ROW_BLOCK: usize = 256;
 pub(crate) const INTERLEAVE: usize = 16;
 
 /// An arena of decision trees: one contiguous node slab, per-tree roots and
-/// depths. Serialized/deserialized as a single unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Forest {
+/// depths. `Forest` (f64) is the trained arena; `Forest<f32>` is its
+/// narrowed copy on the f32 prediction plane.
+#[derive(Debug, Clone)]
+pub struct Forest<T: ArenaElement = f64> {
     /// All nodes of all trees, each tree contiguous in BFS (level) order.
-    nodes: Vec<ArenaNode>,
+    nodes: Vec<ArenaNode<T>>,
     /// Leaf probabilities, parallel to `nodes` (0.0 at interior nodes);
     /// read once per (row, tree) when a traversal finishes.
-    leaf_values: Vec<f64>,
+    leaf_values: Vec<T>,
     /// Arena index of each tree's root.
     roots: Vec<u32>,
     /// Depth (edges on the longest root-to-leaf path) of each tree; the
@@ -195,26 +251,6 @@ impl Forest {
             forest.push_tree(tree);
         }
         forest
-    }
-
-    /// Number of trees in the arena.
-    pub fn n_trees(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Total number of nodes across all trees.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Feature width the trees were fitted on.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Depth of tree `t` (edges on its longest root-to-leaf path).
-    pub fn tree_depth(&self, t: usize) -> usize {
-        self.depths[t] as usize
     }
 
     /// Splice a fitted tree's nodes into the arena in breadth-first order,
@@ -360,6 +396,31 @@ impl Forest {
         self.roots.extend(other.roots.iter().map(|&r| r + base));
         self.depths.extend_from_slice(&other.depths);
     }
+}
+
+impl<T: ArenaElement> Forest<T> {
+    /// Number of trees in the arena.
+    pub fn n_trees(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Total number of nodes across all trees.
+    pub fn n_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Feature width the trees were fitted on.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// Depth of tree `t` (edges on its longest root-to-leaf path).
+    pub fn tree_depth(&self, t: usize) -> usize {
+        self.depths[t] as usize
+    }
+
+    /// Bytes per arena node: 16 on the f64 plane, 8 on the f32 plane.
+    pub const NODE_BYTES: usize = std::mem::size_of::<ArenaNode<T>>();
 
     /// Per-tree predictions for a feature batch as a flat
     /// `n_trees × n_rows` matrix (row `t` holds tree `t`'s probabilities),
@@ -369,7 +430,7 @@ impl Forest {
     /// Panics on an empty batch (an `n_trees × 0` matrix is not
     /// representable) or a feature-width mismatch; ensemble entry points
     /// guard the empty case.
-    pub fn predict_proba_batch(&self, x: MatrixView<'_>) -> Matrix {
+    pub fn predict_proba_batch(&self, x: MatrixView<'_, T>) -> Matrix<T> {
         assert_eq!(x.n_cols(), self.n_features, "feature width mismatch");
         assert!(!self.roots.is_empty(), "empty forest");
         assert!(!x.is_empty(), "empty prediction batch");
@@ -400,11 +461,11 @@ impl Forest {
         // which is scattered back in order, so results are identical to the
         // sequential walk.
         let starts: Vec<usize> = (0..n_rows).step_by(ROW_BLOCK).collect();
-        let blocks: Vec<Vec<f64>> = starts
+        let blocks: Vec<Vec<T>> = starts
             .par_iter()
             .map(|&start| {
                 let len = ROW_BLOCK.min(n_rows - start);
-                let mut block = vec![0.0; n_trees * len];
+                let mut block = vec![T::ZERO; n_trees * len];
                 self.traverse_block(x, start, len, &mut block, len, 0);
                 block
             })
@@ -436,10 +497,10 @@ impl Forest {
     /// the full output matrix (`stride = n_rows`).
     fn traverse_block(
         &self,
-        x: MatrixView<'_>,
+        x: MatrixView<'_, T>,
         start: usize,
         len: usize,
-        out: &mut [f64],
+        out: &mut [T],
         out_stride: usize,
         out_offset: usize,
     ) {
@@ -507,10 +568,10 @@ impl Forest {
     /// Panics on shape mismatches or a non-finite feature window.
     pub fn predict_proba_block(
         &self,
-        x: MatrixView<'_>,
+        x: MatrixView<'_, T>,
         start: usize,
         len: usize,
-        out_block: &mut [f64],
+        out_block: &mut [T],
     ) {
         assert_eq!(x.n_cols(), self.n_features, "feature width mismatch");
         assert!(!self.roots.is_empty(), "empty forest");
@@ -528,19 +589,21 @@ impl Forest {
         self.traverse_block(x, start, len, out_block, len, 0);
     }
 
-    /// The raw arena parts `(nodes, leaf_values, roots, depths)` — the
-    /// narrowing input of [`crate::forest32::Forest32::from_forest`].
-    pub(crate) fn arena_parts(&self) -> (&[ArenaNode], &[f64], &[u32], &[u32]) {
+    /// The raw arena parts `(nodes, leaf_values, roots, depths)`: the
+    /// snapshot writer's input, and the narrowing input of
+    /// [`Forest32::try_from_forest`](crate::forest32::Forest32::try_from_forest).
+    pub(crate) fn arena_parts(&self) -> ArenaParts<'_, T> {
         (&self.nodes, &self.leaf_values, &self.roots, &self.depths)
     }
 
-    /// Assemble a forest from parts the snapshot decoder has **already
-    /// validated** against every splice invariant (see
-    /// [`crate::snapshot`]). Not a public constructor: unvalidated parts
-    /// here would unsound the unchecked traversal kernels.
+    /// Assemble a forest from parts **already validated** against every
+    /// splice invariant: by the snapshot decoder (see [`crate::snapshot`]),
+    /// or copied node for node from a valid arena by the f32 narrowing. Not
+    /// a public constructor: unvalidated parts here would unsound the
+    /// unchecked traversal kernels.
     pub(crate) fn from_validated_parts(
-        nodes: Vec<ArenaNode>,
-        leaf_values: Vec<f64>,
+        nodes: Vec<ArenaNode<T>>,
+        leaf_values: Vec<T>,
         roots: Vec<u32>,
         depths: Vec<u32>,
         n_features: usize,
@@ -557,7 +620,7 @@ impl Forest {
     }
 
     /// Number of edges tree `t` traverses for one row (diagnostics).
-    pub fn row_depth(&self, t: usize, row: &[f64]) -> usize {
+    pub fn row_depth(&self, t: usize, row: &[T]) -> usize {
         let mut idx = self.roots[t];
         let mut node = self.nodes[idx as usize];
         let mut d = 0;
@@ -571,7 +634,7 @@ impl Forest {
 
     /// Prediction of tree `t` for one row (classic root-to-leaf walk); the
     /// reference the batch kernel must agree with bit-for-bit.
-    pub fn predict_row(&self, t: usize, row: &[f64]) -> f64 {
+    pub fn predict_row(&self, t: usize, row: &[T]) -> T {
         assert_eq!(row.len(), self.n_features, "feature width mismatch");
         let mut idx = self.roots[t];
         let mut node = self.nodes[idx as usize];
@@ -586,8 +649,10 @@ impl Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest32::Forest32;
     use crate::traits::Classifier;
     use crate::tree::TreeConfig;
+    use paws_data::matrix::Matrix32;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -677,15 +742,67 @@ mod tests {
         );
     }
 
+    /// The batch kernel against the per-row walk, and a row block against
+    /// the batch, bit for bit: one property for both planes.
+    fn batch_and_block_match_per_row_walks<T: ArenaElement>(
+        forest: &Forest<T>,
+        q: MatrixView<'_, T>,
+    ) {
+        let batch = forest.predict_proba_batch(q);
+        for t in 0..forest.n_trees() {
+            for (r, row) in q.rows().enumerate() {
+                assert_eq!(
+                    batch.get(t, r),
+                    forest.predict_row(t, row),
+                    "tree {t} row {r}"
+                );
+            }
+        }
+        let (start, len) = (17, 40);
+        let mut block = vec![T::ZERO; forest.n_trees() * len];
+        forest.predict_proba_block(q, start, len, &mut block);
+        for t in 0..forest.n_trees() {
+            assert_eq!(
+                &block[t * len..(t + 1) * len],
+                &batch.row(t)[start..start + len]
+            );
+        }
+    }
+
     #[test]
-    fn serializes_as_one_unit() {
-        let (_, trees) = fitted_trees(3);
+    fn batch_and_block_traversal_match_per_row_walks_on_both_planes() {
+        let (x, trees) = fitted_trees(5);
         let forest = Forest::from_trees(3, trees.iter());
-        let json = serde_json::to_string(&forest).expect("forest serializes");
-        // One object, one node slab covering every tree.
-        assert_eq!(json.matches("\"nodes\"").count(), 1);
-        assert_eq!(json.matches("\"roots\"").count(), 1);
-        assert!(json.contains("\"depths\""));
+        batch_and_block_match_per_row_walks(&forest, x.view());
+        let forest32 = Forest32::try_from_forest(&forest).unwrap();
+        batch_and_block_match_per_row_walks(&forest32, Matrix32::from_f64(x.view()).view());
+    }
+
+    #[test]
+    fn node_words_are_sixteen_and_eight_bytes() {
+        // The layout claim of the f32 plane: half the f64 arena's node.
+        assert_eq!(Forest::<f64>::NODE_BYTES, 16);
+        assert_eq!(Forest32::NODE_BYTES, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "prediction features must be finite")]
+    fn rejects_non_finite_queries() {
+        let (x, trees) = fitted_trees(1);
+        let forest = Forest::from_trees(3, trees.iter());
+        let mut q = x.clone();
+        q.row_mut(0)[1] = f64::NAN;
+        let _ = forest.predict_proba_batch(q.view());
+    }
+
+    #[test]
+    #[should_panic(expected = "prediction features must be finite")]
+    fn rejects_non_finite_queries_on_the_f32_plane() {
+        let (x, trees) = fitted_trees(1);
+        let forest32 = Forest32::try_from_forest(&Forest::from_trees(3, trees.iter())).unwrap();
+        let mut q = Matrix32::from_f64(x.view());
+        q.row_mut(0)[1] = f32::NAN;
+        let _ = forest32.predict_proba_batch(q.view());
     }
 
     #[test]

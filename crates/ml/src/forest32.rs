@@ -1,24 +1,28 @@
-//! The f32 prediction plane's forest: an 8-byte-node arena narrowed from a
-//! trained f64 [`Forest`].
+//! The f32 prediction plane's forest: `Forest<f32>`, an 8-byte-node arena
+//! narrowed from a trained f64 [`Forest`], and the rules that narrowing
+//! follows.
 //!
 //! PR 3 left batch traversal at ~2 cycles/step, pinned against the load-port
 //! floor of the 16-byte [`Forest`] node (one 8-byte threshold load + one
 //! 8-byte topology load per step) and 8-byte feature reads. [`Forest32`]
 //! halves every one of those streams: a node is **8 bytes** (f32 threshold +
 //! one packed u32 topology/feature word), leaf probabilities are f32, and
-//! the feature batch is a narrowed [`Matrix32`] — twice the nodes per cache
+//! the feature batch is a narrowed `Matrix32` — twice the nodes per cache
 //! line, half the feature-row bandwidth.
 //!
-//! The layout invariants are exactly the f64 arena's: BFS sibling adjacency
-//! (`right = left + 1`, only `left` stored), `+∞`-threshold self-looping
-//! leaves (no leaf test in the advance), [`INTERLEAVE`]-way
-//! register-interleaved row groups, [`ROW_BLOCK`]-row parallel fan-out.
+//! The arena and its traversal kernels are [`Forest`]'s own, monomorphised
+//! at `f32`: BFS sibling adjacency (`right = left + 1`, only `left`
+//! stored), `+∞`-threshold self-looping leaves (no leaf test in the
+//! advance), register-interleaved row groups and row-block parallel
+//! fan-out. This module holds only what is specific to the f32 plane: the
+//! 24/8-bit node word, the narrowing of thresholds and leaves, and the
+//! typed [`NarrowError`] for arenas beyond the word's caps.
 //!
 //! # Precision policy
 //!
 //! A `Forest32` is a **derived cache**, never a source of truth: training,
 //! serialization and the golden parity surface all stay on the f64
-//! [`Forest`]. Conversion ([`Forest32::from_forest`]) narrows each split
+//! [`Forest`]. Conversion ([`Forest32::try_from_forest`]) narrows each split
 //! threshold **downward** to the largest f32 ≤ t (see `narrow_threshold`),
 //! which makes the plane's semantics exact: a `Forest32` traversal decides
 //! every comparison precisely as the f64 tree would decide it for the
@@ -44,80 +48,36 @@
 //! features — two orders of magnitude above the largest iWare-E learner
 //! stack in this reproduction (asserted at conversion, not at traversal).
 
-use crate::forest::{Forest, INTERLEAVE, ROW_BLOCK};
-use paws_data::matrix32::{Matrix32, MatrixView32};
-use rayon::prelude::*;
+use crate::forest::{ArenaElement, ArenaNode, Forest};
+
+/// The f32 prediction plane's arena.
+pub type Forest32 = Forest<f32>;
 
 /// Maximum node count the 24-bit child index can address.
 const MAX_NODES: usize = 1 << 24;
 /// Maximum feature count the 8-bit feature field can address.
 const MAX_FEATURES: usize = 1 << 8;
 
-/// Compact 8-byte arena node: f32 threshold plus one u32 packing
-/// `left_child | feature << 24`. Same encoding contract as the f64
-/// `ArenaNode`: interior nodes store the left child (right is `left + 1`),
-/// leaves store `+∞` and self-reference with `feature = 0`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ArenaNode32 {
-    /// Split threshold for interior nodes; `+∞` for leaves.
-    pub(crate) value: f32,
-    /// Packed `left_child | feature << 24`.
-    packed: u32,
-}
+/// The 8-byte node's word: `left_child | feature << 24`. The caps are
+/// checked once, when an f64 arena is narrowed ([`check_caps`]).
+impl ArenaElement for f32 {
+    type Word = u32;
 
-impl ArenaNode32 {
-    #[inline]
-    fn new(value: f32, left: u32, feature: u32) -> Self {
+    #[inline(always)]
+    fn pack(left: u32, feature: u32) -> u32 {
         debug_assert!(left < MAX_NODES as u32);
         debug_assert!(feature < MAX_FEATURES as u32);
-        Self {
-            value,
-            packed: left | (feature << 24),
-        }
+        left | (feature << 24)
     }
 
     #[inline(always)]
-    pub(crate) fn left(&self) -> u32 {
-        self.packed & (MAX_NODES as u32 - 1)
+    fn left(word: u32) -> u32 {
+        word & (MAX_NODES as u32 - 1)
     }
 
     #[inline(always)]
-    pub(crate) fn feature(&self) -> u32 {
-        self.packed >> 24
-    }
-
-    /// Raw `(value_bits, packed)` words — the snapshot wire image of a
-    /// node.
-    #[inline]
-    pub(crate) fn to_bits(self) -> (u32, u32) {
-        (self.value.to_bits(), self.packed)
-    }
-
-    /// Rebuild a node from its wire image. Snapshot decoder only; the
-    /// caller validates the arena before traversal can see it.
-    #[inline]
-    pub(crate) fn from_bits(value_bits: u32, packed: u32) -> Self {
-        Self {
-            value: f32::from_bits(value_bits),
-            packed,
-        }
-    }
-
-    /// Leaves self-reference (see the f64 `ArenaNode`).
-    #[inline]
-    pub(crate) fn is_leaf(&self, own: u32) -> bool {
-        self.left() == own
-    }
-
-    /// `left` when `xv <= threshold` (always, for a leaf's `+∞` threshold
-    /// and finite rows), `left + 1` otherwise — the f32 image of the f64
-    /// advance.
-    // `!(xv <= v)`, not `xv > v`: a NaN query value must fall right,
-    // matching the f64 arena exactly.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    #[inline(always)]
-    fn advance(&self, xv: f32) -> u32 {
-        self.left() + u32::from(!(xv <= self.value))
+    fn feature(word: u32) -> u32 {
+        word >> 24
     }
 }
 
@@ -185,7 +145,7 @@ impl std::error::Error for NarrowError {}
 
 /// The packing-cap check behind [`Forest32::try_from_forest`], factored
 /// out so the caps are testable without allocating a 2²⁴-node arena.
-pub(crate) fn check_caps(n_nodes: usize, n_features: usize) -> Result<(), NarrowError> {
+fn check_caps(n_nodes: usize, n_features: usize) -> Result<(), NarrowError> {
     if n_nodes >= MAX_NODES {
         return Err(NarrowError::TooManyNodes {
             n_nodes,
@@ -199,18 +159,6 @@ pub(crate) fn check_caps(n_nodes: usize, n_features: usize) -> Result<(), Narrow
         });
     }
     Ok(())
-}
-
-/// An f32 arena of decision trees, converted from a trained f64 [`Forest`].
-/// Same BFS layout, half the node and leaf-table footprint.
-#[derive(Debug, Clone)]
-pub struct Forest32 {
-    nodes: Vec<ArenaNode32>,
-    /// Leaf probabilities, parallel to `nodes` (0.0 at interior nodes).
-    leaf_values: Vec<f32>,
-    roots: Vec<u32>,
-    depths: Vec<u32>,
-    n_features: usize,
 }
 
 impl Forest32 {
@@ -229,11 +177,11 @@ impl Forest32 {
             return Err(NarrowError::EmptyForest);
         }
         check_caps(nodes.len(), forest.n_features())?;
-        let nodes32: Vec<ArenaNode32> = nodes
+        let nodes32 = nodes
             .iter()
             .map(|n| {
                 // Out-of-f32-range thresholds saturate consistently with the
-                // query plane's ±f32::MAX clamp (`simd32::narrow`): t >
+                // query plane's ±f32::MAX clamp (`simd::narrow`): t >
                 // f32::MAX narrows down to f32::MAX (every clamped query
                 // goes left, as in f64); t < -f32::MAX narrows to -inf
                 // (every clamped query goes right, as in f64). Interior
@@ -242,208 +190,17 @@ impl Forest32 {
                 // semantics; NaN never occurs in an arena.
                 let v32 = narrow_threshold(n.value);
                 debug_assert!(!v32.is_nan(), "arena thresholds are never NaN");
-                ArenaNode32::new(v32, n.left(), n.feature())
+                ArenaNode::new(v32, n.left(), n.feature())
             })
             .collect();
-        Ok(Self {
-            nodes: nodes32,
-            leaf_values: leaf_values.iter().map(|&v| v as f32).collect(),
-            roots: roots.to_vec(),
-            depths: depths.to_vec(),
-            n_features: forest.n_features(),
-        })
-    }
-
-    /// The raw arena parts `(nodes, leaf_values, roots, depths)` — the
-    /// snapshot writer's input.
-    pub(crate) fn arena_parts32(&self) -> (&[ArenaNode32], &[f32], &[u32], &[u32]) {
-        (&self.nodes, &self.leaf_values, &self.roots, &self.depths)
-    }
-
-    /// Assemble an f32 arena from parts the snapshot decoder has already
-    /// validated (same contract as `Forest::from_validated_parts`).
-    pub(crate) fn from_validated_parts(
-        nodes: Vec<ArenaNode32>,
-        leaf_values: Vec<f32>,
-        roots: Vec<u32>,
-        depths: Vec<u32>,
-        n_features: usize,
-    ) -> Self {
-        debug_assert_eq!(nodes.len(), leaf_values.len());
-        debug_assert_eq!(roots.len(), depths.len());
-        Self {
-            nodes,
-            leaf_values,
-            roots,
-            depths,
-            n_features,
-        }
-    }
-
-    /// Number of trees in the arena.
-    pub fn n_trees(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Total number of nodes across all trees.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Feature width the source trees were fitted on.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Bytes per arena node (the layout claim the plane is built on).
-    pub const NODE_BYTES: usize = std::mem::size_of::<ArenaNode32>();
-
-    /// Per-tree predictions for an f32 feature batch as a flat
-    /// `n_trees × n_rows` [`Matrix32`] — the single-precision image of
-    /// [`Forest::predict_proba_batch`], with identical blocking and
-    /// fan-out.
-    ///
-    /// # Panics
-    /// Panics on an empty batch, a feature-width mismatch, or non-finite
-    /// query features (the guard that keeps the branch-free self-looping
-    /// leaves and unchecked arena indexing sound).
-    pub fn predict_proba_batch(&self, x: MatrixView32<'_>) -> Matrix32 {
-        assert_eq!(x.n_cols(), self.n_features, "feature width mismatch");
-        assert!(!self.roots.is_empty(), "empty forest");
-        assert!(!x.is_empty(), "empty prediction batch");
-        assert!(
-            paws_data::simd32::all_finite(x.as_slice()),
-            "prediction features must be finite"
-        );
-        let n_rows = x.n_rows();
-        let n_trees = self.roots.len();
-        let mut out = Matrix32::zeros(n_trees, n_rows);
-
-        if n_rows <= ROW_BLOCK || rayon::current_num_threads() <= 1 {
-            for start in (0..n_rows).step_by(ROW_BLOCK) {
-                let len = ROW_BLOCK.min(n_rows - start);
-                self.traverse_block(x, start, len, out.as_mut_slice(), n_rows, start);
-            }
-            return out;
-        }
-
-        let starts: Vec<usize> = (0..n_rows).step_by(ROW_BLOCK).collect();
-        let blocks: Vec<Vec<f32>> = starts
-            .par_iter()
-            .map(|&start| {
-                let len = ROW_BLOCK.min(n_rows - start);
-                let mut block = vec![0.0f32; n_trees * len];
-                self.traverse_block(x, start, len, &mut block, len, 0);
-                block
-            })
-            .collect();
-        for (&start, block) in starts.iter().zip(&blocks) {
-            let len = ROW_BLOCK.min(n_rows - start);
-            for (t, seg) in block.chunks_exact(len).enumerate() {
-                out.row_mut(t)[start..start + len].copy_from_slice(seg);
-            }
-        }
-        out
-    }
-
-    /// Per-tree predictions for rows `start..start + len`, written
-    /// tree-major into `out_block` (`n_trees × len`) — the cache-blocked
-    /// building block the fused iWare-E f32 pipeline consumes.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or a non-finite feature window.
-    pub fn predict_proba_block(
-        &self,
-        x: MatrixView32<'_>,
-        start: usize,
-        len: usize,
-        out_block: &mut [f32],
-    ) {
-        assert_eq!(x.n_cols(), self.n_features, "feature width mismatch");
-        assert!(!self.roots.is_empty(), "empty forest");
-        assert!(len > 0 && start + len <= x.n_rows(), "block out of range");
-        assert_eq!(
-            out_block.len(),
-            self.roots.len() * len,
-            "output block shape mismatch"
-        );
-        let window = &x.as_slice()[start * x.n_cols()..(start + len) * x.n_cols()];
-        assert!(
-            paws_data::simd32::all_finite(window),
-            "prediction features must be finite"
-        );
-        self.traverse_block(x, start, len, out_block, len, 0);
-    }
-
-    /// The f32 image of `Forest::traverse_block`: [`INTERLEAVE`]-way
-    /// register-interleaved root-to-leaf walks, branch-free advance via the
-    /// self-looping leaves, scalar remainder.
-    fn traverse_block(
-        &self,
-        x: MatrixView32<'_>,
-        start: usize,
-        len: usize,
-        out: &mut [f32],
-        out_stride: usize,
-        out_offset: usize,
-    ) {
-        debug_assert!(out.len() >= (self.roots.len() - 1) * out_stride + out_offset + len);
-        let n_cols = x.n_cols();
-        let rows = &x.as_slice()[start * n_cols..(start + len) * n_cols];
-        let nodes = self.nodes.as_slice();
-        let leaf_values = self.leaf_values.as_slice();
-        for (t, (&root, &depth)) in self.roots.iter().zip(&self.depths).enumerate() {
-            let out_t = &mut out[t * out_stride + out_offset..t * out_stride + out_offset + len];
-            let mut j = 0usize;
-            while j + INTERLEAVE <= len {
-                let base = j * n_cols;
-                let mut slots = [root; INTERLEAVE];
-                for _ in 0..depth {
-                    for (lane, slot) in slots.iter_mut().enumerate() {
-                        // SAFETY: identical argument to the f64 kernel —
-                        // cursors start at roots, `advance` over a finite
-                        // row value only yields child indices (remapped to
-                        // valid arena positions at conversion, since the
-                        // source arena's invariants are copied verbatim) or
-                        // the leaf itself; features are `< n_features`, so
-                        // `base + lane·n_cols + f` stays inside the block
-                        // window.
-                        let node = unsafe { *nodes.get_unchecked(*slot as usize) };
-                        let f = node.feature() as usize;
-                        let xv = unsafe { *rows.get_unchecked(base + lane * n_cols + f) };
-                        *slot = node.advance(xv);
-                    }
-                }
-                for (o, &slot) in out_t[j..j + INTERLEAVE].iter_mut().zip(&slots) {
-                    // SAFETY: as above — `slot` is a valid arena index.
-                    *o = unsafe { *leaf_values.get_unchecked(slot as usize) };
-                }
-                j += INTERLEAVE;
-            }
-            for (o, jr) in out_t[j..].iter_mut().zip(j..len) {
-                let row = &rows[jr * n_cols..(jr + 1) * n_cols];
-                let mut idx = root;
-                let mut node = nodes[idx as usize];
-                while !node.is_leaf(idx) {
-                    idx = node.advance(row[node.feature() as usize]);
-                    node = nodes[idx as usize];
-                }
-                *o = leaf_values[idx as usize];
-            }
-        }
-    }
-
-    /// Prediction of tree `t` for one f32 row (classic root-to-leaf walk);
-    /// the reference the batch kernel must agree with bit-for-bit.
-    pub fn predict_row(&self, t: usize, row: &[f32]) -> f32 {
-        assert_eq!(row.len(), self.n_features, "feature width mismatch");
-        let mut idx = self.roots[t];
-        let mut node = self.nodes[idx as usize];
-        while !node.is_leaf(idx) {
-            idx = node.advance(row[node.feature() as usize]);
-            node = self.nodes[idx as usize];
-        }
-        self.leaf_values[idx as usize]
+        // The topology is the valid f64 arena's, node for node.
+        Ok(Self::from_validated_parts(
+            nodes32,
+            leaf_values.iter().map(|&v| v as f32).collect(),
+            roots.to_vec(),
+            depths.to_vec(),
+            forest.n_features(),
+        ))
     }
 }
 
@@ -455,7 +212,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn fitted_forest(n_trees: usize) -> (Matrix, Forest) {
+    fn fitted_forest(n_trees: usize) -> Forest {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let rows: Vec<Vec<f64>> = (0..300)
             .map(|_| vec![rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()])
@@ -478,32 +235,24 @@ mod tests {
                 )
             })
             .collect();
-        let forest = Forest::from_trees(3, trees.iter());
-        (x, forest)
-    }
-
-    #[test]
-    fn node_is_eight_bytes() {
-        // The layout claim of the whole plane: half the f64 arena's node.
-        assert_eq!(Forest32::NODE_BYTES, 8);
-        assert_eq!(std::mem::size_of::<ArenaNode32>(), 8);
+        Forest::from_trees(3, trees.iter())
     }
 
     #[test]
     fn conversion_preserves_topology_and_narrows_values() {
-        let (_, forest) = fitted_forest(5);
+        let forest = fitted_forest(5);
         let f32forest = Forest32::try_from_forest(&forest).unwrap();
         assert_eq!(f32forest.n_trees(), forest.n_trees());
         assert_eq!(f32forest.n_nodes(), forest.n_nodes());
         assert_eq!(f32forest.n_features(), forest.n_features());
         let (nodes, leaf_values, roots, depths) = forest.arena_parts();
-        assert_eq!(f32forest.roots, roots);
-        assert_eq!(f32forest.depths, depths);
-        for ((n32, n64), (l32, l64)) in f32forest
-            .nodes
+        let (nodes32, leaf_values32, roots32, depths32) = f32forest.arena_parts();
+        assert_eq!(roots32, roots);
+        assert_eq!(depths32, depths);
+        for ((n32, n64), (l32, l64)) in nodes32
             .iter()
             .zip(nodes)
-            .zip(f32forest.leaf_values.iter().zip(leaf_values))
+            .zip(leaf_values32.iter().zip(leaf_values))
         {
             assert_eq!(n32.left(), n64.left());
             assert_eq!(n32.feature(), n64.feature());
@@ -521,38 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_traversal_is_bit_identical_to_per_row_walks() {
-        let (x, forest) = fitted_forest(5);
-        let f32forest = Forest32::try_from_forest(&forest).unwrap();
-        let q = Matrix32::from_f64(x.view());
-        let batch = f32forest.predict_proba_batch(q.view());
-        for t in 0..f32forest.n_trees() {
-            for (r, row) in q.rows().enumerate() {
-                assert_eq!(batch.get(t, r), f32forest.predict_row(t, row));
-            }
-        }
-    }
-
-    #[test]
-    fn block_traversal_matches_the_full_batch() {
-        let (x, forest) = fitted_forest(4);
-        let f32forest = Forest32::try_from_forest(&forest).unwrap();
-        let q = Matrix32::from_f64(x.view());
-        let batch = f32forest.predict_proba_batch(q.view());
-        let (start, len) = (17, 40);
-        let mut block = vec![0.0f32; f32forest.n_trees() * len];
-        f32forest.predict_proba_block(q.view(), start, len, &mut block);
-        for t in 0..f32forest.n_trees() {
-            assert_eq!(
-                &block[t * len..(t + 1) * len],
-                &batch.row(t)[start..start + len]
-            );
-        }
-    }
-
-    #[test]
     fn packed_word_round_trips_at_the_limits() {
-        let n = ArenaNode32::new(1.5, (MAX_NODES - 1) as u32, (MAX_FEATURES - 1) as u32);
+        let n = ArenaNode::new(1.5f32, (MAX_NODES - 1) as u32, (MAX_FEATURES - 1) as u32);
         assert_eq!(n.left(), (MAX_NODES - 1) as u32);
         assert_eq!(n.feature(), (MAX_FEATURES - 1) as u32);
     }
@@ -615,15 +334,5 @@ mod tests {
             Forest32::try_from_forest(&forest).unwrap_err(),
             NarrowError::EmptyForest
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "prediction features must be finite")]
-    fn rejects_non_finite_queries() {
-        let (x, forest) = fitted_forest(1);
-        let f32forest = Forest32::try_from_forest(&forest).unwrap();
-        let mut q = Matrix32::from_f64(x.view());
-        q.row_mut(0)[1] = f32::NAN;
-        let _ = f32forest.predict_proba_batch(q.view());
     }
 }

@@ -45,11 +45,15 @@
 use crate::linalg::{squared_distance, Cholesky};
 use crate::traits::{validate_training_data, Classifier, UncertainClassifier};
 use paws_data::matrix::{Matrix, MatrixView};
-use paws_data::simd::{F64x4, LANES};
+use paws_data::simd::{F64x4, LaneVector};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+
+/// Query rows per prediction block: one per lane of [`F64x4`], which is
+/// also the lane count of the f64 reduction kernels the block replays.
+const LANES: usize = <F64x4 as LaneVector>::N;
 
 /// Gaussian-process hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -8,10 +8,12 @@
 //!
 //! * [`tree`] — CART decision trees (DTB weak learners).
 //! * [`forest`] — arena-backed tree ensembles with level-synchronous batch
-//!   traversal (one contiguous node slab per ensemble).
-//! * [`forest32`] / [`precision`] — the opt-in f32 prediction plane: an
-//!   8-byte-node arena narrowed from the trained f64 forest, selected per
-//!   model with [`precision::Precision::F32`] (training stays f64).
+//!   traversal (one contiguous node slab per ensemble), generic over the
+//!   plane's element.
+//! * [`forest32`] / [`precision`] — the opt-in f32 prediction plane: the
+//!   same arena at `f32`, with 8-byte nodes narrowed from the trained f64
+//!   forest, selected per model with [`precision::Precision::F32`]
+//!   (training stays f64).
 //! * [`svm`] — linear SVM with Platt scaling (SVB weak learners).
 //! * [`gp`] — Gaussian-process classifier with predictive variance (GPB).
 //! * [`bagging`] — plain and balanced (undersampled) bagging ensembles.
@@ -34,7 +36,7 @@ pub mod traits;
 pub mod tree;
 
 pub use bagging::{BaggingClassifier, BaggingConfig, BaseLearnerConfig, BaseModel};
-pub use forest::{Forest, RawNode};
+pub use forest::{ArenaElement, Forest, RawNode};
 pub use forest32::{Forest32, NarrowError};
 pub use gp::{GaussianProcess, GpConfig};
 pub use precision::Precision;

@@ -29,8 +29,8 @@
 //!
 //! # Decoder guarantees
 //!
-//! [`SnapshotReader::parse`] + [`SnapshotReader::read_forest`] (and the
-//! f32 twin) reject, with a typed [`SnapshotError`] and never a panic:
+//! [`SnapshotReader::parse`] + [`SnapshotReader::read_forest`] reject, with
+//! a typed [`SnapshotError`] and never a panic:
 //!
 //! * wrong magic / version / endianness / payload kind, corrupt header;
 //! * any section whose checksum, bounds or length disagree with the table;
@@ -44,9 +44,11 @@
 //!
 //! A decoded arena is therefore indistinguishable from a spliced one, and
 //! the kernels' unchecked indexing stays sound.
+//!
+//! Only f64 arenas have a wire format: the f32 plane's arena is a cache
+//! derived from the f64 one and is rebuilt after a load, never stored.
 
 use crate::forest::{ArenaNode, Forest};
-use crate::forest32::{check_caps, ArenaNode32, Forest32};
 
 const MAGIC: [u8; 8] = *b"PAWSNAP1";
 /// Format version written by this build; bumped on any layout change.
@@ -68,8 +70,6 @@ const MAX_SECTIONS: usize = 64;
 pub enum PayloadKind {
     /// A single f64 [`Forest`] arena.
     Forest = 1,
-    /// A single f32 [`Forest32`] arena.
-    Forest32 = 2,
     /// A fused iWare-E learner stack (forest sections plus learner
     /// ranges, weights and thresholds).
     LearnerStack = 3,
@@ -79,7 +79,6 @@ impl PayloadKind {
     fn from_u16(v: u16) -> Option<Self> {
         match v {
             1 => Some(Self::Forest),
-            2 => Some(Self::Forest32),
             3 => Some(Self::LearnerStack),
             _ => None,
         }
@@ -92,8 +91,8 @@ impl PayloadKind {
 pub mod section {
     /// Arena meta: `n_features`, `n_nodes`, `n_trees` as three `u64`s.
     pub const META: u32 = 1;
-    /// Node slab: per node `value` bits then `packed` word (f64/u64 for
-    /// the f64 plane, f32/u32 for the f32 plane), little-endian.
+    /// Node slab: per node the `f64` threshold bits then the `u64` packed
+    /// word, little-endian.
     pub const NODES: u32 = 2;
     /// Leaf-probability side table, parallel to the node slab.
     pub const LEAVES: u32 = 3;
@@ -305,33 +304,6 @@ impl SnapshotWriter {
         }
         self.push_section(section::NODES, nb);
         self.push_f64_section(section::LEAVES, leaves);
-        self.push_u32s(section::ROOTS, roots);
-        self.push_u32s(section::DEPTHS, depths);
-    }
-
-    /// Append the five arena sections of an f32 [`Forest32`].
-    pub fn push_forest32(&mut self, forest: &Forest32) {
-        let (nodes, leaves, roots, depths) = forest.arena_parts32();
-        self.push_u64_section(
-            section::META,
-            &[
-                forest.n_features() as u64,
-                nodes.len() as u64,
-                roots.len() as u64,
-            ],
-        );
-        let mut nb = Vec::with_capacity(nodes.len() * 8);
-        for n in nodes {
-            let (value_bits, packed) = n.to_bits();
-            nb.extend_from_slice(&value_bits.to_le_bytes());
-            nb.extend_from_slice(&packed.to_le_bytes());
-        }
-        self.push_section(section::NODES, nb);
-        let mut lb = Vec::with_capacity(leaves.len() * 4);
-        for v in leaves {
-            lb.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        self.push_section(section::LEAVES, lb);
         self.push_u32s(section::ROOTS, roots);
         self.push_u32s(section::DEPTHS, depths);
     }
@@ -576,129 +548,29 @@ impl<'a> SnapshotReader<'a> {
         }
         let roots = self.read_u32_section(section::ROOTS, n_trees)?;
         let depths = self.read_u32_section(section::DEPTHS, n_trees)?;
-        validate_arena(&F64View(&nodes, &leaves), &roots, &depths, n_features)?;
+        validate_arena(&nodes, &leaves, &roots, &depths, n_features)?;
         Ok(Forest::from_validated_parts(
             nodes, leaves, roots, depths, n_features,
         ))
     }
-
-    /// Decode and fully validate an f32 [`Forest32`].
-    pub fn read_forest32(&self) -> Result<Forest32, SnapshotError> {
-        let (n_features, n_nodes, n_trees) = self.read_meta()?;
-        check_caps(n_nodes, n_features)
-            .map_err(|_| SnapshotError::Invariant("arena exceeds the f32 plane's packing caps"))?;
-        let nb = self.section(section::NODES)?;
-        if nb.len() % 8 != 0 || nb.len() / 8 != n_nodes {
-            return Err(SnapshotError::SectionShape {
-                section: section::NODES,
-                detail: "node count disagrees with meta",
-            });
-        }
-        let nodes: Vec<ArenaNode32> = nb
-            .chunks_exact(8)
-            .map(|c| {
-                let value_bits = u32::from_le_bytes(c[..4].try_into().expect("4-byte half"));
-                let packed = u32::from_le_bytes(c[4..].try_into().expect("4-byte half"));
-                ArenaNode32::from_bits(value_bits, packed)
-            })
-            .collect();
-        let lb = self.section(section::LEAVES)?;
-        if lb.len() % 4 != 0 || lb.len() / 4 != n_nodes {
-            return Err(SnapshotError::SectionShape {
-                section: section::LEAVES,
-                detail: "leaf count disagrees with meta",
-            });
-        }
-        let leaves: Vec<f32> = lb
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
-            .collect();
-        let roots = self.read_u32_section(section::ROOTS, n_trees)?;
-        let depths = self.read_u32_section(section::DEPTHS, n_trees)?;
-        validate_arena(&F32View(&nodes, &leaves), &roots, &depths, n_features)?;
-        Ok(Forest32::from_validated_parts(
-            nodes, leaves, roots, depths, n_features,
-        ))
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Arena validation (shared between the f64 and f32 planes)
+// Arena validation
 // ---------------------------------------------------------------------------
-
-/// Minimal arena access the structural validator needs, implemented for
-/// both node widths so the invariant list exists exactly once.
-trait ArenaView {
-    fn len(&self) -> usize;
-    fn left(&self, i: usize) -> u32;
-    fn feature(&self, i: usize) -> u32;
-    fn threshold_is_finite(&self, i: usize) -> bool;
-    fn threshold_is_pos_inf(&self, i: usize) -> bool;
-    fn leaf_is_canonical_zero(&self, i: usize) -> bool;
-    fn leaf_is_finite(&self, i: usize) -> bool;
-}
-
-struct F64View<'a>(&'a [ArenaNode], &'a [f64]);
-impl ArenaView for F64View<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn left(&self, i: usize) -> u32 {
-        self.0[i].left()
-    }
-    fn feature(&self, i: usize) -> u32 {
-        self.0[i].feature()
-    }
-    fn threshold_is_finite(&self, i: usize) -> bool {
-        self.0[i].value.is_finite()
-    }
-    fn threshold_is_pos_inf(&self, i: usize) -> bool {
-        self.0[i].value == f64::INFINITY
-    }
-    fn leaf_is_canonical_zero(&self, i: usize) -> bool {
-        self.1[i].to_bits() == 0
-    }
-    fn leaf_is_finite(&self, i: usize) -> bool {
-        self.1[i].is_finite()
-    }
-}
-
-struct F32View<'a>(&'a [ArenaNode32], &'a [f32]);
-impl ArenaView for F32View<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn left(&self, i: usize) -> u32 {
-        self.0[i].left()
-    }
-    fn feature(&self, i: usize) -> u32 {
-        self.0[i].feature()
-    }
-    fn threshold_is_finite(&self, i: usize) -> bool {
-        self.0[i].value.is_finite()
-    }
-    fn threshold_is_pos_inf(&self, i: usize) -> bool {
-        self.0[i].value == f32::INFINITY
-    }
-    fn leaf_is_canonical_zero(&self, i: usize) -> bool {
-        self.1[i].to_bits() == 0
-    }
-    fn leaf_is_finite(&self, i: usize) -> bool {
-        self.1[i].is_finite()
-    }
-}
 
 /// The one structural validation pass. A spliced arena allocates each
 /// split's children as the next adjacent pair, in scan order — so a single
 /// linear sweep per tree span can check reachability, adjacency, bounds,
 /// leaf encoding and depth all at once, in O(nodes).
 fn validate_arena(
-    arena: &dyn ArenaView,
+    nodes: &[ArenaNode],
+    leaves: &[f64],
     roots: &[u32],
     depths: &[u32],
     n_features: usize,
 ) -> Result<(), SnapshotError> {
-    let n_nodes = arena.len();
+    let n_nodes = nodes.len();
     if roots.is_empty() {
         if n_nodes != 0 {
             return Err(SnapshotError::Invariant("nodes present but no trees"));
@@ -728,18 +600,19 @@ fn validate_arena(
         for i in b..e {
             let level = levels[i - b];
             depth = depth.max(level);
-            let left = arena.left(i) as usize;
+            let node = nodes[i];
+            let left = node.left() as usize;
             if left == i {
                 // Leaf: exact `+∞` marker, feature 0, finite probability.
-                if !arena.threshold_is_pos_inf(i) {
+                if node.value != f64::INFINITY {
                     return Err(SnapshotError::Invariant(
                         "leaf threshold must be exactly +inf",
                     ));
                 }
-                if arena.feature(i) != 0 {
+                if node.feature() != 0 {
                     return Err(SnapshotError::Invariant("leaf feature must be zero"));
                 }
-                if !arena.leaf_is_finite(i) {
+                if !leaves[i].is_finite() {
                     return Err(SnapshotError::Invariant("leaf probability must be finite"));
                 }
             } else {
@@ -750,13 +623,13 @@ fn validate_arena(
                     ));
                 }
                 next += 2;
-                if arena.feature(i) as usize >= n_features {
+                if node.feature() as usize >= n_features {
                     return Err(SnapshotError::Invariant("split feature out of range"));
                 }
-                if !arena.threshold_is_finite(i) {
+                if !node.value.is_finite() {
                     return Err(SnapshotError::Invariant("split threshold must be finite"));
                 }
-                if !arena.leaf_is_canonical_zero(i) {
+                if leaves[i].to_bits() != 0 {
                     return Err(SnapshotError::Invariant(
                         "interior leaf-table slot must be exactly +0.0",
                     ));
@@ -793,18 +666,6 @@ pub fn write_forest(forest: &Forest) -> Vec<u8> {
 /// Load and validate an f64 [`Forest`] snapshot.
 pub fn read_forest(bytes: &[u8]) -> Result<Forest, SnapshotError> {
     SnapshotReader::parse(bytes, PayloadKind::Forest)?.read_forest()
-}
-
-/// Serialize an f32 [`Forest32`] as one snapshot slab.
-pub fn write_forest32(forest: &Forest32) -> Vec<u8> {
-    let mut w = SnapshotWriter::new(PayloadKind::Forest32);
-    w.push_forest32(forest);
-    w.finish()
-}
-
-/// Load and validate an f32 [`Forest32`] snapshot.
-pub fn read_forest32(bytes: &[u8]) -> Result<Forest32, SnapshotError> {
-    SnapshotReader::parse(bytes, PayloadKind::Forest32)?.read_forest32()
 }
 
 #[cfg(test)]
@@ -854,22 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn forest32_round_trip_is_bit_identical() {
-        let f = Forest32::try_from_forest(&sample_forest()).unwrap();
-        let bytes = write_forest32(&f);
-        let g = read_forest32(&bytes).expect("valid snapshot");
-        assert_eq!(write_forest32(&g), bytes);
-        for row in [[0.0f32, 0.0, 0.0], [9.0, 1.0, -2.0]] {
-            for t in 0..f.n_trees() {
-                assert_eq!(
-                    f.predict_row(t, &row).to_bits(),
-                    g.predict_row(t, &row).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_forest_round_trips() {
         let f = Forest::new(4);
         let g = read_forest(&write_forest(&f)).expect("empty forest is valid");
@@ -898,12 +743,25 @@ mod tests {
             read_forest(&b).unwrap_err(),
             SnapshotError::WrongEndianness { got: 0x3412 }
         );
-        // A Forest slab fed to the Forest32 loader.
+        // A learner-stack slab fed to the forest loader: structurally
+        // valid sections, the wrong payload.
+        let mut w = SnapshotWriter::new(PayloadKind::LearnerStack);
+        w.push_forest(&sample_forest());
         assert_eq!(
-            read_forest32(&bytes).unwrap_err(),
+            read_forest(&w.finish()).unwrap_err(),
             SnapshotError::WrongKind {
-                expected: PayloadKind::Forest32 as u16,
-                got: PayloadKind::Forest as u16
+                expected: PayloadKind::Forest as u16,
+                got: PayloadKind::LearnerStack as u16
+            }
+        );
+        // An unassigned payload kind is refused the same way.
+        let mut b = bytes.clone();
+        b[12..14].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(
+            read_forest(&b).unwrap_err(),
+            SnapshotError::WrongKind {
+                expected: PayloadKind::Forest as u16,
+                got: 2
             }
         );
     }

@@ -7,12 +7,12 @@
 //! yield a typed [`SnapshotError`] — never a panic, hang, or a forest
 //! that silently decodes to something else. Clean round trips must be
 //! bit-identical: same bytes on re-encode, same predictions from the
-//! arena on both planes.
+//! arena.
 
-use paws_data::{Matrix, Matrix32};
+use paws_data::Matrix;
 use paws_ml::forest::RawNode;
-use paws_ml::snapshot::{read_forest, read_forest32, write_forest, write_forest32};
-use paws_ml::{Forest, Forest32};
+use paws_ml::snapshot::{read_forest, write_forest};
+use paws_ml::{Forest, PayloadKind, SnapshotWriter};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -40,7 +40,7 @@ fn grow_tree<R: Rng>(rng: &mut R, n_features: usize, max_depth: usize) -> Vec<Ra
         let threshold = match rng.gen_range(0..5) {
             0 => 0.0,
             1 => -0.0,
-            // Extremes that stay finite after narrowing to f32.
+            // Large finite extremes.
             2 => 1e30,
             3 => -1e30,
             _ => rng.gen_range(-2.0..2.0),
@@ -88,8 +88,8 @@ fn check_round_trip(seed: u64) {
     let forest = random_forest(&mut rng);
     let x = random_queries(&mut rng, forest.n_features());
 
-    // f64 plane: decoded forest re-encodes to the same bytes (canonical
-    // form) and predicts bit-identically.
+    // The decoded forest re-encodes to the same bytes (canonical form) and
+    // predicts bit-identically.
     let bytes = write_forest(&forest);
     let loaded = read_forest(&bytes).expect("clean snapshot decodes");
     assert_eq!(write_forest(&loaded), bytes, "re-encode not canonical");
@@ -98,19 +98,6 @@ fn check_round_trip(seed: u64) {
         loaded.predict_proba_batch(x.view()).as_slice(),
         reference.as_slice(),
         "arena predictions diverged after round trip (seed {seed})"
-    );
-
-    // f32 plane.
-    let forest32 = Forest32::try_from_forest(&forest).unwrap();
-    let bytes32 = write_forest32(&forest32);
-    let loaded32 = read_forest32(&bytes32).expect("clean f32 snapshot decodes");
-    assert_eq!(write_forest32(&loaded32), bytes32);
-    let q32 = Matrix32::from_f64(x.view());
-    let reference32 = forest32.predict_proba_batch(q32.view());
-    assert_eq!(
-        loaded32.predict_proba_batch(q32.view()).as_slice(),
-        reference32.as_slice(),
-        "f32 arena predictions diverged after round trip (seed {seed})"
     );
 }
 
@@ -157,7 +144,6 @@ fn check_bit_flips(seed: u64) {
 fn check_header_mutations(seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let forest = random_forest(&mut rng);
-    let forest32 = Forest32::try_from_forest(&forest).unwrap();
     let bytes = write_forest(&forest);
 
     // Wrong magic.
@@ -173,10 +159,11 @@ fn check_header_mutations(seed: u64) {
     b[10] = 0x12;
     b[11] = 0x34;
     assert!(read_forest(&b).is_err());
-    // Kind confusion: an f32 snapshot is not an f64 snapshot and vice
-    // versa, even though both carry structurally valid sections.
-    assert!(read_forest(&write_forest32(&forest32)).is_err());
-    assert!(read_forest32(&bytes).is_err());
+    // Kind confusion: a learner-stack slab is not a forest snapshot, even
+    // though it carries structurally valid forest sections.
+    let mut stack = SnapshotWriter::new(PayloadKind::LearnerStack);
+    stack.push_forest(&forest);
+    assert!(read_forest(&stack.finish()).is_err());
     // Over- and under-stated section count.
     for delta in [-1i64, 1] {
         let mut b = bytes.clone();
