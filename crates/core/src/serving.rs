@@ -45,7 +45,7 @@
 //!   model querying the park computes its answer without the cache, as if
 //!   the park held none.
 //! * **Not for tree stacks.** Their fused per-block pipeline never builds
-//!   tables: a cache would cost 8 MB at 50k cells (or an f32 twin) and
+//!   tables: a cache would cost 8 MB at 50k cells (4 MB as f32 tables) and
 //!   change the memory of every tree workload.
 
 use crate::config::ModelConfig;
@@ -104,7 +104,7 @@ pub struct ServingModel {
 ///
 /// LLC-scale parks (50k–200k cells) are additionally tiled into
 /// cache-sized **spatial shards** — contiguous row ranges whose f64 plane
-/// fits in roughly [`SHARD_TARGET_BYTES`] — at preparation time. Prepared
+/// fits in roughly `SHARD_TARGET_BYTES` (1 MiB) — at preparation time. Prepared
 /// park-wide queries fan the shards across the worker pool and stitch the
 /// per-shard surfaces back in row order; every per-row kernel result
 /// depends only on its own row, and shard boundaries are multiples of the

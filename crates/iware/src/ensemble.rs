@@ -33,7 +33,11 @@
 //! points) runs a single level-synchronous batch traversal over the
 //! combined slab instead of I separate per-learner member passes, then
 //! reduces the member rows per learner in the exact member order of the
-//! per-learner path (bit-identical results).
+//! per-learner path (bit-identical results). The fused stack and its
+//! traverse → reduce → combine pipeline are written once, generic over the
+//! plane's element: the fitted f64 stack and its f32 narrowing (selected
+//! with [`IWareModel::set_precision`]) run the same bodies, each
+//! monomorphised with the operation order of its plane.
 //!
 //! Every other learner base (Gaussian processes, SVMs) goes through
 //! **learner tables** instead: each learner scores the whole batch once
@@ -411,7 +415,7 @@ impl IWareModel {
     /// the new threshold list by θ identity instead of by position (seeds
     /// are θ-keyed, so surviving thresholds keep their learners warm) and
     /// only the weight solve falls back to a full fold-retraining CV —
-    /// see [`IWareModel::warm_refit_count_changed`].
+    /// see `IWareModel::warm_refit_count_changed`.
     ///
     /// The cache is updated in place to describe the returned model.
     ///
@@ -1065,9 +1069,9 @@ impl IWareModel {
     /// instead of materialising the full `n_trees × n_rows` table first.
     /// Other learner bases build the batch's [`LearnerTables`] and run
     /// [`IWareModel::combine_tables_response`]'s combine. Reductions and
-    /// combines use the `f64x4` kernels with the exact per-element
-    /// operation order of the reference path, so the surface is
-    /// bit-identical to per-row evaluation.
+    /// combines use the lane kernels with the exact per-element operation
+    /// order of the reference path, so the f64 surface is bit-identical to
+    /// per-row evaluation.
     pub fn effort_response(&self, x: MatrixView<'_>, effort_grid: &[f64]) -> (Matrix, Matrix) {
         assert!(!effort_grid.is_empty(), "empty effort grid");
         if x.n_rows() == 0 {

@@ -1,8 +1,8 @@
 //! Classifier-weight optimisation for the iWare-E ensemble.
 //!
 //! Sec. IV, first enhancement: instead of weighing every qualified
-//! classifier equally, the enhanced iWare-E "hold[s] out a testing set and
-//! perform[s] 5-fold cross validation to minimize the log loss of the
+//! classifier equally, the enhanced iWare-E "hold\[s\] out a testing set and
+//! perform\[s\] 5-fold cross validation to minimize the log loss of the
 //! predictions when varying the classifier weights", then retrains on the
 //! full training data with those weights.
 //!

@@ -20,14 +20,14 @@
 //!   iWare-E stack builds its single learner-wide slab.
 //! * **Interleaved batch traversal** — [`Forest::predict_proba_batch`]
 //!   advances rows through each tree in register-resident groups of
-//!   [`INTERLEAVE`] cursors: every group member is an independent
+//!   `INTERLEAVE` (16) cursors: every group member is an independent
 //!   root-to-leaf dependency chain, so the CPU overlaps their node loads,
 //!   while the group's feature rows stay hot in L1. The per-level advance
 //!   is branch-free — a leaf stores a `+∞` threshold and self-referencing
 //!   child, so finished rows spin in place with no leaf test in the loop
 //!   (the batch entry points assert the query matrix finite, which both
 //!   guarantees the self-loop and keeps the unchecked arena indexing
-//!   sound). Blocks of [`ROW_BLOCK`] rows are the unit of parallel
+//!   sound). Blocks of `ROW_BLOCK` (256) rows are the unit of parallel
 //!   fan-out over the work-stealing pool, and
 //!   [`Forest::predict_proba_block`] exposes single-block traversal so
 //!   consumers (the iWare-E stack) can fuse their per-learner reductions

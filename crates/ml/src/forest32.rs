@@ -59,7 +59,7 @@ const MAX_NODES: usize = 1 << 24;
 const MAX_FEATURES: usize = 1 << 8;
 
 /// The 8-byte node's word: `left_child | feature << 24`. The caps are
-/// checked once, when an f64 arena is narrowed ([`check_caps`]).
+/// checked once, when an f64 arena is narrowed (`check_caps`).
 impl ArenaElement for f32 {
     type Word = u32;
 

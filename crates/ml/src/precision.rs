@@ -4,11 +4,16 @@
 //! CV weights and the golden parity surfaces are all double-precision and
 //! unaffected by this switch. [`Precision`] only selects which plane serves
 //! **predictions**: the default f64 arena ([`crate::forest::Forest`], bit-
-//! identical to the per-row reference), or the opt-in f32 plane
-//! ([`crate::forest32::Forest32`] + `f32x8` reductions), which halves the
+//! identical to the per-row reference), or the opt-in f32 plane (the same
+//! arena and kernels monomorphised at `f32`:
+//! [`crate::forest32::Forest32`] with `f32x8` reductions), which halves the
 //! node/feature bandwidth of park-wide surfaces at the cost of a bounded
 //! single-precision divergence (documented and pinned in
 //! `tests/matrix_parity.rs`).
+//!
+//! Only tree ensembles have an f32 plane. A model reports the plane that
+//! actually serves it, so an SVM or GP model switched to
+//! [`Precision::F32`] keeps reporting [`Precision::F64`].
 
 use serde::{Deserialize, Serialize};
 

@@ -17,7 +17,7 @@
 //! `FTRAN` (solve `Bx = b`) applies the L ops forward then back-substitutes
 //! the U rows in reverse elimination order; `BTRAN` (solve `Bᵀy = c`)
 //! forward-substitutes `Uᵀ` by scatter in elimination order then applies
-//! the transposed L ops in reverse. Basis changes append [`Eta`] updates
+//! the transposed L ops in reverse. Basis changes append `Eta` updates
 //! (the spike `w = B⁻¹a_q` at the leaving position); both solves thread the
 //! eta file in the appropriate order.
 

@@ -11,9 +11,9 @@
 //! and the number of structural non-zeros, not to `m·n`.
 //!
 //! Engine policy in one paragraph: Dantzig pricing by default, switching to
-//! Bland's rule after [`STALL_LIMIT`] consecutive degenerate steps so
+//! Bland's rule after `DEFAULT_STALL_LIMIT` consecutive degenerate steps so
 //! cycling cannot occur (and back once progress resumes); the basis is
-//! refactorised every [`REFACTOR_EVERY`] eta updates, or early when an eta
+//! refactorised every `REFACTOR_EVERY` eta updates, or early when an eta
 //! pivot is small relative to its spike (the stability trigger); phase 1
 //! introduces artificial columns only for rows whose slack-basis residual
 //! violates the slack bounds. Deadline and iteration budgets behave exactly

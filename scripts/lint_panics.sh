@@ -34,13 +34,12 @@ allowlist() {
 1 crates/core/src/scenario.rs
 1 crates/data/src/discretize.rs
 2 crates/data/src/simd.rs
-2 crates/data/src/simd32.rs
 3 crates/field/src/simulate.rs
 5 crates/geo/src/park.rs
 1 crates/iware/src/thresholds.rs
 1 crates/ml/src/bagging.rs
 2 crates/ml/src/gp.rs
-10 crates/ml/src/snapshot.rs
+7 crates/ml/src/snapshot.rs
 1 crates/ml/src/traits.rs
 1 crates/plan/src/evaluate.rs
 3 crates/plan/src/game.rs
