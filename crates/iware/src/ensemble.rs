@@ -888,12 +888,13 @@ impl IWareModel {
                         len,
                     ))
                 };
+                let p = combine(&probs);
                 let v = if with_variance {
                     combine(&vars)
                 } else {
                     Vec::new()
                 };
-                (combine(&probs), v)
+                (p, v)
             })
             .collect();
         let mut p_all = Vec::with_capacity(n_rows);

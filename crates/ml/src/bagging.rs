@@ -532,34 +532,28 @@ impl UncertainClassifier for BaggingClassifier {
 }
 
 /// Member mean of an `n_members × n_rows` prediction table, accumulated in
-/// member order with the element-wise lane kernels and widened to f64 at
-/// the boundary (a no-op on the f64 plane).
-fn member_mean<T: Element>(per_member: &Matrix<T>) -> Vec<f64> {
+/// member order with the element-wise lane kernels.
+fn member_mean<T: Element>(per_member: &Matrix<T>) -> Vec<T> {
     let mut mean = vec![T::ZERO; per_member.n_cols()];
     for preds in per_member.rows() {
         simd::add_assign(&mut mean, preds);
     }
     simd::div_assign(&mut mean, T::from_usize(per_member.n_rows()));
-    T::into_f64_vec(mean)
+    mean
 }
 
-/// Member-mean and member-spread variance of an `n_members × n_rows`
+/// Member mean and member-spread variance of an `n_members × n_rows`
 /// prediction table, accumulated in member order with the element-wise
 /// lane kernels (the exact operation order of the per-member path, so
-/// results are bit-identical) and widened to f64 at the boundary.
+/// results are bit-identical) and widened to f64 at the boundary (a no-op
+/// on the f64 plane).
 fn mean_and_spread<T: Element>(per_member: &Matrix<T>) -> (Vec<f64>, Vec<f64>) {
-    let b = T::from_usize(per_member.n_rows());
-    let n_rows = per_member.n_cols();
-    let mut mean = vec![T::ZERO; n_rows];
-    for preds in per_member.rows() {
-        simd::add_assign(&mut mean, preds);
-    }
-    simd::div_assign(&mut mean, b);
-    let mut var = vec![T::ZERO; n_rows];
+    let mean = member_mean(per_member);
+    let mut var = vec![T::ZERO; mean.len()];
     for preds in per_member.rows() {
         simd::accumulate_sq_diff(&mut var, preds, &mean);
     }
-    simd::div_assign(&mut var, b);
+    simd::div_assign(&mut var, T::from_usize(per_member.n_rows()));
     (T::into_f64_vec(mean), T::into_f64_vec(var))
 }
 
@@ -569,7 +563,7 @@ fn arena_mean<T: ArenaElement>(forest: &Forest<T>, x: MatrixView<'_, T>) -> Vec<
     if x.is_empty() {
         return Vec::new();
     }
-    member_mean(&forest.predict_proba_batch(x))
+    T::into_f64_vec(member_mean(&forest.predict_proba_batch(x)))
 }
 
 /// [`mean_and_spread`] of a tree arena's members on a batch (empty for an
