@@ -1,16 +1,19 @@
-//! Criterion benchmarks for the sparse planning stack: dense-tableau vs
-//! sparse revised-simplex LP engines on allocation-shaped LPs across cell
-//! counts, branch-and-bound node throughput with and without warm-started
-//! sparse relaxations, and the column-generation planner on an LLC-scale
+//! Criterion benchmarks for the planning stack: dense-tableau vs sparse
+//! revised-simplex LP engines on allocation-shaped LPs across cell counts,
+//! branch-and-bound node throughput with and without warm-started sparse
+//! relaxations, the allocation MILP across PWL segment counts and the flow
+//! formulation on the test park (the Fig. 9a runtime measurement at
+//! component scale), and the column-generation planner on an LLC-scale
 //! park. The headline curves (up to study-park and 100k-cell scale, where
 //! a criterion loop would take hours on the dense engine) are recorded by
 //! `fig8 --llc` / `fig9 --llc` into `results/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_bench::full_reach_problem;
-use paws_geo::parks::llc_park_spec;
+use paws_data::Matrix;
+use paws_geo::parks::{llc_park_spec, test_park_spec};
 use paws_geo::Park;
-use paws_plan::{plan, Decomposition, PlannerConfig};
+use paws_plan::{try_plan, Decomposition, PlannerConfig, PlannerMethod, PlanningProblem};
 use paws_solver::{
     solve_lp, solve_lp_dense, solve_milp, ConstraintOp, LpEngine, MilpOptions, Model, Sense,
 };
@@ -31,11 +34,12 @@ fn allocation_lp(n_cells: usize) -> Model {
             .enumerate()
             .map(|(j, &x)| {
                 let y = s * (1.0 - (-rate * x).exp());
-                m.add_continuous(&format!("l_{i}_{j}"), 0.0, f64::INFINITY, y)
+                m.try_add_continuous(&format!("l_{i}_{j}"), 0.0, f64::INFINITY, y)
+                    .unwrap()
             })
             .collect();
         let conv: Vec<_> = lambdas.iter().map(|&v| (v, 1.0)).collect();
-        m.add_constraint(&conv, ConstraintOp::Eq, 1.0);
+        m.try_add_constraint(&conv, ConstraintOp::Eq, 1.0).unwrap();
         budget_terms.extend(
             lambdas
                 .iter()
@@ -44,7 +48,8 @@ fn allocation_lp(n_cells: usize) -> Model {
                 .map(|(&v, &x)| (v, x)),
         );
     }
-    m.add_constraint(&budget_terms, ConstraintOp::Le, 0.05 * n_cells as f64);
+    m.try_add_constraint(&budget_terms, ConstraintOp::Le, 0.05 * n_cells as f64)
+        .unwrap();
     m
 }
 
@@ -77,7 +82,7 @@ fn knapsack_milp(n_items: usize) -> Model {
     let items: Vec<_> = (0..n_items)
         .map(|i| {
             let value = 1.0 + ((i * 29) % 17) as f64 / 3.0;
-            m.add_binary(&format!("x{i}"), value)
+            m.try_add_binary(&format!("x{i}"), value).unwrap()
         })
         .collect();
     for (k, period) in [(0usize, 13), (1, 11), (2, 7)] {
@@ -87,7 +92,7 @@ fn knapsack_milp(n_items: usize) -> Model {
             .map(|(i, &v)| (v, 1.0 + ((i * 31 + k * 5) % period) as f64 / 2.0))
             .collect();
         let cap = terms.iter().map(|(_, w)| w).sum::<f64>() * 0.35;
-        m.add_constraint(&terms, ConstraintOp::Le, cap);
+        m.try_add_constraint(&terms, ConstraintOp::Le, cap).unwrap();
     }
     m
 }
@@ -111,6 +116,71 @@ fn bench_milp_nodes(c: &mut Criterion) {
     group.finish();
 }
 
+/// A post's planning problem on the test park, over synthetic response
+/// curves.
+fn test_park_problem(patrol_length_km: f64) -> PlanningProblem {
+    let park = Park::generate(&test_park_spec(), 7);
+    let post = park.patrol_posts[0];
+    let grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+    let probs: Vec<Vec<f64>> = (0..park.n_cells())
+        .map(|i| {
+            let s = 0.1 + 0.8 * ((i * 37) % 100) as f64 / 100.0;
+            grid.iter().map(|&e| s * (1.0 - (-0.7 * e).exp())).collect()
+        })
+        .collect();
+    let vars: Vec<Vec<f64>> = (0..park.n_cells())
+        .map(|i| {
+            let b = 0.05 + 0.4 * ((i * 61) % 100) as f64 / 100.0;
+            grid.iter().map(|&e| (b + 0.03 * e).min(0.95)).collect()
+        })
+        .collect();
+    PlanningProblem::from_response(
+        &park,
+        post,
+        &grid,
+        &Matrix::from_rows(&probs),
+        &Matrix::from_rows(&vars),
+        patrol_length_km,
+        3,
+        1.0,
+    )
+}
+
+fn bench_allocation_segments(c: &mut Criterion) {
+    let problem = test_park_problem(10.0);
+    let mut group = c.benchmark_group("allocation_milp_by_segments");
+    group.sample_size(10);
+    for segments in [5usize, 10, 20] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(segments),
+            &segments,
+            |b, &segments| {
+                let config = PlannerConfig {
+                    segments,
+                    ..PlannerConfig::default()
+                };
+                b.iter(|| black_box(try_plan(&problem, &config).unwrap()));
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_flow_formulation(c: &mut Criterion) {
+    let problem = test_park_problem(4.0);
+    let config = PlannerConfig {
+        method: PlannerMethod::Flow,
+        segments: 6,
+        ..PlannerConfig::default()
+    };
+    let mut group = c.benchmark_group("flow_formulation");
+    group.sample_size(10);
+    group.bench_function("flow_milp_tiny", |b| {
+        b.iter(|| black_box(try_plan(&problem, &config).unwrap()))
+    });
+    group.finish();
+}
+
 fn bench_colgen_llc(c: &mut Criterion) {
     let park = Park::generate(&llc_park_spec(10_000), 11);
     let problem = full_reach_problem(&park, 500.0, 1.0);
@@ -121,7 +191,7 @@ fn bench_colgen_llc(c: &mut Criterion) {
     let mut group = c.benchmark_group("colgen_planner");
     group.sample_size(10);
     group.bench_function("llc_10k_cells", |b| {
-        b.iter(|| black_box(plan(&problem, &config)))
+        b.iter(|| black_box(try_plan(&problem, &config).unwrap()))
     });
     group.finish();
 }
@@ -130,6 +200,8 @@ criterion_group!(
     benches,
     bench_lp_engines,
     bench_milp_nodes,
+    bench_allocation_segments,
+    bench_flow_formulation,
     bench_colgen_llc
 );
 criterion_main!(benches);

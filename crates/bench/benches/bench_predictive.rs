@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the predictive stage (Table II / Fig. 6
 //! building blocks): weak-learner training, iWare-E training and park-wide
-//! prediction.
+//! prediction on a prepared park.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_core::{train, ModelConfig, Scenario, WeakLearnerKind};
@@ -117,20 +117,30 @@ fn bench_park_prediction(c: &mut Criterion) {
     cfg32.precision = paws_core::Precision::F32;
     let model32 = train(&dataset, &split, &cfg32);
     let prev = dataset.coverage.last().unwrap().clone();
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+    let prepared32 = model32
+        .prepare_park(&scenario.park, &dataset, &prev)
+        .unwrap();
     let mut group = c.benchmark_group("park_prediction");
     group.sample_size(20);
     group.bench_function("risk_map_500_cells", |b| {
-        b.iter(|| black_box(model.risk_map(&scenario.park, &dataset, &prev, 1.0)))
+        b.iter(|| black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap()))
     });
     group.bench_function("risk_map_500_cells_f32", |b| {
-        b.iter(|| black_box(model32.risk_map(&scenario.park, &dataset, &prev, 1.0)))
+        b.iter(|| black_box(model32.try_risk_map_prepared(&prepared32, 1.0).unwrap()))
     });
     let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     group.bench_function("park_response_500_cells_6_levels", |b| {
-        b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
+        b.iter(|| black_box(model.try_park_response_prepared(&prepared, &grid).unwrap()))
     });
     group.bench_function("park_response_500_cells_6_levels_f32", |b| {
-        b.iter(|| black_box(model32.park_response(&scenario.park, &dataset, &prev, &grid)))
+        b.iter(|| {
+            black_box(
+                model32
+                    .try_park_response_prepared(&prepared32, &grid)
+                    .unwrap(),
+            )
+        })
     });
     group.finish();
 }
@@ -146,6 +156,7 @@ fn bench_park_prediction_threads(c: &mut Criterion) {
         &quick_config(WeakLearnerKind::DecisionTree, true),
     );
     let prev = dataset.coverage.last().unwrap().clone();
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
     let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let mut group = c.benchmark_group("park_response_threads");
     group.sample_size(20);
@@ -156,7 +167,7 @@ fn bench_park_prediction_threads(c: &mut Criterion) {
             |b, &threads| {
                 rayon::with_num_threads(threads, || {
                     b.iter(|| {
-                        black_box(model.park_response(&scenario.park, &dataset, &prev, &grid))
+                        black_box(model.try_park_response_prepared(&prepared, &grid).unwrap())
                     })
                 })
             },

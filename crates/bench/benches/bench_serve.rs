@@ -1,13 +1,12 @@
 //! Criterion benchmarks of the serving surface: prepared-park queries
-//! (cached standardize + narrow) vs the unprepared per-call path, GP
-//! queries off a prepared park's learner tables, and the batched admission
-//! layer vs per-request submits.
+//! (cached standardize + narrow), GP queries off a prepared park's learner
+//! tables, and the batched admission layer vs per-request submits.
 //!
-//! The LLC group times the 50k-cell risk map and response surface both
-//! unprepared and prepared. With `PreparedPark` caching the standardized
-//! f64 plane and the f32 narrowing, the f32 `park_response` must no longer
-//! trail f64: the per-call `Matrix32::from_f64` narrowing, once measured as
-//! a 0.84x slowdown, is paid once at prepare time, not per query.
+//! The LLC group times the 50k-cell preparation and the prepared risk map
+//! and response surface; a one-shot query costs the preparation plus one
+//! prepared query. With `PreparedPark` caching the standardized f64 plane
+//! and the f32 narrowing, the f32 response surface must not trail f64: the
+//! narrowing is paid once at prepare time, not per query.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paws_bench::{dry_season_dataset, park_model_config, scenario, Scale};
@@ -45,21 +44,13 @@ fn bench_prepared_queries_llc(c: &mut Criterion) {
         let prepared = model
             .prepare_park(&scenario.park, &dataset, &prev)
             .expect("park prepares");
-        // Unprepared: every call re-standardizes the stack (and, on the
-        // f32 plane, re-narrows it) before traversal.
-        group.bench_function(format!("risk_map_llc_50k_cells{tag}"), |b| {
-            b.iter(|| black_box(model.risk_map(&scenario.park, &dataset, &prev, 1.0)))
-        });
-        group.bench_function(format!("park_response_llc_50k_cells_6_levels{tag}"), |b| {
-            b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
-        });
-        // Prepared: traversal only, straight off the cached plane.
+        // Traversal only, straight off the cached plane.
         group.bench_function(
             format!("park_response_prepared_llc_50k_cells_6_levels{tag}"),
-            |b| b.iter(|| black_box(model.park_response_prepared(&prepared, &grid))),
+            |b| b.iter(|| black_box(model.try_park_response_prepared(&prepared, &grid).unwrap())),
         );
         group.bench_function(format!("risk_map_prepared_llc_50k_cells{tag}"), |b| {
-            b.iter(|| black_box(model.risk_map_prepared(&prepared, 1.0)))
+            b.iter(|| black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap()))
         });
         // The one-time cost the prepared path pays up front.
         group.bench_function(format!("prepare_park_llc_50k_cells{tag}"), |b| {
@@ -106,7 +97,7 @@ fn bench_shard_fanout_llc(c: &mut Criterion) {
         group.bench_function(format!("risk_map_prepared_llc_50k_forced{forced}"), |b| {
             b.iter(|| {
                 rayon::with_num_threads(forced, || {
-                    black_box(model.risk_map_prepared(&prepared, 1.0))
+                    black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap())
                 })
             })
         });
@@ -115,7 +106,7 @@ fn bench_shard_fanout_llc(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     rayon::with_num_threads(forced, || {
-                        black_box(model.park_response_prepared(&prepared, &grid))
+                        black_box(model.try_park_response_prepared(&prepared, &grid).unwrap())
                     })
                 })
             },
@@ -142,7 +133,7 @@ fn bench_gp_prepared_park(c: &mut Criterion) {
     let warm = model
         .prepare_park(park, &dataset, &prev)
         .expect("park prepares");
-    let _ = model.risk_map_prepared(&warm, 1.0);
+    model.try_risk_map_prepared(&warm, 1.0).unwrap();
 
     let mut group = c.benchmark_group("gp_prepared_park");
     group.sample_size(10);
@@ -152,7 +143,7 @@ fn bench_gp_prepared_park(c: &mut Criterion) {
             let prepared = model
                 .prepare_park(park, &dataset, &prev)
                 .expect("park prepares");
-            black_box(model.risk_map_prepared(&prepared, 1.0))
+            black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap())
         })
     });
     // Preparation alone, to subtract from the line above.

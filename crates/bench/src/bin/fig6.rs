@@ -7,7 +7,7 @@
 //! ```
 
 use paws_bench::{park_model_config, quarterly_dataset, scenario, write_json, Scale};
-use paws_core::{ascii_heatmap, format_table, train, WeakLearnerKind};
+use paws_core::{ascii_heatmap, format_table, train, PawsError, WeakLearnerKind};
 use paws_data::split_by_test_year;
 use serde::Serialize;
 
@@ -23,7 +23,7 @@ struct Fig6Level {
     uncertainty_gap_unpatrolled_vs_patrolled: f64,
 }
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scale = Scale::from_args();
     println!("Figure 6: MFNP risk and uncertainty maps (GPB-iW, test period 2017-Q1)\n");
 
@@ -59,10 +59,11 @@ fn main() {
     let most_patrolled = &order[n - q..];
 
     let prev = dataset.coverage.last().unwrap().clone();
+    let prepared = model.prepare_park(&sc.park, &dataset, &prev)?;
     let mut levels = Vec::new();
     let mut rows = Vec::new();
     for effort in [0.5, 1.0, 2.0, 4.0] {
-        let (risk, unc) = model.risk_map(&sc.park, &dataset, &prev, effort);
+        let (risk, unc) = model.try_risk_map_prepared(&prepared, effort)?;
         if (effort - 1.0).abs() < 1e-9 {
             println!("(c) Predicted probability of detecting poaching at 1 km of effort:");
             println!("{}", ascii_heatmap(&sc.park, &risk));
@@ -108,4 +109,5 @@ fn main() {
         "and the uncertainty gap is positive (the model is least certain where rangers rarely go)."
     );
     write_json("fig6", &levels);
+    Ok(())
 }

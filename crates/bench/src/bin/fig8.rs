@@ -24,13 +24,13 @@
 use paws_bench::{
     full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
 };
-use paws_core::{format_table, train, WeakLearnerKind};
+use paws_core::{format_table, train, PawsError, WeakLearnerKind};
 use paws_data::split_by_test_year;
 use paws_geo::parks::{mfnp_spec, qenp_spec, sws_spec, test_park_spec};
 use paws_geo::Park;
 use paws_plan::{
-    compare_robust_vs_baseline, compare_with_ground_truth, plan, squash_matrix, Decomposition,
-    PlannerConfig, PlanningProblem,
+    squash_matrix, try_compare_robust_vs_baseline, try_compare_with_ground_truth, try_plan,
+    Decomposition, PlannerConfig, PlanningProblem,
 };
 use paws_sim::Season;
 use paws_solver::{LpEngine, MilpOptions, SolveBudget};
@@ -76,7 +76,7 @@ struct EnginePoint {
 }
 
 /// `--llc`: dense-vs-sparse LP engine scaling on park-wide allocation LPs.
-fn llc_engines(scale: Scale) {
+fn llc_engines(scale: Scale) -> Result<(), PawsError> {
     // The dense engine gets a generous wall-clock budget; past it, the
     // point is recorded as Degraded with the budget as a runtime floor.
     const DENSE_CAP: Duration = Duration::from_secs(600);
@@ -125,7 +125,7 @@ fn llc_engines(scale: Scale) {
         ];
         for (engine, config) in configs {
             let start = Instant::now();
-            let result = plan(&problem, &config);
+            let result = try_plan(&problem, &config)?;
             let runtime_seconds = start.elapsed().as_secs_f64();
             let point = EnginePoint {
                 park: name.to_string(),
@@ -166,13 +166,13 @@ fn llc_engines(scale: Scale) {
         )
     );
     write_json("fig8_llc", &points);
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scale = Scale::from_args();
     if std::env::args().any(|a| a == "--llc") {
-        llc_engines(scale);
-        return;
+        return llc_engines(scale);
     }
     println!(
         "Figure 8: gain from uncertainty-aware patrol planning [{} scale]\n",
@@ -208,7 +208,8 @@ fn main() {
         // post, β and segment count.
         let prev = dataset.coverage.last().unwrap().clone();
         let effort_grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
-        let (probs, raw_vars) = model.park_response(&sc.park, &dataset, &prev, &effort_grid);
+        let prepared = model.prepare_park(&sc.park, &dataset, &prev)?;
+        let (probs, raw_vars) = model.try_park_response_prepared(&prepared, &effort_grid)?;
         let (_, vars) = squash_matrix(&raw_vars);
         let attack = sc.attack_probabilities(&vec![0.0; sc.park.n_cells()], Season::Dry);
         let detection = sc.sim.detection;
@@ -240,12 +241,12 @@ fn main() {
                 let problem = build(post, beta);
                 let attack_local: Vec<f64> =
                     problem.cells.iter().map(|c| attack[c.park_index]).collect();
-                let cmp = compare_with_ground_truth(
+                let cmp = try_compare_with_ground_truth(
                     &problem,
                     &PlannerConfig::default(),
                     &attack_local,
                     |c| detection.probability(c),
-                );
+                )?;
                 ratios.push(cmp.improvement_ratio);
                 if cmp.baseline_detections > 1e-9 {
                     gains.push(cmp.robust_detections / cmp.baseline_detections);
@@ -285,7 +286,7 @@ fn main() {
             let mut ratios = Vec::new();
             for &post in &posts {
                 let problem = build(post, 1.0);
-                ratios.push(compare_robust_vs_baseline(&problem, &planner).improvement_ratio);
+                ratios.push(try_compare_robust_vs_baseline(&problem, &planner)?.improvement_ratio);
             }
             let point = SegmentPoint {
                 park: park_name.to_string(),
@@ -318,4 +319,5 @@ fn main() {
             overall_detection_improvement_pct: overall,
         },
     );
+    Ok(())
 }

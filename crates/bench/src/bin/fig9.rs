@@ -15,11 +15,11 @@
 use paws_bench::{
     full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
 };
-use paws_core::{format_table, train, WeakLearnerKind};
+use paws_core::{format_table, train, PawsError, WeakLearnerKind};
 use paws_data::split_by_test_year;
 use paws_geo::parks::llc_park_spec;
 use paws_geo::Park;
-use paws_plan::{plan, squash_matrix, PlannerConfig, PlanningProblem};
+use paws_plan::{squash_matrix, try_plan, PlannerConfig, PlanningProblem};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ struct Fig9LlcPoint {
 /// routes every one of these through column generation over the sparse
 /// revised simplex — the monolithic dense tableau would need tens of
 /// gigabytes before the first pivot.
-fn llc_scaling(scale: Scale) {
+fn llc_scaling(scale: Scale) -> Result<(), PawsError> {
     let sizes: &[usize] = if scale.is_full() {
         &[10_000, 25_000, 50_000, 100_000]
     } else {
@@ -61,7 +61,7 @@ fn llc_scaling(scale: Scale) {
         let budget_km = 0.05 * cells as f64;
         let problem = full_reach_problem(&park, budget_km, 1.0);
         let start = Instant::now();
-        let result = plan(&problem, &config);
+        let result = try_plan(&problem, &config)?;
         let runtime_seconds = start.elapsed().as_secs_f64();
         let point = Fig9LlcPoint {
             cells,
@@ -97,13 +97,13 @@ fn llc_scaling(scale: Scale) {
         )
     );
     write_json("fig9_llc", &points);
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scale = Scale::from_args();
     if std::env::args().any(|a| a == "--llc") {
-        llc_scaling(scale);
-        return;
+        return llc_scaling(scale);
     }
     println!(
         "Figure 9: planner runtime and utility vs PWL segments [{} scale]\n",
@@ -126,7 +126,8 @@ fn main() {
 
         let prev = dataset.coverage.last().unwrap().clone();
         let effort_grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
-        let (probs, raw_vars) = model.park_response(&sc.park, &dataset, &prev, &effort_grid);
+        let prepared = model.prepare_park(&sc.park, &dataset, &prev)?;
+        let (probs, raw_vars) = model.try_park_response_prepared(&prepared, &effort_grid)?;
         let (_, vars) = squash_matrix(&raw_vars);
 
         // Fully robust plans (β = 1), as in Fig. 9b; a couple of posts keep
@@ -151,7 +152,7 @@ fn main() {
                     4,
                     1.0,
                 );
-                let result = plan(&problem, &planner);
+                let result = try_plan(&problem, &planner)?;
                 runtimes.push(result.solve_time.as_secs_f64());
                 utilities.push(problem.coverage_utility(&result.coverage, 1.0));
             }
@@ -178,4 +179,5 @@ fn main() {
     println!("Shapes to reproduce: runtime grows with the number of segments (Fig. 9a)");
     println!("and the utility of the robust solution converges by ~20-25 segments (Fig. 9b).");
     write_json("fig9", &points);
+    Ok(())
 }

@@ -14,7 +14,7 @@
 use paws_bench::{
     dry_season_dataset, park_model_config, quarterly_dataset, scenario, write_json, Scale,
 };
-use paws_core::{format_table, train, WeakLearnerKind};
+use paws_core::{format_table, train, PawsError, WeakLearnerKind};
 use paws_data::{split_by_test_year, Dataset};
 use paws_field::{
     design_field_test, run_trial, ProtocolConfig, RiskGroup, TrialConfig, TrialOutcome,
@@ -104,7 +104,7 @@ fn design(
     blocks_per_group: usize,
     scale: Scale,
     seed: u64,
-) -> (paws_core::Scenario, paws_field::FieldTestPlan) {
+) -> Result<(paws_core::Scenario, paws_field::FieldTestPlan), PawsError> {
     let sc = scenario(park_name);
     let split = split_by_test_year(dataset, test_year, 3).expect("test year present");
     let config = park_model_config(park_name, learner, true, scale);
@@ -116,7 +116,8 @@ fn design(
     );
 
     let prev = dataset.coverage.last().unwrap().clone();
-    let (risk, _) = model.risk_map(&sc.park, dataset, &prev, 1.0);
+    let prepared = model.prepare_park(&sc.park, dataset, &prev)?;
+    let (risk, _) = model.try_risk_map_prepared(&prepared, 1.0)?;
     let historical: Vec<f64> = (0..sc.park.n_cells())
         .map(|i| dataset.coverage.iter().map(|step| step[i]).sum())
         .collect();
@@ -132,10 +133,10 @@ fn design(
         },
         &mut rng,
     );
-    (sc, plan)
+    Ok((sc, plan))
 }
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scale = Scale::from_args();
     println!("Table III / Fig. 10: simulated field tests\n");
     let mut reports = Vec::new();
@@ -153,7 +154,7 @@ fn main() {
             8,
             scale,
             41,
-        );
+        )?;
         for (label, months, seed) in [
             ("MFNP trial 1 (Nov-Dec 2017)", 2, 1u64),
             ("MFNP trial 2 (Jan-Mar 2018)", 3, 2),
@@ -189,7 +190,7 @@ fn main() {
             5,
             scale,
             43,
-        );
+        )?;
         for (label, months, seed) in [
             ("SWS trial 1 (Dec 2018-Jan 2019)", 2, 3u64),
             ("SWS trial 2 (Feb-Mar 2019)", 2, 4),
@@ -224,4 +225,5 @@ fn main() {
         reports.len()
     );
     write_json("table3", &reports);
+    Ok(())
 }

@@ -5,7 +5,7 @@
 use paws_bench::full_reach_problem;
 use paws_geo::parks::test_park_spec;
 use paws_geo::Park;
-use paws_plan::{plan, Decomposition, PlannerConfig};
+use paws_plan::{try_plan, Decomposition, PlannerConfig};
 use paws_solver::SolveStatus;
 
 #[test]
@@ -13,20 +13,22 @@ fn colgen_matches_full_model_on_the_full_reach_workload() {
     let park = Park::generate(&test_park_spec(), 11);
     let problem = full_reach_problem(&park, 0.05 * park.n_cells() as f64, 1.0);
 
-    let full = plan(
+    let full = try_plan(
         &problem,
         &PlannerConfig {
             decomposition: Decomposition::FullModel,
             ..PlannerConfig::default()
         },
-    );
-    let colgen = plan(
+    )
+    .unwrap();
+    let colgen = try_plan(
         &problem,
         &PlannerConfig {
             decomposition: Decomposition::ColumnGeneration,
             ..PlannerConfig::default()
         },
-    );
+    )
+    .unwrap();
     assert_eq!(full.status, SolveStatus::Optimal);
     assert_eq!(colgen.status, SolveStatus::Optimal);
     assert!(

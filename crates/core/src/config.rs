@@ -12,10 +12,10 @@ use paws_ml::gp::GpConfig;
 use paws_ml::precision::Precision;
 use paws_ml::svm::SvmConfig;
 use paws_ml::tree::TreeConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which weak learner family the bagging ensemble uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WeakLearnerKind {
     /// Bagging ensemble of linear SVMs (SVB).
     Svm,
@@ -46,7 +46,7 @@ impl WeakLearnerKind {
 }
 
 /// One predictive-model variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ModelConfig {
     /// Weak learner family.
     pub learner: WeakLearnerKind,

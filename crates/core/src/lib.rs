@@ -32,7 +32,7 @@ pub use paws_iware::SnapshotError;
 pub use paws_ml::precision::Precision;
 pub use paws_ml::traits::QueryError;
 pub use paws_plan::{try_plan, Decomposition, PlanError, PlannerConfig, PlannerMethod};
-pub use pipeline::{build_planning_problem, train, TrainedModel};
+pub use pipeline::{train, TrainedModel};
 pub use report::{ascii_heatmap, format_table};
 pub use scenario::Scenario;
 pub use serving::{try_planning_problem_from_response, FittedModel, PreparedPark, ServingModel};

@@ -5,10 +5,11 @@
 //! training gathers the split's rows into one [`paws_data::Matrix`], the scaler
 //! standardises in place, and park-wide evaluation produces flat
 //! `cells × effort-levels` response matrices consumed directly by the
-//! planner. For tree-based models the park-wide paths ([`ServingModel::risk_map`],
-//! [`ServingModel::park_response`]) are served by one level-synchronous
-//! batch traversal of the ensemble's arena-backed forest (the fused iWare-E
-//! learner stack for "-iW" variants) rather than per-tree row walks.
+//! planner. Park-wide queries run on a [`PreparedPark`]
+//! ([`ServingModel::prepare_park`]); for tree-based models they are served
+//! by one level-synchronous batch traversal of the ensemble's arena-backed
+//! forest (the fused iWare-E learner stack for "-iW" variants) rather than
+//! per-tree row walks.
 //!
 //! This module is the **fit** half of the fit/serve split: [`train`] runs
 //! the mutable fitting pipeline and hands back a [`TrainedModel`] — a thin
@@ -21,10 +22,8 @@
 use crate::config::ModelConfig;
 pub use crate::serving::{FittedModel, PreparedPark, ServingModel};
 use paws_data::{Dataset, StandardScaler, TrainTestSplit};
-use paws_geo::{CellId, Park};
 use paws_iware::IWareModel;
 use paws_ml::bagging::BaggingClassifier;
-use paws_plan::{squash_matrix, PlanningProblem};
 use std::ops::{Deref, DerefMut};
 
 /// A trained predictive model together with its feature scaler.
@@ -109,38 +108,10 @@ pub fn train(dataset: &Dataset, split: &TrainTestSplit, config: &ModelConfig) ->
     TrainedModel { serving }
 }
 
-/// Build a patrol-planning problem for one patrol post from a serving
-/// artifact (a `&TrainedModel` deref-coerces here).
-#[allow(clippy::too_many_arguments)]
-pub fn build_planning_problem(
-    park: &Park,
-    model: &ServingModel,
-    dataset: &Dataset,
-    prev_coverage: &[f64],
-    post: CellId,
-    effort_grid: &[f64],
-    patrol_length_km: f64,
-    n_patrols: usize,
-    beta: f64,
-) -> PlanningProblem {
-    let (probs, vars) = model.park_response(park, dataset, prev_coverage, effort_grid);
-    let (_, squashed) = squash_matrix(&vars);
-    PlanningProblem::from_response(
-        park,
-        post,
-        effort_grid,
-        &probs,
-        &squashed,
-        patrol_length_km,
-        n_patrols,
-        beta,
-    )
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::WeakLearnerKind;
-    use crate::error::PawsError;
     use crate::scenario::Scenario;
     use paws_data::{build_dataset, split_by_test_year, Discretization};
 
@@ -202,7 +173,8 @@ mod tests {
             &quick_config(WeakLearnerKind::DecisionTree, true),
         );
         let prev = dataset.coverage.last().unwrap().clone();
-        let (risk, var) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+        let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+        let (risk, var) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
         assert_eq!(risk.len(), scenario.park.n_cells());
         assert_eq!(var.len(), scenario.park.n_cells());
         assert!(risk.iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -219,7 +191,8 @@ mod tests {
         );
         let prev = vec![0.0; scenario.park.n_cells()];
         let grid = [0.0, 0.5, 1.0, 2.0];
-        let (p, v) = model.park_response(&scenario.park, &dataset, &prev, &grid);
+        let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+        let (p, v) = model.try_park_response_prepared(&prepared, &grid).unwrap();
         assert_eq!(p.n_rows(), scenario.park.n_cells());
         assert_eq!(p.n_cols(), 4);
         assert_eq!(v.n_rows(), scenario.park.n_cells());
@@ -235,7 +208,8 @@ mod tests {
         );
         let prev = vec![0.0; scenario.park.n_cells()];
         let grid = [0.0, 1.0, 4.0];
-        let (p, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
+        let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+        let (p, _) = model.try_park_response_prepared(&prepared, &grid).unwrap();
         for row in p.rows() {
             assert!(row.iter().all(|&x| x == row[0]));
         }
@@ -252,13 +226,16 @@ mod tests {
         assert_eq!(model.precision(), crate::Precision::F64);
         let prev = vec![0.0; scenario.park.n_cells()];
         let grid = [0.0, 0.5, 1.0, 2.0];
-        let (p64, v64) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-        let (r64, u64_) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+        // One prepared park holds both planes; the model's precision picks
+        // the one each query reads.
+        let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+        let (p64, v64) = model.try_park_response_prepared(&prepared, &grid).unwrap();
+        let (r64, u64_) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
 
         model.set_precision(crate::Precision::F32).unwrap();
         assert_eq!(model.precision(), crate::Precision::F32);
-        let (p32, v32) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-        let (r32, u32_) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+        let (p32, v32) = model.try_park_response_prepared(&prepared, &grid).unwrap();
+        let (r32, u32_) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
         // Park-scale bound: the golden scenarios pin ≤ 1e-5 everywhere
         // (tests/matrix_parity.rs); on the full park feature stack a fitted
         // tree can additionally split a noise-level gap (adjacent training
@@ -292,58 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_serving_paths_reject_adversarial_input_and_match_trusted_ones() {
-        let (scenario, dataset, split) = small_setup();
-        let model = train(
-            &dataset,
-            &split,
-            &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
-        let park = &scenario.park;
-        let prev = vec![0.0; park.n_cells()];
-        let grid = [0.0, 0.5, 1.0];
-
-        // Wrong-length coverage vector.
-        let short = vec![0.0; park.n_cells() - 1];
-        assert!(matches!(
-            model.try_risk_map(park, &dataset, &short, 1.0),
-            Err(PawsError::Input(_))
-        ));
-        // NaN-poisoned coverage vector.
-        let mut poisoned = prev.clone();
-        poisoned[0] = f64::NAN;
-        assert!(matches!(
-            model.try_park_response(park, &dataset, &poisoned, &grid),
-            Err(PawsError::Input(_))
-        ));
-        // Bad effort level / grid.
-        assert!(matches!(
-            model.try_risk_map(park, &dataset, &prev, f64::NAN),
-            Err(PawsError::Input(_))
-        ));
-        assert!(matches!(
-            model.try_park_response(park, &dataset, &prev, &[]),
-            Err(PawsError::Query(_))
-        ));
-        assert!(matches!(
-            model.try_park_response(park, &dataset, &prev, &[0.5, -1.0]),
-            Err(PawsError::Query(_))
-        ));
-
-        // Valid input: bit-identical to the trusted panicking paths.
-        let (risk, var) = model.try_risk_map(park, &dataset, &prev, 1.0).unwrap();
-        let (risk_ref, var_ref) = model.risk_map(park, &dataset, &prev, 1.0);
-        assert_eq!(risk, risk_ref);
-        assert_eq!(var, var_ref);
-        let (p, v) = model
-            .try_park_response(park, &dataset, &prev, &grid)
-            .unwrap();
-        let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
-        assert_eq!(p.as_slice(), p_ref.as_slice());
-        assert_eq!(v.as_slice(), v_ref.as_slice());
-    }
-
-    #[test]
     fn planning_problem_builds_from_trained_model() {
         let (scenario, dataset, split) = small_setup();
         let model = train(
@@ -353,20 +278,14 @@ mod tests {
         );
         let prev = vec![0.0; scenario.park.n_cells()];
         let grid = [0.0, 0.5, 1.0, 2.0, 4.0];
-        let problem = build_planning_problem(
-            &scenario.park,
-            &model,
-            &dataset,
-            &prev,
-            scenario.park.patrol_posts[0],
-            &grid,
-            8.0,
-            2,
-            0.8,
-        );
+        let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+        let post = scenario.park.patrol_posts[0];
+        let problem = model
+            .try_planning_problem_prepared(&scenario.park, &prepared, post, &grid, 8.0, 2, 0.8)
+            .unwrap();
         assert!(problem.n_cells() > 1);
         assert_eq!(problem.beta, 0.8);
-        let plan = paws_plan::plan(&problem, &paws_plan::PlannerConfig::default());
+        let plan = paws_plan::try_plan(&problem, &paws_plan::PlannerConfig::default()).unwrap();
         assert!(plan.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
     }
 }

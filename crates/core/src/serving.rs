@@ -10,18 +10,21 @@
 //!   re-planed **before** sharing, and then published behind an `Arc` — at
 //!   which point only `&self` query methods remain reachable, so the
 //!   artifact is immutable for as long as it serves.
-//! * [`PreparedPark`] — a park's assembled feature stack standardised
-//!   **once** and narrowed to the f32 plane **once**
-//!   ([`StandardScaler::transform_planes_in_place`]). Every subsequent
-//!   risk-map / response-surface query on the prepared park skips the
-//!   per-call standardise+narrow pass entirely; this is what turns the f32
-//!   plane's bandwidth advantage back into a net win on 50k-cell parks
-//!   (unprepared, the per-call narrowing ate it: 0.84× on `park_response`).
+//! * [`PreparedPark`] — a park's assembled feature stack validated,
+//!   standardised **once** and narrowed to the f32 plane **once**
+//!   ([`StandardScaler::transform_planes_in_place`]). Every risk-map,
+//!   response-surface and planning query on the park reads these planes,
+//!   so none pays a per-call standardise+narrow pass, which on 50k-cell
+//!   parks costs more than the f32 plane's bandwidth advantage saves.
 //!
-//! Every prepared query path is bit-identical to its unprepared sibling on
-//! [`crate::pipeline::TrainedModel`]: the cached f64 plane is exactly the
-//! in-place standardised matrix the unprepared path builds per call, and the
-//! cached f32 plane is exactly its one-pass narrowing.
+//! The park-wide query surface is one checked method per kind, each over a
+//! prepared park: [`ServingModel::try_risk_map_prepared`],
+//! [`ServingModel::try_park_response_prepared`] and
+//! [`ServingModel::try_planning_problem_prepared`]. A one-shot caller
+//! prepares the park, queries it and drops it. Each answer is
+//! bit-identical to the model evaluated directly on the standardised
+//! stack: the cached f64 plane is exactly that matrix, and the cached f32
+//! plane is exactly its one-pass narrowing.
 //!
 //! A prepared park also keeps the **learner tables** of the first iWare
 //! model without a fused tree stack (the GP variants) that queries it: each
@@ -30,8 +33,8 @@
 //! on neither the effort level nor the patrol post, so after that first
 //! risk map or response surface, every later risk map, response surface
 //! and per-post planning problem on the park only combines the tables —
-//! the same combine, in the same learner order, that the unprepared path
-//! runs on tables it computes per call, hence the same bits.
+//! the same combine, in the same learner order, that the model runs on
+//! tables it computes per call, hence the same bits.
 //!
 //! * **Filled lazily, without blocking.** Preparation does not compute the
 //!   tables, so a resident park that is never queried by a GP model pays
@@ -90,10 +93,8 @@ pub struct ServingModel {
 /// A park's feature stack, standardised and narrowed once against a
 /// specific [`ServingModel`]'s scaler.
 ///
-/// Holds both precision planes: the standardised f64 matrix (bit-identical
-/// to what the unprepared query paths compute per call) and its f32
-/// narrowing (bit-identical to [`StandardScaler::transform_f32`] on the raw
-/// rows). Build one per (park, previous-coverage) pair via
+/// Holds both precision planes: the standardised f64 matrix and its f32
+/// narrowing. Build one per (park, previous-coverage) pair via
 /// [`ServingModel::prepare_park`] and reuse it across queries; rebuild it
 /// when the coverage — and hence the feature stack — changes.
 ///
@@ -267,19 +268,6 @@ impl ServingModel {
         }
     }
 
-    /// Predict probabilities and uncertainty (variance) for raw rows.
-    pub fn predict_with_variance(
-        &self,
-        x: MatrixView<'_>,
-        efforts: &[f64],
-    ) -> (Vec<f64>, Vec<f64>) {
-        let scaled = self.scaler.transform(x);
-        match &self.fitted {
-            FittedModel::IWare(m) => m.predict_with_variance_at_effort(scaled.view(), efforts),
-            FittedModel::Plain(m) => m.predict_with_variance(scaled.view()),
-        }
-    }
-
     /// ROC AUC of the model on a set of dataset points (typically the test
     /// split), using each point's recorded patrol effort for qualification.
     pub fn auc_on(&self, dataset: &Dataset, idx: &[usize]) -> f64 {
@@ -296,14 +284,19 @@ impl ServingModel {
         self.scaler.n_features()
     }
 
-    /// Validate a coverage vector + the assembled park feature stack
-    /// before it reaches the unchecked traversal kernels.
-    fn checked_feature_matrix(
+    /// Assemble, validate, standardise and narrow a park's feature stack
+    /// once, caching both precision planes for repeated queries.
+    ///
+    /// # Errors
+    /// [`PawsError::Input`] when the previous-coverage vector does not
+    /// have one finite entry per park cell; [`PawsError::Query`] when the
+    /// assembled stack is empty, width-mismatched or non-finite.
+    pub fn prepare_park(
         &self,
         park: &Park,
         dataset: &Dataset,
         prev_coverage: &[f64],
-    ) -> Result<Matrix, PawsError> {
+    ) -> Result<PreparedPark, PawsError> {
         if prev_coverage.len() != park.n_cells() {
             return Err(PawsError::Input(
                 "previous-coverage length does not match the park's cell count",
@@ -314,25 +307,7 @@ impl ServingModel {
                 "previous coverage must be finite (found NaN or infinity)",
             ));
         }
-        let rows = dataset.full_feature_matrix(park, prev_coverage);
-        validate_query(rows.view(), self.scaler.n_features())?;
-        Ok(rows)
-    }
-
-    /// Assemble, validate, standardise and narrow a park's feature stack
-    /// once, caching both precision planes for repeated queries.
-    ///
-    /// # Errors
-    /// [`PawsError::Input`] / [`PawsError::Query`] exactly as
-    /// [`ServingModel::try_risk_map`] would reject the same inputs.
-    pub fn prepare_park(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-    ) -> Result<PreparedPark, PawsError> {
-        let rows = self.checked_feature_matrix(park, dataset, prev_coverage)?;
-        self.prepare_rows(rows)
+        self.prepare_rows(dataset.full_feature_matrix(park, prev_coverage))
     }
 
     /// [`ServingModel::prepare_park`] for an already-assembled **raw**
@@ -364,9 +339,8 @@ impl ServingModel {
         Ok(())
     }
 
-    /// [`ServingModel::risk_map`] on a prepared park: zero per-call
-    /// standardise/narrow work. Bit-identical to the unprepared path on the
-    /// same raw feature stack.
+    /// Predicted risk and uncertainty for every cell of a prepared park at a
+    /// single prospective patrol-effort level (one panel of Fig. 6).
     ///
     /// An iWare model without a fused tree stack combines the park's
     /// cached learner tables, filling them on its first query (see the
@@ -375,11 +349,21 @@ impl ServingModel {
     /// per-shard surfaces back in row order; every kernel is per-row, so
     /// the stitched map is bit-identical to the unsharded (and 1-thread)
     /// evaluation.
-    pub fn risk_map_prepared(
+    ///
+    /// # Errors
+    /// [`PawsError::Input`] for a negative or non-finite effort level, or a
+    /// prepared park whose feature width does not match the model.
+    pub fn try_risk_map_prepared(
         &self,
         prepared: &PreparedPark,
         effort_km: f64,
-    ) -> (Vec<f64>, Vec<f64>) {
+    ) -> Result<(Vec<f64>, Vec<f64>), PawsError> {
+        if !effort_km.is_finite() || effort_km < 0.0 {
+            return Err(PawsError::Input(
+                "effort level must be finite and non-negative",
+            ));
+        }
+        self.check_prepared(prepared)?;
         if let FittedModel::IWare(m) = &self.fitted {
             // Table-serving models combine the park's cached tables; the
             // combine is per row, so shards do not apply.
@@ -387,7 +371,7 @@ impl ServingModel {
                 .learner_tables(m)
                 .and_then(|tables| m.combine_tables_at_effort(tables, effort_km));
             if let Some(out) = served {
-                return out;
+                return Ok(out);
             }
         }
         let shards = prepared.shards();
@@ -402,13 +386,13 @@ impl ServingModel {
                 p.extend_from_slice(&sp);
                 v.extend_from_slice(&sv);
             }
-            return (p, v);
+            return Ok((p, v));
         }
-        self.risk_map_prepared_span(prepared, &(0..prepared.n_cells()), effort_km)
+        Ok(self.risk_map_prepared_span(prepared, &(0..prepared.n_cells()), effort_km))
     }
 
-    /// One spatial shard of [`ServingModel::risk_map_prepared`]: the same
-    /// precision dispatch, evaluated on subviews of the cached planes.
+    /// One spatial shard of [`ServingModel::try_risk_map_prepared`]: the
+    /// same precision dispatch, evaluated on subviews of the cached planes.
     fn risk_map_prepared_span(
         &self,
         prepared: &PreparedPark,
@@ -434,42 +418,34 @@ impl ServingModel {
         }
     }
 
-    /// [`ServingModel::risk_map_prepared`] with the serving-side input
-    /// guard (finite, non-negative effort; width-matched prepared stack).
-    pub fn try_risk_map_prepared(
-        &self,
-        prepared: &PreparedPark,
-        effort_km: f64,
-    ) -> Result<(Vec<f64>, Vec<f64>), PawsError> {
-        if !effort_km.is_finite() || effort_km < 0.0 {
-            return Err(PawsError::Input(
-                "effort level must be finite and non-negative",
-            ));
-        }
-        self.check_prepared(prepared)?;
-        Ok(self.risk_map_prepared(prepared, effort_km))
-    }
-
-    /// [`ServingModel::park_response`] on a prepared park: the response
-    /// surfaces are served straight off the cached plane matching the
-    /// model's precision. Bit-identical to the unprepared path.
+    /// Response curves g_v(c), ν_v(c) for every cell of a prepared park
+    /// over a grid of prospective effort levels — the planner's input, as
+    /// flat `cells × effort-levels` matrices served straight off the cached
+    /// plane matching the model's precision.
     ///
-    /// Like [`ServingModel::risk_map_prepared`], table-serving models
+    /// Like [`ServingModel::try_risk_map_prepared`], table-serving models
     /// combine the park's cached learner tables, and otherwise multi-shard
     /// parks fan the shards across the worker pool; the per-shard response
     /// matrices are concatenated row-block by row-block, which is exactly
     /// the unsharded row order.
-    pub fn park_response_prepared(
+    ///
+    /// # Errors
+    /// [`PawsError::Query`] for an empty grid or a negative or non-finite
+    /// level; [`PawsError::Input`] for a prepared park whose feature width
+    /// does not match the model.
+    pub fn try_park_response_prepared(
         &self,
         prepared: &PreparedPark,
         effort_grid: &[f64],
-    ) -> (Matrix, Matrix) {
+    ) -> Result<(Matrix, Matrix), PawsError> {
+        validate_effort_grid(effort_grid).map_err(PawsError::Query)?;
+        self.check_prepared(prepared)?;
         if let FittedModel::IWare(m) = &self.fitted {
             let served = prepared
                 .learner_tables(m)
                 .and_then(|tables| m.combine_tables_response(tables, effort_grid));
             if let Some(out) = served {
-                return out;
+                return Ok(out);
             }
         }
         let shards = prepared.shards();
@@ -485,15 +461,15 @@ impl ServingModel {
                 p_flat.extend_from_slice(sp.as_slice());
                 v_flat.extend_from_slice(sv.as_slice());
             }
-            return (
+            return Ok((
                 Matrix::from_flat(p_flat, effort_grid.len()),
                 Matrix::from_flat(v_flat, effort_grid.len()),
-            );
+            ));
         }
-        self.park_response_prepared_span(prepared, &(0..prepared.n_cells()), effort_grid)
+        Ok(self.park_response_prepared_span(prepared, &(0..prepared.n_cells()), effort_grid))
     }
 
-    /// One spatial shard of [`ServingModel::park_response_prepared`].
+    /// One spatial shard of [`ServingModel::try_park_response_prepared`].
     fn park_response_prepared_span(
         &self,
         prepared: &PreparedPark,
@@ -517,23 +493,15 @@ impl ServingModel {
         }
     }
 
-    /// [`ServingModel::park_response_prepared`] with the serving-side input
-    /// guard (validated effort grid; width-matched prepared stack).
-    pub fn try_park_response_prepared(
-        &self,
-        prepared: &PreparedPark,
-        effort_grid: &[f64],
-    ) -> Result<(Matrix, Matrix), PawsError> {
-        validate_effort_grid(effort_grid).map_err(PawsError::Query)?;
-        self.check_prepared(prepared)?;
-        Ok(self.park_response_prepared(prepared, effort_grid))
-    }
-
     /// Build a patrol-planning problem for one post from a prepared park:
     /// the response surfaces come off the cached planes (or, for GP iWare
-    /// models, the park's cached learner tables), then flow through the
-    /// same squash + game construction as
-    /// [`crate::pipeline::build_planning_problem`].
+    /// models, the park's cached learner tables), then flow through
+    /// [`try_planning_problem_from_response`]'s guards, squash and game
+    /// construction.
+    ///
+    /// # Errors
+    /// As [`ServingModel::try_park_response_prepared`] and
+    /// [`try_planning_problem_from_response`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_planning_problem_prepared(
         &self,
@@ -556,97 +524,6 @@ impl ServingModel {
             n_patrols,
             beta,
         )
-    }
-
-    /// [`ServingModel::risk_map`] with the adversarial-input guard: the
-    /// coverage vector, effort level and assembled feature stack are
-    /// validated and rejected with a typed [`PawsError`] instead of
-    /// flowing NaN through the arena comparisons. This is the serving
-    /// entry point; the panicking sibling stays for trusted in-process
-    /// callers.
-    pub fn try_risk_map(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_km: f64,
-    ) -> Result<(Vec<f64>, Vec<f64>), PawsError> {
-        if !effort_km.is_finite() || effort_km < 0.0 {
-            return Err(PawsError::Input(
-                "effort level must be finite and non-negative",
-            ));
-        }
-        let rows = self.checked_feature_matrix(park, dataset, prev_coverage)?;
-        let efforts = vec![effort_km; rows.n_rows()];
-        Ok(self.predict_with_variance(rows.view(), &efforts))
-    }
-
-    /// [`ServingModel::park_response`] with the adversarial-input guard
-    /// (see [`ServingModel::try_risk_map`]); additionally validates the
-    /// effort grid (non-empty, finite, non-negative levels).
-    pub fn try_park_response(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_grid: &[f64],
-    ) -> Result<(Matrix, Matrix), PawsError> {
-        validate_effort_grid(effort_grid).map_err(PawsError::Query)?;
-        let rows = self.checked_feature_matrix(park, dataset, prev_coverage)?;
-        Ok(self.park_response_from(rows, effort_grid))
-    }
-
-    /// Predicted risk and uncertainty for every in-park cell at a single
-    /// prospective patrol-effort level (one panel of Fig. 6).
-    pub fn risk_map(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_km: f64,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let rows = dataset.full_feature_matrix(park, prev_coverage);
-        let efforts = vec![effort_km; rows.n_rows()];
-        self.predict_with_variance(rows.view(), &efforts)
-    }
-
-    /// Response curves g_v(c), ν_v(c) for every in-park cell over a grid of
-    /// prospective effort levels — the planner's input, as flat
-    /// `cells × effort-levels` matrices.
-    pub fn park_response(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_grid: &[f64],
-    ) -> (Matrix, Matrix) {
-        let rows = dataset.full_feature_matrix(park, prev_coverage);
-        self.park_response_from(rows, effort_grid)
-    }
-
-    fn park_response_from(&self, mut rows: Matrix, effort_grid: &[f64]) -> (Matrix, Matrix) {
-        // The f32-plane iWare path fuses standardisation and narrowing into
-        // one pass (`StandardScaler::transform_f32` computes the z-score in
-        // f64 and narrows once — bit-identical to transforming in place and
-        // narrowing afterwards) and serves the fused arena natively.
-        if let FittedModel::IWare(m) = &self.fitted {
-            if m.precision() == Precision::F32 {
-                let rows32 = self.scaler.transform_f32(rows.view());
-                if let Some(response) = m.effort_response32(rows32.view(), effort_grid) {
-                    return response;
-                }
-            }
-        }
-        self.scaler.transform_in_place(&mut rows);
-        match &self.fitted {
-            FittedModel::IWare(m) => m.effort_response(rows.view(), effort_grid),
-            FittedModel::Plain(m) => {
-                // A plain ensemble has no notion of prospective effort: its
-                // prediction and variance are constant across effort levels.
-                let (p, v) = m.predict_with_variance(rows.view());
-                broadcast_constant_response(&p, &v, effort_grid.len())
-            }
-        }
     }
 }
 
@@ -735,9 +612,10 @@ fn broadcast_constant_response(p: &[f64], v: &[f64], n_levels: usize) -> (Matrix
 mod tests {
     use super::*;
     use crate::config::WeakLearnerKind;
-    use crate::pipeline::{build_planning_problem, train, TrainedModel};
+    use crate::pipeline::{train, TrainedModel};
     use crate::scenario::Scenario;
     use paws_data::{build_dataset, split_by_test_year, Discretization, TrainTestSplit};
+    use paws_plan::{try_plan, PlanError, PlannerConfig};
     use std::sync::Arc;
 
     fn small_setup() -> (Scenario, Dataset, TrainTestSplit) {
@@ -769,13 +647,55 @@ mod tests {
         use_iware && learner == WeakLearnerKind::GaussianProcess
     }
 
-    /// Every (learner, variant, plane) combination must serve the
-    /// exact same bits off the cached planes — and, for GP iWare models,
-    /// off the park's cached learner tables — as the unprepared per-call
-    /// paths: on the first query, on repeated ones the cache answers, and
-    /// at risk levels off the response grid.
+    /// The park's feature stack standardised by the model's scaler: the
+    /// rows a model evaluated directly sees.
+    fn standardised_stack(
+        model: &ServingModel,
+        park: &Park,
+        dataset: &Dataset,
+        prev: &[f64],
+    ) -> Matrix {
+        model
+            .scaler
+            .transform(dataset.full_feature_matrix(park, prev).view())
+    }
+
+    /// A risk map by direct model calls on a standardised stack — the
+    /// reference every prepared risk map must match bit for bit.
+    fn direct_risk_map(
+        model: &ServingModel,
+        rows: MatrixView<'_>,
+        effort_km: f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let efforts = vec![effort_km; rows.n_rows()];
+        match &model.fitted {
+            FittedModel::IWare(m) => m.predict_with_variance_at_effort(rows, &efforts),
+            FittedModel::Plain(m) => m.predict_with_variance(rows),
+        }
+    }
+
+    /// Response surfaces by direct model calls on a standardised stack.
+    fn direct_response(
+        model: &ServingModel,
+        rows: MatrixView<'_>,
+        grid: &[f64],
+    ) -> (Matrix, Matrix) {
+        match &model.fitted {
+            FittedModel::IWare(m) => m.effort_response(rows, grid),
+            FittedModel::Plain(m) => {
+                let (p, v) = m.predict_with_variance(rows);
+                broadcast_constant_response(&p, &v, grid.len())
+            }
+        }
+    }
+
+    /// Every (learner, variant, plane) combination must serve the exact
+    /// same bits off the cached planes — and, for GP iWare models, off the
+    /// park's cached learner tables — as the model evaluated directly on
+    /// the standardised stack: on the first query, on repeated ones the
+    /// cache answers, and at risk levels off the response grid.
     #[test]
-    fn prepared_queries_are_bit_identical_to_unprepared_ones() {
+    fn prepared_queries_are_bit_identical_to_direct_model_calls() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let prev = dataset.coverage.last().unwrap().clone();
@@ -783,36 +703,32 @@ mod tests {
         for learner in LEARNERS {
             for use_iware in [true, false] {
                 let mut model = train(&dataset, &split, &quick_config(learner, use_iware));
+                let rows = standardised_stack(&model, park, &dataset, &prev);
                 for precision in [Precision::F64, Precision::F32] {
                     model.set_precision(precision).unwrap();
                     let case = format!("{learner:?} {use_iware} {precision:?}");
                     let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
                     assert_eq!(prepared.n_cells(), park.n_cells());
                     assert_eq!(prepared.n_features(), model.n_features());
+                    assert_eq!(prepared.rows.as_slice(), rows.as_slice());
                     assert!(prepared.tables.get().is_none(), "filled lazily: {case}");
 
                     let levels = [1.0, 3.0, 0.25, 100.0];
                     let risk_refs: Vec<_> = levels
                         .iter()
-                        .map(|&level| model.risk_map(park, &dataset, &prev, level))
+                        .map(|&level| direct_risk_map(&model, rows.view(), level))
                         .collect();
-                    let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
+                    let (p_ref, v_ref) = direct_response(&model, rows.view(), &grid);
                     for _ in 0..2 {
                         for (&level, (r_ref, u_ref)) in levels.iter().zip(&risk_refs) {
-                            let (r, u) = model.risk_map_prepared(&prepared, level);
+                            let (r, u) = model.try_risk_map_prepared(&prepared, level).unwrap();
                             assert_eq!(&r, r_ref, "risk {case} @{level}");
                             assert_eq!(&u, u_ref, "uncertainty {case} @{level}");
-                            let (rt, ut) = model.try_risk_map_prepared(&prepared, level).unwrap();
-                            assert_eq!(&rt, r_ref);
-                            assert_eq!(&ut, u_ref);
                         }
 
-                        let (p, v) = model.park_response_prepared(&prepared, &grid);
+                        let (p, v) = model.try_park_response_prepared(&prepared, &grid).unwrap();
                         assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
                         assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
-                        let (pt, vt) = model.try_park_response_prepared(&prepared, &grid).unwrap();
-                        assert_eq!(pt.as_slice(), p_ref.as_slice());
-                        assert_eq!(vt.as_slice(), v_ref.as_slice());
                     }
                     assert_eq!(
                         prepared.tables.get().is_some(),
@@ -825,8 +741,8 @@ mod tests {
     }
 
     /// Tables are bound to the model that computed them: a second GP model
-    /// querying a park the first one filled answers its own unprepared
-    /// bits, and the first keeps answering from its tables.
+    /// querying a park the first one filled answers its own direct bits,
+    /// and the first keeps answering from its tables.
     #[test]
     fn a_second_model_on_a_filled_park_answers_its_own_bits() {
         let (scenario, dataset, split) = small_setup();
@@ -844,11 +760,11 @@ mod tests {
         let second = train(&dataset, &split, &cfg);
         let prepared = first.prepare_park(park, &dataset, &prev).unwrap();
         // Same data and split, so both scalers standardise the park alike
-        // and the second model's unprepared answers are comparable.
-        let own = second.prepare_park(park, &dataset, &prev).unwrap();
-        assert_eq!(own.rows.as_slice(), prepared.rows.as_slice());
+        // and the second model's direct answers are comparable.
+        let rows = standardised_stack(&second, park, &dataset, &prev);
+        assert_eq!(rows.as_slice(), prepared.rows.as_slice());
 
-        let (r1, u1) = first.risk_map_prepared(&prepared, 1.0);
+        let (r1, u1) = first.try_risk_map_prepared(&prepared, 1.0).unwrap();
         let tables = prepared.tables.get().expect("the first GP query fills");
         let (FittedModel::IWare(m1), FittedModel::IWare(m2)) = (&first.fitted, &second.fitted)
         else {
@@ -859,31 +775,32 @@ mod tests {
         assert!(m2.combine_tables_response(tables, &grid).is_none());
 
         for level in [1.0, 3.0] {
-            let (r_ref, u_ref) = second.risk_map(park, &dataset, &prev, level);
-            let (r, u) = second.risk_map_prepared(&prepared, level);
+            let (r_ref, u_ref) = direct_risk_map(&second, rows.view(), level);
+            let (r, u) = second.try_risk_map_prepared(&prepared, level).unwrap();
             assert_eq!(r, r_ref, "second model's risk @{level}");
             assert_eq!(u, u_ref, "second model's uncertainty @{level}");
         }
-        let (r2, _) = second.risk_map_prepared(&prepared, 1.0);
+        let (r2, _) = second.try_risk_map_prepared(&prepared, 1.0).unwrap();
         assert_ne!(r2, r1, "a differently bagged model must not echo the cache");
-        let (p_ref, v_ref) = second.park_response(park, &dataset, &prev, &grid);
-        let (p, v) = second.park_response_prepared(&prepared, &grid);
+        let (p_ref, v_ref) = direct_response(&second, rows.view(), &grid);
+        let (p, v) = second.try_park_response_prepared(&prepared, &grid).unwrap();
         assert_eq!(p.as_slice(), p_ref.as_slice());
         assert_eq!(v.as_slice(), v_ref.as_slice());
         let reference =
-            build_planning_problem(park, &second, &dataset, &prev, post, &grid, 8.0, 2, 0.8);
+            try_planning_problem_from_response(park, post, &grid, &p_ref, &v_ref, 8.0, 2, 0.8)
+                .unwrap();
         let problem = second
             .try_planning_problem_prepared(park, &prepared, post, &grid, 8.0, 2, 0.8)
             .unwrap();
-        let config = paws_plan::PlannerConfig::default();
+        let config = PlannerConfig::default();
         assert_eq!(
-            paws_plan::plan(&problem, &config).coverage,
-            paws_plan::plan(&reference, &config).coverage
+            try_plan(&problem, &config).unwrap().coverage,
+            try_plan(&reference, &config).unwrap().coverage
         );
 
-        let (r, u) = first.risk_map_prepared(&prepared, 1.0);
+        let (r, u) = first.try_risk_map_prepared(&prepared, 1.0).unwrap();
         assert_eq!((r.as_slice(), u.as_slice()), (r1.as_slice(), u1.as_slice()));
-        assert_eq!(r, first.risk_map(park, &dataset, &prev, 1.0).0);
+        assert_eq!(r, direct_risk_map(&first, rows.view(), 1.0).0);
     }
 
     #[test]
@@ -973,17 +890,19 @@ mod tests {
                         park
                     };
 
-                    let (r_ref, u_ref) = model.risk_map_prepared(&prepared, 1.0);
-                    let (p_ref, v_ref) = model.park_response_prepared(&prepared, &grid);
+                    let (r_ref, u_ref) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
+                    let (p_ref, v_ref) =
+                        model.try_park_response_prepared(&prepared, &grid).unwrap();
                     for forced in [1usize, 2, 4] {
                         let case = format!("{learner:?} {use_iware} {precision:?} x{forced}");
                         let foreign = other.learner_tables(prepared.rows.view());
                         for park in [sharded(None), sharded(foreign)] {
                             rayon::with_num_threads(forced, || {
-                                let (r, u) = model.risk_map_prepared(&park, 1.0);
+                                let (r, u) = model.try_risk_map_prepared(&park, 1.0).unwrap();
                                 assert_eq!(r, r_ref, "risk {case}");
                                 assert_eq!(u, u_ref, "var {case}");
-                                let (p, v) = model.park_response_prepared(&park, &grid);
+                                let (p, v) =
+                                    model.try_park_response_prepared(&park, &grid).unwrap();
                                 assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
                                 assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
                             });
@@ -995,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_planning_problem_matches_the_unprepared_construction() {
+    fn prepared_planning_problem_matches_the_direct_construction() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let model = train(
@@ -1006,16 +925,19 @@ mod tests {
         let prev = vec![0.0; park.n_cells()];
         let grid = [0.0, 0.5, 1.0, 2.0, 4.0];
         let post = park.patrol_posts[0];
+        let rows = standardised_stack(&model, park, &dataset, &prev);
+        let (probs, vars) = direct_response(&model, rows.view(), &grid);
         let reference =
-            build_planning_problem(park, &model, &dataset, &prev, post, &grid, 8.0, 2, 0.8);
+            try_planning_problem_from_response(park, post, &grid, &probs, &vars, 8.0, 2, 0.8)
+                .unwrap();
         let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
         let problem = model
             .try_planning_problem_prepared(park, &prepared, post, &grid, 8.0, 2, 0.8)
             .unwrap();
         assert_eq!(problem.n_cells(), reference.n_cells());
         assert_eq!(problem.beta, reference.beta);
-        let reference_plan = paws_plan::plan(&reference, &paws_plan::PlannerConfig::default());
-        let plan = paws_plan::plan(&problem, &paws_plan::PlannerConfig::default());
+        let reference_plan = try_plan(&reference, &PlannerConfig::default()).unwrap();
+        let plan = try_plan(&problem, &PlannerConfig::default()).unwrap();
         assert_eq!(plan.coverage, reference_plan.coverage);
     }
 
@@ -1046,8 +968,12 @@ mod tests {
             assert!(model.try_park_response_prepared(&prepared, grid).is_ok());
         }
 
-        let (probs, vars) = model.park_response_prepared(&prepared, &[0.0, 1.0]);
-        let (_, vars3) = model.park_response_prepared(&prepared, &[0.0, 1.0, 2.0]);
+        let (probs, vars) = model
+            .try_park_response_prepared(&prepared, &[0.0, 1.0])
+            .unwrap();
+        let (_, vars3) = model
+            .try_park_response_prepared(&prepared, &[0.0, 1.0, 2.0])
+            .unwrap();
         let from = |grid: &[f64], vars: &Matrix| {
             try_planning_problem_from_response(park, post, grid, &probs, vars, 8.0, 2, 0.8)
         };
@@ -1066,6 +992,37 @@ mod tests {
         ));
     }
 
+    /// The planning guards are O(1) and do not scan the surfaces, so a NaN
+    /// response row builds a problem; the planner's model builder then
+    /// rejects the non-finite utility with a typed error, not a panic.
+    #[test]
+    fn a_non_finite_response_is_a_typed_planning_error() {
+        let (scenario, dataset, split) = small_setup();
+        let park = &scenario.park;
+        let model = train(
+            &dataset,
+            &split,
+            &quick_config(WeakLearnerKind::DecisionTree, true),
+        );
+        let prev = vec![0.0; park.n_cells()];
+        let post = park.patrol_posts[0];
+        let grid = [0.0, 0.5, 1.0, 2.0, 4.0];
+        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+        let (mut probs, vars) = model.try_park_response_prepared(&prepared, &grid).unwrap();
+        let row = park.cell_position(post).expect("the post is a park cell");
+        probs.row_mut(row).fill(f64::NAN);
+        let problem =
+            try_planning_problem_from_response(park, post, &grid, &probs, &vars, 8.0, 2, 0.8)
+                .unwrap();
+        let err = try_plan(&problem, &PlannerConfig::default()).unwrap_err();
+        assert!(matches!(err, PlanError::Solver(_)), "{err}");
+        assert!(
+            err.to_string()
+                .ends_with("objective coefficient must be finite"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn prepared_guards_reject_bad_queries_and_mismatched_artifacts() {
         let (scenario, dataset, split) = small_setup();
@@ -1077,7 +1034,7 @@ mod tests {
         );
         let prev = vec![0.0; park.n_cells()];
 
-        // prepare_park applies the same input guards as try_risk_map.
+        // The coverage vector must have one finite entry per cell.
         let short = vec![0.0; park.n_cells() - 1];
         assert!(matches!(
             model.prepare_park(park, &dataset, &short),
@@ -1103,10 +1060,12 @@ mod tests {
             model.try_park_response_prepared(&prepared, &[]),
             Err(PawsError::Query(_))
         ));
-        assert!(matches!(
-            model.try_park_response_prepared(&prepared, &[0.5, f64::NAN]),
-            Err(PawsError::Query(_))
-        ));
+        for grid in [&[0.5, f64::NAN][..], &[0.5, -1.0]] {
+            assert!(matches!(
+                model.try_park_response_prepared(&prepared, grid),
+                Err(PawsError::Query(_))
+            ));
+        }
 
         // A prepared stack whose feature width does not match the model's
         // scaler is refused before it can reach the kernels.
@@ -1143,13 +1102,16 @@ mod tests {
             ServingModel::from_stack_snapshot(&bytes, model.config.clone(), model.scaler.clone())
                 .expect("snapshot rehydrates");
         assert_eq!(rehydrated.precision(), model.precision());
-        let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
-        let (r, u) = rehydrated.risk_map(park, &dataset, &prev, 1.0);
+        let reference = model.prepare_park(park, &dataset, &prev).unwrap();
+        let prepared = rehydrated.prepare_park(park, &dataset, &prev).unwrap();
+        let (r_ref, u_ref) = model.try_risk_map_prepared(&reference, 1.0).unwrap();
+        let (r, u) = rehydrated.try_risk_map_prepared(&prepared, 1.0).unwrap();
         assert_eq!(r, r_ref);
         assert_eq!(u, u_ref);
-        let prepared = rehydrated.prepare_park(park, &dataset, &prev).unwrap();
-        let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
-        let (p, v) = rehydrated.park_response_prepared(&prepared, &grid);
+        let (p_ref, v_ref) = model.try_park_response_prepared(&reference, &grid).unwrap();
+        let (p, v) = rehydrated
+            .try_park_response_prepared(&prepared, &grid)
+            .unwrap();
         assert_eq!(p.as_slice(), p_ref.as_slice());
         assert_eq!(v.as_slice(), v_ref.as_slice());
 
@@ -1176,8 +1138,9 @@ mod tests {
         let grid = [0.0, 0.5, 1.0, 2.0];
         for learner in LEARNERS {
             let model = train(&dataset, &split, &quick_config(learner, true));
-            let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
-            let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
+            let rows = standardised_stack(&model, park, &dataset, &prev);
+            let (r_ref, u_ref) = direct_risk_map(&model, rows.view(), 1.0);
+            let (p_ref, v_ref) = direct_response(&model, rows.view(), &grid);
             let reference = Arc::new((r_ref, u_ref, p_ref, v_ref));
 
             // Facade → artifact → Arc: the shared artifact serves the same
@@ -1198,11 +1161,13 @@ mod tests {
                         start.wait();
                         let (r_ref, u_ref, p_ref, v_ref) = &*reference;
                         if t % 2 == 0 {
-                            let (r, u) = artifact.risk_map_prepared(&prepared, 1.0);
+                            let (r, u) = artifact.try_risk_map_prepared(&prepared, 1.0).unwrap();
                             assert_eq!(&r, r_ref, "risk, thread {t}");
                             assert_eq!(&u, u_ref, "uncertainty, thread {t}");
                         } else {
-                            let (p, v) = artifact.park_response_prepared(&prepared, &grid);
+                            let (p, v) = artifact
+                                .try_park_response_prepared(&prepared, &grid)
+                                .unwrap();
                             assert_eq!(p.as_slice(), p_ref.as_slice(), "response, thread {t}");
                             assert_eq!(v.as_slice(), v_ref.as_slice(), "variance, thread {t}");
                         }
@@ -1221,7 +1186,7 @@ mod tests {
             // And back into the facade for fit-time callers.
             let artifact = Arc::try_unwrap(artifact).ok().expect("sole owner again");
             let model = TrainedModel::from_serving(artifact);
-            let (r, _) = model.risk_map(park, &dataset, &prev, 1.0);
+            let (r, _) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
             assert_eq!(r, reference.0);
         }
     }

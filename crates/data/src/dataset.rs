@@ -18,7 +18,7 @@ use crate::matrix::Matrix;
 use crate::trajectory::reconstruct_effort;
 use paws_geo::Park;
 use paws_sim::History;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Typed rejection of a streaming append — the dataset is left untouched
 /// whenever one of these is returned.
@@ -100,7 +100,7 @@ impl std::error::Error for AppendError {}
 
 /// One (cell, time-step) observation. The feature vector of point `i` is
 /// row `i` of [`Dataset::features`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DataPoint {
     /// Chronological time-step index within the dataset.
     pub step: usize,
@@ -116,7 +116,7 @@ pub struct DataPoint {
 }
 
 /// The assembled dataset for one park and one discretisation scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset {
     /// Park name the dataset was built from.
     pub park_name: String,

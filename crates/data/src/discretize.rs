@@ -7,10 +7,10 @@
 //! (November–April), "to obtain three points per year".
 
 use paws_sim::Season;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which part of the year enters the dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SeasonFilter {
     /// Use every month.
     All,
@@ -19,7 +19,7 @@ pub enum SeasonFilter {
 }
 
 /// A temporal discretisation scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Discretization {
     /// Number of calendar months aggregated into one time step.
     pub months_per_step: u32,
@@ -89,7 +89,7 @@ impl Discretization {
 }
 
 /// Identity of one time step in a discretised history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StepInfo {
     /// Calendar year the step belongs to.
     pub year: u32,

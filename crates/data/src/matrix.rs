@@ -21,7 +21,7 @@
 //! `paws_ml`'s 8-byte f32 arena nodes.
 
 use crate::simd::{self, Element};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Owned, contiguous, row-major matrix of features (`f64` by default).
 #[derive(Debug, Clone, PartialEq)]
@@ -215,8 +215,6 @@ impl<T: Serialize> Serialize for Matrix<T> {
         ])
     }
 }
-
-impl<T> Deserialize for Matrix<T> {}
 
 /// Borrowed row-major matrix view: the argument type of every `fit` /
 /// `predict` in the predictive stack.

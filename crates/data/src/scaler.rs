@@ -12,7 +12,7 @@
 
 use crate::matrix::{Matrix, Matrix32, MatrixView};
 use crate::simd;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Z-score standardiser fitted per feature column.
 ///
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// everything it has seen (`count` rows, per-column sum of squared
 /// deviations `m2`), so [`StandardScaler::partial_fit`] can fold further
 /// batches in by parallel-moment merging without revisiting old rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -159,24 +159,6 @@ impl StandardScaler {
         }
         narrow
     }
-
-    /// Transform a borrowed f64 batch straight into the f32 prediction
-    /// plane: the z-score is computed at full f64 precision with the fitted
-    /// statistics, then narrowed once (round-to-nearest). Equivalent to
-    /// `Matrix32::from_f64(&self.transform(x))` without the intermediate
-    /// f64 matrix.
-    pub fn transform_f32(&self, x: MatrixView<'_>) -> Matrix32 {
-        assert_eq!(x.n_cols(), self.means.len(), "matrix width mismatch");
-        let k = self.means.len();
-        let mut out = Matrix32::zeros(x.n_rows(), k);
-        let mut scratch = vec![0.0f64; k];
-        for (row, out_row) in x.rows().zip(out.as_mut_slice().chunks_exact_mut(k)) {
-            scratch.copy_from_slice(row);
-            simd::standardize(&mut scratch, &self.means, &self.stds);
-            simd::narrow(&scratch, out_row);
-        }
-        out
-    }
 }
 
 /// Two-pass per-column moments of one batch: (means, sum of squared
@@ -264,24 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_transform_is_the_narrowed_f64_transform() {
-        let rows = vec![vec![1.0, -4.0], vec![3.5, 2.0], vec![-2.0, 7.0]];
-        let m = Matrix::from_rows(&rows);
-        let scaler = StandardScaler::fit(m.view());
-        let wide = scaler.transform(m.view());
-        let narrow = scaler.transform_f32(m.view());
-        assert_eq!(narrow.n_rows(), 3);
-        assert_eq!(narrow.n_cols(), 2);
-        for (r32, r64) in narrow.rows().zip(wide.rows()) {
-            for (v32, v64) in r32.iter().zip(r64) {
-                // The f64 z-score, narrowed once — not a z-score computed
-                // in f32 (which would round the mean/std subtraction too).
-                assert_eq!(*v32, *v64 as f32);
-            }
-        }
-    }
-
-    #[test]
     fn fused_plane_transform_matches_the_two_pass_reference() {
         let rows: Vec<Vec<f64>> = (0..37)
             .map(|i| {
@@ -303,9 +267,6 @@ mod tests {
         let narrow = scaler.transform_planes_in_place(&mut wide);
         assert_eq!(wide.as_slice(), wide_ref.as_slice());
         assert_eq!(narrow.as_slice(), narrow_ref.as_slice());
-        // And the narrowed plane equals the dedicated f32 transform.
-        let direct32 = scaler.transform_f32(m.view());
-        assert_eq!(narrow.as_slice(), direct32.as_slice());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! immediately preceding it.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Indices into [`Dataset::points`] of a train/test split.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TrainTestSplit {
     /// Point indices of the training years.
     pub train: Vec<usize>,

@@ -1,10 +1,10 @@
 //! Dataset summary statistics (Table I of the paper).
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The per-dataset statistics reported in Table I.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DatasetStats {
     /// Dataset name (park, possibly with a season qualifier).
     pub name: String,

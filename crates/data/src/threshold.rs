@@ -7,10 +7,10 @@
 //! at patrol-effort percentiles, the percentage of positive labels among the
 //! points whose effort is at least the threshold.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point of the Fig. 4 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ThresholdPoint {
     /// Patrol-effort percentile of the threshold (0–100).
     pub percentile: f64,

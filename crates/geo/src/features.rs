@@ -12,14 +12,14 @@
 //! Each [`FeatureKind`] names one such layer; a [`FeatureTable`] holds the
 //! realised per-cell values for a generated park.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The roster of static feature layers the synthetic parks can generate.
 ///
 /// Real deployments have slightly different feature sets per park
 /// (Table I: 22 / 19 / 21 features including previous patrol coverage);
 /// the park presets select subsets of this roster to match those counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FeatureKind {
     /// Terrain elevation (normalised metres).
     Elevation,
@@ -124,7 +124,7 @@ impl FeatureKind {
 
 /// Column-oriented table of static features for every cell of the grid
 /// bounding rectangle (row-major cell order).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FeatureTable {
     kinds: Vec<FeatureKind>,
     /// `columns[k][cell]`, one column per feature kind.

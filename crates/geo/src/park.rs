@@ -16,14 +16,14 @@ use crate::noise::FractalNoise;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Seasonal regime of a park.
 ///
 /// SWS in Cambodia has a pronounced wet/dry cycle (rivers become impassable
 /// in the wet season and poaching shifts geographically); the Ugandan parks
 /// are treated as non-seasonal, matching Sec. III-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Seasonality {
     /// No seasonal structure.
     None,
@@ -33,7 +33,7 @@ pub enum Seasonality {
 }
 
 /// Shape of the park boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum BoundaryShape {
     /// Roughly circular (MFNP: "circular with a more protected core").
     Circular,
@@ -46,7 +46,7 @@ pub enum BoundaryShape {
 
 /// Specification of a synthetic park; see [`crate::parks`] for the presets
 /// matching the three study sites.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ParkSpec {
     /// Park name used in reports.
     pub name: String,
@@ -86,7 +86,7 @@ pub struct ParkSpec {
 }
 
 /// A fully generated synthetic park.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Park {
     /// Park name.
     pub name: String,

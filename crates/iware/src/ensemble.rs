@@ -49,7 +49,7 @@
 //! the grid, so a caller that keeps the tables — a prepared park in
 //! `paws-core` — serves every later query on the same rows with the
 //! combine alone. Tables carry the id of the model that computed them and
-//! the combiners refuse another model's tables; the unprepared entry
+//! the combiners refuse another model's tables; the direct entry
 //! points (`predict_with_variance_at_effort` at a constant effort,
 //! `effort_response`) build fresh tables and run the same combiners, so
 //! both routes produce the same bits.
@@ -72,12 +72,12 @@ use paws_ml::traits::{
 };
 use paws_ml::tree::Ranking;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Configuration of the iWare-E ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct IWareConfig {
     /// Number of weak learners I (the paper uses 20 for MFNP/QENP, 10 for SWS).
     pub n_learners: usize,
@@ -1092,9 +1092,9 @@ impl IWareModel {
     }
 
     /// [`IWareModel::effort_response`] served natively from the f32 plane:
-    /// the caller supplies an already-narrowed feature batch (e.g.
-    /// `StandardScaler::transform_f32`, which fuses the z-score and the
-    /// narrowing into one pass), and the fused traverse→reduce→combine
+    /// the caller supplies an already-narrowed feature batch (e.g. the
+    /// cached f32 plane of a prepared serving artifact), and the fused
+    /// traverse→reduce→combine
     /// pipeline runs per block on `f32x8` kernels, widening only the
     /// emitted surface. Returns `None` unless the model is switched to
     /// [`Precision::F32`] with a tree learner stack — callers fall back to

@@ -6,10 +6,10 @@
 //! data for each classifier", turning the number of classifiers into the
 //! single hyperparameter and handling sparse effort ranges gracefully.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How the I thresholds are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ThresholdMode {
     /// Thresholds at evenly-spaced percentiles of the training patrol effort
     /// (the paper's enhancement).

@@ -36,10 +36,10 @@
 //! and so the weights are exactly those of the per-vector solve.
 
 use paws_data::matrix::MatrixView;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How ensemble-member predictions are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum WeightMode {
     /// Equal weight to every qualified classifier (original iWare-E).
     Uniform,

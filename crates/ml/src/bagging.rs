@@ -39,10 +39,10 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the base (weak) learner used inside the ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub enum BaseLearnerConfig {
     /// CART decision tree (DTB / random-forest style when `max_features` is set).
     Tree(TreeConfig),
@@ -97,7 +97,7 @@ impl Classifier for BaseModel {
 }
 
 /// Bagging-ensemble hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BaggingConfig {
     /// Weak learner trained on each bootstrap sample.
     pub base: BaseLearnerConfig,

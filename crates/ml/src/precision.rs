@@ -15,10 +15,10 @@
 //! actually serves it, so an SVM or GP model switched to
 //! [`Precision::F32`] keeps reporting [`Precision::F64`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which numeric plane serves batch predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Precision {
     /// Double precision (default): bit-identical to the reference path.
     F64,

@@ -18,10 +18,10 @@ use paws_data::simd;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Linear-SVM hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SvmConfig {
     /// L2 regularisation strength λ of the Pegasos objective.
     pub lambda: f64,
@@ -42,7 +42,7 @@ impl Default for SvmConfig {
 }
 
 /// A fitted linear SVM with Platt-scaled probabilities.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LinearSvm {
     weights: Vec<f64>,
     bias: f64,

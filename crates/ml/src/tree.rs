@@ -46,10 +46,10 @@ use paws_data::matrix::MatrixView;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Decision-tree hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -81,7 +81,7 @@ impl Default for TreeConfig {
 /// `left`/`right` index the child nodes. The dense layout keeps batch
 /// traversal cache-friendly; [`crate::forest::Forest`] splices these nodes
 /// unchanged into its arena.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub(crate) struct Node {
     pub(crate) feature: i32,
     pub(crate) left: u32,
@@ -268,7 +268,7 @@ fn assert_row_count(n_rows: usize) {
 }
 
 /// A fitted CART decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     n_features: usize,

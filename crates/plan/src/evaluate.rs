@@ -8,10 +8,10 @@
 
 use crate::game::PlanningProblem;
 use crate::planner::{try_plan, PlanError, PlannerConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of comparing a robust plan against the non-robust baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RobustComparison {
     /// The β used for the robust plan (and for the evaluation objective).
     pub beta: f64,
@@ -22,7 +22,7 @@ pub struct RobustComparison {
     /// The solution-quality ratio Uβ(Cβ)/Uβ(Cβ=0) plotted in Fig. 8.
     pub improvement_ratio: f64,
     /// Expected snares detected by the robust plan under the ground truth
-    /// supplied to [`compare_with_ground_truth`] (0 when not evaluated).
+    /// supplied to [`try_compare_with_ground_truth`] (0 when not evaluated).
     pub robust_detections: f64,
     /// Expected snares detected by the baseline plan.
     pub baseline_detections: f64,
@@ -31,20 +31,9 @@ pub struct RobustComparison {
 /// Compute the Fig. 8 ratio for one planning problem: plan with β = 0 and
 /// with `problem.beta`, evaluate both under the β-weighted objective.
 ///
-/// # Panics
-/// Panics when either plan's utility PWLs cannot be built; use
-/// [`try_compare_robust_vs_baseline`] to handle that as an error.
-pub fn compare_robust_vs_baseline(
-    problem: &PlanningProblem,
-    config: &PlannerConfig,
-) -> RobustComparison {
-    expect_compared(try_compare_robust_vs_baseline(problem, config))
-}
-
-/// Checked Fig. 8 comparison: a degenerate piecewise-linear utility or a
-/// malformed optimisation model surfaces as the [`PlanError`] the planner
-/// hit (e.g. [`PlanError::Pwl`] for an empty curve) instead of a panic
-/// mid-evaluation.
+/// # Errors
+/// The [`PlanError`] either plan hit (e.g. [`PlanError::Pwl`] for an
+/// empty curve).
 pub fn try_compare_robust_vs_baseline(
     problem: &PlanningProblem,
     config: &PlannerConfig,
@@ -80,11 +69,6 @@ fn try_compare(
     })
 }
 
-/// The panicking entry points' unwrap of [`try_compare`].
-fn expect_compared(result: Result<RobustComparison, PlanError>) -> RobustComparison {
-    result.unwrap_or_else(|e| panic!("robust-vs-baseline comparison failed: {e}"))
-}
-
 /// Expected number of snare detections of a coverage vector under a ground
 /// truth: Σ_v Pr[attack at v] · Pr[detect | attack, effort c_v].
 ///
@@ -118,18 +102,18 @@ pub fn expected_detections(
 /// paper arrives at the "+30 % detections on average" claim. Each plan is
 /// solved once; the ratio and the detections describe the same two plans.
 ///
-/// # Panics
-/// Panics when either plan's utility PWLs cannot be built (see
-/// [`try_compare_robust_vs_baseline`]).
-pub fn compare_with_ground_truth(
+/// # Errors
+/// The [`PlanError`] either plan hit, as for
+/// [`try_compare_robust_vs_baseline`].
+pub fn try_compare_with_ground_truth(
     problem: &PlanningProblem,
     config: &PlannerConfig,
     attack_probability: &[f64],
     detection: impl Fn(f64) -> f64 + Copy,
-) -> RobustComparison {
-    expect_compared(try_compare(problem, config, |coverage| {
+) -> Result<RobustComparison, PlanError> {
+    try_compare(problem, config, |coverage| {
         expected_detections(problem, coverage, attack_probability, detection)
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -174,7 +158,7 @@ mod tests {
     #[test]
     fn ratio_is_one_when_beta_is_zero() {
         let problem = uncertain_problem(0.0);
-        let cmp = compare_robust_vs_baseline(&problem, &PlannerConfig::default());
+        let cmp = try_compare_robust_vs_baseline(&problem, &PlannerConfig::default()).unwrap();
         assert!((cmp.improvement_ratio - 1.0).abs() < 1e-6);
     }
 
@@ -182,7 +166,7 @@ mod tests {
     fn robust_plan_never_loses_under_its_own_objective() {
         for beta in [0.5, 0.8, 1.0] {
             let problem = uncertain_problem(beta);
-            let cmp = compare_robust_vs_baseline(&problem, &PlannerConfig::default());
+            let cmp = try_compare_robust_vs_baseline(&problem, &PlannerConfig::default()).unwrap();
             assert!(
                 cmp.improvement_ratio >= 1.0 - 1e-6,
                 "beta={beta}: ratio {} < 1",
@@ -193,13 +177,16 @@ mod tests {
 
     #[test]
     fn ratio_grows_with_beta_for_uncertainty_correlated_risk() {
-        let low = compare_robust_vs_baseline(&uncertain_problem(0.3), &PlannerConfig::default());
-        let high = compare_robust_vs_baseline(&uncertain_problem(1.0), &PlannerConfig::default());
+        let compare = |beta| {
+            try_compare_robust_vs_baseline(&uncertain_problem(beta), &PlannerConfig::default())
+                .unwrap()
+        };
+        let (low, high) = (compare(0.3), compare(1.0));
         assert!(high.improvement_ratio >= low.improvement_ratio - 1e-6);
     }
 
     #[test]
-    fn try_comparison_propagates_pwl_errors_and_matches_panicking_path() {
+    fn comparisons_propagate_pwl_errors() {
         use crate::pwl::PwlError;
         let problem = uncertain_problem(0.5);
         // A degenerate PWL request (zero segments) propagates as an error
@@ -212,11 +199,11 @@ mod tests {
             try_compare_robust_vs_baseline(&problem, &bad).err(),
             Some(PlanError::Pwl(PwlError::Empty))
         );
-        // On a well-posed problem the checked path returns exactly what the
-        // panicking wrapper returns.
-        let ok = try_compare_robust_vs_baseline(&problem, &PlannerConfig::default()).unwrap();
-        let reference = compare_robust_vs_baseline(&problem, &PlannerConfig::default());
-        assert_eq!(ok.improvement_ratio, reference.improvement_ratio);
+        let attack = vec![0.1; problem.n_cells()];
+        assert_eq!(
+            try_compare_with_ground_truth(&problem, &bad, &attack, |c| c).err(),
+            Some(PlanError::Pwl(PwlError::Empty))
+        );
     }
 
     #[test]
@@ -239,7 +226,7 @@ mod tests {
             let attack: Vec<f64> = (0..problem.n_cells())
                 .map(|i| 0.05 + 0.002 * (i % 10) as f64)
                 .collect();
-            let cmp = compare_with_ground_truth(&problem, &config, &attack, detect);
+            let cmp = try_compare_with_ground_truth(&problem, &config, &attack, detect).unwrap();
             assert!(cmp.robust_detections > 0.0);
             assert!(cmp.baseline_detections > 0.0);
             assert!(cmp.improvement_ratio >= 1.0 - 1e-6);

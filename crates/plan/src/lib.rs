@@ -9,10 +9,10 @@
 //! 1. Sample g_v(c) / ν_v(c) from a fitted `paws_iware::IWareModel` with
 //!    `effort_response`, squash the variances with [`robust::squash_matrix`].
 //! 2. Build a [`game::PlanningProblem`] per patrol post.
-//! 3. Optimise with [`planner::plan`] (allocation MILP by default, the
+//! 3. Optimise with [`planner::try_plan`] (allocation MILP by default, the
 //!    time-unrolled flow MILP for small instances).
 //! 4. Extract ranger routes with [`routes::extract_routes`] and evaluate
-//!    Uβ(Cβ)/Uβ(Cβ=0) with [`evaluate::compare_robust_vs_baseline`].
+//!    Uβ(Cβ)/Uβ(Cβ=0) with [`evaluate::try_compare_robust_vs_baseline`].
 
 pub mod evaluate;
 pub mod game;
@@ -22,13 +22,11 @@ pub mod robust;
 pub mod routes;
 
 pub use evaluate::{
-    compare_robust_vs_baseline, compare_with_ground_truth, expected_detections,
-    try_compare_robust_vs_baseline, RobustComparison,
+    expected_detections, try_compare_robust_vs_baseline, try_compare_with_ground_truth,
+    RobustComparison,
 };
 pub use game::{park_travel_distances, steps_for, PlanningCell, PlanningProblem};
-pub use planner::{
-    plan, try_plan, Decomposition, PatrolPlan, PlanError, PlannerConfig, PlannerMethod,
-};
+pub use planner::{try_plan, Decomposition, PatrolPlan, PlanError, PlannerConfig, PlannerMethod};
 pub use pwl::{PwlError, PwlFunction};
 pub use robust::{squash_matrix, VarianceSquash};
 pub use routes::{extract_routes, route_coverage, Route};

@@ -21,7 +21,7 @@ use paws_solver::{
     solve_milp, BasisSnapshot, ConstraintOp, MilpOptions, Model, Sense, SolveBudget, SolveStatus,
     SolverError, SparseLp, Variable,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// In [`Decomposition::Auto`] mode, column generation kicks in above this
@@ -81,7 +81,7 @@ impl From<SolverError> for PlanError {
 }
 
 /// Which MILP formulation to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PlannerMethod {
     /// Separable effort-allocation formulation (default).
     Allocation,
@@ -90,7 +90,7 @@ pub enum PlannerMethod {
 }
 
 /// How the allocation formulation is decomposed for the solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Decomposition {
     /// Pick automatically: column generation for pure-LP instances with
     /// more than a few thousand λ variables, the full model otherwise.
@@ -155,19 +155,11 @@ pub struct PatrolPlan {
     pub status: SolveStatus,
 }
 
-/// Compute a patrol plan for a planning problem.
-///
-/// # Panics
-/// Panics when the utility PWL construction fails (degenerate cell
-/// domains) or the optimisation model is malformed; use [`try_plan`] to
-/// handle those as a [`PlanError`].
-pub fn plan(problem: &PlanningProblem, config: &PlannerConfig) -> PatrolPlan {
-    try_plan(problem, config).unwrap_or_else(|e| panic!("patrol planning failed: {e}"))
-}
-
-/// Checked planning entry point: degenerate piecewise-linear utilities
-/// (e.g. an empty sampling domain from a NaN-poisoned response surface)
-/// and pointless solves (infeasible/unbounded models) surface as a
+/// Compute a patrol plan for a planning problem. Degenerate
+/// piecewise-linear utilities (e.g. an empty sampling domain from a
+/// NaN-poisoned response surface), model inputs the solver rejects (a
+/// non-finite utility becomes a non-finite objective coefficient) and
+/// pointless solves (infeasible/unbounded models) surface as a
 /// [`PlanError`] instead of a panic mid-optimisation.
 ///
 /// Anytime behaviour: when `config.milp.budget` runs out, the best solver
@@ -186,8 +178,8 @@ pub fn try_plan(
     let start = Instant::now();
     let utilities = cell_utilities(problem, config.segments)?;
     let mut result = match config.method {
-        PlannerMethod::Allocation => solve_allocation(problem, &utilities, config),
-        PlannerMethod::Flow => solve_flow(problem, &utilities, config),
+        PlannerMethod::Allocation => solve_allocation(problem, &utilities, config)?,
+        PlannerMethod::Flow => solve_flow(problem, &utilities, config)?,
     };
     match result.status {
         SolveStatus::Infeasible => return Err(SolverError::Infeasible.into()),
@@ -284,7 +276,7 @@ fn add_pwl_block(
     utility: &PwlFunction,
     cell_label: usize,
     exact_sos2: bool,
-) -> (Vec<Variable>, Vec<f64>) {
+) -> Result<(Vec<Variable>, Vec<f64>), SolverError> {
     // Non-concave utilities either get an exact SOS2 encoding (binaries) or
     // are replaced by their upper concave envelope, which the LP relaxation
     // solves exactly.
@@ -297,22 +289,25 @@ fn add_pwl_block(
     };
     let xs = utility.xs().to_vec();
     let ys = utility.ys();
-    let lambdas: Vec<Variable> = (0..xs.len())
-        .map(|j| model.add_continuous(&format!("lam_{cell_label}_{j}"), 0.0, f64::INFINITY, ys[j]))
-        .collect();
+    let mut lambdas = Vec::with_capacity(xs.len());
+    for (j, &y) in ys.iter().enumerate() {
+        let name = format!("lam_{cell_label}_{j}");
+        lambdas.push(model.try_add_continuous(&name, 0.0, f64::INFINITY, y)?);
+    }
     // Convexity: Σ λ = 1.
     let terms: Vec<(Variable, f64)> = lambdas.iter().map(|&v| (v, 1.0)).collect();
-    model.add_constraint(&terms, ConstraintOp::Eq, 1.0);
+    model.try_add_constraint(&terms, ConstraintOp::Eq, 1.0)?;
 
     // SOS2 binaries only when the utility is non-concave; for concave
     // utilities the LP relaxation already attains the true maximum.
     if !utility.is_concave(1e-9) {
         let n_seg = xs.len() - 1;
-        let zs: Vec<Variable> = (0..n_seg)
-            .map(|s| model.add_binary(&format!("z_{cell_label}_{s}"), 0.0))
-            .collect();
+        let mut zs = Vec::with_capacity(n_seg);
+        for s in 0..n_seg {
+            zs.push(model.try_add_binary(&format!("z_{cell_label}_{s}"), 0.0)?);
+        }
         let zterms: Vec<(Variable, f64)> = zs.iter().map(|&z| (z, 1.0)).collect();
-        model.add_constraint(&zterms, ConstraintOp::Eq, 1.0);
+        model.try_add_constraint(&zterms, ConstraintOp::Eq, 1.0)?;
         for j in 0..xs.len() {
             // λ_j can be positive only if an adjacent segment is selected.
             let mut terms = vec![(lambdas[j], 1.0)];
@@ -322,10 +317,10 @@ fn add_pwl_block(
             if j < n_seg {
                 terms.push((zs[j], -1.0));
             }
-            model.add_constraint(&terms, ConstraintOp::Le, 0.0);
+            model.try_add_constraint(&terms, ConstraintOp::Le, 0.0)?;
         }
     }
-    (lambdas, xs)
+    Ok((lambdas, xs))
 }
 
 /// Should the allocation formulation go through column generation?
@@ -377,7 +372,7 @@ fn solve_allocation_colgen(
     problem: &PlanningProblem,
     utilities: &[PwlFunction],
     config: &PlannerConfig,
-) -> PatrolPlan {
+) -> Result<PatrolPlan, SolverError> {
     let start = Instant::now();
     let n = utilities.len();
     // Column generation always works on the concave envelope (the master's
@@ -418,14 +413,14 @@ fn solve_allocation_colgen(
         .any(|(s, env)| s.iter().any(|&j| env.xs()[j] != 0.0))
     {
         let objective = envelopes.iter().map(|env| env.ys()[0]).sum();
-        return PatrolPlan {
+        return Ok(PatrolPlan {
             coverage: vec![0.0; n],
             objective,
             solve_time: Duration::default(),
             nodes: 0,
             lp_solves: 0,
             status: SolveStatus::Optimal,
-        };
+        });
     }
 
     let mut rounds = 0usize;
@@ -463,7 +458,7 @@ fn solve_allocation_colgen(
             } else {
                 SolveStatus::BudgetExceeded
             };
-            return finish(incumbent, rounds, status);
+            return Ok(finish(incumbent, rounds, status));
         };
         rounds += 1;
 
@@ -475,22 +470,20 @@ fn solve_allocation_colgen(
         prefix.push(0usize);
         for (i, env) in envelopes.iter().enumerate() {
             let ys = env.ys();
-            let vars: Vec<(Variable, usize)> = cols[i]
-                .iter()
-                .map(|&j| {
-                    (
-                        rmp.add_continuous(&format!("lam_{i}_{j}"), 0.0, f64::INFINITY, ys[j]),
-                        j,
-                    )
-                })
-                .collect();
+            // A loop, not a `collect` of `Result`s: that loses the exact
+            // size hint, and at park scale this master holds every cell.
+            let mut vars = Vec::with_capacity(cols[i].len());
+            for &j in &cols[i] {
+                let name = format!("lam_{i}_{j}");
+                vars.push((rmp.try_add_continuous(&name, 0.0, f64::INFINITY, ys[j])?, j));
+            }
             prefix.push(prefix[i] + vars.len());
             cell_vars.push(vars);
         }
         let n_struct = prefix[n];
         for vars in &cell_vars {
             let terms: Vec<(Variable, f64)> = vars.iter().map(|&(v, _)| (v, 1.0)).collect();
-            rmp.add_constraint(&terms, ConstraintOp::Eq, 1.0);
+            rmp.try_add_constraint(&terms, ConstraintOp::Eq, 1.0)?;
         }
         let budget_terms: Vec<(Variable, f64)> = cell_vars
             .iter()
@@ -501,7 +494,7 @@ fn solve_allocation_colgen(
                     .map(|&(v, j)| (v, env.xs()[j]))
             })
             .collect();
-        rmp.add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km());
+        rmp.try_add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km())?;
 
         // Warm-start the master so no round pays a phase-1 pass over the n
         // convexity rows: round 1 installs the breakpoint-0 column of every
@@ -552,7 +545,7 @@ fn solve_allocation_colgen(
                 if sol.status != SolveStatus::Optimal {
                     // Interrupted master: its point is still primal
                     // feasible for the full problem.
-                    return finish(incumbent, rounds, SolveStatus::Degraded);
+                    return Ok(finish(incumbent, rounds, SolveStatus::Degraded));
                 }
             }
             SolveStatus::BudgetExceeded => {
@@ -561,19 +554,19 @@ fn solve_allocation_colgen(
                 } else {
                     SolveStatus::BudgetExceeded
                 };
-                return finish(incumbent, rounds, status);
+                return Ok(finish(incumbent, rounds, status));
             }
             // Structurally impossible (the master is feasible and bounded
             // by construction); surface it so try_plan reports an error.
             other => {
-                return PatrolPlan {
+                return Ok(PatrolPlan {
                     coverage: vec![0.0; n],
                     objective: sol.objective,
                     solve_time: Duration::default(),
                     nodes: 0,
                     lp_solves: rounds,
                     status: other,
-                };
+                });
             }
         }
 
@@ -599,10 +592,10 @@ fn solve_allocation_colgen(
             }
         }
         if !added {
-            return finish(incumbent, rounds, SolveStatus::Optimal);
+            return Ok(finish(incumbent, rounds, SolveStatus::Optimal));
         }
         if rounds >= CG_MAX_ROUNDS {
-            return finish(incumbent, rounds, SolveStatus::Degraded);
+            return Ok(finish(incumbent, rounds, SolveStatus::Degraded));
         }
     }
 }
@@ -611,14 +604,14 @@ fn solve_allocation(
     problem: &PlanningProblem,
     utilities: &[PwlFunction],
     config: &PlannerConfig,
-) -> PatrolPlan {
+) -> Result<PatrolPlan, SolverError> {
     if use_column_generation(utilities, config) {
         return solve_allocation_colgen(problem, utilities, config);
     }
     let mut model = Model::new(Sense::Maximize);
     let mut blocks = Vec::with_capacity(problem.n_cells());
     for (i, u) in utilities.iter().enumerate() {
-        blocks.push(add_pwl_block(&mut model, u, i, config.exact_sos2));
+        blocks.push(add_pwl_block(&mut model, u, i, config.exact_sos2)?);
     }
     // Budget: Σ_v c_v ≤ T·K where c_v = Σ_j λ_vj x_vj.
     let mut budget_terms = Vec::new();
@@ -629,18 +622,18 @@ fn solve_allocation(
             }
         }
     }
-    model.add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km());
+    model.try_add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km())?;
 
     let (solution, stats) = solve_milp(&model, &config.milp);
     let coverage = extract_coverage(&solution.values, &blocks);
-    PatrolPlan {
+    Ok(PatrolPlan {
         coverage,
         objective: solution.objective,
         solve_time: Duration::default(),
         nodes: stats.nodes,
         lp_solves: stats.lp_solves,
         status: solution.status,
-    }
+    })
 }
 
 #[allow(clippy::needless_range_loop)]
@@ -648,7 +641,7 @@ fn solve_flow(
     problem: &PlanningProblem,
     utilities: &[PwlFunction],
     config: &PlannerConfig,
-) -> PatrolPlan {
+) -> Result<PatrolPlan, SolverError> {
     let t_steps = steps_for(problem.patrol_length_km);
     let k = problem.n_patrols as f64;
     let n = problem.n_cells();
@@ -662,7 +655,7 @@ fn solve_flow(
         targets.push(i);
         for t in 0..t_steps {
             for &j in &targets {
-                let v = model.add_continuous(&format!("f_{i}_{j}_{t}"), 0.0, k, 0.0);
+                let v = model.try_add_continuous(&format!("f_{i}_{j}_{t}"), 0.0, k, 0.0)?;
                 flow[i][t].push((j, v));
             }
         }
@@ -673,7 +666,7 @@ fn solve_flow(
     for i in 0..n {
         let terms: Vec<(Variable, f64)> = flow[i][0].iter().map(|&(_, v)| (v, 1.0)).collect();
         let rhs = if i == problem.post_index { k } else { 0.0 };
-        model.add_constraint(&terms, ConstraintOp::Eq, rhs);
+        model.try_add_constraint(&terms, ConstraintOp::Eq, rhs)?;
     }
     // Conservation: inflow into (i, t) equals outflow from (i, t) for
     // 1 <= t < T; at t = T all flow must be at the post (sink).
@@ -691,7 +684,7 @@ fn solve_flow(
             for &(_, v) in &flow[i][t] {
                 terms.push((v, -1.0));
             }
-            model.add_constraint(&terms, ConstraintOp::Eq, 0.0);
+            model.try_add_constraint(&terms, ConstraintOp::Eq, 0.0)?;
         }
     }
     // Sink: the inflow at the final step must return to the post.
@@ -703,13 +696,13 @@ fn solve_flow(
             }
         }
     }
-    model.add_constraint(&sink_terms, ConstraintOp::Eq, k);
+    model.try_add_constraint(&sink_terms, ConstraintOp::Eq, k)?;
 
     // Coverage of cell i: time steps spent at i = Σ_t outflow from (i, t).
     // Link to the PWL blocks: Σ_j λ_ij x_ij − c_i = 0.
     let mut blocks = Vec::with_capacity(n);
     for (i, u) in utilities.iter().enumerate() {
-        let block = add_pwl_block(&mut model, u, i, config.exact_sos2);
+        let block = add_pwl_block(&mut model, u, i, config.exact_sos2)?;
         let mut link: Vec<(Variable, f64)> = block
             .0
             .iter()
@@ -722,20 +715,20 @@ fn solve_flow(
                 link.push((v, -1.0));
             }
         }
-        model.add_constraint(&link, ConstraintOp::Eq, 0.0);
+        model.try_add_constraint(&link, ConstraintOp::Eq, 0.0)?;
         blocks.push(block);
     }
 
     let (solution, stats) = solve_milp(&model, &config.milp);
     let coverage = extract_coverage(&solution.values, &blocks);
-    PatrolPlan {
+    Ok(PatrolPlan {
         coverage,
         objective: solution.objective,
         solve_time: Duration::default(),
         nodes: stats.nodes,
         lp_solves: stats.lp_solves,
         status: solution.status,
-    }
+    })
 }
 
 fn extract_coverage(values: &[f64], blocks: &[(Vec<Variable>, Vec<f64>)]) -> Vec<f64> {
@@ -793,7 +786,7 @@ mod tests {
     #[test]
     fn allocation_plan_respects_budget_and_caps() {
         let problem = small_problem(0.0, 8.0, 3);
-        let plan = plan(&problem, &PlannerConfig::default());
+        let plan = try_plan(&problem, &PlannerConfig::default()).unwrap();
         assert_eq!(plan.status, SolveStatus::Optimal);
         let total: f64 = plan.coverage.iter().sum();
         assert!(
@@ -810,7 +803,7 @@ mod tests {
     #[test]
     fn allocation_concentrates_effort_on_high_value_cells() {
         let problem = small_problem(0.0, 8.0, 2);
-        let computed = plan(&problem, &PlannerConfig::default());
+        let computed = try_plan(&problem, &PlannerConfig::default()).unwrap();
         // Compare against a uniform allocation of the same budget.
         let uniform = vec![problem.budget_km() / problem.n_cells() as f64; problem.n_cells()];
         let u_plan = problem.coverage_utility(&computed.coverage, 0.0);
@@ -825,7 +818,7 @@ mod tests {
             segments: 20,
             ..PlannerConfig::default()
         };
-        let p = plan(&problem, &config);
+        let p = try_plan(&problem, &config).unwrap();
         let reeval = problem.coverage_utility(&p.coverage, 0.5);
         // PWL approximation error only.
         assert!((p.objective - reeval).abs() < 0.15 * reeval.abs().max(1.0));
@@ -834,20 +827,22 @@ mod tests {
     #[test]
     fn more_segments_never_hurts_much() {
         let problem = small_problem(1.0, 8.0, 2);
-        let coarse = plan(
+        let coarse = try_plan(
             &problem,
             &PlannerConfig {
                 segments: 3,
                 ..PlannerConfig::default()
             },
-        );
-        let fine = plan(
+        )
+        .unwrap();
+        let fine = try_plan(
             &problem,
             &PlannerConfig {
                 segments: 25,
                 ..PlannerConfig::default()
             },
-        );
+        )
+        .unwrap();
         let u_coarse = problem.coverage_utility(&coarse.coverage, 1.0);
         let u_fine = problem.coverage_utility(&fine.coverage, 1.0);
         assert!(u_fine >= u_coarse - 0.05 * u_coarse.abs().max(1.0));
@@ -856,9 +851,9 @@ mod tests {
     #[test]
     fn robust_plan_differs_from_nominal_plan() {
         let mut nominal_problem = small_problem(0.0, 8.0, 2);
-        let nominal = plan(&nominal_problem, &PlannerConfig::default());
+        let nominal = try_plan(&nominal_problem, &PlannerConfig::default()).unwrap();
         nominal_problem.beta = 1.0;
-        let robust = plan(&nominal_problem, &PlannerConfig::default());
+        let robust = try_plan(&nominal_problem, &PlannerConfig::default()).unwrap();
         // The uncertainty penalty shifts effort; coverages should not be identical.
         let diff: f64 = nominal
             .coverage
@@ -869,19 +864,42 @@ mod tests {
         assert!(diff > 1e-6, "robust and nominal plans identical");
     }
 
+    /// A non-finite β reaches the solver as a non-finite objective
+    /// coefficient, which the model builder rejects: a typed error from
+    /// every formulation, not a panic.
+    #[test]
+    fn non_finite_beta_is_a_typed_solver_error() {
+        let mut problem = small_problem(0.5, 4.0, 1);
+        problem.beta = f64::NAN;
+        for method in [PlannerMethod::Allocation, PlannerMethod::Flow] {
+            let config = PlannerConfig {
+                method,
+                ..PlannerConfig::default()
+            };
+            assert_eq!(
+                try_plan(&problem, &config).err(),
+                Some(PlanError::Solver(SolverError::Input(
+                    "objective coefficient must be finite"
+                ))),
+                "{method:?}"
+            );
+        }
+    }
+
     #[test]
     fn flow_formulation_agrees_with_allocation_on_tiny_instance() {
         // Restrict to a very small problem so the flow MILP stays tiny.
         let problem = small_problem(0.0, 4.0, 1);
-        let alloc = plan(&problem, &PlannerConfig::default());
-        let flow = plan(
+        let alloc = try_plan(&problem, &PlannerConfig::default()).unwrap();
+        let flow = try_plan(
             &problem,
             &PlannerConfig {
                 method: PlannerMethod::Flow,
                 segments: 8,
                 ..PlannerConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(flow.status, SolveStatus::Optimal);
         let total_flow: f64 = flow.coverage.iter().sum();
         assert!(
@@ -926,7 +944,7 @@ mod tests {
     #[test]
     fn generous_budget_reproduces_the_unbudgeted_plan_exactly() {
         let problem = small_problem(0.5, 8.0, 2);
-        let free = plan(&problem, &PlannerConfig::default());
+        let free = try_plan(&problem, &PlannerConfig::default()).unwrap();
         let config = PlannerConfig {
             milp: MilpOptions {
                 budget: paws_solver::SolveBudget::with_time_limit(Duration::from_secs(3600)),
@@ -934,7 +952,7 @@ mod tests {
             },
             ..PlannerConfig::default()
         };
-        let budgeted = plan(&problem, &config);
+        let budgeted = try_plan(&problem, &config).unwrap();
         assert_eq!(budgeted.status, free.status);
         assert_eq!(budgeted.coverage, free.coverage);
         assert_eq!(budgeted.objective, free.objective);
@@ -943,20 +961,22 @@ mod tests {
     #[test]
     fn column_generation_matches_full_model_objective() {
         let problem = small_problem(0.5, 8.0, 2);
-        let full = plan(
+        let full = try_plan(
             &problem,
             &PlannerConfig {
                 decomposition: Decomposition::FullModel,
                 ..PlannerConfig::default()
             },
-        );
-        let cg = plan(
+        )
+        .unwrap();
+        let cg = try_plan(
             &problem,
             &PlannerConfig {
                 decomposition: Decomposition::ColumnGeneration,
                 ..PlannerConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(full.status, SolveStatus::Optimal);
         assert_eq!(cg.status, SolveStatus::Optimal);
         assert!(
@@ -999,14 +1019,15 @@ mod tests {
     fn auto_decomposition_keeps_small_instances_on_the_full_model() {
         // The golden small instances must be bit-identical under Auto.
         let problem = small_problem(0.5, 8.0, 2);
-        let auto = plan(&problem, &PlannerConfig::default());
-        let full = plan(
+        let auto = try_plan(&problem, &PlannerConfig::default()).unwrap();
+        let full = try_plan(
             &problem,
             &PlannerConfig {
                 decomposition: Decomposition::FullModel,
                 ..PlannerConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(auto.coverage, full.coverage);
         assert_eq!(auto.objective, full.objective);
         assert_eq!(auto.lp_solves, full.lp_solves);
@@ -1015,7 +1036,7 @@ mod tests {
     #[test]
     fn zero_beta_plan_maximises_pure_detection() {
         let problem = small_problem(0.0, 6.0, 1);
-        let p = plan(&problem, &PlannerConfig::default());
+        let p = try_plan(&problem, &PlannerConfig::default()).unwrap();
         // With beta=0 the objective equals sum of g at the coverage.
         let g_sum: f64 = p
             .coverage

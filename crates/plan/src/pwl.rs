@@ -5,7 +5,7 @@
 //! machine-learning predictions into something a MILP can optimise. The same
 //! construction is applied to the uncertainty functions ν_v in Sec. VI-C.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Errors from the checked PWL constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,7 @@ impl std::fmt::Display for PwlError {
 impl std::error::Error for PwlError {}
 
 /// A piecewise-linear function defined by ascending breakpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PwlFunction {
     /// Breakpoint x-coordinates, strictly ascending.
     xs: Vec<f64>,

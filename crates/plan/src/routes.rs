@@ -124,7 +124,7 @@ fn hop_distances(problem: &PlanningProblem, source: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{plan, PlannerConfig};
+    use crate::planner::{try_plan, PlannerConfig};
     use paws_data::matrix::Matrix;
     use paws_geo::parks::test_park_spec;
     use paws_geo::Park;
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn routes_start_and_end_at_the_post() {
         let p = problem();
-        let coverage = plan(&p, &PlannerConfig::default()).coverage;
+        let coverage = try_plan(&p, &PlannerConfig::default()).unwrap().coverage;
         let routes = extract_routes(&p, &coverage);
         assert_eq!(routes.len(), 3);
         for r in &routes {
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn routes_respect_patrol_length_roughly() {
         let p = problem();
-        let coverage = plan(&p, &PlannerConfig::default()).coverage;
+        let coverage = try_plan(&p, &PlannerConfig::default()).unwrap().coverage;
         let routes = extract_routes(&p, &coverage);
         // The same rounding helper the extractor itself uses — this bound
         // used a truncating `as usize` before, disagreeing with the
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn routes_only_visit_adjacent_candidate_cells() {
         let p = problem();
-        let coverage = plan(&p, &PlannerConfig::default()).coverage;
+        let coverage = try_plan(&p, &PlannerConfig::default()).unwrap().coverage;
         let routes = extract_routes(&p, &coverage);
         let index_of: std::collections::HashMap<CellId, usize> = p
             .cells
@@ -212,7 +212,7 @@ mod tests {
         // mid-planning. With total_cmp the walk stays defined and every
         // route still closes at the post.
         let p = problem();
-        let mut coverage = plan(&p, &PlannerConfig::default()).coverage;
+        let mut coverage = try_plan(&p, &PlannerConfig::default()).unwrap().coverage;
         for (i, c) in coverage.iter_mut().enumerate() {
             if i % 4 == 0 {
                 *c = f64::NAN;
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn route_coverage_targets_high_demand_cells() {
         let p = problem();
-        let planned = plan(&p, &PlannerConfig::default()).coverage;
+        let planned = try_plan(&p, &PlannerConfig::default()).unwrap().coverage;
         let routes = extract_routes(&p, &planned);
         let realised = route_coverage(&p, &routes);
         // The realised coverage should put most of its effort on cells with

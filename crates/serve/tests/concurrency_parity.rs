@@ -64,20 +64,20 @@ struct Reference {
 }
 
 fn direct_reference(fixture: &Fixture, model: &ServingModel) -> Reference {
+    let prepared = model
+        .prepare_park(&fixture.park, &fixture.dataset, &fixture.prev)
+        .expect("valid prepared park");
     let risk = RISK_LEVELS
         .iter()
         .map(|&e| {
             model
-                .try_risk_map(&fixture.park, &fixture.dataset, &fixture.prev, e)
+                .try_risk_map_prepared(&prepared, e)
                 .expect("valid direct risk map")
         })
         .collect();
     let response = model
-        .try_park_response(&fixture.park, &fixture.dataset, &fixture.prev, &GRID)
+        .try_park_response_prepared(&prepared, &GRID)
         .expect("valid direct response");
-    let prepared = model
-        .prepare_park(&fixture.park, &fixture.dataset, &fixture.prev)
-        .expect("valid prepared park");
     let problem = model
         .try_planning_problem_prepared(
             &fixture.park,

@@ -57,16 +57,18 @@ fn parallel_fit_is_bit_identical_to_the_one_thread_fit() {
             paws_core::train(&dataset, &split, &cfg).into_serving()
         });
         let prev = vec![0.0; scenario.park.n_cells()];
-        let (r_ref, u_ref) = reference
-            .try_risk_map(&scenario.park, &dataset, &prev, 1.0)
-            .expect("reference risk map");
+        let risk_map = |model: &ServingModel| {
+            let prepared = model
+                .prepare_park(&scenario.park, &dataset, &prev)
+                .expect("the park prepares");
+            model.try_risk_map_prepared(&prepared, 1.0)
+        };
+        let (r_ref, u_ref) = risk_map(&reference).expect("reference risk map");
         for forced in FORCED {
             let model = rayon::with_num_threads(forced, || {
                 paws_core::train(&dataset, &split, &cfg).into_serving()
             });
-            let (r, u) = model
-                .try_risk_map(&scenario.park, &dataset, &prev, 1.0)
-                .expect("forced-fit risk map");
+            let (r, u) = risk_map(&model).expect("forced-fit risk map");
             assert_eq!(r, r_ref, "risk drifted: iware={use_iware} x{forced}");
             assert_eq!(u, u_ref, "uncertainty drifted: iware={use_iware} x{forced}");
         }
@@ -90,15 +92,24 @@ fn sharded_prepared_queries_are_bit_identical_across_forced_counts() {
         prepared.shards()
     );
 
-    let (r_ref, u_ref) = rayon::with_num_threads(1, || model.risk_map_prepared(&prepared, 1.0));
-    let (p_ref, v_ref) =
-        rayon::with_num_threads(1, || model.park_response_prepared(&prepared, &GRID));
+    let risk_map = || {
+        model
+            .try_risk_map_prepared(&prepared, 1.0)
+            .expect("valid effort")
+    };
+    let response = || {
+        model
+            .try_park_response_prepared(&prepared, &GRID)
+            .expect("valid grid")
+    };
+    let (r_ref, u_ref) = rayon::with_num_threads(1, risk_map);
+    let (p_ref, v_ref) = rayon::with_num_threads(1, response);
     for forced in FORCED {
         rayon::with_num_threads(forced, || {
-            let (r, u) = model.risk_map_prepared(&prepared, 1.0);
+            let (r, u) = risk_map();
             assert_eq!(r, r_ref, "sharded risk drifted x{forced}");
             assert_eq!(u, u_ref, "sharded uncertainty drifted x{forced}");
-            let (p, v) = model.park_response_prepared(&prepared, &GRID);
+            let (p, v) = response();
             assert_eq!(p.as_slice(), p_ref.as_slice(), "response probs x{forced}");
             assert_eq!(v.as_slice(), v_ref.as_slice(), "response vars x{forced}");
         });
@@ -115,15 +126,18 @@ fn batched_serve_is_bit_identical_across_forced_counts() {
         paws_core::train(&dataset, &split, &config(13, true)).into_serving()
     });
     let prev = vec![0.0; scenario.park.n_cells()];
-    let (r_ref, u_ref) = rayon::with_num_threads(1, || {
-        model
-            .try_risk_map(&scenario.park, &dataset, &prev, 1.0)
-            .expect("direct risk map")
-    });
-    let (p_ref, v_ref) = rayon::with_num_threads(1, || {
-        model
-            .try_park_response(&scenario.park, &dataset, &prev, &GRID)
-            .expect("direct response")
+    let ((r_ref, u_ref), (p_ref, v_ref)) = rayon::with_num_threads(1, || {
+        let prepared = model
+            .prepare_park(&scenario.park, &dataset, &prev)
+            .expect("the park prepares");
+        (
+            model
+                .try_risk_map_prepared(&prepared, 1.0)
+                .expect("direct risk map"),
+            model
+                .try_park_response_prepared(&prepared, &GRID)
+                .expect("direct response"),
+        )
     });
 
     let server = Arc::new(PawsServer::new());

@@ -39,12 +39,14 @@ fn mid_traffic_snapshot_swap_never_tears_a_query() {
     // learners), and v2's wire-format snapshot for the swap.
     let v1 = fit(&dataset, 11, 4);
     let v2 = fit(&dataset, 12, 6);
-    let (r1, u1) = v1
-        .try_risk_map(&park, &dataset, &prev, 1.0)
-        .expect("v1 serves");
-    let (r2, u2) = v2
-        .try_risk_map(&park, &dataset, &prev, 1.0)
-        .expect("v2 serves");
+    let risk_map = |model: &ServingModel| {
+        let prepared = model
+            .prepare_park(&park, &dataset, &prev)
+            .expect("the park prepares");
+        model.try_risk_map_prepared(&prepared, 1.0)
+    };
+    let (r1, u1) = risk_map(&v1).expect("v1 serves");
+    let (r2, u2) = risk_map(&v2).expect("v2 serves");
     assert_ne!(r1, r2, "the two model versions must be distinguishable");
     let v2_bytes = v2.to_stack_snapshot().expect("tree stack snapshots");
     let v2_config = v2.config.clone();

@@ -59,9 +59,13 @@ fn mid_traffic_ingest_batch_hot_swaps_without_tearing() {
         .expect("mirror install succeeds");
     let v1 = mirror.resident("oracle").expect("oracle resident");
     let prev0 = dataset0.coverage.last().expect("batch 1 has steps").clone();
+    let prepared0 = v1
+        .model
+        .prepare_park(&park, &dataset0, &prev0)
+        .expect("v1 prepares the park");
     let (r1, u1) = v1
         .model
-        .try_risk_map(&park, &dataset0, &prev0, 1.0)
+        .try_risk_map_prepared(&prepared0, 1.0)
         .expect("v1 serves directly");
 
     let report = mirror
@@ -83,9 +87,13 @@ fn mid_traffic_ingest_batch_hot_swaps_without_tearing() {
         .expect("batch 2 has steps")
         .clone();
     let v2 = mirror.resident("oracle").expect("oracle resident");
+    let prepared1 = v2
+        .model
+        .prepare_park(&park, &dataset_full, &prev1)
+        .expect("v2 prepares the park");
     let (r2, u2) = v2
         .model
-        .try_risk_map(&park, &dataset_full, &prev1, 1.0)
+        .try_risk_map_prepared(&prepared1, 1.0)
         .expect("v2 serves directly");
     assert_ne!(r1, r2, "ingest must change the served surface");
 

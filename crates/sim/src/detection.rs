@@ -9,10 +9,10 @@
 //! which produces exactly the one-sided label noise the iWare-E ensemble is
 //! designed to handle and the increasing detection curves of Fig. 4.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Saturating detection-probability model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DetectionModel {
     /// Rate of the exponential saturation per km of effort.
     pub rate_per_km: f64,

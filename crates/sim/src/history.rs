@@ -11,10 +11,10 @@ use crate::patrol::{effort_map, simulate_month, Patrol, PatrolConfig};
 use paws_geo::Park;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Complete simulator configuration for one park.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Serialize, Default)]
 pub struct SimConfig {
     /// Ground-truth attack model parameters.
     pub attack: crate::behaviour::AttackModelConfig,
@@ -25,7 +25,7 @@ pub struct SimConfig {
 }
 
 /// Everything that happened in the park during one simulated month.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MonthRecord {
     /// Calendar year.
     pub year: u32,
@@ -56,7 +56,7 @@ impl MonthRecord {
 }
 
 /// A multi-year simulated history for one park.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct History {
     /// First simulated calendar year.
     pub start_year: u32,

@@ -136,11 +136,14 @@ mod tests {
     #[test]
     fn transposes_rows_into_sorted_columns() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 1.0, 1.0);
-        m.add_constraint(&[(x, 2.0), (y, 3.0)], ConstraintOp::Le, 4.0);
-        m.add_constraint(&[(y, -1.0)], ConstraintOp::Ge, -2.0);
-        m.add_constraint(&[(x, 5.0)], ConstraintOp::Eq, 1.0);
+        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 1.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 2.0), (y, 3.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(y, -1.0)], ConstraintOp::Ge, -2.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 5.0)], ConstraintOp::Eq, 1.0)
+            .unwrap();
         let csc = CscMatrix::from_model(&m);
         assert_eq!((csc.n_rows(), csc.n_cols(), csc.nnz()), (3, 2, 4));
         assert_eq!(csc.col(0).collect::<Vec<_>>(), vec![(0, 2.0), (2, 5.0)]);
@@ -150,8 +153,9 @@ mod tests {
     #[test]
     fn duplicate_terms_are_summed_like_the_dense_tableau() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
-        m.add_constraint(&[(x, 2.0), (Variable(0), 3.0)], ConstraintOp::Le, 4.0);
+        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 2.0), (Variable(0), 3.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
         let csc = CscMatrix::from_model(&m);
         assert_eq!(csc.col(0).collect::<Vec<_>>(), vec![(0, 5.0)]);
         assert_eq!(csc.nnz(), 1);
@@ -160,9 +164,11 @@ mod tests {
     #[test]
     fn col_dot_matches_manual_product() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
-        m.add_constraint(&[(x, 2.0)], ConstraintOp::Le, 1.0);
-        m.add_constraint(&[(x, -3.0)], ConstraintOp::Ge, -5.0);
+        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 2.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, -3.0)], ConstraintOp::Ge, -5.0)
+            .unwrap();
         let csc = CscMatrix::from_model(&m);
         assert_eq!(csc.col_dot(0, &[10.0, 100.0]), 2.0 * 10.0 - 3.0 * 100.0);
     }

@@ -319,10 +319,11 @@ mod tests {
     fn solves_small_knapsack() {
         // Knapsack: values 10, 13, 7; weights 5, 7, 4; capacity 9 -> pick items 1 and 3 (17).
         let mut m = Model::new(Sense::Maximize);
-        let x1 = m.add_binary("x1", 10.0);
-        let x2 = m.add_binary("x2", 13.0);
-        let x3 = m.add_binary("x3", 7.0);
-        m.add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0);
+        let x1 = m.try_add_binary("x1", 10.0).unwrap();
+        let x2 = m.try_add_binary("x2", 13.0).unwrap();
+        let x3 = m.try_add_binary("x3", 7.0).unwrap();
+        m.try_add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0)
+            .unwrap();
         let (sol, stats) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 17.0).abs() < 1e-6);
@@ -337,9 +338,10 @@ mod tests {
         // max 4y + x  s.t. x <= 3.5, x + 10y <= 10, y binary.
         // y=1 -> x <= 0 -> obj 4; y=0 -> x <= 3.5 -> obj 3.5. Optimal y=1.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 3.5, 1.0);
-        let y = m.add_binary("y", 4.0);
-        m.add_constraint(&[(x, 1.0), (y, 10.0)], ConstraintOp::Le, 10.0);
+        let x = m.try_add_continuous("x", 0.0, 3.5, 1.0).unwrap();
+        let y = m.try_add_binary("y", 4.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 10.0)], ConstraintOp::Le, 10.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 4.0).abs() < 1e-6);
@@ -349,8 +351,9 @@ mod tests {
     #[test]
     fn pure_lp_passes_through() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 2.0, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 5.0);
+        let x = m.try_add_continuous("x", 0.0, 2.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 5.0)
+            .unwrap();
         let (sol, stats) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 2.0).abs() < 1e-6);
@@ -360,9 +363,10 @@ mod tests {
     #[test]
     fn infeasible_binary_problem_detected() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_binary("x", 1.0);
-        let y = m.add_binary("y", 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
+        let x = m.try_add_binary("x", 1.0).unwrap();
+        let y = m.try_add_binary("y", 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Infeasible);
     }
@@ -371,10 +375,11 @@ mod tests {
     fn set_partitioning_exactly_one() {
         // Choose exactly one of three options, maximise value.
         let mut m = Model::new(Sense::Maximize);
-        let a = m.add_binary("a", 2.0);
-        let b = m.add_binary("b", 5.0);
-        let c = m.add_binary("c", 3.0);
-        m.add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Eq, 1.0);
+        let a = m.try_add_binary("a", 2.0).unwrap();
+        let b = m.try_add_binary("b", 5.0).unwrap();
+        let c = m.try_add_binary("c", 3.0).unwrap();
+        m.try_add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Eq, 1.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert!((sol.objective - 5.0).abs() < 1e-6);
         assert!((sol.value(b) - 1.0).abs() < 1e-6);
@@ -384,10 +389,11 @@ mod tests {
     fn minimisation_branching_works() {
         // min 3a + 2b + 4c s.t. a + b + c >= 2 (binaries) -> pick b and a? 2+3=5 vs b+c=6, a+c=7 -> 5.
         let mut m = Model::new(Sense::Minimize);
-        let a = m.add_binary("a", 3.0);
-        let b = m.add_binary("b", 2.0);
-        let c = m.add_binary("c", 4.0);
-        m.add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Ge, 2.0);
+        let a = m.try_add_binary("a", 3.0).unwrap();
+        let b = m.try_add_binary("b", 2.0).unwrap();
+        let c = m.try_add_binary("c", 4.0).unwrap();
+        m.try_add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert!((sol.objective - 5.0).abs() < 1e-6);
         assert!((sol.value(a) - 1.0).abs() < 1e-6);
@@ -399,14 +405,17 @@ mod tests {
         // A 12-item knapsack with a node limit of 1 cannot finish.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..12)
-            .map(|i| m.add_binary(&format!("x{i}"), (i % 5) as f64 + 1.5))
+            .map(|i| {
+                m.try_add_binary(&format!("x{i}"), (i % 5) as f64 + 1.5)
+                    .unwrap()
+            })
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, (i % 3) as f64 + 1.0))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 7.5);
+        m.try_add_constraint(&terms, ConstraintOp::Le, 7.5).unwrap();
         let options = MilpOptions {
             max_nodes: 1,
             ..MilpOptions::default()
@@ -419,10 +428,11 @@ mod tests {
     #[test]
     fn generous_budget_reproduces_unbudgeted_milp_exactly() {
         let mut m = Model::new(Sense::Maximize);
-        let x1 = m.add_binary("x1", 10.0);
-        let x2 = m.add_binary("x2", 13.0);
-        let x3 = m.add_binary("x3", 7.0);
-        m.add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0);
+        let x1 = m.try_add_binary("x1", 10.0).unwrap();
+        let x2 = m.try_add_binary("x2", 13.0).unwrap();
+        let x3 = m.try_add_binary("x3", 7.0).unwrap();
+        m.try_add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0)
+            .unwrap();
         let (free, free_stats) = solve_milp(&m, &MilpOptions::default());
         let options = MilpOptions {
             budget: crate::budget::SolveBudget::with_time_limit(std::time::Duration::from_secs(
@@ -442,14 +452,17 @@ mod tests {
     fn expired_deadline_returns_budget_exceeded_without_hanging() {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary(&format!("x{i}"), (i % 4) as f64 + 1.0))
+            .map(|i| {
+                m.try_add_binary(&format!("x{i}"), (i % 4) as f64 + 1.0)
+                    .unwrap()
+            })
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, (i % 3) as f64 + 1.0))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 6.5);
+        m.try_add_constraint(&terms, ConstraintOp::Le, 6.5).unwrap();
         let options = MilpOptions {
             budget: crate::budget::SolveBudget::with_time_limit(std::time::Duration::ZERO),
             ..MilpOptions::default()
@@ -464,9 +477,10 @@ mod tests {
         // to optimality; the search must still terminate with a typed
         // budget status rather than mis-reporting optimality.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_binary("x", 3.0);
-        let y = m.add_binary("y", 2.0);
-        m.add_constraint(&[(x, 2.0), (y, 2.0)], ConstraintOp::Le, 3.0);
+        let x = m.try_add_binary("x", 3.0).unwrap();
+        let y = m.try_add_binary("y", 2.0).unwrap();
+        m.try_add_constraint(&[(x, 2.0), (y, 2.0)], ConstraintOp::Le, 3.0)
+            .unwrap();
         let options = MilpOptions {
             budget: crate::budget::SolveBudget {
                 time_limit: None,
@@ -489,14 +503,18 @@ mod tests {
     fn sparse_and_dense_engines_agree_and_sparse_warm_starts() {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary(&format!("x{i}"), ((i * 7) % 11) as f64 + 0.5))
+            .map(|i| {
+                m.try_add_binary(&format!("x{i}"), ((i * 7) % 11) as f64 + 0.5)
+                    .unwrap()
+            })
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, ((i * 3) % 5) as f64 + 1.0))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 11.5);
+        m.try_add_constraint(&terms, ConstraintOp::Le, 11.5)
+            .unwrap();
         let (sparse, sparse_stats) = solve_milp(&m, &MilpOptions::default());
         let (dense, dense_stats) = solve_milp(
             &m,
@@ -545,14 +563,15 @@ mod tests {
 
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_binary(&format!("x{i}"), values[i]))
+            .map(|i| m.try_add_binary(&format!("x{i}"), values[i]).unwrap())
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, weights[i] as f64))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, capacity as f64);
+        m.try_add_constraint(&terms, ConstraintOp::Le, capacity as f64)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(

@@ -7,10 +7,10 @@
 //! [`crate::simplex`] solves its continuous relaxation and
 //! [`crate::milp`] wraps that in branch-and-bound for the binaries.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Optimisation direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Sense {
     /// Maximise the objective.
     Maximize,
@@ -19,7 +19,7 @@ pub enum Sense {
 }
 
 /// Kind of a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum VarKind {
     /// Continuous variable within its bounds.
     Continuous,
@@ -28,11 +28,11 @@ pub enum VarKind {
 }
 
 /// Handle to a variable in a [`Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Variable(pub usize);
 
 /// Comparison operator of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ConstraintOp {
     /// `expr <= rhs`
     Le,
@@ -42,7 +42,7 @@ pub enum ConstraintOp {
     Eq,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct VarDef {
     pub name: String,
     pub lower: f64,
@@ -51,7 +51,7 @@ pub(crate) struct VarDef {
     pub objective: f64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct ConstraintDef {
     pub terms: Vec<(usize, f64)>,
     pub op: ConstraintOp,
@@ -59,7 +59,7 @@ pub(crate) struct ConstraintDef {
 }
 
 /// A linear optimisation model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarDef>,
@@ -67,7 +67,7 @@ pub struct Model {
 }
 
 /// Termination status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SolveStatus {
     /// An optimal solution was found.
     Optimal,
@@ -131,7 +131,7 @@ impl std::fmt::Display for SolverError {
 impl std::error::Error for SolverError {}
 
 /// Result of solving a model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Solution {
     /// Termination status.
     pub status: SolveStatus,
@@ -175,8 +175,13 @@ impl Model {
         self.sense
     }
 
-    /// Fallible twin of [`Model::add_continuous`]: rejects non-finite or
-    /// inconsistent inputs with [`SolverError::Input`] instead of panicking.
+    /// Add a continuous variable with bounds `[lower, upper]` and objective
+    /// coefficient `objective`. The upper bound may be `f64::INFINITY` for
+    /// an unbounded-above variable.
+    ///
+    /// # Errors
+    /// [`SolverError::Input`] for a non-finite lower bound, a NaN upper
+    /// bound, `lower > upper`, or a non-finite objective coefficient.
     pub fn try_add_continuous(
         &mut self,
         name: &str,
@@ -206,28 +211,10 @@ impl Model {
         Ok(Variable(self.vars.len() - 1))
     }
 
-    /// Add a continuous variable with bounds `[lower, upper]` and objective
-    /// coefficient `objective`.
-    /// The upper bound may be `f64::INFINITY` for an unbounded-above variable.
+    /// Add a binary variable with objective coefficient `objective`.
     ///
-    /// # Panics
-    /// On invalid input; [`Model::try_add_continuous`] is the typed-error
-    /// twin for callers that must not panic.
-    pub fn add_continuous(
-        &mut self,
-        name: &str,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> Variable {
-        match self.try_add_continuous(name, lower, upper, objective) {
-            Ok(v) => v,
-            Err(e) => panic!("add_continuous({name}): {e}"),
-        }
-    }
-
-    /// Fallible twin of [`Model::add_binary`]: rejects a non-finite
-    /// objective with [`SolverError::Input`] instead of panicking.
+    /// # Errors
+    /// [`SolverError::Input`] for a non-finite objective coefficient.
     pub fn try_add_binary(&mut self, name: &str, objective: f64) -> Result<Variable, SolverError> {
         if !objective.is_finite() {
             return Err(SolverError::Input("objective coefficient must be finite"));
@@ -242,20 +229,11 @@ impl Model {
         Ok(Variable(self.vars.len() - 1))
     }
 
-    /// Add a binary variable with objective coefficient `objective`.
+    /// Add a linear constraint `Σ coeff·var  op  rhs`.
     ///
-    /// # Panics
-    /// On a non-finite objective; see [`Model::try_add_binary`].
-    pub fn add_binary(&mut self, name: &str, objective: f64) -> Variable {
-        match self.try_add_binary(name, objective) {
-            Ok(v) => v,
-            Err(e) => panic!("add_binary({name}): {e}"),
-        }
-    }
-
-    /// Fallible twin of [`Model::add_constraint`]: rejects empty term
-    /// lists, unknown variables, and non-finite coefficients or right-hand
-    /// sides with [`SolverError::Input`] instead of panicking.
+    /// # Errors
+    /// [`SolverError::Input`] for an empty term list, an unknown variable,
+    /// or a non-finite coefficient or right-hand side.
     pub fn try_add_constraint(
         &mut self,
         terms: &[(Variable, f64)],
@@ -282,17 +260,6 @@ impl Model {
             rhs,
         });
         Ok(())
-    }
-
-    /// Add a linear constraint `Σ coeff·var  op  rhs`.
-    ///
-    /// # Panics
-    /// On invalid input; [`Model::try_add_constraint`] is the typed-error
-    /// twin for callers that must not panic.
-    pub fn add_constraint(&mut self, terms: &[(Variable, f64)], op: ConstraintOp, rhs: f64) {
-        if let Err(e) = self.try_add_constraint(terms, op, rhs) {
-            panic!("add_constraint: {e}");
-        }
     }
 
     /// Number of variables.
@@ -367,9 +334,10 @@ mod tests {
     #[test]
     fn model_construction_and_introspection() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
-        let y = m.add_binary("y", 5.0);
-        m.add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 8.0);
+        let x = m.try_add_continuous("x", 0.0, 10.0, 1.0).unwrap();
+        let y = m.try_add_binary("y", 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 8.0)
+            .unwrap();
         assert_eq!(m.n_vars(), 2);
         assert_eq!(m.n_constraints(), 1);
         assert_eq!(m.binary_vars(), vec![y]);
@@ -380,27 +348,13 @@ mod tests {
     #[test]
     fn feasibility_checks_bounds_and_constraints() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 5.0, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
+        let x = m.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
         assert!(m.is_feasible(&[3.0], 1e-9));
         assert!(!m.is_feasible(&[1.0], 1e-9)); // violates >= 2
         assert!(!m.is_feasible(&[6.0], 1e-9)); // violates upper bound
         assert!(!m.is_feasible(&[3.0, 0.0], 1e-9)); // wrong length
-    }
-
-    #[test]
-    #[should_panic(expected = "lower bound exceeds upper bound")]
-    fn bad_bounds_rejected() {
-        let mut m = Model::new(Sense::Maximize);
-        m.add_continuous("x", 2.0, 1.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown variable")]
-    fn constraint_with_unknown_variable_rejected() {
-        let mut m = Model::new(Sense::Maximize);
-        let _x = m.add_continuous("x", 0.0, 1.0, 0.0);
-        m.add_constraint(&[(Variable(5), 1.0)], ConstraintOp::Le, 1.0);
     }
 
     #[test]
@@ -443,7 +397,7 @@ mod tests {
     #[test]
     fn non_finite_constraint_inputs_return_typed_errors() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
+        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
         assert_eq!(
             m.try_add_constraint(&[], ConstraintOp::Le, 1.0),
             Err(SolverError::Input("constraint needs at least one term"))
@@ -469,13 +423,5 @@ mod tests {
             .try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0)
             .is_ok());
         assert_eq!(m.n_constraints(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "coefficient must be finite")]
-    fn panicking_facade_rejects_nan_coefficient() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
-        m.add_constraint(&[(x, f64::NAN)], ConstraintOp::Le, 1.0);
     }
 }

@@ -944,11 +944,14 @@ mod tests {
     #[test]
     fn solves_textbook_maximisation() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-        m.add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 36.0).abs() < 1e-9);
@@ -960,9 +963,10 @@ mod tests {
     fn bounds_are_handled_without_rows() {
         // x in [1, 3] enforced directly: max x st. x + y <= 10, y in [0, 2].
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 1.0, 3.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 2.0, 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0);
+        let x = m.try_add_continuous("x", 1.0, 3.0, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 2.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.value(x) - 3.0).abs() < 1e-9);
@@ -974,10 +978,12 @@ mod tests {
     #[test]
     fn minimisation_with_ge_rows_needs_phase1() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 2.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 3.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 2.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 3.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 8.0).abs() < 1e-9);
@@ -986,15 +992,21 @@ mod tests {
     #[test]
     fn infeasible_and_unbounded_match_dense_statuses() {
         let mut inf = Model::new(Sense::Maximize);
-        let x = inf.add_continuous("x", 0.0, 1.0, 1.0);
-        inf.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
+        let x = inf.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        inf.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
         assert_eq!(solve_lp(&inf, None).status, SolveStatus::Infeasible);
         assert_eq!(solve_lp_dense(&inf, None).status, SolveStatus::Infeasible);
 
         let mut unb = Model::new(Sense::Maximize);
-        let x = unb.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let y = unb.add_continuous("y", 0.0, f64::INFINITY, 0.0);
-        unb.add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0);
+        let x = unb
+            .try_add_continuous("x", 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        let y = unb
+            .try_add_continuous("y", 0.0, f64::INFINITY, 0.0)
+            .unwrap();
+        unb.try_add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         assert_eq!(solve_lp(&unb, None).status, SolveStatus::Unbounded);
         assert_eq!(solve_lp_dense(&unb, None).status, SolveStatus::Unbounded);
     }
@@ -1002,9 +1014,10 @@ mod tests {
     #[test]
     fn equality_rows_and_fixed_vars() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 2.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 4.0, 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0);
+        let x = m.try_add_continuous("x", 0.0, 2.0, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 4.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 5.0).abs() < 1e-9);
@@ -1019,8 +1032,9 @@ mod tests {
     fn duals_price_columns_correctly() {
         // max 3x st. x <= 4 — the budget row's shadow price is 3.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
         let out = SparseLp::new(&m).solve(None);
         assert_eq!(out.solution.status, SolveStatus::Optimal);
         assert!((out.duals[0] - 3.0).abs() < 1e-9);
@@ -1031,9 +1045,10 @@ mod tests {
         // A small LP solved twice: second solve warm-starts from the first
         // basis with a tightened bound on a nonbasic variable.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 4.0, 3.0);
-        let y = m.add_continuous("y", 0.0, 6.0, 5.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, 4.0, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 6.0, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let mut ws = SparseLp::new(&m);
         let first = ws.solve(None);
         assert_eq!(first.solution.status, SolveStatus::Optimal);
@@ -1055,13 +1070,16 @@ mod tests {
         // budget row. Hinting the breakpoint-0 column of each cell and the
         // budget slack as basic skips phase 1 entirely.
         let mut m = Model::new(Sense::Maximize);
-        let a0 = m.add_continuous("a0", 0.0, f64::INFINITY, 0.0);
-        let a1 = m.add_continuous("a1", 0.0, f64::INFINITY, 2.0);
-        let b0 = m.add_continuous("b0", 0.0, f64::INFINITY, 0.0);
-        let b1 = m.add_continuous("b1", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(a0, 1.0), (a1, 1.0)], ConstraintOp::Eq, 1.0);
-        m.add_constraint(&[(b0, 1.0), (b1, 1.0)], ConstraintOp::Eq, 1.0);
-        m.add_constraint(&[(a1, 2.0), (b1, 3.0)], ConstraintOp::Le, 4.0);
+        let a0 = m.try_add_continuous("a0", 0.0, f64::INFINITY, 0.0).unwrap();
+        let a1 = m.try_add_continuous("a1", 0.0, f64::INFINITY, 2.0).unwrap();
+        let b0 = m.try_add_continuous("b0", 0.0, f64::INFINITY, 0.0).unwrap();
+        let b1 = m.try_add_continuous("b1", 0.0, f64::INFINITY, 5.0).unwrap();
+        m.try_add_constraint(&[(a0, 1.0), (a1, 1.0)], ConstraintOp::Eq, 1.0)
+            .unwrap();
+        m.try_add_constraint(&[(b0, 1.0), (b1, 1.0)], ConstraintOp::Eq, 1.0)
+            .unwrap();
+        m.try_add_constraint(&[(a1, 2.0), (b1, 3.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
         // Structural columns 0..4 (a0, a1, b0, b1), logicals 4..7; basic =
         // {a0, b0, budget slack}.
         let hint = BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 6]).unwrap();
@@ -1091,21 +1109,32 @@ mod tests {
         // tie-breaking cycles forever; Bland's rule terminates. Forcing
         // stall_limit = 0 runs the whole solve under Bland's rule.
         let mut m = Model::new(Sense::Maximize);
-        let x1 = m.add_continuous("x1", 0.0, f64::INFINITY, 0.75);
-        let x2 = m.add_continuous("x2", 0.0, f64::INFINITY, -150.0);
-        let x3 = m.add_continuous("x3", 0.0, f64::INFINITY, 0.02);
-        let x4 = m.add_continuous("x4", 0.0, f64::INFINITY, -6.0);
-        m.add_constraint(
+        let x1 = m
+            .try_add_continuous("x1", 0.0, f64::INFINITY, 0.75)
+            .unwrap();
+        let x2 = m
+            .try_add_continuous("x2", 0.0, f64::INFINITY, -150.0)
+            .unwrap();
+        let x3 = m
+            .try_add_continuous("x3", 0.0, f64::INFINITY, 0.02)
+            .unwrap();
+        let x4 = m
+            .try_add_continuous("x4", 0.0, f64::INFINITY, -6.0)
+            .unwrap();
+        m.try_add_constraint(
             &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(
+        )
+        .unwrap();
+        m.try_add_constraint(
             &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(&[(x3, 1.0)], ConstraintOp::Le, 1.0);
+        )
+        .unwrap();
+        m.try_add_constraint(&[(x3, 1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         let mut ws = SparseLp::new(&m);
         ws.set_stall_limit(0);
         let out = ws.solve(None);
@@ -1121,9 +1150,11 @@ mod tests {
     fn budget_statuses_mirror_the_dense_engine() {
         // Expired deadline inside phase 1 → BudgetExceeded.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
+            .unwrap();
         let sol = solve_lp_budgeted(
             &m,
             None,
@@ -1133,8 +1164,9 @@ mod tests {
 
         // Expired deadline with a feasible start → Degraded feasible point.
         let mut m2 = Model::new(Sense::Maximize);
-        let x = m2.add_continuous("x", 0.0, 5.0, 1.0);
-        m2.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
+        let x = m2.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+        m2.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
         let sol2 = solve_lp_budgeted(
             &m2,
             None,
@@ -1147,11 +1179,14 @@ mod tests {
     #[test]
     fn generous_budget_is_a_behavioural_noop() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-        m.add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let free = solve_lp(&m, None);
         let budgeted = solve_lp_budgeted(
             &m,
@@ -1166,21 +1201,28 @@ mod tests {
     #[test]
     fn degenerate_constraints_do_not_cycle() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 10.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, -57.0);
-        let z = m.add_continuous("z", 0.0, f64::INFINITY, -9.0);
-        let w = m.add_continuous("w", 0.0, f64::INFINITY, -24.0);
-        m.add_constraint(
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 10.0).unwrap();
+        let y = m
+            .try_add_continuous("y", 0.0, f64::INFINITY, -57.0)
+            .unwrap();
+        let z = m.try_add_continuous("z", 0.0, f64::INFINITY, -9.0).unwrap();
+        let w = m
+            .try_add_continuous("w", 0.0, f64::INFINITY, -24.0)
+            .unwrap();
+        m.try_add_constraint(
             &[(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(
+        )
+        .unwrap();
+        m.try_add_constraint(
             &[(x, 0.5), (y, -1.5), (z, -0.5), (w, 1.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0);
+        )
+        .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-9);
@@ -1189,15 +1231,15 @@ mod tests {
     #[test]
     fn no_constraint_models_degrade_to_bound_optimisation() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", -0.0, 7.0, 2.0);
-        let y = m.add_continuous("y", 1.0, 3.0, -1.0);
+        let x = m.try_add_continuous("x", -0.0, 7.0, 2.0).unwrap();
+        let y = m.try_add_continuous("y", 1.0, 3.0, -1.0).unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.value(x) - 7.0).abs() < 1e-12);
         assert!((sol.value(y) - 1.0).abs() < 1e-12);
         // Unbounded via bounds alone.
         let mut m2 = Model::new(Sense::Maximize);
-        m2.add_continuous("x", 0.0, f64::INFINITY, 1.0);
+        m2.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
         assert_eq!(solve_lp(&m2, None).status, SolveStatus::Unbounded);
     }
 
@@ -1221,7 +1263,8 @@ mod tests {
                     } else {
                         lo + rng.gen_range(0.0..5.0)
                     };
-                    m.add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-3.0..3.0))
+                    m.try_add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-3.0..3.0))
+                        .unwrap()
                 })
                 .collect();
             for _ in 0..rng.gen_range(1..8) {
@@ -1239,7 +1282,8 @@ mod tests {
                     1 => ConstraintOp::Ge,
                     _ => ConstraintOp::Eq,
                 };
-                m.add_constraint(&terms, op, rng.gen_range(-4.0..6.0));
+                m.try_add_constraint(&terms, op, rng.gen_range(-4.0..6.0))
+                    .unwrap();
             }
             let dense = solve_lp_dense(&m, None);
             let sparse = solve_lp(&m, None);

@@ -403,11 +403,14 @@ mod tests {
     fn solves_textbook_maximisation() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  -> x=2, y=6, obj=36.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-        m.add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 36.0).abs() < 1e-6);
@@ -421,10 +424,12 @@ mod tests {
         // min 2x + 3y s.t. x + y >= 4, x >= 1 -> x=4? no: put all weight on x
         // (cheaper): x=4, y=0, obj=8; but x>=1 already satisfied.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 2.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 3.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 2.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 3.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0)
+            .unwrap();
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 8.0).abs() < 1e-6);
@@ -435,9 +440,10 @@ mod tests {
     fn handles_equality_constraints_and_bounds() {
         // max x + y s.t. x + y = 5, x in [0,2], y in [0,4] -> obj 5, x in [1,2].
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 2.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 4.0, 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0);
+        let x = m.try_add_continuous("x", 0.0, 2.0, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 4.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
+            .unwrap();
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 5.0).abs() < 1e-6);
@@ -447,8 +453,9 @@ mod tests {
     #[test]
     fn reports_infeasible() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
+        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Infeasible);
     }
@@ -456,9 +463,10 @@ mod tests {
     #[test]
     fn reports_unbounded() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 0.0);
-        m.add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 0.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Unbounded);
     }
@@ -467,9 +475,10 @@ mod tests {
     fn respects_nonzero_lower_bounds() {
         // min x + y with x >= 2, y >= 3, x + y >= 6 -> 6.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 2.0, f64::INFINITY, 1.0);
-        let y = m.add_continuous("y", 3.0, f64::INFINITY, 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 6.0);
+        let x = m.try_add_continuous("x", 2.0, f64::INFINITY, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 3.0, f64::INFINITY, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 6.0)
+            .unwrap();
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 6.0).abs() < 1e-6);
@@ -479,8 +488,9 @@ mod tests {
     #[test]
     fn bound_overrides_tighten_the_problem() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 8.0);
+        let x = m.try_add_continuous("x", 0.0, 10.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 8.0)
+            .unwrap();
         let free = solve_lp_dense(&m, None);
         assert!((free.objective - 8.0).abs() < 1e-6);
         let overridden = solve_lp_dense(&m, Some(&[(0.0, 3.0)]));
@@ -493,21 +503,28 @@ mod tests {
     fn degenerate_constraints_do_not_cycle() {
         // A classic degenerate LP; must terminate with the optimum.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 10.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, -57.0);
-        let z = m.add_continuous("z", 0.0, f64::INFINITY, -9.0);
-        let w = m.add_continuous("w", 0.0, f64::INFINITY, -24.0);
-        m.add_constraint(
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 10.0).unwrap();
+        let y = m
+            .try_add_continuous("y", 0.0, f64::INFINITY, -57.0)
+            .unwrap();
+        let z = m.try_add_continuous("z", 0.0, f64::INFINITY, -9.0).unwrap();
+        let w = m
+            .try_add_continuous("w", 0.0, f64::INFINITY, -24.0)
+            .unwrap();
+        m.try_add_constraint(
             &[(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(
+        )
+        .unwrap();
+        m.try_add_constraint(
             &[(x, 0.5), (y, -1.5), (z, -0.5), (w, 1.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0);
+        )
+        .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-5);
@@ -516,11 +533,14 @@ mod tests {
     #[test]
     fn generous_budget_reproduces_unbudgeted_solve_exactly() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-        m.add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let free = solve_lp_dense(&m, None);
         let budgeted = solve_lp_dense_budgeted(
             &m,
@@ -535,9 +555,11 @@ mod tests {
     #[test]
     fn expired_deadline_yields_typed_budget_status_not_a_hang() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
+            .unwrap();
         let sol = solve_lp_dense_budgeted(
             &m,
             None,
@@ -556,7 +578,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..30)
-            .map(|i| m.add_continuous(&format!("x{i}"), 0.0, 4.0, rng.gen_range(0.1..1.0)))
+            .map(|i| {
+                m.try_add_continuous(&format!("x{i}"), 0.0, 4.0, rng.gen_range(0.1..1.0))
+                    .unwrap()
+            })
             .collect();
         for _ in 0..20 {
             let mut terms: Vec<(crate::model::Variable, f64)> = Vec::new();
@@ -566,7 +591,8 @@ mod tests {
                 }
             }
             if !terms.is_empty() {
-                m.add_constraint(&terms, ConstraintOp::Le, rng.gen_range(2.0..8.0));
+                m.try_add_constraint(&terms, ConstraintOp::Le, rng.gen_range(2.0..8.0))
+                    .unwrap();
             }
         }
         let full = solve_lp_dense(&m, None);
@@ -591,7 +617,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..40)
-            .map(|i| m.add_continuous(&format!("x{i}"), 0.0, 5.0, rng.gen_range(0.1..1.0)))
+            .map(|i| {
+                m.try_add_continuous(&format!("x{i}"), 0.0, 5.0, rng.gen_range(0.1..1.0))
+                    .unwrap()
+            })
             .collect();
         for _ in 0..25 {
             let mut terms: Vec<(crate::model::Variable, f64)> = Vec::new();
@@ -603,7 +632,8 @@ mod tests {
             if terms.is_empty() {
                 continue;
             }
-            m.add_constraint(&terms, ConstraintOp::Le, rng.gen_range(2.0..10.0));
+            m.try_add_constraint(&terms, ConstraintOp::Le, rng.gen_range(2.0..10.0))
+                .unwrap();
         }
         let sol = solve_lp_dense(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);

@@ -32,7 +32,8 @@ fn random_lp(seed: u64) -> Model {
             } else {
                 lo + rng.gen_range(0.0..6.0)
             };
-            m.add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-4.0..4.0))
+            m.try_add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-4.0..4.0))
+                .unwrap()
         })
         .collect();
     for _ in 0..rng.gen_range(1..10) {
@@ -50,7 +51,8 @@ fn random_lp(seed: u64) -> Model {
             1 => ConstraintOp::Eq,
             _ => ConstraintOp::Le,
         };
-        m.add_constraint(&terms, op, rng.gen_range(-5.0..8.0));
+        m.try_add_constraint(&terms, op, rng.gen_range(-5.0..8.0))
+            .unwrap();
     }
     m
 }
@@ -113,14 +115,14 @@ proptest! {
         let n = rng.gen_range(2..9);
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_binary(&format!("b{i}"), rng.gen_range(0.5..10.0)))
+            .map(|i| m.try_add_binary(&format!("b{i}"), rng.gen_range(0.5..10.0)).unwrap())
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .map(|&v| (v, rng.gen_range(0.5..4.0)))
             .collect();
         let cap = rng.gen_range(1.0..8.0);
-        m.add_constraint(&terms, ConstraintOp::Le, cap);
+        m.try_add_constraint(&terms, ConstraintOp::Le, cap).unwrap();
         let (sparse, _) = solve_milp(&m, &MilpOptions::default());
         let (dense, _) = solve_milp(
             &m,
@@ -146,21 +148,32 @@ proptest! {
 /// Bland-only mode) must terminate at the optimum 0.05.
 fn beale_model() -> Model {
     let mut m = Model::new(Sense::Maximize);
-    let x1 = m.add_continuous("x1", 0.0, f64::INFINITY, 0.75);
-    let x2 = m.add_continuous("x2", 0.0, f64::INFINITY, -150.0);
-    let x3 = m.add_continuous("x3", 0.0, f64::INFINITY, 0.02);
-    let x4 = m.add_continuous("x4", 0.0, f64::INFINITY, -6.0);
-    m.add_constraint(
+    let x1 = m
+        .try_add_continuous("x1", 0.0, f64::INFINITY, 0.75)
+        .unwrap();
+    let x2 = m
+        .try_add_continuous("x2", 0.0, f64::INFINITY, -150.0)
+        .unwrap();
+    let x3 = m
+        .try_add_continuous("x3", 0.0, f64::INFINITY, 0.02)
+        .unwrap();
+    let x4 = m
+        .try_add_continuous("x4", 0.0, f64::INFINITY, -6.0)
+        .unwrap();
+    m.try_add_constraint(
         &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
         ConstraintOp::Le,
         0.0,
-    );
-    m.add_constraint(
+    )
+    .unwrap();
+    m.try_add_constraint(
         &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
         ConstraintOp::Le,
         0.0,
-    );
-    m.add_constraint(&[(x3, 1.0)], ConstraintOp::Le, 1.0);
+    )
+    .unwrap();
+    m.try_add_constraint(&[(x3, 1.0)], ConstraintOp::Le, 1.0)
+        .unwrap();
     m
 }
 
@@ -190,8 +203,10 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
     // Feasible-at-start model: a zero deadline leaves a Degraded feasible
     // point on both engines.
     let mut feasible = Model::new(Sense::Maximize);
-    let x = feasible.add_continuous("x", 0.0, 5.0, 1.0);
-    feasible.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
+    let x = feasible.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+    feasible
+        .try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+        .unwrap();
     let budget = SolveBudget::with_time_limit(std::time::Duration::ZERO);
     let sparse = solve_lp_budgeted(&feasible, None, &budget);
     let dense = solve_lp_dense_budgeted(&feasible, None, &budget);
@@ -202,9 +217,15 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
     // Phase-1 model (needs artificials): the same budget dies before
     // feasibility, surfacing BudgetExceeded on both engines.
     let mut phase1 = Model::new(Sense::Maximize);
-    let y = phase1.add_continuous("y", 0.0, f64::INFINITY, 1.0);
-    phase1.add_constraint(&[(y, 1.0)], ConstraintOp::Ge, 2.0);
-    phase1.add_constraint(&[(y, 1.0)], ConstraintOp::Le, 10.0);
+    let y = phase1
+        .try_add_continuous("y", 0.0, f64::INFINITY, 1.0)
+        .unwrap();
+    phase1
+        .try_add_constraint(&[(y, 1.0)], ConstraintOp::Ge, 2.0)
+        .unwrap();
+    phase1
+        .try_add_constraint(&[(y, 1.0)], ConstraintOp::Le, 10.0)
+        .unwrap();
     let sparse1 = solve_lp_budgeted(&phase1, None, &budget);
     let dense1 = solve_lp_dense_budgeted(&phase1, None, &budget);
     assert_eq!(sparse1.status, SolveStatus::BudgetExceeded);
@@ -218,11 +239,14 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
 #[test]
 fn iteration_cap_yields_degraded_feasible_point_like_dense() {
     let mut m = Model::new(Sense::Maximize);
-    let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-    let y = m.add_continuous("y", 0.0, f64::INFINITY, 5.0);
-    m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-    m.add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0);
-    m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+    let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+    let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+    m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+        .unwrap();
+    m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
+        .unwrap();
+    m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+        .unwrap();
     let budget = SolveBudget {
         time_limit: None,
         max_lp_iterations: Some(1),

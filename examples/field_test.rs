@@ -10,13 +10,13 @@
 //! the ground-truth poacher model, and reports the Table III style summary
 //! with a chi-squared significance test.
 
-use paws_core::{format_table, train, ModelConfig, Scenario, WeakLearnerKind};
+use paws_core::{format_table, train, ModelConfig, PawsError, Scenario, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Discretization};
 use paws_field::{design_field_test, run_trial, ProtocolConfig, RiskGroup, TrialConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scenario = Scenario::test_scenario(7);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
@@ -34,7 +34,8 @@ fn main() {
     // Predicted risk of every cell at a nominal effort level, plus total
     // historical effort, drive the block selection.
     let prev = dataset.coverage.last().unwrap().clone();
-    let (risk, _) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev)?;
+    let (risk, _) = model.try_risk_map_prepared(&prepared, 1.0)?;
     let historical: Vec<f64> = (0..scenario.park.n_cells())
         .map(|i| dataset.coverage.iter().map(|step| step[i]).sum())
         .collect();
@@ -108,4 +109,5 @@ fn main() {
         "Ranking High >= Medium >= Low holds: {}",
         outcome.ranking_holds()
     );
+    Ok(())
 }

@@ -6,16 +6,14 @@
 //!
 //! Steps: generate a park scenario, simulate three years of ranger patrols,
 //! build the dataset, train the GPB-iW model (Gaussian-process iWare-E),
-//! report its test AUC, print a predicted-risk heat map, and plan a robust
-//! patrol from the first patrol post.
+//! report its test AUC, prepare the park for queries, print a predicted-risk
+//! heat map, and plan a robust patrol from the first patrol post.
 
-use paws_core::{
-    ascii_heatmap, build_planning_problem, train, ModelConfig, Scenario, WeakLearnerKind,
-};
+use paws_core::{ascii_heatmap, train, ModelConfig, PawsError, Scenario, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Discretization};
-use paws_plan::{plan, PlannerConfig};
+use paws_plan::{try_plan, PlannerConfig};
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     // 1. A synthetic protected area with a hidden ground-truth poaching process.
     let scenario = Scenario::test_scenario(42);
     println!(
@@ -55,9 +53,12 @@ fn main() {
         model.auc_on(&dataset, &split.test)
     );
 
-    // 5. Risk map at 1 km of prospective patrol effort (cf. Fig. 6).
+    // 5. Prepare the park once (its feature stack standardised against the
+    //    model's scaler), then query its risk map at 1 km of prospective
+    //    patrol effort (cf. Fig. 6).
     let prev_coverage = dataset.coverage.last().unwrap().clone();
-    let (risk, uncertainty) = model.risk_map(&scenario.park, &dataset, &prev_coverage, 1.0);
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev_coverage)?;
+    let (risk, uncertainty) = model.try_risk_map_prepared(&prepared, 1.0)?;
     println!("\nPredicted poaching risk (darker = riskier):");
     println!("{}", ascii_heatmap(&scenario.park, &risk));
     let mean_unc = uncertainty.iter().sum::<f64>() / uncertainty.len() as f64;
@@ -65,18 +66,16 @@ fn main() {
 
     // 6. Robust patrol planning from the first patrol post (β = 1).
     let effort_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-    let problem = build_planning_problem(
+    let problem = model.try_planning_problem_prepared(
         &scenario.park,
-        &model,
-        &dataset,
-        &prev_coverage,
+        &prepared,
         scenario.park.patrol_posts[0],
         &effort_grid,
         10.0,
         3,
         1.0,
-    );
-    let patrol = plan(&problem, &PlannerConfig::default());
+    )?;
+    let patrol = try_plan(&problem, &PlannerConfig::default())?;
     let covered = patrol.coverage.iter().filter(|&&c| c > 1e-6).count();
     println!(
         "Planned robust patrols: {} of {} reachable cells covered, objective {:.3}, solved in {:?}",
@@ -85,4 +84,5 @@ fn main() {
         patrol.objective,
         patrol.solve_time
     );
+    Ok(())
 }

@@ -4,19 +4,17 @@
 //! cargo run --release --example robust_planning
 //! ```
 //!
-//! Trains the GP-based iWare-E model, builds one planning problem per patrol
-//! post, sweeps the robustness parameter β, and reports the solution-quality
-//! ratio Uβ(Cβ)/Uβ(Cβ=0) together with the expected number of snares found
-//! under the ground-truth poacher model.
+//! Trains the GP-based iWare-E model, prepares the park once, builds one
+//! planning problem per patrol post from it, sweeps the robustness parameter
+//! β, and reports the solution-quality ratio Uβ(Cβ)/Uβ(Cβ=0) together with
+//! the expected number of snares found under the ground-truth poacher model.
 
-use paws_core::{
-    build_planning_problem, format_table, train, ModelConfig, Scenario, WeakLearnerKind,
-};
+use paws_core::{format_table, train, ModelConfig, PawsError, Scenario, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Discretization};
-use paws_plan::{compare_with_ground_truth, PlannerConfig};
+use paws_plan::{try_compare_with_ground_truth, PlannerConfig};
 use paws_sim::Season;
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scenario = Scenario::test_scenario(11);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
@@ -34,6 +32,7 @@ fn main() {
     );
 
     let prev = dataset.coverage.last().unwrap().clone();
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev)?;
     let effort_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let attack = scenario.attack_probabilities(&vec![0.0; scenario.park.n_cells()], Season::Dry);
     let detection = scenario.sim.detection;
@@ -44,26 +43,24 @@ fn main() {
         let mut ratios = Vec::new();
         let mut detection_gains = Vec::new();
         for &post in &scenario.park.patrol_posts {
-            let problem = build_planning_problem(
+            let problem = model.try_planning_problem_prepared(
                 &scenario.park,
-                &model,
-                &dataset,
-                &prev,
+                &prepared,
                 post,
                 &effort_grid,
                 10.0,
                 3,
                 beta,
-            );
+            )?;
             // Ground-truth attack probabilities of the problem's candidate cells.
             let attack_local: Vec<f64> =
                 problem.cells.iter().map(|c| attack[c.park_index]).collect();
-            let cmp = compare_with_ground_truth(
+            let cmp = try_compare_with_ground_truth(
                 &problem,
                 &PlannerConfig::default(),
                 &attack_local,
                 |c| detection.probability(c),
-            );
+            )?;
             ratios.push(cmp.improvement_ratio);
             if cmp.baseline_detections > 0.0 {
                 detection_gains.push(cmp.robust_detections / cmp.baseline_detections);
@@ -94,4 +91,5 @@ fn main() {
     println!(
         "Ratios above 1.0 mean the uncertainty-aware plan beats the nominal plan (cf. Fig. 8)."
     );
+    Ok(())
 }

@@ -2,10 +2,10 @@
 //! the small test park, from simulated history through prediction, planning
 //! and a simulated field test.
 
-use paws_core::{build_planning_problem, train, ModelConfig, Scenario, WeakLearnerKind};
+use paws_core::{train, ModelConfig, Scenario, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, DatasetStats, Discretization};
 use paws_field::{design_field_test, run_trial, ProtocolConfig, RiskGroup, TrialConfig};
-use paws_plan::{extract_routes, plan, PlannerConfig};
+use paws_plan::{extract_routes, try_plan, PlannerConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -44,7 +44,8 @@ fn full_pipeline_runs_and_beats_chance() {
 
     // Risk maps over the park.
     let prev = dataset.coverage.last().unwrap().clone();
-    let (risk, var) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+    let (risk, var) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
     assert_eq!(risk.len(), scenario.park.n_cells());
     assert!(risk.iter().all(|&p| (0.0..=1.0).contains(&p)));
     assert!(var.iter().all(|&v| v >= 0.0));
@@ -69,18 +70,18 @@ fn full_pipeline_runs_and_beats_chance() {
     // Patrol planning from every post stays within budget and produces routes.
     let effort_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     for &post in &scenario.park.patrol_posts {
-        let problem = build_planning_problem(
-            &scenario.park,
-            &model,
-            &dataset,
-            &prev,
-            post,
-            &effort_grid,
-            8.0,
-            2,
-            1.0,
-        );
-        let patrol = plan(&problem, &PlannerConfig::default());
+        let problem = model
+            .try_planning_problem_prepared(
+                &scenario.park,
+                &prepared,
+                post,
+                &effort_grid,
+                8.0,
+                2,
+                1.0,
+            )
+            .unwrap();
+        let patrol = try_plan(&problem, &PlannerConfig::default()).unwrap();
         assert!(patrol.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
         let routes = extract_routes(&problem, &patrol.coverage);
         assert_eq!(routes.len(), 2);
@@ -95,7 +96,7 @@ fn full_pipeline_runs_and_beats_chance() {
 #[cfg(not(debug_assertions))]
 fn large_park_pipeline_runs_end_to_end() {
     // The small test park above leaves the whole stack cache-resident; this
-    // release-profile smoke drives the same fit → risk_map → patrol-plan
+    // release-profile smoke drives the same fit → risk map → patrol-plan
     // pipeline on a seeded LLC-scale park (50k cells).
     let scenario = Scenario::llc_scenario(50_000, 43);
     assert_eq!(scenario.park.n_cells(), 50_000);
@@ -114,23 +115,16 @@ fn large_park_pipeline_runs_end_to_end() {
     let effort_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let post = scenario.park.patrol_posts[0];
 
-    let (risk, var) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+    let (risk, var) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
     assert_eq!(risk.len(), 50_000);
     assert!(risk.iter().all(|&p| (0.0..=1.0).contains(&p)));
     assert!(var.iter().all(|&v| v >= 0.0));
 
-    let problem = build_planning_problem(
-        &scenario.park,
-        &model,
-        &dataset,
-        &prev,
-        post,
-        &effort_grid,
-        8.0,
-        2,
-        1.0,
-    );
-    let patrol = plan(&problem, &PlannerConfig::default());
+    let problem = model
+        .try_planning_problem_prepared(&scenario.park, &prepared, post, &effort_grid, 8.0, 2, 1.0)
+        .unwrap();
+    let patrol = try_plan(&problem, &PlannerConfig::default()).unwrap();
     assert!(patrol.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
     let routes = extract_routes(&problem, &patrol.coverage);
     assert_eq!(routes.len(), 2);
@@ -150,7 +144,6 @@ fn large_park_sparse_planner_solves_a_park_wide_allocation() {
     // simplex exists for; the dense tableau would need tens of gigabytes).
     // Budgeted and unbudgeted solves must both come back Optimal and
     // identical.
-    use paws_core::build_planning_problem;
     use paws_solver::{MilpOptions, SolveBudget, SolveStatus};
     use std::time::Duration;
 
@@ -166,30 +159,23 @@ fn large_park_sparse_planner_solves_a_park_wide_allocation() {
     let prev = dataset.coverage.last().unwrap().clone();
     let effort_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let post = scenario.park.patrol_posts[0];
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
     // 900 km patrols reach every cell of the ~270-cell-wide park.
-    let problem = build_planning_problem(
-        &scenario.park,
-        &model,
-        &dataset,
-        &prev,
-        post,
-        &effort_grid,
-        900.0,
-        4,
-        1.0,
-    );
+    let problem = model
+        .try_planning_problem_prepared(&scenario.park, &prepared, post, &effort_grid, 900.0, 4, 1.0)
+        .unwrap();
     assert_eq!(
         problem.n_cells(),
         50_000,
         "park-wide reach should make every cell a candidate"
     );
 
-    let unbudgeted = plan(&problem, &PlannerConfig::default());
+    let unbudgeted = try_plan(&problem, &PlannerConfig::default()).unwrap();
     assert_eq!(unbudgeted.status, SolveStatus::Optimal);
     assert!(unbudgeted.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
     assert!(unbudgeted.coverage.iter().all(|&c| c >= 0.0));
 
-    let budgeted = plan(
+    let budgeted = try_plan(
         &problem,
         &PlannerConfig {
             milp: MilpOptions {
@@ -198,7 +184,8 @@ fn large_park_sparse_planner_solves_a_park_wide_allocation() {
             },
             ..PlannerConfig::default()
         },
-    );
+    )
+    .unwrap();
     assert_eq!(budgeted.status, SolveStatus::Optimal);
     assert_eq!(budgeted.coverage, unbudgeted.coverage);
     assert!((budgeted.objective - unbudgeted.objective).abs() <= 1e-9);
@@ -311,7 +298,8 @@ fn field_test_protocol_runs_with_model_predictions() {
     );
 
     let prev = dataset.coverage.last().unwrap().clone();
-    let (risk, _) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+    let (risk, _) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
     let historical: Vec<f64> = (0..scenario.park.n_cells())
         .map(|i| dataset.coverage.iter().map(|step| step[i]).sum())
         .collect();

@@ -579,13 +579,14 @@ fn large_park_f32_plane_stays_within_policy() {
     assert_eq!(scenario.park.n_cells(), 50_000);
     let prev = dataset.coverage.last().unwrap().clone();
     let grid = [0.0, 1.0, 4.0];
-    let (p64, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+    let (p64, _) = model.try_park_response_prepared(&prepared, &grid).unwrap();
 
     // The f32 plane stays within the documented park-scale policy of the
     // f64 surface (≤ 1e-5 on ≥ 99.5 % of cells, flips bounded by leaf gap
     // over fan-in).
     model.set_precision(Precision::F32).unwrap();
-    let (p32, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
+    let (p32, _) = model.try_park_response_prepared(&prepared, &grid).unwrap();
     let diffs: Vec<f64> = p64
         .as_slice()
         .iter()
@@ -904,21 +905,16 @@ fn f32_plane_bits_match_the_pinned_goldens_on_the_test_park() {
         let what = if use_iware { "DTB-iW" } else { "DTB" };
         let hash2 = |(a, b): (&[f64], &[f64])| [fnv1a_bits(a), fnv1a_bits(b)];
 
-        let (r, u) = model.risk_map(&scenario.park, &dataset, &prev, 1.5);
-        assert_eq!(hash2((&r, &u)), golden.risk, "{what} unprepared risk map");
-        let (p, v) = model.park_response(&scenario.park, &dataset, &prev, &F32_PIN_GRID);
-        assert_eq!(
-            hash2((p.as_slice(), v.as_slice())),
-            golden.response,
-            "{what} unprepared response"
-        );
-
         let prepared = model
             .prepare_park(&scenario.park, &dataset, &prev)
             .expect("test park prepares");
-        let (r, u) = model.risk_map_prepared(&prepared, 1.5);
+        let (r, u) = model
+            .try_risk_map_prepared(&prepared, 1.5)
+            .expect("valid effort level");
         assert_eq!(hash2((&r, &u)), golden.risk, "{what} prepared risk map");
-        let (p, v) = model.park_response_prepared(&prepared, &F32_PIN_GRID);
+        let (p, v) = model
+            .try_park_response_prepared(&prepared, &F32_PIN_GRID)
+            .expect("valid effort grid");
         assert_eq!(
             hash2((p.as_slice(), v.as_slice())),
             golden.response,

@@ -6,7 +6,7 @@
 use paws_data::Matrix;
 use paws_geo::parks::{qenp_spec, test_park_spec};
 use paws_geo::Park;
-use paws_plan::{plan, try_plan, PlannerConfig, PlanningProblem};
+use paws_plan::{try_plan, PlannerConfig, PlanningProblem};
 use paws_solver::{MilpOptions, SolveBudget, SolveStatus};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ proptest! {
         beta in 0.0..1.0f64,
     ) {
         let problem = build_problem(scale, unc, beta);
-        let result = plan(&problem, &PlannerConfig::default());
+        let result = try_plan(&problem, &PlannerConfig::default()).unwrap();
         let total: f64 = result.coverage.iter().sum();
         prop_assert!(total <= problem.budget_km() + 1e-6);
         for (i, &c) in result.coverage.iter().enumerate() {
@@ -66,7 +66,7 @@ proptest! {
         unc in 0.0..0.6f64,
     ) {
         let problem = build_problem(scale, unc, 0.0);
-        let result = plan(&problem, &PlannerConfig::default());
+        let result = try_plan(&problem, &PlannerConfig::default()).unwrap();
         let uniform = vec![
             (problem.budget_km() / problem.n_cells() as f64)
                 .min(problem.max_effort(0));
@@ -84,10 +84,10 @@ proptest! {
         beta in 0.5..1.0f64,
     ) {
         let problem = build_problem(scale, unc, beta);
-        let robust = plan(&problem, &PlannerConfig::default());
+        let robust = try_plan(&problem, &PlannerConfig::default()).unwrap();
         let mut nominal_problem = problem.clone();
         nominal_problem.beta = 0.0;
-        let nominal = plan(&nominal_problem, &PlannerConfig::default());
+        let nominal = try_plan(&nominal_problem, &PlannerConfig::default()).unwrap();
         let u_robust = problem.coverage_utility(&robust.coverage, beta);
         let u_nominal = problem.coverage_utility(&nominal.coverage, beta);
         // Allow a tiny tolerance for PWL resolution differences.
@@ -166,7 +166,7 @@ fn qenp_scale_deadline_returns_degraded_feasible_incumbent() {
 #[test]
 fn qenp_scale_generous_budget_reproduces_the_unbudgeted_plan() {
     let problem = qenp_scale_problem();
-    let free = plan(&problem, &PlannerConfig::default());
+    let free = try_plan(&problem, &PlannerConfig::default()).unwrap();
     let generous = budgeted(SolveBudget::with_time_limit(Duration::from_secs(600)));
     let p = try_plan(&problem, &generous).expect("generous budget plans normally");
     assert_eq!(p.coverage, free.coverage);
