@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks of the predictive stage (Table II / Fig. 6
 //! building blocks): weak-learner training, iWare-E training and park-wide
-//! prediction on a prepared park.
+//! prediction on a prepared park. A park's first query fills its learner
+//! tables, so the loops over one prepared park time the warm combine;
+//! `bench_serve`'s `prepared_park` group times the fill.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_core::{train, ModelConfig, Scenario, WeakLearnerKind};
@@ -146,9 +148,9 @@ fn bench_park_prediction(c: &mut Criterion) {
 }
 
 fn bench_park_prediction_threads(c: &mut Criterion) {
-    // 1-vs-N-thread park-wide prediction over the work-stealing pool: the
-    // 256-row traversal blocks and the fused reduce/combine fan out per
-    // block. On a single-core runner N > 1 only measures pool overhead.
+    // 1-vs-N-thread park-wide response surfaces over the work-stealing
+    // pool: the warm park's level combine fans out per 256-row block. On a
+    // single-core runner N > 1 only measures pool overhead.
     let (scenario, dataset, split) = setup();
     let model = train(
         &dataset,

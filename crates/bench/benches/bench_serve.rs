@@ -1,17 +1,17 @@
-//! Criterion benchmarks of the serving surface: prepared-park queries
-//! (cached standardize + narrow), GP queries off a prepared park's learner
-//! tables, and the batched admission layer vs per-request submits.
+//! Criterion benchmarks of the serving surface: prepared-park queries and
+//! the batched admission layer vs per-request submits.
 //!
-//! The LLC group times the 50k-cell preparation and the prepared risk map
-//! and response surface; a one-shot query costs the preparation plus one
-//! prepared query. With `PreparedPark` caching the standardized f64 plane
-//! and the f32 narrowing, the f32 response surface must not trail f64: the
-//! narrowing is paid once at prepare time, not per query.
+//! The prepared-park group covers DTB-iW on the 50k-cell LLC park on both
+//! planes and SWS's balanced GPB-iW. It times preparation, the first risk
+//! map on a fresh park (preparation plus the learner-table fill), and a
+//! warm risk map, response surface and planning problem, which only
+//! combine the park's tables.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paws_bench::{dry_season_dataset, park_model_config, scenario, Scale};
 use paws_core::{train, ModelConfig, Precision, Scenario, ServingModel, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization};
+use paws_geo::Park;
 use paws_serve::{PawsServer, QueryKind, QueryRequest};
 use std::hint::black_box;
 
@@ -24,147 +24,68 @@ fn quick_config(learner: WeakLearnerKind, use_iware: bool) -> ModelConfig {
     cfg
 }
 
-fn bench_prepared_queries_llc(c: &mut Criterion) {
-    // LLC-scale park (50k cells): the standardized feature stack (~8 MB)
-    // outgrows the last-level cache, so the per-call standardize + narrow
-    // work the prepared path amortizes actually shows up in the numbers.
-    let scenario = Scenario::llc_scenario(50_000, 5);
-    let history = scenario.simulate_years(2014, 2);
-    let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
-    let split = split_by_test_year(&dataset, 2015, 1).expect("2015 present");
-    let prev = dataset.coverage.last().unwrap().clone();
-    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-
-    let mut group = c.benchmark_group("serving_prepared_llc");
-    group.sample_size(10);
-    for (tag, precision) in [("", Precision::F64), ("_f32", Precision::F32)] {
+fn bench_prepared_park(c: &mut Criterion) {
+    // DTB-iW on a 50k-cell LLC park, whose feature stack (~8 MB) outgrows
+    // the last-level cache, on both planes; and SWS's GPB-iW model (10
+    // learners × 5 bagged GPs of 30 points, 21 features) over its 3,750
+    // cells.
+    let llc = Scenario::llc_scenario(50_000, 5);
+    let history = llc.simulate_years(2014, 2);
+    let llc_data = build_dataset(&llc.park, &history, Discretization::quarterly());
+    let llc_split = split_by_test_year(&llc_data, 2015, 1).expect("2015 present");
+    let sws = scenario("SWS");
+    let sws_data = dry_season_dataset(&sws);
+    let sws_split = split_by_test_year(&sws_data, 2017, 3).expect("2017 present");
+    let mut cases: Vec<(&str, &Park, &Dataset, ServingModel)> = Vec::new();
+    for (tag, precision) in [("llc_50k", Precision::F64), ("llc_50k_f32", Precision::F32)] {
         let mut cfg = quick_config(WeakLearnerKind::DecisionTree, true);
         cfg.precision = precision;
-        let model = train(&dataset, &split, &cfg).into_serving();
-        let prepared = model
-            .prepare_park(&scenario.park, &dataset, &prev)
-            .expect("park prepares");
-        // Traversal only, straight off the cached plane.
-        group.bench_function(
-            format!("park_response_prepared_llc_50k_cells_6_levels{tag}"),
-            |b| b.iter(|| black_box(model.try_park_response_prepared(&prepared, &grid).unwrap())),
-        );
-        group.bench_function(format!("risk_map_prepared_llc_50k_cells{tag}"), |b| {
-            b.iter(|| black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap()))
+        let model = train(&llc_data, &llc_split, &cfg).into_serving();
+        cases.push((tag, &llc.park, &llc_data, model));
+    }
+    let cfg = park_model_config("SWS", WeakLearnerKind::GaussianProcess, true, Scale::Quick);
+    let model = train(&sws_data, &sws_split, &cfg).into_serving();
+    cases.push(("sws_gp", &sws.park, &sws_data, model));
+    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+
+    let mut group = c.benchmark_group("prepared_park");
+    group.sample_size(10);
+    for (tag, park, dataset, model) in &cases {
+        let prev = dataset.coverage.last().unwrap().clone();
+        let post = park.patrol_posts[0];
+        let prepare = || {
+            model
+                .prepare_park(park, dataset, &prev)
+                .expect("park prepares")
+        };
+        group.bench_function(format!("prepare_park_{tag}"), |b| {
+            b.iter(|| black_box(prepare()))
         });
-        // The one-time cost the prepared path pays up front.
-        group.bench_function(format!("prepare_park_llc_50k_cells{tag}"), |b| {
+        // Preparation plus the first risk map, which fills the tables.
+        group.bench_function(format!("first_risk_map_fresh_park_{tag}"), |b| {
+            b.iter(|| {
+                let prepared = prepare();
+                black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap())
+            })
+        });
+        let warm = prepare();
+        model.try_risk_map_prepared(&warm, 1.0).unwrap();
+        group.bench_function(format!("risk_map_warm_park_{tag}"), |b| {
+            b.iter(|| black_box(model.try_risk_map_prepared(&warm, 2.0).unwrap()))
+        });
+        group.bench_function(format!("park_response_6_levels_warm_park_{tag}"), |b| {
+            b.iter(|| black_box(model.try_park_response_prepared(&warm, &grid).unwrap()))
+        });
+        group.bench_function(format!("planning_problem_warm_park_{tag}"), |b| {
             b.iter(|| {
                 black_box(
                     model
-                        .prepare_park(&scenario.park, &dataset, &prev)
-                        .expect("park prepares"),
+                        .try_planning_problem_prepared(park, &warm, post, &grid, 12.0, 2, 0.8)
+                        .expect("valid problem"),
                 )
             })
         });
     }
-    group.finish();
-}
-
-fn bench_shard_fanout_llc(c: &mut Criterion) {
-    // PR 10 acceptance evidence: the spatial-shard fan-out across the
-    // persistent worker pool must not tax the single-core container —
-    // forcing 4 workers onto 1 core measures pure pool overhead (publish,
-    // steal, stitch) on the 50k-cell prepared queries, and the criterion
-    // is that it stays within 1.15x of the forced-1 (inline sequential)
-    // run. On real multi-core hardware the same fan-out is the speedup
-    // path; here it must at least be nearly free.
-    let scenario = Scenario::llc_scenario(50_000, 5);
-    let history = scenario.simulate_years(2014, 2);
-    let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
-    let split = split_by_test_year(&dataset, 2015, 1).expect("2015 present");
-    let prev = dataset.coverage.last().unwrap().clone();
-    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-
-    let cfg = quick_config(WeakLearnerKind::DecisionTree, true);
-    let model = train(&dataset, &split, &cfg).into_serving();
-    let prepared = model
-        .prepare_park(&scenario.park, &dataset, &prev)
-        .expect("park prepares");
-    assert!(
-        prepared.shards().len() > 1,
-        "a 50k-cell park must tile into multiple shards"
-    );
-
-    let mut group = c.benchmark_group("serving_shard_fanout_llc");
-    group.sample_size(10);
-    for forced in [1usize, 4] {
-        group.bench_function(format!("risk_map_prepared_llc_50k_forced{forced}"), |b| {
-            b.iter(|| {
-                rayon::with_num_threads(forced, || {
-                    black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap())
-                })
-            })
-        });
-        group.bench_function(
-            format!("park_response_prepared_llc_50k_6_levels_forced{forced}"),
-            |b| {
-                b.iter(|| {
-                    rayon::with_num_threads(forced, || {
-                        black_box(model.try_park_response_prepared(&prepared, &grid).unwrap())
-                    })
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_gp_prepared_park(c: &mut Criterion) {
-    // SWS's balanced GPB-iW model (10 learners × 5 bagged GPs of 30
-    // points, 21 features) over its 3,750 cells. A prepared park keeps the
-    // learner tables of the first GP query: the first risk map on a fresh
-    // park pays the park-wide GP evaluation, every later query (here a
-    // patrol post's planning problem) only combines the tables.
-    let sws = scenario("SWS");
-    let dataset = dry_season_dataset(&sws);
-    let split = split_by_test_year(&dataset, 2017, 3).expect("2017 present");
-    let cfg = park_model_config("SWS", WeakLearnerKind::GaussianProcess, true, Scale::Quick);
-    let model = train(&dataset, &split, &cfg).into_serving();
-    let park = &sws.park;
-    let prev = dataset.coverage.last().unwrap().clone();
-    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-    let post = park.patrol_posts[0];
-    let warm = model
-        .prepare_park(park, &dataset, &prev)
-        .expect("park prepares");
-    model.try_risk_map_prepared(&warm, 1.0).unwrap();
-
-    let mut group = c.benchmark_group("gp_prepared_park");
-    group.sample_size(10);
-    // Preparation plus the first risk map, which fills the tables.
-    group.bench_function("first_risk_map_fresh_park_sws", |b| {
-        b.iter(|| {
-            let prepared = model
-                .prepare_park(park, &dataset, &prev)
-                .expect("park prepares");
-            black_box(model.try_risk_map_prepared(&prepared, 1.0).unwrap())
-        })
-    });
-    // Preparation alone, to subtract from the line above.
-    group.bench_function("prepare_park_sws", |b| {
-        b.iter(|| {
-            black_box(
-                model
-                    .prepare_park(park, &dataset, &prev)
-                    .expect("park prepares"),
-            )
-        })
-    });
-    group.bench_function("planning_problem_warm_park_sws", |b| {
-        b.iter(|| {
-            black_box(
-                model
-                    .try_planning_problem_prepared(park, &warm, post, &grid, 12.0, 2, 0.8)
-                    .expect("valid problem"),
-            )
-        })
-    });
     group.finish();
 }
 
@@ -181,10 +102,11 @@ fn fit_resident(seed: u64, precision: Precision) -> (Scenario, Dataset, ServingM
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
-    // Three resident parks, one of them on the f32 plane.
-    // The batched submit coalesces each park's risk levels into one
-    // response-surface kernel and shares identical grids; the per-request
-    // loop pays admission, lookup and traversal per query.
+    // Three resident parks, one of them on the f32 plane. The batched
+    // submit snapshots each park's bundle once and fans the park groups
+    // over the pool; the per-request loop pays admission and lookup per
+    // query. Both combine each park's learner tables, which the first
+    // query fills.
     let server = PawsServer::new();
     let names = ["gonarezhou", "mondulkiri", "queen-elizabeth"];
     for (i, name) in names.iter().enumerate() {
@@ -202,7 +124,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     }
 
     // 24 risk-map queries: 8 per park over 4 distinct effort levels, with
-    // duplicates, so coalescing and the response cache both engage.
+    // duplicates.
     let mut risk_batch = Vec::new();
     for q in 0..24usize {
         risk_batch.push(QueryRequest::new(
@@ -248,11 +170,5 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_prepared_queries_llc,
-    bench_shard_fanout_llc,
-    bench_gp_prepared_park,
-    bench_serve_throughput
-);
+criterion_group!(benches, bench_prepared_park, bench_serve_throughput);
 criterion_main!(benches);

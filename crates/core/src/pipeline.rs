@@ -226,8 +226,9 @@ mod tests {
         assert_eq!(model.precision(), crate::Precision::F64);
         let prev = vec![0.0; scenario.park.n_cells()];
         let grid = [0.0, 0.5, 1.0, 2.0];
-        // One prepared park holds both planes; the model's precision picks
-        // the one each query reads.
+        // One prepared park serves both planes: after the switch the model
+        // refuses the tables its f64 plane filled and answers from a fresh
+        // f32 fill.
         let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
         let (p64, v64) = model.try_park_response_prepared(&prepared, &grid).unwrap();
         let (r64, u64_) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();

@@ -62,10 +62,10 @@ impl Scenario {
 
     /// An LLC-scale scenario (`target_cells` ≥ 10k, intended 50k–200k):
     /// the seeded large-park workload the f32-plane bandwidth comparisons,
-    /// shard fan-out and park-wide planning are measured on. Geography scales MFNP
-    /// (`paws_geo::parks::llc_park_spec`); the patrol force scales with
-    /// √area so the dataset keeps study-site-like coverage density
-    /// (`paws_sim::presets::llc_sim_config`).
+    /// the learner-table fill and park-wide planning are measured on.
+    /// Geography scales MFNP (`paws_geo::parks::llc_park_spec`); the patrol
+    /// force scales with √area so the dataset keeps study-site-like
+    /// coverage density (`paws_sim::presets::llc_sim_config`).
     pub fn llc_scenario(target_cells: usize, seed: u64) -> Self {
         Self::generate(
             &paws_geo::parks::llc_park_spec(target_cells),

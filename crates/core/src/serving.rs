@@ -10,12 +10,11 @@
 //!   re-planed **before** sharing, and then published behind an `Arc` — at
 //!   which point only `&self` query methods remain reachable, so the
 //!   artifact is immutable for as long as it serves.
-//! * [`PreparedPark`] — a park's assembled feature stack validated,
-//!   standardised **once** and narrowed to the f32 plane **once**
-//!   ([`StandardScaler::transform_planes_in_place`]). Every risk-map,
-//!   response-surface and planning query on the park reads these planes,
-//!   so none pays a per-call standardise+narrow pass, which on 50k-cell
-//!   parks costs more than the f32 plane's bandwidth advantage saves.
+//! * [`PreparedPark`] — a park's assembled feature stack validated and
+//!   standardised **once**, together with the scaler statistics it was
+//!   standardised with. Every risk-map, response-surface and planning query
+//!   on the park reads these rows, so none pays a per-call standardise
+//!   pass, and a model with any other scaler is refused.
 //!
 //! The park-wide query surface is one checked method per kind, each over a
 //! prepared park: [`ServingModel::try_risk_map_prepared`],
@@ -23,37 +22,39 @@
 //! [`ServingModel::try_planning_problem_prepared`]. A one-shot caller
 //! prepares the park, queries it and drops it. Each answer is
 //! bit-identical to the model evaluated directly on the standardised
-//! stack: the cached f64 plane is exactly that matrix, and the cached f32
-//! plane is exactly its one-pass narrowing.
+//! stack.
 //!
-//! A prepared park also keeps the **learner tables** of the first iWare
-//! model without a fused tree stack (the GP variants) that queries it: each
-//! learner's (probability, variance) over every cell,
-//! [`paws_iware::LearnerTables`]. A learner's prediction for a cell depends
-//! on neither the effort level nor the patrol post, so after that first
-//! risk map or response surface, every later risk map, response surface
-//! and per-post planning problem on the park only combines the tables —
-//! the same combine, in the same learner order, that the model runs on
-//! tables it computes per call, hence the same bits.
+//! Every iWare query takes one route: score, then tables, then combine. A
+//! prepared park keeps the **learner tables** of the first iWare model that
+//! queries it: each learner's (probability, variance) over every cell,
+//! [`paws_iware::LearnerTables`], in the element of the model's serving
+//! plane. A learner's prediction for a cell depends on neither the effort
+//! level nor the patrol post, so after that first risk map or response
+//! surface, every later risk map, response surface and per-post planning
+//! problem on the park only combines the tables — the same combine, in the
+//! same learner order, that the model runs on tables it fills per call,
+//! hence the same bits. Plain bagging models answer with one direct
+//! `predict_with_variance` call on the prepared rows.
 //!
 //! * **Filled lazily, without blocking.** Preparation does not compute the
-//!   tables, so a resident park that is never queried by a GP model pays
-//!   nothing. The first query computes them outside any lock and
-//!   publishes them with [`OnceLock::set`]; a racing caller's identical
-//!   result is dropped. (`get_or_init` would park a pool worker on the cell
-//!   while the initialiser's nested parallel region runs — a deadlock risk
-//!   on the work-stealing pool.)
-//! * **Bound to one model.** Tables carry the id of the model that built
-//!   them, and the combiners refuse another model's tables; any other
-//!   model querying the park computes its answer without the cache, as if
-//!   the park held none.
-//! * **Not for tree stacks.** Their fused per-block pipeline never builds
-//!   tables: a cache would cost 8 MB at 50k cells (4 MB as f32 tables) and
-//!   change the memory of every tree workload.
+//!   tables, so a resident park that is never queried pays nothing. The
+//!   first query computes them outside any lock and publishes them with
+//!   [`OnceLock::set`]; a racing caller's identical result is dropped.
+//!   (`get_or_init` would park a pool worker on the cell while the
+//!   initialiser's nested parallel region runs — a deadlock risk on the
+//!   work-stealing pool.)
+//! * **Bound to one model and one plane.** Tables carry the id of the
+//!   model that filled them and the plane it filled them on. The combiners
+//!   refuse them to any other model, and to the same model after it
+//!   switched planes; such a query computes its answer without the cache,
+//!   as if the park held none.
+//! * **Sized by learners × cells × 2 elements**: 8.0 MB in f64 or 4.0 MB in
+//!   f32 for ten learners at 50k cells, 0.6 MB for SWS's GP stack, freed
+//!   with the park.
 
 use crate::config::ModelConfig;
 use crate::error::PawsError;
-use paws_data::{Dataset, Matrix, Matrix32, MatrixView, MatrixView32, StandardScaler};
+use paws_data::{Dataset, Matrix, MatrixView, StandardScaler};
 use paws_geo::{CellId, Park};
 use paws_iware::{IWareModel, LearnerTables};
 use paws_ml::bagging::BaggingClassifier;
@@ -62,7 +63,6 @@ use paws_ml::metrics::roc_auc;
 use paws_ml::precision::Precision;
 use paws_ml::traits::{validate_effort_grid, validate_query, Classifier, UncertainClassifier};
 use paws_plan::{squash_matrix, PlanningProblem};
-use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// A fitted predictive model (plain bagging or iWare-E).
@@ -90,44 +90,40 @@ pub struct ServingModel {
     pub fitted: FittedModel,
 }
 
-/// A park's feature stack, standardised and narrowed once against a
-/// specific [`ServingModel`]'s scaler.
+/// A park's feature stack, standardised once against a specific
+/// [`ServingModel`]'s scaler.
 ///
-/// Holds both precision planes: the standardised f64 matrix and its f32
-/// narrowing. Build one per (park, previous-coverage) pair via
+/// Holds the standardised f64 rows and the scaler they were standardised
+/// with; only a model whose scaler statistics match bit for bit may query
+/// the park. Build one per (park, previous-coverage) pair via
 /// [`ServingModel::prepare_park`] and reuse it across queries; rebuild it
 /// when the coverage — and hence the feature stack — changes.
 ///
-/// The park also caches the learner tables of the first table-serving
-/// (non-tree iWare) model that queries it: `n_learners × n_cells × 2`
-/// f64 values, 0.6 MB for SWS, freed with the park (see the module docs
-/// for when they are filled and which model may use them).
+/// The park also caches the learner tables of the first iWare model that
+/// queries it (see the module docs for when they are filled, which model
+/// and plane may use them, and their size).
 ///
-/// LLC-scale parks (50k–200k cells) are additionally tiled into
-/// cache-sized **spatial shards** — contiguous row ranges whose f64 plane
-/// fits in roughly `SHARD_TARGET_BYTES` (1 MiB) — at preparation time. Prepared
-/// park-wide queries fan the shards across the worker pool and stitch the
-/// per-shard surfaces back in row order; every per-row kernel result
-/// depends only on its own row, and shard boundaries are multiples of the
-/// block kernels' row-chunk, so the stitched surface is bit-identical to
-/// the unsharded (and 1-thread) evaluation.
+/// Preparation also tiles the rows into cache-sized **spatial shards** —
+/// contiguous row ranges whose f64 rows fit in roughly
+/// `SHARD_TARGET_BYTES` (1 MiB), a single range for small parks — and
+/// reports them through [`PreparedPark::shards`]. Queries do not fan out
+/// over them: the table fill and the combine run in parallel 256-row
+/// blocks.
 pub struct PreparedPark {
     rows: Matrix,
-    rows32: Matrix32,
+    /// The scaler `rows` were standardised with.
+    scaler: StandardScaler,
     shards: Vec<std::ops::Range<usize>>,
-    /// Learner tables of `rows`, filled by the first table-serving model
-    /// to query the park and stamped with its id.
+    /// Learner tables of `rows`, filled by the first iWare model to query
+    /// the park and stamped with its id and plane.
     tables: OnceLock<LearnerTables>,
 }
 
 /// Shard boundaries are multiples of this row count — the block kernels'
-/// row-chunk (`ROW_CHUNK` in `paws-iware`), so a shard's block partition
-/// is a subset of the unsharded run's.
+/// row-chunk (`ROW_CHUNK` in `paws-iware`).
 const SHARD_BLOCK_ROWS: usize = 256;
 
-/// Target f64-plane size per spatial shard: big enough to amortise region
-/// publish overhead, small enough that a shard's two planes plus its
-/// output surfaces sit in the LLC while a worker chews on it.
+/// Target f64-row size per spatial shard.
 const SHARD_TARGET_BYTES: usize = 1 << 20;
 
 /// Tile `n_rows × n_cols` into contiguous cache-sized row ranges (one
@@ -166,29 +162,15 @@ impl PreparedPark {
         &self.shards
     }
 
-    /// f64-plane subview of one shard's rows.
-    fn rows_span(&self, span: &std::ops::Range<usize>) -> MatrixView<'_> {
-        let w = self.rows.n_cols();
-        MatrixView::from_flat(&self.rows.as_slice()[span.start * w..span.end * w], w)
-    }
-
-    /// f32-plane subview of one shard's rows.
-    fn rows32_span(&self, span: &std::ops::Range<usize>) -> MatrixView32<'_> {
-        let w = self.rows32.n_cols();
-        MatrixView32::from_flat(&self.rows32.as_slice()[span.start * w..span.end * w], w)
-    }
-
     /// The park's cached learner tables, filled from `model` when the cell
-    /// is empty. `None` when it is empty and `model` has a fused tree stack
-    /// (no tables to build). The tables returned may belong to another
-    /// model; the combiners check.
+    /// is empty. The tables returned may belong to another model or plane;
+    /// the combiners check.
     fn learner_tables(&self, model: &IWareModel) -> Option<&LearnerTables> {
-        if let Some(tables) = self.tables.get() {
-            return Some(tables);
+        if self.tables.get().is_none() {
+            // Compute outside the cell; a racing fill publishes first and
+            // ours (bit-identical) is dropped.
+            let _ = self.tables.set(model.learner_tables(self.rows.view()));
         }
-        // Compute outside the cell; a racing fill publishes first and ours
-        // (bit-identical) is dropped.
-        let _ = self.tables.set(model.learner_tables(self.rows.view())?);
         self.tables.get()
     }
 }
@@ -284,8 +266,8 @@ impl ServingModel {
         self.scaler.n_features()
     }
 
-    /// Assemble, validate, standardise and narrow a park's feature stack
-    /// once, caching both precision planes for repeated queries.
+    /// Assemble, validate and standardise a park's feature stack once, for
+    /// repeated queries.
     ///
     /// # Errors
     /// [`PawsError::Input`] when the previous-coverage vector does not
@@ -320,20 +302,35 @@ impl ServingModel {
     /// non-finite.
     pub fn prepare_rows(&self, mut rows: Matrix) -> Result<PreparedPark, PawsError> {
         validate_query(rows.view(), self.scaler.n_features())?;
-        let rows32 = self.scaler.transform_planes_in_place(&mut rows);
+        self.scaler.transform_in_place(&mut rows);
         let shards = spatial_shards(rows.n_rows(), rows.n_cols());
         Ok(PreparedPark {
             rows,
-            rows32,
+            scaler: self.scaler.clone(),
             shards,
             tables: OnceLock::new(),
         })
     }
 
+    /// Refuse a prepared park this model's scaler did not standardise: its
+    /// width must match, and its scaler's means and standard deviations
+    /// must equal this model's bit for bit.
     fn check_prepared(&self, prepared: &PreparedPark) -> Result<(), PawsError> {
         if prepared.n_features() != self.scaler.n_features() {
             return Err(PawsError::Input(
                 "prepared park feature width does not match the model",
+            ));
+        }
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .map(|v| v.to_bits())
+                .eq(b.iter().map(|v| v.to_bits()))
+        };
+        if !same_bits(prepared.scaler.means(), self.scaler.means())
+            || !same_bits(prepared.scaler.stds(), self.scaler.stds())
+        {
+            return Err(PawsError::Input(
+                "prepared park was standardised by another scaler",
             ));
         }
         Ok(())
@@ -342,17 +339,14 @@ impl ServingModel {
     /// Predicted risk and uncertainty for every cell of a prepared park at a
     /// single prospective patrol-effort level (one panel of Fig. 6).
     ///
-    /// An iWare model without a fused tree stack combines the park's
-    /// cached learner tables, filling them on its first query (see the
-    /// module docs). Otherwise, parks large enough to carry multiple
-    /// spatial shards fan them across the worker pool and stitch the
-    /// per-shard surfaces back in row order; every kernel is per-row, so
-    /// the stitched map is bit-identical to the unsharded (and 1-thread)
-    /// evaluation.
+    /// An iWare model combines the park's cached learner tables, filling
+    /// them on its first query (see the module docs); a plain bagging model
+    /// answers with one direct call on the prepared rows.
     ///
     /// # Errors
     /// [`PawsError::Input`] for a negative or non-finite effort level, or a
-    /// prepared park whose feature width does not match the model.
+    /// prepared park whose feature width or scaler does not match the
+    /// model.
     pub fn try_risk_map_prepared(
         &self,
         prepared: &PreparedPark,
@@ -364,75 +358,36 @@ impl ServingModel {
             ));
         }
         self.check_prepared(prepared)?;
-        if let FittedModel::IWare(m) = &self.fitted {
-            // Table-serving models combine the park's cached tables; the
-            // combine is per row, so shards do not apply.
-            let served = prepared
-                .learner_tables(m)
-                .and_then(|tables| m.combine_tables_at_effort(tables, effort_km));
-            if let Some(out) = served {
-                return Ok(out);
-            }
-        }
-        let shards = prepared.shards();
-        if shards.len() > 1 && rayon::current_num_threads() > 1 {
-            let parts: Vec<(Vec<f64>, Vec<f64>)> = shards
-                .par_iter()
-                .map(|span| self.risk_map_prepared_span(prepared, span, effort_km))
-                .collect();
-            let mut p = Vec::with_capacity(prepared.n_cells());
-            let mut v = Vec::with_capacity(prepared.n_cells());
-            for (sp, sv) in parts {
-                p.extend_from_slice(&sp);
-                v.extend_from_slice(&sv);
-            }
-            return Ok((p, v));
-        }
-        Ok(self.risk_map_prepared_span(prepared, &(0..prepared.n_cells()), effort_km))
-    }
-
-    /// One spatial shard of [`ServingModel::try_risk_map_prepared`]: the
-    /// same precision dispatch, evaluated on subviews of the cached planes.
-    fn risk_map_prepared_span(
-        &self,
-        prepared: &PreparedPark,
-        span: &std::ops::Range<usize>,
-        effort_km: f64,
-    ) -> (Vec<f64>, Vec<f64>) {
-        // The `*32` entry points answer exactly when the model serves from
-        // the f32 plane.
-        match &self.fitted {
+        let rows = prepared.rows.view();
+        Ok(match &self.fitted {
             FittedModel::IWare(m) => {
-                match m.predict_with_variance_at_effort32(prepared.rows32_span(span), effort_km) {
+                let served = prepared
+                    .learner_tables(m)
+                    .and_then(|tables| m.combine_tables_at_effort(tables, effort_km));
+                match served {
                     Some(out) => out,
+                    // Another model or plane filled the park: answer as if
+                    // it held no tables.
                     None => {
-                        let efforts = vec![effort_km; span.len()];
-                        m.predict_with_variance_at_effort(prepared.rows_span(span), &efforts)
+                        m.predict_with_variance_at_effort(rows, &vec![effort_km; rows.n_rows()])
                     }
                 }
             }
-            FittedModel::Plain(m) => match m.predict_with_variance32(prepared.rows32_span(span)) {
-                Some(out) => out,
-                None => m.predict_with_variance(prepared.rows_span(span)),
-            },
-        }
+            FittedModel::Plain(m) => m.predict_with_variance(rows),
+        })
     }
 
     /// Response curves g_v(c), ν_v(c) for every cell of a prepared park
     /// over a grid of prospective effort levels — the planner's input, as
-    /// flat `cells × effort-levels` matrices served straight off the cached
-    /// plane matching the model's precision.
-    ///
-    /// Like [`ServingModel::try_risk_map_prepared`], table-serving models
-    /// combine the park's cached learner tables, and otherwise multi-shard
-    /// parks fan the shards across the worker pool; the per-shard response
-    /// matrices are concatenated row-block by row-block, which is exactly
-    /// the unsharded row order.
+    /// flat `cells × effort-levels` matrices. Served like
+    /// [`ServingModel::try_risk_map_prepared`]: iWare models combine the
+    /// park's cached learner tables, plain bagging models broadcast their
+    /// effort-independent prediction across the levels.
     ///
     /// # Errors
     /// [`PawsError::Query`] for an empty grid or a negative or non-finite
     /// level; [`PawsError::Input`] for a prepared park whose feature width
-    /// does not match the model.
+    /// or scaler does not match the model.
     pub fn try_park_response_prepared(
         &self,
         prepared: &PreparedPark,
@@ -440,62 +395,27 @@ impl ServingModel {
     ) -> Result<(Matrix, Matrix), PawsError> {
         validate_effort_grid(effort_grid).map_err(PawsError::Query)?;
         self.check_prepared(prepared)?;
-        if let FittedModel::IWare(m) = &self.fitted {
-            let served = prepared
-                .learner_tables(m)
-                .and_then(|tables| m.combine_tables_response(tables, effort_grid));
-            if let Some(out) = served {
-                return Ok(out);
-            }
-        }
-        let shards = prepared.shards();
-        if shards.len() > 1 && rayon::current_num_threads() > 1 {
-            let parts: Vec<(Matrix, Matrix)> = shards
-                .par_iter()
-                .map(|span| self.park_response_prepared_span(prepared, span, effort_grid))
-                .collect();
-            let n = prepared.n_cells() * effort_grid.len();
-            let mut p_flat = Vec::with_capacity(n);
-            let mut v_flat = Vec::with_capacity(n);
-            for (sp, sv) in parts {
-                p_flat.extend_from_slice(sp.as_slice());
-                v_flat.extend_from_slice(sv.as_slice());
-            }
-            return Ok((
-                Matrix::from_flat(p_flat, effort_grid.len()),
-                Matrix::from_flat(v_flat, effort_grid.len()),
-            ));
-        }
-        Ok(self.park_response_prepared_span(prepared, &(0..prepared.n_cells()), effort_grid))
-    }
-
-    /// One spatial shard of [`ServingModel::try_park_response_prepared`].
-    fn park_response_prepared_span(
-        &self,
-        prepared: &PreparedPark,
-        span: &std::ops::Range<usize>,
-        effort_grid: &[f64],
-    ) -> (Matrix, Matrix) {
-        match &self.fitted {
+        let rows = prepared.rows.view();
+        Ok(match &self.fitted {
             FittedModel::IWare(m) => {
-                match m.effort_response32(prepared.rows32_span(span), effort_grid) {
-                    Some(response) => response,
-                    None => m.effort_response(prepared.rows_span(span), effort_grid),
+                let served = prepared
+                    .learner_tables(m)
+                    .and_then(|tables| m.combine_tables_response(tables, effort_grid));
+                match served {
+                    Some(out) => out,
+                    None => m.effort_response(rows, effort_grid),
                 }
             }
             FittedModel::Plain(m) => {
-                let (p, v) = match m.predict_with_variance32(prepared.rows32_span(span)) {
-                    Some(out) => out,
-                    None => m.predict_with_variance(prepared.rows_span(span)),
-                };
+                let (p, v) = m.predict_with_variance(rows);
                 broadcast_constant_response(&p, &v, effort_grid.len())
             }
-        }
+        })
     }
 
     /// Build a patrol-planning problem for one post from a prepared park:
-    /// the response surfaces come off the cached planes (or, for GP iWare
-    /// models, the park's cached learner tables), then flow through
+    /// the response surfaces come off the park's cached learner tables (or,
+    /// for plain bagging, its prepared rows), then flow through
     /// [`try_planning_problem_from_response`]'s guards, squash and game
     /// construction.
     ///
@@ -636,16 +556,11 @@ mod tests {
         cfg
     }
 
-    /// Tree ensembles (fused arena) and GP ensembles (learner tables).
+    /// Tree ensembles (fused arena) and GP ensembles.
     const LEARNERS: [WeakLearnerKind; 2] = [
         WeakLearnerKind::DecisionTree,
         WeakLearnerKind::GaussianProcess,
     ];
-
-    /// Whether a fitted model serves prepared queries from learner tables.
-    fn serves_from_tables(learner: WeakLearnerKind, use_iware: bool) -> bool {
-        use_iware && learner == WeakLearnerKind::GaussianProcess
-    }
 
     /// The park's feature stack standardised by the model's scaler: the
     /// rows a model evaluated directly sees.
@@ -690,21 +605,25 @@ mod tests {
     }
 
     /// Every (learner, variant, plane) combination must serve the exact
-    /// same bits off the cached planes — and, for GP iWare models, off the
-    /// park's cached learner tables — as the model evaluated directly on
-    /// the standardised stack: on the first query, on repeated ones the
-    /// cache answers, and at risk levels off the response grid.
+    /// same bits off a prepared park as the model evaluated directly on the
+    /// standardised stack: on the first query, which fills the park's
+    /// learner tables for every iWare model, on repeated ones the tables
+    /// answer, and at risk levels off the response grid. After each plane
+    /// switch, the park prepared and filled under the previous plane must
+    /// answer the new plane's direct bits too.
     #[test]
     fn prepared_queries_are_bit_identical_to_direct_model_calls() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let prev = dataset.coverage.last().unwrap().clone();
         let grid = [0.0, 0.5, 1.0, 2.0];
+        let levels = [1.0, 3.0, 0.25, 100.0];
         for learner in LEARNERS {
             for use_iware in [true, false] {
                 let mut model = train(&dataset, &split, &quick_config(learner, use_iware));
                 let rows = standardised_stack(&model, park, &dataset, &prev);
-                for precision in [Precision::F64, Precision::F32] {
+                let mut previous: Option<PreparedPark> = None;
+                for precision in [Precision::F64, Precision::F32, Precision::F64] {
                     model.set_precision(precision).unwrap();
                     let case = format!("{learner:?} {use_iware} {precision:?}");
                     let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
@@ -713,28 +632,31 @@ mod tests {
                     assert_eq!(prepared.rows.as_slice(), rows.as_slice());
                     assert!(prepared.tables.get().is_none(), "filled lazily: {case}");
 
-                    let levels = [1.0, 3.0, 0.25, 100.0];
                     let risk_refs: Vec<_> = levels
                         .iter()
                         .map(|&level| direct_risk_map(&model, rows.view(), level))
                         .collect();
                     let (p_ref, v_ref) = direct_response(&model, rows.view(), &grid);
-                    for _ in 0..2 {
-                        for (&level, (r_ref, u_ref)) in levels.iter().zip(&risk_refs) {
-                            let (r, u) = model.try_risk_map_prepared(&prepared, level).unwrap();
-                            assert_eq!(&r, r_ref, "risk {case} @{level}");
-                            assert_eq!(&u, u_ref, "uncertainty {case} @{level}");
+                    let parks = [Some(&prepared), previous.as_ref()];
+                    for (i, served) in parks.into_iter().flatten().enumerate() {
+                        let case = format!("{case} {}", ["fresh", "previous plane"][i]);
+                        for _ in 0..2 {
+                            for (&level, (r_ref, u_ref)) in levels.iter().zip(&risk_refs) {
+                                let (r, u) = model.try_risk_map_prepared(served, level).unwrap();
+                                assert_eq!(&r, r_ref, "risk {case} @{level}");
+                                assert_eq!(&u, u_ref, "uncertainty {case} @{level}");
+                                assert_eq!(
+                                    served.tables.get().is_some(),
+                                    use_iware,
+                                    "every iWare model fills the tables on its first query: {case}"
+                                );
+                            }
+                            let (p, v) = model.try_park_response_prepared(served, &grid).unwrap();
+                            assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
+                            assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
                         }
-
-                        let (p, v) = model.try_park_response_prepared(&prepared, &grid).unwrap();
-                        assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
-                        assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
                     }
-                    assert_eq!(
-                        prepared.tables.get().is_some(),
-                        serves_from_tables(learner, use_iware),
-                        "only GP iWare models fill the tables: {case}"
-                    );
+                    previous = Some(prepared);
                 }
             }
         }
@@ -836,15 +758,13 @@ mod tests {
         }
     }
 
-    /// The shard fan-out must stitch the exact bits the unsharded span
-    /// produces, for every (learner, variant, precision) triple and
-    /// regardless of where the shard boundaries fall — each kernel is
-    /// per-row. GP iWare models serve from learner tables and skip the
-    /// fan-out; they must give the same bits whether they fill the tables
-    /// under a forced worker count or, finding another model's tables in
-    /// the park, fan the shards out themselves.
+    /// The table fill and the combine run in parallel row blocks: for every
+    /// (learner, variant, plane), a fresh park filled under 1, 2 or 4
+    /// forced workers serves the bits of the reference park, and so does a
+    /// fresh park that already holds another model's tables (the query
+    /// then fills its own tables outside the cache).
     #[test]
-    fn sharded_fan_out_is_bit_identical_to_the_single_span() {
+    fn fresh_park_fills_are_bit_identical_across_forced_worker_counts() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let prev = dataset.coverage.last().unwrap().clone();
@@ -860,49 +780,23 @@ mod tests {
                 let mut model = train(&dataset, &split, &quick_config(learner, use_iware));
                 for precision in [Precision::F64, Precision::F32] {
                     model.set_precision(precision).unwrap();
-                    let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
-                    assert_eq!(
-                        prepared.shards().len(),
-                        1,
-                        "the test park is far below the tiling threshold"
-                    );
-                    assert_eq!(prepared.shards()[0], 0..park.n_cells());
-                    // Force a deliberately uneven many-shard tiling of the
-                    // same planes; parity must hold anyway because every
-                    // kernel result depends only on its own row.
-                    let mut shards = Vec::new();
-                    let mut start = 0;
-                    while start < park.n_cells() {
-                        let end = (start + 7).min(park.n_cells());
-                        shards.push(start..end);
-                        start = end;
-                    }
-                    let sharded = |tables: Option<LearnerTables>| {
-                        let park = PreparedPark {
-                            rows: prepared.rows.clone(),
-                            rows32: prepared.rows32.clone(),
-                            shards: shards.clone(),
-                            tables: OnceLock::new(),
-                        };
-                        if let Some(tables) = tables {
-                            assert!(park.tables.set(tables).is_ok());
-                        }
-                        park
-                    };
-
-                    let (r_ref, u_ref) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
+                    let fresh = || model.prepare_park(park, &dataset, &prev).unwrap();
+                    let reference = fresh();
+                    let (r_ref, u_ref) = model.try_risk_map_prepared(&reference, 1.0).unwrap();
                     let (p_ref, v_ref) =
-                        model.try_park_response_prepared(&prepared, &grid).unwrap();
+                        model.try_park_response_prepared(&reference, &grid).unwrap();
                     for forced in [1usize, 2, 4] {
                         let case = format!("{learner:?} {use_iware} {precision:?} x{forced}");
-                        let foreign = other.learner_tables(prepared.rows.view());
-                        for park in [sharded(None), sharded(foreign)] {
+                        let foreign = fresh();
+                        let tables = other.learner_tables(foreign.rows.view());
+                        assert!(foreign.tables.set(tables).is_ok());
+                        for served in [fresh(), foreign] {
                             rayon::with_num_threads(forced, || {
-                                let (r, u) = model.try_risk_map_prepared(&park, 1.0).unwrap();
+                                let (r, u) = model.try_risk_map_prepared(&served, 1.0).unwrap();
                                 assert_eq!(r, r_ref, "risk {case}");
                                 assert_eq!(u, u_ref, "var {case}");
                                 let (p, v) =
-                                    model.try_park_response_prepared(&park, &grid).unwrap();
+                                    model.try_park_response_prepared(&served, &grid).unwrap();
                                 assert_eq!(p.as_slice(), p_ref.as_slice(), "response {case}");
                                 assert_eq!(v.as_slice(), v_ref.as_slice(), "variance {case}");
                             });
@@ -1071,7 +965,7 @@ mod tests {
         // scaler is refused before it can reach the kernels.
         let foreign = PreparedPark {
             rows: Matrix::zeros(4, model.n_features() + 1),
-            rows32: Matrix32::zeros(4, model.n_features() + 1),
+            scaler: model.scaler.clone(),
             shards: std::iter::once(0..4).collect(),
             tables: OnceLock::new(),
         };
@@ -1083,6 +977,37 @@ mod tests {
             model.try_park_response_prepared(&foreign, &[0.5]),
             Err(PawsError::Input(_))
         ));
+
+        // So is a park of the right width standardised by another scaler: a
+        // model fitted on an earlier split does not answer on rows the
+        // first model's scaler standardised.
+        let earlier = split_by_test_year(&dataset, 2015, 1).expect("split exists");
+        let second = train(
+            &dataset,
+            &earlier,
+            &quick_config(WeakLearnerKind::DecisionTree, true),
+        );
+        assert_eq!(second.n_features(), model.n_features());
+        let post = park.patrol_posts[0];
+        let grid = [0.0, 1.0];
+        assert!(matches!(
+            second.try_risk_map_prepared(&prepared, 1.0),
+            Err(PawsError::Input(_))
+        ));
+        assert!(matches!(
+            second.try_park_response_prepared(&prepared, &grid),
+            Err(PawsError::Input(_))
+        ));
+        assert!(matches!(
+            second.try_planning_problem_prepared(park, &prepared, post, &grid, 8.0, 2, 0.8),
+            Err(PawsError::Input(_))
+        ));
+        assert!(
+            prepared.tables.get().is_none(),
+            "a refused query fills nothing"
+        );
+        let own = second.prepare_park(park, &dataset, &prev).unwrap();
+        assert!(second.try_risk_map_prepared(&own, 1.0).is_ok());
     }
 
     #[test]
@@ -1145,9 +1070,8 @@ mod tests {
 
             // Facade → artifact → Arc: the shared artifact serves the same
             // bits from plain `&self`, concurrently. Four threads race the
-            // first query on one fresh prepared park (for the GP model, the
-            // table fill), half for risk maps and half for response
-            // surfaces.
+            // first query on one fresh prepared park (the table fill), half
+            // for risk maps and half for response surfaces.
             let artifact: Arc<ServingModel> = Arc::new(model.into_serving());
             let prepared = Arc::new(artifact.prepare_park(park, &dataset, &prev).unwrap());
             let start = Arc::new(std::sync::Barrier::new(4));
@@ -1178,10 +1102,7 @@ mod tests {
                 h.join()
                     .expect("every racing query answers the sequential bits");
             }
-            assert_eq!(
-                prepared.tables.get().is_some(),
-                serves_from_tables(learner, true)
-            );
+            assert!(prepared.tables.get().is_some(), "the racing fill publishes");
 
             // And back into the facade for fit-time callers.
             let artifact = Arc::try_unwrap(artifact).ok().expect("sole owner again");

@@ -10,7 +10,7 @@
 //! z-score transform run on the element-wise `f64x4` kernels of
 //! [`crate::simd`] (bit-identical to the scalar loops they replace).
 
-use crate::matrix::{Matrix, Matrix32, MatrixView};
+use crate::matrix::{Matrix, MatrixView};
 use crate::simd;
 use serde::Serialize;
 
@@ -133,32 +133,6 @@ impl StandardScaler {
         scaler.transform_in_place(&mut x);
         (scaler, x)
     }
-
-    /// Standardise a matrix in place **and** narrow it to the f32 plane in
-    /// the same pass, returning the narrowed copy. Per row this performs
-    /// exactly `transform_in_place` followed by `Matrix32::from_f64` —
-    /// same z-score, same round-to-nearest narrowing — but streams each
-    /// cache-resident row once instead of re-walking the whole matrix.
-    ///
-    /// This is the serving-artifact preparation path: a park's feature
-    /// stack is standardised and narrowed **once** at model-load time
-    /// (`PreparedPark` in `paws-core`), so repeated risk-map /
-    /// response-surface queries pay zero per-call standardise/narrow work
-    /// on either precision plane.
-    pub fn transform_planes_in_place(&self, x: &mut Matrix) -> Matrix32 {
-        assert_eq!(x.n_cols(), self.means.len(), "matrix width mismatch");
-        let k = self.means.len();
-        let mut narrow = Matrix32::zeros(x.n_rows(), k);
-        for (row, out_row) in x
-            .as_mut_slice()
-            .chunks_exact_mut(k)
-            .zip(narrow.as_mut_slice().chunks_exact_mut(k))
-        {
-            simd::standardize(row, &self.means, &self.stds);
-            simd::narrow(row, out_row);
-        }
-        narrow
-    }
 }
 
 /// Two-pass per-column moments of one batch: (means, sum of squared
@@ -243,30 +217,6 @@ mod tests {
             scaler.transform_row(&mut row);
             assert_eq!(in_place.row(i), row.as_slice());
         }
-    }
-
-    #[test]
-    fn fused_plane_transform_matches_the_two_pass_reference() {
-        let rows: Vec<Vec<f64>> = (0..37)
-            .map(|i| {
-                vec![
-                    i as f64 * 0.37 - 5.0,
-                    (i * i) as f64 * 0.011,
-                    -3.5 + i as f64,
-                ]
-            })
-            .collect();
-        let m = Matrix::from_rows(&rows);
-        let scaler = StandardScaler::fit(m.view());
-        // Reference: standardise, then narrow as a second full pass.
-        let mut wide_ref = m.clone();
-        scaler.transform_in_place(&mut wide_ref);
-        let narrow_ref = Matrix32::from_f64(wide_ref.view());
-        // Fused: one streaming pass produces both planes.
-        let mut wide = m.clone();
-        let narrow = scaler.transform_planes_in_place(&mut wide);
-        assert_eq!(wide.as_slice(), wide_ref.as_slice());
-        assert_eq!(narrow.as_slice(), narrow_ref.as_slice());
     }
 
     #[test]

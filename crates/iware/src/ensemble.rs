@@ -27,36 +27,39 @@
 //! evaluates the park-wide g_v(c) / ν_v(c) surfaces cell-parallel into flat
 //! response matrices.
 //!
-//! When the weak learners are tree ensembles, the whole I×B learner stack
-//! is additionally fused into one arena-backed [`Forest`]: every
-//! park-wide prediction (`effort_response`, the `*_at_effort` entry
-//! points) runs a single level-synchronous batch traversal over the
-//! combined slab instead of I separate per-learner member passes, then
-//! reduces the member rows per learner in the exact member order of the
-//! per-learner path (bit-identical results). The fused stack and its
-//! traverse → reduce → combine pipeline are written once, generic over the
-//! plane's element: the fitted f64 stack and its f32 narrowing (selected
-//! with [`IWareModel::set_precision`]) run the same bodies, each
-//! monomorphised with the operation order of its plane.
-//!
-//! Every other learner base (Gaussian processes, SVMs) goes through
-//! **learner tables** instead: each learner scores the whole batch once
-//! into an `n_learners × n_rows` (probability, variance) pair
-//! ([`LearnerTables`]), and one combine path turns the tables into a
+//! Every prediction goes through **learner tables**: each learner scores
+//! the batch once into an `n_learners × n_rows` (probability, variance)
+//! pair ([`LearnerTables`]), and one combine turns the tables into a
 //! constant-effort risk map ([`IWareModel::combine_tables_at_effort`]) or
-//! a response surface ([`IWareModel::combine_tables_response`]). A
-//! learner's prediction for a row depends on neither the effort level nor
-//! the grid, so a caller that keeps the tables — a prepared park in
+//! a response surface ([`IWareModel::combine_tables_response`]).
+//!
+//! * When the weak learners are tree ensembles, the whole I×B learner
+//!   stack is fused into one arena-backed [`Forest`], and the tables fill
+//!   block by block: one level-synchronous batch traversal of the combined
+//!   slab per 256-row block, then each learner's member rows reduced in
+//!   the exact member order of the per-learner path (bit-identical
+//!   results). No `n_trees × n_rows` table is ever materialised.
+//! * The fill and the combine are written once, generic over the plane's
+//!   element. On the f32 plane (selected with
+//!   [`IWareModel::set_precision`]) the narrowed stack fills f32 tables
+//!   from each block's rows narrowed from the f64 batch, and the combine
+//!   runs in f32 with the narrowed weights, widening only the emitted
+//!   surface. Per-row varying-effort prediction keeps the f64 plane.
+//! * Every other learner base (Gaussian processes, SVMs) scores the batch
+//!   learner by learner on the f64 plane.
+//!
+//! A learner's prediction for a row depends on neither the effort level
+//! nor the grid, so a caller that keeps the tables — a prepared park in
 //! `paws-core` — serves every later query on the same rows with the
-//! combine alone. Tables carry the id of the model that computed them and
-//! the combiners refuse another model's tables; the direct entry
-//! points (`predict_with_variance_at_effort` at a constant effort,
-//! `effort_response`) build fresh tables and run the same combiners, so
-//! both routes produce the same bits.
+//! combine alone. Tables record the id of the model and the plane that
+//! filled them, and the combiners refuse any other model's or plane's
+//! tables. The direct entry points (the constant-effort
+//! `predict_*_at_effort` calls, `effort_response`) fill fresh tables and
+//! run the same combiners, so both routes produce the same bits.
 
 use crate::thresholds::{qualified_count, qualified_learners, select_thresholds, ThresholdMode};
 use crate::weights::{optimize_weights, WeightMode};
-use paws_data::matrix::{Matrix, Matrix32, MatrixView, MatrixView32};
+use paws_data::matrix::{Matrix, Matrix32, MatrixView};
 use paws_data::simd::{self, Element};
 use paws_ml::bagging::{BaggingClassifier, BaggingConfig, BaseLearnerConfig};
 use paws_ml::cv::stratified_kfold;
@@ -108,9 +111,9 @@ impl IWareConfig {
     }
 }
 
-/// Rows are evaluated in blocks of this many across the park-wide
-/// prediction paths (matches the forest traversal's internal block size,
-/// so fused traverse→reduce→combine stays cache-resident).
+/// Rows are filled and combined in blocks of this many (matches the forest
+/// traversal's internal block size, so each block's traverse → reduce
+/// stays cache-resident).
 const ROW_CHUNK: usize = 256;
 
 /// A qualified learner set whose weight mass is at most this falls back to
@@ -129,11 +132,11 @@ struct LearnerStack<T: ArenaElement = f64> {
 }
 
 impl<T: ArenaElement> LearnerStack<T> {
-    /// Fused traverse-and-reduce for one row block: batch-traverse the
-    /// arena for rows `start..start + len`, then fold each learner's
-    /// member rows into `(means, spreads)` (`n_learners × len`, learner-
-    /// major) while the per-tree block is still cache-resident. Without
-    /// `with_variance` the spread pass is skipped and `spreads` is empty.
+    /// The learner tables of one row block: batch-traverse the arena for
+    /// rows `start..start + len`, then fold each learner's member rows into
+    /// `(means, spreads)` (`n_learners × len`, learner-major) while the
+    /// per-tree block is still cache-resident. Without `with_variance` the
+    /// spread pass is skipped and `spreads` is empty.
     fn block_tables(
         &self,
         x: MatrixView<'_, T>,
@@ -256,32 +259,95 @@ fn next_model_id() -> u64 {
 }
 
 /// The per-learner (probability, variance) tables of one feature batch,
-/// stamped with the model that computed them.
+/// stamped with the model and the plane that computed them.
 ///
-/// Each table is learner-major `n_learners × n_rows`. Neither depends on
-/// an effort level, so one batch's tables serve every risk map and
-/// response surface on it. Build them with [`IWareModel::learner_tables`]
-/// and combine them with [`IWareModel::combine_tables_at_effort`] or
+/// Each table is learner-major `n_learners × n_rows`, in the element of
+/// the model's serving plane. Neither depends on an effort level, so one
+/// batch's tables serve every risk map and response surface on it. Build
+/// them with [`IWareModel::learner_tables`] and combine them with
+/// [`IWareModel::combine_tables_at_effort`] or
 /// [`IWareModel::combine_tables_response`], which refuse tables stamped by
-/// any other model.
+/// any other model or filled on the plane the model no longer serves
+/// from.
 pub struct LearnerTables {
     model_id: u64,
+    plane: TablePlane,
+}
+
+/// Learner tables on the plane that filled them.
+enum TablePlane {
+    F64(Tables<f64>),
+    F32(Tables<f32>),
+}
+
+/// Learner-major `n_learners × n_rows` probability and variance tables on
+/// one plane; `vars` is empty when the fill skipped the member spread.
+struct Tables<T> {
     n_rows: usize,
-    probs: Vec<f64>,
-    vars: Vec<f64>,
+    probs: Vec<T>,
+    vars: Vec<T>,
+}
+
+impl<T: Element> Tables<T> {
+    /// Risk and uncertainty for one qualified set: every row combines
+    /// learner-major with contiguous axpy rows, widened at emission. The
+    /// uncertainty is empty when the tables hold no variances.
+    fn at_effort(&self, weights: &[T], qualified: &[usize]) -> (Vec<f64>, Vec<f64>) {
+        let n = self.n_rows;
+        let combine = |table: &[T]| {
+            T::into_f64_vec(combine_rows(
+                LearnerTable::new(table, n, 0),
+                weights,
+                qualified,
+                n,
+            ))
+        };
+        let vars = if self.vars.is_empty() {
+            Vec::new()
+        } else {
+            combine(&self.vars)
+        };
+        (combine(&self.probs), vars)
+    }
+
+    /// Response surfaces over every level of a [`IWareModel::level_plan`],
+    /// cell-parallel over block windows of the full tables.
+    fn response(
+        &self,
+        weights: &[T],
+        qualified_per_level: &[Vec<usize>],
+        prefix_lens: Option<&[usize]>,
+    ) -> (Matrix, Matrix) {
+        let n = self.n_rows;
+        blocked_response(
+            n,
+            qualified_per_level.len(),
+            |start, len, p_flat, v_flat| {
+                combine_levels_block(
+                    weights,
+                    prefix_lens,
+                    qualified_per_level,
+                    LearnerTable::new(&self.probs, n, start),
+                    LearnerTable::new(&self.vars, n, start),
+                    len,
+                    p_flat,
+                    v_flat,
+                );
+            },
+        )
+    }
 }
 
 /// A fitted iWare-E ensemble.
 pub struct IWareModel {
     /// Process-unique id stamped on the [`LearnerTables`] this model
     /// computes. Each constructor draws a fresh one, and it is never
-    /// refreshed: the only `&mut self` method, `set_precision`, touches
-    /// only the tree stacks, and tree stacks never build tables, so tables
-    /// stay valid for the model's lifetime.
+    /// refreshed: the only `&mut self` method, `set_precision`, switches
+    /// the serving plane, which the tables record beside the id.
     id: u64,
     thresholds: Vec<f64>,
     /// Per-threshold weak learners. Empty for a model reconstructed from a
-    /// stack snapshot — every park-wide serving path then answers from the
+    /// stack snapshot — every prediction then fills its tables from the
     /// fused `stack`, and the sizing of learner-major tables goes through
     /// `ranges`/`weights`, never `learners.len()`.
     learners: Vec<BaggingClassifier>,
@@ -291,12 +357,12 @@ pub struct IWareModel {
     n_features: usize,
     /// Present when every learner is a tree ensemble (the DTB variants).
     stack: Option<LearnerStack>,
-    /// The f32 plane: the fused stack narrowed to 8-byte nodes, with the
-    /// weights narrowed once. Present exactly while a tree stack is
-    /// switched to [`Precision::F32`], which makes f32 the serving plane of
-    /// the park-wide paths (a derived cache of `stack` and `weights`,
-    /// rebuilt on demand, never serialized; fitting is untouched).
-    stack32: Option<(LearnerStack<f32>, Vec<f32>)>,
+    /// The f32 plane: the fused stack narrowed to 8-byte nodes. Present
+    /// exactly while a tree stack is switched to [`Precision::F32`], which
+    /// makes f32 the serving plane of the constant-effort and response
+    /// paths (a derived cache of `stack`, rebuilt on demand, never
+    /// serialized; fitting is untouched).
+    stack32: Option<LearnerStack<f32>>,
     config: IWareConfig,
 }
 
@@ -634,9 +700,10 @@ impl IWareModel {
     /// ([`IWareModel::effort_response`] and the constant-effort
     /// `predict_*_at_effort` entry points, i.e. response surfaces and risk
     /// maps). Switching to [`Precision::F32`] narrows the fused learner
-    /// stack once — an 8-byte-node [`Forest32`] plus f32 weights — and the
-    /// fused traverse→reduce→combine pipeline then runs end-to-end in f32,
-    /// widening only the emitted surface. Per-row *varying*-effort
+    /// stack once to an 8-byte-node [`Forest32`]; the table fill and the
+    /// combine then run end-to-end in f32 (with the weights narrowed),
+    /// widening only the emitted surface. Tables filled on the previous
+    /// plane no longer combine for this model. Per-row *varying*-effort
     /// prediction and non-tree learner stacks keep the f64 path regardless
     /// (they are not park-wide hot paths). Training is never affected.
     ///
@@ -649,12 +716,10 @@ impl IWareModel {
             Precision::F32 => {
                 if self.stack32.is_none() {
                     if let Some(stack) = &self.stack {
-                        let narrowed = LearnerStack {
+                        self.stack32 = Some(LearnerStack {
                             forest: Forest32::try_from_forest(&stack.forest)?,
                             ranges: stack.ranges.clone(),
-                        };
-                        let weights = self.weights.iter().map(|&w| w as f32).collect();
-                        self.stack32 = Some((narrowed, weights));
+                        });
                     }
                 }
             }
@@ -681,7 +746,7 @@ impl IWareModel {
     pub fn arena32_stats(&self) -> Option<(usize, usize)> {
         self.stack32
             .as_ref()
-            .map(|(s, _)| (s.forest.n_trees(), s.forest.n_nodes()))
+            .map(|s| (s.forest.n_trees(), s.forest.n_nodes()))
     }
 
     /// The fitted thresholds θᵢ, ascending.
@@ -720,72 +785,55 @@ impl IWareModel {
             .map(|s| (s.forest.n_trees(), s.forest.n_nodes()))
     }
 
-    /// Per-learner probabilities as a flat `n_learners × n_rows` matrix.
-    /// Callers guard against empty batches. Tree stacks answer with one
-    /// batch traversal of the fused arena.
-    fn learner_probabilities(&self, x: MatrixView<'_>) -> Matrix {
-        if let Some(stack) = &self.stack {
-            let per_tree = stack.forest.predict_proba_batch(x);
-            let stride = x.n_rows();
-            let mut probs = Matrix::zeros(stack.ranges.len(), stride);
-            for (li, range) in stack.ranges.iter().enumerate() {
-                reduce_members(
-                    per_tree.as_slice(),
-                    stride,
-                    range.clone(),
-                    probs.row_mut(li),
-                    None,
-                );
-            }
-            return probs;
+    /// This model's tables of a batch on its serving plane. The narrowed
+    /// stack fills f32 tables, reading each block's rows narrowed from the
+    /// f64 batch; otherwise the f64 tables of [`IWareModel::f64_tables`].
+    /// Without `with_variance` the variance tables stay empty.
+    fn tables(&self, x: MatrixView<'_>, with_variance: bool) -> TablePlane {
+        match &self.stack32 {
+            Some(stack) => TablePlane::F32(fill_blocks(
+                stack.ranges.len(),
+                x.n_rows(),
+                with_variance,
+                |start, len| {
+                    let w = x.n_cols();
+                    let block = MatrixView::from_flat(&x.as_slice()[start * w..][..len * w], w);
+                    stack.block_tables(Matrix32::from_f64(block).view(), 0, len, with_variance)
+                },
+            )),
+            None => TablePlane::F64(self.f64_tables(x, with_variance)),
         }
-        let per_learner: Vec<Vec<f64>> = self
-            .learners
-            .par_iter()
-            .map(|l| l.predict_proba(x))
-            .collect();
-        Matrix::from_rows(&per_learner)
     }
 
-    /// Per-learner (probability, variance) tables of a batch, stamped with
-    /// this model's id. Tree stacks answer with one batch traversal of the
-    /// fused arena, then reduce each learner's member rows to mean and
-    /// spread (the member order — and therefore every float — matches the
-    /// per-learner path exactly); tree callers guard against empty
-    /// batches. Other learner bases score the batch learner by learner.
-    fn learner_prob_var(&self, x: MatrixView<'_>) -> LearnerTables {
+    /// The f64 tables of a batch: a tree stack fills them block by block
+    /// from the fused arena, other learner bases score the batch learner
+    /// by learner.
+    fn f64_tables(&self, x: MatrixView<'_>, with_variance: bool) -> Tables<f64> {
         let n_rows = x.n_rows();
-        let (probs, vars) = match &self.stack {
-            Some(stack) => {
-                let per_tree = stack.forest.predict_proba_batch(x);
-                let mut probs = vec![0.0; stack.ranges.len() * n_rows];
-                let mut vars = vec![0.0; stack.ranges.len() * n_rows];
-                for (li, range) in stack.ranges.iter().enumerate() {
-                    let row = li * n_rows..(li + 1) * n_rows;
-                    let p = &mut probs[row.clone()];
-                    reduce_members(per_tree.as_slice(), n_rows, range.clone(), p, None);
-                    let v = &mut vars[row];
-                    reduce_members(per_tree.as_slice(), n_rows, range.clone(), v, Some(p));
+        if let Some(stack) = &self.stack {
+            return fill_blocks(stack.ranges.len(), n_rows, with_variance, |start, len| {
+                stack.block_tables(x, start, len, with_variance)
+            });
+        }
+        let per_learner: Vec<(Vec<f64>, Vec<f64>)> = self
+            .learners
+            .par_iter()
+            .map(|l| {
+                if with_variance {
+                    l.predict_with_variance(x)
+                } else {
+                    (l.predict_proba(x), Vec::new())
                 }
-                (probs, vars)
-            }
-            None => {
-                let pv: Vec<(Vec<f64>, Vec<f64>)> = self
-                    .learners
-                    .par_iter()
-                    .map(|l| l.predict_with_variance(x))
-                    .collect();
-                let mut probs = Vec::with_capacity(pv.len() * n_rows);
-                let mut vars = Vec::with_capacity(pv.len() * n_rows);
-                for (p, v) in pv {
-                    probs.extend_from_slice(&p);
-                    vars.extend_from_slice(&v);
-                }
-                (probs, vars)
-            }
-        };
-        LearnerTables {
-            model_id: self.id,
+            })
+            .collect();
+        let len = per_learner.len() * n_rows;
+        let mut probs = Vec::with_capacity(len);
+        let mut vars = Vec::with_capacity(if with_variance { len } else { 0 });
+        for (p, v) in per_learner {
+            probs.extend_from_slice(&p);
+            vars.extend_from_slice(&v);
+        }
+        Tables {
             n_rows,
             probs,
             vars,
@@ -793,32 +841,37 @@ impl IWareModel {
     }
 
     /// The per-learner tables of a feature batch (standardised like every
-    /// other query), for a model without a fused tree stack: each learner
-    /// scores the batch once. `None` for tree stacks, whose fused
-    /// per-block pipeline never materialises the tables. Combining them
-    /// with [`IWareModel::combine_tables_at_effort`] or
-    /// [`IWareModel::combine_tables_response`] gives the exact bits of
-    /// the direct entry points on the same batch.
-    pub fn learner_tables(&self, x: MatrixView<'_>) -> Option<LearnerTables> {
-        self.stack.is_none().then(|| self.learner_prob_var(x))
+    /// other query), filled on the model's serving plane: a tree stack
+    /// traverses its fused arena block by block, other learners score the
+    /// batch once each. Combining them with
+    /// [`IWareModel::combine_tables_at_effort`] or
+    /// [`IWareModel::combine_tables_response`] gives the exact bits of the
+    /// direct entry points on the same batch.
+    pub fn learner_tables(&self, x: MatrixView<'_>) -> LearnerTables {
+        LearnerTables {
+            model_id: self.id,
+            plane: self.tables(x, true),
+        }
     }
 
     /// Risk and uncertainty at one effort level from this model's learner
     /// tables: bit-identical to [`IWareModel::predict_with_variance_at_effort`]
     /// at that constant effort on the batch the tables were built from.
-    /// `None` when the tables carry another model's id.
+    /// `None` when the tables carry another model's id or were filled on
+    /// the plane this model no longer serves from.
     pub fn combine_tables_at_effort(
         &self,
         tables: &LearnerTables,
         effort: f64,
     ) -> Option<(Vec<f64>, Vec<f64>)> {
-        (tables.model_id == self.id).then(|| self.combine_at_effort(tables, effort))
+        self.owns(tables)
+            .then(|| self.combine_at_effort(&tables.plane, effort))
     }
 
     /// Response surfaces over an effort grid from this model's learner
     /// tables: bit-identical to [`IWareModel::effort_response`] on the
     /// batch the tables were built from. `None` when the tables carry
-    /// another model's id.
+    /// another model's id or were filled on another plane.
     ///
     /// # Panics
     /// Panics on an empty effort grid, like [`IWareModel::effort_response`].
@@ -828,194 +881,48 @@ impl IWareModel {
         effort_grid: &[f64],
     ) -> Option<(Matrix, Matrix)> {
         assert!(!effort_grid.is_empty(), "empty effort grid");
-        (tables.model_id == self.id).then(|| self.combine_response(tables, effort_grid))
+        self.owns(tables)
+            .then(|| self.combine_response(&tables.plane, effort_grid))
     }
 
-    /// The one constant-effort combine of learner tables: one qualified
-    /// set for every row, combined learner-major with contiguous axpy rows.
-    fn combine_at_effort(&self, tables: &LearnerTables, effort: f64) -> (Vec<f64>, Vec<f64>) {
+    /// Whether this model, on its current plane, filled `tables`.
+    fn owns(&self, tables: &LearnerTables) -> bool {
+        let plane = match tables.plane {
+            TablePlane::F64(_) => Precision::F64,
+            TablePlane::F32(_) => Precision::F32,
+        };
+        tables.model_id == self.id && plane == self.precision()
+    }
+
+    /// The one constant-effort combine: f64 tables with the fitted weights,
+    /// f32 tables with the weights narrowed.
+    fn combine_at_effort(&self, plane: &TablePlane, effort: f64) -> (Vec<f64>, Vec<f64>) {
         let q = qualified_learners(&self.thresholds, effort);
-        let n = tables.n_rows;
-        (
-            combine_rows(LearnerTable::new(&tables.probs, n, 0), &self.weights, &q, n),
-            combine_rows(LearnerTable::new(&tables.vars, n, 0), &self.weights, &q, n),
-        )
-    }
-
-    /// The one effort-grid combine of learner tables, cell-parallel over
-    /// block windows of the full tables.
-    fn combine_response(&self, tables: &LearnerTables, effort_grid: &[f64]) -> (Matrix, Matrix) {
-        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
-        let n_rows = tables.n_rows;
-        blocked_response(n_rows, effort_grid.len(), |start, len, p_flat, v_flat| {
-            combine_levels_block(
-                &self.weights,
-                prefix_lens.as_deref(),
-                &qualified_per_level,
-                LearnerTable::new(&tables.probs, n_rows, start),
-                LearnerTable::new(&tables.vars, n_rows, start),
-                len,
-                p_flat,
-                v_flat,
-            );
-        })
-    }
-
-    /// Constant-effort risk (and, `with_variance`, uncertainty; empty
-    /// otherwise) from a fused learner stack on either plane: per
-    /// [`ROW_CHUNK`]-row block, traverse → reduce → combine while the block
-    /// is cache-resident, widening each combined block at emission.
-    fn stack_at_effort<T: ArenaElement>(
-        &self,
-        (stack, weights): (&LearnerStack<T>, &[T]),
-        x: MatrixView<'_, T>,
-        effort: f64,
-        with_variance: bool,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let q = qualified_learners(&self.thresholds, effort);
-        let n_rows = x.n_rows();
-        let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-        let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
-            .into_par_iter()
-            .map(|start| {
-                let len = ROW_CHUNK.min(n_rows - start);
-                let (probs, vars) = stack.block_tables(x, start, len, with_variance);
-                let combine = |table: &[T]| {
-                    T::into_f64_vec(combine_rows(
-                        LearnerTable::new(table, len, 0),
-                        weights,
-                        &q,
-                        len,
-                    ))
-                };
-                let p = combine(&probs);
-                let v = if with_variance {
-                    combine(&vars)
-                } else {
-                    Vec::new()
-                };
-                (p, v)
-            })
-            .collect();
-        let mut p_all = Vec::with_capacity(n_rows);
-        let mut v_all = Vec::with_capacity(if with_variance { n_rows } else { 0 });
-        for (p, v) in parts {
-            p_all.extend_from_slice(&p);
-            v_all.extend_from_slice(&v);
+        match plane {
+            TablePlane::F64(t) => t.at_effort(&self.weights, &q),
+            TablePlane::F32(t) => t.at_effort(&self.weights32(), &q),
         }
-        (p_all, v_all)
     }
 
-    /// Response surfaces from a fused learner stack on either plane,
-    /// cell-parallel and fused per block: traverse → reduce → combine every
-    /// level, widening at emission.
-    fn stack_response<T: ArenaElement>(
-        &self,
-        (stack, weights): (&LearnerStack<T>, &[T]),
-        x: MatrixView<'_, T>,
-        effort_grid: &[f64],
-    ) -> (Matrix, Matrix) {
+    /// The one effort-grid combine, on the plane of the tables.
+    fn combine_response(&self, plane: &TablePlane, effort_grid: &[f64]) -> (Matrix, Matrix) {
         let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
-        blocked_response(
-            x.n_rows(),
-            effort_grid.len(),
-            |start, len, p_flat, v_flat| {
-                let (probs, vars) = stack.block_tables(x, start, len, true);
-                combine_levels_block(
-                    weights,
-                    prefix_lens.as_deref(),
-                    &qualified_per_level,
-                    LearnerTable::new(&probs, len, 0),
-                    LearnerTable::new(&vars, len, 0),
-                    len,
-                    p_flat,
-                    v_flat,
-                );
-            },
-        )
+        let prefix_lens = prefix_lens.as_deref();
+        match plane {
+            TablePlane::F64(t) => t.response(&self.weights, &qualified_per_level, prefix_lens),
+            TablePlane::F32(t) => t.response(&self.weights32(), &qualified_per_level, prefix_lens),
+        }
     }
 
-    /// The fitted stack with the f64 weights, when the learners are trees.
-    fn f64_stack(&self) -> Option<(&LearnerStack, &[f64])> {
-        self.stack.as_ref().map(|stack| (stack, &self.weights[..]))
-    }
-
-    /// The narrowed stack with its f32 weights, while one is resident.
-    fn f32_stack(&self) -> Option<(&LearnerStack<f32>, &[f32])> {
-        self.stack32
-            .as_ref()
-            .map(|(stack, weights)| (stack, &weights[..]))
-    }
-
-    /// Constant-effort probability prediction served natively from the f32
-    /// plane: the caller supplies an **already-narrowed** feature batch
-    /// (e.g. the cached f32 plane of a prepared serving artifact), so no
-    /// per-call `Matrix32::from_f64` pass runs — the narrowing cost that
-    /// made the f32 plane a net slowdown on LLC-scale risk maps is paid
-    /// once at preparation time instead. Bit-identical to
-    /// [`IWareModel::predict_proba_at_effort`] on a constant-effort batch
-    /// narrowed from the same rows. `None` unless the model is switched to
-    /// [`Precision::F32`] with a tree learner stack.
-    pub fn predict_proba_at_effort32(
-        &self,
-        x32: MatrixView32<'_>,
-        effort: f64,
-    ) -> Option<Vec<f64>> {
-        Some(
-            self.stack_at_effort(self.f32_stack()?, x32, effort, false)
-                .0,
-        )
-    }
-
-    /// Constant-effort probability + uncertainty served natively from the
-    /// f32 plane (see [`IWareModel::predict_proba_at_effort32`] for the
-    /// contract): the fused traverse→reduce→combine pipeline runs per
-    /// 256-row block on the pre-narrowed batch, widening only the emitted
-    /// surfaces. `None` unless a narrowed learner stack is resident.
-    pub fn predict_with_variance_at_effort32(
-        &self,
-        x32: MatrixView32<'_>,
-        effort: f64,
-    ) -> Option<(Vec<f64>, Vec<f64>)> {
-        Some(self.stack_at_effort(self.f32_stack()?, x32, effort, true))
+    /// The classifier weights narrowed to the f32 plane.
+    fn weights32(&self) -> Vec<f32> {
+        self.weights.iter().map(|&w| w as f32).collect()
     }
 
     /// Predict the probability of detected poaching for each row, given the
     /// patrol effort that will be (or was) spent in the corresponding cell.
     pub fn predict_proba_at_effort(&self, x: MatrixView<'_>, efforts: &[f64]) -> Vec<f64> {
-        assert_eq!(x.n_rows(), efforts.len(), "rows/efforts length mismatch");
-        if x.n_rows() == 0 {
-            return Vec::new();
-        }
-        let constant = efforts.windows(2).all(|w| w[0] == w[1]);
-        // Constant-effort batches on the f32 plane (the risk-map shape):
-        // narrow the batch once, then run the fused per-block pipeline in
-        // f32 end-to-end.
-        if let (true, Some(stack32)) = (constant, self.f32_stack()) {
-            let x32 = Matrix32::from_f64(x);
-            return self
-                .stack_at_effort(stack32, x32.view(), efforts[0], false)
-                .0;
-        }
-        let per_learner = self.learner_probabilities(x);
-        // A constant effort (the risk-map path) means one qualified set for
-        // every row: combine learner-major with contiguous axpy rows.
-        if constant {
-            let q = qualified_learners(&self.thresholds, efforts[0]);
-            return combine_rows(
-                LearnerTable::new(per_learner.as_slice(), x.n_rows(), 0),
-                &self.weights,
-                &q,
-                x.n_rows(),
-            );
-        }
-        let table = LearnerTable::new(per_learner.as_slice(), x.n_rows(), 0);
-        (0..x.n_rows())
-            .map(|r| {
-                let q = qualified_learners(&self.thresholds, efforts[r]);
-                combine_table_indexed(&table, &self.weights, &q, r)
-            })
-            .collect()
+        self.predict_at_effort(x, efforts, false).0
     }
 
     /// Predict probability and uncertainty (variance) for each row at the
@@ -1025,35 +932,39 @@ impl IWareModel {
         x: MatrixView<'_>,
         efforts: &[f64],
     ) -> (Vec<f64>, Vec<f64>) {
+        self.predict_at_effort(x, efforts, true)
+    }
+
+    /// Both per-row entry points. A constant effort (the risk-map shape)
+    /// means one qualified set for every row: fill the serving plane's
+    /// tables and combine them as a prepared park's tables would be.
+    /// Varying efforts keep the f64 plane and combine each row's qualified
+    /// set. Without `with_variance` the uncertainty is empty.
+    fn predict_at_effort(
+        &self,
+        x: MatrixView<'_>,
+        efforts: &[f64],
+        with_variance: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
         assert_eq!(x.n_rows(), efforts.len(), "rows/efforts length mismatch");
         if x.n_rows() == 0 {
             return (Vec::new(), Vec::new());
         }
-        let n_rows = x.n_rows();
-        // A constant effort (the risk-map path) means one qualified set for
-        // every row; tree stacks run the fused per-block pipeline, other
-        // learners combine their full tables learner-major.
         if efforts.windows(2).all(|w| w[0] == w[1]) {
-            if let Some(stack32) = self.f32_stack() {
-                // The f32 plane's fused pipeline; narrow once, then run it
-                // end-to-end.
-                let x32 = Matrix32::from_f64(x);
-                return self.stack_at_effort(stack32, x32.view(), efforts[0], true);
-            }
-            return match self.f64_stack() {
-                Some(stack) => self.stack_at_effort(stack, x, efforts[0], true),
-                None => self.combine_at_effort(&self.learner_prob_var(x), efforts[0]),
-            };
+            return self.combine_at_effort(&self.tables(x, with_variance), efforts[0]);
         }
-        let tables = self.learner_prob_var(x);
+        let n_rows = x.n_rows();
+        let tables = self.f64_tables(x, with_variance);
         let p_table = LearnerTable::new(&tables.probs, n_rows, 0);
         let v_table = LearnerTable::new(&tables.vars, n_rows, 0);
         let mut probs = Vec::with_capacity(n_rows);
-        let mut vars = Vec::with_capacity(n_rows);
+        let mut vars = Vec::with_capacity(if with_variance { n_rows } else { 0 });
         for (r, &effort) in efforts.iter().enumerate() {
             let q = qualified_learners(&self.thresholds, effort);
             probs.push(combine_table_indexed(&p_table, &self.weights, &q, r));
-            vars.push(combine_table_indexed(&v_table, &self.weights, &q, r));
+            if with_variance {
+                vars.push(combine_table_indexed(&v_table, &self.weights, &q, r));
+            }
         }
         (probs, vars)
     }
@@ -1063,50 +974,14 @@ impl IWareModel {
     /// `n_rows × n_levels` matrices — the g_v(c) and ν_v(c) response
     /// functions the patrol planner consumes (Sec. VI).
     ///
-    /// Rows are evaluated cell-parallel in 256-row blocks. Tree-backed
-    /// stacks run the whole pipeline **fused per block** — batch-traverse
-    /// the arena for the block, reduce the member rows per learner, combine
-    /// the levels — while every intermediate is still cache-resident,
-    /// instead of materialising the full `n_trees × n_rows` table first.
-    /// Other learner bases build the batch's [`LearnerTables`] and run
-    /// [`IWareModel::combine_tables_response`]'s combine. Reductions and
-    /// combines use the lane kernels with the exact per-element operation
-    /// order of the reference path, so the f64 surface is bit-identical to
-    /// per-row evaluation.
+    /// The batch's [`LearnerTables`] are filled on the serving plane, then
+    /// [`IWareModel::combine_tables_response`]'s combine runs cell-parallel
+    /// in 256-row blocks. Reductions and combines use the lane kernels with
+    /// the exact per-element operation order of the reference path, so the
+    /// f64 surface is bit-identical to per-row evaluation.
     pub fn effort_response(&self, x: MatrixView<'_>, effort_grid: &[f64]) -> (Matrix, Matrix) {
         assert!(!effort_grid.is_empty(), "empty effort grid");
-        if x.n_rows() == 0 {
-            let empty = || Matrix::from_flat(Vec::new(), effort_grid.len());
-            return (empty(), empty());
-        }
-        // The f32 plane narrows the feature batch once and serves the
-        // whole surface from the narrowed stack.
-        if let Some(stack32) = self.f32_stack() {
-            let x32 = Matrix32::from_f64(x);
-            return self.stack_response(stack32, x32.view(), effort_grid);
-        }
-        match self.f64_stack() {
-            Some(stack) => self.stack_response(stack, x, effort_grid),
-            None => self.combine_response(&self.learner_prob_var(x), effort_grid),
-        }
-    }
-
-    /// [`IWareModel::effort_response`] served natively from the f32 plane:
-    /// the caller supplies an already-narrowed feature batch (e.g. the
-    /// cached f32 plane of a prepared serving artifact), and the fused
-    /// traverse→reduce→combine
-    /// pipeline runs per block on `f32x8` kernels, widening only the
-    /// emitted surface. Returns `None` unless the model is switched to
-    /// [`Precision::F32`] with a tree learner stack — callers fall back to
-    /// the f64 [`IWareModel::effort_response`] then.
-    pub fn effort_response32(
-        &self,
-        x32: MatrixView32<'_>,
-        effort_grid: &[f64],
-    ) -> Option<(Matrix, Matrix)> {
-        let stack32 = self.f32_stack()?;
-        assert!(!effort_grid.is_empty(), "empty effort grid");
-        Some(self.stack_response(stack32, x32, effort_grid))
+        self.combine_response(&self.tables(x, true), effort_grid)
     }
 
     /// [`IWareModel::effort_response`] with the adversarial-input guard:
@@ -1250,9 +1125,9 @@ impl IWareModel {
 
 /// A borrowed `n_learners × width` prediction table: learner `l`'s block
 /// row is `data[l·stride + offset ..][..len]`. Lets the combine kernels
-/// run unchanged over a fused per-block table (`stride = len`) or a block
-/// window of full-batch learner matrices (`stride = n_rows`). Generic over
-/// the scalar so the f64 and f32 planes share the layout logic.
+/// run unchanged over whole learner tables (`offset = 0`) or a block
+/// window of them (`stride = n_rows`). Generic over the scalar so the f64
+/// and f32 planes share the layout logic.
 #[derive(Clone, Copy)]
 struct LearnerTable<'a, T> {
     data: &'a [T],
@@ -1419,6 +1294,64 @@ fn combine_levels_block<T: Element>(
             }
         }
     }
+}
+
+/// Learner-major `n_learners × n_rows` tables filled in parallel
+/// [`ROW_CHUNK`]-row blocks: `block(start, len)` returns one block's
+/// learner-major `(probs, vars)` (`vars` empty without `with_variance`),
+/// copied into that block's window of every learner row. Only per-block
+/// buffers exist beside the tables.
+fn fill_blocks<T: Element>(
+    n_learners: usize,
+    n_rows: usize,
+    with_variance: bool,
+    block: impl Fn(usize, usize) -> (Vec<T>, Vec<T>) + Sync,
+) -> Tables<T> {
+    let mut probs = vec![T::ZERO; n_learners * n_rows];
+    let mut vars = vec![
+        T::ZERO;
+        if with_variance {
+            n_learners * n_rows
+        } else {
+            0
+        }
+    ];
+    let windows: Vec<_> = block_windows(&mut probs, n_rows)
+        .into_iter()
+        .zip(block_windows(&mut vars, n_rows))
+        .enumerate()
+        .collect();
+    windows.into_par_iter().for_each(|(b, (p_rows, v_rows))| {
+        let start = b * ROW_CHUNK;
+        let len = ROW_CHUNK.min(n_rows - start);
+        let (p, v) = block(start, len);
+        for (window, row) in p_rows.into_iter().zip(p.chunks_exact(len)) {
+            window.copy_from_slice(row);
+        }
+        for (window, row) in v_rows.into_iter().zip(v.chunks_exact(len)) {
+            window.copy_from_slice(row);
+        }
+    });
+    Tables {
+        n_rows,
+        probs,
+        vars,
+    }
+}
+
+/// Split a learner-major table of `n_rows`-wide learner rows into per-block
+/// windows: entry `b` holds block `b`'s [`ROW_CHUNK`]-wide slice of every
+/// learner row (none when the table is empty).
+fn block_windows<T>(table: &mut [T], n_rows: usize) -> Vec<Vec<&mut [T]>> {
+    let mut blocks: Vec<Vec<&mut [T]>> = (0..n_rows.div_ceil(ROW_CHUNK))
+        .map(|_| Vec::new())
+        .collect();
+    for row in table.chunks_mut(n_rows.max(1)) {
+        for (block, window) in blocks.iter_mut().zip(row.chunks_mut(ROW_CHUNK)) {
+            block.push(window);
+        }
+    }
+    blocks
 }
 
 /// Evaluate a flat `n_rows × n_levels` response surface cell-parallel in
@@ -1938,39 +1871,63 @@ mod tests {
 
     #[test]
     fn learner_tables_serve_the_direct_bits_to_their_own_model_only() {
-        // Kept GP tables combine to the direct entry points' bits at any
-        // level and over sorted or unsorted grids. A second fit of the same
-        // config predicts the same bits but is another model: its
-        // combiners refuse the tables. Tree stacks build none.
+        // Kept tables combine to the direct entry points' bits at any level
+        // and over sorted or unsorted grids: GP learners, a tree stack on
+        // either plane, and an empty batch. A second fit of the same config
+        // predicts the same bits but is another model: its combiners refuse
+        // the tables. So does the model itself once it serves from the
+        // other plane.
         let (rows, labels, efforts, _) = noisy_poaching_data(250, 12);
-        let cfg = IWareConfig {
+        let gp = IWareConfig {
             base: BaggingConfig::gps(3, 5),
             ..quick_config(4)
         };
-        let model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
-        let twin = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
-        let q = rows.view().head(40);
-        let tables = model.learner_tables(q).expect("GP stacks build tables");
-        for level in [0.0, 0.7, 2.5, 10.0] {
-            let direct = model.predict_with_variance_at_effort(q, &[level; 40]);
-            assert_eq!(
-                twin.predict_with_variance_at_effort(q, &[level; 40]),
-                direct
-            );
-            assert_eq!(model.combine_tables_at_effort(&tables, level), Some(direct));
-            assert_eq!(twin.combine_tables_at_effort(&tables, level), None);
+        let cases = [
+            (gp, Precision::F64),
+            (quick_config(4), Precision::F64),
+            (quick_config(4), Precision::F32),
+        ];
+        for (cfg, precision) in cases {
+            for n in [40, 0] {
+                let case = format!("{} {precision:?} {n} rows", cfg.base.base.short_name());
+                let mut model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+                let mut twin = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+                model.set_precision(precision).unwrap();
+                twin.set_precision(precision).unwrap();
+                let q = rows.view().head(n);
+                let tables = model.learner_tables(q);
+                for level in [0.0, 0.7, 2.5, 10.0] {
+                    let direct = model.predict_with_variance_at_effort(q, &vec![level; n]);
+                    assert_eq!(
+                        twin.predict_with_variance_at_effort(q, &vec![level; n]),
+                        direct,
+                        "{case}"
+                    );
+                    let combined = model.combine_tables_at_effort(&tables, level);
+                    assert_eq!(combined, Some(direct), "{case} @{level}");
+                    assert_eq!(twin.combine_tables_at_effort(&tables, level), None);
+                }
+                for grid in [[0.0, 0.5, 1.0, 2.0], [2.0, 0.0, 1.0, 0.5]] {
+                    let (p, v) = model.effort_response(q, &grid);
+                    let (pt, vt) = model
+                        .combine_tables_response(&tables, &grid)
+                        .expect("the model's own tables");
+                    assert_eq!(pt.as_slice(), p.as_slice(), "{case} {grid:?}");
+                    assert_eq!(vt.as_slice(), v.as_slice(), "{case} {grid:?}");
+                    assert!(twin.combine_tables_response(&tables, &grid).is_none());
+                }
+                let other = match precision {
+                    Precision::F64 => Precision::F32,
+                    Precision::F32 => Precision::F64,
+                };
+                model.set_precision(other).unwrap();
+                assert_eq!(
+                    model.combine_tables_at_effort(&tables, 1.0).is_some(),
+                    model.precision() == precision,
+                    "{case}: tables serve only the plane that filled them"
+                );
+            }
         }
-        for grid in [[0.0, 0.5, 1.0, 2.0], [2.0, 0.0, 1.0, 0.5]] {
-            let (p, v) = model.effort_response(q, &grid);
-            let (pt, vt) = model
-                .combine_tables_response(&tables, &grid)
-                .expect("the model's own tables");
-            assert_eq!(pt.as_slice(), p.as_slice());
-            assert_eq!(vt.as_slice(), v.as_slice());
-            assert!(twin.combine_tables_response(&tables, &grid).is_none());
-        }
-        let trees = IWareModel::fit(&quick_config(4), rows.view(), &labels, &efforts);
-        assert!(trees.learner_tables(q).is_none());
     }
 
     #[test]
@@ -2060,66 +2017,15 @@ mod tests {
         assert!(max_abs(&rv64, &rv32) <= 1e-5);
         assert!(max_abs(&pp64, &pp32) <= 1e-5);
 
-        // The f32-native entry point serves the same surface from a
-        // pre-narrowed batch (the fused scaler path hands it one), and is
-        // simply absent while the model is on the f64 plane.
-        let q32 = Matrix32::from_f64(q);
-        let (p32n, v32n) = model
-            .effort_response32(q32.view(), &grid)
-            .expect("f32 plane active");
-        assert_eq!(p32n.as_slice(), p32.as_slice());
-        assert_eq!(v32n.as_slice(), v32.as_slice());
-
         // Switching back restores the bit-exact f64 plane.
         model.set_precision(Precision::F64).unwrap();
         assert!(model.arena32_stats().is_none());
-        assert!(model.effort_response32(q32.view(), &grid).is_none());
         let (p_back, _) = model.effort_response(q, &grid);
         assert_eq!(p_back.as_slice(), p64.as_slice());
         // Narrowing again rebuilds the same f32 plane.
         model.set_precision(Precision::F32).unwrap();
         let (p32_again, _) = model.effort_response(q, &grid);
         assert_eq!(p32_again.as_slice(), p32.as_slice());
-    }
-
-    #[test]
-    fn pre_narrowed_constant_effort_entry_points_match_the_narrowing_path() {
-        let (rows, labels, efforts, _) = noisy_poaching_data(400, 19);
-        let mut model = IWareModel::fit(&quick_config(5), rows.view(), &labels, &efforts);
-        let q = rows.view().head(300);
-        let q32 = Matrix32::from_f64(q);
-        // Absent on the f64 plane — callers fall back to the wide path.
-        assert!(model.predict_proba_at_effort32(q32.view(), 1.0).is_none());
-        assert!(model
-            .predict_with_variance_at_effort32(q32.view(), 1.0)
-            .is_none());
-
-        model.set_precision(Precision::F32).unwrap();
-        for effort in [0.0, 0.5, 1.0, 3.5] {
-            let level = vec![effort; 300];
-            let pp = model.predict_proba_at_effort(q, &level);
-            let (vp, vv) = model.predict_with_variance_at_effort(q, &level);
-            let pp32 = model
-                .predict_proba_at_effort32(q32.view(), effort)
-                .expect("f32 plane active");
-            let (vp32, vv32) = model
-                .predict_with_variance_at_effort32(q32.view(), effort)
-                .expect("f32 plane active");
-            assert_eq!(pp32, pp, "probs at effort {effort}");
-            assert_eq!(vp32, vp, "variance-path probs at effort {effort}");
-            assert_eq!(vv32, vv, "vars at effort {effort}");
-        }
-
-        // Empty batches are served, not rejected.
-        let empty = Matrix32::zeros(0, q32.n_cols());
-        assert_eq!(
-            model.predict_proba_at_effort32(empty.view(), 1.0),
-            Some(Vec::new())
-        );
-        let (ep, ev) = model
-            .predict_with_variance_at_effort32(empty.view(), 1.0)
-            .unwrap();
-        assert!(ep.is_empty() && ev.is_empty());
     }
 
     #[test]
@@ -2154,9 +2060,6 @@ mod tests {
         model.set_precision(Precision::F32).unwrap();
         assert_eq!(model.precision(), Precision::F64);
         assert!(model.arena32_stats().is_none());
-        assert!(model
-            .predict_with_variance_at_effort32(Matrix32::from_f64(q).view(), 1.0)
-            .is_none());
         let (p, v) = model.effort_response(q, &grid);
         assert_eq!(p.as_slice(), p64.as_slice());
         assert_eq!(v.as_slice(), v64.as_slice());

@@ -33,7 +33,7 @@ use crate::precision::Precision;
 use crate::svm::{LinearSvm, SvmConfig};
 use crate::traits::{validate_training_data, Classifier, UncertainClassifier};
 use crate::tree::{DecisionTree, Ranking, TreeConfig};
-use paws_data::matrix::{Matrix, Matrix32, MatrixView, MatrixView32};
+use paws_data::matrix::{Matrix, Matrix32, MatrixView};
 use paws_data::simd::{self, Element};
 use rand::Rng;
 use rand::SeedableRng;
@@ -387,27 +387,6 @@ impl BaggingClassifier {
     /// In-bag counts, `counts[member][sample]`.
     pub fn in_bag_counts(&self) -> &[Vec<u32>] {
         &self.in_bag_counts
-    }
-
-    /// [`Classifier::predict_proba`] served natively from the f32 plane:
-    /// the caller supplies an **already-narrowed** batch (e.g. a cached
-    /// serving-artifact plane), so no per-call `Matrix32::from_f64` pass
-    /// runs. Bit-identical to the f64 entry point on a batch narrowed from
-    /// the same rows. `None` unless the ensemble is tree-based and switched
-    /// to [`Precision::F32`] — callers fall back to the f64 path then.
-    pub fn predict_proba32(&self, x32: MatrixView32<'_>) -> Option<Vec<f64>> {
-        let forest32 = self.forest32.as_ref()?;
-        Some(arena_mean(forest32, x32))
-    }
-
-    /// [`UncertainClassifier::predict_with_variance`] served natively from
-    /// the f32 plane (see [`BaggingClassifier::predict_proba32`] for the
-    /// contract): one batch traversal of the narrowed arena, member mean
-    /// and spread reduced with the `f32x8` kernels, widened at the
-    /// boundary. `None` unless a narrowed arena is resident.
-    pub fn predict_with_variance32(&self, x32: MatrixView32<'_>) -> Option<(Vec<f64>, Vec<f64>)> {
-        let forest32 = self.forest32.as_ref()?;
-        Some(arena_mean_and_spread(forest32, x32))
     }
 
     /// Per-member predictions as a flat `n_members × n_rows` matrix (row
@@ -795,35 +774,6 @@ mod tests {
         model.set_precision(Precision::F64).unwrap();
         assert!(model.forest32().is_none());
         assert_eq!(model.predict_proba(q), p64);
-    }
-
-    #[test]
-    fn pre_narrowed_entry_points_match_the_narrowing_path_bit_for_bit() {
-        // The serving-artifact path narrows the batch once at prepare time
-        // and calls predict_*32 directly; it must reproduce the per-call
-        // narrowing path exactly (same narrowed values, same kernels).
-        let (rows, labels) = imbalanced_data(250, 0.3, 24);
-        let mut model = BaggingClassifier::fit(&BaggingConfig::trees(7, 3), rows.view(), &labels);
-        let q = rows.view().head(50);
-        assert!(model
-            .predict_proba32(Matrix32::from_f64(q).view())
-            .is_none());
-        model.set_precision(Precision::F32).unwrap();
-        let q32 = Matrix32::from_f64(q);
-        let p_ref = model.predict_proba(q);
-        let (pv_ref, v_ref) = model.predict_with_variance(q);
-        let p = model
-            .predict_proba32(q32.view())
-            .expect("f32 plane resident");
-        let (pv, v) = model
-            .predict_with_variance32(q32.view())
-            .expect("f32 plane resident");
-        assert_eq!(p, p_ref);
-        assert_eq!(pv, pv_ref);
-        assert_eq!(v, v_ref);
-        // Empty batches answer empty, not panic.
-        let empty = Matrix32::zeros(0, rows.n_cols());
-        assert_eq!(model.predict_proba32(empty.view()), Some(Vec::new()));
     }
 
     #[test]

@@ -9,18 +9,19 @@
 //! fit/serve split ([`paws_core::serving`]):
 //!
 //! * [`ModelRegistry`] — resident parks as atomic-swappable
-//!   `Arc<ResidentPark>` bundles (serving model, prepared feature planes
-//!   and park geometry). Hot-swapping a model from a live fit or a stack
+//!   `Arc<ResidentPark>` bundles (serving model, prepared park and park
+//!   geometry). Hot-swapping a model from a live fit or a stack
 //!   snapshot never tears an in-flight query. Parks installed via
 //!   [`ModelRegistry::install_streaming`] also keep their dataset and a
 //!   [`paws_core::StreamingFit`] warm-refit driver resident, so
 //!   [`ModelRegistry::ingest_batch`] can fold a fresh patrol-log batch
 //!   into the dataset, refit incrementally, and hot-swap mid-traffic.
 //! * [`PawsServer`] — batched admission: group by park, snapshot each
-//!   bundle once, coalesce same-park risk-map levels into one pass of the
-//!   256-row block kernels, share identical response grids, fan park
-//!   groups across the work-stealing pool, and answer every request with
-//!   a typed result honouring its [`paws_solver::SolveBudget`] deadline.
+//!   bundle once, fan park groups across the work-stealing pool, and
+//!   answer every request by the direct prepared-park call, with a typed
+//!   result honouring its [`paws_solver::SolveBudget`] deadline. A park's
+//!   first query fills its learner tables; every later one only combines
+//!   them.
 //!
 //! ```no_run
 //! use paws_core::{Scenario, ModelConfig, WeakLearnerKind};

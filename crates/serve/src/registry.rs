@@ -2,13 +2,13 @@
 //! immutable artifacts.
 //!
 //! Each resident park is one [`ResidentPark`] bundle — serving model,
-//! prepared feature planes and park geometry, built together so they can
-//! never be observed torn — published behind an `Arc`. Readers snapshot the
-//! `Arc` under a short read lock and then serve entirely lock-free;
+//! prepared park and park geometry, built together so they can never be
+//! observed torn — published behind an `Arc`. Readers snapshot the `Arc`
+//! under a short read lock and then serve entirely lock-free;
 //! [`ModelRegistry::swap_model`] builds the replacement bundle *outside*
-//! the lock (standardise + narrow against the incoming scaler) and only
-//! then swaps the map entry, so in-flight queries finish on the artifact
-//! they snapshotted while new queries see the new one.
+//! the lock (standardised against the incoming scaler, with empty learner
+//! tables) and only then swaps the map entry, so in-flight queries finish
+//! on the artifact they snapshotted while new queries see the new one.
 
 use crate::request::ServeError;
 use paws_core::{BatchReport, ModelConfig, PreparedPark, ServingModel, StreamConfig, StreamingFit};
@@ -22,12 +22,13 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 pub struct ResidentPark {
     /// The immutable serving artifact.
     pub model: ServingModel,
-    /// The park's feature stack, standardised + narrowed once against
-    /// `model`'s scaler.
+    /// The park's feature stack, standardised once against `model`'s
+    /// scaler. It keeps `model`'s learner tables from the park's first
+    /// iWare query on, so every later query only combines them.
     pub prepared: PreparedPark,
     /// Park geometry (adjacency, patrol posts) for plan queries.
     pub park: Park,
-    /// The raw (unscaled) feature stack the planes were prepared from;
+    /// The raw (unscaled) feature stack the park was prepared from;
     /// kept so a model swap can re-prepare without re-touching the
     /// dataset.
     raw_rows: Matrix,
@@ -75,9 +76,8 @@ impl ModelRegistry {
     }
 
     /// Install (or replace) a resident park: assemble its feature stack
-    /// from the dataset at the given previous coverage, prepare both
-    /// precision planes against the model's scaler, and publish the
-    /// bundle.
+    /// from the dataset at the given previous coverage, prepare it against
+    /// the model's scaler, and publish the bundle.
     pub fn install(
         &self,
         name: impl Into<String>,
@@ -112,8 +112,8 @@ impl ModelRegistry {
     }
 
     /// Hot-swap a park's serving artifact. The replacement bundle —
-    /// including freshly prepared feature planes against the incoming
-    /// model's scaler — is built before the registry lock is taken, so
+    /// including a park freshly prepared against the incoming model's
+    /// scaler — is built before the registry lock is taken, so
     /// readers only ever observe the old bundle or the complete new one.
     ///
     /// # Errors

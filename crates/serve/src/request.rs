@@ -17,14 +17,12 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub enum QueryKind {
     /// Risk + uncertainty for every park cell at one prospective effort
-    /// level. Same-park risk-map requests in a batch are coalesced into a
-    /// single response-surface evaluation over their sorted union grid.
+    /// level.
     RiskMap {
         /// Prospective patrol effort (km) applied to every cell.
         effort_km: f64,
     },
     /// Full `cells × effort-levels` response surfaces g_v(c), ν_v(c).
-    /// Identical grids within a batch are computed once and shared.
     ParkResponse {
         /// Prospective effort levels, one response column each.
         effort_grid: Vec<f64>,

@@ -7,12 +7,11 @@
 //!    [`crate::registry::ResidentPark`] bundle exactly once — a hot swap
 //!    landing mid-batch never mixes artifacts within a group;
 //! 2. park groups fan out across the work-stealing pool, and inside a
-//!    group same-park work is **coalesced**: every risk-map request joins
-//!    one response-surface evaluation over the sorted union of requested
-//!    effort levels (one pass of the 256-row block kernels instead of one
-//!    per request — bit-identical, because a level's qualified learner set
-//!    depends only on the level, not on its neighbours in the grid), and
-//!    identical park-response / plan grids are computed once and shared;
+//!    group each request gets the direct call a caller holding the bundle
+//!    would make: `try_risk_map_prepared`, `try_park_response_prepared`, or
+//!    `try_planning_problem_prepared` then `try_plan`. A park's first
+//!    iWare query fills its learner tables, so every later risk map,
+//!    response surface and planning problem on it only combines them;
 //! 3. each answer is a typed [`QueryResponse`] / [`ServeError`] — the
 //!    admission layer never panics on caller input — and a request whose
 //!    [`paws_solver::SolveBudget`] wall-clock deadline lapses before its
@@ -22,8 +21,6 @@
 
 use crate::registry::{ModelRegistry, ResidentPark};
 use crate::request::{QueryKind, QueryRequest, QueryResponse, ServeError};
-use paws_core::try_planning_problem_from_response;
-use paws_data::Matrix;
 use paws_plan::{try_plan, PlannerConfig};
 use paws_solver::SolveBudget;
 use rayon::prelude::*;
@@ -118,35 +115,7 @@ impl PawsServer {
                 .collect();
         };
 
-        // ---- Coalesce the group's risk-map levels into one union grid.
-        // A level's qualified learner set depends only on the level, so one
-        // response-surface pass over the sorted distinct levels yields each
-        // request's risk map as a column, bit-identical to a direct call.
-        let mut union_grid: Vec<f64> = group
-            .requests
-            .iter()
-            .filter_map(|(_, req)| match req.kind {
-                QueryKind::RiskMap { effort_km } if effort_km.is_finite() && effort_km >= 0.0 => {
-                    Some(effort_km)
-                }
-                _ => None,
-            })
-            .collect();
-        union_grid.sort_by(f64::total_cmp);
-        union_grid.dedup_by(|a, b| a == b);
-        let union_maps: Option<(Matrix, Matrix)> = if union_grid.len() > 1 {
-            resident
-                .model
-                .try_park_response_prepared(&resident.prepared, &union_grid)
-                .ok()
-        } else {
-            None
-        };
-
-        // ---- Share identical effort grids across response/plan requests.
-        let mut response_cache: HashMap<Vec<u64>, Result<(Matrix, Matrix), ServeError>> =
-            HashMap::new();
-
+        let (model, prepared) = (&resident.model, &resident.prepared);
         group
             .requests
             .iter()
@@ -160,94 +129,46 @@ impl PawsServer {
                     );
                 }
                 let answer = match &req.kind {
-                    QueryKind::RiskMap { effort_km } => {
-                        self.serve_risk_map(&resident, *effort_km, &union_grid, union_maps.as_ref())
-                    }
-                    QueryKind::ParkResponse { effort_grid } => {
-                        cached_response(&resident, effort_grid, &mut response_cache)
-                            .map(|(probs, vars)| QueryResponse::ParkResponse { probs, vars })
-                    }
+                    QueryKind::RiskMap { effort_km } => model
+                        .try_risk_map_prepared(prepared, *effort_km)
+                        .map(|(risk, uncertainty)| QueryResponse::RiskMap { risk, uncertainty })
+                        .map_err(ServeError::from),
+                    QueryKind::ParkResponse { effort_grid } => model
+                        .try_park_response_prepared(prepared, effort_grid)
+                        .map(|(probs, vars)| QueryResponse::ParkResponse { probs, vars })
+                        .map_err(ServeError::from),
                     QueryKind::PatrolPlan {
                         post,
                         effort_grid,
                         patrol_length_km,
                         n_patrols,
                         beta,
-                    } => {
-                        let (probs, vars) =
-                            match cached_response(&resident, effort_grid, &mut response_cache) {
-                                Ok(maps) => maps,
-                                Err(e) => return (idx, Err(e)),
-                            };
-                        let problem = match try_planning_problem_from_response(
+                    } => model
+                        .try_planning_problem_prepared(
                             &resident.park,
+                            prepared,
                             *post,
                             effort_grid,
-                            &probs,
-                            &vars,
                             *patrol_length_km,
                             *n_patrols,
                             *beta,
-                        ) {
-                            Ok(p) => p,
-                            Err(e) => return (idx, Err(ServeError::Model(e))),
-                        };
-                        // The solve gets whatever wall clock the request
-                        // has left; a lapsed budget degrades the plan
-                        // rather than hanging the batch.
-                        let mut config = self.planner.clone();
-                        config.milp.budget = remaining_budget(&req.budget, admitted);
-                        try_plan(&problem, &config)
-                            .map(QueryResponse::PatrolPlan)
-                            .map_err(|e| ServeError::Model(e.into()))
-                    }
+                        )
+                        .map_err(ServeError::from)
+                        .and_then(|problem| {
+                            // The solve gets whatever wall clock the
+                            // request has left; a lapsed budget degrades
+                            // the plan rather than hanging the batch.
+                            let mut config = self.planner.clone();
+                            config.milp.budget = remaining_budget(&req.budget, admitted);
+                            try_plan(&problem, &config)
+                                .map(QueryResponse::PatrolPlan)
+                                .map_err(|e| ServeError::Model(e.into()))
+                        }),
                 };
                 (idx, answer)
             })
             .collect()
     }
-
-    /// Answer one risk-map request, preferring the group's coalesced
-    /// surface; single-level groups (and any level the coalesced pass
-    /// could not serve) fall back to the direct prepared path.
-    fn serve_risk_map(
-        &self,
-        resident: &ResidentPark,
-        effort_km: f64,
-        union_grid: &[f64],
-        union_maps: Option<&(Matrix, Matrix)>,
-    ) -> Result<QueryResponse, ServeError> {
-        if let Some((probs, vars)) = union_maps {
-            if let Some(level) = union_grid.iter().position(|&g| g == effort_km) {
-                let risk: Vec<f64> = probs.rows().map(|r| r[level]).collect();
-                let uncertainty: Vec<f64> = vars.rows().map(|r| r[level]).collect();
-                return Ok(QueryResponse::RiskMap { risk, uncertainty });
-            }
-        }
-        resident
-            .model
-            .try_risk_map_prepared(&resident.prepared, effort_km)
-            .map(|(risk, uncertainty)| QueryResponse::RiskMap { risk, uncertainty })
-            .map_err(ServeError::from)
-    }
-}
-
-/// Compute (or reuse) the response surface for an exact effort grid.
-fn cached_response(
-    resident: &ResidentPark,
-    effort_grid: &[f64],
-    cache: &mut HashMap<Vec<u64>, Result<(Matrix, Matrix), ServeError>>,
-) -> Result<(Matrix, Matrix), ServeError> {
-    let key: Vec<u64> = effort_grid.iter().map(|e| e.to_bits()).collect();
-    cache
-        .entry(key)
-        .or_insert_with(|| {
-            resident
-                .model
-                .try_park_response_prepared(&resident.prepared, effort_grid)
-                .map_err(ServeError::from)
-        })
-        .clone()
 }
 
 /// True when the request's wall-clock budget lapsed before its query ran.
@@ -445,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn identical_grids_are_computed_once_and_shared() {
+    fn identical_grids_get_bit_identical_answers() {
         let (server, _) = server_with_park();
         let grid = vec![0.0, 0.5, 1.0];
         let answers = server.submit(&[

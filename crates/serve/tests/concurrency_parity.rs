@@ -1,8 +1,8 @@
 //! Concurrency parity: N threads issuing interleaved queries for several
 //! resident parks through the batched admission layer must get answers
 //! **bit-identical** to direct single-caller `try_*` calls on the same
-//! artifacts — coalescing, caching and the work-stealing fan-out change
-//! wall-clock, never bits.
+//! artifacts — the racing learner-table fill, the cached tables and the
+//! work-stealing fan-out change wall-clock, never bits.
 
 use paws_core::{ModelConfig, Scenario, ServingModel, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization, Matrix};

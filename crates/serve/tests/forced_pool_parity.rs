@@ -1,12 +1,12 @@
 //! Forced worker-count parity: with the pool forced to 2, 4 or 8 workers,
 //! every parallel surface — the ensemble fit, prepared risk maps and
-//! response surfaces (including the spatial-shard fan-out on LLC-scale
-//! stacks), and the batched serving layer — must produce answers
-//! **bit-identical** to the 1-thread run. Worker count changes wall-clock,
-//! never bits: every fan-out is an ordered indexed collect over
-//! per-item-deterministic work.
+//! response surfaces (including the block-parallel learner-table fill on
+//! an LLC-scale stack), and the batched serving layer — must produce
+//! answers **bit-identical** to the 1-thread run. Worker count changes
+//! wall-clock, never bits: every fan-out is an ordered indexed collect or
+//! a disjoint write over per-item-deterministic work.
 
-use paws_core::{ModelConfig, Scenario, ServingModel, WeakLearnerKind};
+use paws_core::{ModelConfig, PreparedPark, Scenario, ServingModel, WeakLearnerKind};
 use paws_data::{
     build_dataset, split_by_test_year, Dataset, Discretization, Matrix, TrainTestSplit,
 };
@@ -32,9 +32,9 @@ fn config(seed: u64, use_iware: bool) -> ModelConfig {
     config
 }
 
-/// A deterministic LLC-scale raw feature stack, wide enough to tile into
-/// several spatial shards once prepared (25k rows × model width ≳ 1 MiB
-/// per plane).
+/// A deterministic LLC-scale raw feature stack: 25k rows, about a hundred
+/// 256-row blocks for the table fill, and wide enough to tile into several
+/// spatial shards once prepared (25k rows × model width ≳ 1 MiB).
 fn big_raw_stack(n_rows: usize, n_features: usize) -> Matrix {
     let mut flat = Vec::with_capacity(n_rows * n_features);
     for i in 0..n_rows {
@@ -75,43 +75,55 @@ fn parallel_fit_is_bit_identical_to_the_one_thread_fit() {
     }
 }
 
-/// Prepared park queries — including the multi-shard fan-out on an
-/// LLC-scale stack — serve the same bits at every forced worker count.
+/// The learner-table fill of an LLC-scale park runs in parallel row
+/// blocks: a park prepared afresh under every forced worker count fills
+/// its tables and serves the 1-thread bits, and so does a fresh park whose
+/// tables another model filled first.
 #[test]
-fn sharded_prepared_queries_are_bit_identical_across_forced_counts() {
+fn fresh_park_fills_are_bit_identical_across_forced_counts() {
     let (_, dataset, split) = fixture(12);
-    let model = rayon::with_num_threads(1, || {
-        paws_core::train(&dataset, &split, &config(12, true)).into_serving()
+    let train = |seed| {
+        rayon::with_num_threads(1, || {
+            paws_core::train(&dataset, &split, &config(seed, true)).into_serving()
+        })
+    };
+    let model = train(12);
+    let other = train(14);
+    let stack = big_raw_stack(25_000, model.n_features());
+    let prepare = || {
+        model
+            .prepare_rows(stack.clone())
+            .expect("big stack prepares")
+    };
+    let answers = |prepared: &PreparedPark| {
+        let (r, u) = model
+            .try_risk_map_prepared(prepared, 1.0)
+            .expect("valid effort");
+        let (p, v) = model
+            .try_park_response_prepared(prepared, &GRID)
+            .expect("valid grid");
+        (r, u, p.into_flat(), v.into_flat())
+    };
+    let reference = rayon::with_num_threads(1, || {
+        let prepared = prepare();
+        assert!(
+            prepared.shards().len() > 1,
+            "the park reports a multi-shard tiling, got {:?}",
+            prepared.shards()
+        );
+        answers(&prepared)
     });
-    let prepared = model
-        .prepare_rows(big_raw_stack(25_000, model.n_features()))
-        .expect("big stack prepares");
-    assert!(
-        prepared.shards().len() > 1,
-        "fixture must exercise the shard fan-out, got {:?}",
-        prepared.shards()
-    );
-
-    let risk_map = || {
-        model
-            .try_risk_map_prepared(&prepared, 1.0)
-            .expect("valid effort")
-    };
-    let response = || {
-        model
-            .try_park_response_prepared(&prepared, &GRID)
-            .expect("valid grid")
-    };
-    let (r_ref, u_ref) = rayon::with_num_threads(1, risk_map);
-    let (p_ref, v_ref) = rayon::with_num_threads(1, response);
     for forced in FORCED {
         rayon::with_num_threads(forced, || {
-            let (r, u) = risk_map();
-            assert_eq!(r, r_ref, "sharded risk drifted x{forced}");
-            assert_eq!(u, u_ref, "sharded uncertainty drifted x{forced}");
-            let (p, v) = response();
-            assert_eq!(p.as_slice(), p_ref.as_slice(), "response probs x{forced}");
-            assert_eq!(v.as_slice(), v_ref.as_slice(), "response vars x{forced}");
+            assert!(answers(&prepare()) == reference, "fresh park x{forced}");
+            let foreign = prepare();
+            other
+                .try_risk_map_prepared(&foreign, 1.0)
+                .expect("the other model fills the park's tables");
+            assert!(
+                answers(&foreign) == reference,
+                "park filled by another model x{forced}"
+            );
         });
     }
 }

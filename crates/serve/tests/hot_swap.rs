@@ -116,7 +116,7 @@ fn mid_traffic_snapshot_swap_never_tears_a_query() {
     assert!(total_v2 > 0, "no post-swap traffic was served");
 
     // Queries admitted after the swap deterministically see v2 — including
-    // through the coalesced batch path and the prepared response surface.
+    // a repeated level in one batch, served from the new park's tables.
     let answers = server.submit(&[
         QueryRequest::new("mondulkiri", QueryKind::RiskMap { effort_km: 1.0 }),
         QueryRequest::new("mondulkiri", QueryKind::RiskMap { effort_km: 0.5 }),
@@ -124,10 +124,10 @@ fn mid_traffic_snapshot_swap_never_tears_a_query() {
     ]);
     for idx in [0, 2] {
         let (risk, uncertainty) = risk_of(answers[idx].as_ref().expect("post-swap risk map"));
-        assert_eq!(risk, r2.as_slice(), "coalesced post-swap answer {idx}");
+        assert_eq!(risk, r2.as_slice(), "post-swap answer {idx}");
         assert_eq!(uncertainty, u2.as_slice());
     }
-    assert!(answers[1].is_ok(), "uncached level serves post-swap too");
+    assert!(answers[1].is_ok(), "a second level serves post-swap too");
 
     // Swapping an unknown park is a typed error, not a panic.
     assert!(server
