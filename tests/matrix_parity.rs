@@ -23,6 +23,10 @@ use paws_ml::gp::{GaussianProcess, GpConfig};
 use paws_ml::svm::{LinearSvm, SvmConfig};
 use paws_ml::traits::{Classifier, UncertainClassifier};
 use paws_ml::tree::{DecisionTree, TreeConfig};
+use paws_plan::{
+    try_plan, Decomposition, PatrolPlan, PlannerConfig, PlannerMethod, PlanningProblem,
+};
+use paws_solver::{SolveBudget, SolveStatus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -934,4 +938,217 @@ fn f32_plane_bits_match_the_pinned_goldens_on_the_test_park() {
             "{what} varying-effort predict"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Bit pins of patrol plans.
+// ---------------------------------------------------------------------------
+//
+// The planner tests compare plans with each other (column generation
+// against the full model, flow against allocation, budgeted against
+// unbudgeted), so a change that moved every plan's last bits alike would
+// pass them. These pins fix each plan's exact bits: FNV-1a 64 over the
+// coverage followed by the objective, plus the status and both solve
+// counters.
+
+#[derive(Debug, PartialEq, Eq)]
+struct PlanPin {
+    bits: u64,
+    status: SolveStatus,
+    lp_solves: usize,
+    nodes: usize,
+}
+
+fn plan_pin(plan: &PatrolPlan) -> PlanPin {
+    let mut values = plan.coverage.clone();
+    values.push(plan.objective);
+    PlanPin {
+        bits: fnv1a_bits(&values),
+        status: plan.status,
+        lp_solves: plan.lp_solves,
+        nodes: plan.nodes,
+    }
+}
+
+/// The planner unit tests' synthetic problem: test park (seed 7), its
+/// first patrol post, deterministic per-cell detection and variance curves
+/// on the grid `[0, 0.5, 1, 2, 4, 8]` km.
+fn synthetic_plan_problem(beta: f64, patrol_length_km: f64, n_patrols: usize) -> PlanningProblem {
+    let park = paws_geo::Park::generate(&paws_geo::parks::test_park_spec(), 7);
+    let grid: [f64; 6] = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+    let probs: Vec<Vec<f64>> = (0..park.n_cells())
+        .map(|i| {
+            let scale = 0.1 + 0.8 * ((i * 37) % 100) as f64 / 100.0;
+            grid.iter()
+                .map(|&e| scale * (1.0 - (-0.7 * e).exp()))
+                .collect()
+        })
+        .collect();
+    let vars: Vec<Vec<f64>> = (0..park.n_cells())
+        .map(|i| {
+            let base = 0.05 + 0.4 * ((i * 61) % 100) as f64 / 100.0;
+            grid.iter().map(|&e| base + 0.03 * e).collect()
+        })
+        .collect();
+    PlanningProblem::from_response(
+        &park,
+        park.patrol_posts[0],
+        &grid,
+        &Matrix::from_rows(&probs),
+        &Matrix::from_rows(&vars),
+        patrol_length_km,
+        n_patrols,
+        beta,
+    )
+}
+
+const PLAN_BETAS: [f64; 3] = [0.0, 0.5, 1.0];
+
+/// T = 8 km, K = 2, `Decomposition::FullModel`, one pin per β in
+/// [`PLAN_BETAS`].
+const GOLDEN_PLAN_FULL: [PlanPin; 3] = [
+    PlanPin {
+        bits: 0xe4a1_dbe6_709b_0725,
+        status: SolveStatus::Optimal,
+        lp_solves: 1,
+        nodes: 0,
+    },
+    PlanPin {
+        bits: 0x4be7_4a59_7d58_946f,
+        status: SolveStatus::Optimal,
+        lp_solves: 1,
+        nodes: 0,
+    },
+    PlanPin {
+        bits: 0x1d9e_b31b_5284_6ffa,
+        status: SolveStatus::Optimal,
+        lp_solves: 1,
+        nodes: 0,
+    },
+];
+/// The same problems under `Decomposition::ColumnGeneration`.
+const GOLDEN_PLAN_CG: [PlanPin; 3] = [
+    PlanPin {
+        bits: 0x9a94_77ad_cca1_2f02,
+        status: SolveStatus::Optimal,
+        lp_solves: 1,
+        nodes: 0,
+    },
+    PlanPin {
+        bits: 0x446b_d252_31d7_f8c8,
+        status: SolveStatus::Optimal,
+        lp_solves: 1,
+        nodes: 0,
+    },
+    PlanPin {
+        bits: 0x1d9e_b31b_5284_6ffa,
+        status: SolveStatus::Optimal,
+        lp_solves: 1,
+        nodes: 0,
+    },
+];
+/// T = 80 km, K = 2, β = 0.5 under the default `Decomposition::Auto`:
+/// every test-park cell is a candidate, so the λ count crosses the
+/// column-generation threshold.
+const GOLDEN_PLAN_AUTO_WIDE: PlanPin = PlanPin {
+    bits: 0x7ef0_b3e7_6cc8_bb14,
+    status: SolveStatus::Optimal,
+    lp_solves: 1,
+    nodes: 0,
+};
+/// T = 8 km, K = 3, β = 0.5 with a zero time limit: the greedy fallback.
+const GOLDEN_PLAN_ZERO_BUDGET: PlanPin = PlanPin {
+    bits: 0xd50a_ed69_86b1_97b7,
+    status: SolveStatus::Degraded,
+    lp_solves: 1,
+    nodes: 0,
+};
+/// The flow formulation on the tiny instance: T = 4 km, K = 1, β = 0,
+/// 8 PWL segments.
+const GOLDEN_PLAN_FLOW: PlanPin = PlanPin {
+    bits: 0x2e08_67a0_5193_2329,
+    status: SolveStatus::Optimal,
+    lp_solves: 1,
+    nodes: 0,
+};
+/// The test-park DTB-iW model of the f32 pins above, on the default f64
+/// plane, planned through a prepared park: post 0, grid
+/// `[0, 0.5, 1, 2, 4]`, T = 8 km, K = 2, β = 0.8.
+const GOLDEN_PLAN_PREPARED: PlanPin = PlanPin {
+    bits: 0xc129_d0f0_58b8_ee87,
+    status: SolveStatus::Optimal,
+    lp_solves: 1,
+    nodes: 0,
+};
+
+#[test]
+fn allocation_plans_match_the_pinned_bits() {
+    for (decomposition, goldens) in [
+        (Decomposition::FullModel, &GOLDEN_PLAN_FULL),
+        (Decomposition::ColumnGeneration, &GOLDEN_PLAN_CG),
+    ] {
+        let config = PlannerConfig {
+            decomposition,
+            ..PlannerConfig::default()
+        };
+        for (beta, golden) in PLAN_BETAS.into_iter().zip(goldens) {
+            let plan = try_plan(&synthetic_plan_problem(beta, 8.0, 2), &config).unwrap();
+            assert_eq!(&plan_pin(&plan), golden, "{decomposition:?} at beta {beta}");
+        }
+    }
+
+    let wide = synthetic_plan_problem(0.5, 80.0, 2);
+    assert_eq!(
+        wide.n_cells(),
+        paws_geo::Park::generate(&paws_geo::parks::test_park_spec(), 7).n_cells()
+    );
+    let plan = try_plan(&wide, &PlannerConfig::default()).unwrap();
+    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_AUTO_WIDE, "Auto, every cell");
+
+    let mut config = PlannerConfig::default();
+    config.milp.budget = SolveBudget::with_time_limit(std::time::Duration::ZERO);
+    let plan = try_plan(&synthetic_plan_problem(0.5, 8.0, 3), &config).unwrap();
+    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_ZERO_BUDGET, "zero budget");
+}
+
+#[test]
+fn flow_plan_matches_the_pinned_bits() {
+    let config = PlannerConfig {
+        method: PlannerMethod::Flow,
+        segments: 8,
+        ..PlannerConfig::default()
+    };
+    let plan = try_plan(&synthetic_plan_problem(0.0, 4.0, 1), &config).unwrap();
+    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_FLOW);
+}
+
+#[test]
+fn prepared_park_plan_matches_the_pinned_bits() {
+    use paws_core::{train, ModelConfig, Scenario, WeakLearnerKind};
+    use paws_data::{build_dataset, split_by_test_year, Discretization};
+    let scenario = Scenario::test_scenario(3);
+    let history = scenario.simulate_years(2014, 3);
+    let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
+    let split = split_by_test_year(&dataset, 2016, 2).expect("split exists");
+    let prev = dataset.coverage.last().expect("coverage recorded").clone();
+    let mut cfg = ModelConfig::new(WeakLearnerKind::DecisionTree, true, 7);
+    cfg.n_learners = 4;
+    cfg.n_estimators = 4;
+    let model = train(&dataset, &split, &cfg);
+    let prepared = model
+        .prepare_park(&scenario.park, &dataset, &prev)
+        .expect("test park prepares");
+    let problem = model
+        .try_planning_problem_prepared(
+            &scenario.park,
+            &prepared,
+            scenario.park.patrol_posts[0],
+            &[0.0, 0.5, 1.0, 2.0, 4.0],
+            8.0,
+            2,
+            0.8,
+        )
+        .expect("valid planning query");
+    let plan = try_plan(&problem, &PlannerConfig::default()).unwrap();
+    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_PREPARED);
 }
