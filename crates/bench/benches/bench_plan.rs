@@ -1,12 +1,10 @@
 //! Criterion benchmarks for the planning stack: dense-tableau vs sparse
 //! revised-simplex LP engines on allocation-shaped LPs across cell counts,
-//! branch-and-bound node throughput with and without warm-started sparse
-//! relaxations, the allocation MILP across PWL segment counts and the flow
-//! formulation on the test park (the Fig. 9a runtime measurement at
-//! component scale), and the column-generation planner on an LLC-scale
-//! park. The headline curves (up to study-park and 100k-cell scale, where
-//! a criterion loop would take hours on the dense engine) are recorded by
-//! `fig8 --llc` / `fig9 --llc` into `results/`.
+//! the allocation LP across PWL segment counts and the flow formulation on
+//! the test park (the Fig. 9a runtime measurement at component scale), and
+//! the column-generation planner on an LLC-scale park. The study-park and
+//! 100k-cell planner curves are recorded by `fig8 --llc` / `fig9 --llc`
+//! into `results/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_bench::full_reach_problem;
@@ -14,9 +12,7 @@ use paws_data::Matrix;
 use paws_geo::parks::{llc_park_spec, test_park_spec};
 use paws_geo::Park;
 use paws_plan::{try_plan, Decomposition, PlannerConfig, PlannerMethod, PlanningProblem};
-use paws_solver::{
-    solve_lp, solve_lp_dense, solve_milp, ConstraintOp, LpEngine, MilpOptions, Model, Sense,
-};
+use paws_solver::{solve_lp, solve_lp_dense, ConstraintOp, Model, Sense};
 use std::hint::black_box;
 
 /// The park-wide allocation LP at `n_cells` candidate cells: a per-cell λ
@@ -31,11 +27,9 @@ fn allocation_lp(n_cells: usize) -> Model {
         let rate = 0.3 + 0.5 * ((i * 53) % 97) as f64 / 97.0;
         let lambdas: Vec<_> = xs
             .iter()
-            .enumerate()
-            .map(|(j, &x)| {
+            .map(|&x| {
                 let y = s * (1.0 - (-rate * x).exp());
-                m.try_add_continuous(&format!("l_{i}_{j}"), 0.0, f64::INFINITY, y)
-                    .unwrap()
+                m.try_add_continuous(0.0, f64::INFINITY, y).unwrap()
             })
             .collect();
         let conv: Vec<_> = lambdas.iter().map(|&v| (v, 1.0)).collect();
@@ -63,55 +57,12 @@ fn bench_lp_engines(c: &mut Criterion) {
         });
         // The dense tableau is O(rows × columns) per pivot; past ~256
         // cells a single solve takes seconds, so the dense curve stops
-        // early here and continues one-shot in `fig8 --llc`.
+        // there.
         if n_cells <= 256 {
             group.bench_with_input(BenchmarkId::new("dense", n_cells), &model, |b, model| {
                 b.iter(|| black_box(solve_lp_dense(model, None)))
             });
         }
-    }
-    group.finish();
-}
-
-/// A deterministic correlated multi-knapsack: enough fractional LP optima
-/// that branch-and-bound explores a real tree, so engine timing measures
-/// per-node relaxation cost (the sparse engine warm-starts each node from
-/// its parent's basis; the dense engine re-solves from scratch).
-fn knapsack_milp(n_items: usize) -> Model {
-    let mut m = Model::new(Sense::Maximize);
-    let items: Vec<_> = (0..n_items)
-        .map(|i| {
-            let value = 1.0 + ((i * 29) % 17) as f64 / 3.0;
-            m.try_add_binary(&format!("x{i}"), value).unwrap()
-        })
-        .collect();
-    for (k, period) in [(0usize, 13), (1, 11), (2, 7)] {
-        let terms: Vec<_> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, 1.0 + ((i * 31 + k * 5) % period) as f64 / 2.0))
-            .collect();
-        let cap = terms.iter().map(|(_, w)| w).sum::<f64>() * 0.35;
-        m.try_add_constraint(&terms, ConstraintOp::Le, cap).unwrap();
-    }
-    m
-}
-
-fn bench_milp_nodes(c: &mut Criterion) {
-    let model = knapsack_milp(24);
-    let mut group = c.benchmark_group("milp_node_throughput");
-    group.sample_size(10);
-    for (label, engine) in [
-        ("sparse_warm", LpEngine::Sparse),
-        ("dense", LpEngine::Dense),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &engine, |b, &engine| {
-            let options = MilpOptions {
-                engine,
-                ..MilpOptions::default()
-            };
-            b.iter(|| black_box(solve_milp(&model, &options)))
-        });
     }
     group.finish();
 }
@@ -148,7 +99,7 @@ fn test_park_problem(patrol_length_km: f64) -> PlanningProblem {
 
 fn bench_allocation_segments(c: &mut Criterion) {
     let problem = test_park_problem(10.0);
-    let mut group = c.benchmark_group("allocation_milp_by_segments");
+    let mut group = c.benchmark_group("allocation_by_segments");
     group.sample_size(10);
     for segments in [5usize, 10, 20] {
         group.bench_with_input(
@@ -175,7 +126,7 @@ fn bench_flow_formulation(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("flow_formulation");
     group.sample_size(10);
-    group.bench_function("flow_milp_tiny", |b| {
+    group.bench_function("flow_tiny", |b| {
         b.iter(|| black_box(try_plan(&problem, &config).unwrap()))
     });
     group.finish();
@@ -199,7 +150,6 @@ fn bench_colgen_llc(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lp_engines,
-    bench_milp_nodes,
     bench_allocation_segments,
     bench_flow_formulation,
     bench_colgen_llc

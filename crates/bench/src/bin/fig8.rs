@@ -14,12 +14,11 @@
 //! cargo run --release -p paws-bench --bin fig8 -- --llc   # engine curves
 //! ```
 //!
-//! `--llc` swaps the quality sweeps for LP-engine scaling curves: the same
-//! park-wide allocation LP solved through the column-generation sparse
-//! planner, the monolithic sparse revised simplex, and the dense tableau
-//! reference, at study-park sizes (every cell a candidate). The dense
-//! engine runs under a wall-clock budget so the curve terminates even
-//! where it is hopelessly outscaled.
+//! `--llc` swaps the quality sweeps for planner scaling curves: the same
+//! park-wide allocation LP solved through column generation and as one
+//! monolithic sparse revised-simplex model, at study-park sizes (every cell
+//! a candidate). The dense tableau reference is timed against the sparse
+//! engine by `bench_plan`'s `lp_engine_scaling` group, up to 256 cells.
 
 use paws_bench::{
     full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
@@ -33,9 +32,8 @@ use paws_plan::{
     Decomposition, PlannerConfig, PlanningProblem,
 };
 use paws_sim::Season;
-use paws_solver::{LpEngine, MilpOptions, SolveBudget};
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[derive(Serialize)]
 struct BetaPoint {
@@ -75,11 +73,9 @@ struct EnginePoint {
     objective: f64,
 }
 
-/// `--llc`: dense-vs-sparse LP engine scaling on park-wide allocation LPs.
+/// `--llc`: column generation against the full sparse model on park-wide
+/// allocation LPs.
 fn llc_engines(scale: Scale) -> Result<(), PawsError> {
-    // The dense engine gets a generous wall-clock budget; past it, the
-    // point is recorded as Degraded with the budget as a runtime floor.
-    const DENSE_CAP: Duration = Duration::from_secs(600);
     let mut parks = vec![
         ("test", Park::generate(&test_park_spec(), 11)),
         ("QENP", Park::generate(&qenp_spec(), 11)),
@@ -88,7 +84,7 @@ fn llc_engines(scale: Scale) -> Result<(), PawsError> {
     if scale.is_full() {
         parks.push(("MFNP", Park::generate(&mfnp_spec(), 11)));
     }
-    println!("Figure 8 (LLC): LP engine scaling on park-wide allocation LPs\n");
+    println!("Figure 8 (LLC): planner scaling on park-wide allocation LPs\n");
     let mut points = Vec::new();
     let mut rows = Vec::new();
     for (name, park) in &parks {
@@ -107,18 +103,6 @@ fn llc_engines(scale: Scale) -> Result<(), PawsError> {
                 "sparse-full",
                 PlannerConfig {
                     decomposition: Decomposition::FullModel,
-                    ..base.clone()
-                },
-            ),
-            (
-                "dense-full",
-                PlannerConfig {
-                    decomposition: Decomposition::FullModel,
-                    milp: MilpOptions {
-                        engine: LpEngine::Dense,
-                        budget: SolveBudget::with_time_limit(DENSE_CAP),
-                        ..MilpOptions::default()
-                    },
                     ..base.clone()
                 },
             ),

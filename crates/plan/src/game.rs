@@ -197,7 +197,7 @@ impl PlanningProblem {
 /// The number of discrete patrol steps implied by a patrol length in km
 /// (one step ≈ one km, nearest-integer, never zero).
 ///
-/// Route extraction and the time-unrolled flow MILP used to duplicate this
+/// Route extraction and the time-unrolled flow LP used to duplicate this
 /// conversion — and a third site truncated with `as usize` instead of
 /// rounding, so a 8.5 km patrol was 9 steps in one layer and 8 in another.
 /// Every step-budget consumer now goes through this single helper.

@@ -2,15 +2,15 @@
 //!
 //! Green Security Game patrol planning under uncertainty (Sec. VI of the
 //! paper): piecewise-linear approximation of the learned effort-response
-//! functions, MILP optimisation of patrol effort, a robust objective that
+//! functions, LP optimisation of patrol effort, a robust objective that
 //! penalises model uncertainty, route extraction, and plan evaluation.
 //!
 //! Typical flow:
 //! 1. Sample g_v(c) / ν_v(c) from a fitted `paws_iware::IWareModel` with
 //!    `effort_response`, squash the variances with [`robust::squash_matrix`].
 //! 2. Build a [`game::PlanningProblem`] per patrol post.
-//! 3. Optimise with [`planner::try_plan`] (allocation MILP by default, the
-//!    time-unrolled flow MILP for small instances).
+//! 3. Optimise with [`planner::try_plan`] (the allocation LP by default,
+//!    the time-unrolled flow LP for small instances).
 //! 4. Extract ranger routes with [`routes::extract_routes`] and evaluate
 //!    Uβ(Cβ)/Uβ(Cβ=0) with [`evaluate::try_compare_robust_vs_baseline`].
 

@@ -1,14 +1,18 @@
 //! The patrol-planning optimiser (problem P of Sec. VI-B/C).
 //!
-//! Two formulations are provided:
+//! The paper solves problem P as a MILP whose binaries are SOS2 variables
+//! for non-concave piecewise-linear utilities. Here every cell's utility
+//! enters as its upper concave envelope (a concave utility is its own
+//! envelope), so both formulations are linear programs, solved by the
+//! sparse revised simplex: one call for a full model, one per round for
+//! column generation. The reported coverage is what the LP allocates;
+//! callers re-evaluate it against the true utility.
 //!
-//! * [`PlannerMethod::Allocation`] — the effort-allocation MILP: one PWL
-//!   (λ / SOS2) block per candidate cell, a total-budget constraint
+//! * [`PlannerMethod::Allocation`] — the effort-allocation LP: one PWL
+//!   (λ) block per candidate cell, a total-budget constraint
 //!   Σ_v c_v ≤ T·K, and per-cell effort caps derived from the round-trip
-//!   travel time to the patrol post. Binary variables are introduced only
-//!   for cells whose utility PWL is non-concave, so most instances solve as
-//!   pure LPs. This is the formulation the benchmark harness sweeps
-//!   (Figs. 8 and 9).
+//!   travel time to the patrol post. This is the formulation the benchmark
+//!   harness sweeps (Figs. 8 and 9).
 //! * [`PlannerMethod::Flow`] — the full time-unrolled flow formulation of
 //!   Eq. (2): aggregate patrol flow over nodes (cell, t) with conservation,
 //!   source/sink at the patrol post, coverage defined as flow through a cell
@@ -18,10 +22,11 @@
 use crate::game::{steps_for, PlanningProblem};
 use crate::pwl::{PwlError, PwlFunction};
 use paws_solver::{
-    solve_milp, BasisSnapshot, ConstraintOp, MilpOptions, Model, Sense, SolveBudget, SolveStatus,
-    SolverError, SparseLp, Variable,
+    BasisSnapshot, ConstraintOp, Model, Sense, SolveBudget, SolveStatus, SolverError, SparseLp,
+    Variable,
 };
 use serde::Serialize;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// In [`Decomposition::Auto`] mode, column generation kicks in above this
@@ -80,7 +85,7 @@ impl From<SolverError> for PlanError {
     }
 }
 
-/// Which MILP formulation to build.
+/// Which formulation to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PlannerMethod {
     /// Separable effort-allocation formulation (default).
@@ -92,17 +97,15 @@ pub enum PlannerMethod {
 /// How the allocation formulation is decomposed for the solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Decomposition {
-    /// Pick automatically: column generation for pure-LP instances with
-    /// more than a few thousand λ variables, the full model otherwise.
-    /// Small instances therefore behave exactly as before. The default.
+    /// Pick automatically: column generation above a few thousand λ
+    /// variables, the full model otherwise. The default.
     Auto,
     /// Always build the monolithic model with every λ column.
     FullModel,
     /// Always use column generation over per-cell breakpoint blocks: a
     /// restricted master holds a few λ columns per cell and new breakpoints
     /// are priced in against the budget and convexity duals until none
-    /// improves. Implies the concave-envelope relaxation (`exact_sos2` is
-    /// ignored on this path — SOS2 binaries never enter the master).
+    /// improves.
     ColumnGeneration,
 }
 
@@ -113,14 +116,10 @@ pub struct PlannerConfig {
     pub segments: usize,
     /// Formulation to use.
     pub method: PlannerMethod,
-    /// Branch-and-bound options.
-    pub milp: MilpOptions,
-    /// Encode non-concave utilities exactly with SOS2 binaries. When false
-    /// (the default) the planner optimises the upper concave envelope of
-    /// each non-concave utility instead, which keeps park-scale instances
-    /// pure LPs; the reported coverage is re-evaluated against the true
-    /// utility. Set to true for exact solutions on small instances.
-    pub exact_sos2: bool,
+    /// Anytime budget for the whole plan: one wall-clock limit shared by
+    /// every LP solve, plus an optional per-solve iteration cap. Unlimited
+    /// by default.
+    pub budget: SolveBudget,
     /// Decomposition strategy for [`PlannerMethod::Allocation`] (ignored by
     /// the flow formulation).
     pub decomposition: Decomposition,
@@ -131,8 +130,7 @@ impl Default for PlannerConfig {
         Self {
             segments: 10,
             method: PlannerMethod::Allocation,
-            milp: MilpOptions::default(),
-            exact_sos2: false,
+            budget: SolveBudget::unlimited(),
             decomposition: Decomposition::Auto,
         }
     }
@@ -147,9 +145,11 @@ pub struct PatrolPlan {
     pub objective: f64,
     /// Wall-clock solve time.
     pub solve_time: Duration,
-    /// Branch-and-bound nodes explored.
+    /// Always 0: every plan is a linear program, solved without
+    /// branch-and-bound. Kept so code that reads or builds a plan compiles.
     pub nodes: usize,
-    /// LP relaxations solved.
+    /// LP solves: 1 for a full model, the number of restricted-master
+    /// rounds for column generation, 0 when no LP was needed.
     pub lp_solves: usize,
     /// Termination status of the underlying solver.
     pub status: SolveStatus,
@@ -162,12 +162,12 @@ pub struct PatrolPlan {
 /// pointless solves (infeasible/unbounded models) surface as a
 /// [`PlanError`] instead of a panic mid-optimisation.
 ///
-/// Anytime behaviour: when `config.milp.budget` runs out, the best solver
-/// incumbent is returned tagged [`SolveStatus::Degraded`]; if the budget
-/// died before *any* incumbent was found, a greedy marginal-utility
-/// allocation (feasible by construction) is returned instead, also tagged
-/// `Degraded`. An unlimited budget reproduces the pre-budget behaviour
-/// exactly.
+/// Anytime behaviour: when `config.budget` runs out, the solver's current
+/// primal-feasible point is returned tagged [`SolveStatus::Degraded`]; if
+/// the budget died before *any* feasible point was found, a greedy
+/// marginal-utility allocation (feasible by construction) is returned
+/// instead, also tagged `Degraded`. An unlimited budget reproduces the
+/// pre-budget behaviour exactly.
 pub fn try_plan(
     problem: &PlanningProblem,
     config: &PlannerConfig,
@@ -185,7 +185,7 @@ pub fn try_plan(
         SolveStatus::Infeasible => return Err(SolverError::Infeasible.into()),
         SolveStatus::Unbounded => return Err(SolverError::Unbounded.into()),
         SolveStatus::BudgetExceeded => {
-            // The budget died before branch-and-bound found any incumbent:
+            // The budget died before the solver found any feasible point:
             // fall back to the greedy fill, which needs no solver at all.
             let coverage = greedy_coverage(problem, &utilities);
             let objective = utilities
@@ -222,13 +222,7 @@ fn greedy_coverage(problem: &PlanningProblem, utilities: &[PwlFunction]) -> Vec<
     }
     let mut segments: Vec<Segment> = Vec::new();
     for (cell, u) in utilities.iter().enumerate() {
-        let envelope;
-        let u = if u.is_concave(1e-9) {
-            u
-        } else {
-            envelope = u.concave_envelope();
-            &envelope
-        };
+        let u = enveloped(u);
         let (xs, ys) = (u.xs(), u.ys());
         for j in 0..xs.len() - 1 {
             let width = xs[j + 1] - xs[j];
@@ -269,57 +263,31 @@ fn cell_utilities(
         .collect()
 }
 
-/// Add one cell's λ / SOS2 block to the model. Returns the λ variables and
-/// their breakpoint x values.
+/// A cell's utility as the planner optimises it: itself when concave,
+/// else its upper concave envelope, which the LP solves exactly.
+fn enveloped(utility: &PwlFunction) -> Cow<'_, PwlFunction> {
+    if utility.is_concave(1e-9) {
+        Cow::Borrowed(utility)
+    } else {
+        Cow::Owned(utility.concave_envelope())
+    }
+}
+
+/// Add one cell's λ block to the model: one λ per breakpoint of the
+/// enveloped utility, with a convexity row Σ λ = 1. Returns the λ variables
+/// and their breakpoint x values.
 fn add_pwl_block(
     model: &mut Model,
     utility: &PwlFunction,
-    cell_label: usize,
-    exact_sos2: bool,
 ) -> Result<(Vec<Variable>, Vec<f64>), SolverError> {
-    // Non-concave utilities either get an exact SOS2 encoding (binaries) or
-    // are replaced by their upper concave envelope, which the LP relaxation
-    // solves exactly.
-    let envelope;
-    let utility = if !exact_sos2 && !utility.is_concave(1e-9) {
-        envelope = utility.concave_envelope();
-        &envelope
-    } else {
-        utility
-    };
+    let utility = enveloped(utility);
     let xs = utility.xs().to_vec();
-    let ys = utility.ys();
     let mut lambdas = Vec::with_capacity(xs.len());
-    for (j, &y) in ys.iter().enumerate() {
-        let name = format!("lam_{cell_label}_{j}");
-        lambdas.push(model.try_add_continuous(&name, 0.0, f64::INFINITY, y)?);
+    for &y in utility.ys() {
+        lambdas.push(model.try_add_continuous(0.0, f64::INFINITY, y)?);
     }
-    // Convexity: Σ λ = 1.
     let terms: Vec<(Variable, f64)> = lambdas.iter().map(|&v| (v, 1.0)).collect();
     model.try_add_constraint(&terms, ConstraintOp::Eq, 1.0)?;
-
-    // SOS2 binaries only when the utility is non-concave; for concave
-    // utilities the LP relaxation already attains the true maximum.
-    if !utility.is_concave(1e-9) {
-        let n_seg = xs.len() - 1;
-        let mut zs = Vec::with_capacity(n_seg);
-        for s in 0..n_seg {
-            zs.push(model.try_add_binary(&format!("z_{cell_label}_{s}"), 0.0)?);
-        }
-        let zterms: Vec<(Variable, f64)> = zs.iter().map(|&z| (z, 1.0)).collect();
-        model.try_add_constraint(&zterms, ConstraintOp::Eq, 1.0)?;
-        for j in 0..xs.len() {
-            // λ_j can be positive only if an adjacent segment is selected.
-            let mut terms = vec![(lambdas[j], 1.0)];
-            if j > 0 {
-                terms.push((zs[j - 1], -1.0));
-            }
-            if j < n_seg {
-                terms.push((zs[j], -1.0));
-            }
-            model.try_add_constraint(&terms, ConstraintOp::Le, 0.0)?;
-        }
-    }
     Ok((lambdas, xs))
 }
 
@@ -329,35 +297,15 @@ fn use_column_generation(utilities: &[PwlFunction], config: &PlannerConfig) -> b
         Decomposition::FullModel => false,
         Decomposition::ColumnGeneration => true,
         Decomposition::Auto => {
-            let pure_lp = !config.exact_sos2 || utilities.iter().all(|u| u.is_concave(1e-9));
             let n_lambda: usize = utilities.iter().map(|u| u.xs().len()).sum();
-            pure_lp && n_lambda > CG_AUTO_THRESHOLD
+            n_lambda > CG_AUTO_THRESHOLD
         }
     }
 }
 
-/// The remaining share of a [`SolveBudget`] measured from `start`, or
-/// `None` when the wall-clock budget is already spent.
-fn remaining_budget(budget: &SolveBudget, start: Instant) -> Option<SolveBudget> {
-    match budget.time_limit {
-        None => Some(*budget),
-        Some(limit) => {
-            let left = limit.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                None
-            } else {
-                Some(SolveBudget {
-                    time_limit: Some(left),
-                    ..*budget
-                })
-            }
-        }
-    }
-}
-
-/// Column generation over per-cell breakpoint blocks, for the (enveloped,
-/// pure-LP) allocation formulation at scales where the monolithic model is
-/// too large to build or solve.
+/// Column generation over per-cell breakpoint blocks, for the allocation
+/// formulation at scales where the monolithic model is too large to build
+/// or solve.
 ///
 /// The full LP is `max Σ_ij λ_ij·y_ij` subject to per-cell convexity rows
 /// `Σ_j λ_ij = 1` and one budget row `Σ_ij λ_ij·x_ij ≤ B`. The restricted
@@ -375,17 +323,9 @@ fn solve_allocation_colgen(
 ) -> Result<PatrolPlan, SolverError> {
     let start = Instant::now();
     let n = utilities.len();
-    // Column generation always works on the concave envelope (the master's
-    // LP relaxation would be dual-degenerate on non-concave pieces).
     let envelopes: Vec<PwlFunction> = utilities
         .iter()
-        .map(|u| {
-            if u.is_concave(1e-9) {
-                u.clone()
-            } else {
-                u.concave_envelope()
-            }
-        })
+        .map(|u| enveloped(u).into_owned())
         .collect();
 
     // Seed: breakpoint 0 plus the breakpoints bracketing the greedy fill.
@@ -452,14 +392,15 @@ fn solve_allocation_colgen(
     };
 
     loop {
-        let Some(round_budget) = remaining_budget(&config.milp.budget, start) else {
+        let round_budget = config.budget.remaining_since(start);
+        if round_budget.time_limit == Some(Duration::ZERO) {
             let status = if incumbent.is_some() {
                 SolveStatus::Degraded
             } else {
                 SolveStatus::BudgetExceeded
             };
             return Ok(finish(incumbent, rounds, status));
-        };
+        }
         rounds += 1;
 
         // Build the restricted master: rows 0..n are the convexity rows in
@@ -474,8 +415,7 @@ fn solve_allocation_colgen(
             // size hint, and at park scale this master holds every cell.
             let mut vars = Vec::with_capacity(cols[i].len());
             for &j in &cols[i] {
-                let name = format!("lam_{i}_{j}");
-                vars.push((rmp.try_add_continuous(&name, 0.0, f64::INFINITY, ys[j])?, j));
+                vars.push((rmp.try_add_continuous(0.0, f64::INFINITY, ys[j])?, j));
             }
             prefix.push(prefix[i] + vars.len());
             cell_vars.push(vars);
@@ -610,8 +550,8 @@ fn solve_allocation(
     }
     let mut model = Model::new(Sense::Maximize);
     let mut blocks = Vec::with_capacity(problem.n_cells());
-    for (i, u) in utilities.iter().enumerate() {
-        blocks.push(add_pwl_block(&mut model, u, i, config.exact_sos2)?);
+    for u in utilities {
+        blocks.push(add_pwl_block(&mut model, u)?);
     }
     // Budget: Σ_v c_v ≤ T·K where c_v = Σ_j λ_vj x_vj.
     let mut budget_terms = Vec::new();
@@ -623,17 +563,7 @@ fn solve_allocation(
         }
     }
     model.try_add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km())?;
-
-    let (solution, stats) = solve_milp(&model, &config.milp);
-    let coverage = extract_coverage(&solution.values, &blocks);
-    Ok(PatrolPlan {
-        coverage,
-        objective: solution.objective,
-        solve_time: Duration::default(),
-        nodes: stats.nodes,
-        lp_solves: stats.lp_solves,
-        status: solution.status,
-    })
+    Ok(solve_full_model(&model, &blocks, &config.budget))
 }
 
 #[allow(clippy::needless_range_loop)]
@@ -655,7 +585,7 @@ fn solve_flow(
         targets.push(i);
         for t in 0..t_steps {
             for &j in &targets {
-                let v = model.try_add_continuous(&format!("f_{i}_{j}_{t}"), 0.0, k, 0.0)?;
+                let v = model.try_add_continuous(0.0, k, 0.0)?;
                 flow[i][t].push((j, v));
             }
         }
@@ -702,7 +632,7 @@ fn solve_flow(
     // Link to the PWL blocks: Σ_j λ_ij x_ij − c_i = 0.
     let mut blocks = Vec::with_capacity(n);
     for (i, u) in utilities.iter().enumerate() {
-        let block = add_pwl_block(&mut model, u, i, config.exact_sos2)?;
+        let block = add_pwl_block(&mut model, u)?;
         let mut link: Vec<(Variable, f64)> = block
             .0
             .iter()
@@ -718,31 +648,36 @@ fn solve_flow(
         model.try_add_constraint(&link, ConstraintOp::Eq, 0.0)?;
         blocks.push(block);
     }
-
-    let (solution, stats) = solve_milp(&model, &config.milp);
-    let coverage = extract_coverage(&solution.values, &blocks);
-    Ok(PatrolPlan {
-        coverage,
-        objective: solution.objective,
-        solve_time: Duration::default(),
-        nodes: stats.nodes,
-        lp_solves: stats.lp_solves,
-        status: solution.status,
-    })
+    Ok(solve_full_model(&model, &blocks, &config.budget))
 }
 
-fn extract_coverage(values: &[f64], blocks: &[(Vec<Variable>, Vec<f64>)]) -> Vec<f64> {
-    blocks
+/// Solve a full allocation or flow model with one LP call and read each
+/// cell's coverage, Σ_j λ_j·x_j, off its λ block.
+fn solve_full_model(
+    model: &Model,
+    blocks: &[(Vec<Variable>, Vec<f64>)],
+    budget: &SolveBudget,
+) -> PatrolPlan {
+    let solution = SparseLp::new(model).solve_budgeted(None, budget).solution;
+    let coverage = blocks
         .iter()
         .map(|(lambdas, xs)| {
             lambdas
                 .iter()
                 .zip(xs)
-                .map(|(&l, &x)| values[l.0] * x)
+                .map(|(&l, &x)| solution.value(l) * x)
                 .sum::<f64>()
                 .max(0.0)
         })
-        .collect()
+        .collect();
+    PatrolPlan {
+        coverage,
+        objective: solution.objective,
+        solve_time: Duration::default(),
+        nodes: 0,
+        lp_solves: 1,
+        status: solution.status,
+    }
 }
 
 #[cfg(test)]
@@ -888,7 +823,7 @@ mod tests {
 
     #[test]
     fn flow_formulation_agrees_with_allocation_on_tiny_instance() {
-        // Restrict to a very small problem so the flow MILP stays tiny.
+        // Restrict to a very small problem so the flow LP stays tiny.
         let problem = small_problem(0.0, 4.0, 1);
         let alloc = try_plan(&problem, &PlannerConfig::default()).unwrap();
         let flow = try_plan(
@@ -915,30 +850,60 @@ mod tests {
     #[test]
     fn starved_budget_returns_feasible_degraded_plan() {
         let problem = small_problem(0.5, 8.0, 3);
+        for method in [PlannerMethod::Allocation, PlannerMethod::Flow] {
+            let config = PlannerConfig {
+                method,
+                budget: SolveBudget::with_time_limit(Duration::ZERO),
+                ..PlannerConfig::default()
+            };
+            let p = try_plan(&problem, &config).expect("degraded, not an error");
+            assert_eq!(p.status, SolveStatus::Degraded, "{method:?}");
+            let total: f64 = p.coverage.iter().sum();
+            assert!(
+                total <= problem.budget_km() + 1e-6,
+                "{method:?}: degraded plan violates the budget: {total}"
+            );
+            for (i, &c) in p.coverage.iter().enumerate() {
+                assert!(c >= -1e-9);
+                assert!(
+                    c <= problem.max_effort(i) + 1e-6,
+                    "{method:?}: cell {i} over its cap: {c}"
+                );
+            }
+            // The greedy incumbent is a real plan, not an all-zero placeholder.
+            assert!(total > 0.0, "{method:?}");
+            assert!(p.objective > 0.0, "{method:?}");
+        }
+    }
+
+    /// The greedy fill seeds column generation and stands in for a plan
+    /// whose budget ran out, on the claim that it is optimal for the
+    /// enveloped LP: its envelope utility must equal the full model's
+    /// objective.
+    #[test]
+    fn greedy_fill_attains_the_full_model_optimum() {
         let config = PlannerConfig {
-            milp: MilpOptions {
-                budget: paws_solver::SolveBudget::with_time_limit(Duration::ZERO),
-                ..MilpOptions::default()
-            },
+            decomposition: Decomposition::FullModel,
             ..PlannerConfig::default()
         };
-        let p = try_plan(&problem, &config).expect("degraded, not an error");
-        assert_eq!(p.status, SolveStatus::Degraded);
-        let total: f64 = p.coverage.iter().sum();
-        assert!(
-            total <= problem.budget_km() + 1e-6,
-            "degraded plan violates the budget: {total}"
-        );
-        for (i, &c) in p.coverage.iter().enumerate() {
-            assert!(c >= -1e-9);
-            assert!(
-                c <= problem.max_effort(i) + 1e-6,
-                "cell {i} over its cap: {c}"
-            );
+        for beta in [0.0, 0.5, 1.0] {
+            for patrol_len in [4.0, 8.0, 12.0] {
+                let problem = small_problem(beta, patrol_len, 2);
+                let utilities = cell_utilities(&problem, config.segments).unwrap();
+                let greedy: f64 = greedy_coverage(&problem, &utilities)
+                    .iter()
+                    .zip(&utilities)
+                    .map(|(&c, u)| enveloped(u).eval(c))
+                    .sum();
+                let full = try_plan(&problem, &config).unwrap();
+                assert_eq!(full.status, SolveStatus::Optimal);
+                assert!(
+                    (greedy - full.objective).abs() <= 1e-9 * full.objective.abs(),
+                    "beta {beta}, T {patrol_len}: greedy {greedy} vs LP {}",
+                    full.objective
+                );
+            }
         }
-        // The greedy incumbent is a real plan, not an all-zero placeholder.
-        assert!(total > 0.0);
-        assert!(p.objective > 0.0);
     }
 
     #[test]
@@ -946,10 +911,7 @@ mod tests {
         let problem = small_problem(0.5, 8.0, 2);
         let free = try_plan(&problem, &PlannerConfig::default()).unwrap();
         let config = PlannerConfig {
-            milp: MilpOptions {
-                budget: paws_solver::SolveBudget::with_time_limit(Duration::from_secs(3600)),
-                ..MilpOptions::default()
-            },
+            budget: SolveBudget::with_time_limit(Duration::from_secs(3600)),
             ..PlannerConfig::default()
         };
         let budgeted = try_plan(&problem, &config).unwrap();
@@ -992,7 +954,7 @@ mod tests {
             assert!(c >= -1e-9);
             assert!(c <= problem.max_effort(i) + 1e-6);
         }
-        // Pure LP at every round: no branch-and-bound nodes.
+        // Every round is one LP solve; no plan explores nodes.
         assert_eq!(cg.nodes, 0);
         assert!(cg.lp_solves >= 1);
     }
@@ -1002,10 +964,7 @@ mod tests {
         let problem = small_problem(0.5, 8.0, 3);
         let config = PlannerConfig {
             decomposition: Decomposition::ColumnGeneration,
-            milp: MilpOptions {
-                budget: paws_solver::SolveBudget::with_time_limit(Duration::ZERO),
-                ..MilpOptions::default()
-            },
+            budget: SolveBudget::with_time_limit(Duration::ZERO),
             ..PlannerConfig::default()
         };
         let p = try_plan(&problem, &config).expect("degraded, not an error");

@@ -2,7 +2,8 @@
 //!
 //! Sec. VI-B: "piecewise linear (PWL) approximations to these functions g_v
 //! are constructed using m × N sampled points", which turns the black-box
-//! machine-learning predictions into something a MILP can optimise. The same
+//! machine-learning predictions into something a linear program can
+//! optimise (through each function's concave envelope). The same
 //! construction is applied to the uncertainty functions ν_v in Sec. VI-C.
 
 use serde::Serialize;
@@ -154,7 +155,7 @@ impl PwlFunction {
     }
 
     /// True when the function is concave (segment slopes non-increasing),
-    /// in which case its maximisation needs no binary variables.
+    /// in which case a linear program maximises it exactly.
     pub fn is_concave(&self, tol: f64) -> bool {
         let slopes: Vec<f64> = self
             .xs
@@ -166,9 +167,10 @@ impl PwlFunction {
     }
 
     /// The upper concave envelope of the function over its breakpoints: the
-    /// tightest concave PWL function that dominates it. Used by the planner
-    /// to keep non-concave utilities solvable as a pure LP (the exact SOS2
-    /// encoding remains available behind a flag).
+    /// tightest concave PWL function that dominates it. The planner
+    /// optimises this in place of every non-concave utility, so each plan
+    /// is a linear program; the paper's exact SOS2 encoding of the
+    /// non-concave pieces is not implemented.
     pub fn concave_envelope(&self) -> PwlFunction {
         // Upper convex hull of the breakpoints (Andrew's monotone chain on
         // the upper side), then re-evaluate at the original x grid.

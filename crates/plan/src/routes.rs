@@ -1,7 +1,7 @@
 //! Route extraction: turning an optimised coverage vector into concrete
 //! ranger patrols.
 //!
-//! The MILP of Sec. VI decides *how much* effort each cell should receive;
+//! The planner of Sec. VI decides *how much* effort each cell should receive;
 //! rangers need actual routes that start and end at the patrol post. The
 //! extractor builds K routes of (at most) T steps each with a greedy
 //! coverage-chasing walk: at every step the patrol moves to the adjacent

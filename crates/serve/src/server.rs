@@ -22,11 +22,10 @@
 use crate::registry::{ModelRegistry, ResidentPark};
 use crate::request::{QueryKind, QueryRequest, QueryResponse, ServeError};
 use paws_plan::{try_plan, PlannerConfig};
-use paws_solver::SolveBudget;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The serving front end: a registry plus the batched admission layer.
 #[derive(Default)]
@@ -120,7 +119,7 @@ impl PawsServer {
             .requests
             .iter()
             .map(|&(idx, req)| {
-                if deadline_lapsed(&req.budget, admitted) {
+                if req.budget.remaining_since(admitted).time_limit == Some(Duration::ZERO) {
                     return (
                         idx,
                         Err(ServeError::DeadlineExceeded {
@@ -158,8 +157,10 @@ impl PawsServer {
                             // The solve gets whatever wall clock the
                             // request has left; a lapsed budget degrades
                             // the plan rather than hanging the batch.
-                            let mut config = self.planner.clone();
-                            config.milp.budget = remaining_budget(&req.budget, admitted);
+                            let config = PlannerConfig {
+                                budget: req.budget.remaining_since(admitted),
+                                ..self.planner.clone()
+                            };
                             try_plan(&problem, &config)
                                 .map(QueryResponse::PatrolPlan)
                                 .map_err(|e| ServeError::Model(e.into()))
@@ -171,23 +172,6 @@ impl PawsServer {
     }
 }
 
-/// True when the request's wall-clock budget lapsed before its query ran.
-fn deadline_lapsed(budget: &SolveBudget, admitted: Instant) -> bool {
-    budget
-        .time_limit
-        .is_some_and(|limit| admitted.elapsed() >= limit)
-}
-
-/// The budget left for a solve that starts now.
-fn remaining_budget(budget: &SolveBudget, admitted: Instant) -> SolveBudget {
-    SolveBudget {
-        time_limit: budget
-            .time_limit
-            .map(|limit| limit.saturating_sub(admitted.elapsed())),
-        max_lp_iterations: budget.max_lp_iterations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,8 +179,7 @@ mod tests {
     use paws_core::{ModelConfig, PawsError, Scenario, ServingModel, WeakLearnerKind};
     use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization};
     use paws_geo::Park;
-    use paws_solver::SolveStatus;
-    use std::time::Duration;
+    use paws_solver::{SolveBudget, SolveStatus};
 
     fn fixture() -> (Park, Dataset, ServingModel) {
         let scenario = Scenario::test_scenario(3);

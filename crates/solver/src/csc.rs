@@ -136,8 +136,8 @@ mod tests {
     #[test]
     fn transposes_rows_into_sorted_columns() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, 1.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 1.0, 1.0).unwrap();
+        let y = m.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 2.0), (y, 3.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         m.try_add_constraint(&[(y, -1.0)], ConstraintOp::Ge, -2.0)
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn duplicate_terms_are_summed_like_the_dense_tableau() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 2.0), (Variable(0), 3.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         let csc = CscMatrix::from_model(&m);
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn col_dot_matches_manual_product() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 2.0)], ConstraintOp::Le, 1.0)
             .unwrap();
         m.try_add_constraint(&[(x, -3.0)], ConstraintOp::Ge, -5.0)

@@ -1,33 +1,28 @@
 //! # paws-solver
 //!
-//! A small, self-contained linear / mixed-binary optimisation toolkit: the
-//! from-scratch substitute for the commercial MILP solver the paper's patrol
-//! planner relies on.
+//! A small, self-contained linear-programming toolkit: the from-scratch
+//! substitute for the commercial solver the paper's patrol planner relies
+//! on. The planner optimises each cell's concave-envelope utility, so every
+//! model it builds is a linear program.
 //!
 //! * [`model::Model`] — build variables, bounds, objective and constraints.
-//! * [`revised::solve_lp`] — sparse revised simplex (LU-factorised basis,
-//!   bounded variables, eta updates) for the continuous relaxation; the
-//!   default engine at every scale.
+//! * [`revised::solve_lp`] / [`revised::SparseLp`] — sparse revised simplex
+//!   (LU-factorised basis, bounded variables, eta updates, warm starts from
+//!   a [`revised::BasisSnapshot`]); the engine every caller uses.
 //! * [`simplex::solve_lp_dense`] — the original dense two-phase tableau,
 //!   retained as the parity reference for the sparse engine.
-//! * [`milp::solve_milp`] — branch-and-bound over the binary variables,
-//!   warm-starting each node's relaxation from its parent basis.
 //! * [`budget::SolveBudget`] — anytime wall-clock / iteration budgets; an
-//!   exhausted budget returns the best incumbent tagged
+//!   exhausted budget returns the current primal-feasible point tagged
 //!   [`model::SolveStatus::Degraded`] instead of hanging the caller.
 
 pub mod budget;
 pub mod csc;
 pub mod lu;
-pub mod milp;
 pub mod model;
 pub mod revised;
 pub mod simplex;
 
 pub use budget::SolveBudget;
-pub use milp::{solve_milp, LpEngine, MilpOptions, MilpStats};
-pub use model::{
-    ConstraintOp, Model, Sense, Solution, SolveStatus, SolverError, VarKind, Variable,
-};
+pub use model::{ConstraintOp, Model, Sense, Solution, SolveStatus, SolverError, Variable};
 pub use revised::{solve_lp, solve_lp_budgeted, BasisSnapshot, LpOutcome, SparseLp};
 pub use simplex::{solve_lp_dense, solve_lp_dense_budgeted};

@@ -1,11 +1,12 @@
-//! Optimisation-model builder shared by the LP and MILP solvers.
+//! Linear-program builder shared by the sparse and dense simplex engines.
 //!
-//! The patrol planner of the paper formulates problem (P) as a mixed integer
-//! linear program and hands it to a commercial solver; this crate provides
-//! the from-scratch substitute. A [`Model`] collects variables (continuous or
-//! binary, with bounds and objective coefficients) and linear constraints;
-//! [`crate::simplex`] solves its continuous relaxation and
-//! [`crate::milp`] wraps that in branch-and-bound for the binaries.
+//! The paper solves its patrol-planning problem (P) with a commercial MILP
+//! solver, whose only binaries encode non-concave piecewise-linear
+//! utilities. The planner here optimises each utility's concave envelope
+//! instead, so problem (P) is a linear program. A [`Model`] collects
+//! continuous variables (bounds and objective coefficients) and linear
+//! constraints; [`crate::revised`] solves it, and [`crate::simplex`] is the
+//! dense reference engine.
 
 use serde::Serialize;
 
@@ -16,15 +17,6 @@ pub enum Sense {
     Maximize,
     /// Minimise the objective.
     Minimize,
-}
-
-/// Kind of a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum VarKind {
-    /// Continuous variable within its bounds.
-    Continuous,
-    /// Binary variable (bounds are implicitly [0, 1]).
-    Binary,
 }
 
 /// Handle to a variable in a [`Model`].
@@ -44,10 +36,8 @@ pub enum ConstraintOp {
 
 #[derive(Debug, Clone, Serialize)]
 pub(crate) struct VarDef {
-    pub name: String,
     pub lower: f64,
     pub upper: f64,
-    pub kind: VarKind,
     pub objective: f64,
 }
 
@@ -75,13 +65,12 @@ pub enum SolveStatus {
     Infeasible,
     /// The problem is unbounded in the optimisation direction.
     Unbounded,
-    /// The iteration or node limit was reached; the incumbent (if any) is
-    /// returned.
+    /// The simplex engine's internal iteration cap was reached; the
+    /// current basic point is returned.
     LimitReached,
     /// A caller-supplied [`crate::budget::SolveBudget`] ran out before the
-    /// search finished; the returned point is the best incumbent found in
-    /// time (feasible for MILP solves, a primal-feasible basic point for LP
-    /// solves) but is not proven optimal.
+    /// solve finished; the returned point is primal feasible but not
+    /// proven optimal.
     Degraded,
     /// A caller-supplied [`crate::budget::SolveBudget`] ran out before any
     /// usable point was found; the returned values are meaningless and the
@@ -135,8 +124,8 @@ impl std::error::Error for SolverError {}
 pub struct Solution {
     /// Termination status.
     pub status: SolveStatus,
-    /// Objective value of the returned point (meaningful for `Optimal` and
-    /// `LimitReached` with an incumbent).
+    /// Objective value of the returned point (meaningful for `Optimal`,
+    /// `LimitReached` and `Degraded`).
     pub objective: f64,
     /// Value of every variable, indexed by [`Variable`] id.
     pub values: Vec<f64>,
@@ -184,7 +173,6 @@ impl Model {
     /// bound, `lower > upper`, or a non-finite objective coefficient.
     pub fn try_add_continuous(
         &mut self,
-        name: &str,
         lower: f64,
         upper: f64,
         objective: f64,
@@ -202,28 +190,8 @@ impl Model {
             return Err(SolverError::Input("objective coefficient must be finite"));
         }
         self.vars.push(VarDef {
-            name: name.to_string(),
             lower,
             upper,
-            kind: VarKind::Continuous,
-            objective,
-        });
-        Ok(Variable(self.vars.len() - 1))
-    }
-
-    /// Add a binary variable with objective coefficient `objective`.
-    ///
-    /// # Errors
-    /// [`SolverError::Input`] for a non-finite objective coefficient.
-    pub fn try_add_binary(&mut self, name: &str, objective: f64) -> Result<Variable, SolverError> {
-        if !objective.is_finite() {
-            return Err(SolverError::Input("objective coefficient must be finite"));
-        }
-        self.vars.push(VarDef {
-            name: name.to_string(),
-            lower: 0.0,
-            upper: 1.0,
-            kind: VarKind::Binary,
             objective,
         });
         Ok(Variable(self.vars.len() - 1))
@@ -272,35 +240,6 @@ impl Model {
         self.constraints.len()
     }
 
-    /// Indices of the binary variables.
-    pub fn binary_vars(&self) -> Vec<Variable> {
-        self.vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.kind == VarKind::Binary)
-            .map(|(i, _)| Variable(i))
-            .collect()
-    }
-
-    /// Name of a variable (for diagnostics).
-    pub fn var_name(&self, var: Variable) -> &str {
-        &self.vars[var.0].name
-    }
-
-    /// Evaluate the objective at a point.
-    pub fn objective_value(&self, values: &[f64]) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.vars.len(),
-            "value vector length mismatch"
-        );
-        self.vars
-            .iter()
-            .zip(values)
-            .map(|(v, x)| v.objective * x)
-            .sum()
-    }
-
     /// Check whether a point satisfies every constraint and bound within
     /// `tol`. Used by tests and by debug assertions in the planner.
     pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
@@ -334,21 +273,19 @@ mod tests {
     #[test]
     fn model_construction_and_introspection() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 10.0, 1.0).unwrap();
-        let y = m.try_add_binary("y", 5.0).unwrap();
+        let x = m.try_add_continuous(0.0, 10.0, 1.0).unwrap();
+        let y = m.try_add_continuous(0.0, 1.0, 5.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 8.0)
             .unwrap();
+        assert_eq!((x, y), (Variable(0), Variable(1)));
         assert_eq!(m.n_vars(), 2);
         assert_eq!(m.n_constraints(), 1);
-        assert_eq!(m.binary_vars(), vec![y]);
-        assert_eq!(m.var_name(x), "x");
-        assert_eq!(m.objective_value(&[3.0, 1.0]), 8.0);
     }
 
     #[test]
     fn feasibility_checks_bounds_and_constraints() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 5.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
             .unwrap();
         assert!(m.is_feasible(&[3.0], 1e-9));
@@ -361,43 +298,39 @@ mod tests {
     fn non_finite_variable_inputs_return_typed_errors() {
         let mut m = Model::new(Sense::Maximize);
         assert_eq!(
-            m.try_add_continuous("x", f64::NAN, 1.0, 0.0),
+            m.try_add_continuous(f64::NAN, 1.0, 0.0),
             Err(SolverError::Input("lower bound must be finite"))
         );
         assert_eq!(
-            m.try_add_continuous("x", f64::NEG_INFINITY, 1.0, 0.0),
+            m.try_add_continuous(f64::NEG_INFINITY, 1.0, 0.0),
             Err(SolverError::Input("lower bound must be finite"))
         );
         assert_eq!(
-            m.try_add_continuous("x", 0.0, f64::NAN, 0.0),
+            m.try_add_continuous(0.0, f64::NAN, 0.0),
             Err(SolverError::Input("upper bound must not be NaN"))
         );
         assert_eq!(
-            m.try_add_continuous("x", 2.0, 1.0, 0.0),
+            m.try_add_continuous(2.0, 1.0, 0.0),
             Err(SolverError::Input("lower bound exceeds upper bound"))
         );
         assert_eq!(
-            m.try_add_continuous("x", 0.0, 1.0, f64::NAN),
+            m.try_add_continuous(0.0, 1.0, f64::NAN),
             Err(SolverError::Input("objective coefficient must be finite"))
         );
         assert_eq!(
-            m.try_add_continuous("x", 0.0, 1.0, f64::INFINITY),
-            Err(SolverError::Input("objective coefficient must be finite"))
-        );
-        assert_eq!(
-            m.try_add_binary("b", f64::NAN),
+            m.try_add_continuous(0.0, 1.0, f64::INFINITY),
             Err(SolverError::Input("objective coefficient must be finite"))
         );
         // Nothing was added by any rejected call.
         assert_eq!(m.n_vars(), 0);
         // +inf upper bound stays legal (unbounded-above variable).
-        assert!(m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).is_ok());
+        assert!(m.try_add_continuous(0.0, f64::INFINITY, 1.0).is_ok());
     }
 
     #[test]
     fn non_finite_constraint_inputs_return_typed_errors() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         assert_eq!(
             m.try_add_constraint(&[], ConstraintOp::Le, 1.0),
             Err(SolverError::Input("constraint needs at least one term"))

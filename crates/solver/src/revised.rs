@@ -1,7 +1,7 @@
 //! Sparse revised simplex with direct bounded-variable handling.
 //!
-//! This is the default LP engine behind [`solve_lp`] / [`solve_lp_budgeted`]
-//! and the MILP relaxations. Unlike the dense tableau of
+//! This is the LP engine behind [`solve_lp`] / [`solve_lp_budgeted`] and
+//! the patrol planner. Unlike the dense tableau of
 //! [`crate::simplex`], it never materialises `B⁻¹A`: the basis is held as a
 //! Markowitz LU factorisation ([`crate::lu`]) refreshed by product-form eta
 //! updates, pricing reads the original columns through a CSC matrix
@@ -55,8 +55,9 @@ enum VState {
 }
 
 /// An opaque snapshot of a simplex basis, reusable to warm-start a later
-/// solve of the *same* model under different bound overrides (the
-/// branch-and-bound pattern). Snapshots never reference artificial columns.
+/// solve of the *same* model under different bound overrides, or — remapped
+/// through [`BasisSnapshot::from_basic_columns`] — a grown model such as a
+/// column-generation master. Snapshots never reference artificial columns.
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
     basis: Vec<usize>,
@@ -135,8 +136,8 @@ enum RatioOutcome {
 
 /// A reusable sparse-LP workspace over one [`Model`]: the CSC build and all
 /// solver scratch are allocated once and reused across repeated solves with
-/// different bound overrides (branch-and-bound nodes, column-generation
-/// restricted masters re-built per round use one workspace per build).
+/// different bound overrides (column-generation restricted masters, rebuilt
+/// each round, use one workspace per build).
 #[derive(Debug)]
 pub struct SparseLp {
     m: usize,
@@ -254,10 +255,10 @@ impl SparseLp {
     }
 
     /// Budgeted solve that additionally tries to start from `warm` (a basis
-    /// returned by an earlier solve of the same workspace, typically the
-    /// parent branch-and-bound node). A warm basis is used only when it is
-    /// still non-singular and primal feasible under the new bounds; the
-    /// solver silently falls back to a cold start otherwise.
+    /// returned by an earlier solve of the same workspace, or one built with
+    /// [`BasisSnapshot::from_basic_columns`]). A warm basis is used only
+    /// when it is still non-singular and primal feasible under the new
+    /// bounds; the solver silently falls back to a cold start otherwise.
     pub fn solve_warm(
         &mut self,
         bound_overrides: Option<&[(f64, f64)]>,
@@ -272,7 +273,7 @@ impl SparseLp {
         )
     }
 
-    pub(crate) fn solve_inner(
+    fn solve_inner(
         &mut self,
         bound_overrides: Option<&[(f64, f64)]>,
         iteration_cap: Option<usize>,
@@ -911,9 +912,8 @@ impl SparseLp {
     }
 }
 
-/// Solve the continuous (LP) relaxation of a model with the sparse revised
-/// simplex, optionally overriding per-variable bounds (used by
-/// branch-and-bound). This is the default engine;
+/// Solve a model with the sparse revised simplex, optionally overriding
+/// per-variable bounds. This is the default engine;
 /// [`crate::simplex::solve_lp_dense`] is the tableau reference
 /// implementation retained for parity testing.
 pub fn solve_lp(model: &Model, bound_overrides: Option<&[(f64, f64)]>) -> Solution {
@@ -944,8 +944,8 @@ mod tests {
     #[test]
     fn solves_textbook_maximisation() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
@@ -963,8 +963,8 @@ mod tests {
     fn bounds_are_handled_without_rows() {
         // x in [1, 3] enforced directly: max x st. x + y <= 10, y in [0, 2].
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 1.0, 3.0, 1.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, 2.0, 1.0).unwrap();
+        let x = m.try_add_continuous(1.0, 3.0, 1.0).unwrap();
+        let y = m.try_add_continuous(0.0, 2.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0)
             .unwrap();
         let sol = solve_lp(&m, None);
@@ -978,8 +978,8 @@ mod tests {
     #[test]
     fn minimisation_with_ge_rows_needs_phase1() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 2.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 3.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 2.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0)
             .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0)
@@ -992,19 +992,15 @@ mod tests {
     #[test]
     fn infeasible_and_unbounded_match_dense_statuses() {
         let mut inf = Model::new(Sense::Maximize);
-        let x = inf.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        let x = inf.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         inf.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
             .unwrap();
         assert_eq!(solve_lp(&inf, None).status, SolveStatus::Infeasible);
         assert_eq!(solve_lp_dense(&inf, None).status, SolveStatus::Infeasible);
 
         let mut unb = Model::new(Sense::Maximize);
-        let x = unb
-            .try_add_continuous("x", 0.0, f64::INFINITY, 1.0)
-            .unwrap();
-        let y = unb
-            .try_add_continuous("y", 0.0, f64::INFINITY, 0.0)
-            .unwrap();
+        let x = unb.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
+        let y = unb.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
         unb.try_add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0)
             .unwrap();
         assert_eq!(solve_lp(&unb, None).status, SolveStatus::Unbounded);
@@ -1014,8 +1010,8 @@ mod tests {
     #[test]
     fn equality_rows_and_fixed_vars() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 2.0, 1.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, 4.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 2.0, 1.0).unwrap();
+        let y = m.try_add_continuous(0.0, 4.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
             .unwrap();
         let sol = solve_lp(&m, None);
@@ -1032,7 +1028,7 @@ mod tests {
     fn duals_price_columns_correctly() {
         // max 3x st. x <= 4 — the budget row's shadow price is 3.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         let out = SparseLp::new(&m).solve(None);
@@ -1045,8 +1041,8 @@ mod tests {
         // A small LP solved twice: second solve warm-starts from the first
         // basis with a tightened bound on a nonbasic variable.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 4.0, 3.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, 6.0, 5.0).unwrap();
+        let x = m.try_add_continuous(0.0, 4.0, 3.0).unwrap();
+        let y = m.try_add_continuous(0.0, 6.0, 5.0).unwrap();
         m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
             .unwrap();
         let mut ws = SparseLp::new(&m);
@@ -1070,10 +1066,10 @@ mod tests {
         // budget row. Hinting the breakpoint-0 column of each cell and the
         // budget slack as basic skips phase 1 entirely.
         let mut m = Model::new(Sense::Maximize);
-        let a0 = m.try_add_continuous("a0", 0.0, f64::INFINITY, 0.0).unwrap();
-        let a1 = m.try_add_continuous("a1", 0.0, f64::INFINITY, 2.0).unwrap();
-        let b0 = m.try_add_continuous("b0", 0.0, f64::INFINITY, 0.0).unwrap();
-        let b1 = m.try_add_continuous("b1", 0.0, f64::INFINITY, 5.0).unwrap();
+        let a0 = m.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
+        let a1 = m.try_add_continuous(0.0, f64::INFINITY, 2.0).unwrap();
+        let b0 = m.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
+        let b1 = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
         m.try_add_constraint(&[(a0, 1.0), (a1, 1.0)], ConstraintOp::Eq, 1.0)
             .unwrap();
         m.try_add_constraint(&[(b0, 1.0), (b1, 1.0)], ConstraintOp::Eq, 1.0)
@@ -1109,18 +1105,10 @@ mod tests {
         // tie-breaking cycles forever; Bland's rule terminates. Forcing
         // stall_limit = 0 runs the whole solve under Bland's rule.
         let mut m = Model::new(Sense::Maximize);
-        let x1 = m
-            .try_add_continuous("x1", 0.0, f64::INFINITY, 0.75)
-            .unwrap();
-        let x2 = m
-            .try_add_continuous("x2", 0.0, f64::INFINITY, -150.0)
-            .unwrap();
-        let x3 = m
-            .try_add_continuous("x3", 0.0, f64::INFINITY, 0.02)
-            .unwrap();
-        let x4 = m
-            .try_add_continuous("x4", 0.0, f64::INFINITY, -6.0)
-            .unwrap();
+        let x1 = m.try_add_continuous(0.0, f64::INFINITY, 0.75).unwrap();
+        let x2 = m.try_add_continuous(0.0, f64::INFINITY, -150.0).unwrap();
+        let x3 = m.try_add_continuous(0.0, f64::INFINITY, 0.02).unwrap();
+        let x4 = m.try_add_continuous(0.0, f64::INFINITY, -6.0).unwrap();
         m.try_add_constraint(
             &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
             ConstraintOp::Le,
@@ -1150,7 +1138,7 @@ mod tests {
     fn budget_statuses_mirror_the_dense_engine() {
         // Expired deadline inside phase 1 → BudgetExceeded.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
             .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
@@ -1164,7 +1152,7 @@ mod tests {
 
         // Expired deadline with a feasible start → Degraded feasible point.
         let mut m2 = Model::new(Sense::Maximize);
-        let x = m2.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+        let x = m2.try_add_continuous(0.0, 5.0, 1.0).unwrap();
         m2.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         let sol2 = solve_lp_budgeted(
@@ -1179,8 +1167,8 @@ mod tests {
     #[test]
     fn generous_budget_is_a_behavioural_noop() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
@@ -1201,14 +1189,10 @@ mod tests {
     #[test]
     fn degenerate_constraints_do_not_cycle() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 10.0).unwrap();
-        let y = m
-            .try_add_continuous("y", 0.0, f64::INFINITY, -57.0)
-            .unwrap();
-        let z = m.try_add_continuous("z", 0.0, f64::INFINITY, -9.0).unwrap();
-        let w = m
-            .try_add_continuous("w", 0.0, f64::INFINITY, -24.0)
-            .unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 10.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, -57.0).unwrap();
+        let z = m.try_add_continuous(0.0, f64::INFINITY, -9.0).unwrap();
+        let w = m.try_add_continuous(0.0, f64::INFINITY, -24.0).unwrap();
         m.try_add_constraint(
             &[(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
             ConstraintOp::Le,
@@ -1231,15 +1215,15 @@ mod tests {
     #[test]
     fn no_constraint_models_degrade_to_bound_optimisation() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", -0.0, 7.0, 2.0).unwrap();
-        let y = m.try_add_continuous("y", 1.0, 3.0, -1.0).unwrap();
+        let x = m.try_add_continuous(-0.0, 7.0, 2.0).unwrap();
+        let y = m.try_add_continuous(1.0, 3.0, -1.0).unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.value(x) - 7.0).abs() < 1e-12);
         assert!((sol.value(y) - 1.0).abs() < 1e-12);
         // Unbounded via bounds alone.
         let mut m2 = Model::new(Sense::Maximize);
-        m2.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        m2.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
         assert_eq!(solve_lp(&m2, None).status, SolveStatus::Unbounded);
     }
 
@@ -1256,14 +1240,14 @@ mod tests {
                 Sense::Minimize
             });
             let vars: Vec<_> = (0..n)
-                .map(|i| {
+                .map(|_| {
                     let lo = rng.gen_range(-2.0..1.0);
                     let hi = if rng.gen::<f64>() < 0.3 {
                         f64::INFINITY
                     } else {
                         lo + rng.gen_range(0.0..5.0)
                     };
-                    m.try_add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-3.0..3.0))
+                    m.try_add_continuous(lo, hi, rng.gen_range(-3.0..3.0))
                         .unwrap()
                 })
                 .collect();

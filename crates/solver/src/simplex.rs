@@ -1,13 +1,13 @@
-//! Dense two-phase primal simplex for the continuous relaxation of a
-//! [`Model`].
+//! Dense two-phase primal simplex over a [`Model`].
 //!
 //! The implementation converts the model to standard form (shift every
 //! variable to a non-negative offset from its lower bound, add explicit
 //! upper-bound rows for finitely-bounded variables, add slack/surplus and
 //! artificial columns) and runs a textbook two-phase tableau simplex with
-//! Dantzig pricing and a Bland's-rule fallback for anti-cycling. Problem
-//! sizes in the patrol planner are at most a few thousand columns, which a
-//! dense tableau handles comfortably.
+//! Dantzig pricing and a Bland's-rule fallback for anti-cycling. Its work
+//! grows with rows × columns, so no planner path uses it: it is the
+//! reference the sparse engine of [`crate::revised`] is parity-tested
+//! against.
 
 use std::time::Instant;
 
@@ -23,10 +23,10 @@ const EPS: f64 = 1e-9;
 /// unbudgeted one.
 const DEADLINE_STRIDE: usize = 64;
 
-/// Solve the continuous (LP) relaxation of a model with the dense tableau
-/// engine, optionally overriding per-variable bounds. Retained as the
-/// reference implementation for parity-testing the default sparse engine
-/// ([`crate::revised::solve_lp`]); prefer `solve_lp` for production use.
+/// Solve a model with the dense tableau engine, optionally overriding
+/// per-variable bounds. Retained as the reference implementation for
+/// parity-testing the default sparse engine ([`crate::revised::solve_lp`]);
+/// prefer `solve_lp` for production use.
 pub fn solve_lp_dense(model: &Model, bound_overrides: Option<&[(f64, f64)]>) -> Solution {
     solve_lp_inner(model, bound_overrides, None, None)
 }
@@ -50,9 +50,7 @@ pub fn solve_lp_dense_budgeted(
     )
 }
 
-/// Budget plumbing shared with branch-and-bound (which owns one deadline
-/// across every relaxation it solves).
-pub(crate) fn solve_lp_inner(
+fn solve_lp_inner(
     model: &Model,
     bound_overrides: Option<&[(f64, f64)]>,
     iteration_cap: Option<usize>,
@@ -403,8 +401,8 @@ mod tests {
     fn solves_textbook_maximisation() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  -> x=2, y=6, obj=36.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
@@ -424,8 +422,8 @@ mod tests {
         // min 2x + 3y s.t. x + y >= 4, x >= 1 -> x=4? no: put all weight on x
         // (cheaper): x=4, y=0, obj=8; but x>=1 already satisfied.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 2.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 3.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 2.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0)
             .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0)
@@ -440,8 +438,8 @@ mod tests {
     fn handles_equality_constraints_and_bounds() {
         // max x + y s.t. x + y = 5, x in [0,2], y in [0,4] -> obj 5, x in [1,2].
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 2.0, 1.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, 4.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 2.0, 1.0).unwrap();
+        let y = m.try_add_continuous(0.0, 4.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
             .unwrap();
         let sol = solve_lp_dense(&m, None);
@@ -453,7 +451,7 @@ mod tests {
     #[test]
     fn reports_infeasible() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
             .unwrap();
         let sol = solve_lp_dense(&m, None);
@@ -463,8 +461,8 @@ mod tests {
     #[test]
     fn reports_unbounded() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 0.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0)
             .unwrap();
         let sol = solve_lp_dense(&m, None);
@@ -475,8 +473,8 @@ mod tests {
     fn respects_nonzero_lower_bounds() {
         // min x + y with x >= 2, y >= 3, x + y >= 6 -> 6.
         let mut m = Model::new(Sense::Minimize);
-        let x = m.try_add_continuous("x", 2.0, f64::INFINITY, 1.0).unwrap();
-        let y = m.try_add_continuous("y", 3.0, f64::INFINITY, 1.0).unwrap();
+        let x = m.try_add_continuous(2.0, f64::INFINITY, 1.0).unwrap();
+        let y = m.try_add_continuous(3.0, f64::INFINITY, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 6.0)
             .unwrap();
         let sol = solve_lp_dense(&m, None);
@@ -488,7 +486,7 @@ mod tests {
     #[test]
     fn bound_overrides_tighten_the_problem() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, 10.0, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, 10.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 8.0)
             .unwrap();
         let free = solve_lp_dense(&m, None);
@@ -503,14 +501,10 @@ mod tests {
     fn degenerate_constraints_do_not_cycle() {
         // A classic degenerate LP; must terminate with the optimum.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 10.0).unwrap();
-        let y = m
-            .try_add_continuous("y", 0.0, f64::INFINITY, -57.0)
-            .unwrap();
-        let z = m.try_add_continuous("z", 0.0, f64::INFINITY, -9.0).unwrap();
-        let w = m
-            .try_add_continuous("w", 0.0, f64::INFINITY, -24.0)
-            .unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 10.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, -57.0).unwrap();
+        let z = m.try_add_continuous(0.0, f64::INFINITY, -9.0).unwrap();
+        let w = m.try_add_continuous(0.0, f64::INFINITY, -24.0).unwrap();
         m.try_add_constraint(
             &[(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
             ConstraintOp::Le,
@@ -533,8 +527,8 @@ mod tests {
     #[test]
     fn generous_budget_reproduces_unbudgeted_solve_exactly() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
-        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
             .unwrap();
         m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
@@ -555,7 +549,7 @@ mod tests {
     #[test]
     fn expired_deadline_yields_typed_budget_status_not_a_hang() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        let x = m.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
             .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
@@ -578,8 +572,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..30)
-            .map(|i| {
-                m.try_add_continuous(&format!("x{i}"), 0.0, 4.0, rng.gen_range(0.1..1.0))
+            .map(|_| {
+                m.try_add_continuous(0.0, 4.0, rng.gen_range(0.1..1.0))
                     .unwrap()
             })
             .collect();
@@ -617,8 +611,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..40)
-            .map(|i| {
-                m.try_add_continuous(&format!("x{i}"), 0.0, 5.0, rng.gen_range(0.1..1.0))
+            .map(|_| {
+                m.try_add_continuous(0.0, 5.0, rng.gen_range(0.1..1.0))
                     .unwrap()
             })
             .collect();

@@ -10,8 +10,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use paws_solver::{
-    solve_lp, solve_lp_budgeted, solve_lp_dense, solve_lp_dense_budgeted, solve_milp, ConstraintOp,
-    LpEngine, MilpOptions, Model, Sense, SolveBudget, SolveStatus, SparseLp,
+    solve_lp, solve_lp_budgeted, solve_lp_dense, solve_lp_dense_budgeted, ConstraintOp, Model,
+    Sense, SolveBudget, SolveStatus, SparseLp,
 };
 
 /// A random LP over a handful of bounded/unbounded variables and mixed-sense
@@ -25,14 +25,14 @@ fn random_lp(seed: u64) -> Model {
         Sense::Minimize
     });
     let vars: Vec<_> = (0..n)
-        .map(|i| {
+        .map(|_| {
             let lo = rng.gen_range(-3.0..2.0);
             let hi = if rng.gen::<f64>() < 0.3 {
                 f64::INFINITY
             } else {
                 lo + rng.gen_range(0.0..6.0)
             };
-            m.try_add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-4.0..4.0))
+            m.try_add_continuous(lo, hi, rng.gen_range(-4.0..4.0))
                 .unwrap()
         })
         .collect();
@@ -108,39 +108,6 @@ proptest! {
         prop_assert!(dense_budgeted.status == dense_free.status);
         prop_assert!(dense_budgeted.values == dense_free.values);
     }
-
-    #[test]
-    fn milp_engines_agree_on_random_knapsacks(seed in 0.0..100000.0f64) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed as u64 + 77);
-        let n = rng.gen_range(2..9);
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n)
-            .map(|i| m.try_add_binary(&format!("b{i}"), rng.gen_range(0.5..10.0)).unwrap())
-            .collect();
-        let terms: Vec<_> = vars
-            .iter()
-            .map(|&v| (v, rng.gen_range(0.5..4.0)))
-            .collect();
-        let cap = rng.gen_range(1.0..8.0);
-        m.try_add_constraint(&terms, ConstraintOp::Le, cap).unwrap();
-        let (sparse, _) = solve_milp(&m, &MilpOptions::default());
-        let (dense, _) = solve_milp(
-            &m,
-            &MilpOptions {
-                engine: LpEngine::Dense,
-                ..MilpOptions::default()
-            },
-        );
-        prop_assert!(sparse.status == dense.status, "seed {seed}");
-        if dense.status == SolveStatus::Optimal {
-            prop_assert!(
-                objectives_close(sparse.objective, dense.objective),
-                "seed {seed}: sparse {} vs dense {}",
-                sparse.objective,
-                dense.objective
-            );
-        }
-    }
 }
 
 /// Beale's classic cycling LP: Dantzig pricing with naive tie-breaking
@@ -148,18 +115,10 @@ proptest! {
 /// Bland-only mode) must terminate at the optimum 0.05.
 fn beale_model() -> Model {
     let mut m = Model::new(Sense::Maximize);
-    let x1 = m
-        .try_add_continuous("x1", 0.0, f64::INFINITY, 0.75)
-        .unwrap();
-    let x2 = m
-        .try_add_continuous("x2", 0.0, f64::INFINITY, -150.0)
-        .unwrap();
-    let x3 = m
-        .try_add_continuous("x3", 0.0, f64::INFINITY, 0.02)
-        .unwrap();
-    let x4 = m
-        .try_add_continuous("x4", 0.0, f64::INFINITY, -6.0)
-        .unwrap();
+    let x1 = m.try_add_continuous(0.0, f64::INFINITY, 0.75).unwrap();
+    let x2 = m.try_add_continuous(0.0, f64::INFINITY, -150.0).unwrap();
+    let x3 = m.try_add_continuous(0.0, f64::INFINITY, 0.02).unwrap();
+    let x4 = m.try_add_continuous(0.0, f64::INFINITY, -6.0).unwrap();
     m.try_add_constraint(
         &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
         ConstraintOp::Le,
@@ -203,7 +162,7 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
     // Feasible-at-start model: a zero deadline leaves a Degraded feasible
     // point on both engines.
     let mut feasible = Model::new(Sense::Maximize);
-    let x = feasible.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+    let x = feasible.try_add_continuous(0.0, 5.0, 1.0).unwrap();
     feasible
         .try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
         .unwrap();
@@ -217,9 +176,7 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
     // Phase-1 model (needs artificials): the same budget dies before
     // feasibility, surfacing BudgetExceeded on both engines.
     let mut phase1 = Model::new(Sense::Maximize);
-    let y = phase1
-        .try_add_continuous("y", 0.0, f64::INFINITY, 1.0)
-        .unwrap();
+    let y = phase1.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
     phase1
         .try_add_constraint(&[(y, 1.0)], ConstraintOp::Ge, 2.0)
         .unwrap();
@@ -239,8 +196,8 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
 #[test]
 fn iteration_cap_yields_degraded_feasible_point_like_dense() {
     let mut m = Model::new(Sense::Maximize);
-    let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
-    let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+    let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
+    let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
     m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
         .unwrap();
     m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)

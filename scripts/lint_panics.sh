@@ -47,7 +47,6 @@ allowlist() {
 3 crates/plan/src/routes.rs
 5 crates/sim/src/behaviour.rs
 2 crates/sim/src/patrol.rs
-1 crates/solver/src/milp.rs
 EOF
 }
 

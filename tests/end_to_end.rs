@@ -144,7 +144,7 @@ fn large_park_sparse_planner_solves_a_park_wide_allocation() {
     // simplex exists for; the dense tableau would need tens of gigabytes).
     // Budgeted and unbudgeted solves must both come back Optimal and
     // identical.
-    use paws_solver::{MilpOptions, SolveBudget, SolveStatus};
+    use paws_solver::{SolveBudget, SolveStatus};
     use std::time::Duration;
 
     let scenario = Scenario::llc_scenario(50_000, 43);
@@ -178,10 +178,7 @@ fn large_park_sparse_planner_solves_a_park_wide_allocation() {
     let budgeted = try_plan(
         &problem,
         &PlannerConfig {
-            milp: MilpOptions {
-                budget: SolveBudget::with_time_limit(Duration::from_secs(120)),
-                ..MilpOptions::default()
-            },
+            budget: SolveBudget::with_time_limit(Duration::from_secs(120)),
             ..PlannerConfig::default()
         },
     )

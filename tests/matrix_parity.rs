@@ -1105,8 +1105,10 @@ fn allocation_plans_match_the_pinned_bits() {
     let plan = try_plan(&wide, &PlannerConfig::default()).unwrap();
     assert_eq!(plan_pin(&plan), GOLDEN_PLAN_AUTO_WIDE, "Auto, every cell");
 
-    let mut config = PlannerConfig::default();
-    config.milp.budget = SolveBudget::with_time_limit(std::time::Duration::ZERO);
+    let config = PlannerConfig {
+        budget: SolveBudget::with_time_limit(std::time::Duration::ZERO),
+        ..PlannerConfig::default()
+    };
     let plan = try_plan(&synthetic_plan_problem(0.5, 8.0, 3), &config).unwrap();
     assert_eq!(plan_pin(&plan), GOLDEN_PLAN_ZERO_BUDGET, "zero budget");
 }

@@ -7,7 +7,7 @@ use paws_data::Matrix;
 use paws_geo::parks::{qenp_spec, test_park_spec};
 use paws_geo::Park;
 use paws_plan::{try_plan, PlannerConfig, PlanningProblem};
-use paws_solver::{MilpOptions, SolveBudget, SolveStatus};
+use paws_solver::{SolveBudget, SolveStatus};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -128,10 +128,7 @@ fn qenp_scale_problem() -> PlanningProblem {
 
 fn budgeted(budget: SolveBudget) -> PlannerConfig {
     PlannerConfig {
-        milp: MilpOptions {
-            budget,
-            ..MilpOptions::default()
-        },
+        budget,
         ..PlannerConfig::default()
     }
 }
