@@ -183,9 +183,8 @@ impl ModelRegistry {
     /// warmly. Returns the cold batch's report.
     ///
     /// # Errors
-    /// [`ServeError::Ingest`] when the dataset is empty or does not match
-    /// the park; [`ServeError::Model`] when the cold fit cannot serve at
-    /// the configured precision.
+    /// [`ServeError::Model`] when the dataset is empty, does not match the
+    /// park, or its cold fit cannot serve at the configured precision.
     pub fn install_streaming(
         &self,
         name: impl Into<String>,
@@ -196,9 +195,9 @@ impl ModelRegistry {
     ) -> Result<BatchReport, ServeError> {
         let name = name.into();
         if dataset.n_points() == 0 {
-            return Err(ServeError::Ingest(
-                "cannot install a streaming park from an empty dataset".to_string(),
-            ));
+            return Err(ServeError::Model(paws_core::PawsError::Input(
+                "cannot install a streaming park from an empty dataset",
+            )));
         }
         let mut fit = StreamingFit::new(config.clone(), stream);
         let idx: Vec<usize> = (0..dataset.n_points()).collect();
@@ -225,20 +224,23 @@ impl ModelRegistry {
     /// never blocked by an ingest.
     ///
     /// # Errors
-    /// [`ServeError::Ingest`] when the park was not installed via
-    /// [`ModelRegistry::install_streaming`] or the batch is rejected by
-    /// dataset validation (wrong park, out-of-order months, non-finite
-    /// values) — the dataset is untouched on every rejection.
+    /// [`ServeError::NotStreaming`] when the park was not installed via
+    /// [`ModelRegistry::install_streaming`] (or was evicted since);
+    /// [`ServeError::Ingest`] when dataset validation rejects the batch
+    /// (wrong park, out-of-order months, non-finite values) — the dataset
+    /// is untouched on every rejection.
     pub fn ingest_batch(
         &self,
         name: &str,
         history: &History,
     ) -> Result<Option<BatchReport>, ServeError> {
-        let slot = self
-            .read_streams()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ServeError::Ingest(format!("park {name:?} is not streaming")))?;
+        let slot =
+            self.read_streams()
+                .get(name)
+                .cloned()
+                .ok_or_else(|| ServeError::NotStreaming {
+                    park: name.to_string(),
+                })?;
         let mut slot = Self::lock_slot(&slot);
         let before = slot.dataset.n_points();
         let appended = {

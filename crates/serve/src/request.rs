@@ -7,7 +7,7 @@
 //! surface panics on caller input.
 
 use paws_core::PawsError;
-use paws_data::Matrix;
+use paws_data::{AppendError, Matrix};
 use paws_geo::CellId;
 use paws_plan::PatrolPlan;
 use paws_solver::SolveBudget;
@@ -29,7 +29,7 @@ pub enum QueryKind {
     },
     /// A robust patrol plan for one patrol post, built from the park's
     /// cached response surface; the request's remaining deadline bounds
-    /// the MILP solve (anytime, degrading — never hanging).
+    /// the plan's LP solves (anytime, degrading — never hanging).
     PatrolPlan {
         /// Patrol post the routes must start from.
         post: CellId,
@@ -108,9 +108,15 @@ pub enum ServeError {
     },
     /// The model layer rejected the query (bad input, plan failure, …).
     Model(PawsError),
-    /// A patrol-log ingest was rejected before any state changed
-    /// (park/dataset mismatch, out-of-order months, no streaming slot, …).
-    Ingest(String),
+    /// Dataset validation rejected a patrol-log batch (park mismatch,
+    /// out-of-order months, non-finite values, …) before any state changed.
+    Ingest(AppendError),
+    /// A patrol-log batch addressed a park that is unknown, evicted, or was
+    /// not installed on the streaming ingest path.
+    NotStreaming {
+        /// The park the batch addressed.
+        park: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -121,7 +127,13 @@ impl fmt::Display for ServeError {
                 write!(f, "request deadline exhausted before serving park {park:?}")
             }
             ServeError::Model(e) => write!(f, "model layer rejected the query: {e}"),
-            ServeError::Ingest(msg) => write!(f, "patrol-log ingest rejected: {msg}"),
+            ServeError::Ingest(e) => write!(f, "patrol-log ingest rejected: {e}"),
+            ServeError::NotStreaming { park } => {
+                write!(
+                    f,
+                    "patrol-log ingest rejected: park {park:?} is not streaming"
+                )
+            }
         }
     }
 }
@@ -130,6 +142,7 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Model(e) => Some(e),
+            ServeError::Ingest(e) => Some(e),
             _ => None,
         }
     }
@@ -141,8 +154,8 @@ impl From<PawsError> for ServeError {
     }
 }
 
-impl From<paws_data::AppendError> for ServeError {
-    fn from(e: paws_data::AppendError) -> Self {
-        ServeError::Ingest(e.to_string())
+impl From<AppendError> for ServeError {
+    fn from(e: AppendError) -> Self {
+        ServeError::Ingest(e)
     }
 }

@@ -8,7 +8,7 @@ use paws_core::{
     ColdReason, FittedModel, ModelConfig, PawsError, RefitPath, Scenario, StreamConfig,
     WeakLearnerKind,
 };
-use paws_data::{build_dataset, Discretization};
+use paws_data::{build_dataset, AppendError, Discretization};
 use paws_serve::{ModelRegistry, PawsServer, QueryKind, QueryRequest, QueryResponse, ServeError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -201,10 +201,17 @@ fn ingest_rejections_are_typed_and_leave_serving_untouched() {
 
     // Replaying batch 1 is out of order — typed rejection, model untouched.
     let before = registry.resident("mondulkiri").expect("resident");
-    assert!(matches!(
-        registry.ingest_batch("mondulkiri", &batches[0]),
-        Err(ServeError::Ingest(_))
-    ));
+    let replay = registry.ingest_batch("mondulkiri", &batches[0]);
+    assert!(
+        matches!(
+            replay,
+            Err(ServeError::Ingest(AppendError::OutOfOrderStep { .. }))
+        ),
+        "{replay:?}"
+    );
+    let err = replay.expect_err("replay is rejected");
+    assert!(err.to_string().starts_with("patrol-log ingest rejected: "));
+    assert!(std::error::Error::source(&err).is_some());
     let after = registry.resident("mondulkiri").expect("still resident");
     assert!(
         Arc::ptr_eq(&before, &after),
@@ -212,10 +219,26 @@ fn ingest_rejections_are_typed_and_leave_serving_untouched() {
     );
 
     // Ingesting into a non-streaming park is a typed error too.
+    let unknown = registry.ingest_batch("nonexistent", &batches[1]);
+    assert!(
+        matches!(&unknown, Err(ServeError::NotStreaming { park }) if park == "nonexistent"),
+        "{unknown:?}"
+    );
+    assert_eq!(
+        unknown.expect_err("unknown park").to_string(),
+        "patrol-log ingest rejected: park \"nonexistent\" is not streaming"
+    );
+
+    // So is a streaming install from an empty dataset, like `install`'s
+    // other shape checks.
+    let mut empty = batches[0].clone();
+    empty.months.clear();
+    let empty = build_dataset(&park, &empty, Discretization::quarterly());
     assert!(matches!(
-        registry.ingest_batch("nonexistent", &batches[1]),
-        Err(ServeError::Ingest(_))
+        registry.install_streaming("empty", park.clone(), empty, &config(), stream_config()),
+        Err(ServeError::Model(PawsError::Input(_)))
     ));
+    assert!(!registry.is_streaming("empty"));
 
     // A valid batch still lands after the rejections.
     assert!(registry
@@ -228,7 +251,7 @@ fn ingest_rejections_are_typed_and_leave_serving_untouched() {
     assert!(!registry.is_streaming("mondulkiri"));
     assert!(matches!(
         registry.ingest_batch("mondulkiri", &batches[1]),
-        Err(ServeError::Ingest(_))
+        Err(ServeError::NotStreaming { park }) if park == "mondulkiri"
     ));
 }
 
