@@ -136,8 +136,7 @@ enum RatioOutcome {
 
 /// A reusable sparse-LP workspace over one [`Model`]: the CSC build and all
 /// solver scratch are allocated once and reused across repeated solves with
-/// different bound overrides (column-generation restricted masters, rebuilt
-/// each round, use one workspace per build).
+/// different bound overrides or warm bases.
 #[derive(Debug)]
 pub struct SparseLp {
     m: usize,
