@@ -13,13 +13,18 @@
 //!   path may keep learners fitted on slightly stale subsets and resolve
 //!   CV weights from cached fold predictions; the served surface must
 //!   stay within a documented envelope of the cold fit.
+//! * **Pinned warm refits** — a tolerant refit is only bounded against the
+//!   cold fit, so the learners it keeps and the weights it re-solves are
+//!   pinned instead: each fixture fits cold, then refits twice in a row,
+//!   and every model's stack snapshot (FNV-1a) and every `RefitStats` must
+//!   reproduce exactly. One fixture per branch of the staged driver.
 
 use paws_core::{
     fit_stream, ColdReason, ModelConfig, RefitPath, Scenario, StreamBatch, StreamConfig,
     WeakLearnerKind,
 };
 use paws_data::{build_dataset, Dataset, Discretization, Matrix, StandardScaler};
-use paws_iware::{IWareConfig, IWareModel, ThresholdMode, WeightMode};
+use paws_iware::{IWareConfig, IWareModel, RefitStats, ThresholdMode, WeightMode};
 use paws_ml::bagging::BaggingConfig;
 use paws_sim::History;
 
@@ -283,4 +288,209 @@ fn warm_stream_divergence_is_bounded() {
         mean_diff < 0.15 && max_diff < 0.7,
         "warm surface diverged from the cold fit (mean {mean_diff}, max {max_diff})"
     );
+}
+
+/// FNV-1a over a byte slice: a stable fingerprint of a stack snapshot.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// SplitMix64 of `i` under `salt`: a platform-independent stream for
+/// fixture rows.
+fn mix(i: u64, salt: u64) -> u64 {
+    let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(salt);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One training batch: feature rows, labels and patrol efforts.
+struct Batch {
+    x: Matrix,
+    labels: Vec<f64>,
+    efforts: Vec<f64>,
+}
+
+/// `n` patrol points with three features in [0, 1), a continuous effort
+/// in [0, 4) km on a 1 m grid, and detections that grow with the first two
+/// features and with the effort.
+fn continuous_batch(n: usize, salt: u64) -> Batch {
+    let unit = |i: usize, k: u64| (mix(i as u64 * 8 + k, salt) >> 11) as f64 / (1u64 << 53) as f64;
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| vec![unit(i, 0), unit(i, 1), unit(i, 2)])
+        .collect();
+    let efforts: Vec<f64> = (0..n)
+        .map(|i| (unit(i, 3) * 4000.0).round() / 1000.0)
+        .collect();
+    let labels = (0..n)
+        .map(|i| {
+            let risk = 0.6 * rows[i][0] + 0.3 * rows[i][1];
+            let seen = 1.0 - (-efforts[i]).exp();
+            f64::from(u8::from(unit(i, 4) < risk * seen))
+        })
+        .collect();
+    Batch {
+        x: Matrix::from_rows(&rows),
+        labels,
+        efforts,
+    }
+}
+
+/// The rows of `threshold_count_change_keeps_surviving_learners_warm`,
+/// extended: rows below 120 alternate 0 / 1 km, rows 120–159 sit at a new
+/// 2 km level, and later rows cycle through 0, 1 and 2 km.
+fn effort_level_batch(n: usize) -> Batch {
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            vec![
+                ((i * 37) % 101) as f64 / 101.0,
+                ((i * 61) % 89) as f64 / 89.0,
+                ((i * 13) % 97) as f64 / 97.0,
+            ]
+        })
+        .collect();
+    let labels = (0..n).map(|i| f64::from(u8::from(i % 3 == 0))).collect();
+    let efforts = (0..n)
+        .map(|i| match i {
+            0..=119 => (i % 2) as f64,
+            120..=159 => 2.0,
+            _ => (i % 3) as f64,
+        })
+        .collect();
+    Batch {
+        x: Matrix::from_rows(&rows),
+        labels,
+        efforts,
+    }
+}
+
+/// Fit cold on the first `sizes[0]` rows of `batch`, then warm-refit on
+/// the first `sizes[1]` and `sizes[2]` rows with one cache. Returns the
+/// cold model's learner count and snapshot hash and, per refit, the
+/// snapshot hash and the stats.
+fn refit_twice(
+    config: &IWareConfig,
+    batch: &Batch,
+    sizes: [usize; 3],
+    tolerance: f64,
+) -> (usize, u64, [(u64, RefitStats); 2]) {
+    let head = |n: usize| {
+        (
+            batch.x.view().head(n),
+            &batch.labels[..n],
+            &batch.efforts[..n],
+        )
+    };
+    let snapshot = |model: &IWareModel| fnv1a(&model.to_stack_snapshot().expect("tree stack"));
+    let (x, labels, efforts) = head(sizes[0]);
+    let (cold, mut cache) = IWareModel::fit_cached(config, x, labels, efforts);
+    let mut refit = |n: usize| {
+        let (x, labels, efforts) = head(n);
+        let (model, stats) =
+            IWareModel::warm_refit(config, &mut cache, x, labels, efforts, tolerance);
+        assert_eq!(cache.n_rows(), n);
+        assert_eq!(cache.n_learners(), model.n_learners());
+        (snapshot(&model), stats)
+    };
+    let first = refit(sizes[1]);
+    let second = refit(sizes[2]);
+    (cold.n_learners(), snapshot(&cold), [first, second])
+}
+
+fn stats(kept: usize, refitted: usize, from_cache: bool, full_cv: bool) -> RefitStats {
+    RefitStats {
+        learners_kept: kept,
+        learners_refitted: refitted,
+        cv_resolved_from_cache: from_cache,
+        full_cv,
+    }
+}
+
+fn cv_config(n_learners: usize, seed: u64, min_subset_size: usize) -> IWareConfig {
+    let mut config = IWareConfig::new(n_learners, BaggingConfig::trees(4, 3), seed);
+    config.weight_mode = WeightMode::CvOptimized {
+        folds: 3,
+        iterations: 40,
+    };
+    config.min_subset_size = min_subset_size;
+    config
+}
+
+#[test]
+fn same_count_tolerant_refits_match_the_pinned_bits() {
+    // Two 4% appends move every percentile threshold but keep five: the
+    // refits match learners by position, keep those whose subsets drifted
+    // at most 5%, and re-solve the weights from the cached CV predictions.
+    let config = cv_config(5, 11, 20);
+    let got = refit_twice(&config, &continuous_batch(324, 21), [300, 312, 324], 0.05);
+    let want = (
+        5,
+        16711360016776619068,
+        [
+            (16066690836627585027, stats(3, 2, true, false)),
+            (2100609230510728184, stats(4, 1, true, false)),
+        ],
+    );
+    assert_eq!(got, want);
+}
+
+#[test]
+fn count_change_tolerant_refits_match_the_pinned_bits() {
+    // The count-change fixture at tolerance 0.6 with CV weights: the first
+    // refit adds a threshold, keeps surviving learners by θ and runs the
+    // full CV; the second keeps the count and re-solves from the CV cache
+    // the first one left.
+    let config = cv_config(4, 7, 10);
+    let got = refit_twice(&config, &effort_level_batch(200), [120, 160, 200], 0.6);
+    let want = (
+        2,
+        16423760551675787412,
+        [
+            (14587037367844279412, stats(1, 2, false, true)),
+            (2636706433139215096, stats(2, 1, true, false)),
+        ],
+    );
+    assert_eq!(got, want);
+}
+
+#[test]
+fn uniform_count_change_refits_match_the_pinned_bits() {
+    // The same fixture under uniform weights: no CV stage runs at all.
+    let mut config = cv_config(4, 7, 10);
+    config.weight_mode = WeightMode::Uniform;
+    let got = refit_twice(&config, &effort_level_batch(200), [120, 160, 200], 0.6);
+    let want = (
+        2,
+        7107356706690528258,
+        [
+            (6361926291029578130, stats(1, 2, false, false)),
+            (9684595551715805011, stats(2, 1, false, false)),
+        ],
+    );
+    assert_eq!(got, want);
+}
+
+#[test]
+fn refits_from_a_cache_without_cv_match_the_pinned_bits() {
+    // The first 60 rows hold two detections, too few to stratify into
+    // three folds, so the cold fit caches no CV predictions. The first
+    // refit keeps the count and runs the full CV on the warm path; the
+    // second re-solves from the cache it left.
+    let mut batch = continuous_batch(100, 22);
+    for (i, label) in batch.labels.iter_mut().enumerate().take(60) {
+        *label = f64::from(u8::from(i == 7 || i == 41));
+    }
+    let config = cv_config(4, 5, 10);
+    let got = refit_twice(&config, &batch, [60, 80, 100], 0.5);
+    let want = (
+        4,
+        6213942725596420223,
+        [
+            (10271956163467641774, stats(3, 1, false, true)),
+            (10516616149683021160, stats(4, 0, true, false)),
+        ],
+    );
+    assert_eq!(got, want);
 }
