@@ -101,116 +101,71 @@ impl IWareModel {
         Self::fit_cached(config, x, labels, efforts).0
     }
 
-    /// The staged fit pipeline, returning both the model and the
-    /// [`FitCache`] that enables warm incremental refits: percentile
-    /// threshold selection → effort-filtered subset plans → per-learner
-    /// member fits → fused arena build → CV-weight solve on cached
-    /// out-of-fold member predictions. A tree base ranks the batch once, at
-    /// the first member fit, for every learner and CV fold.
-    /// [`IWareModel::fit`] is exactly this pipeline with the cache dropped
-    /// — the two produce bit-identical models (every stage draws from its
-    /// own index-derived RNG stream, so staging changes no floats).
+    /// The staged fit, returning both the model and the [`FitCache`] that
+    /// enables warm incremental refits. It is [`IWareModel::warm_refit`]
+    /// from an empty cache: with no learner recorded, every learner fits
+    /// and the full CV-weight stage runs, so the cold and warm paths share
+    /// every stage. [`IWareModel::fit`] is this fit with the cache dropped.
     pub fn fit_cached(
         config: &IWareConfig,
         x: MatrixView<'_>,
         labels: &[f64],
         efforts: &[f64],
     ) -> (Self, FitCache) {
-        assert_eq!(x.n_rows(), labels.len(), "rows/labels length mismatch");
-        assert_eq!(x.n_rows(), efforts.len(), "rows/efforts length mismatch");
-        assert!(config.n_learners >= 1, "need at least one learner");
-        // Stage 1: threshold selection.
-        let thresholds = select_thresholds(config.threshold_mode, efforts, config.n_learners);
-        assert!(
-            thresholds.windows(2).all(|w| w[1] > w[0]),
-            "thresholds must be strictly ascending — duplicates would train \
-             identical learners that are double-counted in the weighted vote"
-        );
-        let n_learners = thresholds.len();
-
-        // Stage 2: effort-filtered subset plans. The plans record the
-        // exact row subset each learner sees — the warm-refit keep/refit
-        // signal.
-        let plans = plan_filtered_learners(config, &thresholds, labels, efforts);
-
-        // Stage 3: per-learner member fits on the planned subsets, every
-        // ranking derived from the batch's one.
-        let batch = FitBatch::new(config, x, labels);
-        let learners = fit_planned_learners(config, &thresholds, &plans, &batch);
-
-        // Stage 4: fused learner-stack arena build.
-        let stack = build_stack(&learners, x.n_cols());
-
-        // Stage 5: CV-weight solve, caching the out-of-fold member
-        // predictions (and each point's effort/label) it optimised over.
-        let uniform = vec![1.0 / n_learners as f64; n_learners];
-        let (weights, cv) = match config.weight_mode {
-            WeightMode::Uniform => (uniform, None),
-            WeightMode::CvOptimized { folds, iterations } => {
-                match cv_weight_fit_cached(config, &thresholds, &batch, efforts, folds, iterations)
-                {
-                    Some((w, cv)) => (w, Some(cv)),
-                    None => (uniform, None),
-                }
-            }
+        let mut cache = FitCache {
+            records: Vec::new(),
+            cv: None,
+            n_rows: 0,
         };
-
-        let records = learner_records(plans, &thresholds, &learners);
-        let cache = FitCache {
-            records,
-            cv,
-            n_rows: x.n_rows(),
-        };
-        let model = Self {
-            id: next_model_id(),
-            thresholds,
-            learners,
-            weights,
-            n_features: x.n_cols(),
-            stack,
-            stack32: None,
-            config: config.clone(),
-        };
+        let (model, _) = Self::warm_refit(config, &mut cache, x, labels, efforts, 0.0);
         (model, cache)
     }
 
-    /// Warm incremental refit against the cache of a previous
-    /// [`IWareModel::fit_cached`] (or earlier `warm_refit`), on an
+    /// The staged fit against the cache of an earlier fit, on an
     /// **append-only** extension of the cached training batch: rows
     /// `0..cache.n_rows()` must be the exact rows the cache was built on.
     ///
-    /// Thresholds are recomputed from scratch — percentile ranks move on
-    /// every append, so threshold *values* are not the keep signal; the
-    /// effort-filtered subsets are. Per learner:
+    /// 1. Thresholds are selected afresh: percentile ranks move on every
+    ///    append, so threshold *values* are not the keep signal; the
+    ///    effort-filtered subsets are.
+    /// 2. Each learner's effort-filtered subset is planned.
+    /// 3. Each learner is matched to a cached record: by position while the
+    ///    threshold count is unchanged, by θ identity when deduplication
+    ///    changed it (seeds are θ-keyed, so a surviving threshold keeps its
+    ///    learner warm). A matched record is kept when
+    ///    * its subset is identical to the new one at an unmoved threshold
+    ///      (and both are non-degenerate): the refit would be
+    ///      bit-identical;
+    ///    * or its relative subset drift (symmetric difference over the
+    ///      recorded size) is within a non-zero `tolerance`. This is the
+    ///      warm path's only source of divergence from a cold fit: the kept
+    ///      learner saw a slightly stale subset (or a θ-keyed seed that
+    ///      moved with its threshold). It is bounded by `tolerance` per
+    ///      learner and disappears at `tolerance = 0`.
     ///
-    /// * recomputed subset identical to the recorded one, at an unmoved
-    ///   threshold (and both non-degenerate) → the refit would be
-    ///   bit-identical, keep the fitted members verbatim;
-    /// * relative subset drift (symmetric difference over the recorded
-    ///   size) within a non-zero `tolerance` → keep too. This is the warm
-    ///   path's only source of divergence from a cold fit: the kept
-    ///   learner saw a slightly stale subset (or a θ-keyed seed that
-    ///   moved with its threshold). It is bounded by `tolerance` per
-    ///   learner and disappears at `tolerance = 0`;
-    /// * anything else — including degenerate full-batch learners, whose
-    ///   inputs change on any append — refits with the same
-    ///   threshold-keyed seed a cold fit would use.
+    ///    Every other learner, degenerate full-batch learners included
+    ///    (their inputs change on any append), fits with the threshold-keyed
+    ///    seed a cold fit would use. A tree base ranks the batch once, at
+    ///    the first member fit, for every learner and CV fold.
+    /// 4. The learners fuse into one arena.
+    /// 5. CV weights: cached out-of-fold predictions are columns of the
+    ///    old learner list, so a count change drops them. With predictions
+    ///    cached, the weights are re-solved over them, extended with the
+    ///    current learners' predictions on the appended rows and with
+    ///    qualified sets recomputed against the moved thresholds: no fold
+    ///    model is retrained. Without, the full fold-retraining CV runs and
+    ///    its predictions are cached; a batch too small to stratify gets
+    ///    uniform weights.
     ///
-    /// The CV-weight solve then reruns on the cached out-of-fold member
-    /// predictions, extended with the current learners' predictions on the
-    /// appended rows, and qualified sets recomputed against the moved
-    /// thresholds — no fold models are retrained. When threshold
-    /// deduplication changes the learner *count*, records are matched to
-    /// the new threshold list by θ identity instead of by position (seeds
-    /// are θ-keyed, so surviving thresholds keep their learners warm) and
-    /// only the weight solve falls back to a full fold-retraining CV —
-    /// see `IWareModel::warm_refit_count_changed`.
-    ///
-    /// The cache is updated in place to describe the returned model.
+    /// Every stage draws from its own index- or θ-keyed RNG stream, so at
+    /// tolerance 0 a refit is bit-identical to a cold fit on the same batch
+    /// whenever the weights come from a full CV or are uniform. The cache is
+    /// updated in place to describe the returned model.
     ///
     /// # Panics
-    /// Panics when the batch shrinks below the cached row count or the
-    /// shape assertions of [`IWareModel::fit`] fail.
+    /// Panics when the batch shrinks below the cached row count, when
+    /// `config.n_learners` is 0, or when rows, labels and efforts differ in
+    /// length.
     pub fn warm_refit(
         config: &IWareConfig,
         cache: &mut FitCache,
@@ -221,6 +176,7 @@ impl IWareModel {
     ) -> (Self, RefitStats) {
         assert_eq!(x.n_rows(), labels.len(), "rows/labels length mismatch");
         assert_eq!(x.n_rows(), efforts.len(), "rows/efforts length mismatch");
+        assert!(config.n_learners >= 1, "need at least one learner");
         assert!(
             x.n_rows() >= cache.n_rows,
             "warm refit needs an append-only extension of the cached batch"
@@ -231,143 +187,33 @@ impl IWareModel {
             "thresholds must be strictly ascending — duplicates would train \
              identical learners that are double-counted in the weighted vote"
         );
+        let n_learners = thresholds.len();
         let appended = x.n_rows() - cache.n_rows;
-        if thresholds.len() != cache.records.len() {
-            return Self::warm_refit_count_changed(
-                config, cache, x, labels, efforts, tolerance, thresholds, appended,
-            );
+        let same_count = n_learners == cache.records.len();
+        if !same_count {
+            cache.cv = None;
         }
-        let n_learners = thresholds.len();
 
         let plans = plan_filtered_learners(config, &thresholds, labels, efforts);
-        let keep: Vec<bool> = plans
-            .iter()
-            .zip(&cache.records)
-            .zip(&thresholds)
-            .map(|((plan, rec), &theta)| keep_record(rec, plan, theta, appended, tolerance))
-            .collect();
-        let records = &cache.records;
-        let batch = FitBatch::new(config, x, labels);
-        let learners: Vec<BaggingClassifier> = (0..n_learners)
-            .into_par_iter()
-            .map(|i| {
-                if keep[i] {
-                    records[i].learner.clone()
-                } else {
-                    fit_one_learner(config, thresholds[i], &batch, plans[i].rows())
-                }
-            })
-            .collect();
-
-        let stack = build_stack(&learners, x.n_cols());
-
-        let uniform = vec![1.0 / n_learners as f64; n_learners];
-        let mut cv_resolved_from_cache = false;
-        let mut full_cv = false;
-        let weights = match config.weight_mode {
-            WeightMode::Uniform => uniform,
-            WeightMode::CvOptimized { folds, iterations } => match cache.cv.as_mut() {
-                Some(cv) => {
-                    cv_resolved_from_cache = true;
-                    resolve_weights_cached(
-                        cv,
-                        &learners,
-                        &thresholds,
-                        x,
-                        labels,
-                        efforts,
-                        cache.n_rows,
-                    )
-                }
-                None => {
-                    // The original fit could not support CV (too few
-                    // points); retry in full now that the batch has grown.
-                    match cv_weight_fit_cached(
-                        config,
-                        &thresholds,
-                        &batch,
-                        efforts,
-                        folds,
-                        iterations,
-                    ) {
-                        Some((w, cv)) => {
-                            full_cv = true;
-                            cache.cv = Some(cv);
-                            w
-                        }
-                        None => uniform,
-                    }
-                }
-            },
-        };
-
-        let learners_kept = keep.iter().filter(|&&k| k).count();
-        let stats = RefitStats {
-            learners_kept,
-            learners_refitted: n_learners - learners_kept,
-            cv_resolved_from_cache,
-            full_cv,
-        };
-        cache.records = learner_records(plans, &thresholds, &learners);
-        cache.n_rows = x.n_rows();
-        let model = Self {
-            id: next_model_id(),
-            thresholds,
-            learners,
-            weights,
-            n_features: x.n_cols(),
-            stack,
-            stack32: None,
-            config: config.clone(),
-        };
-        (model, stats)
-    }
-
-    /// Warm-refit leg for a changed learner *count* (threshold
-    /// deduplication added or removed a level). Per-learner seeds are
-    /// keyed by threshold identity, so cached records are matched to the
-    /// new threshold list by θ bit pattern instead of by position —
-    /// learners whose threshold survives the count change are kept warm,
-    /// the rest refit exactly as their cold twins would. The cached CV
-    /// prediction columns *are* positional in the old learner set, so the
-    /// weight solve re-runs the full fold-retraining CV (identical to
-    /// stage 5 of a cold fit); the refreshed cache carries the new
-    /// columns. At tolerance 0 the result is bit-identical to
-    /// [`IWareModel::fit_cached`] on the same batch, minus the member
-    /// fits of every surviving learner.
-    #[allow(clippy::too_many_arguments)] // internal leg of warm_refit, not API
-    fn warm_refit_count_changed(
-        config: &IWareConfig,
-        cache: &mut FitCache,
-        x: MatrixView<'_>,
-        labels: &[f64],
-        efforts: &[f64],
-        tolerance: f64,
-        thresholds: Vec<f64>,
-        appended: usize,
-    ) -> (Self, RefitStats) {
-        let n_learners = thresholds.len();
-        let plans = plan_filtered_learners(config, &thresholds, labels, efforts);
-        let by_theta: std::collections::HashMap<u64, &LearnerRecord> = cache
-            .records
-            .iter()
-            .map(|rec| (rec.threshold.to_bits(), rec))
-            .collect();
         let kept: Vec<Option<&LearnerRecord>> = thresholds
             .iter()
             .zip(&plans)
-            .map(|(&theta, plan)| {
-                by_theta
-                    .get(&theta.to_bits())
-                    .copied()
-                    .filter(|rec| keep_record(rec, plan, theta, appended, tolerance))
+            .enumerate()
+            .map(|(i, (&theta, plan))| {
+                let record = if same_count {
+                    cache.records.get(i)
+                } else {
+                    let bits = theta.to_bits();
+                    cache.records.iter().find(|r| r.threshold.to_bits() == bits)
+                };
+                record.filter(|r| keep_record(r, plan, theta, appended, tolerance))
             })
             .collect();
         let batch = FitBatch::new(config, x, labels);
         let learners: Vec<BaggingClassifier> = (0..n_learners)
             .into_par_iter()
             .map(|i| match kept[i] {
-                Some(rec) => rec.learner.clone(),
+                Some(record) => record.learner.clone(),
                 None => fit_one_learner(config, thresholds[i], &batch, plans[i].rows()),
             })
             .collect();
@@ -375,35 +221,31 @@ impl IWareModel {
 
         let stack = build_stack(&learners, x.n_cols());
 
+        let mut stats = RefitStats {
+            learners_kept,
+            learners_refitted: n_learners - learners_kept,
+            ..RefitStats::default()
+        };
         let uniform = vec![1.0 / n_learners as f64; n_learners];
-        let mut full_cv = false;
-        let weights = match config.weight_mode {
-            WeightMode::Uniform => {
-                cache.cv = None;
-                uniform
+        let weights = match (config.weight_mode, cache.cv.as_mut()) {
+            (WeightMode::Uniform, _) => uniform,
+            (WeightMode::CvOptimized { .. }, Some(cv)) => {
+                stats.cv_resolved_from_cache = true;
+                resolve_weights_cached(cv, &learners, &thresholds, x, labels, efforts, cache.n_rows)
             }
-            WeightMode::CvOptimized { folds, iterations } => {
+            (WeightMode::CvOptimized { folds, iterations }, None) => {
                 match cv_weight_fit_cached(config, &thresholds, &batch, efforts, folds, iterations)
                 {
                     Some((w, cv)) => {
-                        full_cv = true;
+                        stats.full_cv = true;
                         cache.cv = Some(cv);
                         w
                     }
-                    None => {
-                        cache.cv = None;
-                        uniform
-                    }
+                    None => uniform,
                 }
             }
         };
 
-        let stats = RefitStats {
-            learners_kept,
-            learners_refitted: n_learners - learners_kept,
-            cv_resolved_from_cache: false,
-            full_cv,
-        };
         cache.records = learner_records(plans, &thresholds, &learners);
         cache.n_rows = x.n_rows();
         let model = Self {
@@ -550,23 +392,6 @@ fn fit_one_learner(
         ..config.base.clone()
     };
     BaggingClassifier::fit_ranked(&base, batch.x, batch.labels, batch.ranking(), rows)
-}
-
-/// Stage 3 of the fit pipeline: per-learner member fits, in parallel.
-/// Each learner's bootstrap members fit in parallel too
-/// ([`BaggingClassifier::fit_ranked`] fans members over the pool), so
-/// learner × member nesting composes on the persistent pool.
-fn fit_planned_learners(
-    config: &IWareConfig,
-    thresholds: &[f64],
-    plans: &[LearnerPlan],
-    batch: &FitBatch<'_>,
-) -> Vec<BaggingClassifier> {
-    plans
-        .par_iter()
-        .enumerate()
-        .map(|(i, plan)| fit_one_learner(config, thresholds[i], batch, plan.rows()))
-        .collect()
 }
 
 /// Zip stage-2 plans with the fitted learners into cache records.
