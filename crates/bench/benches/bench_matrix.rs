@@ -133,13 +133,12 @@ fn bench_bagging_fit(c: &mut Criterion) {
 }
 
 fn bench_iware(c: &mut Criterion) {
-    use paws_iware::{IWareConfig, IWareModel, ThresholdMode, WeightMode};
+    use paws_iware::{IWareConfig, IWareModel, WeightMode};
     let w = workload();
     let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let config = IWareConfig {
         n_learners: 5,
         base: BaggingConfig::trees(4, 3),
-        threshold_mode: ThresholdMode::Percentile,
         weight_mode: WeightMode::Uniform,
         min_subset_size: 20,
         seed: 3,
@@ -237,13 +236,12 @@ fn bench_effort_response_threads(c: &mut Criterion) {
     // work-stealing pool. On a single-core runner N > 1 only measures the
     // pool's oversubscription overhead; run on a multi-core host to see
     // real scaling.
-    use paws_iware::{IWareConfig, IWareModel, ThresholdMode, WeightMode};
+    use paws_iware::{IWareConfig, IWareModel, WeightMode};
     let w = workload();
     let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let config = IWareConfig {
         n_learners: 5,
         base: BaggingConfig::trees(4, 3),
-        threshold_mode: ThresholdMode::Percentile,
         weight_mode: WeightMode::Uniform,
         min_subset_size: 20,
         seed: 3,

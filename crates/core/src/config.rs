@@ -6,7 +6,7 @@
 //! names one such variant plus the hyperparameters the paper states
 //! (number of iWare-E learners, balanced bagging for SWS, …).
 
-use paws_iware::{IWareConfig, ThresholdMode, WeightMode};
+use paws_iware::{IWareConfig, WeightMode};
 use paws_ml::bagging::{BaggingConfig, BaseLearnerConfig};
 use paws_ml::gp::GpConfig;
 use paws_ml::precision::Precision;
@@ -58,8 +58,6 @@ pub struct ModelConfig {
     pub n_estimators: usize,
     /// Undersample the negative class in every bootstrap (used for SWS).
     pub balanced: bool,
-    /// iWare-E threshold placement.
-    pub threshold_mode: ThresholdMode,
     /// iWare-E weight combination.
     pub weight_mode: WeightMode,
     /// Cap on GP training points per bagged member (keeps the O(n³) solve
@@ -85,7 +83,6 @@ impl ModelConfig {
             n_learners: 10,
             n_estimators: 8,
             balanced: false,
-            threshold_mode: ThresholdMode::Percentile,
             weight_mode: WeightMode::CvOptimized {
                 folds: 5,
                 iterations: 80,
@@ -132,7 +129,6 @@ impl ModelConfig {
         BaggingConfig {
             base,
             n_estimators: self.n_estimators,
-            sample_fraction: 1.0,
             balanced: self.balanced,
             seed: self.seed,
         }
@@ -143,7 +139,6 @@ impl ModelConfig {
         IWareConfig {
             n_learners: self.n_learners,
             base: self.bagging_config(),
-            threshold_mode: self.threshold_mode,
             weight_mode: self.weight_mode,
             min_subset_size: 30,
             seed: self.seed,

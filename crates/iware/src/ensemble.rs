@@ -65,7 +65,6 @@ mod tables;
 pub use fit::{FitCache, RefitStats};
 pub use tables::LearnerTables;
 
-use crate::thresholds::ThresholdMode;
 use crate::weights::WeightMode;
 use paws_ml::bagging::{BaggingClassifier, BaggingConfig};
 use paws_ml::forest::{ArenaElement, Forest};
@@ -81,8 +80,6 @@ pub struct IWareConfig {
     pub n_learners: usize,
     /// Configuration of each weak learner (a bagging ensemble).
     pub base: BaggingConfig,
-    /// Threshold placement scheme.
-    pub threshold_mode: ThresholdMode,
     /// Weight combination scheme.
     pub weight_mode: WeightMode,
     /// Minimum number of training points a filtered subset must retain;
@@ -98,7 +95,6 @@ impl IWareConfig {
         Self {
             n_learners,
             base,
-            threshold_mode: ThresholdMode::Percentile,
             weight_mode: WeightMode::default(),
             min_subset_size: 20,
             seed,
@@ -281,7 +277,6 @@ mod tests {
         IWareConfig {
             n_learners,
             base: BaggingConfig::trees(5, 3),
-            threshold_mode: ThresholdMode::Percentile,
             weight_mode: WeightMode::CvOptimized {
                 folds: 3,
                 iterations: 40,

@@ -181,7 +181,7 @@ impl IWareModel {
             x.n_rows() >= cache.n_rows,
             "warm refit needs an append-only extension of the cached batch"
         );
-        let thresholds = select_thresholds(config.threshold_mode, efforts, config.n_learners);
+        let thresholds = select_thresholds(efforts, config.n_learners);
         assert!(
             thresholds.windows(2).all(|w| w[1] > w[0]),
             "thresholds must be strictly ascending — duplicates would train \
@@ -768,7 +768,7 @@ mod tests {
         labels: &[f64],
         efforts: &[f64],
     ) -> IWareModel {
-        let thresholds = select_thresholds(config.threshold_mode, efforts, config.n_learners);
+        let thresholds = select_thresholds(efforts, config.n_learners);
         let fit_learners = |x: MatrixView<'_>, labels: &[f64], efforts: &[f64]| {
             plan_filtered_learners(config, &thresholds, labels, efforts)
                 .iter()

@@ -5,27 +5,11 @@
 //! effort *percentiles* instead, "to produce a consistent amount of training
 //! data for each classifier", turning the number of classifiers into the
 //! single hyperparameter and handling sparse effort ranges gracefully.
+//! [`select_thresholds`] places them that way; the equal-spacing scheme is
+//! not implemented.
 
-use serde::Serialize;
-
-/// How the I thresholds are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub enum ThresholdMode {
-    /// Thresholds at evenly-spaced percentiles of the training patrol effort
-    /// (the paper's enhancement).
-    Percentile,
-    /// Thresholds evenly spaced between two effort values in km (the
-    /// original iWare-E scheme; kept as an ablation baseline).
-    FixedSpacing {
-        /// Lowest threshold (km).
-        min_km: f64,
-        /// Highest threshold (km).
-        max_km: f64,
-    },
-}
-
-/// Compute up to `n` **strictly ascending** thresholds for the given
-/// training efforts.
+/// Compute up to `n` **strictly ascending** thresholds at evenly spaced
+/// percentiles of the training efforts.
 ///
 /// The first threshold is always 0 (the classifier trained on the entire
 /// dataset), mirroring θ₁ = 0 in the original formulation.
@@ -36,47 +20,28 @@ pub enum ThresholdMode {
 /// double-counted in the weighted vote. Tied percentile candidates are
 /// therefore advanced to the next distinct effort value, and when no
 /// strictly larger value remains the list ends early — the result can hold
-/// fewer than `n` thresholds, never duplicates. A zero-width
-/// `FixedSpacing` range likewise collapses to its single distinct value.
-pub fn select_thresholds(mode: ThresholdMode, efforts: &[f64], n: usize) -> Vec<f64> {
+/// fewer than `n` thresholds, never duplicates.
+pub fn select_thresholds(efforts: &[f64], n: usize) -> Vec<f64> {
     assert!(n >= 1, "need at least one threshold");
     assert!(!efforts.is_empty(), "no training efforts supplied");
-    match mode {
-        ThresholdMode::Percentile => {
-            let mut sorted = efforts.to_vec();
-            sorted.sort_by(f64::total_cmp);
-            let mut thresholds = Vec::with_capacity(n);
-            thresholds.push(0.0);
-            for i in 1..n {
-                let pct = i as f64 / n as f64;
-                let rank = (pct * (sorted.len() - 1) as f64).round() as usize;
-                let last = *thresholds.last().unwrap();
-                if sorted[rank] > last {
-                    thresholds.push(sorted[rank]);
-                } else if let Some(&next) = sorted[rank..].iter().find(|&&v| v > last) {
-                    // Tied with an earlier threshold: advance to the next
-                    // distinct effort value.
-                    thresholds.push(next);
-                } else {
-                    // Every remaining effort equals the current top
-                    // threshold; stop rather than duplicate learners.
-                    break;
-                }
-            }
-            thresholds
-        }
-        ThresholdMode::FixedSpacing { min_km, max_km } => {
-            assert!(max_km >= min_km, "max threshold below min threshold");
-            if n == 1 || max_km == min_km {
-                // A zero-width range would repeat min_km n times; collapse
-                // to the single distinct threshold instead.
-                return vec![min_km];
-            }
-            (0..n)
-                .map(|i| min_km + (max_km - min_km) * i as f64 / (n - 1) as f64)
-                .collect()
-        }
+    let mut sorted = efforts.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mut last = 0.0;
+    let mut thresholds = Vec::with_capacity(n);
+    thresholds.push(last);
+    for i in 1..n {
+        let pct = i as f64 / n as f64;
+        let rank = (pct * (sorted.len() - 1) as f64).round() as usize;
+        // A candidate tied with the previous threshold advances to the next
+        // distinct effort value; when every remaining effort equals the
+        // previous threshold, stop rather than duplicate learners.
+        let Some(&next) = sorted[rank..].iter().find(|&&v| v > last) else {
+            break;
+        };
+        thresholds.push(next);
+        last = next;
     }
+    thresholds
 }
 
 /// Indices of the classifiers qualified to predict at a given patrol effort:
@@ -109,7 +74,7 @@ mod tests {
     #[test]
     fn percentile_thresholds_are_ascending_and_start_at_zero() {
         let efforts: Vec<f64> = (1..=100).map(|i| i as f64 / 10.0).collect();
-        let t = select_thresholds(ThresholdMode::Percentile, &efforts, 10);
+        let t = select_thresholds(&efforts, 10);
         assert_eq!(t.len(), 10);
         assert_eq!(t[0], 0.0);
         for w in t.windows(2) {
@@ -126,7 +91,7 @@ mod tests {
         // With uniformly distributed efforts, consecutive thresholds should
         // each exclude roughly the same number of additional points.
         let efforts: Vec<f64> = (0..1000).map(|i| i as f64 / 100.0).collect();
-        let t = select_thresholds(ThresholdMode::Percentile, &efforts, 5);
+        let t = select_thresholds(&efforts, 5);
         let counts: Vec<usize> = t
             .iter()
             .map(|&theta| efforts.iter().filter(|&&e| e > theta).count())
@@ -144,7 +109,7 @@ mod tests {
         // filtered learners voting repeatedly).
         let mut efforts = vec![0.0; 70];
         efforts.extend((1..=30).map(|i| i as f64 / 10.0));
-        let t = select_thresholds(ThresholdMode::Percentile, &efforts, 5);
+        let t = select_thresholds(&efforts, 5);
         for w in t.windows(2) {
             assert!(w[1] > w[0], "thresholds must be strictly ascending: {t:?}");
         }
@@ -156,39 +121,8 @@ mod tests {
     #[test]
     fn all_tied_efforts_collapse_to_a_single_threshold() {
         let efforts = vec![0.0; 50];
-        let t = select_thresholds(ThresholdMode::Percentile, &efforts, 8);
+        let t = select_thresholds(&efforts, 8);
         assert_eq!(t, vec![0.0]);
-    }
-
-    #[test]
-    fn fixed_spacing_matches_original_scheme() {
-        let efforts = vec![1.0, 2.0, 3.0];
-        let t = select_thresholds(
-            ThresholdMode::FixedSpacing {
-                min_km: 0.0,
-                max_km: 7.5,
-            },
-            &efforts,
-            16,
-        );
-        assert_eq!(t.len(), 16);
-        assert_eq!(t[0], 0.0);
-        assert!((t[15] - 7.5).abs() < 1e-12);
-        assert!((t[1] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fixed_spacing_with_equal_bounds_collapses_to_one_threshold() {
-        let efforts = vec![1.0, 2.0, 3.0];
-        let t = select_thresholds(
-            ThresholdMode::FixedSpacing {
-                min_km: 2.0,
-                max_km: 2.0,
-            },
-            &efforts,
-            4,
-        );
-        assert_eq!(t, vec![2.0]);
     }
 
     #[test]
@@ -211,16 +145,9 @@ mod tests {
         let mut efforts: Vec<f64> = (0..200).map(|i| f64::from(i % 37) / 4.0).collect();
         efforts.extend([0.0; 60]);
         let threshold_sets = [
-            select_thresholds(ThresholdMode::Percentile, &efforts, 8),
-            select_thresholds(ThresholdMode::Percentile, &efforts, 1),
-            select_thresholds(
-                ThresholdMode::FixedSpacing {
-                    min_km: 1.5,
-                    max_km: 7.5,
-                },
-                &efforts,
-                5,
-            ),
+            select_thresholds(&efforts, 8),
+            select_thresholds(&efforts, 1),
+            vec![1.5, 3.0, 4.5, 6.0, 7.5],
         ];
         for thresholds in &threshold_sets {
             assert!(thresholds.windows(2).all(|w| w[1] > w[0]));
@@ -240,7 +167,7 @@ mod tests {
                 );
             }
         }
-        // The FixedSpacing set starts above every zero effort: only the
+        // The explicit set starts above every zero effort: only the
         // fallback first learner qualifies there.
         assert_eq!(qualified_count(&threshold_sets[2], 0.0), 1);
         assert_eq!(qualified_count(&threshold_sets[2], 1.5), 1);
@@ -250,6 +177,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one threshold")]
     fn zero_thresholds_rejected() {
-        select_thresholds(ThresholdMode::Percentile, &[1.0], 0);
+        select_thresholds(&[1.0], 0);
     }
 }

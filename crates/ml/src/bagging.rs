@@ -103,9 +103,6 @@ pub struct BaggingConfig {
     pub base: BaseLearnerConfig,
     /// Number of ensemble members.
     pub n_estimators: usize,
-    /// Bootstrap size as a fraction of the training set (ignored when
-    /// `balanced` is set — balanced bootstraps are sized by the positives).
-    pub sample_fraction: f64,
     /// Undersample the negative class so every bootstrap is class-balanced.
     pub balanced: bool,
     /// Base random seed; member `m` uses `seed + m`.
@@ -122,7 +119,6 @@ impl BaggingConfig {
                 ..TreeConfig::default()
             }),
             n_estimators,
-            sample_fraction: 1.0,
             balanced: false,
             seed,
         }
@@ -133,7 +129,6 @@ impl BaggingConfig {
         Self {
             base: BaseLearnerConfig::Svm(SvmConfig::default()),
             n_estimators,
-            sample_fraction: 1.0,
             balanced: false,
             seed,
         }
@@ -144,7 +139,6 @@ impl BaggingConfig {
         Self {
             base: BaseLearnerConfig::Gp(GpConfig::default()),
             n_estimators,
-            sample_fraction: 1.0,
             balanced: false,
             seed,
         }
@@ -205,10 +199,6 @@ impl BaggingClassifier {
         rows: Option<&[usize]>,
     ) -> Self {
         assert!(config.n_estimators > 0, "need at least one ensemble member");
-        assert!(
-            config.sample_fraction > 0.0 && config.sample_fraction <= 1.0,
-            "sample fraction must be in (0, 1]"
-        );
 
         let gathered: Vec<f64>;
         let labels = match rows {
@@ -238,8 +228,8 @@ impl BaggingClassifier {
                     draw(negatives[rng.gen_range(0..negatives.len())]);
                 }
             } else {
-                let size = ((n as f64 * config.sample_fraction).round() as usize).max(1);
-                for _ in 0..size {
+                // A plain bootstrap: n draws with replacement.
+                for _ in 0..n {
                     draw(rng.gen_range(0..n));
                 }
             }

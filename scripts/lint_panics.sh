@@ -37,7 +37,6 @@ allowlist() {
 2 crates/data/src/simd.rs
 3 crates/field/src/simulate.rs
 5 crates/geo/src/park.rs
-1 crates/iware/src/thresholds.rs
 1 crates/ml/src/bagging.rs
 2 crates/ml/src/gp.rs
 7 crates/ml/src/snapshot.rs

@@ -17,7 +17,7 @@
 //! and batch prediction equals per-row prediction.
 
 use paws_data::{Matrix, MatrixView, StandardScaler};
-use paws_iware::{IWareConfig, IWareModel, ThresholdMode, WeightMode};
+use paws_iware::{IWareConfig, IWareModel, WeightMode};
 use paws_ml::bagging::{BaggingClassifier, BaggingConfig, BaseLearnerConfig};
 use paws_ml::gp::{GaussianProcess, GpConfig};
 use paws_ml::svm::{LinearSvm, SvmConfig};
@@ -340,7 +340,6 @@ fn iware_config() -> IWareConfig {
     IWareConfig {
         n_learners: 4,
         base: BaggingConfig::trees(4, 3),
-        threshold_mode: ThresholdMode::Percentile,
         weight_mode: WeightMode::CvOptimized {
             folds: 3,
             iterations: 40,

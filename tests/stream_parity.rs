@@ -24,7 +24,7 @@ use paws_core::{
     WeakLearnerKind,
 };
 use paws_data::{build_dataset, Dataset, Discretization, Matrix, StandardScaler};
-use paws_iware::{IWareConfig, IWareModel, RefitStats, ThresholdMode, WeightMode};
+use paws_iware::{IWareConfig, IWareModel, RefitStats, WeightMode};
 use paws_ml::bagging::BaggingConfig;
 use paws_sim::History;
 
@@ -151,7 +151,6 @@ fn threshold_count_change_keeps_surviving_learners_warm() {
     let config = IWareConfig {
         n_learners: 4,
         base: BaggingConfig::trees(4, 3),
-        threshold_mode: ThresholdMode::Percentile,
         weight_mode: WeightMode::Uniform,
         min_subset_size: 10,
         seed: 7,
