@@ -53,14 +53,14 @@ fn bench_lp_engines(c: &mut Criterion) {
     for n_cells in [64usize, 256, 1024, 4096] {
         let model = allocation_lp(n_cells);
         group.bench_with_input(BenchmarkId::new("sparse", n_cells), &model, |b, model| {
-            b.iter(|| black_box(solve_lp(model, None)))
+            b.iter(|| black_box(solve_lp(model)))
         });
         // The dense tableau is O(rows × columns) per pivot; past ~256
         // cells a single solve takes seconds, so the dense curve stops
         // there.
         if n_cells <= 256 {
             group.bench_with_input(BenchmarkId::new("dense", n_cells), &model, |b, model| {
-                b.iter(|| black_box(solve_lp_dense(model, None)))
+                b.iter(|| black_box(solve_lp_dense(model)))
             });
         }
     }

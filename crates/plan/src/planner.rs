@@ -466,7 +466,7 @@ fn solve_allocation_colgen(
                 BasisSnapshot::from_basic_columns(n + 1, n_struct, &basic)
             }
         };
-        let outcome = SparseLp::new(&rmp).solve_warm(None, &round_budget, warm.as_ref());
+        let outcome = SparseLp::new(&rmp).solve_warm(&round_budget, warm.as_ref());
         let sol = &outcome.solution;
         match sol.status {
             SolveStatus::Optimal | SolveStatus::Degraded | SolveStatus::LimitReached => {
@@ -658,7 +658,7 @@ fn solve_full_model(
     blocks: &[(Vec<Variable>, Vec<f64>)],
     budget: &SolveBudget,
 ) -> PatrolPlan {
-    let solution = SparseLp::new(model).solve_budgeted(None, budget).solution;
+    let solution = SparseLp::new(model).solve_budgeted(budget).solution;
     let coverage = blocks
         .iter()
         .map(|(lambdas, xs)| {

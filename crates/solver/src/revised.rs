@@ -55,8 +55,8 @@ enum VState {
 }
 
 /// An opaque snapshot of a simplex basis, reusable to warm-start a later
-/// solve of the *same* model under different bound overrides, or — remapped
-/// through [`BasisSnapshot::from_basic_columns`] — a grown model such as a
+/// solve of the *same* model or — built through
+/// [`BasisSnapshot::from_basic_columns`] — a grown model such as a
 /// column-generation master. Snapshots never reference artificial columns.
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
@@ -135,8 +135,8 @@ enum RatioOutcome {
 }
 
 /// A reusable sparse-LP workspace over one [`Model`]: the CSC build and all
-/// solver scratch are allocated once and reused across repeated solves with
-/// different bound overrides or warm bases.
+/// solver scratch are allocated once and reused across repeated solves,
+/// cold or from a warm basis.
 #[derive(Debug)]
 pub struct SparseLp {
     m: usize,
@@ -170,9 +170,8 @@ pub struct SparseLp {
 }
 
 impl SparseLp {
-    /// Build a workspace for a model. The model's structure (columns,
-    /// objective, row senses) is fixed at this point; only bounds may vary
-    /// between solves, via overrides.
+    /// Build a workspace for a model. The model (columns, bounds,
+    /// objective, row senses) is fixed at this point.
     pub fn new(model: &Model) -> Self {
         let m = model.n_constraints();
         let n_struct = model.n_vars();
@@ -231,50 +230,29 @@ impl SparseLp {
         self.stall_limit = limit;
     }
 
-    /// Solve the LP (optionally with per-variable bound overrides), like
-    /// [`solve_lp`] but reusing this workspace.
-    pub fn solve(&mut self, bound_overrides: Option<&[(f64, f64)]>) -> LpOutcome {
-        self.solve_inner(bound_overrides, None, None, None)
+    /// Solve the LP, like [`solve_lp`] but reusing this workspace.
+    pub fn solve(&mut self) -> LpOutcome {
+        self.solve_inner(None, None, None)
     }
 
     /// [`SparseLp::solve`] under a [`SolveBudget`], with the dense engine's
     /// semantics: `Degraded` carries the best primal-feasible point found
     /// in time, `BudgetExceeded` means feasibility was never established.
-    pub fn solve_budgeted(
-        &mut self,
-        bound_overrides: Option<&[(f64, f64)]>,
-        budget: &SolveBudget,
-    ) -> LpOutcome {
-        self.solve_inner(
-            bound_overrides,
-            budget.max_lp_iterations,
-            budget.deadline(),
-            None,
-        )
+    pub fn solve_budgeted(&mut self, budget: &SolveBudget) -> LpOutcome {
+        self.solve_inner(budget.max_lp_iterations, budget.deadline(), None)
     }
 
     /// Budgeted solve that additionally tries to start from `warm` (a basis
     /// returned by an earlier solve of the same workspace, or one built with
     /// [`BasisSnapshot::from_basic_columns`]). A warm basis is used only
-    /// when it is still non-singular and primal feasible under the new
-    /// bounds; the solver silently falls back to a cold start otherwise.
-    pub fn solve_warm(
-        &mut self,
-        bound_overrides: Option<&[(f64, f64)]>,
-        budget: &SolveBudget,
-        warm: Option<&BasisSnapshot>,
-    ) -> LpOutcome {
-        self.solve_inner(
-            bound_overrides,
-            budget.max_lp_iterations,
-            budget.deadline(),
-            warm,
-        )
+    /// when it is still non-singular and primal feasible; the solver
+    /// silently falls back to a cold start otherwise.
+    pub fn solve_warm(&mut self, budget: &SolveBudget, warm: Option<&BasisSnapshot>) -> LpOutcome {
+        self.solve_inner(budget.max_lp_iterations, budget.deadline(), warm)
     }
 
     fn solve_inner(
         &mut self,
-        bound_overrides: Option<&[(f64, f64)]>,
         iteration_cap: Option<usize>,
         deadline: Option<Instant>,
         warm: Option<&BasisSnapshot>,
@@ -283,21 +261,10 @@ impl SparseLp {
         let m = self.m;
         let n_base = n + m;
 
-        // Effective structural bounds.
+        // Structural bounds; `Model` guarantees lower <= upper.
         let mut eff: Vec<(f64, f64)> = Vec::with_capacity(n_base);
-        for i in 0..n {
-            let (mut lo, mut hi) = self.model_bounds[i];
-            if let Some(over) = bound_overrides {
-                lo = lo.max(over[i].0);
-                hi = hi.min(over[i].1);
-            }
-            if hi >= UNBOUNDED {
-                hi = f64::INFINITY;
-            }
-            eff.push((lo, hi));
-        }
-        if eff.iter().any(|&(lo, hi)| lo > hi + EPS) {
-            return self.outcome_infeasible();
+        for &(lo, hi) in &self.model_bounds {
+            eff.push((lo, if hi >= UNBOUNDED { f64::INFINITY } else { hi }));
         }
         // Logical (slack) bounds by row sense.
         for op in &self.row_ops {
@@ -318,7 +285,7 @@ impl SparseLp {
         for attempt in 0..2 {
             let use_warm = attempt == 0 && warm.is_some();
             let warm_ok = if use_warm {
-                // Clamp nonbasic states onto the (possibly changed) bounds.
+                // Seat nonbasic states on this model's bounds.
                 self.try_warm_start(warm)
             } else {
                 false
@@ -447,8 +414,8 @@ impl SparseLp {
         self.basis = snap.basis.clone();
         self.state = snap.state.clone();
         self.art_rows.clear();
-        // Re-seat nonbasic variables on finite bounds (a bound override may
-        // have made the previously occupied side infinite).
+        // Re-seat nonbasic variables on finite bounds (a hint parks every
+        // nonbasic at its lower bound, which is -inf for a >= row's slack).
         for j in 0..n_base {
             if self.state[j] == VState::Basic {
                 continue;
@@ -911,12 +878,11 @@ impl SparseLp {
     }
 }
 
-/// Solve a model with the sparse revised simplex, optionally overriding
-/// per-variable bounds. This is the default engine;
-/// [`crate::simplex::solve_lp_dense`] is the tableau reference
+/// Solve a model with the sparse revised simplex. This is the default
+/// engine; [`crate::simplex::solve_lp_dense`] is the tableau reference
 /// implementation retained for parity testing.
-pub fn solve_lp(model: &Model, bound_overrides: Option<&[(f64, f64)]>) -> Solution {
-    SparseLp::new(model).solve(bound_overrides).solution
+pub fn solve_lp(model: &Model) -> Solution {
+    SparseLp::new(model).solve().solution
 }
 
 /// [`solve_lp`] under a [`SolveBudget`]: when the budget runs out mid-solve
@@ -924,14 +890,8 @@ pub fn solve_lp(model: &Model, bound_overrides: Option<&[(f64, f64)]>) -> Soluti
 /// it is primal feasible (phase 2 was reached), or
 /// [`SolveStatus::BudgetExceeded`] if feasibility was never established.
 /// An unlimited budget reproduces [`solve_lp`] exactly.
-pub fn solve_lp_budgeted(
-    model: &Model,
-    bound_overrides: Option<&[(f64, f64)]>,
-    budget: &SolveBudget,
-) -> Solution {
-    SparseLp::new(model)
-        .solve_budgeted(bound_overrides, budget)
-        .solution
+pub fn solve_lp_budgeted(model: &Model, budget: &SolveBudget) -> Solution {
+    SparseLp::new(model).solve_budgeted(budget).solution
 }
 
 #[cfg(test)]
@@ -951,7 +911,7 @@ mod tests {
             .unwrap();
         m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
             .unwrap();
-        let sol = solve_lp(&m, None);
+        let sol = solve_lp(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 36.0).abs() < 1e-9);
         assert!((sol.value(x) - 2.0).abs() < 1e-9);
@@ -966,7 +926,7 @@ mod tests {
         let y = m.try_add_continuous(0.0, 2.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0)
             .unwrap();
-        let sol = solve_lp(&m, None);
+        let sol = solve_lp(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.value(x) - 3.0).abs() < 1e-9);
         assert!((sol.value(y) - 2.0).abs() < 1e-9);
@@ -983,7 +943,7 @@ mod tests {
             .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0)
             .unwrap();
-        let sol = solve_lp(&m, None);
+        let sol = solve_lp(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 8.0).abs() < 1e-9);
     }
@@ -994,16 +954,16 @@ mod tests {
         let x = inf.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         inf.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
             .unwrap();
-        assert_eq!(solve_lp(&inf, None).status, SolveStatus::Infeasible);
-        assert_eq!(solve_lp_dense(&inf, None).status, SolveStatus::Infeasible);
+        assert_eq!(solve_lp(&inf).status, SolveStatus::Infeasible);
+        assert_eq!(solve_lp_dense(&inf).status, SolveStatus::Infeasible);
 
         let mut unb = Model::new(Sense::Maximize);
         let x = unb.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
         let y = unb.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
         unb.try_add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0)
             .unwrap();
-        assert_eq!(solve_lp(&unb, None).status, SolveStatus::Unbounded);
-        assert_eq!(solve_lp_dense(&unb, None).status, SolveStatus::Unbounded);
+        assert_eq!(solve_lp(&unb).status, SolveStatus::Unbounded);
+        assert_eq!(solve_lp_dense(&unb).status, SolveStatus::Unbounded);
     }
 
     #[test]
@@ -1013,12 +973,18 @@ mod tests {
         let y = m.try_add_continuous(0.0, 4.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
             .unwrap();
-        let sol = solve_lp(&m, None);
+        let sol = solve_lp(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 5.0).abs() < 1e-9);
         assert!(m.is_feasible(&sol.values, 1e-6));
-        // Fixing x via overrides changes the optimum accordingly.
-        let pinned = solve_lp(&m, Some(&[(2.0, 2.0), (0.0, 4.0)]));
+        // Fixing x through its bounds changes the optimum accordingly.
+        let mut fixed = Model::new(Sense::Maximize);
+        let x = fixed.try_add_continuous(2.0, 2.0, 1.0).unwrap();
+        let y = fixed.try_add_continuous(0.0, 4.0, 1.0).unwrap();
+        fixed
+            .try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
+            .unwrap();
+        let pinned = solve_lp(&fixed);
         assert!((pinned.value(x) - 2.0).abs() < 1e-9);
         assert!((pinned.value(y) - 3.0).abs() < 1e-9);
     }
@@ -1030,29 +996,25 @@ mod tests {
         let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
             .unwrap();
-        let out = SparseLp::new(&m).solve(None);
+        let out = SparseLp::new(&m).solve();
         assert_eq!(out.solution.status, SolveStatus::Optimal);
         assert!((out.duals[0] - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn warm_start_from_parent_bounds_is_used() {
-        // A small LP solved twice: second solve warm-starts from the first
-        // basis with a tightened bound on a nonbasic variable.
+        // A small LP solved twice: the second solve warm-starts from the
+        // first one's basis.
         let mut m = Model::new(Sense::Maximize);
         let x = m.try_add_continuous(0.0, 4.0, 3.0).unwrap();
         let y = m.try_add_continuous(0.0, 6.0, 5.0).unwrap();
         m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
             .unwrap();
         let mut ws = SparseLp::new(&m);
-        let first = ws.solve(None);
+        let first = ws.solve();
         assert_eq!(first.solution.status, SolveStatus::Optimal);
         let warm = first.basis.as_ref();
-        let again = ws.solve_warm(
-            Some(&[(0.0, 4.0), (0.0, 6.0)]),
-            &SolveBudget::unlimited(),
-            warm,
-        );
+        let again = ws.solve_warm(&SolveBudget::unlimited(), warm);
         assert!(again.warm_started);
         assert_eq!(again.solution.status, SolveStatus::Optimal);
         assert!((again.solution.objective - first.solution.objective).abs() < 1e-9);
@@ -1078,7 +1040,7 @@ mod tests {
         // Structural columns 0..4 (a0, a1, b0, b1), logicals 4..7; basic =
         // {a0, b0, budget slack}.
         let hint = BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 6]).unwrap();
-        let out = SparseLp::new(&m).solve_warm(None, &SolveBudget::unlimited(), Some(&hint));
+        let out = SparseLp::new(&m).solve_warm(&SolveBudget::unlimited(), Some(&hint));
         assert!(out.warm_started);
         assert_eq!(out.solution.status, SolveStatus::Optimal);
         // Optimum: b1 = 1 (utility 5, cost 3), a1 = 1/2 (utility 1).
@@ -1091,8 +1053,7 @@ mod tests {
         assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 9]).is_none());
         assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 2]).is_none());
         let singular = BasisSnapshot::from_basic_columns(3, 4, &[0, 1, 6]).unwrap();
-        let fallback =
-            SparseLp::new(&m).solve_warm(None, &SolveBudget::unlimited(), Some(&singular));
+        let fallback = SparseLp::new(&m).solve_warm(&SolveBudget::unlimited(), Some(&singular));
         assert!(!fallback.warm_started);
         assert_eq!(fallback.solution.status, SolveStatus::Optimal);
         assert!((fallback.solution.objective - 6.0).abs() < 1e-9);
@@ -1124,11 +1085,11 @@ mod tests {
             .unwrap();
         let mut ws = SparseLp::new(&m);
         ws.set_stall_limit(0);
-        let out = ws.solve(None);
+        let out = ws.solve();
         assert_eq!(out.solution.status, SolveStatus::Optimal);
         assert!((out.solution.objective - 0.05).abs() < 1e-9);
         // And the default (Dantzig + stall fallback) agrees.
-        let default = solve_lp(&m, None);
+        let default = solve_lp(&m);
         assert_eq!(default.status, SolveStatus::Optimal);
         assert!((default.objective - 0.05).abs() < 1e-9);
     }
@@ -1142,11 +1103,7 @@ mod tests {
             .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
             .unwrap();
-        let sol = solve_lp_budgeted(
-            &m,
-            None,
-            &SolveBudget::with_time_limit(std::time::Duration::ZERO),
-        );
+        let sol = solve_lp_budgeted(&m, &SolveBudget::with_time_limit(std::time::Duration::ZERO));
         assert_eq!(sol.status, SolveStatus::BudgetExceeded);
 
         // Expired deadline with a feasible start → Degraded feasible point.
@@ -1156,7 +1113,6 @@ mod tests {
             .unwrap();
         let sol2 = solve_lp_budgeted(
             &m2,
-            None,
             &SolveBudget::with_time_limit(std::time::Duration::ZERO),
         );
         assert_eq!(sol2.status, SolveStatus::Degraded);
@@ -1174,10 +1130,9 @@ mod tests {
             .unwrap();
         m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
             .unwrap();
-        let free = solve_lp(&m, None);
+        let free = solve_lp(&m);
         let budgeted = solve_lp_budgeted(
             &m,
-            None,
             &SolveBudget::with_time_limit(std::time::Duration::from_secs(3600)),
         );
         assert_eq!(budgeted.status, free.status);
@@ -1206,7 +1161,7 @@ mod tests {
         .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0)
             .unwrap();
-        let sol = solve_lp(&m, None);
+        let sol = solve_lp(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-9);
     }
@@ -1216,14 +1171,14 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.try_add_continuous(-0.0, 7.0, 2.0).unwrap();
         let y = m.try_add_continuous(1.0, 3.0, -1.0).unwrap();
-        let sol = solve_lp(&m, None);
+        let sol = solve_lp(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.value(x) - 7.0).abs() < 1e-12);
         assert!((sol.value(y) - 1.0).abs() < 1e-12);
         // Unbounded via bounds alone.
         let mut m2 = Model::new(Sense::Maximize);
         m2.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
-        assert_eq!(solve_lp(&m2, None).status, SolveStatus::Unbounded);
+        assert_eq!(solve_lp(&m2).status, SolveStatus::Unbounded);
     }
 
     #[test]
@@ -1268,8 +1223,8 @@ mod tests {
                 m.try_add_constraint(&terms, op, rng.gen_range(-4.0..6.0))
                     .unwrap();
             }
-            let dense = solve_lp_dense(&m, None);
-            let sparse = solve_lp(&m, None);
+            let dense = solve_lp_dense(&m);
+            let sparse = solve_lp(&m);
             assert_eq!(
                 sparse.status, dense.status,
                 "trial {trial}: sparse {:?} vs dense {:?}",

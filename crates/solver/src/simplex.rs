@@ -23,12 +23,11 @@ const EPS: f64 = 1e-9;
 /// unbudgeted one.
 const DEADLINE_STRIDE: usize = 64;
 
-/// Solve a model with the dense tableau engine, optionally overriding
-/// per-variable bounds. Retained as the reference implementation for
-/// parity-testing the default sparse engine ([`crate::revised::solve_lp`]);
-/// prefer `solve_lp` for production use.
-pub fn solve_lp_dense(model: &Model, bound_overrides: Option<&[(f64, f64)]>) -> Solution {
-    solve_lp_inner(model, bound_overrides, None, None)
+/// Solve a model with the dense tableau engine. Retained as the reference
+/// implementation for parity-testing the default sparse engine
+/// ([`crate::revised::solve_lp`]); prefer `solve_lp` for production use.
+pub fn solve_lp_dense(model: &Model) -> Solution {
+    solve_lp_inner(model, None, None)
 }
 
 /// [`solve_lp_dense`] under a [`SolveBudget`]: when the budget runs out mid-solve
@@ -37,39 +36,17 @@ pub fn solve_lp_dense(model: &Model, bound_overrides: Option<&[(f64, f64)]>) -> 
 /// reached), or [`SolveStatus::BudgetExceeded`] if feasibility was never
 /// established (the budget died inside phase 1). An unlimited budget
 /// reproduces [`solve_lp_dense`] exactly.
-pub fn solve_lp_dense_budgeted(
-    model: &Model,
-    bound_overrides: Option<&[(f64, f64)]>,
-    budget: &SolveBudget,
-) -> Solution {
-    solve_lp_inner(
-        model,
-        bound_overrides,
-        budget.max_lp_iterations,
-        budget.deadline(),
-    )
+pub fn solve_lp_dense_budgeted(model: &Model, budget: &SolveBudget) -> Solution {
+    solve_lp_inner(model, budget.max_lp_iterations, budget.deadline())
 }
 
 fn solve_lp_inner(
     model: &Model,
-    bound_overrides: Option<&[(f64, f64)]>,
     iteration_cap: Option<usize>,
     deadline: Option<Instant>,
 ) -> Solution {
     let n = model.n_vars();
-    let bounds: Vec<(f64, f64)> = (0..n)
-        .map(|i| {
-            let (mut lo, mut hi) = (model.vars[i].lower, model.vars[i].upper);
-            if let Some(over) = bound_overrides {
-                lo = lo.max(over[i].0);
-                hi = hi.min(over[i].1);
-            }
-            (lo, hi)
-        })
-        .collect();
-    if bounds.iter().any(|&(lo, hi)| lo > hi + EPS) {
-        return infeasible(n);
-    }
+    let bounds: Vec<(f64, f64)> = model.vars.iter().map(|v| (v.lower, v.upper)).collect();
 
     // Shift x = lower + s with s >= 0; collect rows.
     #[derive(Clone)]
@@ -409,7 +386,7 @@ mod tests {
             .unwrap();
         m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
             .unwrap();
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 36.0).abs() < 1e-6);
         assert!((sol.value(x) - 2.0).abs() < 1e-6);
@@ -428,7 +405,7 @@ mod tests {
             .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0)
             .unwrap();
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 8.0).abs() < 1e-6);
         assert!((sol.value(x) - 4.0).abs() < 1e-6);
@@ -442,7 +419,7 @@ mod tests {
         let y = m.try_add_continuous(0.0, 4.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
             .unwrap();
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 5.0).abs() < 1e-6);
         assert!(m.is_feasible(&sol.values, 1e-6));
@@ -454,7 +431,7 @@ mod tests {
         let x = m.try_add_continuous(0.0, 1.0, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
             .unwrap();
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Infeasible);
     }
 
@@ -465,7 +442,7 @@ mod tests {
         let y = m.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0)
             .unwrap();
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Unbounded);
     }
 
@@ -477,24 +454,10 @@ mod tests {
         let y = m.try_add_continuous(3.0, f64::INFINITY, 1.0).unwrap();
         m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 6.0)
             .unwrap();
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 6.0).abs() < 1e-6);
         assert!(sol.value(x) >= 2.0 - 1e-9 && sol.value(y) >= 3.0 - 1e-9);
-    }
-
-    #[test]
-    fn bound_overrides_tighten_the_problem() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous(0.0, 10.0, 1.0).unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 8.0)
-            .unwrap();
-        let free = solve_lp_dense(&m, None);
-        assert!((free.objective - 8.0).abs() < 1e-6);
-        let overridden = solve_lp_dense(&m, Some(&[(0.0, 3.0)]));
-        assert!((overridden.objective - 3.0).abs() < 1e-6);
-        let conflicting = solve_lp_dense(&m, Some(&[(5.0, 3.0)]));
-        assert_eq!(conflicting.status, SolveStatus::Infeasible);
     }
 
     #[test]
@@ -519,7 +482,7 @@ mod tests {
         .unwrap();
         m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0)
             .unwrap();
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-5);
     }
@@ -535,10 +498,9 @@ mod tests {
             .unwrap();
         m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
             .unwrap();
-        let free = solve_lp_dense(&m, None);
+        let free = solve_lp_dense(&m);
         let budgeted = solve_lp_dense_budgeted(
             &m,
-            None,
             &crate::budget::SolveBudget::with_time_limit(std::time::Duration::from_secs(3600)),
         );
         assert_eq!(budgeted.status, free.status);
@@ -556,7 +518,6 @@ mod tests {
             .unwrap();
         let sol = solve_lp_dense_budgeted(
             &m,
-            None,
             &crate::budget::SolveBudget::with_time_limit(std::time::Duration::ZERO),
         );
         // Phase 1 never ran an iteration: no feasible point exists yet.
@@ -589,11 +550,10 @@ mod tests {
                     .unwrap();
             }
         }
-        let full = solve_lp_dense(&m, None);
+        let full = solve_lp_dense(&m);
         assert_eq!(full.status, SolveStatus::Optimal);
         let capped = solve_lp_dense_budgeted(
             &m,
-            None,
             &crate::budget::SolveBudget {
                 time_limit: None,
                 max_lp_iterations: Some(1),
@@ -629,7 +589,7 @@ mod tests {
             m.try_add_constraint(&terms, ConstraintOp::Le, rng.gen_range(2.0..10.0))
                 .unwrap();
         }
-        let sol = solve_lp_dense(&m, None);
+        let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(m.is_feasible(&sol.values, 1e-6));
         assert!(sol.objective > 0.0);

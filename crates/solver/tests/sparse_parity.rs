@@ -67,8 +67,8 @@ proptest! {
     #[test]
     fn sparse_agrees_with_dense_on_random_lps(seed in 0.0..100000.0f64) {
         let m = random_lp(seed as u64);
-        let dense = solve_lp_dense(&m, None);
-        let sparse = solve_lp(&m, None);
+        let dense = solve_lp_dense(&m);
+        let sparse = solve_lp(&m);
         prop_assert!(
             sparse.status == dense.status,
             "seed {seed}: sparse {:?} vs dense {:?}",
@@ -98,13 +98,13 @@ proptest! {
     fn unlimited_budget_is_a_behavioural_noop_on_both_engines(seed in 0.0..100000.0f64) {
         let m = random_lp(seed as u64);
         let budget = SolveBudget::unlimited();
-        let sparse_free = solve_lp(&m, None);
-        let sparse_budgeted = solve_lp_budgeted(&m, None, &budget);
+        let sparse_free = solve_lp(&m);
+        let sparse_budgeted = solve_lp_budgeted(&m, &budget);
         prop_assert!(sparse_budgeted.status == sparse_free.status);
         prop_assert!(sparse_budgeted.objective == sparse_free.objective);
         prop_assert!(sparse_budgeted.values == sparse_free.values);
-        let dense_free = solve_lp_dense(&m, None);
-        let dense_budgeted = solve_lp_dense_budgeted(&m, None, &budget);
+        let dense_free = solve_lp_dense(&m);
+        let dense_budgeted = solve_lp_dense_budgeted(&m, &budget);
         prop_assert!(dense_budgeted.status == dense_free.status);
         prop_assert!(dense_budgeted.values == dense_free.values);
     }
@@ -139,7 +139,7 @@ fn beale_model() -> Model {
 #[test]
 fn cycling_instance_terminates_via_bland_fallback() {
     let m = beale_model();
-    let default_path = solve_lp(&m, None);
+    let default_path = solve_lp(&m);
     assert_eq!(default_path.status, SolveStatus::Optimal);
     assert!((default_path.objective - 0.05).abs() < 1e-9);
 
@@ -147,12 +147,12 @@ fn cycling_instance_terminates_via_bland_fallback() {
     // must reach the same optimum.
     let mut ws = SparseLp::new(&m);
     ws.set_stall_limit(0);
-    let bland = ws.solve(None);
+    let bland = ws.solve();
     assert_eq!(bland.solution.status, SolveStatus::Optimal);
     assert!((bland.solution.objective - 0.05).abs() < 1e-9);
 
     // And the dense reference agrees.
-    let dense = solve_lp_dense(&m, None);
+    let dense = solve_lp_dense(&m);
     assert_eq!(dense.status, SolveStatus::Optimal);
     assert!((dense.objective - 0.05).abs() < 1e-9);
 }
@@ -167,8 +167,8 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
         .try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
         .unwrap();
     let budget = SolveBudget::with_time_limit(std::time::Duration::ZERO);
-    let sparse = solve_lp_budgeted(&feasible, None, &budget);
-    let dense = solve_lp_dense_budgeted(&feasible, None, &budget);
+    let sparse = solve_lp_budgeted(&feasible, &budget);
+    let dense = solve_lp_dense_budgeted(&feasible, &budget);
     assert_eq!(sparse.status, SolveStatus::Degraded);
     assert_eq!(dense.status, SolveStatus::Degraded);
     assert!(feasible.is_feasible(&sparse.values, 1e-6));
@@ -183,8 +183,8 @@ fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
     phase1
         .try_add_constraint(&[(y, 1.0)], ConstraintOp::Le, 10.0)
         .unwrap();
-    let sparse1 = solve_lp_budgeted(&phase1, None, &budget);
-    let dense1 = solve_lp_dense_budgeted(&phase1, None, &budget);
+    let sparse1 = solve_lp_budgeted(&phase1, &budget);
+    let dense1 = solve_lp_dense_budgeted(&phase1, &budget);
     assert_eq!(sparse1.status, SolveStatus::BudgetExceeded);
     assert_eq!(dense1.status, SolveStatus::BudgetExceeded);
     assert_eq!(
@@ -208,8 +208,8 @@ fn iteration_cap_yields_degraded_feasible_point_like_dense() {
         time_limit: None,
         max_lp_iterations: Some(1),
     };
-    let sparse = solve_lp_budgeted(&m, None, &budget);
-    let dense = solve_lp_dense_budgeted(&m, None, &budget);
+    let sparse = solve_lp_budgeted(&m, &budget);
+    let dense = solve_lp_dense_budgeted(&m, &budget);
     assert_eq!(sparse.status, SolveStatus::Degraded);
     assert_eq!(dense.status, SolveStatus::Degraded);
     assert!(m.is_feasible(&sparse.values, 1e-6));
