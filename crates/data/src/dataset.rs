@@ -237,23 +237,25 @@ impl Dataset {
         Ok(points.len())
     }
 
-    /// Append a chunk of patrol-log months in place, replaying exactly the
-    /// grouping and point-emission logic of [`build_dataset`]: months are
-    /// bucketed into `(year, step)` keys, coverage is accumulated and
-    /// detections OR-ed per step, and one point is emitted per patrolled
-    /// cell with the previous step's coverage as the dynamic covariate.
-    /// A dataset grown month-chunk by month-chunk is therefore
-    /// bit-identical to one built from the concatenated history — matrix
-    /// bytes included — as long as every chunk is chronological and
-    /// step-aligned (a time step's months never straddle two chunks).
+    /// Append a chunk of patrol-log months in place, through the routine
+    /// [`build_dataset`] runs on an empty dataset: months are bucketed into
+    /// `(year, step)` keys, coverage is accumulated and detections OR-ed per
+    /// step, and one point is emitted per patrolled cell with the previous
+    /// step's coverage as the dynamic covariate. A dataset grown
+    /// month-chunk by month-chunk is therefore bit-identical to one built
+    /// from the concatenated history — matrix bytes included — as long as
+    /// every chunk is chronological and step-aligned (a time step's months
+    /// never straddle two chunks).
     ///
     /// Returns the number of data points appended (zero when every month
     /// is filtered out by the discretisation's season filter).
     ///
     /// # Errors
     /// [`AppendError::ParkMismatch`] when the chunk or park disagrees with
-    /// the dataset's grid, and [`AppendError::OutOfOrderStep`] when a month
-    /// lands in an already-emitted step (late or straddling batches).
+    /// the dataset's grid, [`AppendError::OutOfOrderStep`] when a month
+    /// lands in an already-emitted step (late or straddling batches), and
+    /// the checks of [`Dataset::append_rows`]. The dataset is unchanged on
+    /// `Err`.
     pub fn append_observations(
         &mut self,
         park: &Park,
@@ -266,15 +268,30 @@ impl Dataset {
         {
             return Err(AppendError::ParkMismatch);
         }
+        let steps = self.next_steps(park, history);
+        if let Some((year, month)) = steps.late {
+            return Err(AppendError::OutOfOrderStep { year, month });
+        }
+        let appended = self.append_rows(steps.rows.view(), &steps.points)?;
+        self.steps.extend(steps.steps);
+        self.coverage.extend(steps.coverage);
+        self.detections.extend(steps.detections);
+        Ok(appended)
+    }
+
+    /// Bucket `history`'s months into the time steps that follow this
+    /// dataset's last one, and emit their points. Months are grouped in the
+    /// order they come: a key change starts a new step, and the first month
+    /// whose key is not after the previous step's is reported as `late`.
+    /// The first new step reads its previous coverage from the dataset's
+    /// last step, or zero when the dataset is empty.
+    fn next_steps(&self, park: &Park, history: &History) -> NextSteps {
         let disc = self.discretization;
         let n_cells = self.n_cells;
-
-        // Group the new months into (year, step_in_year) buckets exactly
-        // like `build_dataset`, rejecting any month that falls at or before
-        // the last already-emitted step.
-        let mut new_steps: Vec<StepInfo> = Vec::new();
-        let mut new_coverage: Vec<Vec<f64>> = Vec::new();
-        let mut new_detections: Vec<Vec<bool>> = Vec::new();
+        let mut steps: Vec<StepInfo> = Vec::new();
+        let mut coverage: Vec<Vec<f64>> = Vec::new();
+        let mut detections: Vec<Vec<bool>> = Vec::new();
+        let mut late = None;
         let mut last_key = self.steps.last().map(|s| (s.year, s.step_in_year));
         let mut current_key: Option<(u32, u32)> = None;
         for month in &history.months {
@@ -283,32 +300,28 @@ impl Dataset {
             };
             let key = (month.year, step_in_year);
             if current_key != Some(key) {
-                if last_key.is_some_and(|last| key <= last) {
-                    return Err(AppendError::OutOfOrderStep {
-                        year: month.year,
-                        month: month.month,
-                    });
+                if late.is_none() && last_key.is_some_and(|last| key <= last) {
+                    late = Some((month.year, month.month));
                 }
                 last_key = Some(key);
                 current_key = Some(key);
-                new_steps.push(StepInfo {
+                steps.push(StepInfo {
                     year: month.year,
                     step_in_year,
                     label: format!("{}-{}", month.year, disc.step_label(step_in_year)),
                 });
-                new_coverage.push(vec![0.0; n_cells]);
-                new_detections.push(vec![false; n_cells]);
+                coverage.push(vec![0.0; n_cells]);
+                detections.push(vec![false; n_cells]);
             }
-            let idx = new_steps.len() - 1;
+            let idx = steps.len() - 1;
             let rec = reconstruct_effort(park, &month.patrols);
             for i in 0..n_cells {
-                new_coverage[idx][i] += rec[i];
-                new_detections[idx][i] = new_detections[idx][i] || month.detections[i];
+                coverage[idx][i] += rec[i];
+                detections[idx][i] = detections[idx][i] || month.detections[i];
             }
         }
 
-        // Static features per cell, extracted the same way as the one-shot
-        // build so appended rows carry identical bytes.
+        // Static features per cell, extracted once into a flat matrix.
         let k = self.n_features();
         let n_static = k - 1;
         let mut static_rows = Matrix::zeros(n_cells, n_static);
@@ -316,44 +329,40 @@ impl Dataset {
             park.write_feature_row(cell, static_rows.row_mut(i));
         }
 
-        // Emit points for the new steps; the first new step reads its
-        // previous coverage from the resident tail of the dataset.
-        let old_steps = self.steps.len();
+        // Data points: patrolled cells only.
         let mut rows = Matrix::new(k);
         let mut points = Vec::new();
         let mut row_buf = vec![0.0; k];
-        for (local, step) in new_steps.iter().enumerate() {
-            let t = old_steps + local;
+        for (local, step) in steps.iter().enumerate() {
+            let prev_coverage = match local {
+                0 => self.coverage.last(),
+                _ => coverage.get(local - 1),
+            };
             for cell_idx in 0..n_cells {
-                let effort = new_coverage[local][cell_idx];
+                let effort = coverage[local][cell_idx];
                 if effort <= 0.0 {
                     continue;
                 }
-                let prev = if local > 0 {
-                    new_coverage[local - 1][cell_idx]
-                } else if let Some(tail) = self.coverage.last() {
-                    tail[cell_idx]
-                } else {
-                    0.0
-                };
                 row_buf[..n_static].copy_from_slice(static_rows.row(cell_idx));
-                row_buf[n_static] = prev;
+                row_buf[n_static] = prev_coverage.map_or(0.0, |prev| prev[cell_idx]);
                 rows.push_row(&row_buf);
                 points.push(DataPoint {
-                    step: t,
+                    step: self.steps.len() + local,
                     cell_idx,
                     current_effort: effort,
-                    label: new_detections[local][cell_idx],
+                    label: detections[local][cell_idx],
                     year: step.year,
                 });
             }
         }
-
-        let appended = self.append_rows(rows.view(), &points)?;
-        self.steps.extend(new_steps);
-        self.coverage.extend(new_coverage);
-        self.detections.extend(new_detections);
-        Ok(appended)
+        NextSteps {
+            steps,
+            coverage,
+            detections,
+            rows,
+            points,
+            late,
+        }
     }
 
     /// Build the full-park feature matrix for a hypothetical next time step
@@ -377,50 +386,29 @@ impl Dataset {
     }
 }
 
-/// Build a [`Dataset`] from a simulated history.
+/// The time steps a history chunk adds after a dataset's last step, with
+/// their feature rows and points (`Dataset::next_steps`).
+struct NextSteps {
+    steps: Vec<StepInfo>,
+    coverage: Vec<Vec<f64>>,
+    detections: Vec<Vec<bool>>,
+    rows: Matrix,
+    points: Vec<DataPoint>,
+    /// `(year, month)` of the first month whose step is not after the
+    /// previous one.
+    late: Option<(u32, u32)>,
+}
+
+/// Build a [`Dataset`] from a simulated history: an empty dataset plus the
+/// steps of [`Dataset::append_observations`], taken in the history's order
+/// (a late month starts a step of its own instead of being rejected). The
+/// feature rows are moved in, not copied.
 pub fn build_dataset(park: &Park, history: &History, disc: Discretization) -> Dataset {
     assert_eq!(
         history.n_cells,
         park.n_cells(),
         "history does not match park"
     );
-    let n_cells = park.n_cells();
-
-    // Group months into (year, step_in_year) buckets, preserving order.
-    let mut steps: Vec<StepInfo> = Vec::new();
-    let mut coverage: Vec<Vec<f64>> = Vec::new();
-    let mut detections: Vec<Vec<bool>> = Vec::new();
-
-    let mut current_key: Option<(u32, u32)> = None;
-    for month in &history.months {
-        let Some(step_in_year) = disc.step_of_month(month.month) else {
-            continue;
-        };
-        let key = (month.year, step_in_year);
-        if current_key != Some(key) {
-            current_key = Some(key);
-            steps.push(StepInfo {
-                year: month.year,
-                step_in_year,
-                label: format!("{}-{}", month.year, disc.step_label(step_in_year)),
-            });
-            coverage.push(vec![0.0; n_cells]);
-            detections.push(vec![false; n_cells]);
-        }
-        let idx = steps.len() - 1;
-        let rec = reconstruct_effort(park, &month.patrols);
-        for i in 0..n_cells {
-            coverage[idx][i] += rec[i];
-            detections[idx][i] = detections[idx][i] || month.detections[i];
-        }
-    }
-
-    // Static features per cell, extracted once into a flat matrix.
-    let n_static = park.n_static_features();
-    let mut static_rows = Matrix::zeros(n_cells, n_static);
-    for (i, &cell) in park.cells.iter().enumerate() {
-        park.write_feature_row(cell, static_rows.row_mut(i));
-    }
     let mut feature_names: Vec<String> = park
         .features
         .names()
@@ -428,47 +416,32 @@ pub fn build_dataset(park: &Park, history: &History, disc: Discretization) -> Da
         .map(|s| s.to_string())
         .collect();
     feature_names.push("prev_patrol_coverage".to_string());
-    let k = feature_names.len();
-
-    // Data points: patrolled cells only; the first step has zero previous
-    // coverage everywhere.
-    let mut points = Vec::new();
-    let mut features = Matrix::new(k);
-    let mut row_buf = vec![0.0; k];
-    for (t, step) in steps.iter().enumerate() {
-        for cell_idx in 0..n_cells {
-            let effort = coverage[t][cell_idx];
-            if effort <= 0.0 {
-                continue;
-            }
-            let prev = if t == 0 {
-                0.0
-            } else {
-                coverage[t - 1][cell_idx]
-            };
-            row_buf[..n_static].copy_from_slice(static_rows.row(cell_idx));
-            row_buf[n_static] = prev;
-            features.push_row(&row_buf);
-            points.push(DataPoint {
-                step: t,
-                cell_idx,
-                current_effort: effort,
-                label: detections[t][cell_idx],
-                year: step.year,
-            });
-        }
-    }
-
-    Dataset {
+    let empty = Dataset {
         park_name: park.name.clone(),
+        points: Vec::new(),
+        features: Matrix::new(feature_names.len()),
         feature_names,
-        points,
-        features,
-        n_cells,
+        n_cells: park.n_cells(),
+        steps: Vec::new(),
+        coverage: Vec::new(),
+        detections: Vec::new(),
+        discretization: disc,
+    };
+    let NextSteps {
         steps,
         coverage,
         detections,
-        discretization: disc,
+        rows,
+        points,
+        ..
+    } = empty.next_steps(park, history);
+    Dataset {
+        points,
+        features: rows,
+        steps,
+        coverage,
+        detections,
+        ..empty
     }
 }
 
