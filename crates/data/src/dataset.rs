@@ -288,9 +288,12 @@ impl Dataset {
     fn next_steps(&self, park: &Park, history: &History) -> NextSteps {
         let disc = self.discretization;
         let n_cells = self.n_cells;
-        let mut steps: Vec<StepInfo> = Vec::new();
-        let mut coverage: Vec<Vec<f64>> = Vec::new();
-        let mut detections: Vec<Vec<bool>> = Vec::new();
+
+        // Group the new months into (year, step_in_year) buckets, noting the
+        // first month that falls at or before the last emitted step.
+        let mut new_steps: Vec<StepInfo> = Vec::new();
+        let mut new_coverage: Vec<Vec<f64>> = Vec::new();
+        let mut new_detections: Vec<Vec<bool>> = Vec::new();
         let mut late = None;
         let mut last_key = self.steps.last().map(|s| (s.year, s.step_in_year));
         let mut current_key: Option<(u32, u32)> = None;
@@ -305,19 +308,19 @@ impl Dataset {
                 }
                 last_key = Some(key);
                 current_key = Some(key);
-                steps.push(StepInfo {
+                new_steps.push(StepInfo {
                     year: month.year,
                     step_in_year,
                     label: format!("{}-{}", month.year, disc.step_label(step_in_year)),
                 });
-                coverage.push(vec![0.0; n_cells]);
-                detections.push(vec![false; n_cells]);
+                new_coverage.push(vec![0.0; n_cells]);
+                new_detections.push(vec![false; n_cells]);
             }
-            let idx = steps.len() - 1;
+            let idx = new_steps.len() - 1;
             let rec = reconstruct_effort(park, &month.patrols);
             for i in 0..n_cells {
-                coverage[idx][i] += rec[i];
-                detections[idx][i] = detections[idx][i] || month.detections[i];
+                new_coverage[idx][i] += rec[i];
+                new_detections[idx][i] = new_detections[idx][i] || month.detections[i];
             }
         }
 
@@ -329,36 +332,43 @@ impl Dataset {
             park.write_feature_row(cell, static_rows.row_mut(i));
         }
 
-        // Data points: patrolled cells only.
+        // Emit points for the new steps, patrolled cells only; the first
+        // new step reads its previous coverage from the resident tail of
+        // the dataset (zero when the dataset is empty).
+        let old_steps = self.steps.len();
         let mut rows = Matrix::new(k);
         let mut points = Vec::new();
         let mut row_buf = vec![0.0; k];
-        for (local, step) in steps.iter().enumerate() {
-            let prev_coverage = match local {
-                0 => self.coverage.last(),
-                _ => coverage.get(local - 1),
-            };
+        for (local, step) in new_steps.iter().enumerate() {
+            let t = old_steps + local;
             for cell_idx in 0..n_cells {
-                let effort = coverage[local][cell_idx];
+                let effort = new_coverage[local][cell_idx];
                 if effort <= 0.0 {
                     continue;
                 }
+                let prev = if local > 0 {
+                    new_coverage[local - 1][cell_idx]
+                } else if let Some(tail) = self.coverage.last() {
+                    tail[cell_idx]
+                } else {
+                    0.0
+                };
                 row_buf[..n_static].copy_from_slice(static_rows.row(cell_idx));
-                row_buf[n_static] = prev_coverage.map_or(0.0, |prev| prev[cell_idx]);
+                row_buf[n_static] = prev;
                 rows.push_row(&row_buf);
                 points.push(DataPoint {
-                    step: self.steps.len() + local,
+                    step: t,
                     cell_idx,
                     current_effort: effort,
-                    label: detections[local][cell_idx],
+                    label: new_detections[local][cell_idx],
                     year: step.year,
                 });
             }
         }
         NextSteps {
-            steps,
-            coverage,
-            detections,
+            steps: new_steps,
+            coverage: new_coverage,
+            detections: new_detections,
             rows,
             points,
             late,
