@@ -16,17 +16,32 @@
 //!    prediction an uncertainty score, later consumed by the robust patrol
 //!    planner.
 //!
-//! Feature batches are flat row-major
-//! [`MatrixView`](paws_data::matrix::MatrixView)s. No learner copies
+//! The code is split by stage. This module holds the configuration, the
+//! model and its accessors; three child modules hold the rest and read the
+//! model's private fields, so nothing they share is visible outside it:
+//!
+//! * `fit` — the one staged fit. [`IWareModel::warm_refit`] selects
+//!   thresholds, plans each learner's effort-filtered subset, keeps or
+//!   refits each learner, fuses the stack and solves the CV weights
+//!   against a [`FitCache`]; [`IWareModel::fit_cached`] runs it from an
+//!   empty cache and [`IWareModel::fit`] drops the cache.
+//! * `tables` — the learner tables: the fused stack's block fill, the
+//!   combines and the prediction entry points.
+//! * `snapshot` — the stack snapshot and its validating decoder.
+//!
+//! Feature batches are flat row-major [`MatrixView`]s. No learner copies
 //! its training rows: each trains on a list of batch rows (its
 //! effort-filtered subset, a CV fold's training rows, or the whole batch
 //! as the fallback) through [`BaggingClassifier::fit_ranked`]. Tree
 //! learners rank the batch once per fit and derive every learner's, fold's
-//! and fold learner's ranking from that one with [`Ranking::subset`](paws_ml::tree::Ranking::subset); a
-//! warm refit ranks only when it refits a learner or reruns the full CV.
-//! The I learners fit in parallel, and [`IWareModel::effort_response`]
-//! evaluates the park-wide g_v(c) / ν_v(c) surfaces cell-parallel into flat
-//! response matrices.
+//! and fold learner's ranking from that one with
+//! [`Ranking::subset`](paws_ml::tree::Ranking::subset); a warm refit ranks
+//! only when it refits a learner or reruns the full CV. The I learners fit
+//! in parallel, and [`IWareModel::effort_response`] evaluates the
+//! park-wide g_v(c) / ν_v(c) surfaces cell-parallel into flat response
+//! matrices.
+//!
+//! [`MatrixView`]: paws_data::matrix::MatrixView
 //!
 //! Every prediction goes through **learner tables**: each learner scores
 //! the batch once into an `n_learners × n_rows` (probability, variance)

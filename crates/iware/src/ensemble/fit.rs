@@ -1,6 +1,10 @@
 //! The staged iWare-E fit: threshold selection, effort-filtered subset
 //! plans, learner fits, the fused stack build and the CV-weight stage,
 //! with the [`FitCache`] that lets a warm refit keep unchanged learners.
+//!
+//! One driver, [`IWareModel::warm_refit`], runs every fit. A cold fit is
+//! that driver from an empty cache: no record to keep and no cached CV
+//! predictions, so every learner fits and the full CV stage runs.
 
 use super::{next_model_id, IWareConfig, IWareModel, LearnerStack};
 use crate::thresholds::{qualified_count, select_thresholds};
@@ -140,8 +144,10 @@ impl IWareModel {
     ///      recorded size) is within a non-zero `tolerance`. This is the
     ///      warm path's only source of divergence from a cold fit: the kept
     ///      learner saw a slightly stale subset (or a θ-keyed seed that
-    ///      moved with its threshold). It is bounded by `tolerance` per
-    ///      learner and disappears at `tolerance = 0`.
+    ///      moved with its threshold). It disappears at `tolerance = 0`.
+    ///      The drift is measured against the subset recorded at the
+    ///      previous refit, which for a kept learner is not the subset it
+    ///      trained on, so over several refits it can exceed `tolerance`.
     ///
     ///    Every other learner, degenerate full-batch learners included
     ///    (their inputs change on any append), fits with the threshold-keyed

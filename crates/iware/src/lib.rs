@@ -4,8 +4,12 @@
 //! patrol-effort-filtered weak learners, percentile threshold placement,
 //! cross-validated classifier weights, and Gaussian-process uncertainty.
 //!
-//! Entry point: [`ensemble::IWareModel`]; the [`ensemble::IWareModel::effort_response`]
-//! method produces the g_v(c) / ν_v(c) curves the patrol planner optimises.
+//! Entry point: [`ensemble::IWareModel`]. One staged driver,
+//! [`ensemble::IWareModel::warm_refit`], fits every model: a cold fit
+//! ([`ensemble::IWareModel::fit`], [`ensemble::IWareModel::fit_cached`]) is
+//! that driver run from an empty [`FitCache`]. The
+//! [`ensemble::IWareModel::effort_response`] method produces the
+//! g_v(c) / ν_v(c) curves the patrol planner optimises.
 
 pub mod ensemble;
 pub mod thresholds;

@@ -5,7 +5,8 @@
 //! on. The planner optimises each cell's concave-envelope utility, so every
 //! model it builds is a linear program.
 //!
-//! * [`model::Model`] — build variables, bounds, objective and constraints.
+//! * [`model::Model`] — build variables, bounds, objective and constraints;
+//!   every solve reads the bounds the model was built with.
 //! * [`revised::solve_lp`] / [`revised::SparseLp`] — sparse revised simplex
 //!   (LU-factorised basis, bounded variables, eta updates, warm starts from
 //!   a [`revised::BasisSnapshot`]); the engine every caller uses.
