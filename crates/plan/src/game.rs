@@ -395,6 +395,41 @@ mod tests {
     }
 
     #[test]
+    fn travel_distances_match_a_bellman_ford_relaxation_bit_for_bit() {
+        // Reference: relax every in-park edge until nothing changes. Each
+        // fixed-point distance is the minimum over paths of the path's
+        // left-to-right sum, which any Dijkstra over the same edges must
+        // return too, whatever its heap's tie order.
+        for seed in [1, 7, 42] {
+            let park = Park::generate(&test_park_spec(), seed);
+            for &post in &park.patrol_posts {
+                let mut expect = vec![f64::INFINITY; park.n_cells()];
+                expect[park.cell_position(post).unwrap()] = 0.0;
+                let mut changed = true;
+                while changed {
+                    changed = false;
+                    for (i, &cell) in park.cells.iter().enumerate() {
+                        for (n, step) in park.park_neighbours(cell) {
+                            let j = park.cell_position(n).unwrap();
+                            let nd = expect[i] + step;
+                            if nd < expect[j] {
+                                expect[j] = nd;
+                                changed = true;
+                            }
+                        }
+                    }
+                }
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&park_travel_distances(&park, post)),
+                    bits(&expect),
+                    "park seed {seed}, post {post:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn steps_for_rounds_at_half_km_boundaries() {
         // The single step-budget helper: nearest-integer with ties away
         // from zero, clamped to at least one step. Pinning the x.5 cases
