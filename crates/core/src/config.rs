@@ -12,10 +12,9 @@ use paws_ml::gp::GpConfig;
 use paws_ml::precision::Precision;
 use paws_ml::svm::SvmConfig;
 use paws_ml::tree::TreeConfig;
-use serde::Serialize;
 
 /// Which weak learner family the bagging ensemble uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeakLearnerKind {
     /// Bagging ensemble of linear SVMs (SVB).
     Svm,
@@ -46,7 +45,7 @@ impl WeakLearnerKind {
 }
 
 /// One predictive-model variant.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModelConfig {
     /// Weak learner family.
     pub learner: WeakLearnerKind,

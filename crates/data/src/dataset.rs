@@ -18,7 +18,6 @@ use crate::matrix::Matrix;
 use crate::trajectory::reconstruct_effort;
 use paws_geo::Park;
 use paws_sim::History;
-use serde::Serialize;
 
 /// Typed rejection of a streaming append — the dataset is left untouched
 /// whenever one of these is returned.
@@ -100,7 +99,7 @@ impl std::error::Error for AppendError {}
 
 /// One (cell, time-step) observation. The feature vector of point `i` is
 /// row `i` of [`Dataset::features`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPoint {
     /// Chronological time-step index within the dataset.
     pub step: usize,
@@ -116,7 +115,7 @@ pub struct DataPoint {
 }
 
 /// The assembled dataset for one park and one discretisation scheme.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Park name the dataset was built from.
     pub park_name: String,

@@ -7,10 +7,9 @@
 //! (November–April), "to obtain three points per year".
 
 use paws_sim::Season;
-use serde::Serialize;
 
 /// Which part of the year enters the dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeasonFilter {
     /// Use every month.
     All,
@@ -19,7 +18,7 @@ pub enum SeasonFilter {
 }
 
 /// A temporal discretisation scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Discretization {
     /// Number of calendar months aggregated into one time step.
     pub months_per_step: u32,
@@ -89,7 +88,7 @@ impl Discretization {
 }
 
 /// Identity of one time step in a discretised history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepInfo {
     /// Calendar year the step belongs to.
     pub year: u32,

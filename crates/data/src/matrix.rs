@@ -21,7 +21,6 @@
 //! `paws_ml`'s 8-byte f32 arena nodes.
 
 use crate::simd::{self, Element};
-use serde::{Serialize, Value};
 
 /// Owned, contiguous, row-major matrix of features (`f64` by default).
 #[derive(Debug, Clone, PartialEq)]
@@ -204,15 +203,6 @@ impl Matrix32 {
             data,
             n_cols: x.n_cols(),
         }
-    }
-}
-
-impl<T: Serialize> Serialize for Matrix<T> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("n_cols".to_string(), self.n_cols.to_value()),
-            ("data".to_string(), self.data.to_value()),
-        ])
     }
 }
 

@@ -12,7 +12,6 @@
 
 use crate::matrix::{Matrix, MatrixView};
 use crate::simd;
-use serde::Serialize;
 
 /// Z-score standardiser fitted per feature column.
 ///
@@ -20,7 +19,7 @@ use serde::Serialize;
 /// everything it has seen (`count` rows, per-column sum of squared
 /// deviations `m2`), so [`StandardScaler::partial_fit`] can fold further
 /// batches in by parallel-moment merging without revisiting old rows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

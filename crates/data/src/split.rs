@@ -7,10 +7,9 @@
 //! immediately preceding it.
 
 use crate::dataset::Dataset;
-use serde::Serialize;
 
 /// Indices into [`Dataset::points`] of a train/test split.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrainTestSplit {
     /// Point indices of the training years.
     pub train: Vec<usize>,

@@ -6,10 +6,8 @@
 //! detected poaching); the paper reports p-values of 1.05 × 10⁻², 2.3 × 10⁻²
 //! and 0.7 × 10⁻² for the MFNP and SWS trials.
 
-use serde::Serialize;
-
 /// Result of a chi-squared independence test.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChiSquaredResult {
     /// The chi-squared statistic.
     pub statistic: f64,

@@ -12,10 +12,9 @@
 use paws_geo::{CellId, Park};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::Serialize;
 
 /// Predicted-risk group of an experiment block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RiskGroup {
     /// 80–100th percentile of predicted risk.
     High,
@@ -42,7 +41,7 @@ impl RiskGroup {
 }
 
 /// One selected experiment block.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FieldBlock {
     /// Cell nearest the block centre (the GPS coordinate given to rangers).
     pub centre: CellId,
@@ -55,7 +54,7 @@ pub struct FieldBlock {
 }
 
 /// A designed field test.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FieldTestPlan {
     /// Selected blocks across all risk groups.
     pub blocks: Vec<FieldBlock>,
@@ -71,7 +70,7 @@ impl FieldTestPlan {
 }
 
 /// Configuration of the block-selection protocol.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolConfig {
     /// Block side length in km (3 for SWS, 2 for MFNP).
     pub block_size: u32,

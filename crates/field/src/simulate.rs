@@ -16,10 +16,9 @@ use paws_sim::patrol::{simulate_patrol, PatrolConfig};
 use paws_sim::{DetectionModel, PoacherModel, Season};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Configuration of a simulated field trial.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrialConfig {
     /// Number of months the trial runs (e.g. 2 for the SWS trials, 2–3 for MFNP).
     pub months: usize,
@@ -54,7 +53,7 @@ impl Default for TrialConfig {
 }
 
 /// Per-risk-group outcome row (one row of Table III).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GroupOutcome {
     /// Risk group.
     pub group: RiskGroup,
@@ -69,7 +68,7 @@ pub struct GroupOutcome {
 }
 
 /// Outcome of a simulated field trial.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrialOutcome {
     /// Per-group rows in High / Medium / Low order.
     pub groups: Vec<GroupOutcome>,

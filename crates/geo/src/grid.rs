@@ -7,14 +7,12 @@
 //! coordinates or by a dense [`CellId`] index used everywhere downstream
 //! (feature matrices, labels, risk maps).
 
-use serde::Serialize;
-
 /// Dense identifier of a grid cell within a [`Grid`].
 ///
 /// Cell ids enumerate the full bounding rectangle in row-major order; park
 /// code normally works with the subset of ids for which the park mask is
 /// true.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub u32);
 
 impl CellId {
@@ -26,7 +24,7 @@ impl CellId {
 }
 
 /// A rectangular grid of 1×1 km cells covering the study region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid {
     rows: u32,
     cols: u32,

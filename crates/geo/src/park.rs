@@ -16,14 +16,13 @@ use crate::noise::FractalNoise;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Seasonal regime of a park.
 ///
 /// SWS in Cambodia has a pronounced wet/dry cycle (rivers become impassable
 /// in the wet season and poaching shifts geographically); the Ugandan parks
 /// are treated as non-seasonal, matching Sec. III-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Seasonality {
     /// No seasonal structure.
     None,
@@ -33,7 +32,7 @@ pub enum Seasonality {
 }
 
 /// Shape of the park boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoundaryShape {
     /// Roughly circular (MFNP: "circular with a more protected core").
     Circular,
@@ -46,7 +45,7 @@ pub enum BoundaryShape {
 
 /// Specification of a synthetic park; see [`crate::parks`] for the presets
 /// matching the three study sites.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ParkSpec {
     /// Park name used in reports.
     pub name: String,
@@ -86,7 +85,7 @@ pub struct ParkSpec {
 }
 
 /// A fully generated synthetic park.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Park {
     /// Park name.
     pub name: String,

@@ -85,11 +85,10 @@ use paws_ml::bagging::{BaggingClassifier, BaggingConfig};
 use paws_ml::forest::{ArenaElement, Forest};
 use paws_ml::forest32::{Forest32, NarrowError};
 use paws_ml::precision::Precision;
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the iWare-E ensemble.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IWareConfig {
     /// Number of weak learners I (the paper uses 20 for MFNP/QENP, 10 for SWS).
     pub n_learners: usize,

@@ -36,10 +36,9 @@
 //! and so the weights are exactly those of the per-vector solve.
 
 use paws_data::matrix::MatrixView;
-use serde::Serialize;
 
 /// How ensemble-member predictions are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightMode {
     /// Equal weight to every qualified classifier (original iWare-E).
     Uniform,

@@ -39,10 +39,9 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
-use serde::Serialize;
 
 /// Configuration of the base (weak) learner used inside the ensemble.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum BaseLearnerConfig {
     /// CART decision tree (DTB / random-forest style when `max_features` is set).
     Tree(TreeConfig),
@@ -97,7 +96,7 @@ impl Classifier for BaseModel {
 }
 
 /// Bagging-ensemble hyperparameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BaggingConfig {
     /// Weak learner trained on each bootstrap sample.
     pub base: BaseLearnerConfig,

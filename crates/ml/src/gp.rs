@@ -49,14 +49,13 @@ use paws_data::simd::{F64x4, LaneVector};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Query rows per prediction block: one per lane of [`F64x4`], which is
 /// also the lane count of the f64 reduction kernels the block replays.
 const LANES: usize = <F64x4 as LaneVector>::N;
 
 /// Gaussian-process hyperparameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GpConfig {
     /// RBF kernel length scale (in standardised feature units).
     pub length_scale: f64,

@@ -15,25 +15,15 @@
 //! actually serves it, so an SVM or GP model switched to
 //! [`Precision::F32`] keeps reporting [`Precision::F64`].
 
-use serde::Serialize;
-
 /// Which numeric plane serves batch predictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Double precision (default): bit-identical to the reference path.
+    #[default]
     F64,
     /// Single precision: ~2× lower prediction bandwidth; divergence from
     /// the f64 goldens is ≤ 1e-5 max abs on the parity scenarios, with
     /// rare half-ulp leaf flips possible at park scale (see
     /// [`crate::forest32`] for the full contract).
     F32,
-}
-
-// Manual impl: the vendored serde derive's token walker does not accept a
-// `#[default]` attribute on enum variants, which `#[derive(Default)]` needs.
-#[allow(clippy::derivable_impls)]
-impl Default for Precision {
-    fn default() -> Self {
-        Precision::F64
-    }
 }

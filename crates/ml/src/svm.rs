@@ -18,10 +18,9 @@ use paws_data::simd;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Linear-SVM hyperparameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SvmConfig {
     /// L2 regularisation strength λ of the Pegasos objective.
     pub lambda: f64,
@@ -42,7 +41,7 @@ impl Default for SvmConfig {
 }
 
 /// A fitted linear SVM with Platt-scaled probabilities.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LinearSvm {
     weights: Vec<f64>,
     bias: f64,

@@ -46,10 +46,9 @@ use paws_data::matrix::MatrixView;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Decision-tree hyperparameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -81,7 +80,7 @@ impl Default for TreeConfig {
 /// `left`/`right` index the child nodes. The dense layout keeps batch
 /// traversal cache-friendly; [`crate::forest::Forest`] splices these nodes
 /// unchanged into its arena.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Node {
     pub(crate) feature: i32,
     pub(crate) left: u32,
@@ -268,7 +267,7 @@ fn assert_row_count(n_rows: usize) {
 }
 
 /// A fitted CART decision tree.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     n_features: usize,

@@ -8,10 +8,9 @@
 
 use crate::game::PlanningProblem;
 use crate::planner::{try_plan, PlanError, PlannerConfig};
-use serde::Serialize;
 
 /// Result of comparing a robust plan against the non-robust baseline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RobustComparison {
     /// The β used for the robust plan (and for the evaluation objective).
     pub beta: f64,

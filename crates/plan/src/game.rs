@@ -17,10 +17,9 @@
 use crate::pwl::PwlFunction;
 use paws_data::matrix::Matrix;
 use paws_geo::{CellId, Park};
-use serde::Serialize;
 
 /// One candidate cell in a planning problem.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlanningCell {
     /// Park cell id.
     pub cell: CellId,
@@ -35,7 +34,7 @@ pub struct PlanningCell {
 }
 
 /// A patrol-planning problem for one patrol post.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlanningProblem {
     /// The patrol post all routes start and end at.
     pub post: CellId,

@@ -25,7 +25,6 @@ use paws_solver::{
     BasisSnapshot, ConstraintOp, Model, Sense, SolveBudget, SolveStatus, SolverError, SparseLp,
     Variable,
 };
-use serde::Serialize;
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
@@ -86,7 +85,7 @@ impl From<SolverError> for PlanError {
 }
 
 /// Which formulation to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMethod {
     /// Separable effort-allocation formulation (default).
     Allocation,
@@ -95,7 +94,7 @@ pub enum PlannerMethod {
 }
 
 /// How the allocation formulation is decomposed for the solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decomposition {
     /// Pick automatically: column generation above a few thousand λ
     /// variables, the full model otherwise. The default.

@@ -6,8 +6,6 @@
 //! optimise (through each function's concave envelope). The same
 //! construction is applied to the uncertainty functions ν_v in Sec. VI-C.
 
-use serde::Serialize;
-
 /// Errors from the checked PWL constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PwlError {
@@ -36,7 +34,7 @@ impl std::fmt::Display for PwlError {
 impl std::error::Error for PwlError {}
 
 /// A piecewise-linear function defined by ascending breakpoints.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PwlFunction {
     /// Breakpoint x-coordinates, strictly ascending.
     xs: Vec<f64>,

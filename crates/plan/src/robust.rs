@@ -10,13 +10,12 @@
 //! β ≤ 1.
 
 use paws_data::matrix::Matrix;
-use serde::Serialize;
 
 /// Logistic squashing of raw predictive variances into [0, 1).
 ///
 /// `scale` sets the variance magnitude mapped to ≈ 0.46; a good default is
 /// the mean variance over the park, which [`squash_matrix`] computes.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VarianceSquash {
     /// Characteristic variance scale.
     pub scale: f64,

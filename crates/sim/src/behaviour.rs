@@ -12,10 +12,9 @@
 
 use paws_geo::{CellId, FeatureKind, Park, Seasonality};
 use rand::Rng;
-use serde::Serialize;
 
 /// Season of a simulated month.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Season {
     /// Dry season (November through April in SWS).
     Dry,
@@ -34,7 +33,7 @@ impl Season {
 }
 
 /// Configuration of the ground-truth attack model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AttackModelConfig {
     /// Intercept of the logistic attack model; calibrated so the park-wide
     /// mean monthly attack probability matches `target_attack_rate`.
@@ -80,7 +79,7 @@ impl Default for AttackModelConfig {
 }
 
 /// The realised ground-truth poacher model for one park.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PoacherModel {
     config: AttackModelConfig,
     /// Attractiveness score (logit without intercept/deterrence/season) per

@@ -9,10 +9,8 @@
 //! which produces exactly the one-sided label noise the iWare-E ensemble is
 //! designed to handle and the increasing detection curves of Fig. 4.
 
-use serde::Serialize;
-
 /// Saturating detection-probability model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectionModel {
     /// Rate of the exponential saturation per km of effort.
     pub rate_per_km: f64,

@@ -11,10 +11,9 @@ use crate::patrol::{effort_map, simulate_month, Patrol, PatrolConfig};
 use paws_geo::Park;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Complete simulator configuration for one park.
-#[derive(Debug, Clone, Serialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     /// Ground-truth attack model parameters.
     pub attack: crate::behaviour::AttackModelConfig,
@@ -25,7 +24,7 @@ pub struct SimConfig {
 }
 
 /// Everything that happened in the park during one simulated month.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MonthRecord {
     /// Calendar year.
     pub year: u32,
@@ -56,7 +55,7 @@ impl MonthRecord {
 }
 
 /// A multi-year simulated history for one park.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct History {
     /// First simulated calendar year.
     pub start_year: u32,

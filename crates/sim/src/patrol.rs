@@ -10,10 +10,9 @@
 
 use paws_geo::{CellId, FeatureKind, Park};
 use rand::Rng;
-use serde::Serialize;
 
 /// A GPS fix recorded by a ranger team during one patrol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// Cell the fix falls in.
     pub cell: CellId,
@@ -22,7 +21,7 @@ pub struct Waypoint {
 }
 
 /// One simulated ranger patrol.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Patrol {
     /// Patrol post (start and nominal end of the patrol).
     pub post: CellId,
@@ -35,7 +34,7 @@ pub struct Patrol {
 }
 
 /// Mode of transport; controls speed (km per outing) and waypoint sparsity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
     /// Foot patrols (MFNP, QENP).
     Foot,
@@ -45,7 +44,7 @@ pub enum Transport {
 }
 
 /// Configuration of the patrol simulator.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PatrolConfig {
     /// Number of patrols launched per simulated month.
     pub patrols_per_month: usize,

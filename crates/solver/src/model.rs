@@ -8,10 +8,8 @@
 //! constraints; [`crate::revised`] solves it, and [`crate::simplex`] is the
 //! dense reference engine.
 
-use serde::Serialize;
-
 /// Optimisation direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// Maximise the objective.
     Maximize,
@@ -20,11 +18,11 @@ pub enum Sense {
 }
 
 /// Handle to a variable in a [`Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Variable(pub usize);
 
 /// Comparison operator of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstraintOp {
     /// `expr <= rhs`
     Le,
@@ -34,14 +32,14 @@ pub enum ConstraintOp {
     Eq,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct VarDef {
     pub lower: f64,
     pub upper: f64,
     pub objective: f64,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct ConstraintDef {
     pub terms: Vec<(usize, f64)>,
     pub op: ConstraintOp,
@@ -49,7 +47,7 @@ pub(crate) struct ConstraintDef {
 }
 
 /// A linear optimisation model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarDef>,
@@ -57,7 +55,7 @@ pub struct Model {
 }
 
 /// Termination status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStatus {
     /// An optimal solution was found.
     Optimal,
@@ -120,7 +118,7 @@ impl std::fmt::Display for SolverError {
 impl std::error::Error for SolverError {}
 
 /// Result of solving a model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Solution {
     /// Termination status.
     pub status: SolveStatus,
