@@ -4,7 +4,9 @@
 //! rivers, roads, park boundary, villages, patrol posts, …). These are
 //! computed with a multi-source Dijkstra over the 8-neighbourhood with step
 //! costs of 1 km (cardinal) and √2 km (diagonal), which approximates the
-//! Euclidean distance well enough at 1 km resolution.
+//! Euclidean distance well enough at 1 km resolution. The planner's travel
+//! distances from a patrol post are the same Dijkstra confined to the park
+//! mask ([`masked_distance_to_nearest`]).
 
 use crate::grid::{CellId, Grid};
 use std::cmp::Ordering;
@@ -44,11 +46,29 @@ impl PartialOrd for Frontier {
 /// Returns `f64::INFINITY` for cells unreachable from any source (only
 /// possible when `sources` is empty).
 pub fn distance_to_nearest(grid: &Grid, sources: &[CellId]) -> Vec<f64> {
+    shortest_paths(grid, sources, |_| true)
+}
+
+/// As [`distance_to_nearest`], but every path stays on cells where `mask`
+/// is true. Cells off the mask, and cells the mask cuts off from every
+/// source, read `f64::INFINITY`; a source off the mask starts no path.
+///
+/// # Panics
+/// Panics when `mask` does not have one entry per grid cell.
+pub fn masked_distance_to_nearest(grid: &Grid, mask: &[bool], sources: &[CellId]) -> Vec<f64> {
+    assert_eq!(mask.len(), grid.len(), "mask must cover the grid");
+    shortest_paths(grid, sources, |c| mask[c.index()])
+}
+
+/// The multi-source Dijkstra behind both transforms, walking only onto
+/// cells `open` admits. Each distance is the minimum over admitted paths of
+/// the path's left-to-right sum of steps, whatever the heap's tie order.
+fn shortest_paths(grid: &Grid, sources: &[CellId], open: impl Fn(CellId) -> bool) -> Vec<f64> {
     let mut dist = vec![f64::INFINITY; grid.len()];
     let mut heap = BinaryHeap::new();
     for &s in sources {
         assert!(s.index() < grid.len(), "source cell out of bounds");
-        if dist[s.index()] > 0.0 {
+        if open(s) && dist[s.index()] > 0.0 {
             dist[s.index()] = 0.0;
             heap.push(Frontier { dist: 0.0, cell: s });
         }
@@ -58,6 +78,9 @@ pub fn distance_to_nearest(grid: &Grid, sources: &[CellId]) -> Vec<f64> {
             continue;
         }
         for (n, step) in grid.neighbours8(cell) {
+            if !open(n) {
+                continue;
+            }
             // Step costs are 1/√2 km by construction; a non-finite cost
             // (a future weighted-grid bug) must not enter the frontier,
             // where it would outrank real paths and poison every distance
@@ -173,10 +196,9 @@ mod tests {
     #[test]
     fn frontier_heap_ranks_nan_last_not_equal() {
         // Regression: the frontier ordering used
-        // `partial_cmp(..).unwrap_or(Equal)` — the exact heap bug fixed in
-        // paws-plan's Dijkstra — so a NaN key compared Equal to everything
-        // and could pop ahead of genuinely nearer cells. Under total_cmp a
-        // NaN key has a consistent, worst possible rank.
+        // `partial_cmp(..).unwrap_or(Equal)`, so a NaN key compared Equal
+        // to everything and could pop ahead of genuinely nearer cells.
+        // Under total_cmp a NaN key has a consistent, worst possible rank.
         let g = Grid::new(2, 2);
         let mut heap = BinaryHeap::new();
         for (d, c) in [(2.0, 0), (f64::NAN, 1), (0.5, 2), (1.0, 3)] {
@@ -200,6 +222,35 @@ mod tests {
         };
         assert_eq!(nan.cmp(&one), Ordering::Less);
         assert_eq!(one.cmp(&nan), Ordering::Greater);
+    }
+
+    #[test]
+    fn masked_distances_detour_around_cells_off_the_mask() {
+        // A wall down column 2, open only at the bottom row: the far side
+        // is reached around its end, never through it.
+        let g = Grid::new(5, 5);
+        let mask: Vec<bool> = g
+            .cells()
+            .map(|c| {
+                let (r, col) = g.coords(c);
+                col != 2 || r == 4
+            })
+            .collect();
+        let d = masked_distance_to_nearest(&g, &mask, &[g.cell(0, 0)]);
+        let sq2 = std::f64::consts::SQRT_2;
+        assert_eq!(d[g.cell(0, 1).index()], 1.0);
+        assert!(d[g.cell(0, 2).index()].is_infinite(), "off the mask");
+        assert!((d[g.cell(4, 2).index()] - (2.0 + 2.0 * sq2)).abs() < 1e-12);
+        assert!((d[g.cell(0, 3).index()] - (5.0 + 3.0 * sq2)).abs() < 1e-12);
+        // An open mask is the plain transform; a source off the mask
+        // reaches nothing, not even itself.
+        let open = vec![true; g.len()];
+        assert_eq!(
+            masked_distance_to_nearest(&g, &open, &[g.cell(2, 2)]),
+            distance_to_nearest(&g, &[g.cell(2, 2)])
+        );
+        let off = masked_distance_to_nearest(&g, &mask, &[g.cell(0, 2)]);
+        assert!(off.iter().all(|x| x.is_infinite()));
     }
 
     #[test]

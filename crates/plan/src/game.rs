@@ -16,6 +16,7 @@
 
 use crate::pwl::PwlFunction;
 use paws_data::matrix::Matrix;
+use paws_geo::distance::masked_distance_to_nearest;
 use paws_geo::{CellId, Park};
 
 /// One candidate cell in a planning problem.
@@ -204,57 +205,14 @@ pub fn steps_for(patrol_length_km: f64) -> usize {
     patrol_length_km.round().max(1.0) as usize
 }
 
-/// Min-heap entry for [`park_travel_distances`]: ordered by distance with
-/// [`f64::total_cmp`], so a NaN distance has a consistent (greatest) rank
-/// instead of silently comparing `Equal` to everything — which would let
-/// it float around the heap and corrupt the pop order.
-#[derive(PartialEq)]
-struct MinDistEntry(f64, usize);
-impl Eq for MinDistEntry {}
-impl Ord for MinDistEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest distance.
-        other.0.total_cmp(&self.0)
-    }
-}
-impl PartialOrd for MinDistEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Shortest octile travel distance (km) from `post` to every in-park cell.
+/// Shortest octile travel distance (km) from `post` to every in-park cell,
+/// walking only through the park: the grid's distance transform confined
+/// to `park.mask`. Cells the park cuts off from the post read
+/// `f64::INFINITY`, and so does every cell when the post is outside the
+/// park.
 pub fn park_travel_distances(park: &Park, post: CellId) -> Vec<f64> {
-    use std::collections::BinaryHeap;
-
-    let mut dist = vec![f64::INFINITY; park.n_cells()];
-    let start = park
-        .cell_position(post)
-        .expect("post must be inside the park");
-    dist[start] = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(MinDistEntry(0.0, start));
-    while let Some(MinDistEntry(d, i)) = heap.pop() {
-        if d > dist[i] {
-            continue;
-        }
-        for (n, step) in park.park_neighbours(park.cells[i]) {
-            let ni = park.cell_position(n).expect("neighbour is in park");
-            let nd = d + step;
-            // A degenerate grid (NaN/infinite step weight) must not enter
-            // the frontier: a non-finite key would outrank real paths under
-            // any ordering and poison every distance downstream of it.
-            debug_assert!(step.is_finite(), "non-finite neighbour step weight");
-            if !nd.is_finite() {
-                continue;
-            }
-            if nd < dist[ni] {
-                dist[ni] = nd;
-                heap.push(MinDistEntry(nd, ni));
-            }
-        }
-    }
-    dist
+    let dist = masked_distance_to_nearest(&park.grid, &park.mask, &[post]);
+    park.cells.iter().map(|c| dist[c.index()]).collect()
 }
 
 fn effective_max_effort(patrol_length_km: f64, n_patrols: usize, travel_km: f64) -> f64 {
@@ -447,28 +405,6 @@ mod tests {
     fn patrol_steps_uses_the_shared_helper() {
         let (_, p) = toy_problem();
         assert_eq!(p.patrol_steps(), steps_for(p.patrol_length_km));
-    }
-
-    #[test]
-    fn heap_entries_rank_nan_last_not_equal() {
-        // Regression: the Dijkstra heap used `partial_cmp(..).unwrap_or(Equal)`,
-        // so a NaN key compared Equal to *everything* and could surface
-        // ahead of genuinely shorter paths. Under total_cmp a NaN key has a
-        // consistent, worst possible rank.
-        use std::collections::BinaryHeap;
-        let mut heap = BinaryHeap::new();
-        for (d, i) in [(2.0, 0), (f64::NAN, 1), (0.5, 2), (1.0, 3)] {
-            heap.push(MinDistEntry(d, i));
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| heap.pop().map(|e| e.1)).collect();
-        assert_eq!(order, vec![2, 3, 0, 1], "NaN pops last, finite ascending");
-        // And the ordering is total: NaN vs NaN is consistent, not Equal to
-        // finite keys.
-        assert_eq!(
-            MinDistEntry(f64::NAN, 0).cmp(&MinDistEntry(1.0, 1)),
-            std::cmp::Ordering::Less,
-            "reversed min-heap order ranks NaN below (popped after) finite"
-        );
     }
 
     #[test]
