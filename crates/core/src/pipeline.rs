@@ -21,8 +21,8 @@
 
 use crate::config::ModelConfig;
 pub use crate::serving::{FittedModel, PreparedPark, ServingModel};
-use paws_data::{Dataset, StandardScaler, TrainTestSplit};
-use paws_iware::IWareModel;
+use paws_data::{Dataset, MatrixView, StandardScaler, TrainTestSplit};
+use paws_iware::{FitCache, IWareModel};
 use paws_ml::bagging::BaggingClassifier;
 use std::ops::{Deref, DerefMut};
 
@@ -79,33 +79,30 @@ pub fn train(dataset: &Dataset, split: &TrainTestSplit, config: &ModelConfig) ->
     // In-place fit-transform: the gathered training matrix is standardised
     // without a second copy.
     let (scaler, scaled) = StandardScaler::fit_transform(rows);
-
-    let fitted = if config.use_iware {
-        FittedModel::IWare(IWareModel::fit(
-            &config.iware_config(),
-            scaled.view(),
-            &labels,
-            &efforts,
-        ))
-    } else {
-        FittedModel::Plain(BaggingClassifier::fit(
-            &config.bagging_config(),
-            scaled.view(),
-            &labels,
-        ))
-    };
-
-    let mut serving = ServingModel {
-        config: config.clone(),
-        scaler,
-        fitted,
-    };
-    // Training always runs in f64; the configured plane only selects which
-    // engine serves predictions from here on.
-    serving
-        .set_precision(config.precision)
+    let (fitted, _) = fit_variant(config, scaled.view(), &labels, &efforts);
+    let serving = ServingModel::assemble(config.clone(), scaler, fitted)
         .expect("configured precision plane fits the trained arena");
     TrainedModel { serving }
+}
+
+/// The fit step shared by [`train`] and the streaming driver's cold path:
+/// fit the configured variant on standardised rows. An iWare-E fit also
+/// returns the [`FitCache`] that warm refits start from; plain bagging has
+/// none. Fitting always runs in f64; the configured plane is applied when
+/// the serving artifact is assembled.
+pub(crate) fn fit_variant(
+    config: &ModelConfig,
+    x: MatrixView<'_>,
+    labels: &[f64],
+    efforts: &[f64],
+) -> (FittedModel, Option<FitCache>) {
+    if config.use_iware {
+        let (model, cache) = IWareModel::fit_cached(&config.iware_config(), x, labels, efforts);
+        (FittedModel::IWare(model), Some(cache))
+    } else {
+        let model = BaggingClassifier::fit(&config.bagging_config(), x, labels);
+        (FittedModel::Plain(model), None)
+    }
 }
 
 #[cfg(test)]

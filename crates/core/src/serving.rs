@@ -197,12 +197,27 @@ impl ServingModel {
                 "snapshot feature width does not match the scaler",
             ));
         }
+        Ok(Self::assemble(config, scaler, FittedModel::IWare(model))?)
+    }
+
+    /// The assembly step shared by every constructor: bundle a fitted
+    /// model with its scaler and config, then switch it to the configured
+    /// precision plane.
+    ///
+    /// # Errors
+    /// The [`NarrowError`] when the configured f32 plane does not fit the
+    /// fitted arena.
+    pub(crate) fn assemble(
+        config: ModelConfig,
+        scaler: StandardScaler,
+        fitted: FittedModel,
+    ) -> Result<Self, NarrowError> {
+        let precision = config.precision;
         let mut serving = ServingModel {
             config,
             scaler,
-            fitted: FittedModel::IWare(model),
+            fitted,
         };
-        let precision = serving.config.precision;
         serving.set_precision(precision)?;
         Ok(serving)
     }

@@ -28,10 +28,10 @@
 
 use crate::config::{ModelConfig, WeakLearnerKind};
 use crate::error::PawsError;
+use crate::pipeline::fit_variant;
 use crate::serving::{FittedModel, ServingModel};
 use paws_data::{Matrix, MatrixView, StandardScaler};
 use paws_iware::{FitCache, IWareModel, RefitStats};
-use paws_ml::bagging::BaggingClassifier;
 
 /// Knobs of the streaming driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -262,23 +262,9 @@ impl StreamingFit {
                 let scaler = StandardScaler::fit(raw.view());
                 let mut scaled = raw.clone();
                 scaler.transform_in_place(&mut scaled);
-                let fitted = if self.config.use_iware {
-                    let (model, cache) = IWareModel::fit_cached(
-                        &self.config.iware_config(),
-                        scaled.view(),
-                        &self.labels,
-                        &self.efforts,
-                    );
-                    self.cache = Some(cache);
-                    FittedModel::IWare(model)
-                } else {
-                    self.cache = None;
-                    FittedModel::Plain(BaggingClassifier::fit(
-                        &self.config.bagging_config(),
-                        scaled.view(),
-                        &self.labels,
-                    ))
-                };
+                let (fitted, cache) =
+                    fit_variant(&self.config, scaled.view(), &self.labels, &self.efforts);
+                self.cache = cache;
                 self.moments = Some(scaler.clone());
                 self.scaler = Some(scaler);
                 self.scaled = Some(scaled);
@@ -311,12 +297,7 @@ impl StreamingFit {
         let Some(scaler) = self.scaler.clone() else {
             return Err(PawsError::Input("streaming driver lost its cold-fit state"));
         };
-        let mut serving = ServingModel {
-            config: self.config.clone(),
-            scaler,
-            fitted,
-        };
-        serving.set_precision(self.config.precision)?;
+        let serving = ServingModel::assemble(self.config.clone(), scaler, fitted)?;
         let report = BatchReport {
             batch: self.batches_seen,
             appended: rows.n_rows(),
