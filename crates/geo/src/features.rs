@@ -184,11 +184,6 @@ impl FeatureTable {
             .map(|i| self.columns[i].as_slice())
     }
 
-    /// Borrow one column by index.
-    pub fn column_at(&self, idx: usize) -> &[f64] {
-        &self.columns[idx]
-    }
-
     /// The feature vector of one cell, in column order.
     pub fn row(&self, cell: usize) -> Vec<f64> {
         assert!(cell < self.n_cells, "cell index out of range");

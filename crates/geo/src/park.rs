@@ -172,11 +172,6 @@ impl Park {
             .filter(|(n, _)| self.contains(*n))
             .collect()
     }
-
-    /// Fraction of in-park cells relative to the bounding rectangle.
-    pub fn fill_ratio(&self) -> f64 {
-        self.cells.len() as f64 / self.grid.len() as f64
-    }
 }
 
 struct ParkBuilder<'a> {

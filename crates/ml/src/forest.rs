@@ -619,19 +619,6 @@ impl<T: ArenaElement> Forest<T> {
         }
     }
 
-    /// Number of edges tree `t` traverses for one row (diagnostics).
-    pub fn row_depth(&self, t: usize, row: &[T]) -> usize {
-        let mut idx = self.roots[t];
-        let mut node = self.nodes[idx as usize];
-        let mut d = 0;
-        while !node.is_leaf(idx) {
-            idx = node.advance(row[node.feature() as usize]);
-            node = self.nodes[idx as usize];
-            d += 1;
-        }
-        d
-    }
-
     /// Prediction of tree `t` for one row (classic root-to-leaf walk); the
     /// reference the batch kernel must agree with bit-for-bit.
     pub fn predict_row(&self, t: usize, row: &[T]) -> T {

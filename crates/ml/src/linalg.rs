@@ -78,11 +78,6 @@ impl Cholesky {
         Ok(Self { l, n })
     }
 
-    /// Dimension of the factorised matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Entry (i, j) of the lower-triangular factor.
     pub fn factor_at(&self, i: usize, j: usize) -> f64 {
         self.l[i * self.n + j]

@@ -76,8 +76,9 @@ impl PwlFunction {
         }
     }
 
-    /// Checked sampling construction: a degenerate request (zero segments
-    /// or an empty interval) is a [`PwlError::Empty`].
+    /// Sample a black-box function at `segments + 1` evenly spaced points on
+    /// `[lo, hi]` and return its PWL approximation. A degenerate request
+    /// (zero segments or an empty interval) is a [`PwlError::Empty`].
     pub fn try_from_samples(
         lo: f64,
         hi: f64,
@@ -95,18 +96,6 @@ impl PwlFunction {
             .collect();
         let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
         Self::try_new(xs, ys)
-    }
-
-    /// Sample a black-box function at `segments + 1` evenly spaced points on
-    /// `[lo, hi]` and return its PWL approximation.
-    ///
-    /// # Panics
-    /// Panics on a degenerate request; use
-    /// [`PwlFunction::try_from_samples`] to handle it as an error.
-    pub fn from_samples(lo: f64, hi: f64, segments: usize, f: impl Fn(f64) -> f64) -> Self {
-        assert!(segments >= 1, "need at least one segment");
-        assert!(hi > lo, "empty sampling interval");
-        Self::try_from_samples(lo, hi, segments, f).expect("checked above")
     }
 
     /// Breakpoint x-coordinates.
@@ -244,7 +233,7 @@ mod tests {
 
     #[test]
     fn from_samples_matches_function_at_breakpoints() {
-        let f = PwlFunction::from_samples(0.0, 4.0, 8, |x| 1.0 - (-x).exp());
+        let f = PwlFunction::try_from_samples(0.0, 4.0, 8, |x| 1.0 - (-x).exp()).unwrap();
         assert_eq!(f.n_segments(), 8);
         for (&x, &y) in f.xs().iter().zip(f.ys()) {
             assert!((y - (1.0 - (-x).exp())).abs() < 1e-12);
@@ -253,7 +242,7 @@ mod tests {
 
     #[test]
     fn concavity_detection() {
-        let concave = PwlFunction::from_samples(0.0, 4.0, 10, |x| 1.0 - (-x).exp());
+        let concave = PwlFunction::try_from_samples(0.0, 4.0, 10, |x| 1.0 - (-x).exp()).unwrap();
         assert!(concave.is_concave(1e-9));
         let non_concave = PwlFunction::new(vec![0.0, 1.0, 2.0], vec![0.0, 0.1, 1.0]);
         assert!(!non_concave.is_concave(1e-9));
@@ -315,7 +304,7 @@ mod tests {
 
     #[test]
     fn concave_envelope_of_concave_function_is_itself() {
-        let f = PwlFunction::from_samples(0.0, 4.0, 10, |x| 1.0 - (-x).exp());
+        let f = PwlFunction::try_from_samples(0.0, 4.0, 10, |x| 1.0 - (-x).exp()).unwrap();
         let env = f.concave_envelope();
         for (&a, &b) in f.ys().iter().zip(env.ys()) {
             assert!((a - b).abs() < 1e-9);
@@ -345,14 +334,15 @@ mod tests {
 
         #[test]
         fn sampled_approximation_is_close_for_smooth_functions(x in 0.0..4.0f64) {
-            let f = PwlFunction::from_samples(0.0, 4.0, 40, |x| 1.0 - (-1.3 * x).exp());
+            let f =
+                PwlFunction::try_from_samples(0.0, 4.0, 40, |x| 1.0 - (-1.3 * x).exp()).unwrap();
             let truth = 1.0 - (-1.3f64 * x).exp();
             prop_assert!((f.eval(x) - truth).abs() < 0.01);
         }
 
         #[test]
         fn interpolation_is_monotone_for_monotone_breakpoints(a in 0.0..5.0f64, b in 0.0..5.0f64) {
-            let f = PwlFunction::from_samples(0.0, 5.0, 10, |x| x / (1.0 + x));
+            let f = PwlFunction::try_from_samples(0.0, 5.0, 10, |x| x / (1.0 + x)).unwrap();
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(f.eval(lo) <= f.eval(hi) + 1e-12);
         }

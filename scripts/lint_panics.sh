@@ -5,9 +5,8 @@
 # `panic!` / `unreachable!` sites in non-test library code must not creep
 # in. Every pre-existing site below was audited (PR 6): they are either
 # infallible by construction (fixed-size `try_into`, guarded indexing),
-# documented-panic facades over a `try_*` twin (e.g.
-# `PwlFunction::from_samples`), or sit on train-time paths that never see
-# untrusted input.
+# documented-panic facades over a `try_*` twin (e.g. `PwlFunction::new`),
+# or sit on train-time paths that never see untrusted input.
 #
 # Test modules are stripped (everything from the first `#[cfg(test)]`
 # line onward — the repo convention keeps them last in the file), so the
@@ -42,7 +41,7 @@ allowlist() {
 7 crates/ml/src/snapshot.rs
 1 crates/ml/src/traits.rs
 1 crates/plan/src/game.rs
-9 crates/plan/src/pwl.rs
+8 crates/plan/src/pwl.rs
 3 crates/plan/src/routes.rs
 5 crates/sim/src/behaviour.rs
 2 crates/sim/src/patrol.rs
