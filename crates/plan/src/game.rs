@@ -356,9 +356,18 @@ mod tests {
         // Reference: relax every in-park edge until nothing changes. Each
         // fixed-point distance is the minimum over paths of the path's
         // left-to-right sum, which any Dijkstra over the same edges must
-        // return too, whatever its heap's tie order.
-        for seed in [1, 7, 42] {
-            let park = Park::generate(&test_park_spec(), seed);
+        // return too, whatever its heap's tie order. On the test park no
+        // path through outside cells is ever shorter; on QENP it is from
+        // two of the eight posts, so QENP also checks that walks stay in
+        // the park.
+        let parks = [
+            (test_park_spec(), 1),
+            (test_park_spec(), 7),
+            (test_park_spec(), 42),
+            (paws_geo::parks::qenp_spec(), 2013),
+        ];
+        for (spec, seed) in parks {
+            let park = Park::generate(&spec, seed);
             for &post in &park.patrol_posts {
                 let mut expect = vec![f64::INFINITY; park.n_cells()];
                 expect[park.cell_position(post).unwrap()] = 0.0;
@@ -380,7 +389,8 @@ mod tests {
                 assert_eq!(
                     bits(&park_travel_distances(&park, post)),
                     bits(&expect),
-                    "park seed {seed}, post {post:?}"
+                    "{} seed {seed}, post {post:?}",
+                    spec.name
                 );
             }
         }
