@@ -711,6 +711,63 @@ mod tests {
     }
 
     #[test]
+    fn response_columns_are_constant_effort_predictions_in_any_grid_order() {
+        // Each response column is the constant-effort prediction at its
+        // level, bit for bit, whatever the grid's order: the grid is
+        // unsorted, repeats a level, and reaches below the first positive
+        // threshold and above the last. Zeroing the first two weights makes
+        // the short prefixes take the unweighted-mean fallback.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (rows, labels, efforts, _) = noisy_poaching_data(250, 23);
+        let gp = IWareConfig {
+            base: BaggingConfig::gps(3, 5),
+            ..quick_config(4)
+        };
+        let grid = [2.0, 0.0, 1.0, 0.5, 2.0, 10.0];
+        let stacks = [
+            (gp, Precision::F64),
+            (quick_config(4), Precision::F64),
+            (quick_config(4), Precision::F32),
+        ];
+        for (cfg, precision) in stacks {
+            let mut model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+            model.set_precision(precision).unwrap();
+            assert_eq!(model.precision(), precision);
+            let t = model.thresholds();
+            assert!(t[1] > 0.5 && t[t.len() - 1] < 10.0, "grid spans {t:?}");
+            let fitted = model.weights.clone();
+            let mut zeroed = fitted.clone();
+            zeroed[..2].fill(0.0);
+            for weights in [fitted, zeroed] {
+                model.weights = weights;
+                for n in [40, 0] {
+                    let case = format!(
+                        "{} {precision:?} {:?} {n} rows",
+                        cfg.base.base.short_name(),
+                        model.weights
+                    );
+                    let q = rows.view().head(n);
+                    let (p, v) = model.effort_response(q, &grid);
+                    assert_eq!((p.n_rows(), p.n_cols()), (n, grid.len()), "{case}");
+                    for (e, &level) in grid.iter().enumerate() {
+                        let (pe, ve) = model.predict_with_variance_at_effort(q, &vec![level; n]);
+                        let column = |m: &Matrix| (0..n).map(|r| m.get(r, e)).collect::<Vec<_>>();
+                        assert_eq!(bits(&column(&p)), bits(&pe), "{case} @{level}");
+                        assert_eq!(bits(&column(&v)), bits(&ve), "{case} @{level}");
+                        let pp = model.predict_proba_at_effort(q, &vec![level; n]);
+                        assert_eq!(bits(&pp), bits(&pe), "{case} @{level}");
+                    }
+                    let (pt, vt) = model
+                        .combine_tables_response(&model.learner_tables(q), &grid)
+                        .expect("the model's own tables");
+                    assert_eq!(bits(pt.as_slice()), bits(p.as_slice()), "{case}");
+                    assert_eq!(bits(vt.as_slice()), bits(v.as_slice()), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn learner_tables_serve_the_direct_bits_to_their_own_model_only() {
         // Kept tables combine to the direct entry points' bits at any level
         // and over sorted or unsorted grids: GP learners, a tree stack on
