@@ -44,8 +44,8 @@
 //!   initialiser's nested parallel region runs — a deadlock risk on the
 //!   work-stealing pool.)
 //! * **Bound to one model and one plane.** Tables carry the id of the
-//!   model that filled them and the plane it filled them on. The combiners
-//!   refuse them to any other model, and to the same model after it
+//!   model that filled them and the plane it filled them on. The combine
+//!   refuses them to any other model, and to the same model after it
 //!   switched planes; such a query computes its answer without the cache,
 //!   as if the park held none.
 //! * **Sized by learners × cells × 2 elements**: 8.0 MB in f64 or 4.0 MB in
@@ -164,7 +164,7 @@ impl PreparedPark {
 
     /// The park's cached learner tables, filled from `model` when the cell
     /// is empty. The tables returned may belong to another model or plane;
-    /// the combiners check.
+    /// the combine checks.
     fn learner_tables(&self, model: &IWareModel) -> Option<&LearnerTables> {
         if self.tables.get().is_none() {
             // Compute outside the cell; a racing fill publishes first and
@@ -352,11 +352,8 @@ impl ServingModel {
     }
 
     /// Predicted risk and uncertainty for every cell of a prepared park at a
-    /// single prospective patrol-effort level (one panel of Fig. 6).
-    ///
-    /// An iWare model combines the park's cached learner tables, filling
-    /// them on its first query (see the module docs); a plain bagging model
-    /// answers with one direct call on the prepared rows.
+    /// single prospective patrol-effort level (one panel of Fig. 6): the
+    /// one-level [`ServingModel::try_park_response_prepared`].
     ///
     /// # Errors
     /// [`PawsError::Input`] for a negative or non-finite effort level, or a
@@ -372,31 +369,17 @@ impl ServingModel {
                 "effort level must be finite and non-negative",
             ));
         }
-        self.check_prepared(prepared)?;
-        let rows = prepared.rows.view();
-        Ok(match &self.fitted {
-            FittedModel::IWare(m) => {
-                let served = prepared
-                    .learner_tables(m)
-                    .and_then(|tables| m.combine_tables_at_effort(tables, effort_km));
-                match served {
-                    Some(out) => out,
-                    // Another model or plane filled the park: answer as if
-                    // it held no tables.
-                    None => {
-                        m.predict_with_variance_at_effort(rows, &vec![effort_km; rows.n_rows()])
-                    }
-                }
-            }
-            FittedModel::Plain(m) => m.predict_with_variance(rows),
-        })
+        let (probs, vars) = self.try_park_response_prepared(prepared, &[effort_km])?;
+        Ok((probs.into_flat(), vars.into_flat()))
     }
 
     /// Response curves g_v(c), ν_v(c) for every cell of a prepared park
     /// over a grid of prospective effort levels — the planner's input, as
-    /// flat `cells × effort-levels` matrices. Served like
-    /// [`ServingModel::try_risk_map_prepared`]: iWare models combine the
-    /// park's cached learner tables, plain bagging models broadcast their
+    /// flat `cells × effort-levels` matrices.
+    ///
+    /// An iWare model combines the park's cached learner tables, filling
+    /// them on its first query (see the module docs); a plain bagging model
+    /// answers with one direct call on the prepared rows and broadcasts its
     /// effort-independent prediction across the levels.
     ///
     /// # Errors
@@ -418,6 +401,8 @@ impl ServingModel {
                     .and_then(|tables| m.combine_tables_response(tables, effort_grid));
                 match served {
                     Some(out) => out,
+                    // Another model or plane filled the park: answer as if
+                    // it held no tables.
                     None => m.effort_response(rows, effort_grid),
                 }
             }
@@ -707,8 +692,7 @@ mod tests {
         else {
             panic!("both models are iWare ensembles");
         };
-        assert!(m1.combine_tables_at_effort(tables, 1.0).is_some());
-        assert!(m2.combine_tables_at_effort(tables, 1.0).is_none());
+        assert!(m1.combine_tables_response(tables, &grid).is_some());
         assert!(m2.combine_tables_response(tables, &grid).is_none());
 
         for level in [1.0, 3.0] {

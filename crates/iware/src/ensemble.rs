@@ -6,7 +6,12 @@
 //! learner C_{θᵢ⁻} sees every positive but only the negatives recorded with
 //! effort above θᵢ (low-effort negatives are unreliable). At prediction time
 //! only the learners whose threshold does not exceed the point's patrol
-//! effort are *qualified* to vote.
+//! effort are *qualified* to vote. Thresholds are strictly ascending, so
+//! the qualified learners are always a prefix `0..k`, and its length
+//! ([`qualified_count`](crate::thresholds::qualified_count)) is the only
+//! form of a qualified set here: the fit asserts strictly ascending
+//! thresholds and the snapshot decoder rejects any others (see
+//! [`crate::thresholds`]).
 //!
 //! This implementation includes the paper's three enhancements (Sec. IV):
 //! 1. classifier weights optimised by stratified cross-validation on log
@@ -26,7 +31,7 @@
 //!   against a [`FitCache`]; [`IWareModel::fit_cached`] runs it from an
 //!   empty cache and [`IWareModel::fit`] drops the cache.
 //! * `tables` — the learner tables: the fused stack's block fill, the
-//!   combines and the prediction entry points.
+//!   combine and the prediction entry points.
 //! * `snapshot` — the stack snapshot and its validating decoder.
 //!
 //! Feature batches are flat row-major [`MatrixView`]s. No learner copies
@@ -46,8 +51,11 @@
 //! Every prediction goes through **learner tables**: each learner scores
 //! the batch once into an `n_learners × n_rows` (probability, variance)
 //! pair ([`LearnerTables`]), and one combine turns the tables into a
-//! constant-effort risk map ([`IWareModel::combine_tables_at_effort`]) or
-//! a response surface ([`IWareModel::combine_tables_response`]).
+//! response surface ([`IWareModel::combine_tables_response`]). A
+//! constant-effort risk map is its one-level case. The combine orders the
+//! grid's levels by prefix length once per query, so one pass over the
+//! learners serves every level in any grid order, each level written to
+//! its own column.
 //!
 //! * When the weak learners are tree ensembles, the whole I×B learner
 //!   stack is fused into one arena-backed [`Forest`], and the tables fill
@@ -60,7 +68,8 @@
 //!   [`IWareModel::set_precision`]) the narrowed stack fills f32 tables
 //!   from each block's rows narrowed from the f64 batch, and the combine
 //!   runs in f32 with the narrowed weights, widening only the emitted
-//!   surface. Per-row varying-effort prediction keeps the f64 plane.
+//!   surface. Per-row varying-effort prediction keeps the f64 plane and
+//!   combines each row's prefix with [`crate::weights::combine`].
 //! * Every other learner base (Gaussian processes, SVMs) scores the batch
 //!   learner by learner on the f64 plane.
 //!
@@ -68,10 +77,10 @@
 //! nor the grid, so a caller that keeps the tables — a prepared park in
 //! `paws-core` — serves every later query on the same rows with the
 //! combine alone. Tables record the id of the model and the plane that
-//! filled them, and the combiners refuse any other model's or plane's
+//! filled them, and the combine refuses any other model's or plane's
 //! tables. The direct entry points (the constant-effort
 //! `predict_*_at_effort` calls, `effort_response`) fill fresh tables and
-//! run the same combiners, so both routes produce the same bits.
+//! run the same combine, so both routes produce the same bits.
 
 mod fit;
 mod snapshot;

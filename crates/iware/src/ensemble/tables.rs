@@ -1,9 +1,10 @@
 //! The learner tables of the iWare-E ensemble: the fused learner stack's
-//! block fill, the per-learner (probability, variance) tables, and the
-//! combines that turn them into risk maps and response surfaces.
+//! block fill, the per-learner (probability, variance) tables, and the one
+//! combine that turns them into risk maps and response surfaces.
 
 use super::{IWareModel, LearnerStack};
-use crate::thresholds::qualified_learners;
+use crate::thresholds::qualified_count;
+use crate::weights::{combine, DEGENERATE_WSUM};
 use paws_data::matrix::{Matrix, Matrix32, MatrixView};
 use paws_data::simd::{self, Element};
 use paws_ml::forest::ArenaElement;
@@ -17,13 +18,6 @@ use rayon::prelude::*;
 /// traversal's internal block size, so each block's traverse → reduce
 /// stays cache-resident).
 const ROW_CHUNK: usize = 256;
-
-/// A qualified learner set whose weight mass is at most this falls back to
-/// the unweighted mean of its learners. On the f32 plane the cutoff is the
-/// nearest f32; real weight prefixes are either exactly 0.0 (every weight
-/// optimised to zero) or far above the cutoff, so both planes agree on
-/// which prefixes fall back.
-const DEGENERATE_WEIGHT_SUM: f64 = 1e-12;
 
 impl<T: ArenaElement> LearnerStack<T> {
     /// The learner tables of one row block: batch-traverse the arena for
@@ -75,10 +69,9 @@ impl<T: ArenaElement> LearnerStack<T> {
 /// the model's serving plane. Neither depends on an effort level, so one
 /// batch's tables serve every risk map and response surface on it. Build
 /// them with [`IWareModel::learner_tables`] and combine them with
-/// [`IWareModel::combine_tables_at_effort`] or
-/// [`IWareModel::combine_tables_response`], which refuse tables stamped by
-/// any other model or filled on the plane the model no longer serves
-/// from.
+/// [`IWareModel::combine_tables_response`] (a risk map is its one-level
+/// case), which refuses tables stamped by any other model or filled on the
+/// plane the model no longer serves from.
 pub struct LearnerTables {
     model_id: u64,
     plane: TablePlane,
@@ -99,52 +92,28 @@ struct Tables<T> {
 }
 
 impl<T: Element> Tables<T> {
-    /// Risk and uncertainty for one qualified set: every row combines
-    /// learner-major with contiguous axpy rows, widened at emission. The
-    /// uncertainty is empty when the tables hold no variances.
-    fn at_effort(&self, weights: &[T], qualified: &[usize]) -> (Vec<f64>, Vec<f64>) {
-        let n = self.n_rows;
-        let combine = |table: &[T]| {
-            T::into_f64_vec(combine_rows(
-                LearnerTable::new(table, n, 0),
-                weights,
-                qualified,
-                n,
-            ))
+    /// Response surfaces over `levels`, `(column, qualified-prefix length)`
+    /// pairs in ascending prefix order: each surface fills cell-parallel,
+    /// one [`ROW_CHUNK`]-row strip per block. The variance surface is empty
+    /// when the tables hold no variances.
+    fn response(&self, weights: &[T], levels: &[(usize, usize)]) -> (Matrix, Matrix) {
+        let (n_rows, n_levels) = (self.n_rows, levels.len());
+        let surface = |table: &[T]| {
+            let mut out = vec![0.0; n_rows * n_levels];
+            let strips: Vec<_> = out.chunks_mut(ROW_CHUNK * n_levels).enumerate().collect();
+            strips.into_par_iter().for_each(|(b, strip)| {
+                let (start, len) = (b * ROW_CHUNK, strip.len() / n_levels);
+                let row = |l: usize| &table[l * n_rows + start..][..len];
+                combine_levels_block(weights, levels, row, strip);
+            });
+            Matrix::from_flat(out, n_levels)
         };
         let vars = if self.vars.is_empty() {
-            Vec::new()
+            Matrix::from_flat(Vec::new(), n_levels)
         } else {
-            combine(&self.vars)
+            surface(&self.vars)
         };
-        (combine(&self.probs), vars)
-    }
-
-    /// Response surfaces over every level of a [`IWareModel::level_plan`],
-    /// cell-parallel over block windows of the full tables.
-    fn response(
-        &self,
-        weights: &[T],
-        qualified_per_level: &[Vec<usize>],
-        prefix_lens: Option<&[usize]>,
-    ) -> (Matrix, Matrix) {
-        let n = self.n_rows;
-        blocked_response(
-            n,
-            qualified_per_level.len(),
-            |start, len, p_flat, v_flat| {
-                combine_levels_block(
-                    weights,
-                    prefix_lens,
-                    qualified_per_level,
-                    LearnerTable::new(&self.probs, n, start),
-                    LearnerTable::new(&self.vars, n, start),
-                    len,
-                    p_flat,
-                    v_flat,
-                );
-            },
-        )
+        (surface(&self.probs), vars)
     }
 }
 
@@ -208,7 +177,6 @@ impl IWareModel {
     /// other query), filled on the model's serving plane: a tree stack
     /// traverses its fused arena block by block, other learners score the
     /// batch once each. Combining them with
-    /// [`IWareModel::combine_tables_at_effort`] or
     /// [`IWareModel::combine_tables_response`] gives the exact bits of the
     /// direct entry points on the same batch.
     pub fn learner_tables(&self, x: MatrixView<'_>) -> LearnerTables {
@@ -218,24 +186,12 @@ impl IWareModel {
         }
     }
 
-    /// Risk and uncertainty at one effort level from this model's learner
-    /// tables: bit-identical to [`IWareModel::predict_with_variance_at_effort`]
-    /// at that constant effort on the batch the tables were built from.
-    /// `None` when the tables carry another model's id or were filled on
-    /// the plane this model no longer serves from.
-    pub fn combine_tables_at_effort(
-        &self,
-        tables: &LearnerTables,
-        effort: f64,
-    ) -> Option<(Vec<f64>, Vec<f64>)> {
-        self.owns(tables)
-            .then(|| self.combine_at_effort(&tables.plane, effort))
-    }
-
     /// Response surfaces over an effort grid from this model's learner
     /// tables: bit-identical to [`IWareModel::effort_response`] on the
-    /// batch the tables were built from. `None` when the tables carry
-    /// another model's id or were filled on another plane.
+    /// batch the tables were built from, and a one-level grid gives the
+    /// constant-effort risk map of
+    /// [`IWareModel::predict_with_variance_at_effort`]. `None` when the
+    /// tables carry another model's id or were filled on another plane.
     ///
     /// # Panics
     /// Panics on an empty effort grid, like [`IWareModel::effort_response`].
@@ -258,23 +214,21 @@ impl IWareModel {
         tables.model_id == self.id && plane == self.precision()
     }
 
-    /// The one constant-effort combine: f64 tables with the fitted weights,
-    /// f32 tables with the weights narrowed.
-    fn combine_at_effort(&self, plane: &TablePlane, effort: f64) -> (Vec<f64>, Vec<f64>) {
-        let q = qualified_learners(&self.thresholds, effort);
-        match plane {
-            TablePlane::F64(t) => t.at_effort(&self.weights, &q),
-            TablePlane::F32(t) => t.at_effort(&self.weights32(), &q),
-        }
-    }
-
-    /// The one effort-grid combine, on the plane of the tables.
+    /// The one combine, on the plane of the tables (f32 tables take the
+    /// weights narrowed). Level `e`'s qualified learners are the prefix
+    /// `0..qualified_count(θ, grid[e])`; the levels are ordered by that
+    /// length once per query, so the block combine visits them in one pass
+    /// over the learners whatever the grid's order.
     fn combine_response(&self, plane: &TablePlane, effort_grid: &[f64]) -> (Matrix, Matrix) {
-        let (qualified_per_level, prefix_lens) = self.level_plan(effort_grid);
-        let prefix_lens = prefix_lens.as_deref();
+        let mut levels: Vec<(usize, usize)> = effort_grid
+            .iter()
+            .map(|&e| qualified_count(&self.thresholds, e))
+            .enumerate()
+            .collect();
+        levels.sort_by_key(|&(_, k)| k);
         match plane {
-            TablePlane::F64(t) => t.response(&self.weights, &qualified_per_level, prefix_lens),
-            TablePlane::F32(t) => t.response(&self.weights32(), &qualified_per_level, prefix_lens),
+            TablePlane::F64(t) => t.response(&self.weights, &levels),
+            TablePlane::F32(t) => t.response(&self.weights32(), &levels),
         }
     }
 
@@ -299,11 +253,12 @@ impl IWareModel {
         self.predict_at_effort(x, efforts, true)
     }
 
-    /// Both per-row entry points. A constant effort (the risk-map shape)
-    /// means one qualified set for every row: fill the serving plane's
-    /// tables and combine them as a prepared park's tables would be.
-    /// Varying efforts keep the f64 plane and combine each row's qualified
-    /// set. Without `with_variance` the uncertainty is empty.
+    /// Both per-row entry points. A constant effort (the risk-map shape) is
+    /// the one-level response on the serving plane's tables, exactly as a
+    /// prepared park's tables would combine. Varying efforts keep the f64
+    /// plane and combine each row's qualified prefix with
+    /// [`crate::weights::combine`]. Without `with_variance` the uncertainty
+    /// is empty.
     fn predict_at_effort(
         &self,
         x: MatrixView<'_>,
@@ -311,23 +266,30 @@ impl IWareModel {
         with_variance: bool,
     ) -> (Vec<f64>, Vec<f64>) {
         assert_eq!(x.n_rows(), efforts.len(), "rows/efforts length mismatch");
-        if x.n_rows() == 0 {
+        let Some(&first) = efforts.first() else {
             return (Vec::new(), Vec::new());
-        }
-        if efforts.windows(2).all(|w| w[0] == w[1]) {
-            return self.combine_at_effort(&self.tables(x, with_variance), efforts[0]);
+        };
+        if efforts.iter().all(|&e| e == first) {
+            let (p, v) = self.combine_response(&self.tables(x, with_variance), &[first]);
+            return (p.into_flat(), v.into_flat());
         }
         let n_rows = x.n_rows();
         let tables = self.f64_tables(x, with_variance);
-        let p_table = LearnerTable::new(&tables.probs, n_rows, 0);
-        let v_table = LearnerTable::new(&tables.vars, n_rows, 0);
+        // Row `r`'s learner outputs, gathered from the learner-major table.
+        let mut column = vec![0.0; self.weights.len()];
+        let mut combine_row = |table: &[f64], r: usize, k: usize| {
+            for (l, c) in column.iter_mut().enumerate() {
+                *c = table[l * n_rows + r];
+            }
+            combine(&column, &self.weights, k)
+        };
         let mut probs = Vec::with_capacity(n_rows);
         let mut vars = Vec::with_capacity(if with_variance { n_rows } else { 0 });
         for (r, &effort) in efforts.iter().enumerate() {
-            let q = qualified_learners(&self.thresholds, effort);
-            probs.push(combine_table_indexed(&p_table, &self.weights, &q, r));
+            let k = qualified_count(&self.thresholds, effort);
+            probs.push(combine_row(&tables.probs, r, k));
             if with_variance {
-                vars.push(combine_table_indexed(&v_table, &self.weights, &q, r));
+                vars.push(combine_row(&tables.vars, r, k));
             }
         }
         (probs, vars)
@@ -364,204 +326,65 @@ impl IWareModel {
         validate_effort_grid(effort_grid)?;
         Ok(self.effort_response(x, effort_grid))
     }
-
-    /// Qualified learner sets per effort level, plus the ascending-prefix
-    /// fast-path lengths when they apply (shared by both planes).
-    ///
-    /// Thresholds are ascending, so each level's qualified set is a prefix
-    /// of the learner list; when the requested grid is ascending too, one
-    /// incremental pass over the learners serves every level (same
-    /// accumulation order as `combine`, hence bit-identical).
-    fn level_plan(&self, effort_grid: &[f64]) -> (Vec<Vec<usize>>, Option<Vec<usize>>) {
-        let qualified_per_level: Vec<Vec<usize>> = effort_grid
-            .iter()
-            .map(|&e| qualified_learners(&self.thresholds, e))
-            .collect();
-        let prefix_lens: Option<Vec<usize>> = {
-            let lens: Vec<usize> = qualified_per_level.iter().map(|q| q.len()).collect();
-            let is_prefix = qualified_per_level
-                .iter()
-                .all(|q| q.iter().copied().eq(0..q.len()));
-            let ascending = lens.windows(2).all(|w| w[0] <= w[1]);
-            if is_prefix && ascending {
-                Some(lens)
-            } else {
-                None
-            }
-        };
-        (qualified_per_level, prefix_lens)
-    }
 }
 
-/// A borrowed `n_learners × width` prediction table: learner `l`'s block
-/// row is `data[l·stride + offset ..][..len]`. Lets the combine kernels
-/// run unchanged over whole learner tables (`offset = 0`) or a block
-/// window of them (`stride = n_rows`). Generic over the scalar so the f64
-/// and f32 planes share the layout logic.
-#[derive(Clone, Copy)]
-struct LearnerTable<'a, T> {
-    data: &'a [T],
-    stride: usize,
-    offset: usize,
-}
-
-impl<'a, T: Copy> LearnerTable<'a, T> {
-    fn new(data: &'a [T], stride: usize, offset: usize) -> Self {
-        Self {
-            data,
-            stride,
-            offset,
-        }
-    }
-
-    #[inline]
-    fn row(&self, learner: usize, len: usize) -> &'a [T] {
-        &self.data[learner * self.stride + self.offset..][..len]
-    }
-
-    #[inline]
-    fn get(&self, learner: usize, r: usize) -> T {
-        self.data[learner * self.stride + self.offset + r]
-    }
-}
-
-/// Weighted combination of one row's per-learner outputs, indexing straight
-/// into a learner table (no per-row scratch vector). Operation order
-/// matches [`crate::weights::combine`] exactly, so results are
-/// bit-identical.
-fn combine_table_indexed<T: Element>(
-    table: &LearnerTable<'_, T>,
+/// Combine one block of a learner-major table over every level, into the
+/// block's row-major `len × n_levels` strip widened to f64 (`len` is
+/// `strip.len() / n_levels`; `row(l)` is learner `l`'s `len`-wide block
+/// row).
+///
+/// `levels` holds `(column, prefix length)` in ascending prefix order, so
+/// one pass over the learners serves every level: each learner that joins
+/// the prefix adds its contiguous block row to the weighted sum with one
+/// lane-kernel axpy, and each level divides the running sum at its own
+/// prefix into its own column. Per element this is the operation sequence
+/// of [`crate::weights::combine`] — sums in learner order from zero, no
+/// fused multiply-add, the same unweighted-mean fallback — so every route
+/// through the combine gives the same bits.
+fn combine_levels_block<'a, T: Element>(
     weights: &[T],
-    qualified: &[usize],
-    r: usize,
-) -> T {
-    let mut wsum = T::ZERO;
-    let mut acc = T::ZERO;
-    for &i in qualified {
-        wsum += weights[i];
-        acc += weights[i] * table.get(i, r);
-    }
-    if wsum <= T::from_f64(DEGENERATE_WEIGHT_SUM) {
-        // Degenerate weights: fall back to the unweighted mean of the
-        // qualified learners.
-        let n = T::from_usize(qualified.len().max(1));
-        qualified.iter().map(|&i| table.get(i, r)).sum::<T>() / n
-    } else {
-        acc / wsum
-    }
-}
-
-/// Weighted combination of one qualified set across a whole block of rows
-/// at once: each qualified learner streams its contiguous prediction row
-/// into the accumulator with one lane-kernel axpy. Per element this
-/// performs the exact operation sequence of [`combine_table_indexed`] (same
-/// learner order, same trailing division), so results are bit-identical to
-/// the per-row path.
-fn combine_rows<T: Element>(
-    per_learner: LearnerTable<'_, T>,
-    weights: &[T],
-    qualified: &[usize],
-    len: usize,
-) -> Vec<T> {
-    let mut acc = vec![T::ZERO; len];
-    let mut wsum = T::ZERO;
-    for &i in qualified {
-        wsum += weights[i];
-        simd::axpy(weights[i], per_learner.row(i, len), &mut acc);
-    }
-    if wsum <= T::from_f64(DEGENERATE_WEIGHT_SUM) {
-        // Degenerate weights: unweighted mean of the qualified learners.
-        let n = T::from_usize(qualified.len().max(1));
-        let mut sum = vec![T::ZERO; len];
-        for &i in qualified {
-            simd::add_assign(&mut sum, per_learner.row(i, len));
-        }
-        simd::div_assign(&mut sum, n);
-        sum
-    } else {
-        simd::div_assign(&mut acc, wsum);
-        acc
-    }
-}
-
-/// Combine one block of per-learner tables over every effort level,
-/// writing row-major `len × n_levels` output widened to f64. `prefix_lens`
-/// selects the incremental learner-major path (contiguous lane-kernel axpy
-/// per new learner, packed emission divides); otherwise each row combines
-/// its qualified set indexed. Per element both paths replay the exact
-/// operation sequence of [`combine_table_indexed`].
-#[allow(clippy::too_many_arguments)]
-fn combine_levels_block<T: Element>(
-    weights: &[T],
-    prefix_lens: Option<&[usize]>,
-    qualified_per_level: &[Vec<usize>],
-    p_table: LearnerTable<'_, T>,
-    v_table: LearnerTable<'_, T>,
-    len: usize,
-    p_flat: &mut [f64],
-    v_flat: &mut [f64],
+    levels: &[(usize, usize)],
+    row: impl Fn(usize) -> &'a [T],
+    strip: &mut [f64],
 ) {
-    let n_levels = qualified_per_level.len();
-    let degenerate = T::from_f64(DEGENERATE_WEIGHT_SUM);
-    if let Some(lens) = prefix_lens {
-        // Degenerate prefixes fall back to the unweighted mean; whether any
-        // exist depends only on the weights (same accumulation order as the
-        // loop below).
-        let needs_unweighted = {
-            let mut wsum = T::ZERO;
-            let mut taken = 0usize;
-            lens.iter().any(|&l| {
-                while taken < l {
-                    wsum += weights[taken];
-                    taken += 1;
-                }
-                wsum <= degenerate
-            })
-        };
-        let mut acc_p = vec![T::ZERO; len];
-        let mut acc_v = vec![T::ZERO; len];
-        let mut sum_p = vec![T::ZERO; if needs_unweighted { len } else { 0 }];
-        let mut sum_v = vec![T::ZERO; if needs_unweighted { len } else { 0 }];
-        // Scratch for the emission divide: one packed division pass per
-        // level (the same IEEE divide per element as the scalar
-        // `acc / wsum`).
-        let mut emit = vec![T::ZERO; len];
-        let mut wsum = T::ZERO;
-        let mut taken = 0usize;
-        for (e, &l) in lens.iter().enumerate() {
-            while taken < l {
-                let w = weights[taken];
-                wsum += w;
-                simd::axpy(w, p_table.row(taken, len), &mut acc_p);
-                simd::axpy(w, v_table.row(taken, len), &mut acc_v);
-                if needs_unweighted {
-                    simd::add_assign(&mut sum_p, p_table.row(taken, len));
-                    simd::add_assign(&mut sum_v, v_table.row(taken, len));
-                }
-                taken += 1;
-            }
-            let (divisor, from_p, from_v) = if wsum <= degenerate {
-                (T::from_usize(taken.max(1)), &sum_p, &sum_v)
-            } else {
-                (wsum, &acc_p, &acc_v)
-            };
-            emit.copy_from_slice(from_p);
-            simd::div_assign(&mut emit, divisor);
-            for (r, &val) in emit.iter().enumerate() {
-                p_flat[r * n_levels + e] = val.to_f64();
-            }
-            emit.copy_from_slice(from_v);
-            simd::div_assign(&mut emit, divisor);
-            for (r, &val) in emit.iter().enumerate() {
-                v_flat[r * n_levels + e] = val.to_f64();
+    let n_levels = levels.len();
+    let len = strip.len() / n_levels;
+    let degenerate = T::from_f64(DEGENERATE_WSUM);
+    let prefix_sums: Vec<T> = weights
+        .iter()
+        .scan(T::ZERO, |wsum, &w| {
+            *wsum += w;
+            Some(*wsum)
+        })
+        .collect();
+    // The unweighted sums are kept only when some level falls back.
+    let needs_unweighted = levels
+        .iter()
+        .any(|&(_, k)| prefix_sums[k - 1] <= degenerate);
+    let mut acc = vec![T::ZERO; len];
+    let mut sum = vec![T::ZERO; if needs_unweighted { len } else { 0 }];
+    // One packed division pass per level: the same IEEE divide per element
+    // as the scalar `acc / wsum`.
+    let mut emit = vec![T::ZERO; len];
+    let mut taken = 0;
+    for &(column, k) in levels {
+        for (l, &w) in weights[..k].iter().enumerate().skip(taken) {
+            simd::axpy(w, row(l), &mut acc);
+            if needs_unweighted {
+                simd::add_assign(&mut sum, row(l));
             }
         }
-    } else {
-        for r in 0..len {
-            for (e, q) in qualified_per_level.iter().enumerate() {
-                p_flat[r * n_levels + e] = combine_table_indexed(&p_table, weights, q, r).to_f64();
-                v_flat[r * n_levels + e] = combine_table_indexed(&v_table, weights, q, r).to_f64();
-            }
+        taken = k;
+        let wsum = prefix_sums[k - 1];
+        let (from, divisor) = if wsum <= degenerate {
+            (&sum, T::from_usize(k))
+        } else {
+            (&acc, wsum)
+        };
+        emit.copy_from_slice(from);
+        simd::div_assign(&mut emit, divisor);
+        for (out, &val) in strip[column..].iter_mut().step_by(n_levels).zip(&emit) {
+            *out = val.to_f64();
         }
     }
 }
@@ -622,37 +445,6 @@ fn block_windows<T>(table: &mut [T], n_rows: usize) -> Vec<Vec<&mut [T]>> {
         }
     }
     blocks
-}
-
-/// Evaluate a flat `n_rows × n_levels` response surface cell-parallel in
-/// [`ROW_CHUNK`]-row blocks: `fill(start, len, p_flat, v_flat)` writes one
-/// block's row-major strips, and the strips are stitched back in row order.
-fn blocked_response(
-    n_rows: usize,
-    n_levels: usize,
-    fill: impl Fn(usize, usize, &mut [f64], &mut [f64]) + Sync,
-) -> (Matrix, Matrix) {
-    let starts: Vec<usize> = (0..n_rows).step_by(ROW_CHUNK).collect();
-    let parts: Vec<(Vec<f64>, Vec<f64>)> = starts
-        .into_par_iter()
-        .map(|start| {
-            let len = ROW_CHUNK.min(n_rows - start);
-            let mut p_flat = vec![0.0; len * n_levels];
-            let mut v_flat = vec![0.0; len * n_levels];
-            fill(start, len, &mut p_flat, &mut v_flat);
-            (p_flat, v_flat)
-        })
-        .collect();
-    let mut p_all = Vec::with_capacity(n_rows * n_levels);
-    let mut v_all = Vec::with_capacity(n_rows * n_levels);
-    for (p, v) in parts {
-        p_all.extend_from_slice(&p);
-        v_all.extend_from_slice(&v);
-    }
-    (
-        Matrix::from_flat(p_all, n_levels),
-        Matrix::from_flat(v_all, n_levels),
-    )
 }
 
 /// Accumulate member (tree) rows `range` of a tree-major prediction table
@@ -801,9 +593,11 @@ mod tests {
                         direct,
                         "{case}"
                     );
-                    let combined = model.combine_tables_at_effort(&tables, level);
-                    assert_eq!(combined, Some(direct), "{case} @{level}");
-                    assert_eq!(twin.combine_tables_at_effort(&tables, level), None);
+                    let (p, v) = model
+                        .combine_tables_response(&tables, &[level])
+                        .expect("the model's own tables");
+                    assert_eq!((p.into_flat(), v.into_flat()), direct, "{case} @{level}");
+                    assert!(twin.combine_tables_response(&tables, &[level]).is_none());
                 }
                 for grid in [[0.0, 0.5, 1.0, 2.0], [2.0, 0.0, 1.0, 0.5]] {
                     let (p, v) = model.effort_response(q, &grid);
@@ -820,7 +614,7 @@ mod tests {
                 };
                 model.set_precision(other).unwrap();
                 assert_eq!(
-                    model.combine_tables_at_effort(&tables, 1.0).is_some(),
+                    model.combine_tables_response(&tables, &[1.0]).is_some(),
                     model.precision() == precision,
                     "{case}: tables serve only the plane that filled them"
                 );

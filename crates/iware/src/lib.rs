@@ -20,5 +20,5 @@ pub use paws_ml::forest32::NarrowError;
 pub use paws_ml::precision::Precision;
 pub use paws_ml::snapshot::SnapshotError;
 pub use paws_ml::traits::QueryError;
-pub use thresholds::{qualified_count, qualified_learners, select_thresholds};
+pub use thresholds::{qualified_count, select_thresholds};
 pub use weights::{combine, optimize_weights, WeightMode};

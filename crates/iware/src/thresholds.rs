@@ -7,6 +7,19 @@
 //! single hyperparameter and handling sparse effort ranges gracefully.
 //! [`select_thresholds`] places them that way; the equal-spacing scheme is
 //! not implemented.
+//!
+//! # The qualified prefix
+//!
+//! Only the learners whose threshold does not exceed a point's patrol
+//! effort are qualified to vote on it. Thresholds are strictly ascending,
+//! so the qualified learners are always a prefix `0..k` of the learner
+//! list, and its length [`qualified_count`] is the only form of a
+//! qualified set in this crate: the CV-weight fit scores each point over
+//! its prefix, and every prediction combines learners `0..k` in learner
+//! order. The invariant holds wherever a model comes from:
+//! [`select_thresholds`] emits no duplicates, every fit asserts strictly
+//! ascending thresholds before training, and the stack-snapshot decoder
+//! rejects thresholds that are not finite and strictly ascending.
 
 /// Compute up to `n` **strictly ascending** thresholds at evenly spaced
 /// percentiles of the training efforts.
@@ -44,25 +57,9 @@ pub fn select_thresholds(efforts: &[f64], n: usize) -> Vec<f64> {
     thresholds
 }
 
-/// Indices of the classifiers qualified to predict at a given patrol effort:
-/// all learners whose threshold does not exceed the effort. The first
-/// learner (θ = 0) is always qualified.
-pub fn qualified_learners(thresholds: &[f64], effort: f64) -> Vec<usize> {
-    let mut q: Vec<usize> = thresholds
-        .iter()
-        .enumerate()
-        .filter(|(_, &t)| t <= effort)
-        .map(|(i, _)| i)
-        .collect();
-    if q.is_empty() {
-        q.push(0);
-    }
-    q
-}
-
-/// Size of [`qualified_learners`]`(thresholds, effort)` without building
-/// the set. For strictly ascending thresholds (as every fit asserts) the
-/// qualified set is the prefix `0..qualified_count(thresholds, effort)`.
+/// Length `k` of the qualified prefix `0..k` at a given patrol effort: the
+/// number of learners whose threshold does not exceed the effort. The
+/// first learner (θ = 0) always qualifies, so `k ≥ 1`.
 pub fn qualified_count(thresholds: &[f64], effort: f64) -> usize {
     thresholds.iter().filter(|&&t| t <= effort).count().max(1)
 }
@@ -128,16 +125,16 @@ mod tests {
     #[test]
     fn qualification_grows_with_effort() {
         let thresholds = vec![0.0, 0.5, 1.0, 2.0, 4.0];
-        assert_eq!(qualified_learners(&thresholds, 0.0), vec![0]);
-        assert_eq!(qualified_learners(&thresholds, 0.75), vec![0, 1]);
-        assert_eq!(qualified_learners(&thresholds, 2.0), vec![0, 1, 2, 3]);
-        assert_eq!(qualified_learners(&thresholds, 10.0), vec![0, 1, 2, 3, 4]);
+        assert_eq!(qualified_count(&thresholds, 0.0), 1);
+        assert_eq!(qualified_count(&thresholds, 0.75), 2);
+        assert_eq!(qualified_count(&thresholds, 2.0), 4);
+        assert_eq!(qualified_count(&thresholds, 10.0), 5);
     }
 
     #[test]
     fn qualification_never_empty() {
         let thresholds = vec![1.0, 2.0];
-        assert_eq!(qualified_learners(&thresholds, 0.1), vec![0]);
+        assert_eq!(qualified_count(&thresholds, 0.1), 1);
     }
 
     #[test]
@@ -159,10 +156,16 @@ mod tests {
             }
             probes.extend(&efforts);
             for &e in &probes {
-                let expected: Vec<usize> = (0..qualified_count(thresholds, e)).collect();
-                assert_eq!(
-                    qualified_learners(thresholds, e),
-                    expected,
+                // Learners `0..k` qualify (the first one by fallback when
+                // its threshold exceeds the effort) and none after them.
+                let k = qualified_count(thresholds, e);
+                let qualified: Vec<bool> = thresholds.iter().map(|&t| t <= e).collect();
+                assert!(
+                    qualified[1..k].iter().all(|&q| q),
+                    "effort {e} against {thresholds:?}"
+                );
+                assert!(
+                    !qualified[k..].iter().any(|&q| q),
                     "effort {e} against {thresholds:?}"
                 );
             }

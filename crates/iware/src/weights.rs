@@ -63,8 +63,11 @@ impl Default for WeightMode {
 }
 
 /// Qualified weight sums at or below this fall back to the unweighted
-/// mean of the qualified learners.
-const DEGENERATE_WSUM: f64 = 1e-12;
+/// mean of the qualified learners. The f32 plane's combine compares
+/// against the nearest f32; real weight prefixes are either exactly 0.0
+/// (every weight optimised to zero) or far above the cutoff, so both
+/// planes agree on which prefixes fall back.
+pub(crate) const DEGENERATE_WSUM: f64 = 1e-12;
 
 /// Log-loss clamp keeping predictions of exactly 0 or 1 finite.
 const EPS: f64 = 1e-9;
@@ -72,21 +75,21 @@ const EPS: f64 = 1e-9;
 /// Weight vectors scored side by side per prediction row.
 const LANES: usize = 4;
 
-/// Combine learner probabilities for one point: renormalise the weights of
-/// the qualified learners and take the weighted average.
-pub fn combine(probabilities: &[f64], weights: &[f64], qualified: &[usize]) -> f64 {
+/// Combine learner probabilities for one point whose qualified learners
+/// are the prefix `0..k` (see [`crate::thresholds::qualified_count`]):
+/// renormalise their weights and take the weighted average.
+pub fn combine(probabilities: &[f64], weights: &[f64], k: usize) -> f64 {
     debug_assert_eq!(probabilities.len(), weights.len());
     let mut wsum = 0.0;
     let mut acc = 0.0;
-    for &i in qualified {
-        wsum += weights[i];
-        acc += weights[i] * probabilities[i];
+    for (&w, &p) in weights[..k].iter().zip(&probabilities[..k]) {
+        wsum += w;
+        acc += w * p;
     }
     if wsum <= DEGENERATE_WSUM {
         // Degenerate weights: fall back to the unweighted mean of the
         // qualified learners.
-        let n = qualified.len().max(1) as f64;
-        qualified.iter().map(|&i| probabilities[i]).sum::<f64>() / n
+        probabilities[..k].iter().sum::<f64>() / k.max(1) as f64
     } else {
         acc / wsum
     }
@@ -285,17 +288,17 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     /// The per-vector log loss the fused pass replaced: one full pass over
-    /// nested rows and qualified sets per weight vector.
+    /// nested rows and qualified-prefix lengths per weight vector.
     fn weighted_log_loss(
         predictions: &[Vec<f64>],
-        qualified: &[Vec<usize>],
+        qualified: &[usize],
         labels: &[f64],
         weights: &[f64],
     ) -> f64 {
         let eps = 1e-9;
         let mut total = 0.0;
-        for ((p, q), &y) in predictions.iter().zip(qualified).zip(labels) {
-            let prob = combine(p, weights, q).clamp(eps, 1.0 - eps);
+        for ((p, &k), &y) in predictions.iter().zip(qualified).zip(labels) {
+            let prob = combine(p, weights, k).clamp(eps, 1.0 - eps);
             total += if y > 0.5 {
                 -prob.ln()
             } else {
@@ -311,7 +314,7 @@ mod tests {
     /// rejection: the steps the fused solve takes on a kept gradient.
     fn reference_optimize_weights(
         predictions: &[Vec<f64>],
-        qualified: &[Vec<usize>],
+        qualified: &[usize],
         labels: &[f64],
         iterations: usize,
     ) -> (Vec<f64>, usize) {
@@ -356,13 +359,6 @@ mod tests {
             }
         }
         (best_w, kept_gradient_steps)
-    }
-
-    /// The reference's inputs for a flat cache: nested rows and the
-    /// qualified sets `0..k`.
-    fn nested(predictions: &Matrix, qualified: &[usize]) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
-        let sets = qualified.iter().map(|&k| (0..k).collect()).collect();
-        (predictions.to_rows(), sets)
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -432,8 +428,8 @@ mod tests {
             let (predictions, qualified, labels) = random_cache(&mut rng);
             let iterations = rng.gen_range(0..200);
             let fused = optimize_weights(predictions.view(), &qualified, &labels, iterations);
-            let (rows, sets) = nested(&predictions, &qualified);
-            let (reference, _) = reference_optimize_weights(&rows, &sets, &labels, iterations);
+            let rows = predictions.to_rows();
+            let (reference, _) = reference_optimize_weights(&rows, &qualified, &labels, iterations);
             proptest::prop_assert!(
                 bits(&fused) == bits(&reference),
                 "case seed {seed}: {} points x {} learners, {iterations} iterations",
@@ -454,8 +450,8 @@ mod tests {
             if labels.len() > 300 {
                 continue;
             }
-            let (rows, sets) = nested(&predictions, &qualified);
-            let (reference, kept) = reference_optimize_weights(&rows, &sets, &labels, 199);
+            let rows = predictions.to_rows();
+            let (reference, kept) = reference_optimize_weights(&rows, &qualified, &labels, 199);
             let fused = optimize_weights(predictions.view(), &qualified, &labels, 199);
             assert_eq!(bits(&fused), bits(&reference));
             kept_gradient_steps += kept;
@@ -498,16 +494,16 @@ mod tests {
             .collect();
         let predictions = Matrix::from_flat(flat, n_learners);
         let qualified: Vec<usize> = (0..n).map(|i| 1 + i % n_learners).collect();
-        let (rows, sets) = nested(&predictions, &qualified);
+        let rows = predictions.to_rows();
 
         let fused = log_losses(predictions.view(), &qualified, &labels, &vectors);
         let reference: Vec<f64> = vectors
             .iter()
-            .map(|w| weighted_log_loss(&rows, &sets, &labels, w))
+            .map(|w| weighted_log_loss(&rows, &qualified, &labels, w))
             .collect();
         assert_eq!(bits(&fused), bits(&reference));
         // All-zero weights score the plain mean of each qualified prefix.
-        let mean_only = weighted_log_loss(&rows, &sets, &labels, &vectors[0]);
+        let mean_only = weighted_log_loss(&rows, &qualified, &labels, &vectors[0]);
         assert_eq!(fused[1].to_bits(), mean_only.to_bits());
     }
 
@@ -516,16 +512,16 @@ mod tests {
         let probs = vec![0.1, 0.9, 0.5];
         let weights = vec![0.25, 0.25, 0.5];
         // Only learners 0 and 1 qualified -> (0.25*0.1 + 0.25*0.9)/0.5 = 0.5.
-        assert!((combine(&probs, &weights, &[0, 1]) - 0.5).abs() < 1e-12);
+        assert!((combine(&probs, &weights, 2) - 0.5).abs() < 1e-12);
         // All qualified -> plain weighted mean.
-        assert!((combine(&probs, &weights, &[0, 1, 2]) - 0.5).abs() < 1e-12);
+        assert!((combine(&probs, &weights, 3) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn combine_falls_back_when_weights_vanish() {
         let probs = vec![0.2, 0.8];
         let weights = vec![0.0, 0.0];
-        assert!((combine(&probs, &weights, &[0, 1]) - 0.5).abs() < 1e-12);
+        assert!((combine(&probs, &weights, 2) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -567,9 +563,9 @@ mod tests {
         let predictions = Matrix::from_rows(&predictions);
         let uniform = vec![1.0 / 3.0; 3];
         let w = optimize_weights(predictions.view(), &qualified, &labels, 150);
-        let (rows, sets) = nested(&predictions, &qualified);
-        let loss_uniform = weighted_log_loss(&rows, &sets, &labels, &uniform);
-        let loss_opt = weighted_log_loss(&rows, &sets, &labels, &w);
+        let rows = predictions.to_rows();
+        let loss_uniform = weighted_log_loss(&rows, &qualified, &labels, &uniform);
+        let loss_opt = weighted_log_loss(&rows, &qualified, &labels, &w);
         assert!(loss_opt <= loss_uniform + 1e-9);
     }
 
