@@ -178,9 +178,11 @@ impl ArenaNode {
 /// The raw slices of an arena: `(nodes, leaf_values, roots, depths)`.
 pub(crate) type ArenaParts<'a, T> = (&'a [ArenaNode<T>], &'a [T], &'a [u32], &'a [u32]);
 
-/// One node of a synthetic tree for [`Forest::push_raw_tree`]: either a
-/// split (`x[feature] <= threshold` → `left`, else `right`; indices into
-/// the same node slice) or a leaf carrying its prediction value.
+/// One node of a tree for [`Forest::push_raw_tree`]: either a split
+/// (`x[feature] <= threshold` → `left`, else `right`; indices into the same
+/// node slice) or a leaf carrying its prediction value. A fitted
+/// [`DecisionTree`] grows its nodes in this form, and synthetic trees are
+/// built from it directly.
 #[derive(Debug, Clone, Copy)]
 pub enum RawNode {
     /// Interior split node.
@@ -255,35 +257,16 @@ impl Forest {
 
     /// Splice a fitted tree's nodes into the arena in breadth-first order,
     /// remapping child indices; leaves become self-referencing so batch
-    /// traversal can advance without a leaf branch.
+    /// traversal can advance without a leaf branch. A fitted tree holds
+    /// its nodes as [`RawNode`]s, so this is [`Forest::push_raw_tree`]
+    /// after the width check.
     pub fn push_tree(&mut self, tree: &DecisionTree) {
         assert_eq!(
             tree.n_features(),
             self.n_features,
             "feature width mismatch between tree and forest"
         );
-        let src = tree.nodes();
-        assert!(!src.is_empty(), "cannot splice an unfitted tree");
-        let raw: Vec<RawNode> = src
-            .iter()
-            .map(|node| {
-                if node.is_leaf() {
-                    RawNode::Leaf { value: node.value }
-                } else {
-                    debug_assert!(
-                        node.value.is_finite(),
-                        "split thresholds are finite by training-data validation"
-                    );
-                    RawNode::Split {
-                        feature: node.feature as u32,
-                        threshold: node.value,
-                        left: node.left,
-                        right: node.right,
-                    }
-                }
-            })
-            .collect();
-        self.push_raw_tree(&raw);
+        self.push_raw_tree(tree.nodes());
     }
 
     /// Splice a synthetic tree described node by node (node 0 is the

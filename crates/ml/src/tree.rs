@@ -41,6 +41,7 @@
 //! [`Ranking::subset`] derives each subset's ranking from it in linear
 //! time, field for field the ranking of the gathered subset.
 
+use crate::forest::RawNode;
 use crate::traits::{validate_training_data, Classifier};
 use paws_data::matrix::MatrixView;
 use rand::seq::SliceRandom;
@@ -72,46 +73,6 @@ impl Default for TreeConfig {
             max_features: None,
             max_thresholds: 32,
         }
-    }
-}
-
-/// Compact 24-byte node: `feature < 0` marks a leaf whose probability is
-/// stored in `value`; otherwise `value` is the split threshold and
-/// `left`/`right` index the child nodes. The dense layout keeps batch
-/// traversal cache-friendly; [`crate::forest::Forest`] splices these nodes
-/// unchanged into its arena.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Node {
-    pub(crate) feature: i32,
-    pub(crate) left: u32,
-    pub(crate) right: u32,
-    pub(crate) value: f64,
-}
-
-impl Node {
-    #[inline]
-    fn leaf(proba: f64) -> Self {
-        Self {
-            feature: -1,
-            left: 0,
-            right: 0,
-            value: proba,
-        }
-    }
-
-    #[inline]
-    fn split(feature: usize, threshold: f64, left: usize, right: usize) -> Self {
-        Self {
-            feature: feature as i32,
-            left: left as u32,
-            right: right as u32,
-            value: threshold,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn is_leaf(&self) -> bool {
-        self.feature < 0
     }
 }
 
@@ -266,10 +227,11 @@ fn assert_row_count(n_rows: usize) {
     );
 }
 
-/// A fitted CART decision tree.
+/// A fitted CART decision tree: its nodes (root at index 0) in the
+/// [`RawNode`] form that [`crate::forest::Forest`] splices into its arena.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
+    nodes: Vec<RawNode>,
     n_features: usize,
 }
 
@@ -331,18 +293,18 @@ impl DecisionTree {
     }
 
     /// The fitted node table (root at index 0), for arena splicing.
-    pub(crate) fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[RawNode] {
         &self.nodes
     }
 
     /// Tree depth (longest root-to-leaf path, in edges).
     pub fn depth(&self) -> usize {
-        fn depth_of(nodes: &[Node], idx: usize) -> usize {
-            let n = nodes[idx];
-            if n.is_leaf() {
-                0
-            } else {
-                1 + depth_of(nodes, n.left as usize).max(depth_of(nodes, n.right as usize))
+        fn depth_of(nodes: &[RawNode], idx: usize) -> usize {
+            match nodes[idx] {
+                RawNode::Leaf { .. } => 0,
+                RawNode::Split { left, right, .. } => {
+                    1 + depth_of(nodes, left as usize).max(depth_of(nodes, right as usize))
+                }
             }
         }
         if self.nodes.is_empty() {
@@ -355,15 +317,24 @@ impl DecisionTree {
     #[inline]
     fn predict_row(&self, row: &[f64]) -> f64 {
         let mut node = self.nodes[0];
-        while !node.is_leaf() {
-            let next = if row[node.feature as usize] <= node.value {
-                node.left
-            } else {
-                node.right
-            };
-            node = self.nodes[next as usize];
+        loop {
+            match node {
+                RawNode::Leaf { value } => return value,
+                RawNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    let next = if row[feature as usize] <= threshold {
+                        left
+                    } else {
+                        right
+                    };
+                    node = self.nodes[next as usize];
+                }
+            }
         }
-        node.value
     }
 }
 
@@ -382,7 +353,7 @@ struct Grower<'a> {
     /// `weight << 1 | label` of every batch row.
     packed: Vec<u32>,
     rng: ChaCha8Rng,
-    nodes: Vec<Node>,
+    nodes: Vec<RawNode>,
     /// Dense (count, positives) histogram over ranks; all zero between
     /// uses.
     hist: Vec<(u32, u32)>,
@@ -409,7 +380,7 @@ impl Grower<'_> {
         let is_pure = positives == 0 || positives == n;
         if depth >= self.config.max_depth || (n as usize) < self.config.min_samples_split || is_pure
         {
-            self.nodes.push(Node::leaf(proba));
+            self.nodes.push(RawNode::Leaf { value: proba });
             return self.nodes.len() - 1;
         }
 
@@ -465,7 +436,7 @@ impl Grower<'_> {
         }
 
         let Some((_, feature, threshold)) = best else {
-            self.nodes.push(Node::leaf(proba));
+            self.nodes.push(RawNode::Leaf { value: proba });
             return self.nodes.len() - 1;
         };
 
@@ -494,10 +465,15 @@ impl Grower<'_> {
 
         // Reserve this node's slot before recursing so child indices are known.
         let node_idx = self.nodes.len();
-        self.nodes.push(Node::leaf(proba)); // placeholder
+        self.nodes.push(RawNode::Leaf { value: proba }); // placeholder
         let left = self.grow(left_rows, depth + 1);
         let right = self.grow(right_rows, depth + 1);
-        self.nodes[node_idx] = Node::split(feature, threshold, left, right);
+        self.nodes[node_idx] = RawNode::Split {
+            feature: feature as u32,
+            threshold,
+            left: left as u32,
+            right: right as u32,
+        };
         node_idx
     }
 
@@ -733,7 +709,12 @@ mod tests {
             let x = Matrix::from_rows(&rows);
             let tree = DecisionTree::fit(&TreeConfig::default(), x.view(), &labels, 7);
             assert_eq!(tree.n_nodes(), 3, "one split between {low} and {high}");
-            assert!(tree.nodes().iter().all(|n| n.value.is_finite()));
+            assert!(tree.nodes().iter().all(|n| match *n {
+                RawNode::Leaf { value }
+                | RawNode::Split {
+                    threshold: value, ..
+                } => value.is_finite(),
+            }));
             assert_eq!(tree.predict_proba_one(&[low]), 0.0);
             assert_eq!(tree.predict_proba_one(&[high]), 1.0);
         }
@@ -763,13 +744,13 @@ mod tests {
         x: MatrixView<'_>,
         labels: &[f64],
         seed: u64,
-    ) -> Vec<Node> {
+    ) -> Vec<RawNode> {
         struct Reference<'a> {
             config: &'a TreeConfig,
             x: MatrixView<'a>,
             labels: &'a [f64],
             rng: ChaCha8Rng,
-            nodes: Vec<Node>,
+            nodes: Vec<RawNode>,
         }
 
         impl Reference<'_> {
@@ -780,7 +761,7 @@ mod tests {
                 let proba = positives / n as f64;
                 let is_pure = positives == 0.0 || positives == n as f64;
                 if depth >= self.config.max_depth || n < self.config.min_samples_split || is_pure {
-                    self.nodes.push(Node::leaf(proba));
+                    self.nodes.push(RawNode::Leaf { value: proba });
                     return self.nodes.len() - 1;
                 }
                 let n_features = self.x.n_cols();
@@ -844,17 +825,22 @@ mod tests {
                     }
                 }
                 let Some((_, feature, threshold)) = best else {
-                    self.nodes.push(Node::leaf(proba));
+                    self.nodes.push(RawNode::Leaf { value: proba });
                     return self.nodes.len() - 1;
                 };
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
                     .iter()
                     .partition(|&&i| self.x.get(i, feature) <= threshold);
                 let node_idx = self.nodes.len();
-                self.nodes.push(Node::leaf(proba));
+                self.nodes.push(RawNode::Leaf { value: proba });
                 let left = self.build(&left_idx, depth + 1);
                 let right = self.build(&right_idx, depth + 1);
-                self.nodes[node_idx] = Node::split(feature, threshold, left, right);
+                self.nodes[node_idx] = RawNode::Split {
+                    feature: feature as u32,
+                    threshold,
+                    left: left as u32,
+                    right: right as u32,
+                };
                 node_idx
             }
         }
@@ -872,10 +858,18 @@ mod tests {
     }
 
     /// A node table as comparable bits: feature, children, threshold/leaf.
-    fn node_bits(nodes: &[Node]) -> Vec<(i32, u32, u32, u64)> {
+    fn node_bits(nodes: &[RawNode]) -> Vec<(i32, u32, u32, u64)> {
         nodes
             .iter()
-            .map(|n| (n.feature, n.left, n.right, n.value.to_bits()))
+            .map(|n| match *n {
+                RawNode::Leaf { value } => (-1, 0, 0, value.to_bits()),
+                RawNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => (feature as i32, left, right, threshold.to_bits()),
+            })
             .collect()
     }
 
