@@ -72,6 +72,13 @@ impl DerefMut for TrainedModel {
 }
 
 /// Train a model variant on the training part of a split.
+///
+/// # Panics
+/// Panics when the configured f32 plane cannot hold the fitted arena: a
+/// tree learner on [`Precision::F32`](paws_ml::precision::Precision::F32)
+/// fitted on more than 256 feature columns, or on more nodes than the
+/// plane's 2²⁴ cap. [`StreamingFit::ingest`](crate::stream::StreamingFit::ingest)
+/// refuses the same input with a typed [`PawsError::Narrow`](crate::PawsError::Narrow).
 pub fn train(dataset: &Dataset, split: &TrainTestSplit, config: &ModelConfig) -> TrainedModel {
     let rows = dataset.feature_rows(&split.train);
     let labels = dataset.labels(&split.train);

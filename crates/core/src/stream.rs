@@ -31,7 +31,8 @@ use crate::error::PawsError;
 use crate::pipeline::fit_variant;
 use crate::serving::{FittedModel, ServingModel};
 use paws_data::{Matrix, MatrixView, StandardScaler};
-use paws_iware::{FitCache, IWareModel, RefitStats};
+use paws_iware::{FitCache, IWareModel, Precision, RefitStats};
+use paws_ml::forest32::check_width;
 
 /// Knobs of the streaming driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,7 +186,10 @@ impl StreamingFit {
     /// cannot run (no iWare-E learners, no bagging members, a GP with no
     /// training points) and for empty/mismatched/non-finite batches;
     /// [`PawsError::Narrow`] when the configured f32 plane cannot hold the
-    /// refreshed arena. On error the driver state is unchanged.
+    /// refreshed arena. On error the driver state is unchanged, with one
+    /// exception: a tree learner on the f32 plane is refused a batch wider
+    /// than the plane's 256-feature cap up front, but an arena past its
+    /// 2²⁴-node cap shows only after the batch is appended and refit.
     pub fn ingest(
         &mut self,
         rows: MatrixView<'_>,
@@ -216,6 +220,13 @@ impl StreamingFit {
             if raw.n_cols() != rows.n_cols() {
                 return Err(PawsError::Input("batch feature width mismatch"));
             }
+        }
+        // Only tree learners have an f32 plane; refuse a width it cannot
+        // serve before the batch is appended.
+        if self.config.precision == Precision::F32
+            && self.config.learner == WeakLearnerKind::DecisionTree
+        {
+            check_width(rows.n_cols())?;
         }
         if rows.as_slice().iter().any(|v| !v.is_finite())
             || labels.iter().any(|y| !y.is_finite())
@@ -349,6 +360,7 @@ fn scaler_drifted(frozen: &StandardScaler, streamed: &StandardScaler, budget: f6
 mod tests {
     use super::*;
     use crate::config::WeakLearnerKind;
+    use paws_ml::forest32::NarrowError;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -495,6 +507,27 @@ mod tests {
         ));
         assert_eq!(driver.n_rows(), n, "failed ingests must not mutate state");
         assert_eq!(driver.batches_seen(), 1);
+
+        // A tree learner on the f32 plane refuses a batch wider than the
+        // plane's 256-feature cap before appending or fitting it.
+        let mut f32_driver = StreamingFit::new(
+            ModelConfig {
+                precision: Precision::F32,
+                ..quick_config()
+            },
+            StreamConfig::default(),
+        );
+        let wide = Matrix::from_flat(vec![0.5; 120 * 300], 300);
+        let labels: Vec<f64> = (0..120).map(|i| f64::from(i % 2)).collect();
+        assert_eq!(
+            f32_driver.ingest(wide.view(), &labels, &[1.0; 120]).err(),
+            Some(PawsError::Narrow(NarrowError::TooManyFeatures {
+                n_features: 300,
+                max: 256
+            }))
+        );
+        assert_eq!(f32_driver.n_rows(), 0);
+        assert_eq!(f32_driver.batches_seen(), 0);
     }
 
     #[test]

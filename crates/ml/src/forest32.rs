@@ -152,6 +152,15 @@ fn check_caps(n_nodes: usize, n_features: usize) -> Result<(), NarrowError> {
             max: MAX_NODES,
         });
     }
+    check_width(n_features)
+}
+
+/// The f32 plane's feature-width cap alone, so a caller can refuse a batch
+/// the plane could never serve before fitting anything on it.
+///
+/// # Errors
+/// [`NarrowError::TooManyFeatures`] when `n_features` exceeds 256.
+pub fn check_width(n_features: usize) -> Result<(), NarrowError> {
     if n_features > MAX_FEATURES {
         return Err(NarrowError::TooManyFeatures {
             n_features,
