@@ -92,17 +92,6 @@ impl ModelConfig {
         }
     }
 
-    /// The six Table II variants (SVB, DTB, GPB × plain / iWare-E).
-    pub fn table2_variants(seed: u64) -> Vec<ModelConfig> {
-        let mut out = Vec::new();
-        for use_iware in [false, true] {
-            for learner in WeakLearnerKind::all() {
-                out.push(ModelConfig::new(learner, use_iware, seed));
-            }
-        }
-        out
-    }
-
     /// Display name, e.g. "GPB-iW" or "DTB".
     pub fn name(&self) -> String {
         if self.use_iware {
@@ -163,15 +152,6 @@ mod tests {
             ModelConfig::new(WeakLearnerKind::GaussianProcess, true, 0).name(),
             "GPB-iW"
         );
-    }
-
-    #[test]
-    fn table2_has_six_variants() {
-        let variants = ModelConfig::table2_variants(1);
-        assert_eq!(variants.len(), 6);
-        let names: Vec<String> = variants.iter().map(|v| v.name()).collect();
-        assert!(names.contains(&"SVB".to_string()));
-        assert!(names.contains(&"GPB-iW".to_string()));
     }
 
     #[test]

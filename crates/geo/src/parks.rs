@@ -187,11 +187,6 @@ pub fn test_park_spec() -> ParkSpec {
     }
 }
 
-/// All three study-site presets in paper order.
-pub fn study_sites() -> Vec<ParkSpec> {
-    vec![mfnp_spec(), qenp_spec(), sws_spec()]
-}
-
 /// An LLC-scale synthetic park of `target_cells` 1×1 km cells
 /// (50k–200k intended; anything ≥ 10k accepted) — the workload the f32
 /// plane's bandwidth claims are measured on, since the study-site presets
@@ -257,7 +252,7 @@ mod tests {
 
     #[test]
     fn cell_targets_fit_bounding_boxes() {
-        for spec in study_sites() {
+        for spec in [mfnp_spec(), qenp_spec(), sws_spec()] {
             assert!(spec.target_cells <= (spec.rows as usize) * (spec.cols as usize));
         }
     }

@@ -42,5 +42,5 @@ pub use gp::{GaussianProcess, GpConfig};
 pub use precision::Precision;
 pub use snapshot::{PayloadKind, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use svm::{LinearSvm, SvmConfig};
-pub use traits::{Classifier, QueryError, Trainable, UncertainClassifier};
+pub use traits::{Classifier, QueryError, UncertainClassifier};
 pub use tree::{DecisionTree, Ranking, TreeConfig};

@@ -136,13 +136,6 @@ impl Cholesky {
         let y = self.solve_lower(b)?;
         self.solve_upper(&y)
     }
-
-    /// Log-determinant of `A = L Lᵀ` (useful for marginal likelihoods).
-    pub fn log_det(&self) -> f64 {
-        2.0 * (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-    }
 }
 
 /// Dot product of two equal-length slices (`f64x4` lanes, scalar tail).
@@ -229,13 +222,6 @@ mod tests {
         let mut buf = [0.0; 3];
         ch.solve_lower_into(&b, &mut buf).unwrap();
         assert_eq!(alloc.as_slice(), buf.as_slice());
-    }
-
-    #[test]
-    fn log_det_matches_identity() {
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!(ch.log_det().abs() < 1e-12);
     }
 
     #[test]

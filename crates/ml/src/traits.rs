@@ -27,13 +27,6 @@ pub trait UncertainClassifier: Classifier {
     fn predict_with_variance(&self, x: MatrixView<'_>) -> (Vec<f64>, Vec<f64>);
 }
 
-/// Training-time interface: build a fitted classifier from a feature batch,
-/// binary labels (0.0 / 1.0) and a seed for any internal randomness.
-pub trait Trainable: Sized {
-    /// Fit the model. Implementations must be deterministic given `seed`.
-    fn fit(&self, x: MatrixView<'_>, labels: &[f64], seed: u64) -> Self;
-}
-
 /// Validate an (x, labels) training pair, panicking with a clear message
 /// when the shapes are inconsistent or the values are not finite. Shared by
 /// every learner's `fit`.

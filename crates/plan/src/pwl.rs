@@ -113,11 +113,6 @@ impl PwlFunction {
         self.xs.len() - 1
     }
 
-    /// Domain of the function.
-    pub fn domain(&self) -> (f64, f64) {
-        (self.xs[0], *self.xs.last().unwrap())
-    }
-
     /// Evaluate by linear interpolation; clamps outside the domain.
     pub fn eval(&self, x: f64) -> f64 {
         if x <= self.xs[0] {

@@ -10,7 +10,7 @@
 //! roads and villages) minus a deterrence term in the rangers' previous
 //! patrol coverage, plus seasonal drift for parks with a wet/dry cycle.
 
-use paws_geo::{CellId, FeatureKind, Park, Seasonality};
+use paws_geo::{FeatureKind, Park, Seasonality};
 use rand::Rng;
 
 /// Season of a simulated month.
@@ -241,13 +241,6 @@ impl PoacherModel {
     pub fn static_risk(&self, cell_idx: usize) -> f64 {
         sigmoid(self.config.intercept + self.attractiveness[cell_idx])
     }
-
-    /// Identify the cell ids of the `k` highest static-risk cells.
-    pub fn top_risk_cells(&self, park: &Park, k: usize) -> Vec<CellId> {
-        let mut idx: Vec<usize> = (0..self.n_cells()).collect();
-        idx.sort_by(|&a, &b| self.static_risk(b).total_cmp(&self.static_risk(a)));
-        idx.into_iter().take(k).map(|i| park.cells[i]).collect()
-    }
 }
 
 /// Solve for the intercept `b` such that `mean_i sigmoid(b + s_i) = target`
@@ -396,20 +389,6 @@ mod tests {
                 .sum::<f64>()
                 / 4.0;
             assert!((mean - target).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn top_risk_cells_are_sorted_by_risk() {
-        let (park, m) = model();
-        let top = m.top_risk_cells(&park, 10);
-        assert_eq!(top.len(), 10);
-        let risks: Vec<f64> = top
-            .iter()
-            .map(|c| m.static_risk(park.cell_position(*c).unwrap()))
-            .collect();
-        for w in risks.windows(2) {
-            assert!(w[0] >= w[1]);
         }
     }
 }
