@@ -508,7 +508,10 @@ mod tests {
         // level, bit for bit, whatever the grid's order: the grid is
         // unsorted, repeats a level, and reaches below the first positive
         // threshold and above the last. Zeroing the first two weights makes
-        // the short prefixes take the unweighted-mean fallback.
+        // the short prefixes take the unweighted-mean fallback. On the f64
+        // plane the columns also match varying efforts, which combine row
+        // by row with `weights::combine`, a route independent of the block
+        // combine.
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (rows, labels, efforts, _) = noisy_poaching_data(250, 23);
         let gp = IWareConfig {
@@ -554,6 +557,16 @@ mod tests {
                         .expect("the model's own tables");
                     assert_eq!(bits(pt.as_slice()), bits(p.as_slice()), "{case}");
                     assert_eq!(bits(vt.as_slice()), bits(v.as_slice()), "{case}");
+                    if precision == Precision::F64 {
+                        // Row `r` at level `grid[r % 6]`.
+                        let per_row: Vec<f64> = (0..n).map(|r| grid[r % grid.len()]).collect();
+                        let (pr, vr) = model.predict_with_variance_at_effort(q, &per_row);
+                        let diagonal = |m: &Matrix| {
+                            (0..n).map(|r| m.get(r, r % grid.len())).collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(&diagonal(&p)), bits(&pr), "{case} per row");
+                        assert_eq!(bits(&diagonal(&v)), bits(&vr), "{case} per row");
+                    }
                 }
             }
         }
