@@ -14,10 +14,17 @@ use paws_ml::traits::{
 };
 use rayon::prelude::*;
 
-/// Rows are filled and combined in blocks of this many (matches the forest
-/// traversal's internal block size, so each block's traverse → reduce
-/// stays cache-resident).
+/// Rows are filled in blocks of this many (matches the forest traversal's
+/// internal block size, so each block's traverse → reduce stays
+/// cache-resident).
 const ROW_CHUNK: usize = 256;
+
+/// Rows are combined in strips of this many. A strip is enough work to pay
+/// for its scratch buffers and its pool task, and its accumulator (32 KB in
+/// f64) stays in cache. A batch of one strip (up to 4,096 rows, such as
+/// QENP's or SWS's cells) is combined on the calling thread: there,
+/// entering the pool costs more than the combine itself.
+const COMBINE_ROWS: usize = 4096;
 
 impl<T: ArenaElement> LearnerStack<T> {
     /// The learner tables of one row block: batch-traverse the arena for
@@ -93,27 +100,46 @@ struct Tables<T> {
 
 impl<T: Element> Tables<T> {
     /// Response surfaces over `levels`, `(column, qualified-prefix length)`
-    /// pairs in ascending prefix order: each surface fills cell-parallel,
-    /// one [`ROW_CHUNK`]-row strip per block. The variance surface is empty
-    /// when the tables hold no variances.
+    /// pairs in ascending prefix order, filled cell-parallel: one task per
+    /// [`COMBINE_ROWS`]-row strip writes that strip of each surface. The
+    /// variance surface is empty when the tables hold no variances.
     fn response(&self, weights: &[T], levels: &[(usize, usize)]) -> (Matrix, Matrix) {
         let (n_rows, n_levels) = (self.n_rows, levels.len());
-        let surface = |table: &[T]| {
-            let mut out = vec![0.0; n_rows * n_levels];
-            let strips: Vec<_> = out.chunks_mut(ROW_CHUNK * n_levels).enumerate().collect();
-            strips.into_par_iter().for_each(|(b, strip)| {
-                let (start, len) = (b * ROW_CHUNK, strip.len() / n_levels);
-                let row = |l: usize| &table[l * n_rows + start..][..len];
-                combine_levels_block(weights, levels, row, strip);
-            });
-            Matrix::from_flat(out, n_levels)
+        let strip_len = COMBINE_ROWS * n_levels;
+        let mut probs = vec![0.0; n_rows * n_levels];
+        let mut vars = vec![0.0; if self.vars.is_empty() { 0 } else { probs.len() }];
+        let mut v_strips = vars.chunks_mut(strip_len);
+        let strips: Vec<_> = probs
+            .chunks_mut(strip_len)
+            .map(|p| (p, v_strips.next()))
+            .enumerate()
+            .collect();
+        let fill = |(s, (p_strip, v_strip)): (usize, (&mut [f64], Option<&mut [f64]>))| {
+            let (start, len) = (s * COMBINE_ROWS, p_strip.len() / n_levels);
+            combine_levels_block(
+                weights,
+                levels,
+                |l| &self.probs[l * n_rows + start..][..len],
+                p_strip,
+            );
+            if let Some(v_strip) = v_strip {
+                combine_levels_block(
+                    weights,
+                    levels,
+                    |l| &self.vars[l * n_rows + start..][..len],
+                    v_strip,
+                );
+            }
         };
-        let vars = if self.vars.is_empty() {
-            Matrix::from_flat(Vec::new(), n_levels)
+        if strips.len() > 1 {
+            strips.into_par_iter().for_each(fill);
         } else {
-            surface(&self.vars)
-        };
-        (surface(&self.probs), vars)
+            strips.into_iter().for_each(fill);
+        }
+        (
+            Matrix::from_flat(probs, n_levels),
+            Matrix::from_flat(vars, n_levels),
+        )
     }
 }
 
@@ -328,14 +354,13 @@ impl IWareModel {
     }
 }
 
-/// Combine one block of a learner-major table over every level, into the
-/// block's row-major `len × n_levels` strip widened to f64 (`len` is
-/// `strip.len() / n_levels`; `row(l)` is learner `l`'s `len`-wide block
-/// row).
+/// Combine one strip of rows of a learner-major table over every level,
+/// into the strip's row-major `len × n_levels` output widened to f64 (`len`
+/// is `strip.len() / n_levels`; `row(l)` is learner `l`'s `len` values).
 ///
 /// `levels` holds `(column, prefix length)` in ascending prefix order, so
 /// one pass over the learners serves every level: each learner that joins
-/// the prefix adds its contiguous block row to the weighted sum with one
+/// the prefix adds its contiguous row to the weighted sum with one
 /// lane-kernel axpy, and each level divides the running sum at its own
 /// prefix into its own column. Per element this is the operation sequence
 /// of [`crate::weights::combine`] — sums in learner order from zero, no
@@ -363,9 +388,6 @@ fn combine_levels_block<'a, T: Element>(
         .any(|&(_, k)| prefix_sums[k - 1] <= degenerate);
     let mut acc = vec![T::ZERO; len];
     let mut sum = vec![T::ZERO; if needs_unweighted { len } else { 0 }];
-    // One packed division pass per level: the same IEEE divide per element
-    // as the scalar `acc / wsum`.
-    let mut emit = vec![T::ZERO; len];
     let mut taken = 0;
     for &(column, k) in levels {
         for (l, &w) in weights[..k].iter().enumerate().skip(taken) {
@@ -381,10 +403,16 @@ fn combine_levels_block<'a, T: Element>(
         } else {
             (&acc, wsum)
         };
-        emit.copy_from_slice(from);
-        simd::div_assign(&mut emit, divisor);
-        for (out, &val) in strip[column..].iter_mut().step_by(n_levels).zip(&emit) {
-            *out = val.to_f64();
+        // One level fills the strip contiguously, so the divide packs.
+        let divide = |(out, &a): (&mut f64, &T)| *out = (a / divisor).to_f64();
+        if n_levels == 1 {
+            strip.iter_mut().zip(from).for_each(divide);
+        } else {
+            strip[column..]
+                .iter_mut()
+                .step_by(n_levels)
+                .zip(from)
+                .for_each(divide);
         }
     }
 }
@@ -568,6 +596,35 @@ mod tests {
                         assert_eq!(bits(&diagonal(&v)), bits(&vr), "{case} per row");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn strips_fanned_over_the_pool_give_the_one_strip_bits() {
+        // A batch longer than one strip combines strip by strip on the pool:
+        // the rows past the first strip read what they read combined on
+        // their own, and each column is the constant-effort prediction.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (rows, labels, efforts, _) = noisy_poaching_data(250, 25);
+        let n = COMBINE_ROWS + 300;
+        let (queries, ..) = noisy_poaching_data(n, 26);
+        let tail = MatrixView::from_flat(&queries.as_slice()[COMBINE_ROWS * 2..], 2);
+        let grid = [2.0, 0.0, 1.0, 0.5, 2.0, 10.0];
+        for precision in [Precision::F64, Precision::F32] {
+            let mut model = IWareModel::fit(&quick_config(4), rows.view(), &labels, &efforts);
+            model.set_precision(precision).unwrap();
+            let (p, v) = model.effort_response(queries.view(), &grid);
+            let (pt, vt) = model.effort_response(tail, &grid);
+            let past_first = COMBINE_ROWS * grid.len()..;
+            assert_eq!(bits(&p.as_slice()[past_first.clone()]), bits(pt.as_slice()));
+            assert_eq!(bits(&v.as_slice()[past_first]), bits(vt.as_slice()));
+            for (e, &level) in grid.iter().enumerate() {
+                let (pe, ve) =
+                    model.predict_with_variance_at_effort(queries.view(), &vec![level; n]);
+                let column = |m: &Matrix| (0..n).map(|r| m.get(r, e)).collect::<Vec<_>>();
+                assert_eq!(bits(&column(&p)), bits(&pe), "{precision:?} @{level}");
+                assert_eq!(bits(&column(&v)), bits(&ve), "{precision:?} @{level}");
             }
         }
     }
