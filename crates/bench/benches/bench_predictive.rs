@@ -148,9 +148,11 @@ fn bench_park_prediction(c: &mut Criterion) {
 }
 
 fn bench_park_prediction_threads(c: &mut Criterion) {
-    // 1-vs-N-thread park-wide response surfaces over the work-stealing
-    // pool: the warm park's level combine fans out per 256-row block. On a
-    // single-core runner N > 1 only measures pool overhead.
+    // 1-vs-N-thread warm response surfaces on the test park. The combine
+    // fans out per 4,096-row strip, and the park's 500 cells are one strip,
+    // so every N combines on the calling thread: the group shows that a
+    // small park's combine stays off the pool. bench_serve's 50k-cell park
+    // covers the fan-out.
     let (scenario, dataset, split) = setup();
     let model = train(
         &dataset,

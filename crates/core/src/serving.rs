@@ -107,8 +107,8 @@ pub struct ServingModel {
 /// contiguous row ranges whose f64 rows fit in roughly
 /// `SHARD_TARGET_BYTES` (1 MiB), a single range for small parks — and
 /// reports them through [`PreparedPark::shards`]. Queries do not fan out
-/// over them: the table fill and the combine run in parallel 256-row
-/// blocks.
+/// over them: the table fill runs in parallel 256-row blocks, and the
+/// combine in 4,096-row strips.
 pub struct PreparedPark {
     rows: Matrix,
     /// The scaler `rows` were standardised with.

@@ -328,7 +328,7 @@ impl IWareModel {
     ///
     /// The batch's [`LearnerTables`] are filled on the serving plane, then
     /// [`IWareModel::combine_tables_response`]'s combine runs cell-parallel
-    /// in 256-row blocks. Reductions and combines use the lane kernels with
+    /// in 4,096-row strips. Reductions and combines use the lane kernels with
     /// the exact per-element operation order of the reference path, so the
     /// f64 surface is bit-identical to per-row evaluation.
     pub fn effort_response(&self, x: MatrixView<'_>, effort_grid: &[f64]) -> (Matrix, Matrix) {
