@@ -115,20 +115,10 @@ impl<T: Element> Tables<T> {
             .enumerate()
             .collect();
         let fill = |(s, (p_strip, v_strip)): (usize, (&mut [f64], Option<&mut [f64]>))| {
-            let (start, len) = (s * COMBINE_ROWS, p_strip.len() / n_levels);
-            combine_levels_block(
-                weights,
-                levels,
-                |l| &self.probs[l * n_rows + start..][..len],
-                p_strip,
-            );
+            let start = s * COMBINE_ROWS;
+            combine_levels_block(weights, levels, &self.probs[start..], n_rows, p_strip);
             if let Some(v_strip) = v_strip {
-                combine_levels_block(
-                    weights,
-                    levels,
-                    |l| &self.vars[l * n_rows + start..][..len],
-                    v_strip,
-                );
+                combine_levels_block(weights, levels, &self.vars[start..], n_rows, v_strip);
             }
         };
         if strips.len() > 1 {
@@ -355,8 +345,9 @@ impl IWareModel {
 }
 
 /// Combine one strip of rows of a learner-major table over every level,
-/// into the strip's row-major `len × n_levels` output widened to f64 (`len`
-/// is `strip.len() / n_levels`; `row(l)` is learner `l`'s `len` values).
+/// into the strip's row-major `len × n_levels` output widened to f64: `len`
+/// is `strip.len() / n_levels`, and learner `l`'s values for the strip are
+/// `table[l · stride..][..len]`.
 ///
 /// `levels` holds `(column, prefix length)` in ascending prefix order, so
 /// one pass over the learners serves every level: each learner that joins
@@ -366,14 +357,16 @@ impl IWareModel {
 /// of [`crate::weights::combine`] — sums in learner order from zero, no
 /// fused multiply-add, the same unweighted-mean fallback — so every route
 /// through the combine gives the same bits.
-fn combine_levels_block<'a, T: Element>(
+fn combine_levels_block<T: Element>(
     weights: &[T],
     levels: &[(usize, usize)],
-    row: impl Fn(usize) -> &'a [T],
+    table: &[T],
+    stride: usize,
     strip: &mut [f64],
 ) {
     let n_levels = levels.len();
     let len = strip.len() / n_levels;
+    let row = |l: usize| &table[l * stride..][..len];
     let degenerate = T::from_f64(DEGENERATE_WSUM);
     let prefix_sums: Vec<T> = weights
         .iter()
