@@ -186,10 +186,11 @@ impl StreamingFit {
     /// cannot run (no iWare-E learners, no bagging members, a GP with no
     /// training points) and for empty/mismatched/non-finite batches;
     /// [`PawsError::Narrow`] when the configured f32 plane cannot hold the
-    /// refreshed arena. On error the driver state is unchanged, with one
-    /// exception: a tree learner on the f32 plane is refused a batch wider
-    /// than the plane's 256-feature cap up front, but an arena past its
-    /// 2²⁴-node cap shows only after the batch is appended and refit.
+    /// refreshed arena. An error leaves every resident row, cache and
+    /// count as it was, with one exception: a tree learner on the f32
+    /// plane is refused a batch wider than the plane's 256-feature cap up
+    /// front, but an arena past its 2²⁴-node cap shows only after the batch
+    /// is appended and refit.
     pub fn ingest(
         &mut self,
         rows: MatrixView<'_>,
@@ -510,7 +511,7 @@ mod tests {
 
         // A tree learner on the f32 plane refuses a batch wider than the
         // plane's 256-feature cap before appending or fitting it.
-        let mut f32_driver = StreamingFit::new(
+        let mut f32_stream = StreamingFit::new(
             ModelConfig {
                 precision: Precision::F32,
                 ..quick_config()
@@ -520,14 +521,14 @@ mod tests {
         let wide = Matrix::from_flat(vec![0.5; 120 * 300], 300);
         let labels: Vec<f64> = (0..120).map(|i| f64::from(i % 2)).collect();
         assert_eq!(
-            f32_driver.ingest(wide.view(), &labels, &[1.0; 120]).err(),
+            f32_stream.ingest(wide.view(), &labels, &[1.0; 120]).err(),
             Some(PawsError::Narrow(NarrowError::TooManyFeatures {
                 n_features: 300,
                 max: 256
             }))
         );
-        assert_eq!(f32_driver.n_rows(), 0);
-        assert_eq!(f32_driver.batches_seen(), 0);
+        assert_eq!(f32_stream.n_rows(), 0);
+        assert_eq!(f32_stream.batches_seen(), 0);
     }
 
     #[test]
