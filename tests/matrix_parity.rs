@@ -1153,3 +1153,125 @@ fn prepared_park_plan_matches_the_pinned_bits() {
     let plan = try_plan(&problem, &PlannerConfig::default()).unwrap();
     assert_eq!(plan_pin(&plan), GOLDEN_PLAN_PREPARED);
 }
+
+// ---------------------------------------------------------------------------
+// Bit pins of planning problems.
+// ---------------------------------------------------------------------------
+//
+// The plan pins above fix what the planner returns, but only for one
+// park and short patrols. These pins fix the problems themselves, as
+// `try_planning_problem_from_response` builds them from raw surfaces: the
+// candidate list, every candidate's travel distance and resampled g and ν
+// breakpoints, and the candidate graph. The raw variances include zeros
+// and negative entries, which the squash's scale fit skips and its
+// logistic map clamps to 0.
+
+/// FNV-1a 64 over the little-endian bytes of each word.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every field of a planning problem that depends on the park, the post
+/// and the surfaces, as words: the post and its index, then per candidate
+/// its cell, park index, travel distance, g and ν breakpoints and
+/// neighbour list.
+fn problem_words(problem: &PlanningProblem, out: &mut Vec<u64>) {
+    let bits = |out: &mut Vec<u64>, xs: &[f64]| {
+        out.push(xs.len() as u64);
+        out.extend(xs.iter().map(|x| x.to_bits()));
+    };
+    out.push(u64::from(problem.post.0));
+    out.push(problem.post_index as u64);
+    out.push(problem.cells.len() as u64);
+    for (cell, neighbours) in problem.cells.iter().zip(&problem.neighbours) {
+        out.push(u64::from(cell.cell.0));
+        out.push(cell.park_index as u64);
+        out.push(cell.travel_km.to_bits());
+        for pwl in [&cell.g, &cell.nu] {
+            bits(out, pwl.xs());
+            bits(out, pwl.ys());
+        }
+        out.push(neighbours.len() as u64);
+        out.extend(neighbours.iter().map(|&n| n as u64));
+    }
+}
+
+/// Synthetic raw response surfaces over `levels` effort levels: a
+/// saturating detection curve per cell, and variances that are zero in
+/// every eleventh entry, negative in every thirteenth and otherwise
+/// spread over about a factor of ten.
+fn raw_surfaces(n_cells: usize, levels: &[f64]) -> (Matrix, Matrix) {
+    let mut probs = Matrix::zeros(n_cells, levels.len());
+    let mut vars = Matrix::zeros(n_cells, levels.len());
+    for i in 0..n_cells {
+        let scale = 0.1 + 0.8 * ((i * 37) % 100) as f64 / 100.0;
+        let rate = 0.3 + 0.5 * ((i * 53) % 97) as f64 / 97.0;
+        for (l, &e) in levels.iter().enumerate() {
+            probs.row_mut(i)[l] = scale * (1.0 - (-rate * e).exp());
+            let k = i * levels.len() + l;
+            vars.row_mut(i)[l] = if k.is_multiple_of(11) {
+                0.0
+            } else if k.is_multiple_of(13) {
+                -0.02 * (1 + k % 5) as f64
+            } else {
+                0.01 + 0.1 * ((i * 61 + l * 17) % 100) as f64 / 100.0 + 0.002 * e
+            };
+        }
+    }
+    (probs, vars)
+}
+
+/// Per case: park, patrol length (km), candidates summed over the posts,
+/// and the FNV-1a hash of every post's problem in post order. K = 2 and
+/// β = 0.8 throughout.
+const GOLDEN_PROBLEMS: [(&str, f64, usize, u64); 7] = [
+    ("QENP", 1.0, 8, 0x0bcf_89b0_1bc8_5b25),
+    ("QENP", 12.0, 566, 0xd7cf_75e6_2bd4_a5db),
+    ("QENP", 40.0, 4280, 0xb6cd_0f9f_2074_e519),
+    ("SWS", 1.0, 6, 0xdbd1_7175_ee40_cbc1),
+    ("SWS", 12.0, 405, 0x94ae_dee1_eb5c_55fc),
+    ("SWS", 40.0, 3231, 0x12b6_e619_3145_048a),
+    ("test", 80.0, 1500, 0x982d_5110_63d8_e1cd),
+];
+
+#[test]
+fn planning_problems_from_raw_surfaces_match_the_pinned_bits() {
+    use paws_core::try_planning_problem_from_response;
+    use paws_geo::parks::{qenp_spec, sws_spec, test_park_spec};
+    use paws_geo::Park;
+    let parks = [
+        ("QENP", Park::generate(&qenp_spec(), 2013)),
+        ("SWS", Park::generate(&sws_spec(), 2013)),
+        ("test", Park::generate(&test_park_spec(), 7)),
+    ];
+    let levels = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+    let pins: Vec<(&str, f64, usize, u64)> = GOLDEN_PROBLEMS
+        .iter()
+        .map(|&(name, patrol_km, _, _)| {
+            let park = &parks.iter().find(|(n, _)| *n == name).unwrap().1;
+            let (probs, vars) = raw_surfaces(park.n_cells(), &levels);
+            let mut words = Vec::new();
+            let mut total = 0;
+            for &post in &park.patrol_posts {
+                let problem = try_planning_problem_from_response(
+                    park, post, &levels, &probs, &vars, patrol_km, 2, 0.8,
+                )
+                .expect("valid planning query");
+                if name == "test" {
+                    assert_eq!(problem.n_cells(), park.n_cells(), "every cell in reach");
+                }
+                total += problem.n_cells();
+                problem_words(&problem, &mut words);
+            }
+            (name, patrol_km, total, fnv1a_words(words))
+        })
+        .collect();
+    assert_eq!(pins, GOLDEN_PROBLEMS);
+}
