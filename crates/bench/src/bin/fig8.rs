@@ -28,8 +28,8 @@ use paws_data::split_by_test_year;
 use paws_geo::parks::{mfnp_spec, qenp_spec, sws_spec, test_park_spec};
 use paws_geo::Park;
 use paws_plan::{
-    squash_matrix, try_compare_robust_vs_baseline, try_compare_with_ground_truth, try_plan,
-    Decomposition, PlannerConfig, PlanningProblem,
+    try_compare_robust_vs_baseline, try_compare_with_ground_truth, try_plan, Decomposition,
+    PlannerConfig, PlanningProblem,
 };
 use paws_sim::Season;
 use serde::Serialize;
@@ -194,7 +194,6 @@ fn main() -> Result<(), PawsError> {
         let effort_grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
         let prepared = model.prepare_park(&sc.park, &dataset, &prev)?;
         let (probs, raw_vars) = model.try_park_response_prepared(&prepared, &effort_grid)?;
-        let (_, vars) = squash_matrix(&raw_vars);
         let attack = sc.attack_probabilities(&vec![0.0; sc.park.n_cells()], Season::Dry);
         let detection = sc.sim.detection;
 
@@ -204,12 +203,12 @@ fn main() -> Result<(), PawsError> {
             sc.park.patrol_posts.iter().copied().take(4).collect()
         };
         let build = |post, beta| {
-            PlanningProblem::from_response(
+            PlanningProblem::from_raw_response(
                 &sc.park,
                 post,
                 &effort_grid,
                 &probs,
-                &vars,
+                &raw_vars,
                 PATROL_LENGTH_KM,
                 N_PATROLS,
                 beta,

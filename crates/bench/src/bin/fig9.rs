@@ -19,7 +19,7 @@ use paws_core::{format_table, train, PawsError, WeakLearnerKind};
 use paws_data::split_by_test_year;
 use paws_geo::parks::llc_park_spec;
 use paws_geo::Park;
-use paws_plan::{squash_matrix, try_plan, PlannerConfig, PlanningProblem};
+use paws_plan::{try_plan, PlannerConfig, PlanningProblem};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -128,7 +128,6 @@ fn main() -> Result<(), PawsError> {
         let effort_grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
         let prepared = model.prepare_park(&sc.park, &dataset, &prev)?;
         let (probs, raw_vars) = model.try_park_response_prepared(&prepared, &effort_grid)?;
-        let (_, vars) = squash_matrix(&raw_vars);
 
         // Fully robust plans (β = 1), as in Fig. 9b; a couple of posts keep
         // runtimes representative without dominating the harness.
@@ -142,12 +141,12 @@ fn main() -> Result<(), PawsError> {
             let mut runtimes = Vec::new();
             let mut utilities = Vec::new();
             for &post in &posts {
-                let problem = PlanningProblem::from_response(
+                let problem = PlanningProblem::from_raw_response(
                     &sc.park,
                     post,
                     &effort_grid,
                     &probs,
-                    &vars,
+                    &raw_vars,
                     10.0,
                     4,
                     1.0,

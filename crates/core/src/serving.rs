@@ -62,7 +62,7 @@ use paws_ml::forest32::NarrowError;
 use paws_ml::metrics::roc_auc;
 use paws_ml::precision::Precision;
 use paws_ml::traits::{validate_effort_grid, validate_query, Classifier, UncertainClassifier};
-use paws_plan::{squash_matrix, PlanningProblem};
+use paws_plan::PlanningProblem;
 use std::sync::OnceLock;
 
 /// A fitted predictive model (plain bagging or iWare-E).
@@ -449,11 +449,13 @@ impl ServingModel {
 
 /// Build a patrol-planning problem from an **already computed** response
 /// surface (e.g. one shared across a batch of same-park queries), with the
-/// serving-side guards that [`PlanningProblem::from_response`] enforces by
-/// panicking: the post must lie inside the park, the effort grid must be
+/// serving-side guards that [`PlanningProblem::from_raw_response`] enforces
+/// by panicking: the post must lie inside the park, the effort grid must be
 /// finite and strictly ascending with ≥ 2 levels, the surfaces must cover
 /// every cell with one column per level, and the patrol budget and β must
-/// be sane. The raw variance surface is squashed here. (Response surfaces
+/// be sane. The raw variances are squashed with the park-wide scale, and
+/// only the rows of cells within half a patrol of the post are read after
+/// that. (Response surfaces
 /// themselves accept any valid grid, sorted or not; only planning needs
 /// the levels in order, because they become the breakpoints of each
 /// cell's piecewise-linear response.)
@@ -503,13 +505,12 @@ pub fn try_planning_problem_from_response(
     if !beta.is_finite() || !(0.0..=1.0).contains(&beta) {
         return Err(PawsError::Input("beta must lie in [0, 1]"));
     }
-    let (_, squashed) = squash_matrix(vars);
-    Ok(PlanningProblem::from_response(
+    Ok(PlanningProblem::from_raw_response(
         park,
         post,
         effort_grid,
         probs,
-        &squashed,
+        vars,
         patrol_length_km,
         n_patrols,
         beta,

@@ -6,7 +6,7 @@
 //! costs of 1 km (cardinal) and √2 km (diagonal), which approximates the
 //! Euclidean distance well enough at 1 km resolution. The planner's travel
 //! distances from a patrol post are the same Dijkstra confined to the park
-//! mask ([`masked_distance_to_nearest`]).
+//! mask and stopped at a distance limit ([`masked_distance_to_nearest`]).
 
 use crate::grid::{CellId, Grid};
 use std::cmp::Ordering;
@@ -46,24 +46,40 @@ impl PartialOrd for Frontier {
 /// Returns `f64::INFINITY` for cells unreachable from any source (only
 /// possible when `sources` is empty).
 pub fn distance_to_nearest(grid: &Grid, sources: &[CellId]) -> Vec<f64> {
-    shortest_paths(grid, sources, |_| true)
+    shortest_paths(grid, sources, f64::INFINITY, |_| true)
 }
 
 /// As [`distance_to_nearest`], but every path stays on cells where `mask`
-/// is true. Cells off the mask, and cells the mask cuts off from every
-/// source, read `f64::INFINITY`; a source off the mask starts no path.
+/// is true, and the search stops at `limit_km`. Cells off the mask, cells
+/// the mask cuts off from every source, and cells farther than `limit_km`
+/// read `f64::INFINITY`; a source off the mask starts no path, and one on
+/// it reads 0 whatever the limit. Every other cell reads the bits of the
+/// unbounded search (`limit_km` infinite): a path's sum never shrinks as
+/// steps are added, so no cell within the limit is reached only through
+/// one beyond it.
 ///
 /// # Panics
 /// Panics when `mask` does not have one entry per grid cell.
-pub fn masked_distance_to_nearest(grid: &Grid, mask: &[bool], sources: &[CellId]) -> Vec<f64> {
+pub fn masked_distance_to_nearest(
+    grid: &Grid,
+    mask: &[bool],
+    sources: &[CellId],
+    limit_km: f64,
+) -> Vec<f64> {
     assert_eq!(mask.len(), grid.len(), "mask must cover the grid");
-    shortest_paths(grid, sources, |c| mask[c.index()])
+    shortest_paths(grid, sources, limit_km, |c| mask[c.index()])
 }
 
 /// The multi-source Dijkstra behind both transforms, walking only onto
-/// cells `open` admits. Each distance is the minimum over admitted paths of
-/// the path's left-to-right sum of steps, whatever the heap's tie order.
-fn shortest_paths(grid: &Grid, sources: &[CellId], open: impl Fn(CellId) -> bool) -> Vec<f64> {
+/// cells `open` admits and pushing no cell beyond `limit_km`. Each distance
+/// is the minimum over admitted paths of the path's left-to-right sum of
+/// steps, whatever the heap's tie order.
+fn shortest_paths(
+    grid: &Grid,
+    sources: &[CellId],
+    limit_km: f64,
+    open: impl Fn(CellId) -> bool,
+) -> Vec<f64> {
     let mut dist = vec![f64::INFINITY; grid.len()];
     let mut heap = BinaryHeap::new();
     for &s in sources {
@@ -87,10 +103,7 @@ fn shortest_paths(grid: &Grid, sources: &[CellId], open: impl Fn(CellId) -> bool
             // downstream of it.
             debug_assert!(step.is_finite(), "non-finite neighbour step cost");
             let nd = d + step;
-            if !nd.is_finite() {
-                continue;
-            }
-            if nd < dist[n.index()] {
+            if nd <= limit_km && nd.is_finite() && nd < dist[n.index()] {
                 dist[n.index()] = nd;
                 heap.push(Frontier { dist: nd, cell: n });
             }
@@ -224,19 +237,25 @@ mod tests {
         assert_eq!(one.cmp(&nan), Ordering::Greater);
     }
 
-    #[test]
-    fn masked_distances_detour_around_cells_off_the_mask() {
-        // A wall down column 2, open only at the bottom row: the far side
-        // is reached around its end, never through it.
+    /// A 5×5 grid walled down column 2, open only at the bottom row.
+    fn walled_grid() -> (Grid, Vec<bool>) {
         let g = Grid::new(5, 5);
-        let mask: Vec<bool> = g
+        let mask = g
             .cells()
             .map(|c| {
                 let (r, col) = g.coords(c);
                 col != 2 || r == 4
             })
             .collect();
-        let d = masked_distance_to_nearest(&g, &mask, &[g.cell(0, 0)]);
+        (g, mask)
+    }
+
+    #[test]
+    fn masked_distances_detour_around_cells_off_the_mask() {
+        // The far side of the wall is reached around its end, never
+        // through it.
+        let (g, mask) = walled_grid();
+        let d = masked_distance_to_nearest(&g, &mask, &[g.cell(0, 0)], f64::INFINITY);
         let sq2 = std::f64::consts::SQRT_2;
         assert_eq!(d[g.cell(0, 1).index()], 1.0);
         assert!(d[g.cell(0, 2).index()].is_infinite(), "off the mask");
@@ -246,11 +265,56 @@ mod tests {
         // reaches nothing, not even itself.
         let open = vec![true; g.len()];
         assert_eq!(
-            masked_distance_to_nearest(&g, &open, &[g.cell(2, 2)]),
+            masked_distance_to_nearest(&g, &open, &[g.cell(2, 2)], f64::INFINITY),
             distance_to_nearest(&g, &[g.cell(2, 2)])
         );
-        let off = masked_distance_to_nearest(&g, &mask, &[g.cell(0, 2)]);
+        let off = masked_distance_to_nearest(&g, &mask, &[g.cell(0, 2)], f64::INFINITY);
         assert!(off.iter().all(|x| x.is_infinite()));
+    }
+
+    #[test]
+    fn limited_distances_keep_the_unbounded_bits_within_the_limit() {
+        // Reference: relax every masked edge until nothing changes, which
+        // gives each cell the minimum over masked paths of the path's
+        // left-to-right sum.
+        let (g, mask) = walled_grid();
+        let src = g.cell(0, 0);
+        let mut relaxed = vec![f64::INFINITY; g.len()];
+        relaxed[src.index()] = 0.0;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for c in g.cells().filter(|c| mask[c.index()]) {
+                for (n, step) in g.neighbours8(c) {
+                    let nd = relaxed[c.index()] + step;
+                    if mask[n.index()] && nd < relaxed[n.index()] {
+                        relaxed[n.index()] = nd;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // An infinite limit is the unbounded transform.
+        let unbounded = masked_distance_to_nearest(&g, &mask, &[src], f64::INFINITY);
+        assert_eq!(bits(&unbounded), bits(&relaxed));
+        // A limit of 0 reaches only the source.
+        let only_source = masked_distance_to_nearest(&g, &mask, &[src], 0.0);
+        for c in g.cells() {
+            let want = if c == src { 0.0 } else { f64::INFINITY };
+            assert_eq!(only_source[c.index()].to_bits(), want.to_bits());
+        }
+        // Any other limit keeps the unbounded bits up to and at the limit,
+        // even behind the wall, and reads infinity beyond it.
+        let far = relaxed[g.cell(0, 3).index()];
+        for limit in [1.0, std::f64::consts::SQRT_2, 2.5, far - 1.0, far, 1e9] {
+            let limited = masked_distance_to_nearest(&g, &mask, &[src], limit);
+            let want: Vec<f64> = relaxed
+                .iter()
+                .map(|&d| if d <= limit { d } else { f64::INFINITY })
+                .collect();
+            assert_eq!(bits(&limited), bits(&want), "limit {limit}");
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! from the post, the patrol length T, the number of patrols K, and the
 //! robustness parameter β.
 
-use crate::pwl::PwlFunction;
+use crate::pwl::{interpolate, PwlFunction};
+use crate::robust::VarianceSquash;
 use paws_data::matrix::Matrix;
 use paws_geo::distance::masked_distance_to_nearest;
 use paws_geo::{CellId, Park};
@@ -60,11 +61,14 @@ impl PlanningProblem {
     /// * `park` — the park geometry.
     /// * `post` — the patrol post cell.
     /// * `effort_grid` — the effort levels at which `probs`/`vars` were
-    ///   sampled (ascending, starting at 0).
+    ///   sampled (strictly ascending, starting at 0).
     /// * `probs`, `vars` — flat response matrices with one row per in-park
     ///   cell and one column per effort level (as produced by
     ///   `IWareModel::effort_response`), the variance already squashed to
     ///   [0, 1].
+    ///
+    /// Only cells within `patrol_length_km / 2` of the post are candidates,
+    /// so the travel search stops there and only their rows are read.
     #[allow(clippy::too_many_arguments)]
     pub fn from_response(
         park: &Park,
@@ -72,6 +76,61 @@ impl PlanningProblem {
         effort_grid: &[f64],
         probs: &Matrix,
         vars: &Matrix,
+        patrol_length_km: f64,
+        n_patrols: usize,
+        beta: f64,
+    ) -> Self {
+        Self::build(
+            park,
+            post,
+            effort_grid,
+            probs,
+            vars,
+            None,
+            patrol_length_km,
+            n_patrols,
+            beta,
+        )
+    }
+
+    /// As [`PlanningProblem::from_response`], but from raw predictive
+    /// variances: ν is [`VarianceSquash::fit`] over every cell and level of
+    /// `raw_vars` (the park-wide scale), applied to the candidates' rows
+    /// only.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_raw_response(
+        park: &Park,
+        post: CellId,
+        effort_grid: &[f64],
+        probs: &Matrix,
+        raw_vars: &Matrix,
+        patrol_length_km: f64,
+        n_patrols: usize,
+        beta: f64,
+    ) -> Self {
+        Self::build(
+            park,
+            post,
+            effort_grid,
+            probs,
+            raw_vars,
+            Some(VarianceSquash::fit(raw_vars.as_slice())),
+            patrol_length_km,
+            n_patrols,
+            beta,
+        )
+    }
+
+    /// The constructor behind both public ones: `squash`, when given, maps
+    /// each candidate's `vars` row to ν through one reused buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        park: &Park,
+        post: CellId,
+        effort_grid: &[f64],
+        probs: &Matrix,
+        vars: &Matrix,
+        squash: Option<VarianceSquash>,
         patrol_length_km: f64,
         n_patrols: usize,
         beta: f64,
@@ -89,24 +148,39 @@ impl PlanningProblem {
         );
         assert!(effort_grid.len() >= 2, "need at least two effort levels");
         assert!(
+            effort_grid.windows(2).all(|w| w[1] > w[0]),
+            "effort levels must be strictly ascending"
+        );
+        assert!(
+            probs.n_cols() == effort_grid.len() && vars.n_cols() == effort_grid.len(),
+            "response sample length mismatch"
+        );
+        assert!(
             patrol_length_km > 0.0 && n_patrols > 0,
             "empty patrol budget"
         );
         assert!((0.0..=1.0).contains(&beta), "beta must be in [0, 1]");
 
-        // Travel distance from the post to every in-park cell (km, octile).
-        let travel = park_travel_distances(park, post);
-
         // Candidate cells: reachable and back within a single patrol.
         let reach_limit = patrol_length_km / 2.0;
+        let travel = park_travel_distances(park, post, reach_limit);
         let mut cells = Vec::new();
         let mut park_index_to_planning: Vec<Option<usize>> = vec![None; park.n_cells()];
+        let mut squashed = vec![0.0; effort_grid.len()];
         for (pi, &cell) in park.cells.iter().enumerate() {
             let t = travel[pi];
             if t <= reach_limit {
+                let nu_row = match squash {
+                    Some(squash) => {
+                        for (out, &v) in squashed.iter_mut().zip(vars.row(pi)) {
+                            *out = squash.apply(v);
+                        }
+                        &squashed[..]
+                    }
+                    None => vars.row(pi),
+                };
                 let max_effort = effective_max_effort(patrol_length_km, n_patrols, t);
-                let g = resample_response(effort_grid, probs.row(pi), max_effort);
-                let nu = resample_response(effort_grid, vars.row(pi), max_effort);
+                let (g, nu) = resample_response(effort_grid, probs.row(pi), nu_row, max_effort);
                 park_index_to_planning[pi] = Some(cells.len());
                 cells.push(PlanningCell {
                     cell,
@@ -205,13 +279,14 @@ pub fn steps_for(patrol_length_km: f64) -> usize {
     patrol_length_km.round().max(1.0) as usize
 }
 
-/// Shortest octile travel distance (km) from `post` to every in-park cell,
-/// walking only through the park: the grid's distance transform confined
-/// to `park.mask`. Cells the park cuts off from the post read
+/// Shortest octile travel distance (km) from `post` to every in-park cell
+/// within `limit_km`, walking only through the park: the grid's distance
+/// transform confined to `park.mask` and stopped at the limit. Cells farther
+/// than the limit or cut off from the post by the park read
 /// `f64::INFINITY`, and so does every cell when the post is outside the
-/// park.
-pub fn park_travel_distances(park: &Park, post: CellId) -> Vec<f64> {
-    let dist = masked_distance_to_nearest(&park.grid, &park.mask, &[post]);
+/// park; every other cell reads the unbounded search's bits.
+pub fn park_travel_distances(park: &Park, post: CellId, limit_km: f64) -> Vec<f64> {
+    let dist = masked_distance_to_nearest(&park.grid, &park.mask, &[post], limit_km);
     park.cells.iter().map(|c| dist[c.index()]).collect()
 }
 
@@ -221,21 +296,25 @@ fn effective_max_effort(patrol_length_km: f64, n_patrols: usize, travel_km: f64)
     (per_patrol * n_patrols as f64).max(0.1)
 }
 
-/// Restrict a sampled response curve to `[0, max_effort]`, re-sampling the
-/// breakpoints by interpolation so every cell's PWL lives on its own
-/// feasible-effort domain.
-fn resample_response(effort_grid: &[f64], values: &[f64], max_effort: f64) -> PwlFunction {
-    assert_eq!(
-        effort_grid.len(),
-        values.len(),
-        "response sample length mismatch"
-    );
-    let base = PwlFunction::new(effort_grid.to_vec(), values.to_vec());
-    let n = effort_grid.len().max(2) - 1;
+/// Restrict a cell's sampled g and ν curves to `[0, max_effort]`,
+/// re-sampling both at the same evenly spaced breakpoints by interpolation
+/// so every cell's PWLs live on its own feasible-effort domain.
+fn resample_response(
+    effort_grid: &[f64],
+    g: &[f64],
+    nu: &[f64],
+    max_effort: f64,
+) -> (PwlFunction, PwlFunction) {
+    let n = effort_grid.len() - 1;
     let hi = max_effort.max(1e-3);
     let xs: Vec<f64> = (0..=n).map(|i| hi * i as f64 / n as f64).collect();
-    let ys: Vec<f64> = xs.iter().map(|&x| base.eval(x)).collect();
-    PwlFunction::new(xs, ys)
+    let sample = |values: &[f64]| -> Vec<f64> {
+        xs.iter()
+            .map(|&x| interpolate(effort_grid, values, x))
+            .collect()
+    };
+    let (g, nu) = (sample(g), sample(nu));
+    (PwlFunction::new(xs.clone(), g), PwlFunction::new(xs, nu))
 }
 
 #[cfg(test)]
@@ -341,7 +420,7 @@ mod tests {
     #[test]
     fn travel_distances_are_zero_at_post_and_metric() {
         let (park, p) = toy_problem();
-        let d = park_travel_distances(&park, p.post);
+        let d = park_travel_distances(&park, p.post, f64::INFINITY);
         assert_eq!(d[park.cell_position(p.post).unwrap()], 0.0);
         for (i, &cell) in park.cells.iter().enumerate() {
             if d[i].is_finite() {
@@ -359,7 +438,8 @@ mod tests {
         // return too, whatever its heap's tie order. On the test park no
         // path through outside cells is ever shorter; on QENP it is from
         // two of the eight posts, so QENP also checks that walks stay in
-        // the park.
+        // the park. A limited search keeps those bits for every cell the
+        // relaxation puts within the limit and reads infinity beyond it.
         let parks = [
             (test_park_spec(), 1),
             (test_park_spec(), 7),
@@ -386,12 +466,18 @@ mod tests {
                     }
                 }
                 let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&park_travel_distances(&park, post)),
-                    bits(&expect),
-                    "{} seed {seed}, post {post:?}",
-                    spec.name
-                );
+                for limit in [f64::INFINITY, 0.5, 6.0, 20.0] {
+                    let within: Vec<f64> = expect
+                        .iter()
+                        .map(|&d| if d <= limit { d } else { f64::INFINITY })
+                        .collect();
+                    assert_eq!(
+                        bits(&park_travel_distances(&park, post, limit)),
+                        bits(&within),
+                        "{} seed {seed}, post {post:?}, limit {limit}",
+                        spec.name
+                    );
+                }
             }
         }
     }

@@ -6,9 +6,12 @@
 //! penalises model uncertainty, route extraction, and plan evaluation.
 //!
 //! Typical flow:
-//! 1. Sample g_v(c) / ν_v(c) from a fitted `paws_iware::IWareModel` with
-//!    `effort_response`, squash the variances with [`robust::squash_matrix`].
-//! 2. Build a [`game::PlanningProblem`] per patrol post.
+//! 1. Sample g_v(c) and the raw variances from a fitted
+//!    `paws_iware::IWareModel` with `effort_response`.
+//! 2. Build a [`game::PlanningProblem`] per patrol post with
+//!    [`PlanningProblem::from_raw_response`]: it searches only as far as a
+//!    patrol can reach and back, and squashes the candidates' variances into
+//!    ν_v(c) with a [`robust::VarianceSquash`] fitted to the whole park.
 //! 3. Optimise with [`planner::try_plan`] (the allocation LP by default,
 //!    the time-unrolled flow LP for small instances).
 //! 4. Extract ranger routes with [`routes::extract_routes`] and evaluate
@@ -28,5 +31,5 @@ pub use evaluate::{
 pub use game::{park_travel_distances, steps_for, PlanningCell, PlanningProblem};
 pub use planner::{try_plan, Decomposition, PatrolPlan, PlanError, PlannerConfig, PlannerMethod};
 pub use pwl::{PwlError, PwlFunction};
-pub use robust::{squash_matrix, VarianceSquash};
+pub use robust::VarianceSquash;
 pub use routes::{extract_routes, route_coverage, Route};

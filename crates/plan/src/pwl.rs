@@ -115,25 +115,7 @@ impl PwlFunction {
 
     /// Evaluate by linear interpolation; clamps outside the domain.
     pub fn eval(&self, x: f64) -> f64 {
-        if x <= self.xs[0] {
-            return self.ys[0];
-        }
-        if x >= *self.xs.last().unwrap() {
-            return *self.ys.last().unwrap();
-        }
-        // Binary search for the segment containing x.
-        let mut lo = 0usize;
-        let mut hi = self.xs.len() - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.xs[mid] <= x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let t = (x - self.xs[lo]) / (self.xs[hi] - self.xs[lo]);
-        self.ys[lo] * (1.0 - t) + self.ys[hi] * t
+        interpolate(&self.xs, &self.ys, x)
     }
 
     /// True when the function is concave (segment slopes non-increasing),
@@ -197,6 +179,32 @@ impl PwlFunction {
             .collect();
         PwlFunction::new(self.xs.clone(), ys)
     }
+}
+
+/// Linear interpolation through the breakpoints `(xs, ys)`, clamped to the
+/// end values outside `[xs[0], xs[n-1]]`: [`PwlFunction::eval`] on borrowed
+/// breakpoints, which must hold at least two strictly ascending `xs` and
+/// one `ys` per `xs`.
+pub(crate) fn interpolate(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+    if x <= xs[0] {
+        return ys[0];
+    }
+    if x >= *xs.last().unwrap() {
+        return *ys.last().unwrap();
+    }
+    // Binary search for the segment containing x.
+    let mut lo = 0usize;
+    let mut hi = xs.len() - 1;
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if xs[mid] <= x {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let t = (x - xs[lo]) / (xs[hi] - xs[lo]);
+    ys[lo] * (1.0 - t) + ys[hi] * t
 }
 
 #[cfg(test)]

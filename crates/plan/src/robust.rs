@@ -9,12 +9,13 @@
 //! `U_v(c) = g_v(c) − β·g_v(c)·ν_v(c)`, so `U_v` stays non-negative for any
 //! β ≤ 1.
 
-use paws_data::matrix::Matrix;
-
 /// Logistic squashing of raw predictive variances into [0, 1).
 ///
 /// `scale` sets the variance magnitude mapped to ≈ 0.46; a good default is
-/// the mean variance over the park, which [`squash_matrix`] computes.
+/// the mean variance over the park, which [`VarianceSquash::fit`] computes
+/// and [`PlanningProblem::from_raw_response`] uses.
+///
+/// [`PlanningProblem::from_raw_response`]: crate::PlanningProblem::from_raw_response
 #[derive(Debug, Clone, Copy)]
 pub struct VarianceSquash {
     /// Characteristic variance scale.
@@ -28,14 +29,14 @@ impl VarianceSquash {
         Self { scale }
     }
 
-    /// Fit the scale to the mean of the provided variances.
+    /// Fit the scale to the mean of the positive variances, summed in
+    /// order (1 when there are none).
     pub fn fit(variances: &[f64]) -> Self {
-        let positive: Vec<f64> = variances.iter().copied().filter(|&v| v > 0.0).collect();
-        let mean = if positive.is_empty() {
-            1.0
-        } else {
-            positive.iter().sum::<f64>() / positive.len() as f64
-        };
+        let (sum, count) = variances
+            .iter()
+            .filter(|&&v| v > 0.0)
+            .fold((0.0, 0usize), |(sum, count), &v| (sum + v, count + 1));
+        let mean = if count == 0 { 1.0 } else { sum / count as f64 };
         Self {
             scale: mean.max(1e-9),
         }
@@ -46,24 +47,6 @@ impl VarianceSquash {
         let v = variance.max(0.0) / self.scale;
         2.0 / (1.0 + (-v).exp()) - 1.0
     }
-
-    /// Squash every entry of a flat response matrix (rows = cells,
-    /// columns = effort levels).
-    pub fn apply_matrix(&self, variances: &Matrix) -> Matrix {
-        let mut out = variances.clone();
-        for v in out.as_mut_slice() {
-            *v = self.apply(*v);
-        }
-        out
-    }
-}
-
-/// Fit a squash on a full response matrix and apply it (the flat storage
-/// means fitting needs no intermediate copy of the entries).
-pub fn squash_matrix(variances: &Matrix) -> (VarianceSquash, Matrix) {
-    let squash = VarianceSquash::fit(variances.as_slice());
-    let out = squash.apply_matrix(variances);
-    (squash, out)
 }
 
 #[cfg(test)]
@@ -105,15 +88,6 @@ mod tests {
         let s2 = VarianceSquash::fit(&[0.0, 0.0]);
         assert!(s2.scale > 0.0);
         assert_eq!(s2.apply(0.0), 0.0);
-    }
-
-    #[test]
-    fn matrix_squash_preserves_shape() {
-        let vars = Matrix::from_rows(&[vec![0.1, 0.2, 0.3], vec![0.0, 0.5, 1.0]]);
-        let (_, out) = squash_matrix(&vars);
-        assert_eq!(out.n_rows(), 2);
-        assert_eq!(out.n_cols(), 3);
-        assert!(out.as_slice().iter().all(|&v| (0.0..1.0).contains(&v)));
     }
 
     proptest! {
