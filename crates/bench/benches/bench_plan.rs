@@ -1,23 +1,22 @@
 //! Criterion benchmarks for the planning stack: dense-tableau vs sparse
 //! revised-simplex LP engines on allocation-shaped LPs across cell counts,
-//! the allocation LP across PWL segment counts and the flow formulation on
-//! the test park (the Fig. 9a runtime measurement at component scale), and
-//! the column-generation planner on an LLC-scale park. The study-park and
-//! 100k-cell planner curves are recorded by `fig8 --llc` / `fig9 --llc`
-//! into `results/`.
+//! the allocation plan across PWL segment counts and the flow formulation
+//! on the test park (the Fig. 9a runtime measurement at component scale),
+//! and the greedy allocation plan on an LLC-scale park. The 10k–100k-cell
+//! planner curve is recorded by `fig9 --llc` into `results/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_bench::full_reach_problem;
 use paws_data::Matrix;
 use paws_geo::parks::{llc_park_spec, test_park_spec};
 use paws_geo::Park;
-use paws_plan::{try_plan, Decomposition, PlannerConfig, PlannerMethod, PlanningProblem};
+use paws_plan::{try_plan, PlannerConfig, PlannerMethod, PlanningProblem};
 use paws_solver::{solve_lp, solve_lp_dense, ConstraintOp, Model, Sense};
 use std::hint::black_box;
 
-/// The park-wide allocation LP at `n_cells` candidate cells: a per-cell λ
+/// A park-wide allocation LP at `n_cells` candidate cells: a per-cell λ
 /// block over a 6-breakpoint concave utility, one convexity row per cell,
-/// one budget row — the exact row/column structure the planner emits.
+/// one budget row — an LP-sized workload for the two simplex engines.
 fn allocation_lp(n_cells: usize) -> Model {
     let xs = [0.0f64, 0.5, 1.0, 2.0, 4.0, 8.0];
     let mut m = Model::new(Sense::Maximize);
@@ -132,14 +131,11 @@ fn bench_flow_formulation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_colgen_llc(c: &mut Criterion) {
+fn bench_greedy_llc(c: &mut Criterion) {
     let park = Park::generate(&llc_park_spec(10_000), 11);
     let problem = full_reach_problem(&park, 500.0, 1.0);
-    let config = PlannerConfig {
-        decomposition: Decomposition::ColumnGeneration,
-        ..PlannerConfig::default()
-    };
-    let mut group = c.benchmark_group("colgen_planner");
+    let config = PlannerConfig::default();
+    let mut group = c.benchmark_group("greedy_planner");
     group.sample_size(10);
     group.bench_function("llc_10k_cells", |b| {
         b.iter(|| black_box(try_plan(&problem, &config).unwrap()))
@@ -152,6 +148,6 @@ criterion_group!(
     bench_lp_engines,
     bench_allocation_segments,
     bench_flow_formulation,
-    bench_colgen_llc
+    bench_greedy_llc
 );
 criterion_main!(benches);

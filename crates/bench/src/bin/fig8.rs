@@ -11,29 +11,18 @@
 //! ```bash
 //! cargo run --release -p paws-bench --bin fig8            # reduced sweep
 //! cargo run --release -p paws-bench --bin fig8 -- --full  # full sweep
-//! cargo run --release -p paws-bench --bin fig8 -- --llc   # engine curves
 //! ```
 //!
-//! `--llc` swaps the quality sweeps for planner scaling curves: the same
-//! park-wide allocation LP solved through column generation and as one
-//! monolithic sparse revised-simplex model, at study-park sizes (every cell
-//! a candidate). The dense tableau reference is timed against the sparse
-//! engine by `bench_plan`'s `lp_engine_scaling` group, up to 256 cells.
+//! Planner runtime at LLC scale is `fig9 --llc`'s curve.
 
-use paws_bench::{
-    full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
-};
+use paws_bench::{mean, park_model_config, quarterly_dataset, scenario, write_json, Scale};
 use paws_core::{format_table, train, PawsError, WeakLearnerKind};
 use paws_data::split_by_test_year;
-use paws_geo::parks::{mfnp_spec, qenp_spec, sws_spec, test_park_spec};
-use paws_geo::Park;
 use paws_plan::{
-    try_compare_robust_vs_baseline, try_compare_with_ground_truth, try_plan, Decomposition,
-    PlannerConfig, PlanningProblem,
+    try_compare_robust_vs_baseline, try_compare_with_ground_truth, PlannerConfig, PlanningProblem,
 };
 use paws_sim::Season;
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct BetaPoint {
@@ -62,102 +51,8 @@ struct Fig8Output {
 const PATROL_LENGTH_KM: f64 = 10.0;
 const N_PATROLS: usize = 4;
 
-#[derive(Serialize)]
-struct EnginePoint {
-    park: String,
-    cells: usize,
-    lambda_vars: usize,
-    engine: String,
-    runtime_seconds: f64,
-    status: String,
-    objective: f64,
-}
-
-/// `--llc`: column generation against the full sparse model on park-wide
-/// allocation LPs.
-fn llc_engines(scale: Scale) -> Result<(), PawsError> {
-    let mut parks = vec![
-        ("test", Park::generate(&test_park_spec(), 11)),
-        ("QENP", Park::generate(&qenp_spec(), 11)),
-        ("SWS", Park::generate(&sws_spec(), 11)),
-    ];
-    if scale.is_full() {
-        parks.push(("MFNP", Park::generate(&mfnp_spec(), 11)));
-    }
-    println!("Figure 8 (LLC): planner scaling on park-wide allocation LPs\n");
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
-    for (name, park) in &parks {
-        let cells = park.n_cells();
-        let problem = full_reach_problem(park, 0.05 * cells as f64, 1.0);
-        let base = PlannerConfig::default();
-        let configs = [
-            (
-                "sparse-colgen",
-                PlannerConfig {
-                    decomposition: Decomposition::ColumnGeneration,
-                    ..base.clone()
-                },
-            ),
-            (
-                "sparse-full",
-                PlannerConfig {
-                    decomposition: Decomposition::FullModel,
-                    ..base.clone()
-                },
-            ),
-        ];
-        for (engine, config) in configs {
-            let start = Instant::now();
-            let result = try_plan(&problem, &config)?;
-            let runtime_seconds = start.elapsed().as_secs_f64();
-            let point = EnginePoint {
-                park: name.to_string(),
-                cells,
-                lambda_vars: cells * (base.segments + 1),
-                engine: engine.to_string(),
-                runtime_seconds,
-                status: format!("{:?}", result.status),
-                objective: result.objective,
-            };
-            rows.push(vec![
-                name.to_string(),
-                cells.to_string(),
-                engine.to_string(),
-                format!("{:.2}", point.runtime_seconds),
-                point.status.clone(),
-                format!("{:.3}", point.objective),
-            ]);
-            println!(
-                "  {name} ({cells} cells) {engine}: {:.2}s {} obj={:.3}",
-                point.runtime_seconds, point.status, point.objective
-            );
-            points.push(point);
-        }
-    }
-    println!(
-        "\n{}",
-        format_table(
-            &[
-                "park",
-                "cells",
-                "engine",
-                "runtime (s)",
-                "status",
-                "objective"
-            ],
-            &rows
-        )
-    );
-    write_json("fig8_llc", &points);
-    Ok(())
-}
-
 fn main() -> Result<(), PawsError> {
     let scale = Scale::from_args();
-    if std::env::args().any(|a| a == "--llc") {
-        return llc_engines(scale);
-    }
     println!(
         "Figure 8: gain from uncertainty-aware patrol planning [{} scale]\n",
         if scale.is_full() { "full" } else { "quick" }

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! `--llc` swaps the segment sweep for the runtime-vs-park-size curve at
-//! LLC scale (10k–100k cells, every cell a candidate): the workload the
-//! column-generation planner over the sparse revised simplex exists for.
+//! LLC scale (10k–100k cells, every cell a candidate), planned by the exact
+//! greedy envelope fill.
 
 use paws_bench::{
     full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
@@ -39,13 +39,11 @@ struct Fig9LlcPoint {
     runtime_seconds: f64,
     status: String,
     objective: f64,
-    colgen_rounds: usize,
 }
 
-/// `--llc`: planner runtime vs park size at LLC scale. Auto decomposition
-/// routes every one of these through column generation over the sparse
-/// revised simplex — the monolithic dense tableau would need tens of
-/// gigabytes before the first pivot.
+/// `--llc`: planner runtime vs park size at LLC scale. No allocation plan
+/// builds a model, so the time is the envelopes, a sort of every segment
+/// and the fill.
 fn llc_scaling(scale: Scale) -> Result<(), PawsError> {
     let sizes: &[usize] = if scale.is_full() {
         &[10_000, 25_000, 50_000, 100_000]
@@ -70,7 +68,6 @@ fn llc_scaling(scale: Scale) -> Result<(), PawsError> {
             runtime_seconds,
             status: format!("{:?}", result.status),
             objective: result.objective,
-            colgen_rounds: result.lp_solves,
         };
         rows.push(vec![
             cells.to_string(),
@@ -78,21 +75,13 @@ fn llc_scaling(scale: Scale) -> Result<(), PawsError> {
             format!("{:.2}", point.runtime_seconds),
             point.status.clone(),
             format!("{:.2}", point.objective),
-            point.colgen_rounds.to_string(),
         ]);
         points.push(point);
     }
     println!(
         "{}",
         format_table(
-            &[
-                "cells",
-                "λ vars",
-                "runtime (s)",
-                "status",
-                "objective",
-                "CG rounds"
-            ],
+            &["cells", "λ vars", "runtime (s)", "status", "objective"],
             &rows
         )
     );

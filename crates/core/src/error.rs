@@ -7,8 +7,8 @@
 //! serving process can contain faults instead of panicking: corrupt model
 //! files surface as [`PawsError::Snapshot`], malformed query matrices as
 //! [`PawsError::Query`], degenerate planning inputs as [`PawsError::Plan`],
-//! and budget-exhausted solves do not error at all — they degrade (see
-//! `paws_solver::SolveBudget`).
+//! and budget-exhausted flow-LP solves do not error at all — they degrade
+//! (see `paws_solver::SolveBudget`); an allocation plan needs no solver.
 
 use paws_ml::forest32::NarrowError;
 use paws_ml::snapshot::SnapshotError;

@@ -536,7 +536,7 @@ mod tests {
     use crate::pipeline::{train, TrainedModel};
     use crate::scenario::Scenario;
     use paws_data::{build_dataset, split_by_test_year, Discretization, TrainTestSplit};
-    use paws_plan::{try_plan, PlanError, PlannerConfig};
+    use paws_plan::{try_plan, PlanError, PlannerConfig, PwlError};
     use std::sync::Arc;
 
     fn small_setup() -> (Scenario, Dataset, TrainTestSplit) {
@@ -909,12 +909,7 @@ mod tests {
             try_planning_problem_from_response(park, post, &grid, &probs, &vars, 8.0, 2, 0.8)
                 .unwrap();
         let err = try_plan(&problem, &PlannerConfig::default()).unwrap_err();
-        assert!(matches!(err, PlanError::Solver(_)), "{err}");
-        assert!(
-            err.to_string()
-                .ends_with("objective coefficient must be finite"),
-            "{err}"
-        );
+        assert_eq!(err, PlanError::Pwl(PwlError::NonFinite), "{err}");
     }
 
     #[test]

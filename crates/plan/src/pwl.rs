@@ -2,8 +2,8 @@
 //!
 //! Sec. VI-B: "piecewise linear (PWL) approximations to these functions g_v
 //! are constructed using m × N sampled points", which turns the black-box
-//! machine-learning predictions into something a linear program can
-//! optimise (through each function's concave envelope). The same
+//! machine-learning predictions into something the planner can optimise
+//! exactly (through each function's concave envelope). The same
 //! construction is applied to the uncertainty functions ν_v in Sec. VI-C.
 
 /// Errors from the checked PWL constructors.
@@ -17,6 +17,8 @@ pub enum PwlError {
     LengthMismatch,
     /// Breakpoint x values are not strictly ascending.
     NotAscending,
+    /// A sampled value is NaN or infinite.
+    NonFinite,
 }
 
 impl std::fmt::Display for PwlError {
@@ -27,6 +29,7 @@ impl std::fmt::Display for PwlError {
             PwlError::NotAscending => {
                 write!(f, "breakpoint x values must be strictly ascending")
             }
+            PwlError::NonFinite => write!(f, "sampled values must be finite"),
         }
     }
 }
@@ -66,19 +69,13 @@ impl PwlFunction {
     /// not strictly ascending; use [`PwlFunction::try_new`] to handle these
     /// as errors.
     pub fn new(xs: Vec<f64>, ys: Vec<f64>) -> Self {
-        match Self::try_new(xs, ys) {
-            Ok(f) => f,
-            Err(PwlError::Empty) => panic!("a PWL function needs at least two breakpoints"),
-            Err(PwlError::LengthMismatch) => panic!("breakpoint coordinate length mismatch"),
-            Err(PwlError::NotAscending) => {
-                panic!("breakpoint x values must be strictly ascending")
-            }
-        }
+        Self::try_new(xs, ys).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Sample a black-box function at `segments + 1` evenly spaced points on
     /// `[lo, hi]` and return its PWL approximation. A degenerate request
-    /// (zero segments or an empty interval) is a [`PwlError::Empty`].
+    /// (zero segments or an empty interval) is a [`PwlError::Empty`], and a
+    /// NaN or infinite sample is a [`PwlError::NonFinite`].
     pub fn try_from_samples(
         lo: f64,
         hi: f64,
@@ -95,6 +92,9 @@ impl PwlFunction {
             .map(|i| lo + (hi - lo) * i as f64 / segments as f64)
             .collect();
         let ys: Vec<f64> = xs.iter().map(|&x| f(x)).collect();
+        if !ys.iter().all(|y| y.is_finite()) {
+            return Err(PwlError::NonFinite);
+        }
         Self::try_new(xs, ys)
     }
 
@@ -119,7 +119,7 @@ impl PwlFunction {
     }
 
     /// True when the function is concave (segment slopes non-increasing),
-    /// in which case a linear program maximises it exactly.
+    /// in which case the planner maximises it exactly.
     pub fn is_concave(&self, tol: f64) -> bool {
         let slopes: Vec<f64> = self
             .xs
@@ -132,9 +132,10 @@ impl PwlFunction {
 
     /// The upper concave envelope of the function over its breakpoints: the
     /// tightest concave PWL function that dominates it. The planner
-    /// optimises this in place of every non-concave utility, so each plan
-    /// is a linear program; the paper's exact SOS2 encoding of the
-    /// non-concave pieces is not implemented.
+    /// optimises this in place of every non-concave utility, so an
+    /// allocation plan is an exact greedy fill and a flow plan a linear
+    /// program; the paper's exact SOS2 encoding of the non-concave pieces
+    /// is not implemented.
     pub fn concave_envelope(&self) -> PwlFunction {
         // Upper convex hull of the breakpoints (Andrew's monotone chain on
         // the upper side), then re-evaluate at the original x grid.
@@ -303,6 +304,13 @@ mod tests {
         );
         assert!(PwlFunction::try_from_samples(0.0, 1.0, 4, |x| x).is_ok());
         assert!(PwlError::Empty.to_string().contains("two breakpoints"));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                PwlFunction::try_from_samples(0.0, 1.0, 4, |x| if x == 0.5 { bad } else { x })
+                    .err(),
+                Some(PwlError::NonFinite)
+            );
+        }
     }
 
     #[test]

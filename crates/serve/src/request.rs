@@ -28,8 +28,9 @@ pub enum QueryKind {
         effort_grid: Vec<f64>,
     },
     /// A robust patrol plan for one patrol post, built from the park's
-    /// cached response surface; the request's remaining deadline bounds
-    /// the plan's LP solves (anytime, degrading — never hanging).
+    /// cached response surface. The default allocation plan is the exact
+    /// greedy fill and needs no solver; only a flow plan's LP takes the
+    /// request's remaining deadline (anytime, degrading — never hanging).
     PatrolPlan {
         /// Patrol post the routes must start from.
         post: CellId,
@@ -53,7 +54,7 @@ pub struct QueryRequest {
     pub kind: QueryKind,
     /// Per-request deadline: requests whose wall-clock budget is exhausted
     /// are answered [`ServeError::DeadlineExceeded`] instead of being
-    /// served late, and a patrol-plan solve receives only the budget that
+    /// served late, and a flow plan's LP receives only the budget that
     /// remains when it starts. [`SolveBudget::unlimited`] opts out.
     pub budget: SolveBudget,
 }
@@ -92,7 +93,8 @@ pub enum QueryResponse {
         /// Predictive variance per (cell, effort level).
         vars: Matrix,
     },
-    /// The computed patrol plan (possibly `Degraded` under a tight budget).
+    /// The computed patrol plan: always `Optimal` for an allocation plan,
+    /// possibly `Degraded` for a flow plan under a tight budget.
     PatrolPlan(PatrolPlan),
 }
 

@@ -15,8 +15,10 @@
 //! 3. each answer is a typed [`QueryResponse`] / [`ServeError`] — the
 //!    admission layer never panics on caller input — and a request whose
 //!    [`paws_solver::SolveBudget`] wall-clock deadline lapses before its
-//!    query starts is refused with [`ServeError::DeadlineExceeded`], while
-//!    a patrol-plan solve receives only its remaining budget (degrading
+//!    query starts is refused with [`ServeError::DeadlineExceeded`]. A
+//!    patrol plan that starts in time is the planner's: an allocation plan
+//!    is the exact greedy fill, needs no solver and never degrades, and
+//!    only a flow plan's LP takes the remaining budget (degrading
 //!    gracefully instead of overrunning).
 
 use crate::registry::{ModelRegistry, ResidentPark};
@@ -154,9 +156,9 @@ impl PawsServer {
                         )
                         .map_err(ServeError::from)
                         .and_then(|problem| {
-                            // The solve gets whatever wall clock the
+                            // A flow LP gets whatever wall clock the
                             // request has left; a lapsed budget degrades
-                            // the plan rather than hanging the batch.
+                            // it rather than hanging the batch.
                             let config = PlannerConfig {
                                 budget: req.budget.remaining_since(admitted),
                                 ..self.planner.clone()
@@ -308,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn lapsed_deadlines_refuse_queries_and_starved_plans_degrade() {
+    fn lapsed_deadlines_refuse_queries_and_leave_started_plans_optimal() {
         let (server, park) = server_with_park();
         let answers = server.submit(&[
             QueryRequest::new("mondulkiri", QueryKind::RiskMap { effort_km: 1.0 })
@@ -322,8 +324,8 @@ mod tests {
         assert!(answers[1].is_ok(), "unbudgeted sibling is unaffected");
 
         // A plan whose budget lapses *during* the batch (deadline checks
-        // pass at admission, solver budget is already empty) degrades to
-        // the greedy incumbent instead of hanging or failing.
+        // pass at admission, solver budget is already empty) is still the
+        // optimal greedy allocation: it needs no solver.
         let plan_req = QueryRequest::new(
             "mondulkiri",
             QueryKind::PatrolPlan {
@@ -336,12 +338,12 @@ mod tests {
         )
         .with_budget(SolveBudget::with_time_limit(Duration::from_nanos(1)));
         // The nanosecond budget may or may not lapse before admission on a
-        // fast machine; both outcomes are acceptable, a panic or an
-        // untagged full solve is not.
+        // fast machine; both outcomes are acceptable, a panic or a
+        // degraded plan is not.
         let answers = server.submit(&[plan_req]);
         match &answers[0] {
             Ok(QueryResponse::PatrolPlan(plan)) => {
-                assert_eq!(plan.status, SolveStatus::Degraded);
+                assert_eq!(plan.status, SolveStatus::Optimal);
             }
             Err(ServeError::DeadlineExceeded { .. }) => {}
             other => panic!("unexpected starved-plan outcome: {other:?}"),

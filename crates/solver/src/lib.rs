@@ -2,14 +2,15 @@
 //!
 //! A small, self-contained linear-programming toolkit: the from-scratch
 //! substitute for the commercial solver the paper's patrol planner relies
-//! on. The planner optimises each cell's concave-envelope utility, so every
-//! model it builds is a linear program.
+//! on. The planner optimises each cell's concave-envelope utility, so the
+//! one model it builds, the time-unrolled flow formulation, is a linear
+//! program.
 //!
 //! * [`model::Model`] — build variables, bounds, objective and constraints;
 //!   every solve reads the bounds the model was built with.
 //! * [`revised::solve_lp`] / [`revised::SparseLp`] — sparse revised simplex
-//!   (LU-factorised basis, bounded variables, eta updates, warm starts from
-//!   a [`revised::BasisSnapshot`]); the engine every caller uses.
+//!   (LU-factorised basis, bounded variables, eta updates); the engine
+//!   every caller uses.
 //! * [`simplex::solve_lp_dense`] — the original dense two-phase tableau,
 //!   retained as the parity reference for the sparse engine.
 //! * [`budget::SolveBudget`] — anytime wall-clock / iteration budgets; an
@@ -25,5 +26,5 @@ pub mod simplex;
 
 pub use budget::SolveBudget;
 pub use model::{ConstraintOp, Model, Sense, Solution, SolveStatus, SolverError, Variable};
-pub use revised::{solve_lp, solve_lp_budgeted, BasisSnapshot, LpOutcome, SparseLp};
+pub use revised::{solve_lp, solve_lp_budgeted, SparseLp};
 pub use simplex::{solve_lp_dense, solve_lp_dense_budgeted};

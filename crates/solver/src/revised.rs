@@ -1,7 +1,7 @@
 //! Sparse revised simplex with direct bounded-variable handling.
 //!
 //! This is the LP engine behind [`solve_lp`] / [`solve_lp_budgeted`] and
-//! the patrol planner. Unlike the dense tableau of
+//! the patrol planner's flow formulation. Unlike the dense tableau of
 //! [`crate::simplex`], it never materialises `B⁻¹A`: the basis is held as a
 //! Markowitz LU factorisation ([`crate::lu`]) refreshed by product-form eta
 //! updates, pricing reads the original columns through a CSC matrix
@@ -43,8 +43,6 @@ const STABILITY_ABS: f64 = 1e-11;
 const DEFAULT_STALL_LIMIT: usize = 60;
 /// Ratio-test pivot tolerance.
 const PIVOT_TOL: f64 = 1e-9;
-/// Tolerance for accepting a warm-start basis as primal feasible.
-const WARM_TOL: f64 = 1e-7;
 
 /// Where a nonbasic variable currently sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,71 +50,6 @@ enum VState {
     Basic,
     AtLower,
     AtUpper,
-}
-
-/// An opaque snapshot of a simplex basis, reusable to warm-start a later
-/// solve of the *same* model or — built through
-/// [`BasisSnapshot::from_basic_columns`] — a grown model such as a
-/// column-generation master. Snapshots never reference artificial columns.
-#[derive(Debug, Clone)]
-pub struct BasisSnapshot {
-    basis: Vec<usize>,
-    state: Vec<VState>,
-}
-
-impl BasisSnapshot {
-    /// Build a snapshot from an explicit list of basic columns — structural
-    /// indices `0..n_cols` followed by logical (slack) indices
-    /// `n_cols..n_cols + n_rows` — one per row, with every other variable
-    /// parked at its lower bound. Callers with structural knowledge (e.g. a
-    /// column-generation master whose convexity rows each carry a
-    /// known-feasible breakpoint column) use this to skip phase 1; the
-    /// solver still validates the hint (non-singularity, primal
-    /// feasibility, bound re-seating) and silently falls back to a cold
-    /// start when it is wrong, so a bad hint costs time, never
-    /// correctness. Returns `None` only when the shape is impossible:
-    /// wrong count, an out-of-range index, or a repeated column.
-    pub fn from_basic_columns(n_rows: usize, n_cols: usize, basic: &[usize]) -> Option<Self> {
-        let n_base = n_cols + n_rows;
-        if basic.len() != n_rows {
-            return None;
-        }
-        let mut state = vec![VState::AtLower; n_base];
-        for &c in basic {
-            if c >= n_base || state[c] == VState::Basic {
-                return None;
-            }
-            state[c] = VState::Basic;
-        }
-        Some(Self {
-            basis: basic.to_vec(),
-            state,
-        })
-    }
-
-    /// The basic column indices, one per row (structural columns first,
-    /// then logicals), in basis order.
-    pub fn basic_columns(&self) -> &[usize] {
-        &self.basis
-    }
-}
-
-/// Result of a sparse LP solve: the familiar [`Solution`] plus the row
-/// duals and the final basis.
-#[derive(Debug, Clone)]
-pub struct LpOutcome {
-    /// Status, objective and primal values, exactly as [`solve_lp`] returns.
-    pub solution: Solution,
-    /// Row duals `π` (one per model constraint, in model row order),
-    /// scaled to the model's own sense: the reduced cost of a column with
-    /// objective `c` and entries `a` is `c − πᵀa`, positive meaning
-    /// "improving" for `Maximize` and negative for `Minimize`. Meaningful
-    /// when the status is `Optimal`; zeros otherwise.
-    pub duals: Vec<f64>,
-    /// Final basis, when it is warm-start reusable.
-    pub basis: Option<BasisSnapshot>,
-    /// Whether this solve reused a caller-supplied warm basis.
-    pub warm_started: bool,
 }
 
 enum LoopExit {
@@ -135,8 +68,7 @@ enum RatioOutcome {
 }
 
 /// A reusable sparse-LP workspace over one [`Model`]: the CSC build and all
-/// solver scratch are allocated once and reused across repeated solves,
-/// cold or from a warm basis.
+/// solver scratch are allocated once and reused across repeated solves.
 #[derive(Debug)]
 pub struct SparseLp {
     m: usize,
@@ -231,32 +163,18 @@ impl SparseLp {
     }
 
     /// Solve the LP, like [`solve_lp`] but reusing this workspace.
-    pub fn solve(&mut self) -> LpOutcome {
-        self.solve_inner(None, None, None)
+    pub fn solve(&mut self) -> Solution {
+        self.solve_inner(None, None)
     }
 
     /// [`SparseLp::solve`] under a [`SolveBudget`], with the dense engine's
     /// semantics: `Degraded` carries the best primal-feasible point found
     /// in time, `BudgetExceeded` means feasibility was never established.
-    pub fn solve_budgeted(&mut self, budget: &SolveBudget) -> LpOutcome {
-        self.solve_inner(budget.max_lp_iterations, budget.deadline(), None)
+    pub fn solve_budgeted(&mut self, budget: &SolveBudget) -> Solution {
+        self.solve_inner(budget.max_lp_iterations, budget.deadline())
     }
 
-    /// Budgeted solve that additionally tries to start from `warm` (a basis
-    /// returned by an earlier solve of the same workspace, or one built with
-    /// [`BasisSnapshot::from_basic_columns`]). A warm basis is used only
-    /// when it is still non-singular and primal feasible; the solver
-    /// silently falls back to a cold start otherwise.
-    pub fn solve_warm(&mut self, budget: &SolveBudget, warm: Option<&BasisSnapshot>) -> LpOutcome {
-        self.solve_inner(budget.max_lp_iterations, budget.deadline(), warm)
-    }
-
-    fn solve_inner(
-        &mut self,
-        iteration_cap: Option<usize>,
-        deadline: Option<Instant>,
-        warm: Option<&BasisSnapshot>,
-    ) -> LpOutcome {
+    fn solve_inner(&mut self, iteration_cap: Option<usize>, deadline: Option<Instant>) -> Solution {
         let n = self.n_struct;
         let m = self.m;
         let n_base = n + m;
@@ -279,19 +197,10 @@ impl SparseLp {
         self.etas.clear();
         self.banned.clear();
 
-        // A cold start may be needed twice: once up front, and once more if
-        // a numerically singular refactorisation poisons a warm run.
-        let mut tried_warm = false;
+        // A numerically singular refactorisation mid-solve restarts the
+        // solve once from the slack basis.
         for attempt in 0..2 {
-            let use_warm = attempt == 0 && warm.is_some();
-            let warm_ok = if use_warm {
-                // Seat nonbasic states on this model's bounds.
-                self.try_warm_start(warm)
-            } else {
-                false
-            };
-            tried_warm = tried_warm || warm_ok;
-            if !warm_ok && !self.cold_start() {
+            if !self.cold_start() {
                 // Even the slack/artificial crash basis failed to
                 // factorise: numerically hopeless, mirror the dense
                 // engine's "numerical failure reads as infeasible".
@@ -333,15 +242,10 @@ impl SparseLp {
             let status = match self.simplex_loop(iteration_cap, deadline) {
                 LoopExit::Optimal => SolveStatus::Optimal,
                 LoopExit::Unbounded => {
-                    return LpOutcome {
-                        solution: Solution {
-                            status: SolveStatus::Unbounded,
-                            objective: f64::INFINITY,
-                            values: vec![0.0; n],
-                        },
-                        duals: vec![0.0; m],
-                        basis: None,
-                        warm_started: tried_warm,
+                    return Solution {
+                        status: SolveStatus::Unbounded,
+                        objective: f64::INFINITY,
+                        values: vec![0.0; n],
                     };
                 }
                 LoopExit::Degraded => SolveStatus::Degraded,
@@ -369,29 +273,10 @@ impl SparseLp {
                 }
             }
             let objective: f64 = self.obj_orig.iter().zip(&values).map(|(c, x)| c * x).sum();
-            let duals = if status == SolveStatus::Optimal {
-                self.compute_duals();
-                self.duals_y.iter().map(|&y| self.sense_sign * y).collect()
-            } else {
-                vec![0.0; m]
-            };
-            let snapshot = if self.basis.iter().all(|&b| b < n_base) {
-                Some(BasisSnapshot {
-                    basis: self.basis.clone(),
-                    state: self.state[..n_base].to_vec(),
-                })
-            } else {
-                None
-            };
-            return LpOutcome {
-                solution: Solution {
-                    status,
-                    objective,
-                    values,
-                },
-                duals,
-                basis: snapshot,
-                warm_started: tried_warm,
+            return Solution {
+                status,
+                objective,
+                values,
             };
         }
         // Unreachable: the loop either returns or retries exactly once.
@@ -399,44 +284,6 @@ impl SparseLp {
     }
 
     // ---- start-up ------------------------------------------------------
-
-    /// Try to install a warm basis: must reference no artificials, stay
-    /// non-singular, and be primal feasible under the current bounds.
-    fn try_warm_start(&mut self, warm: Option<&BasisSnapshot>) -> bool {
-        let n_base = self.n_struct + self.m;
-        let Some(snap) = warm else { return false };
-        if snap.basis.len() != self.m
-            || snap.state.len() != n_base
-            || snap.basis.iter().any(|&b| b >= n_base)
-        {
-            return false;
-        }
-        self.basis = snap.basis.clone();
-        self.state = snap.state.clone();
-        self.art_rows.clear();
-        // Re-seat nonbasic variables on finite bounds (a hint parks every
-        // nonbasic at its lower bound, which is -inf for a >= row's slack).
-        for j in 0..n_base {
-            if self.state[j] == VState::Basic {
-                continue;
-            }
-            let (lo, hi) = self.bounds[j];
-            self.state[j] = match self.state[j] {
-                VState::AtUpper if hi.is_finite() => VState::AtUpper,
-                _ if lo.is_finite() => VState::AtLower,
-                _ if hi.is_finite() => VState::AtUpper,
-                _ => return false,
-            };
-        }
-        if !self.refactorise() {
-            return false;
-        }
-        // Primal feasible under the new bounds?
-        self.basis.iter().zip(&self.x_basic).all(|(&b, &x)| {
-            let (lo, hi) = self.bounds[b];
-            x >= lo - WARM_TOL && x <= hi + WARM_TOL
-        })
-    }
 
     /// Slack crash basis, with artificial columns for rows whose residual
     /// violates the slack bounds. Returns false when even this basis fails
@@ -847,33 +694,23 @@ impl SparseLp {
 
     // ---- canned outcomes ------------------------------------------------
 
-    fn outcome_infeasible(&self) -> LpOutcome {
-        LpOutcome {
-            solution: Solution {
-                status: SolveStatus::Infeasible,
-                objective: f64::NEG_INFINITY,
-                values: vec![0.0; self.n_struct],
-            },
-            duals: vec![0.0; self.m],
-            basis: None,
-            warm_started: false,
+    fn outcome_infeasible(&self) -> Solution {
+        Solution {
+            status: SolveStatus::Infeasible,
+            objective: f64::NEG_INFINITY,
+            values: vec![0.0; self.n_struct],
         }
     }
 
-    fn outcome_budget_exceeded(&self) -> LpOutcome {
-        LpOutcome {
-            solution: Solution {
-                status: SolveStatus::BudgetExceeded,
-                objective: if self.sense_sign > 0.0 {
-                    f64::NEG_INFINITY
-                } else {
-                    f64::INFINITY
-                },
-                values: vec![0.0; self.n_struct],
+    fn outcome_budget_exceeded(&self) -> Solution {
+        Solution {
+            status: SolveStatus::BudgetExceeded,
+            objective: if self.sense_sign > 0.0 {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
             },
-            duals: vec![0.0; self.m],
-            basis: None,
-            warm_started: false,
+            values: vec![0.0; self.n_struct],
         }
     }
 }
@@ -882,7 +719,7 @@ impl SparseLp {
 /// engine; [`crate::simplex::solve_lp_dense`] is the tableau reference
 /// implementation retained for parity testing.
 pub fn solve_lp(model: &Model) -> Solution {
-    SparseLp::new(model).solve().solution
+    SparseLp::new(model).solve()
 }
 
 /// [`solve_lp`] under a [`SolveBudget`]: when the budget runs out mid-solve
@@ -891,7 +728,7 @@ pub fn solve_lp(model: &Model) -> Solution {
 /// [`SolveStatus::BudgetExceeded`] if feasibility was never established.
 /// An unlimited budget reproduces [`solve_lp`] exactly.
 pub fn solve_lp_budgeted(model: &Model, budget: &SolveBudget) -> Solution {
-    SparseLp::new(model).solve_budgeted(budget).solution
+    SparseLp::new(model).solve_budgeted(budget)
 }
 
 #[cfg(test)]
@@ -990,76 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn duals_price_columns_correctly() {
-        // max 3x st. x <= 4 — the budget row's shadow price is 3.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
-            .unwrap();
-        let out = SparseLp::new(&m).solve();
-        assert_eq!(out.solution.status, SolveStatus::Optimal);
-        assert!((out.duals[0] - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_start_from_parent_bounds_is_used() {
-        // A small LP solved twice: the second solve warm-starts from the
-        // first one's basis.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous(0.0, 4.0, 3.0).unwrap();
-        let y = m.try_add_continuous(0.0, 6.0, 5.0).unwrap();
-        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
-            .unwrap();
-        let mut ws = SparseLp::new(&m);
-        let first = ws.solve();
-        assert_eq!(first.solution.status, SolveStatus::Optimal);
-        let warm = first.basis.as_ref();
-        let again = ws.solve_warm(&SolveBudget::unlimited(), warm);
-        assert!(again.warm_started);
-        assert_eq!(again.solution.status, SolveStatus::Optimal);
-        assert!((again.solution.objective - first.solution.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hand_built_basis_hint_warm_starts_a_colgen_shaped_master() {
-        // A tiny column-generation master: two convexity Eq rows (which a
-        // cold start can only satisfy through phase-1 artificials) plus a
-        // budget row. Hinting the breakpoint-0 column of each cell and the
-        // budget slack as basic skips phase 1 entirely.
-        let mut m = Model::new(Sense::Maximize);
-        let a0 = m.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
-        let a1 = m.try_add_continuous(0.0, f64::INFINITY, 2.0).unwrap();
-        let b0 = m.try_add_continuous(0.0, f64::INFINITY, 0.0).unwrap();
-        let b1 = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
-        m.try_add_constraint(&[(a0, 1.0), (a1, 1.0)], ConstraintOp::Eq, 1.0)
-            .unwrap();
-        m.try_add_constraint(&[(b0, 1.0), (b1, 1.0)], ConstraintOp::Eq, 1.0)
-            .unwrap();
-        m.try_add_constraint(&[(a1, 2.0), (b1, 3.0)], ConstraintOp::Le, 4.0)
-            .unwrap();
-        // Structural columns 0..4 (a0, a1, b0, b1), logicals 4..7; basic =
-        // {a0, b0, budget slack}.
-        let hint = BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 6]).unwrap();
-        let out = SparseLp::new(&m).solve_warm(&SolveBudget::unlimited(), Some(&hint));
-        assert!(out.warm_started);
-        assert_eq!(out.solution.status, SolveStatus::Optimal);
-        // Optimum: b1 = 1 (utility 5, cost 3), a1 = 1/2 (utility 1).
-        assert!((out.solution.objective - 6.0).abs() < 1e-9);
-
-        // Impossible shapes are rejected up front; a plausible-looking but
-        // singular hint (two columns hitting the same row) falls back to a
-        // cold start and still reaches the optimum.
-        assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2]).is_none());
-        assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 9]).is_none());
-        assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 2]).is_none());
-        let singular = BasisSnapshot::from_basic_columns(3, 4, &[0, 1, 6]).unwrap();
-        let fallback = SparseLp::new(&m).solve_warm(&SolveBudget::unlimited(), Some(&singular));
-        assert!(!fallback.warm_started);
-        assert_eq!(fallback.solution.status, SolveStatus::Optimal);
-        assert!((fallback.solution.objective - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn bland_only_mode_still_terminates_at_the_optimum() {
         // Beale's classic cycling instance: Dantzig with unlucky
         // tie-breaking cycles forever; Bland's rule terminates. Forcing
@@ -1086,8 +853,8 @@ mod tests {
         let mut ws = SparseLp::new(&m);
         ws.set_stall_limit(0);
         let out = ws.solve();
-        assert_eq!(out.solution.status, SolveStatus::Optimal);
-        assert!((out.solution.objective - 0.05).abs() < 1e-9);
+        assert_eq!(out.status, SolveStatus::Optimal);
+        assert!((out.objective - 0.05).abs() < 1e-9);
         // And the default (Dantzig + stall fallback) agrees.
         let default = solve_lp(&m);
         assert_eq!(default.status, SolveStatus::Optimal);

@@ -148,8 +148,8 @@ fn cycling_instance_terminates_via_bland_fallback() {
     let mut ws = SparseLp::new(&m);
     ws.set_stall_limit(0);
     let bland = ws.solve();
-    assert_eq!(bland.solution.status, SolveStatus::Optimal);
-    assert!((bland.solution.objective - 0.05).abs() < 1e-9);
+    assert_eq!(bland.status, SolveStatus::Optimal);
+    assert!((bland.objective - 0.05).abs() < 1e-9);
 
     // And the dense reference agrees.
     let dense = solve_lp_dense(&m);

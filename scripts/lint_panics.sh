@@ -41,7 +41,7 @@ allowlist() {
 7 crates/ml/src/snapshot.rs
 1 crates/ml/src/traits.rs
 1 crates/plan/src/game.rs
-7 crates/plan/src/pwl.rs
+5 crates/plan/src/pwl.rs
 3 crates/plan/src/routes.rs
 5 crates/sim/src/behaviour.rs
 2 crates/sim/src/patrol.rs

@@ -136,14 +136,14 @@ fn large_park_pipeline_runs_end_to_end() {
 
 #[test]
 #[cfg(not(debug_assertions))]
-fn large_park_sparse_planner_solves_a_park_wide_allocation() {
+fn large_park_planner_plans_a_park_wide_allocation() {
     // The LLC-scale planning claim end to end: fit a model on a 50k-cell
-    // park, sample its response curves, and solve a *park-wide* allocation
-    // (a patrol length long enough that every cell is a candidate — the
-    // ~550k-λ LP the column-generation planner over the sparse revised
-    // simplex exists for; the dense tableau would need tens of gigabytes).
-    // Budgeted and unbudgeted solves must both come back Optimal and
-    // identical.
+    // park, sample its response curves, and plan a *park-wide* allocation
+    // (a patrol length long enough that every cell is a candidate — an
+    // allocation of ~550k breakpoints, which the greedy envelope fill
+    // plans without an LP; the dense tableau would need tens of
+    // gigabytes). Budgeted and unbudgeted plans must both come back
+    // Optimal and identical.
     use paws_solver::{SolveBudget, SolveStatus};
     use std::time::Duration;
 

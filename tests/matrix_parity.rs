@@ -23,9 +23,7 @@ use paws_ml::gp::{GaussianProcess, GpConfig};
 use paws_ml::svm::{LinearSvm, SvmConfig};
 use paws_ml::traits::{Classifier, UncertainClassifier};
 use paws_ml::tree::{DecisionTree, TreeConfig};
-use paws_plan::{
-    try_plan, Decomposition, PatrolPlan, PlannerConfig, PlannerMethod, PlanningProblem,
-};
+use paws_plan::{try_plan, PatrolPlan, PlannerConfig, PlannerMethod, PlanningProblem};
 use paws_solver::{SolveBudget, SolveStatus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -943,12 +941,12 @@ fn f32_plane_bits_match_the_pinned_goldens_on_the_test_park() {
 // Bit pins of patrol plans.
 // ---------------------------------------------------------------------------
 //
-// The planner tests compare plans with each other (column generation
-// against the full model, flow against allocation, budgeted against
-// unbudgeted), so a change that moved every plan's last bits alike would
-// pass them. These pins fix each plan's exact bits: FNV-1a 64 over the
-// coverage followed by the objective, plus the status and both solve
-// counters.
+// The planner tests compare plans with each other and with an LP oracle
+// (flow against allocation, budgeted against unbudgeted, the greedy fill
+// against the LP optimum within 1e-9), so a change that moved every
+// plan's last bits alike would pass them. These pins fix each plan's
+// exact bits: FNV-1a 64 over the coverage followed by the objective, plus
+// the status and both solve counters.
 
 #[derive(Debug, PartialEq, Eq)]
 struct PlanPin {
@@ -1003,63 +1001,33 @@ fn synthetic_plan_problem(beta: f64, patrol_length_km: f64, n_patrols: usize) ->
 
 const PLAN_BETAS: [f64; 3] = [0.0, 0.5, 1.0];
 
-/// T = 8 km, K = 2, `Decomposition::FullModel`, one pin per β in
+/// The greedy allocation plan at T = 8 km, K = 2, one pin per β in
 /// [`PLAN_BETAS`].
-const GOLDEN_PLAN_FULL: [PlanPin; 3] = [
+const GOLDEN_PLAN_ALLOCATION: [PlanPin; 3] = [
     PlanPin {
-        bits: 0xe4a1_dbe6_709b_0725,
+        bits: 0xe734_3c7a_a90a_a984,
         status: SolveStatus::Optimal,
-        lp_solves: 1,
+        lp_solves: 0,
         nodes: 0,
     },
     PlanPin {
-        bits: 0x4be7_4a59_7d58_946f,
+        bits: 0x47a7_5f09_ad41_f6fa,
         status: SolveStatus::Optimal,
-        lp_solves: 1,
+        lp_solves: 0,
         nodes: 0,
     },
     PlanPin {
-        bits: 0x1d9e_b31b_5284_6ffa,
+        bits: 0x6fc3_ed98_28e2_8370,
         status: SolveStatus::Optimal,
-        lp_solves: 1,
-        nodes: 0,
-    },
-];
-/// The same problems under `Decomposition::ColumnGeneration`.
-const GOLDEN_PLAN_CG: [PlanPin; 3] = [
-    PlanPin {
-        bits: 0x9a94_77ad_cca1_2f02,
-        status: SolveStatus::Optimal,
-        lp_solves: 1,
-        nodes: 0,
-    },
-    PlanPin {
-        bits: 0x446b_d252_31d7_f8c8,
-        status: SolveStatus::Optimal,
-        lp_solves: 1,
-        nodes: 0,
-    },
-    PlanPin {
-        bits: 0x1d9e_b31b_5284_6ffa,
-        status: SolveStatus::Optimal,
-        lp_solves: 1,
+        lp_solves: 0,
         nodes: 0,
     },
 ];
-/// T = 80 km, K = 2, β = 0.5 under the default `Decomposition::Auto`:
-/// every test-park cell is a candidate, so the λ count crosses the
-/// column-generation threshold.
-const GOLDEN_PLAN_AUTO_WIDE: PlanPin = PlanPin {
-    bits: 0x7ef0_b3e7_6cc8_bb14,
+/// T = 80 km, K = 2, β = 0.5: every test-park cell is a candidate.
+const GOLDEN_PLAN_WIDE: PlanPin = PlanPin {
+    bits: 0x067e_d9aa_43fc_fa7c,
     status: SolveStatus::Optimal,
-    lp_solves: 1,
-    nodes: 0,
-};
-/// T = 8 km, K = 3, β = 0.5 with a zero time limit: the greedy fallback.
-const GOLDEN_PLAN_ZERO_BUDGET: PlanPin = PlanPin {
-    bits: 0xd50a_ed69_86b1_97b7,
-    status: SolveStatus::Degraded,
-    lp_solves: 1,
+    lp_solves: 0,
     nodes: 0,
 };
 /// The flow formulation on the tiny instance: T = 4 km, K = 1, β = 0,
@@ -1074,26 +1042,18 @@ const GOLDEN_PLAN_FLOW: PlanPin = PlanPin {
 /// plane, planned through a prepared park: post 0, grid
 /// `[0, 0.5, 1, 2, 4]`, T = 8 km, K = 2, β = 0.8.
 const GOLDEN_PLAN_PREPARED: PlanPin = PlanPin {
-    bits: 0xc129_d0f0_58b8_ee87,
+    bits: 0xfdcb_0dec_d89f_e91d,
     status: SolveStatus::Optimal,
-    lp_solves: 1,
+    lp_solves: 0,
     nodes: 0,
 };
 
 #[test]
 fn allocation_plans_match_the_pinned_bits() {
-    for (decomposition, goldens) in [
-        (Decomposition::FullModel, &GOLDEN_PLAN_FULL),
-        (Decomposition::ColumnGeneration, &GOLDEN_PLAN_CG),
-    ] {
-        let config = PlannerConfig {
-            decomposition,
-            ..PlannerConfig::default()
-        };
-        for (beta, golden) in PLAN_BETAS.into_iter().zip(goldens) {
-            let plan = try_plan(&synthetic_plan_problem(beta, 8.0, 2), &config).unwrap();
-            assert_eq!(&plan_pin(&plan), golden, "{decomposition:?} at beta {beta}");
-        }
+    let config = PlannerConfig::default();
+    for (beta, golden) in PLAN_BETAS.into_iter().zip(&GOLDEN_PLAN_ALLOCATION) {
+        let plan = try_plan(&synthetic_plan_problem(beta, 8.0, 2), &config).unwrap();
+        assert_eq!(&plan_pin(&plan), golden, "beta {beta}");
     }
 
     let wide = synthetic_plan_problem(0.5, 80.0, 2);
@@ -1101,15 +1061,21 @@ fn allocation_plans_match_the_pinned_bits() {
         wide.n_cells(),
         paws_geo::Park::generate(&paws_geo::parks::test_park_spec(), 7).n_cells()
     );
-    let plan = try_plan(&wide, &PlannerConfig::default()).unwrap();
-    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_AUTO_WIDE, "Auto, every cell");
+    let plan = try_plan(&wide, &config).unwrap();
+    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_WIDE, "every cell");
 
-    let config = PlannerConfig {
+    // An allocation plan needs no solver, so a lapsed budget returns the
+    // unbudgeted plan.
+    let problem = synthetic_plan_problem(0.5, 8.0, 3);
+    let starved = PlannerConfig {
         budget: SolveBudget::with_time_limit(std::time::Duration::ZERO),
         ..PlannerConfig::default()
     };
-    let plan = try_plan(&synthetic_plan_problem(0.5, 8.0, 3), &config).unwrap();
-    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_ZERO_BUDGET, "zero budget");
+    assert_eq!(
+        plan_pin(&try_plan(&problem, &starved).unwrap()),
+        plan_pin(&try_plan(&problem, &config).unwrap()),
+        "zero budget"
+    );
 }
 
 #[test]

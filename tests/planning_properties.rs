@@ -133,29 +133,32 @@ fn budgeted(budget: SolveBudget) -> PlannerConfig {
     }
 }
 
-/// Fig. 8-scale robustness: a ~1 ms wall-clock budget must come back fast
-/// with a feasible incumbent explicitly tagged `Degraded` — no hang, no
-/// panic — and its coverage must respect the km budget and per-cell caps.
+/// Fig. 8-scale deadline: an allocation plan is the greedy fill and needs
+/// no solver, so a ~1 ms wall-clock budget neither degrades nor slows it.
+/// It must come back `Optimal` and bit-identical to the unbudgeted plan.
 #[test]
-fn qenp_scale_deadline_returns_degraded_feasible_incumbent() {
+fn qenp_scale_deadline_leaves_the_allocation_plan_unchanged() {
     let problem = qenp_scale_problem();
+    let free = try_plan(&problem, &PlannerConfig::default()).unwrap();
     let config = budgeted(SolveBudget::with_time_limit(Duration::from_millis(1)));
     let t0 = Instant::now();
-    let p = try_plan(&problem, &config).expect("budget exhaustion degrades, never errors");
+    let p = try_plan(&problem, &config).expect("a deadline never fails an allocation plan");
     assert!(
         t0.elapsed() < Duration::from_secs(30),
-        "1 ms deadline failed to bound the solve ({:?})",
+        "1 ms deadline plan took {:?}",
         t0.elapsed()
     );
-    assert_eq!(p.status, SolveStatus::Degraded);
+    assert_eq!(p.status, SolveStatus::Optimal);
+    assert_eq!(p.lp_solves, 0);
+    assert_eq!(p.coverage, free.coverage);
+    assert_eq!(p.objective.to_bits(), free.objective.to_bits());
     let total: f64 = p.coverage.iter().sum();
     assert!(total <= problem.budget_km() + 1e-6, "over budget: {total}");
     for (i, &c) in p.coverage.iter().enumerate() {
         assert!(c >= -1e-9, "cell {i} negative: {c}");
         assert!(c <= problem.max_effort(i) + 1e-6, "cell {i} over cap: {c}");
     }
-    assert!(total > 0.0, "degraded incumbent allocated nothing");
-    assert!(p.objective.is_finite() && p.objective > 0.0);
+    assert!(total > 0.0, "the plan allocated nothing");
 }
 
 /// A generous budget must be a strict identity: exactly the plan the
