@@ -10,30 +10,34 @@
 //! label) triples produced during cross-validation. Weights live on the
 //! probability simplex; per test point only the qualified learners'
 //! (renormalised) weights contribute. The simplex is parameterised with a
-//! softmax and optimised by gradient descent with a central-difference
-//! gradient, so each iteration scores 2·L perturbed weight vectors (L ≤ 20
-//! learners) and one candidate step.
+//! softmax and optimised by gradient descent on the exact gradient of the
+//! loss, so each iteration scores one candidate step.
 //!
 //! # The fused pass
 //!
 //! Thresholds are strictly ascending, so a point's qualified learners are
-//! always a prefix `0..k`. A weight vector's prefix sum Σ_{j<k} w_j then
-//! depends on `k` alone, not on the point. [`optimize_weights`] scores all
-//! 2·L central-difference vectors of an iteration in one pass over the
-//! flat `points × learners` prediction matrix: the vectors sit side by
-//! side in groups of four, each with its own prefix sums (computed once
-//! per pass), weighted-sum accumulator and running loss, so every
-//! prediction row is read once for all of them. The candidate step is
-//! scored in a second pass, and a rejected step keeps its gradient (`z`
-//! did not move, so recomputing it would give the same bits).
+//! always a prefix `0..k`. A weight vector's prefix sum W_k = Σ_{j<k} w_j
+//! then depends on `k` alone, not on the point, and is computed once per
+//! pass. One pass over the flat `points × learners` prediction matrix
+//! gives a weight vector's loss and its gradient together:
 //!
-//! The pass is bit-identical to scoring each vector on its own with
-//! [`combine`]: per vector it runs the same IEEE operations in the same
-//! order — prefix and weighted sums in learner order from 0.0, the
-//! `≤ 1e-12` unweighted-mean fallback, the clamp, the `ln`, and the
-//! running total in point order divided by n — with no fused
-//! multiply-add and no reassociation. Losses, gradients, accepted steps
-//! and so the weights are exactly those of the per-vector solve.
+//! * **The loss** runs [`combine`]'s IEEE operations in its order —
+//!   prefix and weighted sums in learner order from 0.0, the `≤ 1e-12`
+//!   unweighted-mean fallback — then the clamp and the `ln`, with the
+//!   running total in point order divided by n. A weight vector's loss
+//!   has exactly the bits of scoring it point by point with [`combine`].
+//! * **The gradient.** A point's combined probability is
+//!   p = Σ_{j<k} w_j P_j / W_k, so ∂p/∂w_j = (P_j − p) / W_k for every
+//!   qualified learner j. An unclamped point adds dℓ/dp · (P_j − p) / W_k
+//!   to each of them; the −p terms are summed once per prefix length and
+//!   subtracted as a suffix sum. A clamped point, and one that takes the
+//!   unweighted-mean fallback, is flat in the weights and adds 0. The
+//!   softmax then gives ∂L/∂z_j = w_j (g_j − Σ_l w_l g_l) / n.
+//!
+//! [`optimize_weights`] runs one pass at the start and one per iteration,
+//! on the candidate step: an accepted candidate's gradient is the next
+//! step's, and a rejected step keeps the last accepted gradient (`z` did
+//! not move).
 
 use paws_data::matrix::MatrixView;
 
@@ -72,9 +76,6 @@ pub(crate) const DEGENERATE_WSUM: f64 = 1e-12;
 /// Log-loss clamp keeping predictions of exactly 0 or 1 finite.
 const EPS: f64 = 1e-9;
 
-/// Weight vectors scored side by side per prediction row.
-const LANES: usize = 4;
-
 /// Combine learner probabilities for one point whose qualified learners
 /// are the prefix `0..k` (see [`crate::thresholds::qualified_count`]):
 /// renormalise their weights and take the weighted average.
@@ -102,112 +103,81 @@ fn softmax(z: &[f64]) -> Vec<f64> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
-/// Up to [`LANES`] weight vectors stored learner-major, so one prediction
-/// row updates all of them: `weights[j][lane]` is learner `j`'s weight in
-/// vector `lane`, and `prefix[k - 1][lane]` its prefix sum over `0..k`,
-/// added in learner order from 0.0. `degenerate[k - 1]` says whether any
-/// vector's prefix sum over `0..k` takes the unweighted-mean fallback.
-/// Unused lanes hold zero weights and are never scored.
-struct LaneGroup {
-    weights: Vec<[f64; LANES]>,
-    prefix: Vec<[f64; LANES]>,
-    degenerate: Vec<bool>,
-}
-
-impl LaneGroup {
-    fn new(vectors: &[Vec<f64>]) -> Self {
-        let n_learners = vectors[0].len();
-        let mut weights = vec![[0.0; LANES]; n_learners];
-        let mut prefix = vec![[0.0; LANES]; n_learners];
-        for (lane, w) in vectors.iter().enumerate() {
-            let mut wsum = 0.0;
-            for (j, &wj) in w.iter().enumerate() {
-                wsum += wj;
-                weights[j][lane] = wj;
-                prefix[j][lane] = wsum;
-            }
-        }
-        let degenerate = prefix
-            .iter()
-            .map(|wsum| wsum[..vectors.len()].iter().any(|&s| s <= DEGENERATE_WSUM))
-            .collect();
-        Self {
-            weights,
-            prefix,
-            degenerate,
-        }
+/// A point's log loss at combined probability `prob`, clamped to
+/// `[EPS, 1 − EPS]`.
+fn point_loss(prob: f64, y: f64) -> f64 {
+    let prob = prob.clamp(EPS, 1.0 - EPS);
+    if y > 0.5 {
+        -prob.ln()
+    } else {
+        -(1.0 - prob).ln()
     }
 }
 
-/// Mean log loss of the combined predictions under each weight vector,
-/// all scored in one pass over the prediction rows. `qualified[i]` is
-/// point `i`'s qualified-prefix length. Each loss has the bits that
-/// [`combine`], the clamp and `ln` give the vector scored on its own.
-fn log_losses(
+/// Mean log loss of the combined predictions under the simplex weights
+/// `w = softmax(z)`, and its gradient with respect to `z`, in one pass over
+/// the prediction rows. `qualified[i]` is point `i`'s qualified-prefix
+/// length. The loss has the bits that [`combine`], the clamp and `ln` give
+/// point by point.
+fn loss_and_gradient(
     predictions: MatrixView<'_>,
     qualified: &[usize],
     labels: &[f64],
-    vectors: &[Vec<f64>],
-) -> Vec<f64> {
-    let groups: Vec<LaneGroup> = vectors.chunks(LANES).map(LaneGroup::new).collect();
-    let mut totals = vec![0.0; vectors.len()];
-    // Per lane, the argument of the point's `ln`: the clamped combined
-    // probability, or one minus it for a negative label.
-    let mut ln_args = vec![[0.0; LANES]; groups.len()];
-    for ((row, &k), &y) in predictions.rows().zip(qualified).zip(labels) {
-        let p = &row[..k];
-        // The qualified learners' unweighted mean, computed only when some
-        // vector's prefix weight sum vanishes at `k`.
-        let mut mean = None;
-        for (group, args) in groups.iter().zip(&mut ln_args) {
-            let mut acc = [0.0; LANES];
-            for (w, &pj) in group.weights.iter().zip(p) {
-                for (a, &wl) in acc.iter_mut().zip(w) {
-                    *a += wl * pj;
-                }
-            }
-            let wsum = &group.prefix[k - 1];
-            let mut prob: [f64; LANES] = std::array::from_fn(|lane| acc[lane] / wsum[lane]);
-            if group.degenerate[k - 1] {
-                let mean = *mean.get_or_insert_with(|| p.iter().sum::<f64>() / k as f64);
-                for (pr, &s) in prob.iter_mut().zip(wsum) {
-                    if s <= DEGENERATE_WSUM {
-                        *pr = mean;
-                    }
-                }
-            }
-            let prob = prob.map(|pr| pr.clamp(EPS, 1.0 - EPS));
-            *args = if y > 0.5 {
-                prob
-            } else {
-                prob.map(|pr| 1.0 - pr)
-            };
-        }
-        for (total, &arg) in totals.iter_mut().zip(ln_args.iter().flatten()) {
-            *total += -arg.ln();
-        }
-    }
-    let n = labels.len().max(1) as f64;
-    totals.iter().map(|&t| t / n).collect()
-}
-
-/// Central-difference gradient at `z` in the softmax parameterisation,
-/// with the 2·L perturbed vectors scored in one fused pass.
-fn central_difference(z: &[f64], losses: impl Fn(&[Vec<f64>]) -> Vec<f64>) -> Vec<f64> {
-    let h = 1e-4;
-    let vectors: Vec<Vec<f64>> = (0..z.len())
-        .flat_map(|j| {
-            let mut zp = z.to_vec();
-            zp[j] += h;
-            let mut zm = z.to_vec();
-            zm[j] -= h;
-            [softmax(&zp), softmax(&zm)]
+    w: &[f64],
+) -> (f64, Vec<f64>) {
+    let prefix: Vec<f64> = w
+        .iter()
+        .scan(0.0, |wsum, &wj| {
+            *wsum += wj;
+            Some(*wsum)
         })
         .collect();
-    losses(&vectors)
-        .chunks_exact(2)
-        .map(|pm| (pm[0] - pm[1]) / (2.0 * h))
-        .collect()
+    let mut total = 0.0;
+    // g_j before the −p terms: Σ dℓ/dp · P_j / W_k over the points that
+    // qualify learner j.
+    let mut grad_w = vec![0.0; w.len()];
+    // Σ dℓ/dp · p / W_k over the points of prefix length k, at k − 1.
+    let mut by_prefix = vec![0.0; w.len()];
+    for ((row, &k), &y) in predictions.rows().zip(qualified).zip(labels) {
+        let p = &row[..k];
+        let wsum = prefix[k - 1];
+        if wsum <= DEGENERATE_WSUM {
+            total += point_loss(p.iter().sum::<f64>() / k as f64, y);
+            continue;
+        }
+        let mut acc = 0.0;
+        for (&wj, &pj) in w.iter().zip(p) {
+            acc += wj * pj;
+        }
+        let prob = acc / wsum;
+        total += point_loss(prob, y);
+        if !(EPS..=1.0 - EPS).contains(&prob) {
+            continue;
+        }
+        let slope = if y > 0.5 {
+            -1.0 / prob
+        } else {
+            1.0 / (1.0 - prob)
+        } / wsum;
+        for (g, &pj) in grad_w.iter_mut().zip(p) {
+            *g += slope * pj;
+        }
+        by_prefix[k - 1] += slope * prob;
+    }
+    // Learner j qualifies in every prefix longer than j.
+    let mut suffix = 0.0;
+    for (g, &s) in grad_w.iter_mut().zip(&by_prefix).rev() {
+        suffix += s;
+        *g -= suffix;
+    }
+    let n = labels.len().max(1) as f64;
+    let mean: f64 = w.iter().zip(&grad_w).map(|(wj, gj)| wj * gj).sum();
+    let grad_z = w
+        .iter()
+        .zip(&grad_w)
+        .map(|(wj, gj)| wj * (gj - mean) / n)
+        .collect();
+    (total / n, grad_z)
 }
 
 /// Fit simplex weights minimising the cross-validated log loss.
@@ -245,30 +215,24 @@ pub fn optimize_weights(
     if n_learners == 1 {
         return vec![1.0];
     }
-    let losses = |vectors: &[Vec<f64>]| log_losses(predictions, qualified, labels, vectors);
+    let pass = |w: &[f64]| loss_and_gradient(predictions, qualified, labels, w);
 
     let mut z = vec![0.0; n_learners];
     let mut lr = 0.5;
     let mut best_w = softmax(&z);
-    let mut best_loss = losses(std::slice::from_ref(&best_w))[0];
     // The gradient at `z`, kept while steps are rejected (they leave `z`
     // unchanged).
-    let mut grad: Option<Vec<f64>> = None;
+    let (mut best_loss, mut grad) = pass(&best_w);
 
     for _ in 0..iterations {
-        let g = grad.get_or_insert_with(|| central_difference(&z, losses));
-        let candidate: Vec<f64> = z
-            .iter()
-            .zip(g.iter())
-            .map(|(zi, gi)| zi - lr * gi)
-            .collect();
+        let candidate: Vec<f64> = z.iter().zip(&grad).map(|(zi, gi)| zi - lr * gi).collect();
         let cand_w = softmax(&candidate);
-        let cand_loss = losses(std::slice::from_ref(&cand_w))[0];
+        let (cand_loss, cand_grad) = pass(&cand_w);
         if cand_loss < best_loss {
             best_loss = cand_loss;
             best_w = cand_w;
             z = candidate;
-            grad = None;
+            grad = cand_grad;
             lr = (lr * 1.1).min(2.0);
         } else {
             lr *= 0.5;
@@ -287,8 +251,8 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    /// The per-vector log loss the fused pass replaced: one full pass over
-    /// nested rows and qualified-prefix lengths per weight vector.
+    /// The per-vector log loss, one full pass over nested rows and
+    /// qualified-prefix lengths per weight vector.
     fn weighted_log_loss(
         predictions: &[Vec<f64>],
         qualified: &[usize],
@@ -308,38 +272,47 @@ mod tests {
         total / labels.len().max(1) as f64
     }
 
-    /// The optimiser the fused solve replaced: 2·L + 1 separate loss
-    /// passes per iteration and the gradient recomputed every iteration.
-    /// Returns the weights and the number of steps accepted right after a
-    /// rejection: the steps the fused solve takes on a kept gradient.
+    /// Central difference of [`weighted_log_loss`] in the softmax
+    /// parameters at `z`.
+    fn central_difference(
+        predictions: &[Vec<f64>],
+        qualified: &[usize],
+        labels: &[f64],
+        z: &[f64],
+    ) -> Vec<f64> {
+        let h = 1e-4;
+        (0..z.len())
+            .map(|j| {
+                let mut zp = z.to_vec();
+                zp[j] += h;
+                let lp = weighted_log_loss(predictions, qualified, labels, &softmax(&zp));
+                let mut zm = z.to_vec();
+                zm[j] -= h;
+                let lm = weighted_log_loss(predictions, qualified, labels, &softmax(&zm));
+                (lp - lm) / (2.0 * h)
+            })
+            .collect()
+    }
+
+    /// The optimiser with the central-difference gradient: 2·L + 1
+    /// separate loss passes per iteration and the gradient recomputed every
+    /// iteration.
     fn reference_optimize_weights(
         predictions: &[Vec<f64>],
         qualified: &[usize],
         labels: &[f64],
         iterations: usize,
-    ) -> (Vec<f64>, usize) {
+    ) -> Vec<f64> {
         let n_learners = predictions[0].len();
         if n_learners == 1 {
-            return (vec![1.0], 0);
+            return vec![1.0];
         }
         let mut z = vec![0.0; n_learners];
         let mut lr = 0.5;
         let mut best_w = softmax(&z);
         let mut best_loss = weighted_log_loss(predictions, qualified, labels, &best_w);
-        let mut after_rejection = false;
-        let mut kept_gradient_steps = 0;
         for _ in 0..iterations {
-            let h = 1e-4;
-            let mut grad = vec![0.0; n_learners];
-            for j in 0..n_learners {
-                let mut zp = z.clone();
-                zp[j] += h;
-                let lp = weighted_log_loss(predictions, qualified, labels, &softmax(&zp));
-                let mut zm = z.clone();
-                zm[j] -= h;
-                let lm = weighted_log_loss(predictions, qualified, labels, &softmax(&zm));
-                grad[j] = (lp - lm) / (2.0 * h);
-            }
+            let grad = central_difference(predictions, qualified, labels, &z);
             let candidate: Vec<f64> = z.iter().zip(&grad).map(|(zi, gi)| zi - lr * gi).collect();
             let cand_w = softmax(&candidate);
             let cand_loss = weighted_log_loss(predictions, qualified, labels, &cand_w);
@@ -348,17 +321,14 @@ mod tests {
                 best_w = cand_w;
                 z = candidate;
                 lr = (lr * 1.1).min(2.0);
-                kept_gradient_steps += usize::from(after_rejection);
-                after_rejection = false;
             } else {
-                after_rejection = true;
                 lr *= 0.5;
                 if lr < 1e-4 {
                     break;
                 }
             }
         }
-        (best_w, kept_gradient_steps)
+        best_w
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -424,25 +394,125 @@ mod tests {
 
         #[test]
         fn fused_solver_matches_the_reference_optimizer(seed in 0.0..1e9) {
+            // The solve starts at the uniform weights and only accepts
+            // steps that lower the loss, and it must land as low as the
+            // central-difference optimiser, to 1e-6 relative.
             let mut rng = ChaCha8Rng::seed_from_u64(seed as u64);
             let (predictions, qualified, labels) = random_cache(&mut rng);
             let iterations = rng.gen_range(0..200);
-            let fused = optimize_weights(predictions.view(), &qualified, &labels, iterations);
+            let n_learners = predictions.n_cols();
+            let solved = optimize_weights(predictions.view(), &qualified, &labels, iterations);
             let rows = predictions.to_rows();
-            let (reference, _) = reference_optimize_weights(&rows, &qualified, &labels, iterations);
+            let reference = reference_optimize_weights(&rows, &qualified, &labels, iterations);
+            let loss = |w: &[f64]| weighted_log_loss(&rows, &qualified, &labels, w);
+            let uniform = vec![1.0 / n_learners as f64; n_learners];
+            let (solved, reference, uniform) = (loss(&solved), loss(&reference), loss(&uniform));
             proptest::prop_assert!(
-                bits(&fused) == bits(&reference),
-                "case seed {seed}: {} points x {} learners, {iterations} iterations",
-                labels.len(),
-                predictions.n_cols()
+                solved <= uniform && solved <= reference * (1.0 + 1e-6),
+                "case seed {seed}: {} points x {n_learners} learners, {iterations} iterations: \
+                 loss {solved:e}, uniform {uniform:e}, reference {reference:e}",
+                labels.len()
             );
         }
+
+        #[test]
+        fn analytic_gradient_matches_a_central_difference(seed in 0.0..1e9) {
+            // Probabilities stay clear of the clamp: next to 1 − 1e-9,
+            // `1 − p` cancels and the central difference reads rounding
+            // noise where the exact gradient is 0.
+            let mut rng = ChaCha8Rng::seed_from_u64(seed as u64);
+            let (predictions, qualified, labels) = random_cache(&mut rng);
+            let n_learners = predictions.n_cols();
+            let flat = predictions.rows().flatten().map(|&p| 1e-3 + p * (1.0 - 2e-3)).collect();
+            let predictions = Matrix::from_flat(flat, n_learners);
+            let rows = predictions.to_rows();
+            let random_z = (0..n_learners).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            for z in [vec![0.0; n_learners], random_z] {
+                let (_, analytic) =
+                    loss_and_gradient(predictions.view(), &qualified, &labels, &softmax(&z));
+                let numeric = central_difference(&rows, &qualified, &labels, &z);
+                let scale = analytic.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+                let error = analytic
+                    .iter()
+                    .zip(&numeric)
+                    .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                proptest::prop_assert!(
+                    error <= 1e-6 * scale + 1e-9,
+                    "case seed {seed}: {} points x {n_learners} learners at z = {z:?}: \
+                     error {error:e} against max-norm {scale:e}",
+                    labels.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clamped_and_degenerate_points_add_nothing_to_the_gradient() {
+        // Learner 0 has weight exactly 0, so prefix length 1 takes the
+        // unweighted-mean fallback (its points would otherwise divide by
+        // W_1 = 0), and every longer prefix combines to a probability
+        // outside [1e-9, 1 − 1e-9].
+        let w = [0.0, 0.25, 0.75];
+        let rows = [
+            (vec![0.3, 0.6, 0.2], 1, 1.0),
+            (vec![0.9, 0.1, 0.5], 1, 0.0),
+            (vec![0.5, 0.0, 0.0], 3, 1.0),
+            (vec![0.5, 0.0, 0.0], 2, 0.0),
+            (vec![0.1, 1.0, 1.0], 3, 0.0),
+            (vec![0.1, 1.0, 1.0], 2, 1.0),
+            (vec![0.4, 0.0, 5e-10], 3, 1.0),
+            (vec![0.7, 1e-12, 1e-10], 3, 0.0),
+            (vec![0.2, (1.0 - EPS).next_up(), 1.0], 2, 1.0),
+        ];
+        let predictions = Matrix::from_rows(&rows.iter().map(|r| r.0.clone()).collect::<Vec<_>>());
+        let qualified: Vec<usize> = rows.iter().map(|r| r.1).collect();
+        let labels: Vec<f64> = rows.iter().map(|r| r.2).collect();
+        let (loss, grad) = loss_and_gradient(predictions.view(), &qualified, &labels, &w);
+        assert!(loss > 1.0, "clamped points still score: {loss}");
+        assert!(grad.iter().all(|&g| g == 0.0), "{grad:?}");
+        // The same cache with learner 0 weighted has a gradient.
+        let (_, grad) =
+            loss_and_gradient(predictions.view(), &qualified, &labels, &[0.5, 0.25, 0.25]);
+        assert!(grad.iter().any(|&g| g != 0.0), "{grad:?}");
     }
 
     #[test]
     fn rejected_steps_reuse_the_gradient_bit_identically() {
         // Long runs on small caches: a step that overshoots is rejected,
         // and the halved step that follows goes along the kept gradient.
+        // The solve must match a loop that recomputes the gradient at `z`
+        // on every iteration.
+        let recomputing = |predictions: &Matrix, qualified: &[usize], labels: &[f64]| {
+            let pass = |w: &[f64]| loss_and_gradient(predictions.view(), qualified, labels, w);
+            let n_learners = predictions.n_cols();
+            let mut z = vec![0.0; n_learners];
+            let mut lr = 0.5;
+            let mut best_w = softmax(&z);
+            let mut best_loss = pass(&best_w).0;
+            let (mut after_rejection, mut kept_gradient_steps) = (false, 0);
+            for _ in 0..199 {
+                let (_, grad) = pass(&softmax(&z));
+                let candidate: Vec<f64> =
+                    z.iter().zip(&grad).map(|(zi, gi)| zi - lr * gi).collect();
+                let cand_w = softmax(&candidate);
+                let cand_loss = pass(&cand_w).0;
+                if cand_loss < best_loss {
+                    best_loss = cand_loss;
+                    best_w = cand_w;
+                    z = candidate;
+                    lr = (lr * 1.1).min(2.0);
+                    kept_gradient_steps += usize::from(after_rejection);
+                    after_rejection = false;
+                } else {
+                    after_rejection = true;
+                    lr *= 0.5;
+                    if lr < 1e-4 {
+                        break;
+                    }
+                }
+            }
+            (best_w, kept_gradient_steps)
+        };
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut kept_gradient_steps = 0;
         for _ in 0..300 {
@@ -450,10 +520,9 @@ mod tests {
             if labels.len() > 300 {
                 continue;
             }
-            let rows = predictions.to_rows();
-            let (reference, kept) = reference_optimize_weights(&rows, &qualified, &labels, 199);
-            let fused = optimize_weights(predictions.view(), &qualified, &labels, 199);
-            assert_eq!(bits(&fused), bits(&reference));
+            let (reference, kept) = recomputing(&predictions, &qualified, &labels);
+            let solved = optimize_weights(predictions.view(), &qualified, &labels, 199);
+            assert_eq!(bits(&solved), bits(&reference));
             kept_gradient_steps += kept;
             if kept_gradient_steps >= 3 {
                 return;
@@ -465,12 +534,12 @@ mod tests {
     #[test]
     fn fused_losses_match_the_reference_on_degenerate_weights() {
         // Weight vectors whose qualified prefix sums fall to ≤ 1e-12, so
-        // the unweighted-mean fallback runs for some (vector, k) pairs and
-        // not for others within one lane group.
+        // the unweighted-mean fallback runs for some prefix lengths and
+        // not for others.
         let n_learners = 6;
         let underflowed = softmax(&[-800.0, -800.0, -800.0, 0.0, -1.0, -800.0]);
         assert_eq!(underflowed[..3], [0.0; 3]);
-        let vectors = vec![
+        let vectors = [
             vec![0.0; n_learners],
             vec![f64::from_bits(1); n_learners],
             vec![1e-13, 1e-13, 1e-13, 0.2, 0.3, 0.5],
@@ -496,7 +565,10 @@ mod tests {
         let qualified: Vec<usize> = (0..n).map(|i| 1 + i % n_learners).collect();
         let rows = predictions.to_rows();
 
-        let fused = log_losses(predictions.view(), &qualified, &labels, &vectors);
+        let fused: Vec<f64> = vectors
+            .iter()
+            .map(|w| loss_and_gradient(predictions.view(), &qualified, &labels, w).0)
+            .collect();
         let reference: Vec<f64> = vectors
             .iter()
             .map(|w| weighted_log_loss(&rows, &qualified, &labels, w))
