@@ -151,10 +151,10 @@ const GOLDEN_GP_BAG_VAR: [f64; 10] = [
     0.017158224304287446,
 ];
 const GOLDEN_IWARE_WEIGHTS: [f64; 4] = [
-    0.33753470921339207,
-    0.23697370614362787,
-    0.21104928279290863,
-    0.21444230185007143,
+    0.3375347092322339,
+    0.2369737061208928,
+    0.21104928279192028,
+    0.21444230185495294,
 ];
 const GOLDEN_IWARE_THRESHOLDS: [f64; 4] = [
     0.0,
@@ -163,42 +163,42 @@ const GOLDEN_IWARE_THRESHOLDS: [f64; 4] = [
     2.9789340051446236,
 ];
 const GOLDEN_IWARE_PROB: [f64; 10] = [
-    0.8994456606214387,
-    0.5219518693170927,
+    0.8994456606304609,
+    0.5219518693139458,
     0.05555555555555555,
-    0.9605043823093953,
-    0.3634094637382837,
-    0.1,
-    0.8175230433715928,
-    0.7710339908455575,
+    0.9605043823131846,
+    0.3634094637420681,
+    0.09999999999999999,
+    0.8175230433741341,
+    0.7710339908517205,
     0.0,
-    0.8935845380790828,
+    0.8935845380748247,
 ];
-const GOLDEN_IWARE_RESPONSE_P_ROW0: [f64; 4] = [1.0, 1.0, 0.8625063910819804, 0.9210087646187907];
-const GOLDEN_IWARE_RESPONSE_V_ROW0: [f64; 4] = [0.0, 0.0, 0.06874680445900982, 0.03949561769060465];
+const GOLDEN_IWARE_RESPONSE_P_ROW0: [f64; 4] = [1.0, 1.0, 0.8625063910942397, 0.921008764626369];
+const GOLDEN_IWARE_RESPONSE_V_ROW0: [f64; 4] = [0.0, 0.0, 0.06874680445288019, 0.039495617686815476];
 const GOLDEN_IWARE_PV_PROB: [f64; 10] = [
-    0.8994456606214387,
-    0.5219518693170927,
+    0.8994456606304609,
+    0.5219518693139458,
     0.05555555555555555,
-    0.9605043823093953,
-    0.3634094637382837,
-    0.1,
-    0.8175230433715928,
-    0.7710339908455575,
+    0.9605043823131846,
+    0.3634094637420681,
+    0.09999999999999999,
+    0.8175230433741341,
+    0.7710339908517205,
     0.0,
-    0.8935845380790828,
+    0.8935845380748247,
 ];
 const GOLDEN_IWARE_PV_VAR: [f64; 10] = [
-    0.05027716968928062,
-    0.09251709355700238,
+    0.05027716968476951,
+    0.09251709355277225,
     0.009259259259259259,
-    0.01974780884530232,
-    0.1719862425430084,
+    0.019747808843407735,
+    0.1719862425417209,
     0.03000000000000001,
-    0.061766777657143494,
-    0.0922028726656628,
+    0.06176677765605875,
+    0.09220287266257525,
     0.0,
-    0.017830433129113414,
+    0.017830433129893346,
 ];
 
 /// The same synthetic dataset the golden generator used (identical RNG
@@ -830,7 +830,7 @@ const GOLDEN_F32_DTB_IW: F32ParkPins = F32ParkPins {
     risk: [0xc250_0ff9_f557_edf7, 0x1769_78e6_8c4a_a939],
     response: [0xe111_1582_40fd_fc31, 0xa9cd_5980_4407_4c82],
     predict_constant: 0xdacf_716e_cb0f_df3d,
-    predict_varying: 0xb6b4_f2a7_9eb7_9133,
+    predict_varying: 0x291d_2a62_fdf2_a461,
 };
 
 const GOLDEN_F32_DTB: F32ParkPins = F32ParkPins {
@@ -1042,7 +1042,7 @@ const GOLDEN_PLAN_FLOW: PlanPin = PlanPin {
 /// plane, planned through a prepared park: post 0, grid
 /// `[0, 0.5, 1, 2, 4]`, T = 8 km, K = 2, β = 0.8.
 const GOLDEN_PLAN_PREPARED: PlanPin = PlanPin {
-    bits: 0xfdcb_0dec_d89f_e91d,
+    bits: 0x8015_e136_c5bb_1139,
     status: SolveStatus::Optimal,
     lp_solves: 0,
     nodes: 0,
