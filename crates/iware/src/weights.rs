@@ -103,17 +103,6 @@ fn softmax(z: &[f64]) -> Vec<f64> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
-/// A point's log loss at combined probability `prob`, clamped to
-/// `[EPS, 1 − EPS]`.
-fn point_loss(prob: f64, y: f64) -> f64 {
-    let prob = prob.clamp(EPS, 1.0 - EPS);
-    if y > 0.5 {
-        -prob.ln()
-    } else {
-        -(1.0 - prob).ln()
-    }
-}
-
 /// Mean log loss of the combined predictions under the simplex weights
 /// `w = softmax(z)`, and its gradient with respect to `z`, in one pass over
 /// the prediction rows. `qualified[i]` is point `i`'s qualified-prefix
@@ -141,17 +130,24 @@ fn loss_and_gradient(
     for ((row, &k), &y) in predictions.rows().zip(qualified).zip(labels) {
         let p = &row[..k];
         let wsum = prefix[k - 1];
-        if wsum <= DEGENERATE_WSUM {
-            total += point_loss(p.iter().sum::<f64>() / k as f64, y);
-            continue;
-        }
-        let mut acc = 0.0;
-        for (&wj, &pj) in w.iter().zip(p) {
-            acc += wj * pj;
-        }
-        let prob = acc / wsum;
-        total += point_loss(prob, y);
-        if !(EPS..=1.0 - EPS).contains(&prob) {
+        let degenerate = wsum <= DEGENERATE_WSUM;
+        let prob = if degenerate {
+            p.iter().sum::<f64>() / k as f64
+        } else {
+            let mut acc = 0.0;
+            for (&wj, &pj) in w.iter().zip(p) {
+                acc += wj * pj;
+            }
+            acc / wsum
+        };
+        let clamped = prob.clamp(EPS, 1.0 - EPS);
+        total += if y > 0.5 {
+            -clamped.ln()
+        } else {
+            -(1.0 - clamped).ln()
+        };
+        // The fallback mean and the clamp are flat in the weights.
+        if degenerate || clamped != prob {
             continue;
         }
         let slope = if y > 0.5 {
@@ -294,41 +290,55 @@ mod tests {
             .collect()
     }
 
-    /// The optimiser with the central-difference gradient: 2·L + 1
-    /// separate loss passes per iteration and the gradient recomputed every
-    /// iteration.
-    fn reference_optimize_weights(
-        predictions: &[Vec<f64>],
-        qualified: &[usize],
-        labels: &[f64],
+    /// Gradient descent with the steps of [`optimize_weights`], but with
+    /// the gradient at `z` recomputed on every iteration. Returns the
+    /// weights and the number of steps accepted right after a rejection:
+    /// the steps [`optimize_weights`] takes on a kept gradient.
+    fn recomputing_descent(
+        n_learners: usize,
         iterations: usize,
-    ) -> Vec<f64> {
-        let n_learners = predictions[0].len();
-        if n_learners == 1 {
-            return vec![1.0];
-        }
+        loss: impl Fn(&[f64]) -> f64,
+        gradient: impl Fn(&[f64]) -> Vec<f64>,
+    ) -> (Vec<f64>, usize) {
         let mut z = vec![0.0; n_learners];
         let mut lr = 0.5;
         let mut best_w = softmax(&z);
-        let mut best_loss = weighted_log_loss(predictions, qualified, labels, &best_w);
+        let mut best_loss = loss(&best_w);
+        let (mut after_rejection, mut kept_gradient_steps) = (false, 0);
         for _ in 0..iterations {
-            let grad = central_difference(predictions, qualified, labels, &z);
+            let grad = gradient(&z);
             let candidate: Vec<f64> = z.iter().zip(&grad).map(|(zi, gi)| zi - lr * gi).collect();
             let cand_w = softmax(&candidate);
-            let cand_loss = weighted_log_loss(predictions, qualified, labels, &cand_w);
+            let cand_loss = loss(&cand_w);
             if cand_loss < best_loss {
                 best_loss = cand_loss;
                 best_w = cand_w;
                 z = candidate;
                 lr = (lr * 1.1).min(2.0);
+                kept_gradient_steps += usize::from(after_rejection);
+                after_rejection = false;
             } else {
+                after_rejection = true;
                 lr *= 0.5;
                 if lr < 1e-4 {
                     break;
                 }
             }
         }
-        best_w
+        (best_w, kept_gradient_steps)
+    }
+
+    /// The optimiser with the central-difference gradient: 2·L + 1
+    /// separate loss passes per iteration.
+    fn reference_optimize_weights(
+        predictions: &[Vec<f64>],
+        qualified: &[usize],
+        labels: &[f64],
+        iterations: usize,
+    ) -> Vec<f64> {
+        let loss = |w: &[f64]| weighted_log_loss(predictions, qualified, labels, w);
+        let gradient = |z: &[f64]| central_difference(predictions, qualified, labels, z);
+        recomputing_descent(predictions[0].len(), iterations, loss, gradient).0
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -480,39 +490,8 @@ mod tests {
     fn rejected_steps_reuse_the_gradient_bit_identically() {
         // Long runs on small caches: a step that overshoots is rejected,
         // and the halved step that follows goes along the kept gradient.
-        // The solve must match a loop that recomputes the gradient at `z`
-        // on every iteration.
-        let recomputing = |predictions: &Matrix, qualified: &[usize], labels: &[f64]| {
-            let pass = |w: &[f64]| loss_and_gradient(predictions.view(), qualified, labels, w);
-            let n_learners = predictions.n_cols();
-            let mut z = vec![0.0; n_learners];
-            let mut lr = 0.5;
-            let mut best_w = softmax(&z);
-            let mut best_loss = pass(&best_w).0;
-            let (mut after_rejection, mut kept_gradient_steps) = (false, 0);
-            for _ in 0..199 {
-                let (_, grad) = pass(&softmax(&z));
-                let candidate: Vec<f64> =
-                    z.iter().zip(&grad).map(|(zi, gi)| zi - lr * gi).collect();
-                let cand_w = softmax(&candidate);
-                let cand_loss = pass(&cand_w).0;
-                if cand_loss < best_loss {
-                    best_loss = cand_loss;
-                    best_w = cand_w;
-                    z = candidate;
-                    lr = (lr * 1.1).min(2.0);
-                    kept_gradient_steps += usize::from(after_rejection);
-                    after_rejection = false;
-                } else {
-                    after_rejection = true;
-                    lr *= 0.5;
-                    if lr < 1e-4 {
-                        break;
-                    }
-                }
-            }
-            (best_w, kept_gradient_steps)
-        };
+        // The solve must match a descent that recomputes the gradient at
+        // `z` on every iteration.
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut kept_gradient_steps = 0;
         for _ in 0..300 {
@@ -520,7 +499,13 @@ mod tests {
             if labels.len() > 300 {
                 continue;
             }
-            let (reference, kept) = recomputing(&predictions, &qualified, &labels);
+            let pass = |w: &[f64]| loss_and_gradient(predictions.view(), &qualified, &labels, w);
+            let (reference, kept) = recomputing_descent(
+                predictions.n_cols(),
+                199,
+                |w| pass(w).0,
+                |z| pass(&softmax(z)).1,
+            );
             let solved = optimize_weights(predictions.view(), &qualified, &labels, 199);
             assert_eq!(bits(&solved), bits(&reference));
             kept_gradient_steps += kept;

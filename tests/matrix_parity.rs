@@ -7,10 +7,12 @@
 //! reproduce them to ≤ 1e-12, proving the memory-layout migration changed
 //! no numbers anywhere in the tree / SVM / GP / bagging / iWare-E stack.
 //!
-//! The `GOLDEN_IWARE_*` group was regenerated once (PR 10) when the
-//! per-learner bagging seed formula deliberately changed from index-tied
-//! to threshold-keyed (so warm refits survive threshold-count changes);
-//! the non-iWare goldens still pin the original pre-refactor numbers.
+//! The `GOLDEN_IWARE_*` group was regenerated twice on purpose: when the
+//! per-learner bagging seed formula changed from index-tied to
+//! threshold-keyed (so warm refits survive threshold-count changes), and
+//! when the CV-weight solve moved from a central-difference gradient to
+//! the analytic one, which moved the solved weights by about 1e-11. The
+//! non-iWare goldens still pin the original pre-refactor numbers.
 //!
 //! A second group of tests checks layout invariances of the new code path
 //! itself: index-gathered subsets behave exactly like row-cloned subsets,
@@ -175,7 +177,8 @@ const GOLDEN_IWARE_PROB: [f64; 10] = [
     0.8935845380748247,
 ];
 const GOLDEN_IWARE_RESPONSE_P_ROW0: [f64; 4] = [1.0, 1.0, 0.8625063910942397, 0.921008764626369];
-const GOLDEN_IWARE_RESPONSE_V_ROW0: [f64; 4] = [0.0, 0.0, 0.06874680445288019, 0.039495617686815476];
+const GOLDEN_IWARE_RESPONSE_V_ROW0: [f64; 4] =
+    [0.0, 0.0, 0.06874680445288019, 0.039495617686815476];
 const GOLDEN_IWARE_PV_PROB: [f64; 10] = [
     0.8994456606304609,
     0.5219518693139458,
