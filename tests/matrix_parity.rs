@@ -12,7 +12,9 @@
 //! threshold-keyed (so warm refits survive threshold-count changes), and
 //! when the CV-weight solve moved from a central-difference gradient to
 //! the analytic one, which moved the solved weights by about 1e-11. The
-//! non-iWare goldens still pin the original pre-refactor numbers.
+//! non-iWare goldens still pin the original pre-refactor numbers. The
+//! `GOLDEN_GP_IWARE_*` group, a CV-weighted GPB-iW model, was added later
+//! from the per-member GP prediction path and is compared bit for bit.
 //!
 //! A second group of tests checks layout invariances of the new code path
 //! itself: index-gathered subsets behave exactly like row-cloned subsets,
@@ -204,6 +206,53 @@ const GOLDEN_IWARE_PV_VAR: [f64; 10] = [
     0.017830433129893346,
 ];
 
+/// Bit pins of [`gp_iware_config`]'s model (its thresholds are
+/// `GOLDEN_IWARE_THRESHOLDS`): weights, `predict_with_variance_at_effort`
+/// on the query rows at their own efforts, and row 0 of the response over
+/// 0.5, 1, 2 and 3.5 km.
+const GOLDEN_GP_IWARE_WEIGHTS: [f64; 4] = [
+    0.23606338700478827,
+    0.30127877814275267,
+    0.23228706651505338,
+    0.2303707683374057,
+];
+const GOLDEN_GP_IWARE_PV_PROB: [f64; 10] = [
+    0.5272893077631793,
+    0.3283285728553849,
+    0.40136490344283327,
+    0.7799219618787363,
+    0.5343871337428859,
+    0.0,
+    0.693196764377406,
+    0.6773353021540659,
+    0.32395512127501025,
+    0.7565241982204362,
+];
+const GOLDEN_GP_IWARE_PV_VAR: [f64; 10] = [
+    0.00712842540822278,
+    0.00756056692253762,
+    0.012149624283213867,
+    0.007392566880653352,
+    0.013208581314529417,
+    0.028280817329682278,
+    0.009631629471459947,
+    0.008867667393905224,
+    0.005952857307319708,
+    0.01264150327510653,
+];
+const GOLDEN_GP_IWARE_RESPONSE_P_ROW0: [f64; 4] = [
+    0.4619730108431986,
+    0.4619730108431986,
+    0.5368881720539366,
+    0.5175668633976834,
+];
+const GOLDEN_GP_IWARE_RESPONSE_V_ROW0: [f64; 4] = [
+    0.007352601506245837,
+    0.007352601506245837,
+    0.007106945649669571,
+    0.0071317252263549315,
+];
+
 /// The same synthetic dataset the golden generator used (identical RNG
 /// consumption order), as both nested rows and a flat matrix.
 fn synth(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>) {
@@ -380,6 +429,55 @@ fn iware_matches_nested_vec_implementation() {
         er_v.row(0),
         &GOLDEN_IWARE_RESPONSE_V_ROW0,
         "iware response var",
+    );
+}
+
+/// A balanced, CV-weighted GPB-iW model on the golden scenario: 4 learners
+/// of 3 GPs with at most 80 points each, weights from 3 CV folds.
+fn gp_iware_config() -> IWareConfig {
+    IWareConfig {
+        base: BaggingConfig {
+            base: BaseLearnerConfig::Gp(GpConfig {
+                max_points: 80,
+                ..GpConfig::default()
+            }),
+            balanced: true,
+            ..BaggingConfig::gps(3, 13)
+        },
+        ..iware_config()
+    }
+}
+
+#[test]
+fn gp_iware_matches_the_pinned_bits() {
+    // The out-of-fold GP means set the weights, the varying-effort predict
+    // reads every learner's table at its own prefix, and the response row
+    // combines the tables at four levels.
+    let (x, labels, efforts) = training_data();
+    let model = IWareModel::fit(&gp_iware_config(), x.view(), &labels, &efforts);
+    assert_bits(
+        model.weights(),
+        &GOLDEN_GP_IWARE_WEIGHTS,
+        "gp iware weights",
+    );
+    assert_bits(
+        model.thresholds(),
+        &GOLDEN_IWARE_THRESHOLDS,
+        "gp iware thresholds",
+    );
+    let (p, v) = model.predict_with_variance_at_effort(query(&x), &efforts[..10]);
+    assert_bits(&p, &GOLDEN_GP_IWARE_PV_PROB, "gp iware pv prob");
+    assert_bits(&v, &GOLDEN_GP_IWARE_PV_VAR, "gp iware pv var");
+    let (er_p, er_v) = model.effort_response(query(&x), &[0.5, 1.0, 2.0, 3.5]);
+    assert_bits(
+        er_p.row(0),
+        &GOLDEN_GP_IWARE_RESPONSE_P_ROW0,
+        "gp iware response prob",
+    );
+    assert_bits(
+        er_v.row(0),
+        &GOLDEN_GP_IWARE_RESPONSE_V_ROW0,
+        "gp iware response var",
     );
 }
 
