@@ -104,8 +104,8 @@ impl GaussianProcess {
             "signal variance must be finite and positive"
         );
         assert!(
-            config.noise_variance > 0.0,
-            "noise variance must be positive"
+            config.noise_variance > 0.0 && config.noise_variance.is_finite(),
+            "noise variance must be finite and positive"
         );
         assert!(config.max_points >= 1, "max_points must be at least 1");
 
@@ -505,6 +505,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "noise variance must be finite and positive")]
+    fn infinite_noise_variance_is_rejected_at_fit() {
+        let (rows, labels) = blob_data(40, 16);
+        let config = GpConfig {
+            noise_variance: f64::INFINITY,
+            ..GpConfig::default()
+        };
+        let _ = GaussianProcess::fit(&config, rows.view(), &labels, 3);
     }
 
     #[test]
