@@ -27,11 +27,12 @@
 //!
 //! * `fit` — the one staged fit. [`IWareModel::warm_refit`] selects
 //!   thresholds, plans each learner's effort-filtered subset, keeps or
-//!   refits each learner, fuses the stack and solves the CV weights
-//!   against a [`FitCache`]; [`IWareModel::fit_cached`] runs it from an
-//!   empty cache and [`IWareModel::fit`] drops the cache.
-//! * `tables` — the learner tables: the fused stack's block fill, the
-//!   combine and the prediction entry points.
+//!   refits each learner, fuses the learners (a tree stack or a GP row
+//!   pool) and solves the CV weights against a [`FitCache`];
+//!   [`IWareModel::fit_cached`] runs it from an empty cache and
+//!   [`IWareModel::fit`] drops the cache.
+//! * `tables` — the learner tables: the fused stack's and the GP pool's
+//!   block fills, the combine and the prediction entry points.
 //! * `snapshot` — the stack snapshot and its validating decoder.
 //!
 //! Feature batches are flat row-major [`MatrixView`]s. No learner copies
@@ -70,8 +71,15 @@
 //!   runs in f32 with the narrowed weights, widening only the emitted
 //!   surface. Per-row varying-effort prediction keeps the f64 plane and
 //!   combines each row's prefix with [`crate::weights::combine`].
-//! * Every other learner base (Gaussian processes, SVMs) scores the batch
-//!   learner by learner on the f64 plane.
+//! * When the weak learners are GP ensembles, the model pools every
+//!   member's training rows once per fit into one [`RowPool`], the GP
+//!   counterpart of the fused stack: each distinct row is stored once, so
+//!   the pooled kernel computes its kernel value once per four-row query
+//!   block for every member of every learner. The tables fill in 256-row
+//!   blocks, each learner summing its members' outputs in member order
+//!   (bit-identical to the per-learner path); the CV stage pools each
+//!   fold's learners the same way for their out-of-fold means.
+//! * SVM learners score the batch learner by learner on the f64 plane.
 //!
 //! A learner's prediction for a row depends on neither the effort level
 //! nor the grid, so a caller that keeps the tables — a prepared park in
@@ -93,6 +101,7 @@ use crate::weights::WeightMode;
 use paws_ml::bagging::{BaggingClassifier, BaggingConfig};
 use paws_ml::forest::{ArenaElement, Forest};
 use paws_ml::forest32::{Forest32, NarrowError};
+use paws_ml::gp::RowPool;
 use paws_ml::precision::Precision;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -133,6 +142,32 @@ struct LearnerStack<T: ArenaElement = f64> {
     ranges: Vec<std::ops::Range<usize>>,
 }
 
+/// The learners fused for park-wide prediction. A GP stack's row pool is
+/// the counterpart of a tree stack's fused arena.
+enum Fused {
+    /// Every learner's trees in one arena (the DTB variants).
+    Trees(LearnerStack),
+    /// Every learner's GP members' training rows, each distinct row once
+    /// (the GPB variants).
+    Gps(RowPool),
+}
+
+impl Fused {
+    fn stack(&self) -> Option<&LearnerStack> {
+        match self {
+            Fused::Trees(stack) => Some(stack),
+            Fused::Gps(_) => None,
+        }
+    }
+
+    fn pool(&self) -> Option<&RowPool> {
+        match self {
+            Fused::Gps(pool) => Some(pool),
+            Fused::Trees(_) => None,
+        }
+    }
+}
+
 /// Source of [`IWareModel`] ids, unique within the process.
 static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -159,8 +194,9 @@ pub struct IWareModel {
     /// Feature width the learners were fitted on (recorded at fit or
     /// snapshot-load time; the query-validation width).
     n_features: usize,
-    /// Present when every learner is a tree ensemble (the DTB variants).
-    stack: Option<LearnerStack>,
+    /// The learners fused once per fit (see the module docs): a tree stack
+    /// or a GP row pool, `None` for SVM learners.
+    fused: Option<Fused>,
     /// The f32 plane: the fused stack narrowed to 8-byte nodes. Present
     /// exactly while a tree stack is switched to [`Precision::F32`], which
     /// makes f32 the serving plane of the constant-effort and response
@@ -190,7 +226,7 @@ impl IWareModel {
         match precision {
             Precision::F32 => {
                 if self.stack32.is_none() {
-                    if let Some(stack) = &self.stack {
+                    if let Some(stack) = self.stack() {
                         self.stack32 = Some(LearnerStack {
                             forest: Forest32::try_from_forest(&stack.forest)?,
                             ranges: stack.ranges.clone(),
@@ -255,9 +291,18 @@ impl IWareModel {
     /// Size of the fused learner-stack arena as `(n_trees, n_nodes)`;
     /// `None` when the weak learners are not tree ensembles.
     pub fn arena_stats(&self) -> Option<(usize, usize)> {
-        self.stack
-            .as_ref()
+        self.stack()
             .map(|s| (s.forest.n_trees(), s.forest.n_nodes()))
+    }
+
+    /// The fused tree stack, when the learners are tree ensembles.
+    fn stack(&self) -> Option<&LearnerStack> {
+        self.fused.as_ref().and_then(Fused::stack)
+    }
+
+    /// The GP row pool, when the learners are GP ensembles.
+    fn pool(&self) -> Option<&RowPool> {
+        self.fused.as_ref().and_then(Fused::pool)
     }
 }
 

@@ -6,14 +6,16 @@
 //! that driver from an empty cache: no record to keep and no cached CV
 //! predictions, so every learner fits and the full CV stage runs.
 
-use super::{next_model_id, IWareConfig, IWareModel, LearnerStack};
+use super::tables::learner_f64_tables;
+use super::{next_model_id, Fused, IWareConfig, IWareModel, LearnerStack};
 use crate::thresholds::{qualified_count, select_thresholds};
 use crate::weights::{optimize_weights, WeightMode};
 use paws_data::matrix::{Matrix, MatrixView};
-use paws_ml::bagging::{BaggingClassifier, BaggingConfig, BaseLearnerConfig};
+use paws_ml::bagging::{pool_gp_learners, BaggingClassifier, BaggingConfig, BaseLearnerConfig};
 use paws_ml::cv::stratified_kfold;
 use paws_ml::forest::Forest;
-use paws_ml::traits::{validate_training_data, Classifier};
+use paws_ml::gp::RowPool;
+use paws_ml::traits::validate_training_data;
 use paws_ml::tree::Ranking;
 use rayon::prelude::*;
 use std::sync::OnceLock;
@@ -153,7 +155,8 @@ impl IWareModel {
     ///    (their inputs change on any append), fits with the threshold-keyed
     ///    seed a cold fit would use. A tree base ranks the batch once, at
     ///    the first member fit, for every learner and CV fold.
-    /// 4. The learners fuse into one arena.
+    /// 4. Tree learners fuse into one arena; GP learners pool their
+    ///    members' training rows.
     /// 5. CV weights: cached out-of-fold predictions are columns of the
     ///    old learner list, so a count change drops them. With predictions
     ///    cached, the weights are re-solved over them, extended with the
@@ -225,7 +228,7 @@ impl IWareModel {
             .collect();
         let learners_kept = kept.iter().filter(|k| k.is_some()).count();
 
-        let stack = build_stack(&learners, x.n_cols());
+        let fused = fuse_learners(&learners, x.n_cols());
 
         let mut stats = RefitStats {
             learners_kept,
@@ -237,7 +240,11 @@ impl IWareModel {
             (WeightMode::Uniform, _) => uniform,
             (WeightMode::CvOptimized { .. }, Some(cv)) => {
                 stats.cv_resolved_from_cache = true;
-                resolve_weights_cached(cv, &learners, &thresholds, x, labels, efforts, cache.n_rows)
+                let scored = ScoredLearners {
+                    learners: &learners,
+                    pool: fused.as_ref().and_then(Fused::pool),
+                };
+                resolve_weights_cached(cv, scored, &thresholds, x, labels, efforts, cache.n_rows)
             }
             (WeightMode::CvOptimized { folds, iterations }, None) => {
                 match cv_weight_fit_cached(config, &thresholds, &batch, efforts, folds, iterations)
@@ -260,11 +267,21 @@ impl IWareModel {
             learners,
             weights,
             n_features: x.n_cols(),
-            stack,
+            fused,
             stack32: None,
             config: config.clone(),
         };
         (model, stats)
+    }
+}
+
+/// Fuse the learners for park-wide prediction: tree ensembles into one
+/// stack-wide forest, GP ensembles into one row pool of their members'
+/// training rows; `None` for SVM learners.
+fn fuse_learners(learners: &[BaggingClassifier], n_features: usize) -> Option<Fused> {
+    match build_stack(learners, n_features) {
+        Some(stack) => Some(Fused::Trees(stack)),
+        None => pool_gp_learners(learners).map(Fused::Gps),
     }
 }
 
@@ -517,12 +534,12 @@ fn cv_weight_fit_cached(
                 fit_one_learner(config, thresholds[i], batch, Some(&rows))
             })
             .collect();
-        let per_learner: Vec<Vec<f64>> = learners
-            .par_iter()
-            .map(|l| l.predict_proba(valid_x.view()))
-            .collect();
-
-        push_point_rows(&mut predictions, &per_learner);
+        let pool = pool_gp_learners(&learners);
+        let scored = ScoredLearners {
+            learners: &learners,
+            pool: pool.as_ref(),
+        };
+        scored.push_point_rows(&mut predictions, valid_x.view());
         point_efforts.extend(fold.valid.iter().map(|&i| efforts[i]));
         fold_labels.extend(fold.valid.iter().map(|&i| labels[i]));
     }
@@ -538,15 +555,27 @@ fn cv_weight_fit_cached(
     Some((weights, cv))
 }
 
-/// Append learner-major member predictions (`per_learner[j][point]`) as
-/// point-major rows of the CV cache.
-fn push_point_rows(predictions: &mut Matrix, per_learner: &[Vec<f64>]) {
-    let mut row = vec![0.0; per_learner.len()];
-    for point in 0..per_learner.first().map_or(0, Vec::len) {
-        for (r, learner) in row.iter_mut().zip(per_learner) {
-            *r = learner[point];
+/// Learners whose probabilities go into a CV cache, with their
+/// [`pool_gp_learners`] when they are GP ensembles.
+#[derive(Clone, Copy)]
+struct ScoredLearners<'a> {
+    learners: &'a [BaggingClassifier],
+    pool: Option<&'a RowPool>,
+}
+
+impl ScoredLearners<'_> {
+    /// Append every learner's probability on each row of `x` as one
+    /// point-major row of the CV cache.
+    fn push_point_rows(self, predictions: &mut Matrix, x: MatrixView<'_>) {
+        let tables = learner_f64_tables(self.learners, self.pool, x, false);
+        let mut row = vec![0.0; self.learners.len()];
+        for point in 0..tables.n_rows {
+            let column = tables.probs[point..].iter().step_by(tables.n_rows);
+            for (r, &p) in row.iter_mut().zip(column) {
+                *r = p;
+            }
+            predictions.push_row(&row);
         }
-        predictions.push_row(&row);
     }
 }
 
@@ -565,7 +594,7 @@ fn qualified_counts(thresholds: &[f64], efforts: &[f64]) -> Vec<usize> {
 /// re-optimise the simplex weights over the whole cache.
 fn resolve_weights_cached(
     cv: &mut CvCache,
-    learners: &[BaggingClassifier],
+    learners: ScoredLearners<'_>,
     thresholds: &[f64],
     x: MatrixView<'_>,
     labels: &[f64],
@@ -573,13 +602,9 @@ fn resolve_weights_cached(
     from_row: usize,
 ) -> Vec<f64> {
     if from_row < x.n_rows() {
-        let idx: Vec<usize> = (from_row..x.n_rows()).collect();
-        let new_x = x.gather(&idx);
-        let per_learner: Vec<Vec<f64>> = learners
-            .par_iter()
-            .map(|l| l.predict_proba(new_x.view()))
-            .collect();
-        push_point_rows(&mut cv.predictions, &per_learner);
+        let w = x.n_cols();
+        let new_x = MatrixView::from_flat(&x.as_slice()[from_row * w..], w);
+        learners.push_point_rows(&mut cv.predictions, new_x);
         cv.efforts.extend_from_slice(&efforts[from_row..]);
         cv.labels.extend_from_slice(&labels[from_row..]);
     }
@@ -591,6 +616,8 @@ fn resolve_weights_cached(
 mod tests {
     use super::*;
     use crate::ensemble::tests::{noisy_poaching_data, quick_config};
+    use paws_ml::gp::GpConfig;
+    use paws_ml::traits::Classifier;
 
     #[test]
     fn tie_heavy_efforts_deduplicate_learners() {
@@ -809,15 +836,19 @@ mod tests {
                 .iter()
                 .map(|l| l.predict_proba(valid_x.view()))
                 .collect();
-            push_point_rows(&mut predictions, &per_learner);
+            for point in 0..valid_x.n_rows() {
+                let row: Vec<f64> = per_learner.iter().map(|p| p[point]).collect();
+                predictions.push_row(&row);
+            }
             point_efforts.extend(fold.valid.iter().map(|&i| efforts[i]));
             point_labels.extend(fold.valid.iter().map(|&i| labels[i]));
         }
         let qualified = qualified_counts(&thresholds, &point_efforts);
         let weights = optimize_weights(predictions.view(), &qualified, &point_labels, iterations);
+        // No row pool: GP learners serve learner by learner.
         IWareModel {
             id: next_model_id(),
-            stack: build_stack(&learners, x.n_cols()),
+            fused: build_stack(&learners, x.n_cols()).map(Fused::Trees),
             thresholds,
             learners,
             weights,
@@ -863,6 +894,79 @@ mod tests {
         let reference = gathering_reference_fit(&config, x.view(), &labels, &efforts);
         assert_eq!(weight_bits(&model), weight_bits(&reference));
         assert!(model.to_stack_snapshot().unwrap() == reference.to_stack_snapshot().unwrap());
+    }
+
+    /// A GPB-iW config: 4 learners of 3 GPs with at most 60 points each.
+    fn gp_config(balanced: bool) -> IWareConfig {
+        IWareConfig {
+            base: BaggingConfig {
+                base: BaseLearnerConfig::Gp(GpConfig {
+                    max_points: 60,
+                    ..GpConfig::default()
+                }),
+                balanced,
+                ..BaggingConfig::gps(3, 5)
+            },
+            ..quick_config(4)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn pooled_out_of_fold_gp_means_match_the_per_learner_reference() {
+        // The CV stage pools each fold's GP learners; the reference scores
+        // every fold learner on its own, and its model serves learner by
+        // learner.
+        let (x, labels, efforts, _) = noisy_poaching_data(240, 38);
+        for balanced in [false, true] {
+            let config = gp_config(balanced);
+            let model = IWareModel::fit(&config, x.view(), &labels, &efforts);
+            let pool = model.pool().expect("GP learners pool their rows");
+            assert!(pool.n_rows() < pool.n_member_rows(), "rows repeat");
+            let reference = gathering_reference_fit(&config, x.view(), &labels, &efforts);
+            assert_eq!(weight_bits(&model), weight_bits(&reference), "{balanced}");
+            let q = x.view().head(30);
+            let (p, v) = model.predict_with_variance_at_effort(q, &efforts[..30]);
+            let (rp, rv) = reference.predict_with_variance_at_effort(q, &efforts[..30]);
+            assert_eq!(bits(&p), bits(&rp), "{balanced}");
+            assert_eq!(bits(&v), bits(&rv), "{balanced}");
+        }
+    }
+
+    #[test]
+    fn a_gp_resolve_caches_every_learners_probabilities_on_the_appended_rows() {
+        let config = gp_config(true);
+        let (x, labels, efforts, _) = noisy_poaching_data(200, 37);
+        let (x2, labels2, efforts2, _) = noisy_poaching_data(9, 79);
+        let (_, mut cache) = IWareModel::fit_cached(&config, x.view(), &labels, &efforts);
+        let cached = cache.cv.as_ref().expect("CV weights").predictions.n_rows();
+        let full_x = concat(&x, &x2);
+        let full_labels = [labels.as_slice(), &labels2].concat();
+        let full_efforts = [efforts.as_slice(), &efforts2].concat();
+        let (warm, stats) = IWareModel::warm_refit(
+            &config,
+            &mut cache,
+            full_x.view(),
+            &full_labels,
+            &full_efforts,
+            1.0,
+        );
+        assert!(stats.cv_resolved_from_cache, "{stats:?}");
+        let predictions = &cache.cv.as_ref().expect("CV weights").predictions;
+        assert_eq!(predictions.n_rows(), cached + 9);
+        for (l, learner) in warm.learners.iter().enumerate() {
+            let column: Vec<f64> = (cached..cached + 9)
+                .map(|r| predictions.get(r, l))
+                .collect();
+            assert_eq!(
+                bits(&column),
+                bits(&learner.predict_proba(x2.view())),
+                "{l}"
+            );
+        }
     }
 
     #[test]

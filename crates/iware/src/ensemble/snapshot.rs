@@ -2,7 +2,7 @@
 //! the classifier weights and the effort thresholds as one validated
 //! slab.
 
-use super::{next_model_id, IWareConfig, IWareModel, LearnerStack};
+use super::{next_model_id, Fused, IWareConfig, IWareModel, LearnerStack};
 use paws_ml::snapshot::{
     section as snapshot_section, PayloadKind, SnapshotError, SnapshotReader, SnapshotWriter,
 };
@@ -16,7 +16,7 @@ impl IWareModel {
     /// serialized; reload and call [`IWareModel::set_precision`] to
     /// rebuild it.
     pub fn to_stack_snapshot(&self) -> Option<Vec<u8>> {
-        let stack = self.stack.as_ref()?;
+        let stack = self.stack()?;
         let mut w = SnapshotWriter::new(PayloadKind::LearnerStack);
         w.push_forest(&stack.forest);
         let mut ranges = Vec::with_capacity(stack.ranges.len() * 2);
@@ -96,7 +96,7 @@ impl IWareModel {
             learners: Vec::new(),
             weights,
             n_features,
-            stack: Some(LearnerStack { forest, ranges }),
+            fused: Some(Fused::Trees(LearnerStack { forest, ranges })),
             stack32: None,
             config,
         })
@@ -117,7 +117,7 @@ mod tests {
         model: &IWareModel,
         tamper: impl FnOnce(&mut Vec<u64>, &mut Vec<f64>, &mut Vec<f64>),
     ) -> Vec<u8> {
-        let stack = model.stack.as_ref().expect("tree stack");
+        let stack = model.stack().expect("tree stack");
         let mut ranges: Vec<u64> = stack
             .ranges
             .iter()

@@ -7,7 +7,9 @@ use crate::thresholds::qualified_count;
 use crate::weights::{combine, DEGENERATE_WSUM};
 use paws_data::matrix::{Matrix, Matrix32, MatrixView};
 use paws_data::simd::{self, Element};
+use paws_ml::bagging::{pooled_gp_tables, BaggingClassifier};
 use paws_ml::forest::ArenaElement;
+use paws_ml::gp::RowPool;
 use paws_ml::precision::Precision;
 use paws_ml::traits::{
     validate_effort_grid, validate_query, Classifier, QueryError, UncertainClassifier,
@@ -91,10 +93,10 @@ enum TablePlane {
 }
 
 /// Learner-major `n_learners × n_rows` probability and variance tables on
-/// one plane; `vars` is empty when the fill skipped the member spread.
-struct Tables<T> {
-    n_rows: usize,
-    probs: Vec<T>,
+/// one plane; `vars` is empty when the fill skipped the variances.
+pub(super) struct Tables<T> {
+    pub(super) n_rows: usize,
+    pub(super) probs: Vec<T>,
     vars: Vec<T>,
 }
 
@@ -145,9 +147,8 @@ impl IWareModel {
                 x.n_rows(),
                 with_variance,
                 |start, len| {
-                    let w = x.n_cols();
-                    let block = MatrixView::from_flat(&x.as_slice()[start * w..][..len * w], w);
-                    stack.block_tables(Matrix32::from_f64(block).view(), 0, len, with_variance)
+                    let block = Matrix32::from_f64(row_block(x, start, len));
+                    stack.block_tables(block.view(), 0, len, with_variance)
                 },
             )),
             None => TablePlane::F64(self.f64_tables(x, with_variance)),
@@ -155,46 +156,26 @@ impl IWareModel {
     }
 
     /// The f64 tables of a batch: a tree stack fills them block by block
-    /// from the fused arena, other learner bases score the batch learner
-    /// by learner.
+    /// from the fused arena, other learners through
+    /// [`learner_f64_tables`].
     fn f64_tables(&self, x: MatrixView<'_>, with_variance: bool) -> Tables<f64> {
-        let n_rows = x.n_rows();
-        if let Some(stack) = &self.stack {
-            return fill_blocks(stack.ranges.len(), n_rows, with_variance, |start, len| {
-                stack.block_tables(x, start, len, with_variance)
-            });
-        }
-        let per_learner: Vec<(Vec<f64>, Vec<f64>)> = self
-            .learners
-            .par_iter()
-            .map(|l| {
-                if with_variance {
-                    l.predict_with_variance(x)
-                } else {
-                    (l.predict_proba(x), Vec::new())
-                }
-            })
-            .collect();
-        let len = per_learner.len() * n_rows;
-        let mut probs = Vec::with_capacity(len);
-        let mut vars = Vec::with_capacity(if with_variance { len } else { 0 });
-        for (p, v) in per_learner {
-            probs.extend_from_slice(&p);
-            vars.extend_from_slice(&v);
-        }
-        Tables {
-            n_rows,
-            probs,
-            vars,
+        match self.stack() {
+            Some(stack) => fill_blocks(
+                stack.ranges.len(),
+                x.n_rows(),
+                with_variance,
+                |start, len| stack.block_tables(x, start, len, with_variance),
+            ),
+            None => learner_f64_tables(&self.learners, self.pool(), x, with_variance),
         }
     }
 
     /// The per-learner tables of a feature batch (standardised like every
     /// other query), filled on the model's serving plane: a tree stack
-    /// traverses its fused arena block by block, other learners score the
-    /// batch once each. Combining them with
-    /// [`IWareModel::combine_tables_response`] gives the exact bits of the
-    /// direct entry points on the same batch.
+    /// traverses its fused arena and GP learners run the pooled kernel,
+    /// both block by block, and SVM learners score the batch once each.
+    /// Combining them with [`IWareModel::combine_tables_response`] gives
+    /// the exact bits of the direct entry points on the same batch.
     pub fn learner_tables(&self, x: MatrixView<'_>) -> LearnerTables {
         LearnerTables {
             model_id: self.id,
@@ -342,6 +323,52 @@ impl IWareModel {
         validate_effort_grid(effort_grid)?;
         Ok(self.effort_response(x, effort_grid))
     }
+}
+
+/// The f64 tables of `learners` without a fused tree stack. With `pool`,
+/// their [`paws_ml::bagging::pool_gp_learners`], GP learners fill them in
+/// parallel [`ROW_CHUNK`]-row blocks, one pass of the pooled kernel per
+/// block; otherwise each learner scores the batch on its own.
+pub(super) fn learner_f64_tables(
+    learners: &[BaggingClassifier],
+    pool: Option<&RowPool>,
+    x: MatrixView<'_>,
+    with_variance: bool,
+) -> Tables<f64> {
+    let n_rows = x.n_rows();
+    if let Some(pool) = pool {
+        return fill_blocks(learners.len(), n_rows, with_variance, |start, len| {
+            pooled_gp_tables(pool, learners, row_block(x, start, len), with_variance)
+        });
+    }
+    let per_learner: Vec<(Vec<f64>, Vec<f64>)> = learners
+        .par_iter()
+        .map(|l| {
+            if with_variance {
+                l.predict_with_variance(x)
+            } else {
+                (l.predict_proba(x), Vec::new())
+            }
+        })
+        .collect();
+    let len = per_learner.len() * n_rows;
+    let mut probs = Vec::with_capacity(len);
+    let mut vars = Vec::with_capacity(if with_variance { len } else { 0 });
+    for (p, v) in per_learner {
+        probs.extend_from_slice(&p);
+        vars.extend_from_slice(&v);
+    }
+    Tables {
+        n_rows,
+        probs,
+        vars,
+    }
+}
+
+/// Rows `start..start + len` of `x`.
+fn row_block(x: MatrixView<'_>, start: usize, len: usize) -> MatrixView<'_> {
+    let w = x.n_cols();
+    MatrixView::from_flat(&x.as_slice()[start * w..][..len * w], w)
 }
 
 /// Combine one strip of rows of a learner-major table over every level,
@@ -681,6 +708,47 @@ mod tests {
                     model.precision() == precision,
                     "{case}: tables serve only the plane that filled them"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_gp_tables_equal_each_learners_own_predictions() {
+        // A GPB-iW model fills its tables from one row pool, in 256-row
+        // blocks fanned over the pool; each learner's rows must be the bits
+        // of that learner's own predict_with_variance and predict_proba.
+        // 603 rows make three blocks, the last ending in a partial
+        // four-row lane block.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (rows, labels, efforts, _) = noisy_poaching_data(250, 27);
+        let (queries, ..) = noisy_poaching_data(603, 28);
+        for balanced in [false, true] {
+            let cfg = IWareConfig {
+                base: BaggingConfig {
+                    balanced,
+                    ..BaggingConfig::gps(3, 5)
+                },
+                ..quick_config(4)
+            };
+            let model = IWareModel::fit(&cfg, rows.view(), &labels, &efforts);
+            assert!(model.pool().is_some(), "GP learners pool their rows");
+            for n in [603, 5, 0] {
+                let q = queries.view().head(n);
+                let with_var = model.f64_tables(q, true);
+                let mean_only = model.f64_tables(q, false);
+                assert!(mean_only.vars.is_empty());
+                for (l, learner) in model.learners.iter().enumerate() {
+                    let case = format!("balanced {balanced}, {n} rows, learner {l}");
+                    let row = |t: &[f64]| bits(&t[l * n..(l + 1) * n]);
+                    let (p, v) = learner.predict_with_variance(q);
+                    assert_eq!(row(&with_var.probs), bits(&p), "{case}");
+                    assert_eq!(row(&with_var.vars), bits(&v), "{case}");
+                    assert_eq!(
+                        row(&mean_only.probs),
+                        bits(&learner.predict_proba(q)),
+                        "{case}"
+                    );
+                }
             }
         }
     }

@@ -20,7 +20,10 @@
 //! and every prediction path (`predict_proba`, `predict_with_variance`,
 //! [`BaggingClassifier::member_predictions`]) runs the level-synchronous
 //! batch traversal instead of walking each tree row by row. SVM and GP
-//! members keep their per-member batch kernels.
+//! members keep their per-member batch kernels. A stack of GP ensembles
+//! (an iWare-E model's learners) can also pool its members' training rows
+//! into one [`RowPool`] ([`pool_gp_learners`]) and fill every learner's
+//! table from one pass of the pooled GP kernel ([`pooled_gp_tables`]).
 //!
 //! The ensemble records the per-member in-bag counts of every training
 //! sample so the infinitesimal-jackknife variance of Fig. 7 can be computed
@@ -28,13 +31,13 @@
 
 use crate::forest::{ArenaElement, Forest};
 use crate::forest32::{Forest32, NarrowError};
-use crate::gp::{GaussianProcess, GpConfig};
+use crate::gp::{GaussianProcess, GpConfig, RowPool};
 use crate::precision::Precision;
 use crate::svm::{LinearSvm, SvmConfig};
 use crate::traits::{validate_training_data, Classifier, UncertainClassifier};
 use crate::tree::{DecisionTree, Ranking, TreeConfig};
 use paws_data::matrix::{Matrix, Matrix32, MatrixView};
-use paws_data::simd::{self, Element};
+use paws_data::simd::{self, Element, F64x4, LaneVector};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -544,6 +547,81 @@ fn arena_mean_and_spread<T: ArenaElement>(
         return (Vec::new(), Vec::new());
     }
     mean_and_spread(&forest.predict_proba_batch(x))
+}
+
+/// Every member of `learners`, in learner then member order, when every
+/// learner is a GP ensemble.
+fn gp_members(learners: &[BaggingClassifier]) -> Option<Vec<&GaussianProcess>> {
+    let mut members = Vec::new();
+    for learner in learners {
+        let Members::Models(models) = &learner.members else {
+            return None;
+        };
+        for model in models {
+            let BaseModel::Gp(gp) = model else {
+                return None;
+            };
+            members.push(gp);
+        }
+    }
+    Some(members)
+}
+
+/// The [`RowPool`] of GP ensembles: every member of `learners`, in learner
+/// then member order. `None` unless `learners` are GP ensembles, at least
+/// one.
+pub fn pool_gp_learners(learners: &[BaggingClassifier]) -> Option<RowPool> {
+    gp_members(learners)
+        .filter(|members| !members.is_empty())
+        .map(|members| RowPool::new(&members))
+}
+
+/// Learner-major `learners.len() × x.n_rows()` probability and intrinsic
+/// variance tables of GP ensembles from one pass of the pooled kernel over
+/// `pool`, their [`pool_gp_learners`]; `vars` is empty without
+/// `with_variance`. Each member's `α` and Cholesky factor are read in
+/// place. Every learner sums its members' clamped means and variances in
+/// member order and divides by its member count, as
+/// [`BaggingClassifier::predict_with_variance`] does, so learner `l`'s rows
+/// are that call's bits (and its probabilities those of
+/// [`Classifier::predict_proba`]).
+///
+/// # Panics
+/// Panics when `learners` are not the ensembles `pool` was built from.
+pub fn pooled_gp_tables(
+    pool: &RowPool,
+    learners: &[BaggingClassifier],
+    x: MatrixView<'_>,
+    with_variance: bool,
+) -> (Vec<f64>, Vec<f64>) {
+    let members = gp_members(learners).unwrap_or_default();
+    let n_rows = x.n_rows();
+    let mut probs = vec![0.0; learners.len() * n_rows];
+    let mut vars = vec![0.0; if with_variance { probs.len() } else { 0 }];
+    let zero = F64x4::splat(0.0);
+    pool.predict(
+        &members,
+        x,
+        with_variance,
+        |start, live, means, member_vars| {
+            let mut end = 0;
+            for (l, learner) in learners.iter().enumerate() {
+                let range = end..end + learner.n_members();
+                end = range.end;
+                let b = F64x4::splat(range.len() as f64);
+                let window = l * n_rows + start..l * n_rows + start + live;
+                let p = means[range.clone()]
+                    .iter()
+                    .fold(zero, |acc, m| acc + F64x4(m.0.map(|p| p.clamp(0.0, 1.0))));
+                probs[window.clone()].copy_from_slice(&(p / b).0[..live]);
+                if with_variance {
+                    let v = member_vars[range].iter().fold(zero, |acc, &v| acc + v);
+                    vars[window].copy_from_slice(&(v / b).0[..live]);
+                }
+            }
+        },
+    );
+    (probs, vars)
 }
 
 /// Fit an SVM or GP member on its bootstrap, gathered into one flat copy.

@@ -18,29 +18,38 @@
 //! Training inputs are kept in a flat row-major [`Matrix`]; the kernel
 //! matrix and Cholesky factor are flat as well.
 //!
-//! # Blocked prediction
+//! # Blocked prediction over a row pool
 //!
 //! Both entry points — [`Classifier::predict_proba`] (mean only) and
 //! [`GaussianProcess::predict_latent`] / `predict_with_variance` — run
-//! one blocked kernel. It takes query rows four at a time and runs the
-//! [`F64x4`] lanes across the block's rows rather than along one row's
-//! features, so each training row, each `α` entry and each row of the
-//! Cholesky factor `L` is read once per block, and the forward
-//! substitution `L v = k*` advances four independent rows per step
-//! instead of one serial chain. A partial last block pads its lanes with
-//! its last row and drops them.
+//! one blocked kernel, and so do the learner tables of a whole GP ensemble
+//! stack (`crate::bagging::pooled_gp_tables`). The kernel scores members
+//! that share one kernel over a [`RowPool`]: their training rows, each
+//! distinct row (by bit pattern) stored once, with every member's
+//! positions in it. A lone GP is the one-member case, its own training
+//! rows in order.
+//!
+//! The kernel takes query rows four at a time and runs the [`F64x4`]
+//! lanes across the block's rows rather than along one row's features. It
+//! computes the kernel value of each distinct pool row once per block;
+//! every member then gathers its `k*` from that block and reads its `α`
+//! entries and the rows of its Cholesky factor `L` once per block, and
+//! the forward substitution `L v = k*` advances four independent rows per
+//! step instead of one serial chain. A partial last block pads its lanes
+//! with its last row and drops them.
 //!
 //! The results are bit-identical to scoring each row alone with the
 //! `f64x4` kernels of [`paws_data::simd`], because every lane repeats one
 //! row's arithmetic in that row's order, with no FMA and no
-//! reassociation. Each reduction (the squared distances, `k*·α`, each
-//! substitution step's dot and `vᵀv`) keeps four partial sums per row,
-//! summing terms `l, l+4, …` in partial `l`. It combines them as
-//! `(l0+l1)+(l2+l3)` and then folds the tail terms in sequentially, which
-//! is exactly the order of `simd::dot` / `simd::squared_distance` /
-//! `simd::sum_squares`. Kernel values take one scalar `exp` each. A
-//! proptest in this module holds the kernel to a per-row reference
-//! bit for bit.
+//! reassociation, and a row's kernel value depends only on its bits.
+//! Each reduction (the squared distances, `k*·α`, each substitution
+//! step's dot and `vᵀv`) keeps four partial sums per row, summing terms
+//! `l, l+4, …` in partial `l`. It combines them as `(l0+l1)+(l2+l3)` and
+//! then folds the tail terms in sequentially, which is exactly the order
+//! of `simd::dot` / `simd::squared_distance` / `simd::sum_squares`.
+//! Kernel values take one scalar `exp` each. Two proptests in this module
+//! hold the kernel to a per-row reference bit for bit: a lone GP, and up
+//! to twelve members drawn with repeats from one pool.
 
 use crate::linalg::{squared_distance, Cholesky};
 use crate::traits::{validate_training_data, Classifier, UncertainClassifier};
@@ -49,6 +58,8 @@ use paws_data::simd::{F64x4, LaneVector};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Query rows per prediction block: one per lane of [`F64x4`], which is
 /// also the lane count of the f64 reduction kernels the block replays.
@@ -172,59 +183,226 @@ impl GaussianProcess {
         self.predict_blocked(x, true)
     }
 
-    /// The GP prediction loop (see the module docs): latent means of every
-    /// row of `x`, and their variances when `with_variance` is set (an
-    /// empty vector otherwise).
+    /// Latent means of every row of `x`, and their variances when
+    /// `with_variance` is set (an empty vector otherwise): the pooled loop
+    /// with this GP as its one member.
     fn predict_blocked(&self, x: MatrixView<'_>, with_variance: bool) -> (Vec<f64>, Vec<f64>) {
-        assert_eq!(
-            x.n_cols(),
-            self.train_rows.n_cols(),
-            "feature width mismatch"
-        );
-        let n = self.n_train();
-        let kxx = self.config.signal_variance;
-        let denom = 2.0 * self.config.length_scale * self.config.length_scale;
+        let positions: Vec<usize> = (0..self.n_train()).collect();
         let mut means = Vec::with_capacity(x.n_rows());
         let mut vars = Vec::with_capacity(if with_variance { x.n_rows() } else { 0 });
-        // Block scratch; lane r belongs to the block's row r. `q` is the
-        // block transposed (one vector per feature), `kstar` its kernel
-        // rows k* and `v` its L⁻¹k*.
-        let zero = F64x4::splat(0.0);
-        let mut q = vec![zero; x.n_cols()];
-        let mut kstar = vec![zero; n];
-        let mut v = vec![zero; if with_variance { n } else { 0 }];
-        for start in (0..x.n_rows()).step_by(LANES) {
-            let live = (x.n_rows() - start).min(LANES);
-            for r in 0..LANES {
-                let row = x.row(start + r.min(live - 1));
-                for (qf, &value) in q.iter_mut().zip(row) {
-                    qf.0[r] = value;
+        let member = [(self, &positions[..])];
+        predict_pooled(
+            self.train_rows.view(),
+            &member,
+            x,
+            with_variance,
+            |_, live, m, v| {
+                means.extend_from_slice(&m[0].0[..live]);
+                if let Some(v) = v.first() {
+                    vars.extend_from_slice(&v.0[..live]);
                 }
+            },
+        );
+        (means, vars)
+    }
+
+    /// Whether `other` has this GP's kernel: feature width, length scale
+    /// and signal variance, compared by bits.
+    fn shares_kernel_with(&self, other: &Self) -> bool {
+        self.train_rows.n_cols() == other.train_rows.n_cols()
+            && self.config.length_scale.to_bits() == other.config.length_scale.to_bits()
+            && self.config.signal_variance.to_bits() == other.config.signal_variance.to_bits()
+    }
+}
+
+/// The training rows of GP members that share one kernel, each distinct
+/// row (by bit pattern) stored once, with every member's positions in it.
+///
+/// Members bagged from one batch repeat rows within and across members,
+/// so the pooled loop (see the module docs) computes each distinct row's
+/// kernel value once per query block for all of them. The pool holds no
+/// member's `α` or Cholesky factor: a prediction reads them in place from
+/// the members it is given, which must be the pooled ones, in order.
+#[derive(Debug, Clone)]
+pub struct RowPool {
+    rows: Matrix,
+    /// Member `m`'s training rows are pool rows
+    /// `positions[starts[m]..starts[m + 1]]`.
+    positions: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+impl RowPool {
+    /// Pool the training rows of `members`, in member order.
+    ///
+    /// # Panics
+    /// Panics when `members` is empty, or when its members differ in
+    /// feature width, length scale or signal variance.
+    pub fn new(members: &[&GaussianProcess]) -> Self {
+        assert!(!members.is_empty(), "a row pool needs a member");
+        let first = members[0];
+        let mut rows = Matrix::new(first.train_rows.n_cols());
+        let mut index = HashMap::new();
+        let mut positions = Vec::with_capacity(members.iter().map(|m| m.n_train()).sum());
+        let mut starts = vec![0];
+        for gp in members {
+            assert!(
+                gp.shares_kernel_with(first),
+                "pooled GP members must share one kernel"
+            );
+            for row in gp.train_rows.rows() {
+                let next = index.len();
+                positions.push(*index.entry(RowBits(row)).or_insert_with(|| {
+                    rows.push_row(row);
+                    next
+                }));
             }
-            for (k, xi) in kstar.iter_mut().zip(self.train_rows.rows()) {
-                let dist = lane_sum(&q, xi, |qf, xf| {
-                    let d = qf - F64x4::splat(xf);
-                    d * d
-                });
-                let arg = F64x4(dist.0.map(|s| -s)) / F64x4::splat(denom);
-                *k = F64x4::splat(kxx) * F64x4(arg.0.map(f64::exp));
+            starts.push(positions.len());
+        }
+        Self {
+            rows,
+            positions,
+            starts,
+        }
+    }
+
+    /// Number of distinct rows held.
+    pub fn n_rows(&self) -> usize {
+        self.rows.n_rows()
+    }
+
+    /// Number of member training rows the pool stands for, repeats
+    /// included.
+    pub fn n_member_rows(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// The pooled loop over `members`, the GPs this pool was built from in
+    /// the same order: for every four-row block of `x` starting at row
+    /// `start`, with `live` real rows, `emit(start, live, means, vars)`
+    /// receives each member's latent means and, with `with_variance`, its
+    /// variances (empty otherwise), in member order.
+    ///
+    /// # Panics
+    /// Panics when `members` do not match the pooled members' count and
+    /// training sizes, or on a feature-width mismatch.
+    pub(crate) fn predict(
+        &self,
+        members: &[&GaussianProcess],
+        x: MatrixView<'_>,
+        with_variance: bool,
+        emit: impl FnMut(usize, usize, &[F64x4], &[F64x4]),
+    ) {
+        assert_eq!(
+            members.len() + 1,
+            self.starts.len(),
+            "predict with the pooled members"
+        );
+        let pooled: Vec<(&GaussianProcess, &[usize])> = members
+            .iter()
+            .zip(self.starts.windows(2))
+            .map(|(&gp, w)| {
+                assert_eq!(gp.n_train(), w[1] - w[0], "predict with the pooled members");
+                (gp, &self.positions[w[0]..w[1]])
+            })
+            .collect();
+        predict_pooled(self.rows.view(), &pooled, x, with_variance, emit);
+    }
+}
+
+/// A training row compared and hashed by its values' bit patterns.
+struct RowBits<'a>(&'a [f64]);
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self
+                .0
+                .iter()
+                .zip(other.0)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl Hash for RowBits<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.0 {
+            v.to_bits().hash(state);
+        }
+    }
+}
+
+/// The GP prediction loop (see the module docs). `pool` holds distinct
+/// training rows, and each member is a GP with its training rows'
+/// positions in `pool`; every member has the kernel of the first. For
+/// every four-row block of `x`, `emit(start, live, means, vars)` receives
+/// each member's latent means and, with `with_variance`, its variances
+/// (empty otherwise), in member order; lanes from `live` on are padding.
+fn predict_pooled(
+    pool: MatrixView<'_>,
+    members: &[(&GaussianProcess, &[usize])],
+    x: MatrixView<'_>,
+    with_variance: bool,
+    mut emit: impl FnMut(usize, usize, &[F64x4], &[F64x4]),
+) {
+    assert_eq!(x.n_cols(), pool.n_cols(), "feature width mismatch");
+    let Some(&(first, _)) = members.first() else {
+        return;
+    };
+    let kxx = first.config.signal_variance;
+    let denom = 2.0 * first.config.length_scale * first.config.length_scale;
+    let n_max = members.iter().map(|(_, p)| p.len()).max().unwrap_or(0);
+    // Block scratch; lane r belongs to the block's row r. `q` is the
+    // block transposed (one vector per feature), `kpool` the kernel values
+    // of the pool rows, `kstar` one member's k* gathered from them and `v`
+    // its L⁻¹k*; `means` and `vars` hold every member's outputs.
+    let zero = F64x4::splat(0.0);
+    let mut q = vec![zero; x.n_cols()];
+    let mut kpool = vec![zero; pool.n_rows()];
+    let mut kstar = vec![zero; n_max];
+    let mut v = vec![zero; if with_variance { n_max } else { 0 }];
+    let mut means = vec![zero; members.len()];
+    let mut vars = vec![zero; if with_variance { members.len() } else { 0 }];
+    for start in (0..x.n_rows()).step_by(LANES) {
+        let live = (x.n_rows() - start).min(LANES);
+        for r in 0..LANES {
+            let row = x.row(start + r.min(live - 1));
+            for (qf, &value) in q.iter_mut().zip(row) {
+                qf.0[r] = value;
             }
-            let mean = F64x4::splat(self.mean_label)
-                + lane_sum(&kstar, &self.alpha, |k, a| k * F64x4::splat(a));
-            means.extend_from_slice(&mean.0[..live]);
+        }
+        for (k, xi) in kpool.iter_mut().zip(pool.rows()) {
+            let dist = lane_sum(&q, xi, |qf, xf| {
+                let d = qf - F64x4::splat(xf);
+                d * d
+            });
+            let arg = F64x4(dist.0.map(|s| -s)) / F64x4::splat(denom);
+            *k = F64x4::splat(kxx) * F64x4(arg.0.map(f64::exp));
+        }
+        for (m, &(gp, positions)) in members.iter().enumerate() {
+            let n = positions.len();
+            let kstar = &mut kstar[..n];
+            for (k, &p) in kstar.iter_mut().zip(positions) {
+                *k = kpool[p];
+            }
+            means[m] = F64x4::splat(gp.mean_label)
+                + lane_sum(kstar, &gp.alpha, |k, a| k * F64x4::splat(a));
             if with_variance {
                 // v = L⁻¹ k* by forward substitution, then the predictive
                 // variance k(x,x) − vᵀv.
+                let v = &mut v[..n];
                 for i in 0..n {
-                    let l_row = self.chol.factor_row(i);
+                    let l_row = gp.chol.factor_row(i);
                     let dot = lane_sum(&v[..i], &l_row[..i], |vj, l| F64x4::splat(l) * vj);
                     v[i] = (kstar[i] - dot) / F64x4::splat(l_row[i]);
                 }
-                let ss = lane_sum(&v, &v, |a, b| a * b);
-                vars.extend(ss.0[..live].iter().map(|&s| (kxx - s).max(1e-12)));
+                let ss = lane_sum(v, v, |a, b| a * b);
+                vars[m] = F64x4(ss.0.map(|s| (kxx - s).max(1e-12)));
             }
         }
-        (means, vars)
+        emit(start, live, &means, &vars);
     }
 }
 
@@ -505,6 +683,142 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every member's latent means and variances (empty without
+    /// `with_variance`) from one pass of the pooled loop.
+    fn pooled_latent(
+        pool: &RowPool,
+        members: &[&GaussianProcess],
+        x: MatrixView<'_>,
+        with_variance: bool,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let mut means = vec![Vec::new(); members.len()];
+        let mut vars = vec![Vec::new(); members.len()];
+        pool.predict(members, x, with_variance, |_, live, m, v| {
+            for (out, lanes) in means.iter_mut().zip(m) {
+                out.extend_from_slice(&lanes.0[..live]);
+            }
+            for (out, lanes) in vars.iter_mut().zip(v) {
+                out.extend_from_slice(&lanes.0[..live]);
+            }
+        });
+        (means, vars)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 12 } else { 300 }
+        ))]
+
+        #[test]
+        fn pooled_kernel_matches_the_per_row_reference(seed in 0.0..1e9) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed as u64);
+            let width = rng.gen_range(1..25);
+            // Every member draws its rows with replacement from one set of
+            // distinct rows, so rows repeat within and across members.
+            let n_distinct = rng.gen_range(1..160);
+            let distinct = Matrix::from_flat(
+                (0..n_distinct * width).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+                width,
+            );
+            let config = GpConfig {
+                length_scale: 10f64.powf(rng.gen_range(-1.0..1.0)),
+                signal_variance: rng.gen_range(0.1..4.0),
+                noise_variance: 10f64.powf(rng.gen_range(-4.0..0.0)),
+                max_points: 120,
+            };
+            let members: Vec<GaussianProcess> = (0..rng.gen_range(1..13))
+                .map(|_| {
+                    let n = rng.gen_range(1..121);
+                    let mut train = Matrix::new(width);
+                    let mut labels = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        train.push_row(distinct.row(rng.gen_range(0..n_distinct)));
+                        labels.push(f64::from(rng.gen_bool(0.3)));
+                    }
+                    GaussianProcess::fit(&config, train.view(), &labels, rng.gen())
+                })
+                .collect();
+            let members: Vec<&GaussianProcess> = members.iter().collect();
+            let pool = RowPool::new(&members);
+            let used: std::collections::HashSet<Vec<u64>> = members
+                .iter()
+                .flat_map(|gp| gp.train_rows.rows())
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            proptest::prop_assert!(pool.n_rows() == used.len(), "distinct rows, seed {seed}");
+            proptest::prop_assert!(
+                pool.n_member_rows() == members.iter().map(|gp| gp.n_train()).sum::<usize>(),
+                "member rows, seed {seed}"
+            );
+
+            // Thirteen queries mixing fresh rows, pooled rows and rows so
+            // far from every pooled row that k* underflows to zeros.
+            let mut queries = Matrix::new(width);
+            let mut far = Vec::new();
+            for i in 0..13 {
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let row: Vec<f64> = (0..width).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                        queries.push_row(&row);
+                    }
+                    1 => queries.push_row(distinct.row(rng.gen_range(0..n_distinct))),
+                    _ => {
+                        let row: Vec<f64> = (0..width).map(|_| 1e4 + rng.gen_range(-1.0..1.0)).collect();
+                        queries.push_row(&row);
+                        far.push(i);
+                    }
+                }
+            }
+            let context = format!(
+                "case seed {seed}: {} members over {} distinct rows x {width} features, {config:?}",
+                members.len(),
+                pool.n_rows()
+            );
+            // Every batch size 0..=13 covers every block remainder.
+            for n_rows in 0..=queries.n_rows() {
+                let q = queries.view().head(n_rows);
+                let (means, vars) = pooled_latent(&pool, &members, q, true);
+                let (mean_only, no_vars) = pooled_latent(&pool, &members, q, false);
+                for (m, gp) in members.iter().enumerate() {
+                    let (ref_mean, ref_var) = reference_latent(gp, q);
+                    let case = format!("member {m}, {n_rows} rows, {context}");
+                    proptest::prop_assert!(bits(&means[m]) == bits(&ref_mean), "means, {case}");
+                    proptest::prop_assert!(bits(&vars[m]) == bits(&ref_var), "variances, {case}");
+                    proptest::prop_assert!(bits(&mean_only[m]) == bits(&ref_mean), "mean only, {case}");
+                    proptest::prop_assert!(no_vars[m].is_empty(), "mean only, {case}");
+                    let clamped = |v: &[f64]| bits(&v.iter().map(|p| p.clamp(0.0, 1.0)).collect::<Vec<_>>());
+                    proptest::prop_assert!(
+                        clamped(&mean_only[m]) == bits(&gp.predict_proba(q)),
+                        "probabilities, {case}"
+                    );
+                }
+            }
+            let (_, vars) = pooled_latent(&pool, &members, queries.view(), true);
+            for (m, var) in vars.iter().enumerate() {
+                for &i in &far {
+                    proptest::prop_assert!(
+                        var[i].to_bits() == config.signal_variance.to_bits(),
+                        "member {m}: far row {i} has variance {}, {context}",
+                        var[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pooled GP members must share one kernel")]
+    fn members_of_different_kernels_are_not_pooled() {
+        let (rows, labels) = blob_data(40, 15);
+        let a = GaussianProcess::fit(&GpConfig::default(), rows.view(), &labels, 3);
+        let config = GpConfig {
+            length_scale: 1.0,
+            ..GpConfig::default()
+        };
+        let b = GaussianProcess::fit(&config, rows.view(), &labels, 3);
+        let _ = RowPool::new(&[&a, &b]);
     }
 
     #[test]
