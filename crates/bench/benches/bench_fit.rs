@@ -4,11 +4,14 @@
 //! appended rows (every learner kept bit-identically — only the CV-weight
 //! solve reruns). The warm/resolve timings include the `FitCache` clone a
 //! live registry would never pay (it mutates its resident cache in
-//! place), so the measured speedups are conservative.
+//! place), so the measured speedups are conservative. All three fit
+//! DTB-iW on the test park; a fourth case is SWS's GPB-iW cold fit, most
+//! of whose time is the CV folds' out-of-fold GP means.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use paws_bench::{dry_season_dataset, park_model_config, scenario, Scale};
 use paws_core::{ModelConfig, Scenario, WeakLearnerKind};
-use paws_data::{build_dataset, Discretization, Matrix, StandardScaler};
+use paws_data::{build_dataset, split_by_test_year, Discretization, Matrix, StandardScaler};
 use paws_iware::{IWareConfig, IWareModel};
 use std::hint::black_box;
 
@@ -42,6 +45,24 @@ fn setup() -> FitWorkload {
         labels,
         efforts,
         n_base,
+    }
+}
+
+/// SWS's quick-scale balanced GPB-iW model (10 learners × 5 GPs, 3-fold
+/// CV weights) and its standardised dry-season training rows up to 2017.
+fn sws_gp_setup() -> FitWorkload {
+    let sws = scenario("SWS");
+    let dataset = dry_season_dataset(&sws);
+    let split = split_by_test_year(&dataset, 2017, 3).expect("2017 present");
+    let (_, rows) = StandardScaler::fit_transform(dataset.feature_rows(&split.train));
+    let config = park_model_config("SWS", WeakLearnerKind::GaussianProcess, true, Scale::Quick);
+    FitWorkload {
+        config: config.iware_config(),
+        // No append: the SWS case fits every row once.
+        n_base: rows.n_rows(),
+        rows,
+        labels: dataset.labels(&split.train),
+        efforts: dataset.efforts(&split.train),
     }
 }
 
@@ -99,6 +120,20 @@ fn bench_fit_paths(c: &mut Criterion) {
                 &w.labels,
                 &w.efforts,
                 1.0,
+            ))
+        })
+    });
+
+    // SWS's GPB-iW cold fit: member fits, then per CV fold the fold
+    // learners' fits and their out-of-fold GP means.
+    let sws = sws_gp_setup();
+    group.bench_function("sws_gp_cold_fit", |b| {
+        b.iter(|| {
+            black_box(IWareModel::fit_cached(
+                &sws.config,
+                sws.rows.view(),
+                &sws.labels,
+                &sws.efforts,
             ))
         })
     });
