@@ -241,8 +241,8 @@ impl RowPool {
     pub fn new(members: &[&GaussianProcess]) -> Self {
         assert!(!members.is_empty(), "a row pool needs a member");
         let first = members[0];
-        let mut rows = Matrix::new(first.train_rows.n_cols());
         let mut index = HashMap::new();
+        let mut distinct = Vec::new();
         let mut positions = Vec::with_capacity(members.iter().map(|m| m.n_train()).sum());
         let mut starts = vec![0];
         for gp in members {
@@ -251,13 +251,17 @@ impl RowPool {
                 "pooled GP members must share one kernel"
             );
             for row in gp.train_rows.rows() {
-                let next = index.len();
+                let next = distinct.len();
                 positions.push(*index.entry(RowBits(row)).or_insert_with(|| {
-                    rows.push_row(row);
+                    distinct.push(row);
                     next
                 }));
             }
             starts.push(positions.len());
+        }
+        let mut rows = Matrix::with_capacity(distinct.len(), first.train_rows.n_cols());
+        for row in distinct {
+            rows.push_row(row);
         }
         Self {
             rows,
