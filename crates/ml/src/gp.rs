@@ -275,12 +275,6 @@ impl RowPool {
         self.rows.n_rows()
     }
 
-    /// Number of member training rows the pool stands for, repeats
-    /// included.
-    pub fn n_member_rows(&self) -> usize {
-        self.positions.len()
-    }
-
     /// The pooled loop over `members`, the GPs this pool was built from in
     /// the same order: for every four-row block of `x` starting at row
     /// `start`, with `live` real rows, `emit(start, live, means, vars)`
@@ -752,10 +746,6 @@ mod tests {
                 .map(|row| row.iter().map(|v| v.to_bits()).collect())
                 .collect();
             proptest::prop_assert!(pool.n_rows() == used.len(), "distinct rows, seed {seed}");
-            proptest::prop_assert!(
-                pool.n_member_rows() == members.iter().map(|gp| gp.n_train()).sum::<usize>(),
-                "member rows, seed {seed}"
-            );
 
             // Thirteen queries mixing fresh rows, pooled rows and rows so
             // far from every pooled row that k* underflows to zeros.
