@@ -6,7 +6,7 @@
 //! that driver from an empty cache: no record to keep and no cached CV
 //! predictions, so every learner fits and the full CV stage runs.
 
-use super::tables::learner_f64_tables;
+use super::tables::{learner_f64_tables, row_block};
 use super::{next_model_id, Fused, IWareConfig, IWareModel, LearnerStack};
 use crate::thresholds::{qualified_count, select_thresholds};
 use crate::weights::{optimize_weights, WeightMode};
@@ -602,8 +602,7 @@ fn resolve_weights_cached(
     from_row: usize,
 ) -> Vec<f64> {
     if from_row < x.n_rows() {
-        let w = x.n_cols();
-        let new_x = MatrixView::from_flat(&x.as_slice()[from_row * w..], w);
+        let new_x = row_block(x, from_row, x.n_rows() - from_row);
         learners.push_point_rows(&mut cv.predictions, new_x);
         cv.efforts.extend_from_slice(&efforts[from_row..]);
         cv.labels.extend_from_slice(&labels[from_row..]);

@@ -366,7 +366,7 @@ pub(super) fn learner_f64_tables(
 }
 
 /// Rows `start..start + len` of `x`.
-fn row_block(x: MatrixView<'_>, start: usize, len: usize) -> MatrixView<'_> {
+pub(super) fn row_block(x: MatrixView<'_>, start: usize, len: usize) -> MatrixView<'_> {
     let w = x.n_cols();
     MatrixView::from_flat(&x.as_slice()[start * w..][..len * w], w)
 }
