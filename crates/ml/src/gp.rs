@@ -238,7 +238,7 @@ impl RowPool {
     /// # Panics
     /// Panics when `members` is empty, or when its members differ in
     /// feature width, length scale or signal variance.
-    pub fn new(members: &[&GaussianProcess]) -> Self {
+    pub(crate) fn new(members: &[&GaussianProcess]) -> Self {
         assert!(!members.is_empty(), "a row pool needs a member");
         let first = members[0];
         let mut index = HashMap::new();
@@ -268,11 +268,6 @@ impl RowPool {
             positions,
             starts,
         }
-    }
-
-    /// Number of distinct rows held.
-    pub fn n_rows(&self) -> usize {
-        self.rows.n_rows()
     }
 
     /// The pooled loop over `members`, the GPs this pool was built from in
@@ -745,7 +740,7 @@ mod tests {
                 .flat_map(|gp| gp.train_rows.rows())
                 .map(|row| row.iter().map(|v| v.to_bits()).collect())
                 .collect();
-            proptest::prop_assert!(pool.n_rows() == used.len(), "distinct rows, seed {seed}");
+            proptest::prop_assert!(pool.rows.n_rows() == used.len(), "distinct rows, seed {seed}");
 
             // Thirteen queries mixing fresh rows, pooled rows and rows so
             // far from every pooled row that k* underflows to zeros.
@@ -768,7 +763,7 @@ mod tests {
             let context = format!(
                 "case seed {seed}: {} members over {} distinct rows x {width} features, {config:?}",
                 members.len(),
-                pool.n_rows()
+                pool.rows.n_rows()
             );
             // Every batch size 0..=13 covers every block remainder.
             for n_rows in 0..=queries.n_rows() {
