@@ -350,6 +350,46 @@ mod tests {
         }
     }
 
+    /// A live deadline only decides admission: the plan it admits is the
+    /// one a direct call on the resident bundle returns, bit for bit.
+    #[test]
+    fn a_live_deadline_leaves_the_plan_equal_to_the_direct_call() {
+        let (server, park) = server_with_park();
+        let (post, grid) = (park.patrol_posts[0], vec![0.0, 0.5, 1.0, 2.0]);
+        let answers = server.submit(&[QueryRequest::new(
+            "mondulkiri",
+            QueryKind::PatrolPlan {
+                post,
+                effort_grid: grid.clone(),
+                patrol_length_km: 8.0,
+                n_patrols: 2,
+                beta: 0.8,
+            },
+        )
+        .with_budget(SolveBudget::with_time_limit(Duration::from_secs(600)))]);
+        let resident = server.registry().resident("mondulkiri").expect("installed");
+        let problem = resident
+            .model
+            .try_planning_problem_prepared(
+                &resident.park,
+                &resident.prepared,
+                post,
+                &grid,
+                8.0,
+                2,
+                0.8,
+            )
+            .expect("valid problem");
+        let direct = try_plan(&problem, &server.planner).expect("direct plan");
+        let Ok(QueryResponse::PatrolPlan(served)) = &answers[0] else {
+            panic!("expected a plan: {:?}", answers[0]);
+        };
+        assert_eq!(served.status, direct.status);
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served.coverage), bits(&direct.coverage));
+        assert_eq!(served.objective.to_bits(), direct.objective.to_bits());
+    }
+
     #[test]
     fn identical_grids_get_bit_identical_answers() {
         let (server, _) = server_with_park();
