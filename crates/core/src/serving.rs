@@ -417,7 +417,9 @@ impl ServingModel {
     /// the response surfaces come off the park's cached learner tables (or,
     /// for plain bagging, its prepared rows), then flow through
     /// [`try_planning_problem_from_response`]'s guards, squash and game
-    /// construction.
+    /// construction. Only its scan for non-finite variances is skipped:
+    /// the model's own are finite (GP variances clamp at 1e-12, spreads are
+    /// sums of squares and iWare weights form a simplex).
     ///
     /// # Errors
     /// As [`ServingModel::try_park_response_prepared`] and
@@ -434,7 +436,7 @@ impl ServingModel {
         beta: f64,
     ) -> Result<PlanningProblem, PawsError> {
         let (probs, vars) = self.try_park_response_prepared(prepared, effort_grid)?;
-        try_planning_problem_from_response(
+        guarded_planning_problem(
             park,
             post,
             effort_grid,
@@ -453,9 +455,10 @@ impl ServingModel {
 /// by panicking: the post must lie inside the park, the effort grid must be
 /// finite and strictly ascending with ≥ 2 levels, the surfaces must cover
 /// every cell with one column per level, and the patrol budget and β must
-/// be sane. The raw variances are squashed with the park-wide scale, and
-/// only the rows of cells within half a patrol of the post are read after
-/// that. (Response surfaces
+/// be sane. Every raw variance must be finite (negative ones clamp to 0):
+/// they are squashed with one park-wide scale, which a NaN or ±∞ anywhere
+/// would corrupt, and only the rows of cells within half a patrol of the
+/// post are read after that. (Response surfaces
 /// themselves accept any valid grid, sorted or not; only planning needs
 /// the levels in order, because they become the breakpoints of each
 /// cell's piecewise-linear response.)
@@ -464,6 +467,34 @@ impl ServingModel {
 /// [`PawsError::Input`] naming the violated precondition.
 #[allow(clippy::too_many_arguments)]
 pub fn try_planning_problem_from_response(
+    park: &Park,
+    post: CellId,
+    effort_grid: &[f64],
+    probs: &Matrix,
+    vars: &Matrix,
+    patrol_length_km: f64,
+    n_patrols: usize,
+    beta: f64,
+) -> Result<PlanningProblem, PawsError> {
+    if !vars.as_slice().iter().all(|v| v.is_finite()) {
+        return Err(PawsError::Input("response variances must be finite"));
+    }
+    guarded_planning_problem(
+        park,
+        post,
+        effort_grid,
+        probs,
+        vars,
+        patrol_length_km,
+        n_patrols,
+        beta,
+    )
+}
+
+/// [`try_planning_problem_from_response`] without its scan of the
+/// variances, for surfaces the model computed itself.
+#[allow(clippy::too_many_arguments)]
+fn guarded_planning_problem(
     park: &Park,
     post: CellId,
     effort_grid: &[f64],
@@ -886,9 +917,9 @@ mod tests {
         ));
     }
 
-    /// The planning guards are O(1) and do not scan the surfaces, so a NaN
-    /// response row builds a problem; the planner's model builder then
-    /// rejects the non-finite utility with a typed error, not a panic.
+    /// The planning guards scan the variances but not the probabilities, so
+    /// a NaN probability row builds a problem; the PWL sampler then rejects
+    /// the non-finite utility with a typed error, not a panic.
     #[test]
     fn a_non_finite_response_is_a_typed_planning_error() {
         let (scenario, dataset, split) = small_setup();
@@ -910,6 +941,57 @@ mod tests {
                 .unwrap();
         let err = try_plan(&problem, &PlannerConfig::default()).unwrap_err();
         assert_eq!(err, PlanError::Pwl(PwlError::NonFinite), "{err}");
+    }
+
+    /// A NaN or ±∞ variance anywhere in the raw surface is refused: the
+    /// park-wide squash would read a NaN as 0 and scale every ν to 0 around
+    /// a +∞, even one outside the post's reach. Negative variances still
+    /// clamp to 0.
+    #[test]
+    fn non_finite_raw_variances_are_refused_anywhere_in_the_surface() {
+        let park = &Scenario::test_scenario(3).park;
+        let post = park.patrol_posts[0];
+        let grid: [f64; 4] = [0.0, 1.0, 2.0, 4.0];
+        let probs: Vec<Vec<f64>> = (0..park.n_cells())
+            .map(|i| {
+                let scale = 0.1 + 0.8 * ((i * 37) % 100) as f64 / 100.0;
+                grid.iter()
+                    .map(|&e| scale * (1.0 - (-0.7 * e).exp()))
+                    .collect()
+            })
+            .collect();
+        let vars: Vec<Vec<f64>> = (0..park.n_cells())
+            .map(|i| {
+                let base = 0.05 + 0.4 * ((i * 61) % 100) as f64 / 100.0;
+                grid.iter().map(|&e| base + 0.03 * e).collect()
+            })
+            .collect();
+        let probs = Matrix::from_rows(&probs);
+        let build = |vars: &Matrix| {
+            try_planning_problem_from_response(park, post, &grid, &probs, vars, 8.0, 2, 1.0)
+        };
+        let clean = build(&Matrix::from_rows(&vars)).expect("clean surfaces plan");
+        let reached: Vec<usize> = clean.cells.iter().map(|c| c.park_index).collect();
+        let outside = (0..park.n_cells())
+            .find(|i| !reached.contains(i))
+            .expect("a cell beyond the post's reach");
+        let with = |row: usize, value: f64| {
+            let mut v = vars.clone();
+            v[row][1] = value;
+            Matrix::from_rows(&v)
+        };
+        for (row, value) in [
+            (outside, f64::INFINITY),
+            (outside, f64::NEG_INFINITY),
+            (reached[0], f64::NAN),
+            (reached[0], f64::INFINITY),
+        ] {
+            assert!(
+                matches!(build(&with(row, value)), Err(PawsError::Input(_))),
+                "{value} at row {row}"
+            );
+        }
+        assert!(build(&with(reached[0], -0.5)).is_ok());
     }
 
     #[test]
