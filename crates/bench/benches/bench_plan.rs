@@ -1,8 +1,8 @@
 //! Criterion benchmarks for the planning stack: dense-tableau vs sparse
 //! revised-simplex LP engines on allocation-shaped LPs across cell counts,
-//! the allocation plan across PWL segment counts and the flow formulation
-//! on the test park (the Fig. 9a runtime measurement at component scale),
-//! and the greedy allocation plan on an LLC-scale park. The 10k–100k-cell
+//! the allocation plan across PWL segment counts on the test park (the
+//! Fig. 9a runtime measurement at component scale), and the greedy
+//! allocation plan on an LLC-scale park. The 10k–100k-cell
 //! planner curve is recorded by `fig9 --llc` into `results/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,7 +10,7 @@ use paws_bench::full_reach_problem;
 use paws_data::Matrix;
 use paws_geo::parks::{llc_park_spec, test_park_spec};
 use paws_geo::Park;
-use paws_plan::{try_plan, PlannerConfig, PlannerMethod, PlanningProblem};
+use paws_plan::{try_plan, PlannerConfig, PlanningProblem};
 use paws_solver::{solve_lp, solve_lp_dense, ConstraintOp, Model, Sense};
 use std::hint::black_box;
 
@@ -105,29 +105,11 @@ fn bench_allocation_segments(c: &mut Criterion) {
             BenchmarkId::from_parameter(segments),
             &segments,
             |b, &segments| {
-                let config = PlannerConfig {
-                    segments,
-                    ..PlannerConfig::default()
-                };
+                let config = PlannerConfig { segments };
                 b.iter(|| black_box(try_plan(&problem, &config).unwrap()));
             },
         );
     }
-    group.finish();
-}
-
-fn bench_flow_formulation(c: &mut Criterion) {
-    let problem = test_park_problem(4.0);
-    let config = PlannerConfig {
-        method: PlannerMethod::Flow,
-        segments: 6,
-        ..PlannerConfig::default()
-    };
-    let mut group = c.benchmark_group("flow_formulation");
-    group.sample_size(10);
-    group.bench_function("flow_tiny", |b| {
-        b.iter(|| black_box(try_plan(&problem, &config).unwrap()))
-    });
     group.finish();
 }
 
@@ -147,7 +129,6 @@ criterion_group!(
     benches,
     bench_lp_engines,
     bench_allocation_segments,
-    bench_flow_formulation,
     bench_greedy_llc
 );
 criterion_main!(benches);

@@ -157,10 +157,7 @@ fn main() -> Result<(), PawsError> {
         // (d)-(f): sweep PWL segments at β = 1.
         let mut rows = Vec::new();
         for &segments in &segment_counts {
-            let planner = PlannerConfig {
-                segments,
-                ..PlannerConfig::default()
-            };
+            let planner = PlannerConfig { segments };
             let mut ratios = Vec::new();
             for &post in &posts {
                 let problem = build(post, 1.0);

@@ -123,10 +123,7 @@ fn main() -> Result<(), PawsError> {
         let posts: Vec<_> = sc.park.patrol_posts.iter().copied().take(3).collect();
         let mut rows = Vec::new();
         for &segments in &segment_counts {
-            let planner = PlannerConfig {
-                segments,
-                ..PlannerConfig::default()
-            };
+            let planner = PlannerConfig { segments };
             let mut runtimes = Vec::new();
             let mut utilities = Vec::new();
             for &post in &posts {

@@ -46,10 +46,7 @@ fn oracle_objective(problem: &PlanningProblem, segments: usize) -> f64 {
 /// objective within 1e-9 relative, a coverage inside the budget and every
 /// cell's cap, and no LP solved.
 fn assert_matches_oracle(problem: &PlanningProblem, segments: usize, what: &str) {
-    let config = PlannerConfig {
-        segments,
-        ..PlannerConfig::default()
-    };
+    let config = PlannerConfig { segments };
     let plan = try_plan(problem, &config).unwrap();
     assert_eq!(plan.status, SolveStatus::Optimal, "{what}");
     assert_eq!(plan.lp_solves, 0, "{what}");
@@ -177,10 +174,7 @@ fn identical_cells_fill_in_index_order() {
         n_patrols: 1,
         beta: 0.0,
     };
-    let config = PlannerConfig {
-        segments: 3,
-        ..PlannerConfig::default()
-    };
+    let config = PlannerConfig { segments: 3 };
     let plan = try_plan(&problem, &config).unwrap();
     assert_eq!(plan.coverage, [2.0, 1.0]);
     assert_matches_oracle(&problem, config.segments, "identical cells");

@@ -6,9 +6,9 @@
 //! per-crate error that pinpoints the fault. The taxonomy exists so a
 //! serving process can contain faults instead of panicking: corrupt model
 //! files surface as [`PawsError::Snapshot`], malformed query matrices as
-//! [`PawsError::Query`], degenerate planning inputs as [`PawsError::Plan`],
-//! and budget-exhausted flow-LP solves do not error at all — they degrade
-//! (see `paws_solver::SolveBudget`); an allocation plan needs no solver.
+//! [`PawsError::Query`], and degenerate planning inputs as
+//! [`PawsError::Input`] or [`PawsError::Plan`]. Planning needs no solver,
+//! so no solver error reaches this taxonomy.
 
 use paws_ml::forest32::NarrowError;
 use paws_ml::snapshot::SnapshotError;
@@ -25,8 +25,8 @@ pub enum PawsError {
     Snapshot(SnapshotError),
     /// A query batch or effort grid was rejected at the model boundary.
     Query(QueryError),
-    /// Patrol planning failed (degenerate utilities or a malformed
-    /// optimisation model).
+    /// Patrol planning failed: a cell's utility could not be
+    /// piecewise-linearised.
     Plan(PlanError),
     /// A malformed pipeline-level input the per-crate errors do not cover
     /// (e.g. a coverage vector of the wrong length or with non-finite

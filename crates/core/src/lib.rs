@@ -31,7 +31,7 @@ pub use error::PawsError;
 pub use paws_iware::SnapshotError;
 pub use paws_ml::precision::Precision;
 pub use paws_ml::traits::QueryError;
-pub use paws_plan::{try_plan, PlanError, PlannerConfig, PlannerMethod};
+pub use paws_plan::{try_plan, PlanError, PlannerConfig};
 pub use pipeline::{train, TrainedModel};
 pub use report::{ascii_heatmap, format_table};
 pub use scenario::Scenario;

@@ -42,9 +42,7 @@ pub fn try_compare_robust_vs_baseline(
 
 /// Solve the β = 0 baseline plan and the robust plan at `problem.beta` once
 /// each, and build every field from that one pair: the ratio under the
-/// β-weighted objective, and `detections` of each plan's coverage. Under a
-/// solve budget a second solve could stop at another incumbent, so nothing
-/// here solves twice.
+/// β-weighted objective, and `detections` of each plan's coverage.
 fn try_compare(
     problem: &PlanningProblem,
     config: &PlannerConfig,
@@ -190,10 +188,7 @@ mod tests {
         let problem = uncertain_problem(0.5);
         // A degenerate PWL request (zero segments) propagates as an error
         // through the planner and the evaluation instead of panicking.
-        let bad = PlannerConfig {
-            segments: 0,
-            ..PlannerConfig::default()
-        };
+        let bad = PlannerConfig { segments: 0 };
         assert_eq!(
             try_compare_robust_vs_baseline(&problem, &bad).err(),
             Some(PlanError::Pwl(PwlError::Empty))

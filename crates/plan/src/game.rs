@@ -271,10 +271,9 @@ impl PlanningProblem {
 /// The number of discrete patrol steps implied by a patrol length in km
 /// (one step ≈ one km, nearest-integer, never zero).
 ///
-/// Route extraction and the time-unrolled flow LP used to duplicate this
-/// conversion — and a third site truncated with `as usize` instead of
-/// rounding, so a 8.5 km patrol was 9 steps in one layer and 8 in another.
-/// Every step-budget consumer now goes through this single helper.
+/// Route extraction and [`PlanningProblem::patrol_steps`] both go through
+/// this one helper, so a 8.5 km patrol is 9 steps everywhere (a site that
+/// truncated with `as usize` once made it 8 in one layer).
 pub fn steps_for(patrol_length_km: f64) -> usize {
     patrol_length_km.round().max(1.0) as usize
 }

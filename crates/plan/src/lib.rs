@@ -12,8 +12,8 @@
 //!    [`PlanningProblem::from_raw_response`]: it searches only as far as a
 //!    patrol can reach and back, and squashes the candidates' variances into
 //!    ν_v(c) with a [`robust::VarianceSquash`] fitted to the whole park.
-//! 3. Optimise with [`planner::try_plan`] (the exact greedy allocation by
-//!    default, the time-unrolled flow LP for small instances).
+//! 3. Optimise with [`planner::try_plan`]: the exact greedy fill of the
+//!    cells' concave-enveloped utilities under the patrol budget.
 //! 4. Extract ranger routes with [`routes::extract_routes`] and evaluate
 //!    Uβ(Cβ)/Uβ(Cβ=0) with [`evaluate::try_compare_robust_vs_baseline`].
 
@@ -29,7 +29,7 @@ pub use evaluate::{
     RobustComparison,
 };
 pub use game::{park_travel_distances, steps_for, PlanningCell, PlanningProblem};
-pub use planner::{try_plan, PatrolPlan, PlanError, PlannerConfig, PlannerMethod};
+pub use planner::{try_plan, PatrolPlan, PlanError, PlannerConfig};
 pub use pwl::{PwlError, PwlFunction};
 pub use robust::VarianceSquash;
 pub use routes::{extract_routes, route_coverage, Route};

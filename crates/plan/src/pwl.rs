@@ -132,10 +132,9 @@ impl PwlFunction {
 
     /// The upper concave envelope of the function over its breakpoints: the
     /// tightest concave PWL function that dominates it. The planner
-    /// optimises this in place of every non-concave utility, so an
-    /// allocation plan is an exact greedy fill and a flow plan a linear
-    /// program; the paper's exact SOS2 encoding of the non-concave pieces
-    /// is not implemented.
+    /// optimises this in place of every non-concave utility, so a plan is
+    /// an exact greedy fill; the paper's exact SOS2 encoding of the
+    /// non-concave pieces is not implemented.
     pub fn concave_envelope(&self) -> PwlFunction {
         // Upper convex hull of the breakpoints (Andrew's monotone chain on
         // the upper side), then re-evaluate at the original x grid.

@@ -19,9 +19,10 @@
 //! * [`PawsServer`] — batched admission: group by park, snapshot each
 //!   bundle once, fan park groups across the work-stealing pool, and
 //!   answer every request by the direct prepared-park call, with a typed
-//!   result honouring its [`paws_solver::SolveBudget`] deadline. A park's
-//!   first query fills its learner tables; every later one only combines
-//!   them.
+//!   result. A request whose [`paws_solver::SolveBudget`] deadline lapsed
+//!   before its query started is refused; one admitted in time gets the
+//!   direct call's answer. A park's first query fills its learner tables;
+//!   every later one only combines them.
 //!
 //! ```no_run
 //! use paws_core::{Scenario, ModelConfig, WeakLearnerKind};

@@ -1,10 +1,10 @@
 //! Typed serving requests, responses and errors.
 //!
 //! A [`QueryRequest`] names a resident park, the query to run against its
-//! cached artifacts, and a per-request [`SolveBudget`] deadline. Admission
-//! ([`crate::server::PawsServer::submit`]) answers each request with a
-//! [`QueryResponse`] or a typed [`ServeError`]; nothing on the serving
-//! surface panics on caller input.
+//! cached artifacts, and a per-request [`SolveBudget`] admission deadline.
+//! Admission ([`crate::server::PawsServer::submit`]) answers each request
+//! with a [`QueryResponse`] or a typed [`ServeError`]; nothing on the
+//! serving surface panics on caller input.
 
 use paws_core::PawsError;
 use paws_data::{AppendError, Matrix};
@@ -28,9 +28,8 @@ pub enum QueryKind {
         effort_grid: Vec<f64>,
     },
     /// A robust patrol plan for one patrol post, built from the park's
-    /// cached response surface. The default allocation plan is the exact
-    /// greedy fill and needs no solver; only a flow plan's LP takes the
-    /// request's remaining deadline (anytime, degrading — never hanging).
+    /// cached response surface: the exact greedy fill, which needs no
+    /// solver.
     PatrolPlan {
         /// Patrol post the routes must start from.
         post: CellId,
@@ -52,10 +51,11 @@ pub struct QueryRequest {
     pub park: String,
     /// The query to run.
     pub kind: QueryKind,
-    /// Per-request deadline: requests whose wall-clock budget is exhausted
-    /// are answered [`ServeError::DeadlineExceeded`] instead of being
-    /// served late, and a flow plan's LP receives only the budget that
-    /// remains when it starts. [`SolveBudget::unlimited`] opts out.
+    /// Per-request admission deadline: a request whose wall-clock budget
+    /// is exhausted before its query starts is answered
+    /// [`ServeError::DeadlineExceeded`] instead of being served late; one
+    /// that starts in time gets the same answer as an unbudgeted request.
+    /// [`SolveBudget::unlimited`] opts out.
     pub budget: SolveBudget,
 }
 
@@ -69,7 +69,7 @@ impl QueryRequest {
         }
     }
 
-    /// Attach a solve budget to the request.
+    /// Attach an admission deadline to the request.
     pub fn with_budget(mut self, budget: SolveBudget) -> Self {
         self.budget = budget;
         self
@@ -93,8 +93,7 @@ pub enum QueryResponse {
         /// Predictive variance per (cell, effort level).
         vars: Matrix,
     },
-    /// The computed patrol plan: always `Optimal` for an allocation plan,
-    /// possibly `Degraded` for a flow plan under a tight budget.
+    /// The computed patrol plan, always `Optimal`.
     PatrolPlan(PatrolPlan),
 }
 

@@ -15,11 +15,10 @@
 //! 3. each answer is a typed [`QueryResponse`] / [`ServeError`] — the
 //!    admission layer never panics on caller input — and a request whose
 //!    [`paws_solver::SolveBudget`] wall-clock deadline lapses before its
-//!    query starts is refused with [`ServeError::DeadlineExceeded`]. A
-//!    patrol plan that starts in time is the planner's: an allocation plan
-//!    is the exact greedy fill, needs no solver and never degrades, and
-//!    only a flow plan's LP takes the remaining budget (degrading
-//!    gracefully instead of overrunning).
+//!    query starts is refused with [`ServeError::DeadlineExceeded`]. The
+//!    deadline bounds admission only: a query that starts in time gets the
+//!    direct call's answer, and a patrol plan is the planner's exact
+//!    greedy fill, which needs no solver.
 
 use crate::registry::{ModelRegistry, ResidentPark};
 use crate::request::{QueryKind, QueryRequest, QueryResponse, ServeError};
@@ -33,8 +32,7 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 pub struct PawsServer {
     registry: ModelRegistry,
-    /// Planner settings for patrol-plan queries (method, PWL segments);
-    /// the per-request budget is injected on top of these.
+    /// Planner settings (PWL segments) for every patrol-plan query.
     pub planner: PlannerConfig,
 }
 
@@ -156,14 +154,7 @@ impl PawsServer {
                         )
                         .map_err(ServeError::from)
                         .and_then(|problem| {
-                            // A flow LP gets whatever wall clock the
-                            // request has left; a lapsed budget degrades
-                            // it rather than hanging the batch.
-                            let config = PlannerConfig {
-                                budget: req.budget.remaining_since(admitted),
-                                ..self.planner.clone()
-                            };
-                            try_plan(&problem, &config)
+                            try_plan(&problem, &self.planner)
                                 .map(QueryResponse::PatrolPlan)
                                 .map_err(|e| ServeError::Model(e.into()))
                         }),
@@ -323,9 +314,9 @@ mod tests {
         ));
         assert!(answers[1].is_ok(), "unbudgeted sibling is unaffected");
 
-        // A plan whose budget lapses *during* the batch (deadline checks
-        // pass at admission, solver budget is already empty) is still the
-        // optimal greedy allocation: it needs no solver.
+        // A plan whose budget lapses *during* the batch (the deadline check
+        // passes at admission) is still the optimal greedy allocation: the
+        // deadline bounds admission only.
         let plan_req = QueryRequest::new(
             "mondulkiri",
             QueryKind::PatrolPlan {
@@ -339,7 +330,7 @@ mod tests {
         .with_budget(SolveBudget::with_time_limit(Duration::from_nanos(1)));
         // The nanosecond budget may or may not lapse before admission on a
         // fast machine; both outcomes are acceptable, a panic or a
-        // degraded plan is not.
+        // non-optimal plan is not.
         let answers = server.submit(&[plan_req]);
         match &answers[0] {
             Ok(QueryResponse::PatrolPlan(plan)) => {

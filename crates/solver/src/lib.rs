@@ -2,9 +2,10 @@
 //!
 //! A small, self-contained linear-programming toolkit: the from-scratch
 //! substitute for the commercial solver the paper's patrol planner relies
-//! on. The planner optimises each cell's concave-envelope utility, so the
-//! one model it builds, the time-unrolled flow formulation, is a linear
-//! program.
+//! on. The planner needs none of it now: with each cell's utility replaced
+//! by its concave envelope, a plan is the exact greedy fill of a separable
+//! knapsack. The engines back the allocation-LP oracle test that checks
+//! that fill against its own LP optimum.
 //!
 //! * [`model::Model`] — build variables, bounds, objective and constraints;
 //!   every solve reads the bounds the model was built with.
@@ -13,9 +14,8 @@
 //!   every caller uses.
 //! * [`simplex::solve_lp_dense`] — the original dense two-phase tableau,
 //!   retained as the parity reference for the sparse engine.
-//! * [`budget::SolveBudget`] — anytime wall-clock / iteration budgets; an
-//!   exhausted budget returns the current primal-feasible point tagged
-//!   [`model::SolveStatus::Degraded`] instead of hanging the caller.
+//! * [`budget::SolveBudget`] — a serving request's wall-clock deadline,
+//!   which `paws-serve` checks at admission.
 
 pub mod budget;
 pub mod csc;
@@ -26,5 +26,5 @@ pub mod simplex;
 
 pub use budget::SolveBudget;
 pub use model::{ConstraintOp, Model, Sense, Solution, SolveStatus, SolverError, Variable};
-pub use revised::{solve_lp, solve_lp_budgeted, SparseLp};
-pub use simplex::{solve_lp_dense, solve_lp_dense_budgeted};
+pub use revised::{solve_lp, SparseLp};
+pub use simplex::solve_lp_dense;

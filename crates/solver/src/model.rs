@@ -66,28 +66,21 @@ pub enum SolveStatus {
     /// The simplex engine's internal iteration cap was reached; the
     /// current basic point is returned.
     LimitReached,
-    /// A caller-supplied [`crate::budget::SolveBudget`] ran out before the
-    /// solve finished; the returned point is primal feasible but not
-    /// proven optimal.
+    /// A primal-feasible point not proven optimal. No solver returns it
+    /// and every patrol plan is `Optimal`; it is kept because `perfbench`'s
+    /// plan check names it.
     Degraded,
-    /// A caller-supplied [`crate::budget::SolveBudget`] ran out before any
-    /// usable point was found; the returned values are meaningless and the
-    /// objective is the worst value for the optimisation sense.
-    BudgetExceeded,
 }
 
-/// Why a solve produced no usable point: the typed-error twin of the
-/// point-free [`SolveStatus`] variants, for serving-path callers that must
-/// propagate failure instead of inspecting statuses.
+/// Why a model was rejected or a solve produced no usable point: the
+/// typed-error twin of the point-free [`SolveStatus`] variants, for callers
+/// that propagate failure instead of inspecting statuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverError {
     /// The problem admits no feasible point.
     Infeasible,
     /// The objective is unbounded in the optimisation direction.
     Unbounded,
-    /// The [`crate::budget::SolveBudget`] ran out before any usable point
-    /// was found.
-    BudgetExceeded,
     /// The model input was rejected before solving: a non-finite
     /// coefficient, bound, objective or right-hand side, inconsistent
     /// bounds, or a constraint referencing an unknown variable. NaNs and
@@ -106,10 +99,6 @@ impl std::fmt::Display for SolverError {
                     "the objective is unbounded in the optimisation direction"
                 )
             }
-            SolverError::BudgetExceeded => write!(
-                f,
-                "the solve budget ran out before any usable point was found"
-            ),
             SolverError::Input(msg) => write!(f, "invalid model input: {msg}"),
         }
     }
@@ -142,7 +131,6 @@ impl Solution {
             SolveStatus::Optimal | SolveStatus::LimitReached | SolveStatus::Degraded => Ok(()),
             SolveStatus::Infeasible => Err(SolverError::Infeasible),
             SolveStatus::Unbounded => Err(SolverError::Unbounded),
-            SolveStatus::BudgetExceeded => Err(SolverError::BudgetExceeded),
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Sparse revised simplex with direct bounded-variable handling.
 //!
-//! This is the LP engine behind [`solve_lp`] / [`solve_lp_budgeted`] and
-//! the patrol planner's flow formulation. Unlike the dense tableau of
+//! This is the LP engine behind [`solve_lp`] and [`SparseLp`], which the
+//! allocation-LP oracle test of the patrol planner solves with. Unlike the
+//! dense tableau of
 //! [`crate::simplex`], it never materialises `B⁻¹A`: the basis is held as a
 //! Markowitz LU factorisation ([`crate::lu`]) refreshed by product-form eta
 //! updates, pricing reads the original columns through a CSC matrix
@@ -16,13 +17,10 @@
 //! refactorised every `REFACTOR_EVERY` eta updates, or early when an eta
 //! pivot is small relative to its spike (the stability trigger); phase 1
 //! introduces artificial columns only for rows whose slack-basis residual
-//! violates the slack bounds. Deadline and iteration budgets behave exactly
-//! like the dense path: `Degraded` is a primal-feasible interrupted point,
-//! `BudgetExceeded` means feasibility was never established.
+//! violates the slack bounds. Hitting the anti-cycling iteration cap
+//! returns the current basic point tagged `LimitReached`, like the dense
+//! path.
 
-use std::time::Instant;
-
-use crate::budget::{deadline_expired, SolveBudget};
 use crate::csc::CscMatrix;
 use crate::lu::{Eta, LuFactors};
 use crate::model::{ConstraintOp, Model, Sense, Solution, SolveStatus};
@@ -30,8 +28,6 @@ use crate::model::{ConstraintOp, Model, Sense, Solution, SolveStatus};
 /// Upper bounds at or above this value are treated as +∞ (dense-path parity).
 const UNBOUNDED: f64 = 1e15;
 const EPS: f64 = 1e-9;
-/// Wall-clock deadline poll stride, matching the dense engine.
-const DEADLINE_STRIDE: usize = 64;
 /// Refactorise after this many product-form eta updates.
 const REFACTOR_EVERY: usize = 100;
 /// Stability trigger: an eta pivot below `STABILITY_REL · max|w|` (or below
@@ -55,7 +51,6 @@ enum VState {
 enum LoopExit {
     Optimal,
     Unbounded,
-    Degraded,
     LimitReached,
     Singular,
 }
@@ -164,17 +159,6 @@ impl SparseLp {
 
     /// Solve the LP, like [`solve_lp`] but reusing this workspace.
     pub fn solve(&mut self) -> Solution {
-        self.solve_inner(None, None)
-    }
-
-    /// [`SparseLp::solve`] under a [`SolveBudget`], with the dense engine's
-    /// semantics: `Degraded` carries the best primal-feasible point found
-    /// in time, `BudgetExceeded` means feasibility was never established.
-    pub fn solve_budgeted(&mut self, budget: &SolveBudget) -> Solution {
-        self.solve_inner(budget.max_lp_iterations, budget.deadline())
-    }
-
-    fn solve_inner(&mut self, iteration_cap: Option<usize>, deadline: Option<Instant>) -> Solution {
         let n = self.n_struct;
         let m = self.m;
         let n_base = n + m;
@@ -210,8 +194,7 @@ impl SparseLp {
             // ---- Phase 1 (only when artificials exist) ----------------
             if !self.art_rows.is_empty() {
                 self.set_phase1_cost();
-                match self.simplex_loop(iteration_cap, deadline) {
-                    LoopExit::Degraded => return self.outcome_budget_exceeded(),
+                match self.simplex_loop() {
                     LoopExit::Unbounded => return self.outcome_infeasible(),
                     LoopExit::Singular => {
                         if attempt == 0 {
@@ -239,7 +222,7 @@ impl SparseLp {
 
             // ---- Phase 2 ----------------------------------------------
             self.set_phase2_cost();
-            let status = match self.simplex_loop(iteration_cap, deadline) {
+            let status = match self.simplex_loop() {
                 LoopExit::Optimal => SolveStatus::Optimal,
                 LoopExit::Unbounded => {
                     return Solution {
@@ -248,7 +231,6 @@ impl SparseLp {
                         values: vec![0.0; n],
                     };
                 }
-                LoopExit::Degraded => SolveStatus::Degraded,
                 LoopExit::LimitReached => SolveStatus::LimitReached,
                 LoopExit::Singular => {
                     if attempt == 0 {
@@ -473,20 +455,12 @@ impl SparseLp {
 
     // ---- the iteration loop ---------------------------------------------
 
-    fn simplex_loop(
-        &mut self,
-        iteration_cap: Option<usize>,
-        deadline: Option<Instant>,
-    ) -> LoopExit {
+    fn simplex_loop(&mut self) -> LoopExit {
         let n_total = self.bounds.len();
-        let internal_cap = 20_000usize.max(50 * (self.m + n_total));
-        let max_iterations = iteration_cap.map_or(internal_cap, |c| c.min(internal_cap));
+        let max_iterations = 20_000usize.max(50 * (self.m + n_total));
         let mut bland = self.stall_limit == 0;
         let mut stall = 0usize;
-        for iteration in 0..max_iterations {
-            if iteration % DEADLINE_STRIDE == 0 && deadline_expired(deadline) {
-                return LoopExit::Degraded;
-            }
+        for _ in 0..max_iterations {
             if self.etas.len() >= REFACTOR_EVERY && !self.refactorise() {
                 return LoopExit::Singular;
             }
@@ -580,11 +554,7 @@ impl SparseLp {
                 bland = true;
             }
         }
-        if iteration_cap.is_some_and(|c| c < internal_cap) {
-            LoopExit::Degraded
-        } else {
-            LoopExit::LimitReached
-        }
+        LoopExit::LimitReached
     }
 
     /// Pick the entering column: Dantzig (most-positive improvement) or
@@ -701,18 +671,6 @@ impl SparseLp {
             values: vec![0.0; self.n_struct],
         }
     }
-
-    fn outcome_budget_exceeded(&self) -> Solution {
-        Solution {
-            status: SolveStatus::BudgetExceeded,
-            objective: if self.sense_sign > 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                f64::INFINITY
-            },
-            values: vec![0.0; self.n_struct],
-        }
-    }
 }
 
 /// Solve a model with the sparse revised simplex. This is the default
@@ -720,15 +678,6 @@ impl SparseLp {
 /// implementation retained for parity testing.
 pub fn solve_lp(model: &Model) -> Solution {
     SparseLp::new(model).solve()
-}
-
-/// [`solve_lp`] under a [`SolveBudget`]: when the budget runs out mid-solve
-/// the current basic point is returned tagged [`SolveStatus::Degraded`] if
-/// it is primal feasible (phase 2 was reached), or
-/// [`SolveStatus::BudgetExceeded`] if feasibility was never established.
-/// An unlimited budget reproduces [`solve_lp`] exactly.
-pub fn solve_lp_budgeted(model: &Model, budget: &SolveBudget) -> Solution {
-    SparseLp::new(model).solve_budgeted(budget)
 }
 
 #[cfg(test)]
@@ -859,52 +808,6 @@ mod tests {
         let default = solve_lp(&m);
         assert_eq!(default.status, SolveStatus::Optimal);
         assert!((default.objective - 0.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn budget_statuses_mirror_the_dense_engine() {
-        // Expired deadline inside phase 1 → BudgetExceeded.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
-            .unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
-            .unwrap();
-        let sol = solve_lp_budgeted(&m, &SolveBudget::with_time_limit(std::time::Duration::ZERO));
-        assert_eq!(sol.status, SolveStatus::BudgetExceeded);
-
-        // Expired deadline with a feasible start → Degraded feasible point.
-        let mut m2 = Model::new(Sense::Maximize);
-        let x = m2.try_add_continuous(0.0, 5.0, 1.0).unwrap();
-        m2.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
-            .unwrap();
-        let sol2 = solve_lp_budgeted(
-            &m2,
-            &SolveBudget::with_time_limit(std::time::Duration::ZERO),
-        );
-        assert_eq!(sol2.status, SolveStatus::Degraded);
-        assert!(m2.is_feasible(&sol2.values, 1e-6));
-    }
-
-    #[test]
-    fn generous_budget_is_a_behavioural_noop() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
-        let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
-            .unwrap();
-        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
-            .unwrap();
-        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
-            .unwrap();
-        let free = solve_lp(&m);
-        let budgeted = solve_lp_budgeted(
-            &m,
-            &SolveBudget::with_time_limit(std::time::Duration::from_secs(3600)),
-        );
-        assert_eq!(budgeted.status, free.status);
-        assert_eq!(budgeted.values, free.values);
-        assert_eq!(budgeted.objective, free.objective);
     }
 
     #[test]

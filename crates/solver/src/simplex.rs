@@ -5,46 +5,20 @@
 //! upper-bound rows for finitely-bounded variables, add slack/surplus and
 //! artificial columns) and runs a textbook two-phase tableau simplex with
 //! Dantzig pricing and a Bland's-rule fallback for anti-cycling. Its work
-//! grows with rows × columns, so no planner path uses it: it is the
+//! grows with rows × columns, so nothing outside tests uses it: it is the
 //! reference the sparse engine of [`crate::revised`] is parity-tested
 //! against.
 
-use std::time::Instant;
-
-use crate::budget::{deadline_expired, SolveBudget};
 use crate::model::{ConstraintOp, Model, Sense, Solution, SolveStatus};
 
 /// Upper bounds at or above this value are treated as +∞.
 const UNBOUNDED: f64 = 1e15;
 const EPS: f64 = 1e-9;
-/// The wall-clock deadline is polled once per this many simplex
-/// iterations; a single iteration is far below any meaningful deadline, so
-/// amortising the clock read keeps the budgeted path as fast as the
-/// unbudgeted one.
-const DEADLINE_STRIDE: usize = 64;
 
 /// Solve a model with the dense tableau engine. Retained as the reference
 /// implementation for parity-testing the default sparse engine
 /// ([`crate::revised::solve_lp`]); prefer `solve_lp` for production use.
 pub fn solve_lp_dense(model: &Model) -> Solution {
-    solve_lp_inner(model, None, None)
-}
-
-/// [`solve_lp_dense`] under a [`SolveBudget`]: when the budget runs out mid-solve
-/// the current basic point is returned tagged
-/// [`SolveStatus::Degraded`] if it is primal feasible (phase 2 was
-/// reached), or [`SolveStatus::BudgetExceeded`] if feasibility was never
-/// established (the budget died inside phase 1). An unlimited budget
-/// reproduces [`solve_lp_dense`] exactly.
-pub fn solve_lp_dense_budgeted(model: &Model, budget: &SolveBudget) -> Solution {
-    solve_lp_inner(model, budget.max_lp_iterations, budget.deadline())
-}
-
-fn solve_lp_inner(
-    model: &Model,
-    iteration_cap: Option<usize>,
-    deadline: Option<Instant>,
-) -> Solution {
     let n = model.n_vars();
     let bounds: Vec<(f64, f64)> = model.vars.iter().map(|v| (v.lower, v.upper)).collect();
 
@@ -153,24 +127,10 @@ fn solve_lp_inner(
         for slot in phase1.iter_mut().take(total_cols).skip(artificial_start) {
             *slot = -1.0;
         }
-        let status = run_simplex(
-            &mut tableau,
-            &mut basis,
-            &phase1,
-            m,
-            total_cols,
-            width,
-            iteration_cap,
-            deadline,
-        );
+        let status = run_simplex(&mut tableau, &mut basis, &phase1, m, total_cols, width);
         if status == SolveStatus::Unbounded {
             // Phase 1 is bounded by construction; treat as numerical failure.
             return infeasible(n);
-        }
-        if status == SolveStatus::Degraded {
-            // The budget died before feasibility was established: there is
-            // no point worth returning.
-            return budget_exceeded(model, n);
         }
         let art_sum: f64 = basis
             .iter()
@@ -213,8 +173,6 @@ fn solve_lp_inner(
         m,
         artificial_start,
         width,
-        iteration_cap,
-        deadline,
     );
     if status == SolveStatus::Unbounded {
         return Solution {
@@ -246,17 +204,6 @@ fn infeasible(n: usize) -> Solution {
     }
 }
 
-fn budget_exceeded(model: &Model, n: usize) -> Solution {
-    Solution {
-        status: SolveStatus::BudgetExceeded,
-        objective: match model.sense() {
-            Sense::Maximize => f64::NEG_INFINITY,
-            Sense::Minimize => f64::INFINITY,
-        },
-        values: vec![0.0; n],
-    }
-}
-
 fn phase1_objective(
     tableau: &[f64],
     basis: &[usize],
@@ -276,11 +223,8 @@ fn phase1_objective(
 
 /// Run the primal simplex maximising `objective` over the current tableau.
 /// `usable_cols` restricts the entering columns (e.g. excluding artificials
-/// during phase 2). `iteration_cap` / `deadline` are the caller's budget:
-/// hitting either returns [`SolveStatus::Degraded`] with the tableau at
-/// its current (primal-feasible) basis, distinct from the internal
-/// anti-cycling cap's [`SolveStatus::LimitReached`].
-#[allow(clippy::too_many_arguments)]
+/// during phase 2). Hitting the anti-cycling iteration cap returns
+/// [`SolveStatus::LimitReached`] with the tableau at its current basis.
 fn run_simplex(
     tableau: &mut [f64],
     basis: &mut [usize],
@@ -288,15 +232,9 @@ fn run_simplex(
     m: usize,
     usable_cols: usize,
     width: usize,
-    iteration_cap: Option<usize>,
-    deadline: Option<std::time::Instant>,
 ) -> SolveStatus {
-    let internal_cap = 20_000usize.max(50 * (m + usable_cols));
-    let max_iterations = iteration_cap.map_or(internal_cap, |c| c.min(internal_cap));
+    let max_iterations = 20_000usize.max(50 * (m + usable_cols));
     for iteration in 0..max_iterations {
-        if iteration % DEADLINE_STRIDE == 0 && deadline_expired(deadline) {
-            return SolveStatus::Degraded;
-        }
         // Reduced costs: c_j - c_B B^-1 A_j, computed from the tableau.
         let mut entering: Option<usize> = None;
         let mut best_reduced = EPS;
@@ -341,11 +279,7 @@ fn run_simplex(
         };
         pivot(tableau, basis, row, col, m, width);
     }
-    if iteration_cap.is_some_and(|c| c < internal_cap) {
-        SolveStatus::Degraded
-    } else {
-        SolveStatus::LimitReached
-    }
+    SolveStatus::LimitReached
 }
 
 fn pivot(tableau: &mut [f64], basis: &mut [usize], row: usize, col: usize, m: usize, width: usize) {
@@ -485,83 +419,6 @@ mod tests {
         let sol = solve_lp_dense(&m);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn generous_budget_reproduces_unbudgeted_solve_exactly() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
-        let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
-            .unwrap();
-        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
-            .unwrap();
-        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
-            .unwrap();
-        let free = solve_lp_dense(&m);
-        let budgeted = solve_lp_dense_budgeted(
-            &m,
-            &crate::budget::SolveBudget::with_time_limit(std::time::Duration::from_secs(3600)),
-        );
-        assert_eq!(budgeted.status, free.status);
-        assert_eq!(budgeted.values, free.values);
-        assert_eq!(budgeted.objective, free.objective);
-    }
-
-    #[test]
-    fn expired_deadline_yields_typed_budget_status_not_a_hang() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
-            .unwrap();
-        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
-            .unwrap();
-        let sol = solve_lp_dense_budgeted(
-            &m,
-            &crate::budget::SolveBudget::with_time_limit(std::time::Duration::ZERO),
-        );
-        // Phase 1 never ran an iteration: no feasible point exists yet.
-        assert_eq!(sol.status, SolveStatus::BudgetExceeded);
-    }
-
-    #[test]
-    fn iteration_cap_returns_degraded_feasible_point() {
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
-        // An all-Le LP needs no phase 1, so the origin basis is feasible
-        // and any iteration cap still leaves a primal-feasible point.
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..30)
-            .map(|_| {
-                m.try_add_continuous(0.0, 4.0, rng.gen_range(0.1..1.0))
-                    .unwrap()
-            })
-            .collect();
-        for _ in 0..20 {
-            let mut terms: Vec<(crate::model::Variable, f64)> = Vec::new();
-            for &v in &vars {
-                if rng.gen::<f64>() < 0.4 {
-                    terms.push((v, rng.gen_range(0.1..1.0)));
-                }
-            }
-            if !terms.is_empty() {
-                m.try_add_constraint(&terms, ConstraintOp::Le, rng.gen_range(2.0..8.0))
-                    .unwrap();
-            }
-        }
-        let full = solve_lp_dense(&m);
-        assert_eq!(full.status, SolveStatus::Optimal);
-        let capped = solve_lp_dense_budgeted(
-            &m,
-            &crate::budget::SolveBudget {
-                time_limit: None,
-                max_lp_iterations: Some(1),
-            },
-        );
-        assert_eq!(capped.status, SolveStatus::Degraded);
-        assert!(m.is_feasible(&capped.values, 1e-6));
-        assert!(capped.objective <= full.objective + 1e-9);
     }
 
     #[test]

@@ -1,18 +1,14 @@
 //! Property-based parity suite: the sparse revised simplex (the default
 //! `solve_lp` engine) must agree with the dense tableau reference
 //! (`solve_lp_dense`) on every randomized instance — same status, objective
-//! within 1e-9 (relative), identical `require_usable` outcome — and the
-//! budgeted entry points must be behavioural no-ops under an unlimited
-//! budget. A cycling regression pins the Bland's-rule fallback.
+//! within 1e-9 (relative), identical `require_usable` outcome. A cycling
+//! regression pins the Bland's-rule fallback.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use paws_solver::{
-    solve_lp, solve_lp_budgeted, solve_lp_dense, solve_lp_dense_budgeted, ConstraintOp, Model,
-    Sense, SolveBudget, SolveStatus, SparseLp,
-};
+use paws_solver::{solve_lp, solve_lp_dense, ConstraintOp, Model, Sense, SolveStatus, SparseLp};
 
 /// A random LP over a handful of bounded/unbounded variables and mixed-sense
 /// rows — small enough that both engines run to a definitive status.
@@ -93,21 +89,6 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn unlimited_budget_is_a_behavioural_noop_on_both_engines(seed in 0.0..100000.0f64) {
-        let m = random_lp(seed as u64);
-        let budget = SolveBudget::unlimited();
-        let sparse_free = solve_lp(&m);
-        let sparse_budgeted = solve_lp_budgeted(&m, &budget);
-        prop_assert!(sparse_budgeted.status == sparse_free.status);
-        prop_assert!(sparse_budgeted.objective == sparse_free.objective);
-        prop_assert!(sparse_budgeted.values == sparse_free.values);
-        let dense_free = solve_lp_dense(&m);
-        let dense_budgeted = solve_lp_dense_budgeted(&m, &budget);
-        prop_assert!(dense_budgeted.status == dense_free.status);
-        prop_assert!(dense_budgeted.values == dense_free.values);
-    }
 }
 
 /// Beale's classic cycling LP: Dantzig pricing with naive tie-breaking
@@ -155,63 +136,4 @@ fn cycling_instance_terminates_via_bland_fallback() {
     let dense = solve_lp_dense(&m);
     assert_eq!(dense.status, SolveStatus::Optimal);
     assert!((dense.objective - 0.05).abs() < 1e-9);
-}
-
-#[test]
-fn degraded_and_budget_exceeded_parity_under_starved_budgets() {
-    // Feasible-at-start model: a zero deadline leaves a Degraded feasible
-    // point on both engines.
-    let mut feasible = Model::new(Sense::Maximize);
-    let x = feasible.try_add_continuous(0.0, 5.0, 1.0).unwrap();
-    feasible
-        .try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
-        .unwrap();
-    let budget = SolveBudget::with_time_limit(std::time::Duration::ZERO);
-    let sparse = solve_lp_budgeted(&feasible, &budget);
-    let dense = solve_lp_dense_budgeted(&feasible, &budget);
-    assert_eq!(sparse.status, SolveStatus::Degraded);
-    assert_eq!(dense.status, SolveStatus::Degraded);
-    assert!(feasible.is_feasible(&sparse.values, 1e-6));
-
-    // Phase-1 model (needs artificials): the same budget dies before
-    // feasibility, surfacing BudgetExceeded on both engines.
-    let mut phase1 = Model::new(Sense::Maximize);
-    let y = phase1.try_add_continuous(0.0, f64::INFINITY, 1.0).unwrap();
-    phase1
-        .try_add_constraint(&[(y, 1.0)], ConstraintOp::Ge, 2.0)
-        .unwrap();
-    phase1
-        .try_add_constraint(&[(y, 1.0)], ConstraintOp::Le, 10.0)
-        .unwrap();
-    let sparse1 = solve_lp_budgeted(&phase1, &budget);
-    let dense1 = solve_lp_dense_budgeted(&phase1, &budget);
-    assert_eq!(sparse1.status, SolveStatus::BudgetExceeded);
-    assert_eq!(dense1.status, SolveStatus::BudgetExceeded);
-    assert_eq!(
-        sparse1.require_usable().is_ok(),
-        dense1.require_usable().is_ok()
-    );
-}
-
-#[test]
-fn iteration_cap_yields_degraded_feasible_point_like_dense() {
-    let mut m = Model::new(Sense::Maximize);
-    let x = m.try_add_continuous(0.0, f64::INFINITY, 3.0).unwrap();
-    let y = m.try_add_continuous(0.0, f64::INFINITY, 5.0).unwrap();
-    m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
-        .unwrap();
-    m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
-        .unwrap();
-    m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
-        .unwrap();
-    let budget = SolveBudget {
-        time_limit: None,
-        max_lp_iterations: Some(1),
-    };
-    let sparse = solve_lp_budgeted(&m, &budget);
-    let dense = solve_lp_dense_budgeted(&m, &budget);
-    assert_eq!(sparse.status, SolveStatus::Degraded);
-    assert_eq!(dense.status, SolveStatus::Degraded);
-    assert!(m.is_feasible(&sparse.values, 1e-6));
-    assert!(sparse.require_usable().is_ok());
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Panic-surface ratchet: the serving surface is contractually panic-free
-# (typed PawsError / SnapshotError / QueryError / SolverError / PlanError
+# (typed PawsError / SnapshotError / QueryError / PlanError / ServeError
 # everywhere a deployment can reach), so new `unwrap` / `expect` /
 # `panic!` / `unreachable!` sites in non-test library code must not creep
 # in. Every pre-existing site below was audited (PR 6): they are either

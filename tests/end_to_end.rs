@@ -142,10 +142,8 @@ fn large_park_planner_plans_a_park_wide_allocation() {
     // (a patrol length long enough that every cell is a candidate — an
     // allocation of ~550k breakpoints, which the greedy envelope fill
     // plans without an LP; the dense tableau would need tens of
-    // gigabytes). Budgeted and unbudgeted plans must both come back
-    // Optimal and identical.
-    use paws_solver::{SolveBudget, SolveStatus};
-    use std::time::Duration;
+    // gigabytes). The plan must come back Optimal and feasible.
+    use paws_solver::SolveStatus;
 
     let scenario = Scenario::llc_scenario(50_000, 43);
     let history = scenario.simulate_years(2014, 2);
@@ -170,22 +168,10 @@ fn large_park_planner_plans_a_park_wide_allocation() {
         "park-wide reach should make every cell a candidate"
     );
 
-    let unbudgeted = try_plan(&problem, &PlannerConfig::default()).unwrap();
-    assert_eq!(unbudgeted.status, SolveStatus::Optimal);
-    assert!(unbudgeted.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
-    assert!(unbudgeted.coverage.iter().all(|&c| c >= 0.0));
-
-    let budgeted = try_plan(
-        &problem,
-        &PlannerConfig {
-            budget: SolveBudget::with_time_limit(Duration::from_secs(120)),
-            ..PlannerConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(budgeted.status, SolveStatus::Optimal);
-    assert_eq!(budgeted.coverage, unbudgeted.coverage);
-    assert!((budgeted.objective - unbudgeted.objective).abs() <= 1e-9);
+    let plan = try_plan(&problem, &PlannerConfig::default()).unwrap();
+    assert_eq!(plan.status, SolveStatus::Optimal);
+    assert!(plan.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
+    assert!(plan.coverage.iter().all(|&c| c >= 0.0));
 }
 
 #[test]

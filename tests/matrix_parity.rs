@@ -27,8 +27,8 @@ use paws_ml::gp::{GaussianProcess, GpConfig};
 use paws_ml::svm::{LinearSvm, SvmConfig};
 use paws_ml::traits::{Classifier, UncertainClassifier};
 use paws_ml::tree::{DecisionTree, TreeConfig};
-use paws_plan::{try_plan, PatrolPlan, PlannerConfig, PlannerMethod, PlanningProblem};
-use paws_solver::{SolveBudget, SolveStatus};
+use paws_plan::{try_plan, PatrolPlan, PlannerConfig, PlanningProblem};
+use paws_solver::SolveStatus;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -1043,9 +1043,8 @@ fn f32_plane_bits_match_the_pinned_goldens_on_the_test_park() {
 // ---------------------------------------------------------------------------
 //
 // The planner tests compare plans with each other and with an LP oracle
-// (flow against allocation, budgeted against unbudgeted, the greedy fill
-// against the LP optimum within 1e-9), so a change that moved every
-// plan's last bits alike would pass them. These pins fix each plan's
+// (the greedy fill against the LP optimum within 1e-9), so a change that
+// moved every plan's last bits alike would pass them. These pins fix each plan's
 // exact bits: FNV-1a 64 over the coverage followed by the objective, plus
 // the status and both solve counters.
 
@@ -1131,14 +1130,6 @@ const GOLDEN_PLAN_WIDE: PlanPin = PlanPin {
     lp_solves: 0,
     nodes: 0,
 };
-/// The flow formulation on the tiny instance: T = 4 km, K = 1, β = 0,
-/// 8 PWL segments.
-const GOLDEN_PLAN_FLOW: PlanPin = PlanPin {
-    bits: 0x2e08_67a0_5193_2329,
-    status: SolveStatus::Optimal,
-    lp_solves: 1,
-    nodes: 0,
-};
 /// The test-park DTB-iW model of the f32 pins above, on the default f64
 /// plane, planned through a prepared park: post 0, grid
 /// `[0, 0.5, 1, 2, 4]`, T = 8 km, K = 2, β = 0.8.
@@ -1164,30 +1155,6 @@ fn allocation_plans_match_the_pinned_bits() {
     );
     let plan = try_plan(&wide, &config).unwrap();
     assert_eq!(plan_pin(&plan), GOLDEN_PLAN_WIDE, "every cell");
-
-    // An allocation plan needs no solver, so a lapsed budget returns the
-    // unbudgeted plan.
-    let problem = synthetic_plan_problem(0.5, 8.0, 3);
-    let starved = PlannerConfig {
-        budget: SolveBudget::with_time_limit(std::time::Duration::ZERO),
-        ..PlannerConfig::default()
-    };
-    assert_eq!(
-        plan_pin(&try_plan(&problem, &starved).unwrap()),
-        plan_pin(&try_plan(&problem, &config).unwrap()),
-        "zero budget"
-    );
-}
-
-#[test]
-fn flow_plan_matches_the_pinned_bits() {
-    let config = PlannerConfig {
-        method: PlannerMethod::Flow,
-        segments: 8,
-        ..PlannerConfig::default()
-    };
-    let plan = try_plan(&synthetic_plan_problem(0.0, 4.0, 1), &config).unwrap();
-    assert_eq!(plan_pin(&plan), GOLDEN_PLAN_FLOW);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use paws_data::Matrix;
 use paws_geo::parks::{qenp_spec, test_park_spec};
 use paws_geo::Park;
 use paws_plan::{try_plan, PlannerConfig, PlanningProblem};
-use paws_solver::{SolveBudget, SolveStatus};
+use paws_solver::SolveStatus;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -126,32 +126,20 @@ fn qenp_scale_problem() -> PlanningProblem {
     )
 }
 
-fn budgeted(budget: SolveBudget) -> PlannerConfig {
-    PlannerConfig {
-        budget,
-        ..PlannerConfig::default()
-    }
-}
-
-/// Fig. 8-scale deadline: an allocation plan is the greedy fill and needs
-/// no solver, so a ~1 ms wall-clock budget neither degrades nor slows it.
-/// It must come back `Optimal` and bit-identical to the unbudgeted plan.
+/// Fig. 8 scale: the plan is the greedy fill, `Optimal` with no LP, within
+/// the patrol budget and every cell's cap, and allocates something.
 #[test]
-fn qenp_scale_deadline_leaves_the_allocation_plan_unchanged() {
+fn qenp_scale_plan_is_optimal_and_feasible() {
     let problem = qenp_scale_problem();
-    let free = try_plan(&problem, &PlannerConfig::default()).unwrap();
-    let config = budgeted(SolveBudget::with_time_limit(Duration::from_millis(1)));
     let t0 = Instant::now();
-    let p = try_plan(&problem, &config).expect("a deadline never fails an allocation plan");
+    let p = try_plan(&problem, &PlannerConfig::default()).expect("the QENP-scale problem plans");
     assert!(
         t0.elapsed() < Duration::from_secs(30),
-        "1 ms deadline plan took {:?}",
+        "QENP-scale plan took {:?}",
         t0.elapsed()
     );
     assert_eq!(p.status, SolveStatus::Optimal);
     assert_eq!(p.lp_solves, 0);
-    assert_eq!(p.coverage, free.coverage);
-    assert_eq!(p.objective.to_bits(), free.objective.to_bits());
     let total: f64 = p.coverage.iter().sum();
     assert!(total <= problem.budget_km() + 1e-6, "over budget: {total}");
     for (i, &c) in p.coverage.iter().enumerate() {
@@ -159,19 +147,4 @@ fn qenp_scale_deadline_leaves_the_allocation_plan_unchanged() {
         assert!(c <= problem.max_effort(i) + 1e-6, "cell {i} over cap: {c}");
     }
     assert!(total > 0.0, "the plan allocated nothing");
-}
-
-/// A generous budget must be a strict identity: exactly the plan the
-/// unbudgeted planner produced, down to the solver statistics.
-#[test]
-fn qenp_scale_generous_budget_reproduces_the_unbudgeted_plan() {
-    let problem = qenp_scale_problem();
-    let free = try_plan(&problem, &PlannerConfig::default()).unwrap();
-    let generous = budgeted(SolveBudget::with_time_limit(Duration::from_secs(600)));
-    let p = try_plan(&problem, &generous).expect("generous budget plans normally");
-    assert_eq!(p.coverage, free.coverage);
-    assert_eq!(p.objective, free.objective);
-    assert_eq!(p.status, free.status);
-    assert_eq!(p.nodes, free.nodes);
-    assert_eq!(p.lp_solves, free.lp_solves);
 }
