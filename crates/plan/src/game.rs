@@ -272,8 +272,8 @@ impl PlanningProblem {
 /// (one step ≈ one km, nearest-integer, never zero).
 ///
 /// Route extraction and [`PlanningProblem::patrol_steps`] both go through
-/// this one helper, so a 8.5 km patrol is 9 steps everywhere (a site that
-/// truncated with `as usize` once made it 8 in one layer).
+/// this one helper, so every layer counts the same steps for a patrol (an
+/// 8.5 km patrol is 9 steps, never 8).
 pub fn steps_for(patrol_length_km: f64) -> usize {
     patrol_length_km.round().max(1.0) as usize
 }

@@ -111,8 +111,8 @@ impl std::error::Error for SolverError {}
 pub struct Solution {
     /// Termination status.
     pub status: SolveStatus,
-    /// Objective value of the returned point (meaningful for `Optimal`,
-    /// `LimitReached` and `Degraded`).
+    /// Objective value of the returned point (meaningful for `Optimal` and
+    /// `LimitReached`).
     pub objective: f64,
     /// Value of every variable, indexed by [`Variable`] id.
     pub values: Vec<f64>,
