@@ -417,9 +417,7 @@ impl ServingModel {
     /// the response surfaces come off the park's cached learner tables (or,
     /// for plain bagging, its prepared rows), then flow through
     /// [`try_planning_problem_from_response`]'s guards, squash and game
-    /// construction. Only its scan for non-finite variances is skipped:
-    /// the model's own are finite (GP variances clamp at 1e-12, spreads are
-    /// sums of squares and iWare weights form a simplex).
+    /// construction.
     ///
     /// # Errors
     /// As [`ServingModel::try_park_response_prepared`] and
@@ -436,7 +434,7 @@ impl ServingModel {
         beta: f64,
     ) -> Result<PlanningProblem, PawsError> {
         let (probs, vars) = self.try_park_response_prepared(prepared, effort_grid)?;
-        guarded_planning_problem(
+        try_planning_problem_from_response(
             park,
             post,
             effort_grid,
@@ -479,31 +477,6 @@ pub fn try_planning_problem_from_response(
     if !vars.as_slice().iter().all(|v| v.is_finite()) {
         return Err(PawsError::Input("response variances must be finite"));
     }
-    guarded_planning_problem(
-        park,
-        post,
-        effort_grid,
-        probs,
-        vars,
-        patrol_length_km,
-        n_patrols,
-        beta,
-    )
-}
-
-/// [`try_planning_problem_from_response`] without its scan of the
-/// variances, for surfaces the model computed itself.
-#[allow(clippy::too_many_arguments)]
-fn guarded_planning_problem(
-    park: &Park,
-    post: CellId,
-    effort_grid: &[f64],
-    probs: &Matrix,
-    vars: &Matrix,
-    patrol_length_km: f64,
-    n_patrols: usize,
-    beta: f64,
-) -> Result<PlanningProblem, PawsError> {
     if !park.contains(post) {
         return Err(PawsError::Input("patrol post must be inside the park"));
     }
