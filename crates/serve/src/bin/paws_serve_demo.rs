@@ -18,8 +18,7 @@
 
 use paws_core::{ModelConfig, RefitPath, Scenario, StreamConfig, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Discretization};
-use paws_serve::{PawsServer, QueryKind, QueryRequest, QueryResponse};
-use paws_solver::SolveBudget;
+use paws_serve::{PawsServer, QueryKind, QueryRequest, QueryResponse, SolveBudget};
 use std::time::{Duration, Instant};
 
 fn stream_demo() -> Result<(), Box<dyn std::error::Error>> {

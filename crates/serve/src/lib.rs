@@ -19,7 +19,7 @@
 //! * [`PawsServer`] — batched admission: group by park, snapshot each
 //!   bundle once, fan park groups across the work-stealing pool, and
 //!   answer every request by the direct prepared-park call, with a typed
-//!   result. A request whose [`paws_solver::SolveBudget`] deadline lapsed
+//!   result. A request whose [`SolveBudget`] deadline lapsed
 //!   before its query started is refused; one admitted in time gets the
 //!   direct call's answer. A park's first query fills its learner tables;
 //!   every later one only combines them.
@@ -56,5 +56,5 @@ pub mod request;
 pub mod server;
 
 pub use registry::{ModelRegistry, ResidentPark};
-pub use request::{QueryKind, QueryRequest, QueryResponse, ServeError};
+pub use request::{QueryKind, QueryRequest, QueryResponse, ServeError, SolveBudget};
 pub use server::PawsServer;

@@ -10,8 +10,37 @@ use paws_core::PawsError;
 use paws_data::{AppendError, Matrix};
 use paws_geo::CellId;
 use paws_plan::PatrolPlan;
-use paws_solver::SolveBudget;
 use std::fmt;
+use std::time::{Duration, Instant};
+
+/// A request's wall-clock admission deadline. The default is unlimited.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveBudget {
+    /// Wall-clock limit, measured from when the request was admitted.
+    /// `None` means no deadline.
+    pub time_limit: Option<Duration>,
+}
+
+impl SolveBudget {
+    /// No deadline.
+    pub fn unlimited() -> Self {
+        Self::default()
+    }
+
+    /// A deadline `limit` after admission.
+    pub fn with_time_limit(limit: Duration) -> Self {
+        Self {
+            time_limit: Some(limit),
+        }
+    }
+
+    /// Whether the deadline has lapsed, when its clock started at `since`:
+    /// at least `time_limit` has elapsed. An unlimited budget never lapses.
+    pub fn lapsed(&self, since: Instant) -> bool {
+        self.time_limit
+            .is_some_and(|limit| since.elapsed() >= limit)
+    }
+}
 
 /// What to compute against a resident park's cached artifacts.
 #[derive(Debug, Clone)]
@@ -158,5 +187,31 @@ impl From<PawsError> for ServeError {
 impl From<AppendError> for ServeError {
     fn from(e: AppendError) -> Self {
         ServeError::Ingest(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_budget_is_unlimited() {
+        let b = SolveBudget::default();
+        assert_eq!(b, SolveBudget::unlimited());
+        assert_eq!(b.time_limit, None);
+    }
+
+    #[test]
+    fn a_deadline_lapses_once_its_limit_has_elapsed() {
+        let start = Instant::now();
+        assert!(!SolveBudget::unlimited().lapsed(start));
+        assert!(SolveBudget::with_time_limit(Duration::ZERO).lapsed(start));
+
+        let brief = SolveBudget::with_time_limit(Duration::from_nanos(1));
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(brief.lapsed(start));
+
+        let hour = SolveBudget::with_time_limit(Duration::from_secs(3600));
+        assert!(!hour.lapsed(start));
     }
 }

@@ -14,7 +14,7 @@
 //!    response surface and planning problem on it only combines them;
 //! 3. each answer is a typed [`QueryResponse`] / [`ServeError`] — the
 //!    admission layer never panics on caller input — and a request whose
-//!    [`paws_solver::SolveBudget`] wall-clock deadline lapses before its
+//!    [`crate::request::SolveBudget`] wall-clock deadline lapses before its
 //!    query starts is refused with [`ServeError::DeadlineExceeded`]. The
 //!    deadline bounds admission only: a query that starts in time gets the
 //!    direct call's answer, and a patrol plan is the planner's exact
@@ -26,7 +26,7 @@ use paws_plan::{try_plan, PlannerConfig};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The serving front end: a registry plus the batched admission layer.
 #[derive(Default)]
@@ -119,7 +119,7 @@ impl PawsServer {
             .requests
             .iter()
             .map(|&(idx, req)| {
-                if req.budget.remaining_since(admitted).time_limit == Some(Duration::ZERO) {
+                if req.budget.lapsed(admitted) {
                     return (
                         idx,
                         Err(ServeError::DeadlineExceeded {
@@ -168,11 +168,12 @@ impl PawsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{QueryKind, QueryRequest};
+    use crate::request::{QueryKind, QueryRequest, SolveBudget};
     use paws_core::{ModelConfig, PawsError, Scenario, ServingModel, WeakLearnerKind};
     use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization};
     use paws_geo::Park;
-    use paws_solver::{SolveBudget, SolveStatus};
+    use paws_solver::SolveStatus;
+    use std::time::Duration;
 
     fn fixture() -> (Park, Dataset, ServingModel) {
         let scenario = Scenario::test_scenario(3);

@@ -14,17 +14,13 @@
 //!   every caller uses.
 //! * [`simplex::solve_lp_dense`] — the original dense two-phase tableau,
 //!   retained as the parity reference for the sparse engine.
-//! * [`budget::SolveBudget`] — a serving request's wall-clock deadline,
-//!   which `paws-serve` checks at admission.
 
-pub mod budget;
 pub mod csc;
 pub mod lu;
 pub mod model;
 pub mod revised;
 pub mod simplex;
 
-pub use budget::SolveBudget;
 pub use model::{ConstraintOp, Model, Sense, Solution, SolveStatus, SolverError, Variable};
 pub use revised::{solve_lp, SparseLp};
 pub use simplex::solve_lp_dense;
