@@ -36,7 +36,7 @@ impl SolveBudget {
 
     /// Whether the deadline has lapsed, when its clock started at `since`:
     /// at least `time_limit` has elapsed. An unlimited budget never lapses.
-    pub fn lapsed(&self, since: Instant) -> bool {
+    pub(crate) fn lapsed(&self, since: Instant) -> bool {
         self.time_limit
             .is_some_and(|limit| since.elapsed() >= limit)
     }
